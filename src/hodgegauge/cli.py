@@ -297,7 +297,6 @@ def build_parser():
         if with_inputs:
             sp.add_argument("inputs", nargs="+", help="document files")
         sp.add_argument("--field", choices=("Q", "Qi"), default="Qi")
-        sp.add_argument("--truncation", type=int, default=None)
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument(
             "--orientation-selftest",
@@ -327,6 +326,7 @@ def build_parser():
     sp.add_argument("--path", default=None, help="semicolon-separated x,y points")
     sp = sub.add_parser("lie", help="universal generator-change tables")
     common(sp, with_inputs=False)
+    sp.add_argument("--truncation", type=int, default=None)
     return ap
 
 

@@ -8,15 +8,15 @@ determined by coefficient blocks A_{p,q}, B_{p,q} (p, q >= 1) of bidegree
 
 Gauge transformations are unipotent with the same strict double-lowering
 shape.  The Fock-Schwinger condition A + B = 0 picks a unique representative
-in each gauge orbit, and that representative is computable from a delta
-datum through the inverted universal holonomy-log tables.
+in each gauge orbit, and that representative is computed from a delta
+datum level by level from its triangle holonomy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .freelie import generator_change_table
+from .freelie import abelianized_coefficient
 from .linalg import Matrix
 from .poly import Poly, PolyMatrix
 from .scalars import Scalar
@@ -33,10 +33,7 @@ def _check_block(hodge, M, p, q, what):
         raise AdmissibilityError(
             "%s block at (%d, %d) has shape %r" % (what, p, q, M.shape)
         )
-    owner = {}
-    for pq, off, h in hodge.blocks():
-        for k in range(h):
-            owner[off + k] = pq
+    owner = hodge.block_of_index()
     for i in range(n):
         pi, qi = owner[i]
         for j in range(n):
@@ -248,32 +245,37 @@ def normalize_fock_schwinger(C):
     return current, total
 
 
-def connection_from_delta(dobj, table=None):
+def connection_from_delta(dobj):
     """The Fock-Schwinger connection whose triangle holonomy is delta.
 
-    The log components D_{p,q} of delta are the evaluations of the universal
-    Lie polynomials z_{p,q} at the A blocks; the triangular inverse of that
-    generator change recovers the blocks, and B = -A.
+    Solved level by level on the total drop d = p + q.  The log of the
+    hypotenuse transport T has the component c(p, q) A_{p,q} at (p, q), plus
+    brackets of strictly lower blocks (Chen's triangular generator change),
+    so with the lower levels already fixed
+    A_{p,q} = (D_{p,q} - [log T]_{p,q}) / c(p, q), where D = log delta,
+    c = abelianized_coefficient and T is the transport of the blocks found
+    so far.  B = -A.
     """
+    from .holonomy import TRIANGLE, transport_segment
+
     hodge = dobj.hodge
     spread = _weight_spread(hodge)
-    if spread < 2:
-        return EquivariantConnection.zero(hodge)
-    if table is None:
-        table = generator_change_table(spread)
     D = log_delta_components(dobj)
     n = hodge.dim
     zero = Matrix.zeros(n, n)
-    assignment = {}
+    C = EquivariantConnection.zero(hodge)
+    logT = {}
     for d in range(2, spread + 1):
-        for p in range(1, d):
-            assignment["z%d,%d" % (p, d - p)] = D.get((p, d - p), zero)
-    A = {}
-    for d in range(2, spread + 1):
+        A = dict(C.A)
         for p in range(1, d):
             q = d - p
-            M = table[(p, q)].substitute(assignment)
+            M = D.get((p, q), zero) - logT.get((p, q), zero)
             if not M.is_zero():
-                A[(p, q)] = M
-    B = {k: -v for k, v in A.items()}
-    return EquivariantConnection(hodge, A, B)
+                A[(p, q)] = M.scale(Scalar(1 / abelianized_coefficient(p, q)))
+        if len(A) == len(C.A):
+            continue
+        C = EquivariantConnection(hodge, A, {k: -v for k, v in A.items()})
+        if d < spread:
+            T = transport_segment(connection_form(C), TRIANGLE[1], TRIANGLE[2])
+            logT = log_delta_components(DeltaObject(hodge, T))
+    return C

@@ -194,10 +194,7 @@ def random_delta(rng, max_dim=8, weight_lo=-6, weight_hi=6, gaussian=True):
             break
     hodge = HodgeNumbers(counts)
     n = hodge.dim
-    owner = {}
-    for pq, off, h in hodge.blocks():
-        for k in range(h):
-            owner[off + k] = pq
+    owner = hodge.block_of_index()
     rows = [
         [ONE if a == b else ZERO for b in range(n)] for a in range(n)
     ]

@@ -9,13 +9,13 @@ lexicographic order and hence exact.
 The universal tables express the logarithm of the transport along the
 hypotenuse from (-1, 0) to (0, -1) as a Lie series z = sum z_{p,q} in the
 connection coefficients alpha_{p,q}, and invert that (triangular) change of
-generators.  Tables depend only on the truncation weight and are cached.
+generators.  Tables depend only on the truncation weight and are memoized
+per process.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import functools
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -411,13 +411,15 @@ def _dynkin(alphabet, tensor):
     return {w: c for w, c in out.items() if c}
 
 
+@functools.cache
 def universal_log_pexp(N):
     """Bihomogeneous components of log of the hypotenuse transport.
 
     The transport solves U' = omega(t) U with
     omega(t) = sum alpha_{p,q} * (-t^{p-1}(-1-t)^{q-1}), U(-1) = 1,
     in the tensor algebra truncated at weight N.  Returns the map
-    (p, q) -> z_{p,q} as Lyndon-coordinate Lie polynomials.
+    (p, q) -> z_{p,q} as Lyndon-coordinate Lie polynomials, memoized per
+    process.
     """
     alphabet = alpha_alphabet(N)
     letters = list(range(len(alphabet)))
@@ -501,6 +503,12 @@ def invert_generator_change(N):
     return out
 
 
+@functools.cache
+def generator_change_table(N):
+    """The alpha-in-z table at truncation N, memoized per process."""
+    return invert_generator_change(N)
+
+
 def commutant_generators(N):
     """The lifts ad(t2)^{q-1}(ad(t1)^p(t2)) in the free Lie algebra on two
     letters, for p, q >= 1 with p + q <= N."""
@@ -563,57 +571,3 @@ def verify_commutant_generation(N):
             dims[(p, q)] = len(twords)
     return dims
 
-
-# ---------------------------------------------------------------------------
-# table cache
-
-_MEM_CACHE = {}
-
-CACHE_ENV = "HODGEGAUGE_TABLE_CACHE"
-
-
-def _serialize_table(table):
-    doc = {}
-    for (p, q), poly in table.items():
-        doc["%d,%d" % (p, q)] = {
-            ";".join(str(i) for i in w): str(c) for w, c in poly.coords.items()
-        }
-    return doc
-
-
-def _deserialize_table(doc, alphabet):
-    out = {}
-    for key, coords in doc.items():
-        p, q = (int(x) for x in key.split(","))
-        cs = {}
-        for wkey, cstr in coords.items():
-            w = tuple(int(i) for i in wkey.split(";")) if wkey else ()
-            cs[w] = Fraction(cstr)
-        out[(p, q)] = LiePolynomial(alphabet, cs)
-    return out
-
-
-def generator_change_table(N):
-    """The alpha-in-z table at truncation N, memoized and optionally
-    persisted to the directory named by HODGEGAUGE_TABLE_CACHE."""
-    if N in _MEM_CACHE:
-        return _MEM_CACHE[N]
-    cache_dir = os.environ.get(CACHE_ENV)
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, "generator_change_%d.json" % N)
-        if os.path.exists(path):
-            with open(path) as fh:
-                doc = json.load(fh)
-            table = _deserialize_table(doc, z_alphabet(N))
-            _MEM_CACHE[N] = table
-            return table
-    table = invert_generator_change(N)
-    _MEM_CACHE[N] = table
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(_serialize_table(table), fh, sort_keys=True)
-        os.replace(tmp, path)
-    return table

@@ -49,10 +49,7 @@ class TwoTermComplex:
 def invariant_complex(C):
     """The invariant two-term complex of an admissible connection."""
     hodge = C.hodge
-    owner = {}
-    for (p, q), off, h in hodge.blocks():
-        for k in range(h):
-            owner[off + k] = (p, q)
+    owner = hodge.block_of_index()
     n = hodge.dim
     dom = []
     for i in range(n):

@@ -89,22 +89,21 @@ def _segment_pullback(P, Q, a, b):
     return pull(P, d1) + pull(Q, d2)
 
 
-def _picard(M, lower, upper):
-    """Fundamental solution of T' = M T, T(lower) = 1, evaluated at upper.
+def _picard(M, lower):
+    """Polynomial fundamental solution S of S' = M S with S(lower) = 1.
 
     Terminates because M takes values in nilpotent matrices; guarded by the
     ambient dimension.
     """
     n = M.shape[0]
     ident = PolyMatrix.identity(1, n)
-    T = ident
+    S = ident
     for _ in range(n + 1):
-        prod = M @ T
-        F = prod.antiderivative()
-        Tn = ident + F - PolyMatrix.from_scalar_matrix(1, F.eval((lower,)))
-        if Tn == T:
-            return T.eval((upper,))
-        T = Tn
+        F = (M @ S).antiderivative()
+        Sn = ident + F - PolyMatrix.from_scalar_matrix(1, F.eval((lower,)))
+        if Sn == S:
+            return S
+        S = Sn
     raise NotNilpotentError("transport iteration did not terminate")
 
 
@@ -114,7 +113,7 @@ def transport_segment(forms, a, b):
     a = (Scalar(0) + a[0], Scalar(0) + a[1])
     b = (Scalar(0) + b[0], Scalar(0) + b[1])
     M = _segment_pullback(P, Q, a, b)
-    return _picard(M, ZERO, ONE)
+    return _picard(M, ZERO).eval((ONE,))
 
 
 def holonomy_path(forms, path):
@@ -133,19 +132,17 @@ def triangle_delta(C):
 
     The pullback of an admissible form to either coordinate axis vanishes
     (every monomial carries both variables), so the loop reduces to the
-    hypotenuse transport; the full three-segment product is computed anyway
-    and the axis segments are asserted trivial.
+    hypotenuse transport; each segment is transported once and the axis
+    segments are asserted trivial.
     """
     forms = connection_form(C)
-    path = PolygonalPath(TRIANGLE)
-    segs = path.segments()
-    n = C.hodge.dim
-    first = transport_segment(forms, *segs[0])
-    last = transport_segment(forms, *segs[2])
-    assert first == Matrix.identity(n), "axis transport is not trivial"
-    assert last == Matrix.identity(n), "axis transport is not trivial"
-    T = holonomy_path(forms, path)
-    return DeltaObject(C.hodge, T)
+    first, hyp, last = (
+        transport_segment(forms, a, b)
+        for a, b in PolygonalPath(TRIANGLE).segments()
+    )
+    one = Matrix.identity(C.hodge.dim)
+    assert first == one and last == one, "axis transport is not trivial"
+    return DeltaObject(C.hodge, last @ hyp @ first)
 
 
 def flat_sections_on_line(C):
@@ -153,24 +150,11 @@ def flat_sections_on_line(C):
     S(-1) = 1; columns span the covariantly constant sections, S(0) is the
     hypotenuse transport."""
     P, Q = connection_form(C)
-    a = (-ONE, ZERO)
-    b = (ZERO, -ONE)
-    M = _segment_pullback(P, Q, a, b)
+    M = _segment_pullback(P, Q, (-ONE, ZERO), (ZERO, -ONE))
     # reparametrize: the pullback above is in the segment parameter
     # s in [0, 1] with u = s - 1; shift to the u variable
     shift = Poly.constant(1, ONE) + Poly.variable(1, 0)
-    M = M.subs(0, shift)
-    n = C.hodge.dim
-    ident = PolyMatrix.identity(1, n)
-    S = ident
-    for _ in range(n + 1):
-        prod = M @ S
-        F = prod.antiderivative()
-        Sn = ident + F - PolyMatrix.from_scalar_matrix(1, F.eval((-ONE,)))
-        if Sn == S:
-            return S
-        S = Sn
-    raise NotNilpotentError("flat section iteration did not terminate")
+    return _picard(M.subs(0, shift), -ONE)
 
 
 def convention_selftest():

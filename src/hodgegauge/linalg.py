@@ -375,14 +375,6 @@ class Subspace:
         return Subspace.from_rows(self.n * other.n, rows)
 
 
-def subspace_sum(a, b):
-    return a.add(b)
-
-
-def subspace_intersect(a, b):
-    return a.intersect(b)
-
-
 class Quotient:
     """Chart for S/T with a deterministic echelon-complement basis.
 

@@ -152,6 +152,10 @@ class HodgeNumbers:
             off += h
         return out
 
+    def block_of_index(self):
+        """The (p, q) of each basis index, in the canonical block order."""
+        return [pq for pq, _, h in self.blocks() for _ in range(h)]
+
     def weights(self):
         return sorted({p + q for (p, q) in self.counts})
 

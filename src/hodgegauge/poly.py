@@ -349,8 +349,3 @@ class PolyMatrix:
                 tuple(p.integrate(a, b, var) for p in row) for row in self.rows
             )
         )
-
-
-def integrate_poly_segment(pm, a, b):
-    """Exact entrywise integral of a univariate polynomial matrix over [a, b]."""
-    return pm.integrate(a, b)

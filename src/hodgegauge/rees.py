@@ -90,7 +90,7 @@ def rees_patching(dobj):
     """
     hodge = dobj.hodge
     n = hodge.dim
-    owner = dobj.block_of_index()
+    owner = hodge.block_of_index()
     rows = []
     for i in range(n):
         p, q = owner[i]

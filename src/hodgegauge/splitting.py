@@ -106,11 +106,6 @@ def splitting_subspaces(V, side, hodge=None):
     return out
 
 
-def deligne_splitting(V, side, hodge=None):
-    """Alias for the bigraded splitting associated with one filtration side."""
-    return splitting_subspaces(V, side, hodge)
-
-
 class DeltaObject:
     """Hodge numbers together with the comparison matrix on the graded space.
 
@@ -125,10 +120,7 @@ class DeltaObject:
         n = hodge.dim
         if delta.shape != (n, n):
             raise DeltaError("matrix shape %r for dimension %d" % (delta.shape, n))
-        owner = {}
-        for (p, q), off, h in hodge.blocks():
-            for k in range(h):
-                owner[off + k] = (p, q)
+        owner = hodge.block_of_index()
         for i in range(n):
             pi, qi = owner[i]
             for j in range(n):
@@ -159,13 +151,6 @@ class DeltaObject:
 
     def __repr__(self):
         return "DeltaObject(%r)" % (self.hodge,)
-
-    def block_of_index(self):
-        owner = {}
-        for (p, q), off, h in self.hodge.blocks():
-            for k in range(h):
-                owner[off + k] = (p, q)
-        return owner
 
 
 def _side_matrix(V, gr, hodge, side):
@@ -199,7 +184,7 @@ def log_delta_components(dobj):
     to block (p - a, q - b).  The components sum back to log(delta).
     """
     D = log_unipotent(dobj.delta)
-    owner = dobj.block_of_index()
+    owner = dobj.hodge.block_of_index()
     n = dobj.hodge.dim
     comps = {}
     for i in range(n):

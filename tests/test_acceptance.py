@@ -149,10 +149,7 @@ def test_criterion_03_delta_holonomy_roundtrip(capsys):
 
 
 def _random_gauge(hodge, rng):
-    owner = {}
-    for pq, off, h in hodge.blocks():
-        for k in range(h):
-            owner[off + k] = pq
+    owner = hodge.block_of_index()
     ws = hodge.weights()
     spread = ws[-1] - ws[0]
     n = hodge.dim
@@ -357,7 +354,7 @@ def test_criterion_09_commutant_generation(capsys):
     report(9, "commutant-generation", ok, capsys)
 
 
-def _cli_suite(jobs, cache_dir):
+def _cli_suite(jobs):
     d = fixture_dir()
     files = sorted(os.listdir(d))
     mhs_docs = []
@@ -382,25 +379,21 @@ def _cli_suite(jobs, cache_dir):
         ["ext"] + mhs_docs,
         ["holonomy"] + delta_docs + conn_docs,
     ]
-    env = dict(os.environ)
-    env["HODGEGAUGE_TABLE_CACHE"] = cache_dir
     outputs = []
     for plan in plans:
         argv = plan + (["--jobs", str(jobs)] if jobs > 1 else [])
         proc = subprocess.run(
             [sys.executable, "-m", "hodgegauge.cli"] + argv,
             capture_output=True,
-            env=env,
         )
         outputs.append((plan[0], proc.returncode, proc.stdout))
     return outputs
 
 
-def test_criterion_10_determinism(capsys, tmp_path):
-    cache = str(tmp_path / "tables")
-    first = _cli_suite(1, cache)
-    second = _cli_suite(1, cache)
-    parallel = _cli_suite(4, cache)
+def test_criterion_10_determinism(capsys):
+    first = _cli_suite(1)
+    second = _cli_suite(1)
+    parallel = _cli_suite(4)
     ok = first == second == parallel
     ok = ok and all(code == 0 for _, code, _ in first)
     report(10, "cli-determinism", ok, capsys)

@@ -15,10 +15,13 @@ from hodgegauge.connection import (
     normalize_fock_schwinger,
 )
 from hodgegauge.fixtures import kummer_delta, random_delta, t3_delta
+from hodgegauge.freelie import abelianized_coefficient, generator_change_table
+from hodgegauge.holonomy import triangle_delta
 from hodgegauge.linalg import Matrix
 from hodgegauge.mhs import HodgeNumbers
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, Scalar, ZERO
+from hodgegauge.splitting import DeltaObject, log_delta_components
 
 KH = HodgeNumbers({(0, 0): 1, (-1, -1): 1})
 E = mat([[0, 1], [0, 0]])  # sends the weight-0 line to the weight-(-2) line
@@ -135,13 +138,64 @@ def test_connection_from_t3_has_two_levels():
     assert C.B == {k: -v for k, v in C.A.items()}
 
 
+def _table_route(d):
+    """Reference: the log components of delta substituted into the inverted
+    universal generator change alpha_{p,q}(z)."""
+    hodge = d.hodge
+    ws = hodge.weights()
+    spread = ws[-1] - ws[0]
+    if spread < 2:
+        return EquivariantConnection.zero(hodge)
+    table = generator_change_table(spread)
+    D = log_delta_components(d)
+    zero = Matrix.zeros(hodge.dim, hodge.dim)
+    assignment = {"z%d,%d" % k: D.get(k, zero) for k in table}
+    A = {k: poly.substitute(assignment) for k, poly in table.items()}
+    return EquivariantConnection(hodge, A, {k: -v for k, v in A.items()})
+
+
+def test_connection_from_delta_matches_table_route():
+    rng = random.Random(2)
+    bracketed = 0
+    for _ in range(100):
+        d = random_delta(rng, max_dim=8, weight_lo=-4, weight_hi=4)
+        ws = d.hodge.weights()
+        if ws[-1] - ws[0] > 6:
+            continue
+        C = connection_from_delta(d)
+        assert C == _table_route(d)
+        assert triangle_delta(C) == d
+        # blocks that differ from D / c carry bracket corrections
+        D = log_delta_components(d)
+        bracketed += C.A != {
+            k: M.scale(Scalar(1 / abelianized_coefficient(*k)))
+            for k, M in D.items()
+        }
+    assert bracketed
+
+
+WIDE = HodgeNumbers({(0, 0): 1, (-7, -7): 1})
+
+
+@pytest.mark.parametrize("x", [0, 3])
+def test_connection_from_spread_14(x):
+    # x sits on the (0,0) -> (-7,-7) entry: row of the weight -14 line,
+    # column of the weight 0 line
+    d = DeltaObject(WIDE, mat([[1, x], [0, 1]]))
+    C = connection_from_delta(d)
+    E = mat([[0, x], [0, 0]])
+    c = abelianized_coefficient(7, 7)
+    assert C.A == ({(7, 7): E.scale(Scalar(1 / c))} if x else {})
+    assert triangle_delta(C) == d
+
+
 def test_random_gauge_normalization_agrees():
     rng = random.Random(23)
     for _ in range(5):
         d = random_delta(rng, max_dim=4, weight_lo=-3, weight_hi=3)
         C = connection_from_delta(d)
         hodge = C.hodge
-        owner = d.block_of_index()
+        owner = hodge.block_of_index()
         spread = hodge.weights()[-1] - hodge.weights()[0]
         Cg = {}
         n = hodge.dim

@@ -5,7 +5,6 @@ from math import gcd
 import pytest
 
 from conftest import mat
-from hodgegauge import freelie
 from hodgegauge.freelie import (
     TT_ALPHABET,
     Alphabet,
@@ -210,16 +209,6 @@ def test_commutant_generation_weight_6():
     dims = verify_commutant_generation(6)
     for (p, q), d in dims.items():
         assert d == witt_bidegree(p, q)
-
-
-def test_table_disk_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(freelie.CACHE_ENV, str(tmp_path))
-    freelie._MEM_CACHE.pop(4, None)
-    first = generator_change_table(4)
-    assert (tmp_path / "generator_change_4.json").exists()
-    freelie._MEM_CACHE.pop(4, None)
-    second = generator_change_table(4)
-    assert first == second
 
 
 def test_inversion_reports_bad_leading_coefficient():

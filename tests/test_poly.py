@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import mat, sc
-from hodgegauge.poly import LaurentError, Poly, PolyMatrix, integrate_poly_segment
+from hodgegauge.poly import LaurentError, Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
 
 
@@ -90,4 +90,4 @@ def test_polymatrix_diff_subs_eval():
 
 def test_integrate_segment_helper():
     m = PolyMatrix(1, ((-t(),),))
-    assert integrate_poly_segment(m, -ONE, ZERO) == mat([[Fraction(1, 2)]])
+    assert m.integrate(-ONE, ZERO) == mat([[Fraction(1, 2)]])

@@ -25,7 +25,6 @@ from hodgegauge.splitting import (
     conjugate_delta,
     delta_operator,
     delta_to_mhs,
-    deligne_splitting,
     log_delta_components,
     splitting_subspaces,
 )
@@ -35,7 +34,7 @@ from hodgegauge.scalars import ONE, Scalar, ZERO
 def test_pure_splitting_is_everything():
     V = pure(1, 2)
     for side in ("Fp", "Fpp"):
-        pieces = deligne_splitting(V, side)
+        pieces = splitting_subspaces(V, side)
         assert set(pieces) == {(1, 2)}
         assert pieces[(1, 2)].dim == 1
 
@@ -43,10 +42,10 @@ def test_pure_splitting_is_everything():
 def test_kummer_splittings():
     c = Scalar(3)
     V = kummer(c)
-    fp = deligne_splitting(V, "Fp")
+    fp = splitting_subspaces(V, "Fp")
     assert fp[(0, 0)] == span(2, [[1, 0]])
     assert fp[(-1, -1)] == span(2, [[0, 1]])
-    fpp = deligne_splitting(V, "Fpp")
+    fpp = splitting_subspaces(V, "Fpp")
     assert fpp[(0, 0)] == span(2, [[1, 3]])
     assert fpp[(-1, -1)] == span(2, [[0, 1]])
 
