@@ -24,7 +24,7 @@ from .connection import (
     connection_from_delta,
     curvature,
 )
-from .documents import DocumentError, parse, serialize
+from .documents import DocumentError, _hodge_out, _matrix_out, parse, serialize
 from .linalg import Matrix
 from .freelie import (
     abelianized_coefficient,
@@ -38,10 +38,22 @@ from .holonomy import (
     holonomy_path,
     triangle_delta,
 )
-from .mhs import ComplexMHS, OpposednessViolation, RealMHS, realize_real, validate_mhs
+from .mhs import (
+    ComplexMHS,
+    FiltrationError,
+    GrStructure,
+    OpposednessViolation,
+    RealMHS,
+    realize_real,
+)
 from .rees import W_LINE, rees_patching, restrict_to_line, splitting_type
 from .scalars import FieldError, Scalar
-from .splitting import delta_operator, delta_to_mhs, log_delta_components
+from .splitting import (
+    DeltaObject,
+    delta_operator,
+    delta_to_mhs,
+    log_delta_components,
+)
 
 TRUNCATION_CAP = 12
 
@@ -54,53 +66,61 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _matrix_doc(m):
-    return [[str(x) for x in row] for row in m.rows]
-
-
-def _as_complex(obj):
+# one converter per artifact of the chain structure -> graded -> delta ->
+# connection; each accepts anything upstream and computes each link once
+def _graded(obj):
+    """Validated graded structure of a structure document."""
     if isinstance(obj, RealMHS):
-        return realize_real(obj)
-    if isinstance(obj, ComplexMHS):
+        obj = realize_real(obj)
+    if not isinstance(obj, ComplexMHS):
+        raise Violation("expected a structure document, got %s" % type(obj).__name__)
+    return GrStructure(obj)
+
+
+def _delta(obj):
+    """Delta of a structure or delta document, or of a graded structure."""
+    if isinstance(obj, DeltaObject):
         return obj
-    raise Violation("expected a structure document, got %s" % type(obj).__name__)
+    if isinstance(obj, EquivariantConnection):
+        raise DocumentError(
+            "expected a structure or delta document, got %s" % type(obj).__name__
+        )
+    if not isinstance(obj, GrStructure):
+        obj = _graded(obj)
+    return delta_operator(obj)
+
+
+def _connection(obj):
+    """Canonical connection of any document, or of an upstream artifact."""
+    if isinstance(obj, EquivariantConnection):
+        return obj
+    return connection_from_delta(_delta(obj))
 
 
 def _validate(obj, flags):
-    V = _as_complex(obj)
     try:
-        hodge = validate_mhs(V)
+        gr = _graded(obj)
     except OpposednessViolation as exc:
         raise Violation(
             "opposedness fails at weight %d, (p, q) = (%d, %d)"
             % (exc.weight, exc.p, exc.q)
         )
-    return {"hodge": {"%d,%d" % pq: h for pq, h in sorted(hodge.counts.items())}}, []
+    return {"hodge": _hodge_out(gr.hodge)}, []
 
 
 def _split(obj, flags):
-    V = _as_complex(obj)
-    dobj = delta_operator(V)
+    dobj = _delta(_graded(obj))
     comps = log_delta_components(dobj)
     return {
-        "delta": _matrix_doc(dobj.delta),
+        "delta": _matrix_out(dobj.delta),
         "log_components": {
-            "%d,%d" % k: _matrix_doc(m) for k, m in sorted(comps.items())
+            "%d,%d" % k: _matrix_out(m) for k, m in sorted(comps.items())
         },
     }, []
 
 
-def _connection_of(obj, flags):
-    if isinstance(obj, EquivariantConnection):
-        return obj
-    if isinstance(obj, (ComplexMHS, RealMHS)):
-        return connection_from_delta(delta_operator(_as_complex(obj)))
-    # delta document
-    return connection_from_delta(obj)
-
-
 def _connect(obj, flags):
-    C = _connection_of(obj, flags)
+    C = _connection(obj)
     checks = [("fock_schwinger", all(
         (C.B.get(k) == -v) for k, v in C.A.items()
     ) and set(C.A) == set(C.B))]
@@ -108,42 +128,32 @@ def _connect(obj, flags):
 
 
 def _holonomy(obj, flags):
-    C = _connection_of(obj, flags)
-    forms = connection_form(C)
+    C = _connection(obj)
     if flags.path:
-        points = []
-        for chunk in flags.path.split(";"):
-            x, y = chunk.split(",")
-            points.append((Scalar.parse(x.strip()), Scalar.parse(y.strip())))
-        T = holonomy_path(forms, PolygonalPath(points))
-        return {"transport": _matrix_doc(T)}, []
+        T = holonomy_path(connection_form(C), flags.path)
+        return {"transport": _matrix_out(T)}, []
     dobj = triangle_delta(C)
-    return {"triangle_delta": _matrix_doc(dobj.delta)}, []
+    return {"triangle_delta": _matrix_out(dobj.delta)}, []
 
 
 def _roundtrip(obj, flags):
-    V = _as_complex(obj)
-    hodge = validate_mhs(V)
-    dobj = delta_operator(V, hodge)
-    C = connection_from_delta(dobj)
-    back = triangle_delta(C)
-    checks = [("triangle_holonomy_equals_delta", back == dobj)]
+    gr = _graded(obj)
+    dobj = _delta(gr)
+    C = _connection(dobj)
+    checks = [("triangle_holonomy_equals_delta", triangle_delta(C) == dobj)]
     model = delta_to_mhs(dobj, check=False)
-    checks.append(("model_delta_equals_delta", delta_operator(model) == dobj))
+    checks.append(("model_delta_equals_delta", _delta(_graded(model)) == dobj))
     flat = curvature(C).is_zero()
-    split = dobj.delta == Matrix.identity(hodge.dim)
+    split = dobj.delta == Matrix.identity(gr.hodge.dim)
     checks.append(("flat_iff_split", flat == split))
     return {
-        "hodge": {"%d,%d" % pq: h for pq, h in sorted(hodge.counts.items())},
-        "delta": _matrix_doc(dobj.delta),
+        "hodge": _hodge_out(gr.hodge),
+        "delta": _matrix_out(dobj.delta),
     }, checks
 
 
 def _rees(obj, flags):
-    if isinstance(obj, (ComplexMHS, RealMHS)):
-        dobj = delta_operator(_as_complex(obj))
-    else:
-        dobj = obj
+    dobj = _delta(obj)
     phi = rees_patching(dobj)
     checks = [
         (
@@ -156,12 +166,9 @@ def _rees(obj, flags):
     tW = splitting_type(GW)
     result["w_line_type"] = list(tW)
     checks.append(("w_line_trivial", all(a == 0 for a in tW)))
-    points = [(Scalar(-1), Scalar(0)), (Scalar(2), Scalar(3)), (Scalar(0, 1), Scalar(-1))]
-    if flags.point:
-        points = []
-        for chunk in flags.point:
-            x, y = chunk.split(",")
-            points.append((Scalar.parse(x.strip()), Scalar.parse(y.strip())))
+    points = flags.point or [
+        (Scalar(-1), Scalar(0)), (Scalar(2), Scalar(3)), (Scalar(0, 1), Scalar(-1))
+    ]
     for (x, y) in points:
         t = splitting_type(restrict_to_line(phi, (x, y)))
         result["point_types"]["%s,%s" % (x, y)] = list(t)
@@ -173,9 +180,9 @@ def _ext(obj, flags):
     if isinstance(obj, RealMHS):
         e0, e1 = real_absolute_cohomology(obj)
         return {"ext0_rational": e0, "ext1_rational": e1}, []
-    V = _as_complex(obj)
-    e0, e1 = absolute_cohomology(V)
-    hodge = validate_mhs(V)
+    gr = _graded(obj)
+    e0, e1 = absolute_cohomology(gr)
+    hodge = gr.hodge
     euler = hodge.counts.get((0, 0), 0) - sum(
         v for (p, q), v in hodge.counts.items() if p <= -1 and q <= -1
     )
@@ -246,6 +253,22 @@ _HANDLERS = {
 }
 
 
+def _parse(doc, flags):
+    try:
+        return parse(doc, flags.field if flags.field != "Qi" else None)
+    except (DocumentError, FiltrationError):
+        raise
+    except ValueError as exc:
+        # well-formed document describing a mathematically invalid object
+        raise Violation(str(exc))
+
+
+def _failed(entry, status, exc):
+    entry["status"] = status
+    entry["error"] = str(exc)
+    return entry
+
+
 def _process_one(command, path, flags):
     entry = {"path": path}
     try:
@@ -254,27 +277,13 @@ def _process_one(command, path, flags):
         entry["sha256"] = _digest(data)
         doc = json.loads(data.decode("utf-8"))
     except (OSError, ValueError) as exc:
-        entry["status"] = "malformed"
-        entry["error"] = str(exc)
-        return entry, 2
+        return _failed(entry, "malformed", exc), 2
     try:
-        field = flags.field if flags.field != "Qi" else None
-        obj = parse(doc, field)
-    except DocumentError as exc:
-        entry["status"] = "malformed"
-        entry["error"] = str(exc)
-        return entry, 2
-    except ValueError as exc:
-        # well-formed document describing a mathematically invalid object
-        entry["status"] = "violation"
-        entry["error"] = str(exc)
-        return entry, 1
-    try:
-        result, checks = _HANDLERS[command](obj, flags)
+        result, checks = _HANDLERS[command](_parse(doc, flags), flags)
+    except (DocumentError, FiltrationError) as exc:
+        return _failed(entry, "malformed", exc), 2
     except (Violation, OpposednessViolation, FieldError) as exc:
-        entry["status"] = "violation"
-        entry["error"] = str(exc)
-        return entry, 1
+        return _failed(entry, "violation", exc), 1
     entry["result"] = result
     entry["checks"] = [{"name": name, "pass": bool(ok)} for name, ok in checks]
     if all(c["pass"] for c in entry["checks"]):
@@ -282,6 +291,20 @@ def _process_one(command, path, flags):
         return entry, 0
     entry["status"] = "violation"
     return entry, 1
+
+
+def _point(text):
+    """An 'x,y' flag value as a pair of scalars."""
+    try:
+        x, y = text.split(",")
+        return (Scalar.parse(x.strip()), Scalar.parse(y.strip()))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("expected a point x,y, got %r" % (text,))
+
+
+def _path(text):
+    """A ';'-separated list of 'x,y' points as a polygonal path."""
+    return PolygonalPath([_point(chunk) for chunk in text.split(";")])
 
 
 def build_parser():
@@ -319,11 +342,14 @@ def build_parser():
                 "--point",
                 action="append",
                 default=None,
+                type=_point,
                 help="line base point as 'x,y'; repeatable",
             )
     sp = sub.add_parser("holonomy", help="triangle or explicit path transport")
     common(sp)
-    sp.add_argument("--path", default=None, help="semicolon-separated x,y points")
+    sp.add_argument(
+        "--path", default=None, type=_path, help="semicolon-separated x,y points"
+    )
     sp = sub.add_parser("lie", help="universal generator-change tables")
     common(sp, with_inputs=False)
     sp.add_argument("--truncation", type=int, default=None)
@@ -333,10 +359,6 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     flags = ap.parse_args(argv)
-    if not hasattr(flags, "path"):
-        flags.path = None
-    if not hasattr(flags, "point"):
-        flags.point = None
     report = {"command": flags.command, "version": __version__}
     worst = 0
     if flags.orientation_selftest:

@@ -28,6 +28,8 @@ def _scalar_in(text, field=None):
         x = Scalar.parse(text)
     except (ValueError, TypeError) as exc:
         raise DocumentError(str(exc))
+    except ZeroDivisionError:
+        raise DocumentError("zero denominator in scalar %r" % (text,))
     if field is not None and not x.in_field(field):
         raise FieldError("scalar %s outside field %s" % (x, field))
     return x

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from .connection import connection_from_delta
 from .linalg import Matrix, Subspace, solve_left, vstack
-from .mhs import validate_mhs, realize_real
-from .scalars import ONE, ZERO, Scalar
-from .splitting import GrStructure, delta_operator
+from .mhs import GrStructure, dual_mhs, realize_real, tensor_mhs
+from .scalars import ZERO, Scalar
+from .splitting import delta_operator
 
 
 class TwoTermComplex:
@@ -95,34 +95,28 @@ def hom_from_unit(V):
     return V.W.at(0).intersect(V.Fp.at(0)).intersect(V.Fpp.at(0)).dim
 
 
-def absolute_cohomology(V):
-    """(dim Ext^0, dim Ext^1) from the unit structure into V."""
-    hodge = validate_mhs(V)
-    dobj = delta_operator(V, hodge)
-    C = connection_from_delta(dobj)
+def absolute_cohomology(gr):
+    """(dim Ext^0, dim Ext^1) from the unit structure into the validated
+    structure gr.V."""
+    C = connection_from_delta(delta_operator(gr))
     ext0, ext1 = invariant_complex(C).cohomology_dims()
-    assert ext0 == hom_from_unit(V), "complex kernel disagrees with Hom"
+    assert ext0 == hom_from_unit(gr.V), "complex kernel disagrees with Hom"
     return (ext0, ext1)
 
 
 def rhom(Vsource, Vtarget):
     """(dim Ext^0, dim Ext^1) between two structures, reduced to the
     absolute cohomology of dual(source) tensor target."""
-    from .mhs import dual_mhs, tensor_mhs
-
-    return absolute_cohomology(tensor_mhs(dual_mhs(Vsource), Vtarget))
+    return absolute_cohomology(GrStructure(tensor_mhs(dual_mhs(Vsource), Vtarget)))
 
 
-def _conjugation_on_graded(V, hodge=None):
+def _conjugation_on_graded(gr):
     """Matrix S of entrywise conjugation on the canonical graded basis of a
-    self-conjugate structure; maps the (p, q) block to the (q, p) block and
-    satisfies S conj(S) = 1."""
-    if hodge is None:
-        hodge = validate_mhs(V)
-    gr = GrStructure(V, hodge)
-    n = hodge.dim
+    validated self-conjugate structure; maps the (p, q) block to the (q, p)
+    block and satisfies S conj(S) = 1."""
+    n = gr.hodge.dim
     cols = []
-    for (p, q), off, h in hodge.blocks():
+    for (p, q), off, h in gr.hodge.blocks():
         chart = gr.charts[p + q]
         for row in gr.block_rows[(p, q)]:
             v = chart.lift(row)
@@ -176,17 +170,14 @@ def real_absolute_cohomology(V):
     the invariant complex by swapping monomial labels (a, b) <-> (b, a) and
     the two 1-form slots, entrywise-conjugated through the graded pieces.
     """
-    Vc = realize_real(V)
-    hodge = validate_mhs(Vc)
-    S = _conjugation_on_graded(Vc, hodge)
-    dobj = delta_operator(Vc, hodge)
-    C = connection_from_delta(dobj)
-    cx = invariant_complex(C)
+    gr = GrStructure(realize_real(V))
+    S = _conjugation_on_graded(gr)
+    cx = invariant_complex(connection_from_delta(delta_operator(gr)))
     dom = cx.domain_labels
     cod = cx.codomain_labels
     dom_index = {lab: i for i, lab in enumerate(dom)}
     cod_index = {lab: i for i, lab in enumerate(cod)}
-    n = hodge.dim
+    n = gr.hodge.dim
     # antilinear action x -> R conj(x) on domain and codomain
     Rdom = [[ZERO] * len(dom) for _ in dom]
     for col, (i, a, b) in enumerate(dom):

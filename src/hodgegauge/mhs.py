@@ -8,8 +8,8 @@ structural equality of structures is decidable bit-for-bit.
 
 from __future__ import annotations
 
-from .linalg import DimensionMismatch, Matrix, Quotient, Subspace, kron
-from .scalars import ONE, ZERO, Scalar
+from .linalg import DimensionMismatch, Matrix, Quotient, Subspace, solve_left
+from .scalars import ZERO
 
 
 class FiltrationError(ValueError):
@@ -226,13 +226,6 @@ class RealMHS:
         raise AttributeError("RealMHS is immutable")
 
 
-def _weight_range(V):
-    js = V.W.jumps()
-    if not js:
-        return []
-    return list(range(js[0], js[-1] + 1))
-
-
 def _index_range(filt):
     js = filt.jumps()
     if not js:
@@ -240,47 +233,89 @@ def _index_range(filt):
     return list(range(js[0], js[-1] + 1))
 
 
+class GrStructure:
+    """A validated structure with canonical bases of its bigraded pieces.
+
+    One pass over the weights checks the three filtrations and opposedness
+    and records the graded data on the way: for each weight n a quotient
+    chart W_n / W_{n-1}, and inside it the piece at (p, q), the intersection
+    of the projected F'^p and F''^q.  Pieces are ordered by (weight, p);
+    their echelon bases concatenate to the canonical basis of the total
+    graded space.  Raises FiltrationError or OpposednessViolation (at the
+    first bad piece) on an invalid structure.
+    """
+
+    def __init__(self, V):
+        V.W.validate()
+        V.Fp.validate()
+        V.Fpp.validate()
+        # a nonzero weight chart implies a nonzero space, so after the
+        # checks above F' and F'' have steps wherever a chart is built
+        ps = _index_range(V.Fp)
+        qs = _index_range(V.Fpp)
+        self.V = V
+        self.charts = {}
+        counts = {}
+        spans = {}
+        violations = []
+        for n in _index_range(V.W):
+            Wn = V.W.at(n)
+            Wn1 = V.W.at(n - 1)
+            if Wn == Wn1:
+                continue
+            chart = Quotient(Wn, Wn1)
+            self.charts[n] = chart
+            A = {p: chart.project_subspace(V.Fp.at(p)) for p in ps + [ps[-1] + 1]}
+            B = {q: chart.project_subspace(V.Fpp.at(q)) for q in qs + [qs[-1] + 1]}
+            for p in ps:
+                if A[p] == A[p + 1]:
+                    continue
+                R = Quotient(A[p], A[p + 1])
+                dims = {q: R.project_subspace(B[q]).dim for q in B}
+                for q in qs:
+                    h = dims[q] - dims[q + 1]
+                    if not h:
+                        continue
+                    if p + q != n:
+                        violations.append((n, p, q, h))
+                    else:
+                        counts[(p, q)] = h
+                        spans[(p, q)] = (A[p], B[q])
+        if violations:
+            violations.sort()
+            raise OpposednessViolation(*violations[0])
+        self.hodge = HodgeNumbers(counts)
+        if self.hodge.dim != V.n:
+            raise OpposednessViolation(0, 0, 0, V.n - self.hodge.dim)
+        self.block_rows = {}
+        for pq, (a, b) in spans.items():
+            piece = a.intersect(b)
+            assert piece.dim == counts[pq], "graded piece dimension drifted"
+            self.block_rows[pq] = piece.basis.rows
+        # the pieces of one weight are consecutive in the canonical basis
+        self._weights = {}
+        for (p, q), off, h in self.hodge.blocks():
+            self._weights.setdefault(p + q, (off, []))[1].extend(
+                self.block_rows[(p, q)]
+            )
+
+    def gr_coords(self, v, n):
+        """Coordinates of v + W_{n-1} (v in W_n) in the total canonical basis."""
+        off, rows = self._weights[n]
+        local = solve_left(Matrix(rows), self.charts[n].project_vector(v))
+        if local is None:
+            raise ValueError("vector does not project into the graded pieces")
+        out = [ZERO] * self.hodge.dim
+        out[off : off + len(local)] = local
+        return tuple(out)
+
+
 def validate_mhs(V):
     """Hodge numbers of V, or raise OpposednessViolation at the first bad piece.
 
     Monotonicity of the three filtrations is checked first.
     """
-    V.W.validate()
-    V.Fp.validate()
-    V.Fpp.validate()
-    counts = {}
-    violations = []
-    for n in _weight_range(V):
-        Wn = V.W.at(n)
-        Wn1 = V.W.at(n - 1)
-        if Wn == Wn1:
-            continue
-        Q = Quotient(Wn, Wn1)
-        ps = _index_range(V.Fp)
-        qs = _index_range(V.Fpp)
-        A = {p: Q.project_subspace(V.Fp.at(p)) for p in ps + [ps[-1] + 1]} if ps else {}
-        B = {q: Q.project_subspace(V.Fpp.at(q)) for q in qs + [qs[-1] + 1]} if qs else {}
-        for p in ps:
-            if A[p] == A[p + 1]:
-                continue
-            R = Quotient(A[p], A[p + 1])
-            dims = {}
-            for q in qs + [qs[-1] + 1]:
-                dims[q] = R.project_subspace(B[q]).dim
-            for q in qs:
-                h = dims[q] - dims[q + 1]
-                if h:
-                    if p + q != n:
-                        violations.append((n, p, q, h))
-                    else:
-                        counts[(p, q)] = counts.get((p, q), 0) + h
-    if violations:
-        violations.sort()
-        raise OpposednessViolation(*violations[0])
-    hodge = HodgeNumbers(counts)
-    if hodge.dim != V.n:
-        raise OpposednessViolation(0, 0, 0, V.n - hodge.dim)
-    return hodge
+    return GrStructure(V).hodge
 
 
 def pure(p, q):
@@ -302,10 +337,8 @@ def conjugate_mhs(V):
 
 
 def realize_real(V):
-    """ComplexMHS (W (x) Q(i), F, conj F) of a real structure."""
-    out = ComplexMHS(V.n, V.W, V.F, V.F.conjugate())
-    validate_mhs(out)
-    return out
+    """ComplexMHS (W (x) Q(i), F, conj F) of a real structure, unvalidated."""
+    return ComplexMHS(V.n, V.W, V.F, V.F.conjugate())
 
 
 def _tensor_filtration(f, g, kind):

@@ -10,8 +10,8 @@ what the connection, holonomy, and cohomology layers consume.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Quotient, Subspace, log_unipotent, vstack, solve_left
-from .mhs import ComplexMHS, Filtration, HodgeNumbers, validate_mhs
+from .linalg import Matrix, Subspace, log_unipotent
+from .mhs import ComplexMHS, Filtration, GrStructure
 from .scalars import ONE, ZERO
 
 
@@ -19,71 +19,14 @@ class DeltaError(ValueError):
     """Matrix violates the block shape required of delta."""
 
 
-class GrStructure:
-    """Canonical bases of the bigraded pieces of the associated graded.
-
-    For each weight n a quotient chart W_n / W_{n-1} is fixed, and inside it
-    the piece at (p, q) is the intersection of the projected F'^p and F''^q.
-    Pieces are ordered by (weight, p); their echelon bases concatenate to the
-    canonical basis of the total graded space.
-    """
-
-    def __init__(self, V, hodge=None):
-        if hodge is None:
-            hodge = validate_mhs(V)
-        self.V = V
-        self.hodge = hodge
-        self.charts = {}
-        self.block_rows = {}
-        for n in hodge.weights():
-            chart = Quotient(V.W.at(n), V.W.at(n - 1))
-            self.charts[n] = chart
-            total = 0
-            for (p, q), off, h in hodge.blocks():
-                if p + q != n:
-                    continue
-                piece = chart.project_subspace(V.Fp.at(p)).intersect(
-                    chart.project_subspace(V.Fpp.at(q))
-                )
-                assert piece.dim == h, "graded piece dimension drifted"
-                self.block_rows[(p, q)] = piece.basis.rows
-                total += h
-            assert total == chart.dim, "graded pieces do not fill the weight"
-
-    def _weight_rows(self, n):
-        rows = []
-        for (p, q), off, h in self.hodge.blocks():
-            if p + q == n:
-                rows.extend(self.block_rows[(p, q)])
-        return rows
-
-    def gr_coords(self, v, n):
-        """Coordinates of v + W_{n-1} (v in W_n) in the total canonical basis."""
-        chart = self.charts[n]
-        cv = chart.project_vector(v)
-        rows = self._weight_rows(n)
-        local = solve_left(Matrix(rows), cv)
-        if local is None:
-            raise ValueError("vector does not project into the graded pieces")
-        out = [ZERO] * self.hodge.dim
-        i = 0
-        for (p, q), off, h in self.hodge.blocks():
-            if p + q != n:
-                continue
-            for k in range(h):
-                out[off + k] = local[i]
-                i += 1
-        return tuple(out)
-
-
-def splitting_subspaces(V, side, hodge=None):
-    """The bigraded splitting pieces I^{p,q}; side is "Fp" or "Fpp".
+def splitting_subspaces(gr, side):
+    """The bigraded splitting pieces I^{p,q} of the validated structure gr.V;
+    side is "Fp" or "Fpp".
 
     The "Fp" splitting is compatible with W and F' on the nose and with F''
     only modulo lower weight; "Fpp" is the mirror image.
     """
-    if hodge is None:
-        hodge = validate_mhs(V)
+    V, hodge = gr.V, gr.hodge
     if side == "Fp":
         Fa, Fb = V.Fp, V.Fpp
     elif side == "Fpp":
@@ -153,12 +96,12 @@ class DeltaObject:
         return "DeltaObject(%r)" % (self.hodge,)
 
 
-def _side_matrix(V, gr, hodge, side):
+def _side_matrix(gr, side):
     # column-vector map from graded coordinates to ambient coordinates
-    pieces = splitting_subspaces(V, side, hodge)
+    pieces = splitting_subspaces(gr, side)
     b_rows = []
     g_rows = []
-    for (p, q), off, h in hodge.blocks():
+    for (p, q), off, h in gr.hodge.blocks():
         for row in pieces[(p, q)].basis.rows:
             b_rows.append(row)
             g_rows.append(gr.gr_coords(row, p + q))
@@ -167,14 +110,12 @@ def _side_matrix(V, gr, hodge, side):
     return B.transpose() @ G.transpose().inverse()
 
 
-def delta_operator(V, hodge=None):
-    """Compare the two canonical splittings through the associated graded."""
-    if hodge is None:
-        hodge = validate_mhs(V)
-    gr = GrStructure(V, hodge)
-    Mp = _side_matrix(V, gr, hodge, "Fp")
-    Mpp = _side_matrix(V, gr, hodge, "Fpp")
-    return DeltaObject(hodge, Mpp.inverse() @ Mp)
+def delta_operator(gr):
+    """Compare the two canonical splittings of the validated structure gr.V
+    through its associated graded."""
+    Mp = _side_matrix(gr, "Fp")
+    Mpp = _side_matrix(gr, "Fpp")
+    return DeltaObject(gr.hodge, Mpp.inverse() @ Mp)
 
 
 def log_delta_components(dobj):
@@ -249,7 +190,7 @@ def delta_to_mhs(dobj, check=True):
     )
     V = ComplexMHS(n, W, Fp, Fpp)
     if check:
-        back = delta_operator(V)
+        back = delta_operator(GrStructure(V))
         assert back == dobj, "splitting comparison does not round-trip"
     return V
 

@@ -41,7 +41,7 @@ from hodgegauge.freelie import (
 from hodgegauge.hodgecoh import absolute_cohomology, invariant_complex, real_absolute_cohomology
 from hodgegauge.holonomy import triangle_delta
 from hodgegauge.linalg import Matrix
-from hodgegauge.mhs import OpposednessViolation, pure, validate_mhs
+from hodgegauge.mhs import GrStructure, OpposednessViolation, pure, validate_mhs
 from hodgegauge.rees import W_LINE, rees_patching, restrict_to_line, splitting_type, w_line_transition
 from hodgegauge.scalars import Scalar, ZERO
 from hodgegauge.splitting import (
@@ -79,7 +79,7 @@ def small_deltas():
     if "small" not in _STATE:
         rng = random.Random(77)
         out = [
-            (name, delta_operator(V)) for name, V in named_corpus()
+            (name, delta_operator(GrStructure(V))) for name, V in named_corpus()
         ]
         for k in range(10):
             out.append(
@@ -108,9 +108,10 @@ def test_criterion_02_splitting_contracts(capsys):
 
     ok = True
     for d, V in big_sample():
-        hodge = d.hodge
-        fp = splitting_subspaces(V, "Fp", hodge)
-        fpp = splitting_subspaces(V, "Fpp", hodge)
+        gr = GrStructure(V)
+        hodge = gr.hodge
+        fp = splitting_subspaces(gr, "Fp")
+        fpp = splitting_subspaces(gr, "Fpp")
         for pieces, filt, select in (
             (fp, V.Fp, lambda pq, k: pq[0] >= k),
             (fpp, V.Fpp, lambda pq, k: pq[1] >= k),
@@ -196,7 +197,7 @@ def test_criterion_05_flat_iff_split(capsys):
         ok = ok and flat == split
     # the split direction on structures with identity comparison
     for V in (pure(0, 0), pure(-2, 3)):
-        d = delta_operator(V)
+        d = delta_operator(GrStructure(V))
         ok = ok and curvature(connection_from_delta(d)).is_zero()
     report(5, "flat-iff-split", ok, capsys)
 
@@ -298,14 +299,14 @@ def test_criterion_07_freelie_consistency(capsys):
 def test_criterion_08_absolute_cohomology(capsys):
     from hodgegauge.fixtures import kummer, real_tate
 
-    ok = absolute_cohomology(pure(0, 0)) == (1, 0)
-    ok = ok and absolute_cohomology(pure(-1, -1)) == (0, 1)
+    ok = absolute_cohomology(GrStructure(pure(0, 0))) == (1, 0)
+    ok = ok and absolute_cohomology(GrStructure(pure(-1, -1))) == (0, 1)
     for c in (Scalar(3), Scalar(2, 1), Scalar(Fraction(1, 2))):
-        ok = ok and absolute_cohomology(kummer(c)) == (0, 0)
+        ok = ok and absolute_cohomology(GrStructure(kummer(c))) == (0, 0)
     for name, d in small_deltas():
         V = delta_to_mhs(d, check=False)
         hodge = d.hodge
-        e0, e1 = absolute_cohomology(V)
+        e0, e1 = absolute_cohomology(GrStructure(V))
         euler = hodge.counts.get((0, 0), 0) - sum(
             v for (p, q), v in hodge.counts.items() if p <= -1 and q <= -1
         )

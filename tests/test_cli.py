@@ -149,3 +149,128 @@ def test_parallel_matches_serial():
     _, serial = run(["validate"] + inputs)
     _, parallel = run(["validate"] + inputs + ["--jobs", "3"])
     assert serial == parallel
+
+
+def _kummer_doc(tmp_path, name, edit):
+    import hodgegauge.documents as documents
+    from hodgegauge.fixtures import kummer
+
+    doc = documents.serialize(kummer(1))
+    edit(doc)
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_zero_denominator_is_malformed(tmp_path):
+    def edit(doc):
+        doc["Fpp"]["steps"]["0"][0][1] = "1/0"
+
+    code, out = run(["validate", _kummer_doc(tmp_path, "div0.json", edit)])
+    assert code == 2
+    entry = json.loads(out)["inputs"][0]
+    assert entry["status"] == "malformed"
+    assert "zero denominator" in entry["error"]
+
+
+def _empty_fp(doc):
+    doc["Fp"]["steps"] = {}
+
+
+def _decreasing_w(doc):
+    doc["W"]["direction"] = "dec"
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        # found by validation inside the handler
+        (_empty_fp, "empty filtration on nonzero space"),
+        # found while the document is parsed
+        (_decreasing_w, "wrong filtration direction"),
+    ],
+)
+def test_filtration_errors_are_malformed(tmp_path, edit, error):
+    path = _kummer_doc(tmp_path, "bad.json", edit)
+    for command in ("validate", "split", "ext"):
+        code, out = run([command, path])
+        assert code == 2
+        entry = json.loads(out)["inputs"][0]
+        assert entry["status"] == "malformed"
+        assert entry["error"] == error
+
+
+def test_rees_on_connection_is_malformed():
+    code, out = run(["rees", fx("connection_t3_2_5.json")])
+    assert code == 2
+    entry = json.loads(out)["inputs"][0]
+    assert entry["status"] == "malformed"
+    assert "EquivariantConnection" in entry["error"]
+
+
+def test_structure_commands_on_comparison_documents_are_violations():
+    for name in ("delta_t3_2_5.json", "connection_t3_2_5.json"):
+        for command in ("validate", "split", "roundtrip", "ext"):
+            code, out = run([command, fx(name)])
+            assert code == 1
+            entry = json.loads(out)["inputs"][0]
+            assert entry["status"] == "violation"
+            assert entry["error"].startswith("expected a structure document")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["holonomy", "delta_kummer_2_plus_i.json", "--path", "0,0;1"],
+        ["holonomy", "delta_kummer_2_plus_i.json", "--path", "0,0;1/0,1"],
+        ["holonomy", "delta_kummer_2_plus_i.json", "--path", "0,0;0,0"],
+        ["rees", "kummer_3.json", "--point", "x,1"],
+        ["rees", "kummer_3.json", "--point", "1,2,3"],
+    ],
+)
+def test_bad_point_flags_are_usage_errors(argv, capsys):
+    argv = [argv[0], fx(argv[1])] + argv[2:]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+def test_each_structure_input_is_validated_once(monkeypatch):
+    # Validation is the only place where a structure's weight charts are
+    # built, and every subcommand validates each structure input once;
+    # roundtrip also validates the model it rebuilds from delta.
+    from hodgegauge import linalg, mhs
+
+    built = []
+    charts = []
+    gr_init = mhs.GrStructure.__init__
+    quotient_init = linalg.Quotient.__init__
+
+    def counting_gr(self, V, *rest):
+        built.append((V, self))
+        gr_init(self, V, *rest)
+
+    def counting_quotient(self, S, T):
+        charts.append(S)
+        quotient_init(self, S, T)
+
+    monkeypatch.setattr(mhs.GrStructure, "__init__", counting_gr)
+    monkeypatch.setattr(linalg.Quotient, "__init__", counting_quotient)
+    parser = cli.build_parser()
+    for name in sorted(os.listdir(fixture_dir())):
+        with open(fx(name)) as fh:
+            structure = json.load(fh)["type"] in ("complex_mhs", "real_mhs")
+        for command in sorted(cli._HANDLERS):
+            del built[:], charts[:]
+            flags = parser.parse_args([command, fx(name)])
+            entry, code = cli._process_one(command, fx(name), flags)
+            want = (2 if command == "roundtrip" else 1) if structure else 0
+            assert len(built) == want, (command, name, len(built))
+            # a weight chart is a quotient of a stored W step
+            steps = [s for V, _ in built for s in V.W.steps.values()]
+            weight_charts = [S for S in charts if any(S is s for s in steps)]
+            weights = sum(len(gr.hodge.weights()) for _, gr in built)
+            assert len(weight_charts) == weights, (command, name)

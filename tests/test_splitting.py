@@ -16,11 +16,10 @@ def mkron(A, B):
                 [A[i, j] * B[k, l] for j in range(A.ncols) for l in range(B.ncols)]
             )
     return Matrix(rows)
-from hodgegauge.mhs import HodgeNumbers, conjugate_mhs, pure, tensor_mhs, validate_mhs
+from hodgegauge.mhs import GrStructure, HodgeNumbers, conjugate_mhs, pure, tensor_mhs
 from hodgegauge.splitting import (
     DeltaError,
     DeltaObject,
-    GrStructure,
     block_permutation,
     conjugate_delta,
     delta_operator,
@@ -34,7 +33,7 @@ from hodgegauge.scalars import ONE, Scalar, ZERO
 def test_pure_splitting_is_everything():
     V = pure(1, 2)
     for side in ("Fp", "Fpp"):
-        pieces = splitting_subspaces(V, side)
+        pieces = splitting_subspaces(GrStructure(V), side)
         assert set(pieces) == {(1, 2)}
         assert pieces[(1, 2)].dim == 1
 
@@ -42,22 +41,23 @@ def test_pure_splitting_is_everything():
 def test_kummer_splittings():
     c = Scalar(3)
     V = kummer(c)
-    fp = splitting_subspaces(V, "Fp")
+    gr = GrStructure(V)
+    fp = splitting_subspaces(gr, "Fp")
     assert fp[(0, 0)] == span(2, [[1, 0]])
     assert fp[(-1, -1)] == span(2, [[0, 1]])
-    fpp = splitting_subspaces(V, "Fpp")
+    fpp = splitting_subspaces(gr, "Fpp")
     assert fpp[(0, 0)] == span(2, [[1, 3]])
     assert fpp[(-1, -1)] == span(2, [[0, 1]])
 
 
 def test_splitting_side_validation():
     with pytest.raises(ValueError):
-        splitting_subspaces(kummer(1), "F")
+        splitting_subspaces(GrStructure(kummer(1)), "F")
 
 
 def test_delta_of_kummer():
     for c in (Scalar(1), Scalar(Fraction(1, 2)), Scalar(2, 1)):
-        d = delta_operator(kummer(c))
+        d = delta_operator(GrStructure(kummer(c)))
         assert d.delta == Matrix(
             [[ONE, -c], [ZERO, ONE]]
         )
@@ -68,7 +68,7 @@ def test_delta_of_pure_sums_is_identity():
     from hodgegauge.mhs import direct_sum_mhs
 
     V = direct_sum_mhs(pure(0, 0), pure(-1, 2))
-    assert delta_operator(V).delta == Matrix.identity(2)
+    assert delta_operator(GrStructure(V)).delta == Matrix.identity(2)
 
 
 def test_delta_object_shape_enforced():
@@ -111,7 +111,7 @@ def test_log_components_sum_to_log():
 def test_delta_to_mhs_roundtrip():
     for d in (kummer_delta(Scalar(2, 1)), t3_delta(1, 1), t3_delta(-2, 3)):
         V = delta_to_mhs(d)
-        assert delta_operator(V) == d
+        assert delta_operator(GrStructure(V)) == d
 
 
 def test_delta_to_mhs_model_isomorphic_to_kummer():
@@ -130,19 +130,19 @@ def test_roundtrip_on_random_data():
     rng = random.Random(17)
     for _ in range(8):
         d = random_delta(rng, max_dim=5, weight_lo=-4, weight_hi=4)
-        assert delta_operator(delta_to_mhs(d, check=False)) == d
+        assert delta_operator(GrStructure(delta_to_mhs(d, check=False))) == d
 
 
 def test_tensor_functoriality():
     V = kummer(2)
     Vp = kummer(Scalar(0, 1))
     T = tensor_mhs(V, Vp)
-    dV = delta_operator(V)
-    dVp = delta_operator(Vp)
-    dT = delta_operator(T)
-    grV = GrStructure(V, dV.hodge)
-    grVp = GrStructure(Vp, dVp.hodge)
-    grT = GrStructure(T, dT.hodge)
+    grV = GrStructure(V)
+    grVp = GrStructure(Vp)
+    grT = GrStructure(T)
+    dV = delta_operator(grV)
+    dVp = delta_operator(grVp)
+    dT = delta_operator(grT)
     # the graded comparison map of a tensor product is the tensor of the
     # comparison maps, read through the canonical identification
     cols = []
@@ -167,8 +167,8 @@ def test_block_permutation_is_permutation():
 def test_conjugate_delta_matches_structure_path():
     for c in (Scalar(2, 1), Scalar(Fraction(-1, 3))):
         V = kummer(c)
-        direct = conjugate_delta(delta_operator(V))
-        via_mhs = delta_operator(conjugate_mhs(V))
+        direct = conjugate_delta(delta_operator(GrStructure(V)))
+        via_mhs = delta_operator(GrStructure(conjugate_mhs(V)))
         assert direct == via_mhs
         assert direct.delta == Matrix(
             [[ONE, c.conjugate()], [ZERO, ONE]]
