@@ -319,8 +319,8 @@ def build_parser():
     def common(sp, with_inputs=True):
         if with_inputs:
             sp.add_argument("inputs", nargs="+", help="document files")
-        sp.add_argument("--field", choices=("Q", "Qi"), default="Qi")
-        sp.add_argument("--jobs", type=int, default=1)
+            sp.add_argument("--field", choices=("Q", "Qi"), default="Qi")
+            sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument(
             "--orientation-selftest",
             action="store_true",
@@ -352,7 +352,14 @@ def build_parser():
     )
     sp = sub.add_parser("lie", help="universal generator-change tables")
     common(sp, with_inputs=False)
-    sp.add_argument("--truncation", type=int, default=None)
+    sp.add_argument(
+        "--truncation",
+        type=int,
+        choices=range(2, TRUNCATION_CAP + 1),
+        default=5,
+        metavar="N",
+        help="table weight, 2..%d" % TRUNCATION_CAP,
+    )
     return ap
 
 
@@ -365,11 +372,7 @@ def main(argv=None):
         convention_selftest()
         report["orientation_selftest"] = "pass"
     if flags.command == "lie":
-        N = flags.truncation if flags.truncation is not None else 5
-        if N > TRUNCATION_CAP:
-            print("truncation exceeds the cap of %d" % TRUNCATION_CAP, file=sys.stderr)
-            return 2
-        report["result"] = _lie_report(N)
+        report["result"] = _lie_report(flags.truncation)
     else:
         inputs = flags.inputs
         if flags.jobs and flags.jobs > 1:

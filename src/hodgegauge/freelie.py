@@ -372,14 +372,16 @@ def abelianized_coefficient(p, q):
 
 
 def _ts_mul(a, b, alphabet, N):
+    # the words of b bucketed by weight, so no pair above N is ever formed
+    buckets = {}
+    for wb, cb in b.items():
+        buckets.setdefault(alphabet.word_weight(wb), []).append((wb, cb))
     out = {}
     for wa, ca in a.items():
-        la = alphabet.word_weight(wa)
-        for wb, cb in b.items():
-            if la + alphabet.word_weight(wb) > N:
-                continue
-            key = wa + wb
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+        for wt in range(N - alphabet.word_weight(wa) + 1):
+            for wb, cb in buckets.get(wt, ()):
+                key = wa + wb
+                out[key] = out.get(key, Fraction(0)) + ca * cb
     return {w: c for w, c in out.items() if c}
 
 
@@ -424,27 +426,15 @@ def universal_log_pexp(N):
     alphabet = alpha_alphabet(N)
     letters = list(range(len(alphabet)))
     fs = [hypotenuse_coefficient(*alphabet.bidegrees[i]) for i in letters]
-    # Picard iteration; each step prepends one letter, weight >= 2 per letter
+    # iterated integrals by word length: the polynomial of (i,) + w is the
+    # integral of f_i times that of w, computed once from its suffix
     state = {(): {0: Fraction(1)}}
-    for _ in range(N // 2):
-        new = {(): {0: Fraction(1)}}
-        for w, poly in state.items():
-            wt = alphabet.word_weight(w)
-            for i in letters:
-                if wt + alphabet.weight(i) > N:
-                    continue
-                contrib = _poly_int(_poly_mul(fs[i], poly))
-                key = (i,) + w
-                if key in new:
-                    merged = dict(new[key])
-                    for d, c in contrib.items():
-                        merged[d] = merged.get(d, Fraction(0)) + c
-                    new[key] = {d: c for d, c in merged.items() if c}
-                else:
-                    new[key] = contrib
-        if new == state:
-            break
-        state = new
+    words = [((), 0)]
+    for w, wt in words:  # grows while read, so shorter words come first
+        for i in letters:
+            if wt + alphabet.weight(i) <= N:
+                state[(i,) + w] = _poly_int(_poly_mul(fs[i], state[w]))
+                words.append(((i,) + w, wt + alphabet.weight(i)))
     u = {w: _poly_at_zero(poly) for w, poly in state.items()}
     u = {w: c for w, c in u.items() if c}
     z = _ts_log(u, alphabet, N)
@@ -456,7 +446,8 @@ def universal_log_pexp(N):
     for ell, part in by_len.items():
         proj = _dynkin(alphabet, part)
         want = {w: Fraction(ell) * c for w, c in part.items()}
-        assert proj == want, "log of the transport is not primitive"
+        if proj != want:
+            raise NotLieElement("log of the transport is not primitive")
     lie = LiePolynomial.from_tensor(alphabet, z)
     comps = lie.bidegree_components()
     out = {}

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -93,9 +94,66 @@ def test_lie_tables():
     assert rows["1,1"]["agree"] is False
 
 
-def test_lie_truncation_cap():
-    code, _ = run(["lie", "--truncation", "13"])
-    assert code == 2
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+def test_lie_truncation_cap(capsys):
+    _usage_error(["lie", "--truncation", "13"], capsys)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--truncation", "-3"],
+        ["--truncation", "0"],
+        ["--truncation", "1"],
+        ["--truncation", "x"],
+        # lie reads no documents, so it takes no --field or --jobs
+        ["--field", "Q"],
+        ["--jobs", "2"],
+    ],
+)
+def test_lie_bad_flags_are_usage_errors(flags, capsys):
+    _usage_error(["lie"] + flags, capsys)
+
+
+def test_lie_lowest_truncation():
+    code, out = run(["lie", "--truncation", "2"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["truncation"] == 2
+    assert result["z_in_alpha"] == ["z1,1 = -1*[a1,1]"]
+    assert result["alpha_in_z"] == ["a1,1 = -1*[z1,1]"]
+
+
+@pytest.mark.parametrize("N", [8, 9, 10, 11])
+def test_lie_stdout_matches_benchmark_reference(N):
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "perfbench", "reference",
+        "lie-tables.json",
+    )
+    with open(path) as fh:
+        want = json.load(fh)["fixed"]["lie:%d" % N]
+    code, out = run(["lie", "--truncation", str(N)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+def test_lie_at_the_cap():
+    N = cli.TRUNCATION_CAP
+    code, out = run(["lie", "--truncation", str(N)])
+    assert code == 0
+    result = json.loads(out)["result"]
+    entries = N * (N - 1) // 2
+    assert entries == 66
+    assert len(result["z_in_alpha"]) == entries
+    assert len(result["alpha_in_z"]) == entries
 
 
 def test_orientation_selftest_flag():
@@ -229,13 +287,7 @@ def test_structure_commands_on_comparison_documents_are_violations():
     ],
 )
 def test_bad_point_flags_are_usage_errors(argv, capsys):
-    argv = [argv[0], fx(argv[1])] + argv[2:]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "usage:" in captured.err
+    _usage_error([argv[0], fx(argv[1])] + argv[2:], capsys)
 
 
 def test_each_structure_input_is_validated_once(monkeypatch):

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from conftest import mat
+from hodgegauge import cli, freelie
 from hodgegauge.freelie import (
     TT_ALPHABET,
     Alphabet,
@@ -213,6 +217,70 @@ def test_commutant_generation_weight_6():
 
 def test_inversion_reports_bad_leading_coefficient():
     # all leading coefficients up to the CLI cap are nonzero
-    for d in range(2, 9):
+    for d in range(2, cli.TRUNCATION_CAP + 1):
         for p in range(1, d):
             assert abelianized_coefficient(p, d - p) != 0
+
+
+def _all_pairs_mul(a, b, alphabet, N):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = wa + wb
+            if alphabet.word_weight(w) <= N:
+                out[w] = out.get(w, Fraction(0)) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def test_ts_mul_matches_all_pairs_product():
+    A = alpha_alphabet(6)
+    rng = random.Random(11)
+
+    def rand_series():
+        out = {}
+        for _ in range(rng.randint(0, 25)):
+            w = tuple(rng.randrange(len(A)) for _ in range(rng.randint(0, 3)))
+            out[w] = out.get(w, Fraction(0)) + Fraction(rng.randint(-3, 3))
+        return out
+
+    over_cap = 0
+    for _ in range(40):
+        N = rng.randint(2, 12)
+        a, b = rand_series(), rand_series()
+        over_cap += sum(
+            A.word_weight(wa + wb) > N for wa in a for wb in b
+        )
+        assert freelie._ts_mul(a, b, A, N) == _all_pairs_mul(a, b, A, N)
+    assert over_cap > 0
+
+
+def test_non_primitive_log_raises(monkeypatch):
+    # {a1,1 a1,1} is not primitive: its Dynkin bracket [a1,1, a1,1] is 0;
+    # the Lyndon extraction would reject it too, so match the message
+    monkeypatch.setattr(
+        freelie, "_ts_log", lambda u, alphabet, N: {(0, 0): Fraction(1)}
+    )
+    with pytest.raises(NotLieElement, match="not primitive"):
+        universal_log_pexp.__wrapped__(4)
+
+
+def test_non_primitive_log_raises_under_optimize():
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from hodgegauge import freelie\n"
+        "assert False, 'asserts are on'\n"
+        "freelie._ts_log = lambda u, alphabet, N: {(0, 0): Fraction(1)}\n"
+        "try:\n"
+        "    freelie.universal_log_pexp.__wrapped__(4)\n"
+        "except freelie.NotLieElement as exc:\n"
+        "    sys.exit(0 if 'not primitive' in str(exc) else 2)\n"
+        "sys.exit(1)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
