@@ -118,10 +118,11 @@ def _conjugation_on_graded(gr):
     cols = []
     for (p, q), off, h in gr.hodge.blocks():
         chart = gr.charts[p + q]
-        for row in gr.block_rows[(p, q)]:
-            v = chart.lift(row)
-            w = tuple(x.conjugate() for x in v)
-            cols.append(gr.gr_coords(w, p + q))
+        conj = [
+            tuple(x.conjugate() for x in chart.lift(row))
+            for row in gr.block_rows[(p, q)]
+        ]
+        cols.extend(gr.gr_coords(conj, p + q))
     S = Matrix.from_columns(cols)
     assert S @ S.conjugate() == Matrix.identity(n), "conjugation is not an involution"
     return S
@@ -201,10 +202,7 @@ def real_absolute_cohomology(V):
     assert Rcod @ M.conjugate() == M @ Rdom, "complex is not conjugation-stable"
     MR = _realify_map(M)
     images = fix_dom.basis @ MR.transpose()
-    restricted = []
-    for row in images.rows:
-        coords = solve_left(fix_cod.basis, row)
-        assert coords is not None, "image left the fixed subspace"
-        restricted.append(coords)
+    restricted = solve_left(fix_cod.basis, images.rows)
+    assert restricted is not None, "image left the fixed subspace"
     rank = Matrix(restricted).rank()
     return (fix_dom.dim - rank, fix_cod.dim - rank)

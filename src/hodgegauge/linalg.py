@@ -137,9 +137,6 @@ class Matrix:
     def is_zero(self):
         return all(not x for row in self.rows for x in row)
 
-    def row(self, i):
-        return self.rows[i]
-
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
@@ -241,18 +238,26 @@ def vstack(*mats):
     return Matrix(tuple(row for m in mats for row in m.rows))
 
 
-def solve_left(A, b):
-    """Solve x @ A = b for a row vector x, or return None if inconsistent."""
-    At = A.transpose()
-    aug = Matrix(tuple(row + (bx,) for row, bx in zip(At.rows, b)))
-    R, pivots = aug.rref()
+def solve_left(A, rows):
+    """Solve x @ A = b for every row b of rows in one elimination.
+
+    Returns the tuple of solutions, free coordinates set to zero, or None
+    if some row is not in the row space of A.
+    """
+    rows = tuple(rows)
     na = A.nrows
-    if na in pivots:
+    if not na:
+        return None if any(x for b in rows for x in b) else tuple(() for _ in rows)
+    R, pivots = Matrix.from_columns(A.rows + rows).rref()
+    if pivots and pivots[-1] >= na:
         return None
-    x = [ZERO] * na
-    for r, pc in enumerate(pivots):
-        x[pc] = R.rows[r][na]
-    return tuple(x)
+    sols = []
+    for k in range(na, na + len(rows)):
+        x = [ZERO] * na
+        for r, pc in enumerate(pivots):
+            x[pc] = R.rows[r][k]
+        sols.append(tuple(x))
+    return tuple(sols)
 
 
 def kron(a, b):
@@ -321,6 +326,10 @@ class Subspace:
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.n)
+        if self.dim == self.n:
+            return other
+        if other.dim == other.n:
+            return self
         stacked = vstack(self.basis, -other.basis)
         coeffs = stacked.transpose().right_kernel()
         ra = self.dim
@@ -336,19 +345,11 @@ class Subspace:
         return Subspace.from_rows(self.n, rows)
 
     def contains_vector(self, v):
-        return solve_left(self.basis, v) is not None if self.dim else all(
-            not x for x in v
-        )
+        return solve_left(self.basis, (v,)) is not None
 
     def contains(self, other):
         self._check_ambient(other)
-        return all(self.contains_vector(row) for row in other.basis.rows)
-
-    def coords(self, v):
-        """Coordinates of v in the echelon basis, or None."""
-        if self.dim == 0:
-            return () if all(not x for x in v) else None
-        return solve_left(self.basis, v)
+        return solve_left(self.basis, other.basis.rows) is not None
 
     def apply(self, f):
         """Image under the linear map v |-> f @ v (f maps K^n to K^m)."""
@@ -378,25 +379,24 @@ class Subspace:
 class Quotient:
     """Chart for S/T with a deterministic echelon-complement basis.
 
-    The complement is chosen greedily from the echelon basis of S, so the
-    chart is a pure function of (S, T).
+    The complement is the rows of S's echelon basis that are pivots of the
+    columns T | S, i.e. each row not in the span of T and the rows before
+    it, so the chart is a pure function of (S, T).
     """
 
     __slots__ = ("S", "T", "complement")
 
     def __init__(self, S, T):
         S._check_ambient(T)
-        if not S.contains(T):
+        cols = T.basis.rows + S.basis.rows
+        pivots = Matrix.from_columns(cols).rref()[1]
+        if len(pivots) != S.dim:
             raise ValueError("T is not contained in S")
-        current = T
-        comp = []
-        for row in S.basis.rows:
-            if not current.contains_vector(row):
-                comp.append(row)
-                current = current.add(Subspace.from_rows(S.n, [row]))
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "complement", tuple(comp))
+        object.__setattr__(
+            self, "complement", tuple(cols[c] for c in pivots[T.dim :])
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Quotient is immutable")
@@ -405,23 +405,15 @@ class Quotient:
     def dim(self):
         return len(self.complement)
 
-    def project_vector(self, v):
-        """Coordinates of v + T in the complement basis (v must lie in S)."""
-        rows = tuple(self.T.basis.rows) + self.complement
-        if not rows:
-            if any(x for x in v):
-                raise ValueError("vector not in S")
-            return ()
-        sol = solve_left(Matrix(rows), v)
-        if sol is None:
-            raise ValueError("vector not in S")
-        return sol[self.T.dim :]
-
     def project_subspace(self, U):
         """Image of ((U ∩ S) + T)/T as a subspace of the quotient chart."""
         inter = U.intersect(self.S)
-        rows = [self.project_vector(r) for r in inter.basis.rows]
-        return Subspace.from_rows(self.dim, rows)
+        if not inter.dim:
+            return Subspace.zero(self.dim)
+        if inter.dim == self.S.dim:
+            return Subspace.full(self.dim)
+        sols = solve_left(Matrix(self.T.basis.rows + self.complement), inter.basis.rows)
+        return Subspace.from_rows(self.dim, [x[self.T.dim :] for x in sols])
 
     def lift(self, coords):
         v = [ZERO] * self.S.n
@@ -431,13 +423,6 @@ class Quotient:
                     if x:
                         v[j] = v[j] + c * x
         return tuple(v)
-
-
-def induced_filtration_on_quotient(steps, S, T):
-    """Images ((F ∩ S) + T)/T of a list of filtration steps, in the
-    deterministic chart of S/T."""
-    chart = Quotient(S, T)
-    return [chart.project_subspace(F) for F in steps]
 
 
 def nilpotency_index(M):

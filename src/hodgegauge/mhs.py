@@ -233,6 +233,50 @@ def _index_range(filt):
     return list(range(js[0], js[-1] + 1))
 
 
+def piece_dimensions(Fp, Fpp):
+    """{(p, q): h} for a simultaneous bigrading of two decreasing
+    filtrations of one space: h is the double difference of
+    dim(F'^p ∩ F''^q), over indices from one below each first jump (where
+    a filtration is the full space) to the last.  The pieces of two
+    separated filtrations sum to the whole space."""
+    ps, qs = _index_range(Fp), _index_range(Fpp)
+    if not ps or not qs:
+        return {}
+    cap = {
+        (p, q): Fp.at(p).intersect(Fpp.at(q)).dim
+        for p in range(ps[0] - 1, ps[-1] + 2)
+        for q in range(qs[0] - 1, qs[-1] + 2)
+    }
+    out = {}
+    for p in range(ps[0] - 1, ps[-1] + 1):
+        for q in range(qs[0] - 1, qs[-1] + 1):
+            h = cap[p, q] - cap[p + 1, q] - cap[p, q + 1] + cap[p + 1, q + 1]
+            if h:
+                out[(p, q)] = h
+    return out
+
+
+def graded_pieces(V):
+    """For each weight n with W_n != W_{n-1}, in increasing order:
+    (n, chart of W_n / W_{n-1}, the images of F' and F'' in the chart,
+    their piece dimensions).  Nothing here assumes opposedness."""
+    for n in _index_range(V.W):
+        Wn = V.W.at(n)
+        Wn1 = V.W.at(n - 1)
+        if Wn == Wn1:
+            continue
+        chart = Quotient(Wn, Wn1)
+        fp, fpp = (
+            Filtration(
+                Filtration.DEC,
+                chart.dim,
+                {k: chart.project_subspace(sub) for k, sub in f.steps.items()},
+            )
+            for f in (V.Fp, V.Fpp)
+        )
+        yield n, chart, fp, fpp, piece_dimensions(fp, fpp)
+
+
 class GrStructure:
     """A validated structure with canonical bases of its bigraded pieces.
 
@@ -249,65 +293,47 @@ class GrStructure:
         V.W.validate()
         V.Fp.validate()
         V.Fpp.validate()
-        # a nonzero weight chart implies a nonzero space, so after the
-        # checks above F' and F'' have steps wherever a chart is built
-        ps = _index_range(V.Fp)
-        qs = _index_range(V.Fpp)
         self.V = V
         self.charts = {}
         counts = {}
         spans = {}
         violations = []
-        for n in _index_range(V.W):
-            Wn = V.W.at(n)
-            Wn1 = V.W.at(n - 1)
-            if Wn == Wn1:
-                continue
-            chart = Quotient(Wn, Wn1)
+        for n, chart, fp, fpp, dims in graded_pieces(V):
             self.charts[n] = chart
-            A = {p: chart.project_subspace(V.Fp.at(p)) for p in ps + [ps[-1] + 1]}
-            B = {q: chart.project_subspace(V.Fpp.at(q)) for q in qs + [qs[-1] + 1]}
-            for p in ps:
-                if A[p] == A[p + 1]:
-                    continue
-                R = Quotient(A[p], A[p + 1])
-                dims = {q: R.project_subspace(B[q]).dim for q in B}
-                for q in qs:
-                    h = dims[q] - dims[q + 1]
-                    if not h:
-                        continue
-                    if p + q != n:
-                        violations.append((n, p, q, h))
-                    else:
-                        counts[(p, q)] = h
-                        spans[(p, q)] = (A[p], B[q])
+            for (p, q), h in dims.items():
+                if p + q != n:
+                    violations.append((n, p, q, h))
+                else:
+                    counts[(p, q)] = h
+                    spans[(p, q)] = (fp.at(p), fpp.at(q))
         if violations:
             violations.sort()
             raise OpposednessViolation(*violations[0])
         self.hodge = HodgeNumbers(counts)
-        if self.hodge.dim != V.n:
-            raise OpposednessViolation(0, 0, 0, V.n - self.hodge.dim)
         self.block_rows = {}
         for pq, (a, b) in spans.items():
             piece = a.intersect(b)
             assert piece.dim == counts[pq], "graded piece dimension drifted"
             self.block_rows[pq] = piece.basis.rows
-        # the pieces of one weight are consecutive in the canonical basis
-        self._weights = {}
+        # the pieces of one weight are consecutive in the canonical basis;
+        # W_{n-1} followed by their lifts is a basis of W_n
+        bases = {}
         for (p, q), off, h in self.hodge.blocks():
-            self._weights.setdefault(p + q, (off, []))[1].extend(
-                self.block_rows[(p, q)]
-            )
+            chart = self.charts[p + q]
+            rows = bases.setdefault(p + q, (off, list(chart.T.basis.rows)))[1]
+            rows.extend(chart.lift(r) for r in self.block_rows[(p, q)])
+        self._weights = {n: (off, Matrix(rows)) for n, (off, rows) in bases.items()}
 
-    def gr_coords(self, v, n):
-        """Coordinates of v + W_{n-1} (v in W_n) in the total canonical basis."""
-        off, rows = self._weights[n]
-        local = solve_left(Matrix(rows), self.charts[n].project_vector(v))
-        if local is None:
-            raise ValueError("vector does not project into the graded pieces")
-        out = [ZERO] * self.hodge.dim
-        out[off : off + len(local)] = local
-        return tuple(out)
+    def gr_coords(self, rows, n):
+        """Coordinates of v + W_{n-1} in the total canonical basis, for
+        each v of rows (each in W_n), from one elimination."""
+        off, basis = self._weights[n]
+        low = self.charts[n].T.dim
+        sols = solve_left(basis, rows)
+        if sols is None:
+            raise ValueError("vector does not lie in W_%d" % n)
+        after = (ZERO,) * (self.hodge.dim - off - basis.nrows + low)
+        return tuple((ZERO,) * off + x[low:] + after for x in sols)
 
 
 def validate_mhs(V):

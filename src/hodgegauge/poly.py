@@ -55,12 +55,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, ZERO)
-
     def _compat(self, other):
         if self.nvars != other.nvars:
             raise DimensionMismatch("nvars %d vs %d" % (self.nvars, other.nvars))

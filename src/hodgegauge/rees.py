@@ -10,7 +10,8 @@ computed exactly from section counts of its twists.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
+from .mhs import graded_pieces, piece_dimensions
 from .poly import Poly, PolyMatrix
 from .scalars import ONE, ZERO, Scalar
 
@@ -195,34 +196,10 @@ def splitting_type(G, degree_bound=None):
     return tuple(sorted(type_entries, reverse=True))
 
 
-def _joint_dimensions(Fp, Fpp):
-    """Dimensions of the pieces of a simultaneous bigrading of two
-    decreasing filtrations: dim at (p, q) is the double difference of
-    dim(F'^p cap F''^q)."""
-    n = Fp.n
-    ps = Fp.jumps()
-    qs = Fpp.jumps()
-    if not ps or not qs:
-        return {}
-    dims = {}
-
-    def inter(p, q):
-        return Fp.at(p).intersect(Fpp.at(q)).dim
-
-    out = {}
-    for p in range(ps[0] - 1, ps[-1] + 1):
-        for q in range(qs[0] - 1, qs[-1] + 1):
-            d = (
-                inter(p, q)
-                - inter(p + 1, q)
-                - inter(p, q + 1)
-                + inter(p + 1, q + 1)
-            )
-            assert d >= 0, "filtration pair admits no bigrading"
-            if d:
-                out[(p, q)] = d
-    assert sum(out.values()) == n
-    return out
+def _joint_type(dims):
+    """The multiset of p + q over pieces of dimension dims[(p, q)],
+    sorted descending."""
+    return sorted((p + q for (p, q), d in dims.items() for _ in range(d)), reverse=True)
 
 
 def two_filtration_rees_type(Fp, Fpp):
@@ -230,11 +207,7 @@ def two_filtration_rees_type(Fp, Fpp):
     filtrations on P^1: the multiset of p + q over a simultaneous
     bigrading, sorted descending.  The pair is n-opposite iff every entry
     equals n."""
-    dims = _joint_dimensions(Fp, Fpp)
-    out = []
-    for (p, q), d in dims.items():
-        out.extend([p + q] * d)
-    return tuple(sorted(out, reverse=True))
+    return tuple(_joint_type(piece_dimensions(Fp, Fpp)))
 
 
 def w_line_transition(V):
@@ -246,26 +219,9 @@ def w_line_transition(V):
     contributes the monomial xi^{(p+q)-n}.  For a genuine mixed Hodge
     structure every exponent vanishes and the restriction is trivial.
     """
-    from .linalg import Quotient
-    from .mhs import Filtration
-
     exps = []
-    js = V.W.jumps()
-    for n in range(js[0], js[-1] + 1):
-        chart = Quotient(V.W.at(n), V.W.at(n - 1))
-        if chart.dim == 0:
-            continue
-        d = chart.dim
-        fps = {}
-        fpps = {}
-        for k in V.Fp.jumps():
-            fps[k] = chart.project_subspace(V.Fp.at(k))
-        for k in V.Fpp.jumps():
-            fpps[k] = chart.project_subspace(V.Fpp.at(k))
-        fp = Filtration(Filtration.DEC, d, fps)
-        fpp = Filtration(Filtration.DEC, d, fpps)
-        for entry in two_filtration_rees_type(fp, fpp):
-            exps.append(entry - n)
+    for n, _, _, _, dims in graded_pieces(V):
+        exps.extend(entry - n for entry in _joint_type(dims))
     r = len(exps)
     rows = []
     for i in range(r):

@@ -102,9 +102,8 @@ def _side_matrix(gr, side):
     b_rows = []
     g_rows = []
     for (p, q), off, h in gr.hodge.blocks():
-        for row in pieces[(p, q)].basis.rows:
-            b_rows.append(row)
-            g_rows.append(gr.gr_coords(row, p + q))
+        b_rows.extend(pieces[(p, q)].basis.rows)
+        g_rows.extend(gr.gr_coords(pieces[(p, q)].basis.rows, p + q))
     B = Matrix(b_rows)
     G = Matrix(g_rows)
     return B.transpose() @ G.transpose().inverse()

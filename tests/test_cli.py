@@ -293,7 +293,8 @@ def test_bad_point_flags_are_usage_errors(argv, capsys):
 def test_each_structure_input_is_validated_once(monkeypatch):
     # Validation is the only place where a structure's weight charts are
     # built, and every subcommand validates each structure input once;
-    # roundtrip also validates the model it rebuilds from delta.
+    # roundtrip also validates the model it rebuilds from delta.  Every
+    # quotient chart of a run is one of these weight charts.
     from hodgegauge import linalg, mhs
 
     built = []
@@ -323,6 +324,23 @@ def test_each_structure_input_is_validated_once(monkeypatch):
             assert len(built) == want, (command, name, len(built))
             # a weight chart is a quotient of a stored W step
             steps = [s for V, _ in built for s in V.W.steps.values()]
-            weight_charts = [S for S in charts if any(S is s for s in steps)]
+            assert all(any(S is s for s in steps) for S in charts), (command, name)
             weights = sum(len(gr.hodge.weights()) for _, gr in built)
-            assert len(weight_charts) == weights, (command, name)
+            assert len(charts) == weights, (command, name)
+
+
+@pytest.mark.parametrize("name", ["pure_0_0.json", "kummer_3.json"])
+def test_sparse_decreasing_filtrations_validate(name, tmp_path):
+    # a decreasing filtration is the full space below its stored range, so
+    # dropping the leading full steps of F' and F'' keeps the structure
+    with open(fx(name)) as fh:
+        doc = json.load(fh)
+    for key in ("Fp", "Fpp"):
+        steps = doc[key]["steps"]
+        del steps[min(steps, key=int)]
+    sparse = tmp_path / name
+    sparse.write_text(json.dumps(doc))
+    code, out = run(["validate", str(sparse)])
+    assert code == 0
+    _, explicit = run(["validate", fx(name)])
+    assert json.loads(out)["inputs"][0]["result"] == json.loads(explicit)["inputs"][0]["result"]

@@ -1,0 +1,136 @@
+"""The exact kernel against sympy's Gaussian-rational matrices.
+
+rank, rref, det, inverse and the multi-row solve_left are compared with
+sympy's DomainMatrix over QQ_I on seeded random Q(i) matrices, including
+rank-deficient, inconsistent and zero-row inputs.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hodgegauge.linalg import Matrix, solve_left
+from hodgegauge.scalars import Scalar
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import QQ_I  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+
+def to_qqi(x):
+    return QQ_I(x.re, x.im)
+
+
+def from_qqi(z):
+    return Scalar(
+        Fraction(int(z.x.numerator), int(z.x.denominator)),
+        Fraction(int(z.y.numerator), int(z.y.denominator)),
+    )
+
+
+def to_dm(rows, ncols):
+    return DomainMatrix([[to_qqi(x) for x in row] for row in rows], (len(rows), ncols), QQ_I)
+
+
+def from_dm(dm):
+    return tuple(tuple(from_qqi(z) for z in row) for row in dm.to_list())
+
+
+def random_scalar(rng):
+    if rng.random() < 0.4:
+        return Scalar(0)
+    return Scalar(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else 0,
+    )
+
+
+def random_rows(rng, r, c, rank=None):
+    """r x c rows; with rank given, a product of r x rank and rank x c."""
+    if rank is None:
+        return tuple(tuple(random_scalar(rng) for _ in range(c)) for _ in range(r))
+    left = random_rows(rng, r, rank)
+    right = random_rows(rng, rank, c)
+    return tuple(
+        tuple(sum((a * right[k][j] for k, a in enumerate(row)), Scalar(0)) for j in range(c))
+        for row in left
+    )
+
+
+def shapes(rng, count):
+    for _ in range(count):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        yield r, c, (rng.randint(0, min(r, c)) if rng.random() < 0.5 else None)
+
+
+def test_rank_and_rref_match_sympy():
+    rng = random.Random(3)
+    for r, c, k in shapes(rng, 60):
+        rows = random_rows(rng, r, c, k)
+        R, pivots = Matrix(rows).rref()
+        want, want_pivots = to_dm(rows, c).rref()
+        assert pivots == tuple(want_pivots)
+        assert R.rows == from_dm(want)
+        assert Matrix(rows).rank() == to_dm(rows, c).rank()
+
+
+def test_det_and_inverse_match_sympy():
+    rng = random.Random(4)
+    singular = 0
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        rows = random_rows(rng, n, n, n - 1 if n and rng.random() < 0.3 else None)
+        M, dm = Matrix(rows), to_dm(rows, n)
+        det = dm.det()
+        assert M.det() == from_qqi(det)
+        if det:
+            assert M.inverse().rows == from_dm(dm.inv())
+        else:
+            singular += 1
+            with pytest.raises(ValueError):
+                M.inverse()
+    assert singular
+
+
+def check_solutions(A_rows, ncols, b_rows):
+    A = Matrix(A_rows) if A_rows else Matrix.zeros(0, ncols)
+    sols = solve_left(A, b_rows)
+    # consistent iff stacking the right-hand rows keeps the rank of A
+    if to_dm(A_rows, ncols).rank() != to_dm(A_rows + b_rows, ncols).rank():
+        assert sols is None
+        return False
+    assert len(sols) == len(b_rows)
+    for x, b in zip(sols, b_rows):
+        assert len(x) == len(A_rows)
+        if A_rows:
+            assert from_dm(to_dm((x,), len(A_rows)) * to_dm(A_rows, ncols)) == (tuple(b),)
+    return True
+
+
+def test_solve_left_matches_sympy():
+    rng = random.Random(5)
+    outcomes = set()
+    for r, c, k in shapes(rng, 60):
+        A_rows = random_rows(rng, r, c, k)
+        m = rng.randint(0, 3)
+        if rng.random() < 0.5 and r:
+            # right-hand rows in the row space of A
+            coef = random_rows(rng, m, r)
+            b_rows = from_dm(to_dm(coef, r) * to_dm(A_rows, c))
+        else:
+            b_rows = random_rows(rng, m, c)
+        outcomes.add(check_solutions(A_rows, c, b_rows))
+    assert outcomes == {True, False}
+
+
+def test_solve_left_zero_row_inputs():
+    zero, one = Scalar(0), Scalar(1)
+    # no right-hand rows: nothing to solve
+    assert solve_left(Matrix([[one, zero]]), ()) == ()
+    # A with no rows spans only zero
+    A = Matrix.zeros(0, 2)
+    assert solve_left(A, [(zero, zero), (zero, zero)]) == ((), ())
+    assert solve_left(A, [(zero, one)]) is None
+    assert check_solutions((), 2, ((zero, zero),))
+    assert not check_solutions((), 2, ((one, zero),))

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import mat, span, vec
-from hodgegauge.fixtures import kummer, random_mhs, t3
-from hodgegauge.linalg import Subspace
+from hodgegauge.fixtures import corrupt_weight_step, kummer, random_mhs, t3
+from hodgegauge.linalg import Quotient, Subspace
 from hodgegauge.mhs import (
     ComplexMHS,
     Filtration,
     FiltrationError,
+    GrStructure,
     HodgeNumbers,
     OpposednessViolation,
     RealMHS,
@@ -169,3 +170,75 @@ def test_random_structures_validate():
     for _ in range(5):
         V = random_mhs(rng, max_dim=5, weight_lo=-4, weight_hi=4)
         validate_mhs(V)
+
+
+def sparse_form(V):
+    """V with the leading full step of F' and F'' left implicit."""
+
+    def drop(f):
+        lo = min(f.steps)
+        assert f.steps[lo] == Subspace.full(f.n)
+        return Filtration(f.direction, f.n, {k: s for k, s in f.steps.items() if k != lo})
+
+    return ComplexMHS(V.n, V.W, drop(V.Fp), drop(V.Fpp))
+
+
+@pytest.mark.parametrize("V", [pure(0, 0), kummer(3)], ids=["pure_0_0", "kummer_3"])
+def test_sparse_decreasing_filtrations_validate(V):
+    sparse = sparse_form(V)
+    assert sparse.Fp == V.Fp and sparse.Fpp == V.Fpp
+    assert GrStructure(sparse).hodge == GrStructure(V).hodge
+
+
+def nested_count(V):
+    """Reference graded count by nested quotients: inside each weight chart,
+    the projection of F''^q into A^p / A^{p+1}, where A is the image of F'.
+    It scans only the stored indices of F' and F'', so it agrees with the
+    full count only when their first stored step is the full space."""
+    js = V.W.jumps()
+    ps = list(range(min(V.Fp.steps), max(V.Fp.steps) + 1))
+    qs = list(range(min(V.Fpp.steps), max(V.Fpp.steps) + 1))
+    counts = {}
+    violations = []
+    for n in range(js[0], js[-1] + 1):
+        if V.W.at(n) == V.W.at(n - 1):
+            continue
+        chart = Quotient(V.W.at(n), V.W.at(n - 1))
+        A = {p: chart.project_subspace(V.Fp.at(p)) for p in ps + [ps[-1] + 1]}
+        B = {q: chart.project_subspace(V.Fpp.at(q)) for q in qs + [qs[-1] + 1]}
+        for p in ps:
+            if A[p] == A[p + 1]:
+                continue
+            R = Quotient(A[p], A[p + 1])
+            dims = {q: R.project_subspace(B[q]).dim for q in B}
+            for q in qs:
+                h = dims[q] - dims[q + 1]
+                if h and p + q != n:
+                    violations.append((n, p, q, h))
+                elif h:
+                    counts[(p, q)] = h
+    if violations:
+        raise OpposednessViolation(*min(violations))
+    return HodgeNumbers(counts)
+
+
+def _outcome(count, V):
+    try:
+        return count(V)
+    except OpposednessViolation as exc:
+        return (exc.weight, exc.p, exc.q, exc.h)
+
+
+def test_graded_count_agrees_with_nested_quotients():
+    rng = random.Random(11)
+    seen = {"valid": 0, "violation": 0}
+    for _ in range(12):
+        V = random_mhs(rng, max_dim=6, weight_lo=-4, weight_hi=4)
+        for W in (V, corrupt_weight_step(V, rng)):
+            for f in (W.Fp, W.Fpp):
+                assert f.steps[min(f.steps)] == Subspace.full(W.n)
+            want = _outcome(nested_count, W)
+            got = _outcome(lambda U: GrStructure(U).hodge, W)
+            assert got == want
+            seen["valid" if isinstance(want, HodgeNumbers) else "violation"] += 1
+    assert seen == {"valid": 12, "violation": 12}

@@ -153,7 +153,7 @@ def test_tensor_functoriality():
                 for r2 in grVp.block_rows[(p2, q2)]:
                     v2 = grVp.charts[p2 + q2].lift(r2)
                     tens = tuple(a * b for a in v1 for b in v2)
-                    cols.append(grT.gr_coords(tens, p1 + q1 + p2 + q2))
+                    cols.extend(grT.gr_coords([tens], p1 + q1 + p2 + q2))
     K = Matrix.from_columns(cols)
     assert dT.delta @ K == K @ mkron(dV.delta, dVp.delta)
 
