@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -26,11 +25,6 @@ from .connection import (
 )
 from .documents import DocumentError, _hodge_out, _matrix_out, parse, serialize
 from .linalg import Matrix
-from .freelie import (
-    abelianized_coefficient,
-    generator_change_table,
-    universal_log_pexp,
-)
 from .hodgecoh import absolute_cohomology, real_absolute_cohomology
 from .holonomy import (
     PolygonalPath,
@@ -198,7 +192,14 @@ def _format_lie(alphabet, poly):
 
 
 def _lie_report(N):
-    from .freelie import alpha_alphabet, z_alphabet
+    # only `lie` needs the free-Lie tables, so no other command loads them
+    from .freelie import (
+        abelianized_coefficient,
+        alpha_alphabet,
+        generator_change_table,
+        universal_log_pexp,
+        z_alphabet,
+    )
 
     ztab = universal_log_pexp(N)
     atab = generator_change_table(N)
@@ -376,6 +377,8 @@ def main(argv=None):
     else:
         inputs = flags.inputs
         if flags.jobs and flags.jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=flags.jobs) as pool:
                 outs = list(
                     pool.map(

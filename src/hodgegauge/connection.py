@@ -15,9 +15,9 @@ datum level by level from its triangle holonomy.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .freelie import abelianized_coefficient
-from .linalg import Matrix
+from .linalg import InvariantError, Matrix
 from .poly import Poly, PolyMatrix
 from .scalars import Scalar
 from .splitting import DeltaObject, log_delta_components
@@ -25,6 +25,17 @@ from .splitting import DeltaObject, log_delta_components
 
 class AdmissibilityError(ValueError):
     """Coefficient block violates the bidegree constraint."""
+
+
+def beta_coefficient(p, q):
+    """c(p, q) = (-1)^(p+q-1) (p-1)! (q-1)! / (p+q-1)!, the leading
+    coefficient of z_{p,q} on alpha_{p,q}: the Beta integral that
+    ``freelie.abelianized_coefficient`` evaluates from the hypotenuse
+    pullback, in closed form so the connection needs no free-Lie code."""
+    return Fraction(
+        (-1) ** (p + q - 1) * factorial(p - 1) * factorial(q - 1),
+        factorial(p + q - 1),
+    )
 
 
 def _check_block(hodge, M, p, q, what):
@@ -239,9 +250,11 @@ def normalize_fock_schwinger(C):
         total = total.compose(g)
     for (p, q), M in current.A.items():
         resid = M + current.B.get((p, q), Matrix.zeros(*M.shape))
-        assert resid.is_zero(), "normalization left a defect at %r" % ((p, q),)
+        if not resid.is_zero():
+            raise InvariantError("normalization left a defect at %r" % ((p, q),))
     for (p, q), M in current.B.items():
-        assert (p, q) in current.A or M.is_zero()
+        if (p, q) not in current.A and not M.is_zero():
+            raise InvariantError("normalization left a B block at %r" % ((p, q),))
     return current, total
 
 
@@ -253,7 +266,7 @@ def connection_from_delta(dobj):
     brackets of strictly lower blocks (Chen's triangular generator change),
     so with the lower levels already fixed
     A_{p,q} = (D_{p,q} - [log T]_{p,q}) / c(p, q), where D = log delta,
-    c = abelianized_coefficient and T is the transport of the blocks found
+    c = beta_coefficient and T is the transport of the blocks found
     so far.  B = -A.
     """
     from .holonomy import TRIANGLE, transport_segment
@@ -271,7 +284,7 @@ def connection_from_delta(dobj):
             q = d - p
             M = D.get((p, q), zero) - logT.get((p, q), zero)
             if not M.is_zero():
-                A[(p, q)] = M.scale(Scalar(1 / abelianized_coefficient(p, q)))
+                A[(p, q)] = M.scale(Scalar(1 / beta_coefficient(p, q)))
         if len(A) == len(C.A):
             continue
         C = EquivariantConnection(hodge, A, {k: -v for k, v in A.items()})

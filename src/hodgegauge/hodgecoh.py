@@ -14,7 +14,7 @@ out the fixed subspaces.
 from __future__ import annotations
 
 from .connection import connection_from_delta
-from .linalg import Matrix, Subspace, solve_left, vstack
+from .linalg import InvariantError, Matrix, Subspace, solve_left, vstack
 from .mhs import GrStructure, dual_mhs, realize_real, tensor_mhs
 from .scalars import ZERO, Scalar
 from .splitting import delta_operator
@@ -30,9 +30,7 @@ class TwoTermComplex:
     __slots__ = ("domain_labels", "codomain_labels", "matrix")
 
     def __init__(self, domain_labels, codomain_labels, matrix):
-        if matrix.nrows != len(codomain_labels) or (
-            matrix.nrows and matrix.ncols != len(domain_labels)
-        ):
+        if matrix.shape != (len(codomain_labels), len(domain_labels)):
             raise ValueError("matrix shape does not match the labeled bases")
         object.__setattr__(self, "domain_labels", tuple(domain_labels))
         object.__setattr__(self, "codomain_labels", tuple(codomain_labels))
@@ -87,7 +85,7 @@ def invariant_complex(C):
                 if M[j, i]:
                     r = cod_index[(j, a + rr, b + ss - 1, 2)]
                     rows[r][col] = rows[r][col] + M[j, i]
-    return TwoTermComplex(dom, cod, Matrix(rows))
+    return TwoTermComplex(dom, cod, Matrix._of(tuple(map(tuple, rows)), len(dom)))
 
 
 def hom_from_unit(V):
@@ -100,7 +98,8 @@ def absolute_cohomology(gr):
     structure gr.V."""
     C = connection_from_delta(delta_operator(gr))
     ext0, ext1 = invariant_complex(C).cohomology_dims()
-    assert ext0 == hom_from_unit(gr.V), "complex kernel disagrees with Hom"
+    if ext0 != hom_from_unit(gr.V):
+        raise InvariantError("complex kernel disagrees with Hom")
     return (ext0, ext1)
 
 
@@ -124,7 +123,8 @@ def _conjugation_on_graded(gr):
         ]
         cols.extend(gr.gr_coords(conj, p + q))
     S = Matrix.from_columns(cols)
-    assert S @ S.conjugate() == Matrix.identity(n), "conjugation is not an involution"
+    if S @ S.conjugate() != Matrix.identity(n):
+        raise InvariantError("conjugation is not an involution")
     return S
 
 
@@ -195,14 +195,17 @@ def real_absolute_cohomology(V):
     M = cx.matrix
     fix_dom = _real_fixed_subspace(Rdom)
     fix_cod = _real_fixed_subspace(Rcod)
-    assert fix_dom.dim == len(dom) and fix_cod.dim == len(cod)
+    if fix_dom.dim != len(dom) or fix_cod.dim != len(cod):
+        raise InvariantError("a conjugation-fixed subspace has the wrong dimension")
     if not dom or not cod:
         return (fix_dom.dim, fix_cod.dim)
     # the complex must be conjugation-equivariant
-    assert Rcod @ M.conjugate() == M @ Rdom, "complex is not conjugation-stable"
+    if Rcod @ M.conjugate() != M @ Rdom:
+        raise InvariantError("complex is not conjugation-stable")
     MR = _realify_map(M)
     images = fix_dom.basis @ MR.transpose()
     restricted = solve_left(fix_cod.basis, images.rows)
-    assert restricted is not None, "image left the fixed subspace"
+    if restricted is None:
+        raise InvariantError("image left the fixed subspace")
     rank = Matrix(restricted).rank()
     return (fix_dom.dim - rank, fix_cod.dim - rank)

@@ -12,7 +12,7 @@ self-test (convention_selftest) re-derives this pin on a rank-2 fixture.
 from __future__ import annotations
 
 from .connection import EquivariantConnection, connection_form
-from .linalg import Matrix, NotNilpotentError
+from .linalg import InvariantError, Matrix, NotNilpotentError
 from .mhs import HodgeNumbers
 from .poly import Poly, PolyMatrix
 from .scalars import ONE, ZERO, Scalar
@@ -73,13 +73,14 @@ def _segment_pullback(P, Q, a, b):
             cache[(e1, e2)] = acc
         return cache[(e1, e2)]
 
+    zero = Poly(1, {})
+
     def pull(pm, speed):
-        nr, nc = pm.shape
         rows = []
         for row in pm.rows:
             out = []
             for poly in row:
-                acc = Poly(1, {})
+                acc = zero
                 for (e1, e2), c in poly.terms.items():
                     acc = acc + mono(e1, e2).scale(c * speed)
                 out.append(acc)
@@ -133,7 +134,7 @@ def triangle_delta(C):
     The pullback of an admissible form to either coordinate axis vanishes
     (every monomial carries both variables), so the loop reduces to the
     hypotenuse transport; each segment is transported once and the axis
-    segments are asserted trivial.
+    segments are checked to be trivial.
     """
     forms = connection_form(C)
     first, hyp, last = (
@@ -141,7 +142,8 @@ def triangle_delta(C):
         for a, b in PolygonalPath(TRIANGLE).segments()
     )
     one = Matrix.identity(C.hodge.dim)
-    assert first == one and last == one, "axis transport is not trivial"
+    if first != one or last != one:
+        raise InvariantError("axis transport is not trivial")
     return DeltaObject(C.hodge, last @ hyp @ first)
 
 
@@ -170,9 +172,8 @@ def convention_selftest():
     delta = Matrix([[ONE, -ONE], [ZERO, ONE]])
     dobj = DeltaObject(hodge, delta)
     C = connection_from_delta(dobj)
-    assert C.A.get((1, 1)) == Matrix([[ZERO, ONE], [ZERO, ZERO]]), (
-        "canonical connection block drifted"
-    )
-    back = triangle_delta(C)
-    assert back.delta == delta, "orientation pin failed"
+    if C.A.get((1, 1)) != Matrix([[ZERO, ONE], [ZERO, ZERO]]):
+        raise InvariantError("canonical connection block drifted")
+    if triangle_delta(C).delta != delta:
+        raise InvariantError("orientation pin failed")
     return True

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from .scalars import ONE, ZERO, Scalar, _coerce
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 class DimensionMismatch(ValueError):
     """Operands live in different ambient spaces."""
@@ -18,29 +21,45 @@ class NotNilpotentError(ValueError):
     """A matrix expected to be (uni)potent is not."""
 
 
+class InvariantError(RuntimeError):
+    """A mathematical invariant the code guarantees does not hold: a defect
+    of the program, not of its input.  Raised, unlike an assert, under
+    ``python -O`` too."""
+
+
 class Matrix:
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "ncols")
 
     def __init__(self, rows):
         rows = tuple(tuple(_coerce(x) for x in row) for row in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ValueError("ragged rows")
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", width)
+
+    @classmethod
+    def _of(cls, rows, ncols):
+        # internal constructor for a tuple of rows, each a tuple of ncols
+        # Scalars: kernel results need neither coercion nor a ragged check
+        m = _new(cls)
+        _set(m, "rows", rows)
+        _set(m, "ncols", ncols)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+        return cls._of(
+            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)),
+            n,
         )
 
     @classmethod
     def zeros(cls, r, c):
-        return cls(tuple(tuple(ZERO for _ in range(c)) for _ in range(r)))
+        return cls._of(((ZERO,) * c,) * r, c)
 
     @classmethod
     def from_columns(cls, cols):
@@ -48,17 +67,11 @@ class Matrix:
 
     @property
     def shape(self):
-        if not self.rows:
-            return (0, 0)
-        return (len(self.rows), len(self.rows[0]))
+        return (len(self.rows), self.ncols)
 
     @property
     def nrows(self):
         return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
 
     def __getitem__(self, ij):
         i, j = ij
@@ -67,10 +80,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.ncols == other.ncols and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.ncols, self.rows))
 
     def __repr__(self):
         return "Matrix(%r)" % ([[str(x) for x in row] for row in self.rows],)
@@ -78,22 +91,25 @@ class Matrix:
     def __add__(self, other):
         if self.shape != other.shape:
             raise DimensionMismatch("matrix shapes %r vs %r" % (self.shape, other.shape))
-        return Matrix(
+        return Matrix._of(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
-            )
+            ),
+            self.ncols,
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-x for x in row) for row in self.rows))
+        return Matrix._of(tuple(tuple(-x for x in row) for row in self.rows), self.ncols)
 
     def scale(self, c):
         c = _coerce(c)
-        return Matrix(tuple(tuple(c * x for x in row) for row in self.rows))
+        return Matrix._of(
+            tuple(tuple(c * x for x in row) for row in self.rows), self.ncols
+        )
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -111,7 +127,7 @@ class Matrix:
                         acc = acc + a * b
                 out_row.append(acc)
             out.append(tuple(out_row))
-        return Matrix(tuple(out))
+        return Matrix._of(tuple(out), other.ncols)
 
     def __pow__(self, k):
         n = self.nrows
@@ -125,13 +141,12 @@ class Matrix:
         return acc
 
     def transpose(self):
-        if not self.rows:
-            return self
-        return Matrix(tuple(zip(*self.rows)))
+        # an empty zip still owes ncols rows of width 0
+        return Matrix._of(tuple(zip(*self.rows)) or ((),) * self.ncols, self.nrows)
 
     def conjugate(self):
-        return Matrix(
-            tuple(tuple(x.conjugate() for x in row) for row in self.rows)
+        return Matrix._of(
+            tuple(tuple(x.conjugate() for x in row) for row in self.rows), self.ncols
         )
 
     def is_zero(self):
@@ -168,7 +183,7 @@ class Matrix:
             pr += 1
             if pr == nr:
                 break
-        return Matrix(rows), tuple(pivots)
+        return Matrix._of(tuple(map(tuple, rows)), nc), tuple(pivots)
 
     def rank(self):
         return len(self.rref()[1])
@@ -185,22 +200,23 @@ class Matrix:
             for r, pc in enumerate(pivots):
                 v[pc] = -R.rows[r][fc]
             basis.append(tuple(v))
-        return Matrix(tuple(basis)) if basis else Matrix.zeros(0, nc)
+        return Matrix._of(tuple(basis), nc)
 
     def inverse(self):
         n = self.nrows
         if n != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        aug = Matrix(
+        aug = Matrix._of(
             tuple(
                 row + tuple(ONE if i == j else ZERO for j in range(n))
                 for i, row in enumerate(self.rows)
-            )
+            ),
+            2 * n,
         )
         R, pivots = aug.rref()
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(tuple(row[n:] for row in R.rows))
+        return Matrix._of(tuple(row[n:] for row in R.rows), n)
 
     def det(self):
         n = self.nrows
@@ -229,13 +245,12 @@ class Matrix:
 
 
 def vstack(*mats):
-    mats = [m for m in mats if m.nrows]
     if not mats:
         raise ValueError("vstack of nothing")
     nc = mats[0].ncols
     if any(m.ncols != nc for m in mats):
         raise DimensionMismatch("vstack column mismatch")
-    return Matrix(tuple(row for m in mats for row in m.rows))
+    return Matrix._of(tuple(row for m in mats for row in m.rows), nc)
 
 
 def solve_left(A, rows):
@@ -244,11 +259,11 @@ def solve_left(A, rows):
     Returns the tuple of solutions, free coordinates set to zero, or None
     if some row is not in the row space of A.
     """
-    rows = tuple(rows)
-    na = A.nrows
-    if not na:
-        return None if any(x for b in rows for x in b) else tuple(() for _ in rows)
-    R, pivots = Matrix.from_columns(A.rows + rows).rref()
+    rows = tuple(map(tuple, rows))
+    na, n = A.shape
+    if any(len(b) != n for b in rows):
+        raise DimensionMismatch("right-hand rows must have length %d" % n)
+    R, pivots = Matrix._of(A.rows + rows, n).transpose().rref()
     if pivots and pivots[-1] >= na:
         return None
     sols = []
@@ -284,8 +299,15 @@ class Subspace:
         m = Matrix(rows)
         if m.ncols != n:
             raise DimensionMismatch("rows of length %d in K^%d" % (m.ncols, n))
+        return cls._span(m)
+
+    @classmethod
+    def _span(cls, m):
+        # row space of a Matrix built by the kernel, so nothing to coerce
+        if not m.rows:
+            return cls(m.ncols, m)
         R, pivots = m.rref()
-        return cls(n, Matrix(R.rows[: len(pivots)]))
+        return cls(m.ncols, Matrix._of(R.rows[: len(pivots)], m.ncols))
 
     @classmethod
     def zero(cls, n):
@@ -318,9 +340,7 @@ class Subspace:
 
     def add(self, other):
         self._check_ambient(other)
-        return Subspace.from_rows(
-            self.n, tuple(self.basis.rows) + tuple(other.basis.rows)
-        )
+        return Subspace._span(vstack(self.basis, other.basis))
 
     def intersect(self, other):
         self._check_ambient(other)
@@ -342,7 +362,7 @@ class Subspace:
                         if x:
                             v[j] = v[j] + c * x
             rows.append(tuple(v))
-        return Subspace.from_rows(self.n, rows)
+        return Subspace._span(Matrix._of(tuple(rows), self.n))
 
     def contains_vector(self, v):
         return solve_left(self.basis, (v,)) is not None
@@ -357,23 +377,22 @@ class Subspace:
             raise DimensionMismatch("map domain %d vs ambient %d" % (f.ncols, self.n))
         if self.dim == 0:
             return Subspace.zero(f.nrows)
-        img = self.basis @ f.transpose()
-        return Subspace.from_rows(f.nrows, img.rows)
+        return Subspace._span(self.basis @ f.transpose())
 
     def conjugate(self):
-        return Subspace.from_rows(self.n, self.basis.conjugate().rows)
+        return Subspace._span(self.basis.conjugate())
 
     def annihilator(self):
         """{phi : phi(u) = 0 for u in self}, in dual coordinates."""
         if self.dim == 0:
             return Subspace.full(self.n)
-        return Subspace.from_rows(self.n, self.basis.right_kernel().rows)
+        return Subspace._span(self.basis.right_kernel())
 
     def tensor(self, other):
-        rows = [
+        rows = tuple(
             kron(a, b) for a in self.basis.rows for b in other.basis.rows
-        ]
-        return Subspace.from_rows(self.n * other.n, rows)
+        )
+        return Subspace._span(Matrix._of(rows, self.n * other.n))
 
 
 class Quotient:
@@ -389,7 +408,7 @@ class Quotient:
     def __init__(self, S, T):
         S._check_ambient(T)
         cols = T.basis.rows + S.basis.rows
-        pivots = Matrix.from_columns(cols).rref()[1]
+        pivots = Matrix._of(cols, S.n).transpose().rref()[1]
         if len(pivots) != S.dim:
             raise ValueError("T is not contained in S")
         object.__setattr__(self, "S", S)
@@ -412,8 +431,11 @@ class Quotient:
             return Subspace.zero(self.dim)
         if inter.dim == self.S.dim:
             return Subspace.full(self.dim)
-        sols = solve_left(Matrix(self.T.basis.rows + self.complement), inter.basis.rows)
-        return Subspace.from_rows(self.dim, [x[self.T.dim :] for x in sols])
+        sols = solve_left(
+            Matrix._of(self.T.basis.rows + self.complement, self.S.n), inter.basis.rows
+        )
+        low = self.T.dim
+        return Subspace._span(Matrix._of(tuple(x[low:] for x in sols), self.dim))
 
     def lift(self, coords):
         v = [ZERO] * self.S.n

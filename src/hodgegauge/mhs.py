@@ -8,7 +8,14 @@ structural equality of structures is decidable bit-for-bit.
 
 from __future__ import annotations
 
-from .linalg import DimensionMismatch, Matrix, Quotient, Subspace, solve_left
+from .linalg import (
+    DimensionMismatch,
+    InvariantError,
+    Matrix,
+    Quotient,
+    Subspace,
+    solve_left,
+)
 from .scalars import ZERO
 
 
@@ -313,7 +320,8 @@ class GrStructure:
         self.block_rows = {}
         for pq, (a, b) in spans.items():
             piece = a.intersect(b)
-            assert piece.dim == counts[pq], "graded piece dimension drifted"
+            if piece.dim != counts[pq]:
+                raise InvariantError("graded piece dimension drifted at %r" % (pq,))
             self.block_rows[pq] = piece.basis.rows
         # the pieces of one weight are consecutive in the canonical basis;
         # W_{n-1} followed by their lifts is a basis of W_n

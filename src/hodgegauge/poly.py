@@ -12,6 +12,10 @@ from .scalars import ONE, ZERO, Scalar, _coerce
 from .linalg import DimensionMismatch, Matrix
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 class LaurentError(ValueError):
     """Negative exponent in a non-Laurent polynomial."""
 
@@ -34,6 +38,16 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "laurent", laurent)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, nvars, terms, laurent):
+        # internal constructor for kernel results: Scalar coefficients on
+        # exponent tuples already valid for nvars and laurent; drops zeros
+        p = _new(cls)
+        _set(p, "nvars", nvars)
+        _set(p, "laurent", laurent)
+        _set(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -73,13 +87,13 @@ class Poly:
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, ZERO) + c
-        return Poly(self.nvars, terms, laurent)
+        return Poly._of(self.nvars, terms, laurent)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly(
+        return Poly._of(
             self.nvars, {e: -c for e, c in self.terms.items()}, self.laurent
         )
 
@@ -90,16 +104,16 @@ class Poly:
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
                 terms[key] = terms.get(key, ZERO) + ca * cb
-        return Poly(self.nvars, terms, laurent)
+        return Poly._of(self.nvars, terms, laurent)
 
     def scale(self, c):
         c = _coerce(c)
-        return Poly(
+        return Poly._of(
             self.nvars, {e: c * x for e, x in self.terms.items()}, self.laurent
         )
 
     def conjugate(self):
-        return Poly(
+        return Poly._of(
             self.nvars,
             {e: c.conjugate() for e, c in self.terms.items()},
             self.laurent,
@@ -113,7 +127,7 @@ class Poly:
                 continue
             key = exps[:var] + (e - 1,) + exps[var + 1 :]
             terms[key] = terms.get(key, ZERO) + c * Scalar(e)
-        return Poly(self.nvars, terms, self.laurent)
+        return Poly._of(self.nvars, terms, self.laurent)
 
     def subs(self, var, repl):
         """Substitute the polynomial `repl` for variable `var`.
@@ -124,8 +138,9 @@ class Poly:
         """
         if repl.nvars != self.nvars:
             raise DimensionMismatch("substitution arity mismatch")
-        out = Poly(self.nvars, {}, self.laurent or repl.laurent)
-        pow_cache = {0: Poly.constant(self.nvars, ONE, repl.laurent)}
+        laurent = self.laurent or repl.laurent
+        out = Poly._of(self.nvars, {}, laurent)
+        pow_cache = {0: Poly._of(self.nvars, {(0,) * self.nvars: ONE}, repl.laurent)}
 
         def rpow(k):
             if k not in pow_cache:
@@ -137,7 +152,7 @@ class Poly:
             if e < 0:
                 raise LaurentError("cannot substitute into negative power")
             rest = exps[:var] + (0,) + exps[var + 1 :]
-            mono = Poly(self.nvars, {rest: c}, self.laurent or repl.laurent)
+            mono = Poly._of(self.nvars, {rest: c}, laurent)
             out = out + mono * rpow(e)
         return out
 
@@ -171,7 +186,7 @@ class Poly:
                 raise LaurentError("no rational antiderivative of 1/x")
             key = exps[:var] + (e + 1,) + exps[var + 1 :]
             terms[key] = c / Scalar(e + 1)
-        return Poly(self.nvars, terms, self.laurent)
+        return Poly._of(self.nvars, terms, self.laurent)
 
     def integrate(self, a, b, var=0):
         """Exact definite integral over [a, b] in the given variable."""
@@ -205,29 +220,38 @@ class PolyMatrix:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _of(cls, nvars, rows):
+        # internal constructor for a tuple of row tuples of Polys in nvars
+        m = _new(cls)
+        _set(m, "nvars", nvars)
+        _set(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
 
     @classmethod
     def from_scalar_matrix(cls, nvars, m, laurent=False):
-        return cls(
+        const = (0,) * nvars
+        return cls._of(
             nvars,
             tuple(
-                tuple(Poly.constant(nvars, x, laurent) for x in row)
+                tuple(Poly._of(nvars, {const: x}, laurent) for x in row)
                 for row in m.rows
             ),
         )
 
     @classmethod
     def zeros(cls, nvars, r, c, laurent=False):
-        zero = Poly(nvars, {}, laurent)
-        return cls(nvars, tuple(tuple(zero for _ in range(c)) for _ in range(r)))
+        zero = Poly._of(nvars, {}, laurent)
+        return cls._of(nvars, tuple(tuple(zero for _ in range(c)) for _ in range(r)))
 
     @classmethod
     def identity(cls, nvars, n, laurent=False):
-        zero = Poly(nvars, {}, laurent)
-        one = Poly.constant(nvars, ONE, laurent)
-        return cls(
+        zero = Poly._of(nvars, {}, laurent)
+        one = Poly._of(nvars, {(0,) * nvars: ONE}, laurent)
+        return cls._of(
             nvars,
             tuple(
                 tuple(one if i == j else zero for j in range(n)) for i in range(n)
@@ -252,7 +276,7 @@ class PolyMatrix:
     def __add__(self, other):
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch")
-        return PolyMatrix(
+        return PolyMatrix._of(
             self.nvars,
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
@@ -264,7 +288,7 @@ class PolyMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return PolyMatrix(
+        return PolyMatrix._of(
             self.nvars, tuple(tuple(-p for p in row) for row in self.rows)
         )
 
@@ -283,30 +307,31 @@ class PolyMatrix:
                     prod = a * b
                     acc = prod if acc is None else acc + prod
                 if acc is None:
-                    acc = Poly(self.nvars, {}, True)
+                    acc = Poly._of(self.nvars, {}, True)
                 out_row.append(acc)
             out.append(tuple(out_row))
-        return PolyMatrix(self.nvars, out)
+        return PolyMatrix._of(self.nvars, tuple(out))
 
     def scale_poly(self, p):
-        return PolyMatrix(
+        return PolyMatrix._of(
             self.nvars, tuple(tuple(p * x for x in row) for row in self.rows)
         )
 
     def diff(self, var):
-        return PolyMatrix(
+        return PolyMatrix._of(
             self.nvars, tuple(tuple(p.diff(var) for p in row) for row in self.rows)
         )
 
     def subs(self, var, repl):
-        return PolyMatrix(
+        return PolyMatrix._of(
             self.nvars,
             tuple(tuple(p.subs(var, repl) for p in row) for row in self.rows),
         )
 
     def eval(self, point):
-        return Matrix(
-            tuple(tuple(p.eval(point) for p in row) for row in self.rows)
+        return Matrix._of(
+            tuple(tuple(p.eval(point) for p in row) for row in self.rows),
+            self.shape[1],
         )
 
     def is_zero(self):
@@ -318,10 +343,11 @@ class PolyMatrix:
     def coefficient_matrix(self, exps):
         """Scalar matrix of the coefficient of the given monomial."""
         exps = tuple(exps)
-        return Matrix(
+        return Matrix._of(
             tuple(
                 tuple(p.terms.get(exps, ZERO) for p in row) for row in self.rows
-            )
+            ),
+            self.shape[1],
         )
 
     def support(self):
@@ -332,14 +358,15 @@ class PolyMatrix:
         return s
 
     def antiderivative(self, var=0):
-        return PolyMatrix(
+        return PolyMatrix._of(
             self.nvars,
             tuple(tuple(p.antiderivative(var) for p in row) for row in self.rows),
         )
 
     def integrate(self, a, b, var=0):
-        return Matrix(
+        return Matrix._of(
             tuple(
                 tuple(p.integrate(a, b, var) for p in row) for row in self.rows
-            )
+            ),
+            self.shape[1],
         )

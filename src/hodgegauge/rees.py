@@ -10,7 +10,7 @@ computed exactly from section counts of its twists.
 
 from __future__ import annotations
 
-from .linalg import Matrix
+from .linalg import InvariantError, Matrix
 from .mhs import graded_pieces, piece_dimensions
 from .poly import Poly, PolyMatrix
 from .scalars import ONE, ZERO, Scalar
@@ -128,7 +128,8 @@ def restrict_to_line(phi, T):
         for poly in row:
             terms = {}
             for (e0, e1), c in poly.terms.items():
-                assert e0 == 0, "xi0 survived the line substitution"
+                if e0:
+                    raise InvariantError("xi0 survived the line substitution")
                 terms[(e1,)] = c
             out.append(Poly(1, terms, laurent=True))
         rows.append(tuple(out))

@@ -1,7 +1,12 @@
 """Exact scalar arithmetic over Q and Q(i).
 
-A Scalar is a Gaussian rational re + im*i with both parts stored as reduced
-fractions, so equality is structural and a + b - b == a holds bit-exactly.
+A Scalar is a Gaussian rational re + im*i.  Each part is held as two Python
+ints, a numerator and a positive denominator in lowest terms, so equality is
+structural and a + b - b == a holds bit-exactly.  Arithmetic runs on those
+ints with Henrici's gcd reductions (P. Henrici, J. ACM 3, 1956; Knuth, TAOCP
+vol. 2, 4.5.1), with a fast path when both operands are rational.  ``re``
+and ``im`` read the parts back as Fractions.  Only ints and Fractions
+convert to a Scalar: floats are refused, so no floating point gets in.
 Plain rationals are the im == 0 case; callers that need to stay inside Q
 can check ``in_field("Q")``.
 """
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd
 
 
 class FieldError(ValueError):
@@ -22,98 +28,190 @@ _SCALAR_RE = _re.compile(
 )
 
 
+def _add(a, b, c, d):
+    """a/b + c/d in lowest terms; b, d > 0 and both inputs reduced."""
+    g = gcd(b, d)
+    if g == 1:
+        # coprime denominators leave nothing to cancel
+        return a * d + c * b, b * d
+    s = d // g
+    t = a * s + c * (b // g)
+    # any common factor of t and b*s divides g
+    g2 = gcd(t, g)
+    return t // g2, (b // g2) * s
+
+
+def _mul(a, b, c, d):
+    """a/b * c/d in lowest terms, cancelling across the diagonals first."""
+    if not a or not c:
+        return 0, 1
+    g1 = gcd(a, d)
+    g2 = gcd(c, b)
+    return (a // g1) * (c // g2), (b // g2) * (d // g1)
+
+
+def _part(x):
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError("a Scalar part must be an int or a Fraction, not %r" % (x,))
+
+
+def _rational(text):
+    # "n" or "n/d" as matched by _RAT; the denominator has no sign
+    num, _, den = text.partition("/")
+    n, d = int(num), int(den or 1)
+    if not d:
+        raise ZeroDivisionError("zero denominator in %r" % (text,))
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+_new = object.__new__
+
+
 class Scalar:
-    __slots__ = ("re", "im")
+    # (real numerator, real denominator, imaginary numerator, imaginary
+    # denominator); set once by the constructors and never reassigned.  There
+    # is no __setattr__ guard: it would slow every arithmetic result.
+    __slots__ = ("_rn", "_rd", "_in", "_id")
 
     def __init__(self, re=0, im=0):
-        if type(re) is not Fraction:
-            re = Fraction(re)
-        if type(im) is not Fraction:
-            im = Fraction(im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        self._rn, self._rd = _part(re)
+        self._in, self._id = _part(im)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @property
+    def re(self):
+        return Fraction(self._rn, self._rd)
+
+    @property
+    def im(self):
+        return Fraction(self._in, self._id)
 
     @classmethod
     def parse(cls, text):
-        """Parse "a/b" or "a/b+c/d*i" (canonical reduced form, explicit sign)."""
+        """Parse "a/b" or "a/b+c/d*i" (canonical reduced form, explicit sign).
+
+        Non-reduced input is reduced; a zero denominator raises
+        ZeroDivisionError."""
         m = _SCALAR_RE.match(text)
         if m is None:
             raise ValueError("not a scalar: %r" % (text,))
-        re_part = Fraction(m.group("re"))
-        im_part = Fraction(0)
+        rn, rd = _rational(m.group("re"))
+        in_, id_ = 0, 1
         if m.group("im") is not None:
-            im_part = Fraction(m.group("im"))
+            in_, id_ = _rational(m.group("im"))
             if m.group("sign") == "-":
-                im_part = -im_part
-        return cls(re_part, im_part)
+                in_ = -in_
+        return _fast(rn, rd, in_, id_)
 
     def __str__(self):
-        def rat(x):
-            return "%d/%d" % (x.numerator, x.denominator)
-
-        if self.im == 0:
-            return rat(self.re)
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        return "%s%s%d/%d*i" % (rat(self.re), sign, mag.numerator, mag.denominator)
+        if not self._in:
+            return "%d/%d" % (self._rn, self._rd)
+        return "%d/%d%s%d/%d*i" % (
+            self._rn, self._rd, "+" if self._in > 0 else "-", abs(self._in), self._id
+        )
 
     def __repr__(self):
         return "Scalar(%r)" % (str(self),)
 
     def __eq__(self, other):
-        if not isinstance(other, Scalar):
+        if type(other) is not Scalar:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (
+            self._rn == other._rn
+            and self._in == other._in
+            and self._rd == other._rd
+            and self._id == other._id
+        )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._rn, self._rd, self._in, self._id))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._rn != 0 or self._in != 0
 
+    # the rational cases of + and * are _add and _mul written out in place:
+    # they are most of the arithmetic, and a call per operation costs about
+    # as much as the operation itself
     def __add__(self, other):
-        other = _coerce(other)
-        return _fast(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        if self._in or other._in:
+            return _fast(
+                *_add(self._rn, self._rd, other._rn, other._rd),
+                *_add(self._in, self._id, other._in, other._id),
+            )
+        a, b, c, d = self._rn, self._rd, other._rn, other._rd
+        s = _new(Scalar)
+        g = gcd(b, d)
+        if g == 1:
+            s._rn = a * d + c * b
+            s._rd = b * d
+        else:
+            t = a * (d // g) + c * (b // g)
+            g2 = gcd(t, g)
+            s._rn = t // g2
+            s._rd = (b // g2) * (d // g)
+        s._in = 0
+        s._id = 1
+        return s
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return _fast(self.re - other.re, self.im - other.im)
+        return self + -_coerce(other)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return _fast(-self.re, -self.im)
+        return _fast(-self._rn, self._rd, -self._in, self._id)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if not self.im and not other.im:
-            return _fast(self.re * other.re, _F0)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        a, b, c, d = self._rn, self._rd, self._in, self._id
+        e, f, g, h = other._rn, other._rd, other._in, other._id
+        if not c and not g:
+            s = _new(Scalar)
+            s._in = 0
+            s._id = 1
+            if not a or not e:
+                s._rn = 0
+                s._rd = 1
+                return s
+            g1 = gcd(a, f)
+            g2 = gcd(e, b)
+            s._rn = (a // g1) * (e // g2)
+            s._rd = (b // g2) * (f // g1)
+            return s
+        # (a/b + c/d i)(e/f + g/h i)
         return _fast(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            *_add(*_mul(a, b, e, f), *_mul(-c, d, g, h)),
+            *_add(*_mul(a, b, g, h), *_mul(c, d, e, f)),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if not self.im and not other.im:
-            if not other.re:
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        a, b, c, d = self._rn, self._rd, self._in, self._id
+        e, f, g, h = other._rn, other._rd, other._in, other._id
+        if not g:
+            if not e:
                 raise ZeroDivisionError("division by zero scalar")
-            return _fast(self.re / other.re, _F0)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return _fast(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+            # divide each part by the rational e/f
+            if e < 0:
+                e, f = -e, -f
+            return _fast(*_mul(a, b, f, e), *_mul(c, d, f, e))
+        # multiply by the conjugate e/f - g/h i, then divide by the norm
+        nn, nd = _add(*_mul(e, f, e, f), *_mul(g, h, g, h))
+        rn, rd = _add(*_mul(a, b, e, f), *_mul(c, d, g, h))
+        in_, id_ = _add(*_mul(c, d, e, f), *_mul(-a, b, g, h))
+        return _fast(*_mul(rn, rd, nd, nn), *_mul(in_, id_, nd, nn))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -131,32 +229,31 @@ class Scalar:
         return acc
 
     def conjugate(self):
-        return _fast(self.re, -self.im)
+        return _fast(self._rn, self._rd, -self._in, self._id)
 
     def is_rational(self):
-        return self.im == 0
+        return self._in == 0
 
     def in_field(self, tag):
         if tag == "Q":
-            return self.im == 0
+            return self._in == 0
         if tag == "Qi":
             return True
         raise FieldError("unknown field tag %r" % (tag,))
 
 
-_F0 = Fraction(0)
-
-
-def _fast(re, im):
-    # internal constructor for values already held as reduced fractions
-    s = object.__new__(Scalar)
-    object.__setattr__(s, "re", re)
-    object.__setattr__(s, "im", im)
+def _fast(rn, rd, in_, id_):
+    # internal constructor for parts already reduced, denominators positive
+    s = _new(Scalar)
+    s._rn = rn
+    s._rd = rd
+    s._in = in_
+    s._id = id_
     return s
 
 
 def _coerce(x):
-    if isinstance(x, Scalar):
+    if type(x) is Scalar:
         return x
     if isinstance(x, (int, Fraction)):
         return Scalar(x)

@@ -10,7 +10,7 @@ what the connection, holonomy, and cohomology layers consume.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, log_unipotent
+from .linalg import InvariantError, Matrix, Subspace, log_unipotent
 from .mhs import ComplexMHS, Filtration, GrStructure
 from .scalars import ONE, ZERO
 
@@ -44,7 +44,10 @@ def splitting_subspaces(gr, side):
             tail = tail.add(Fb.at(b - j).intersect(V.W.at(n - j - 1)))
             j += 1
         piece = first.intersect(tail)
-        assert piece.dim == h, "splitting piece has wrong dimension at %r" % ((p, q),)
+        if piece.dim != h:
+            raise InvariantError(
+                "splitting piece has wrong dimension at %r" % ((p, q),)
+            )
         out[(p, q)] = piece
     return out
 
@@ -189,8 +192,8 @@ def delta_to_mhs(dobj, check=True):
     )
     V = ComplexMHS(n, W, Fp, Fpp)
     if check:
-        back = delta_operator(GrStructure(V))
-        assert back == dobj, "splitting comparison does not round-trip"
+        if delta_operator(GrStructure(V)) != dobj:
+            raise InvariantError("splitting comparison does not round-trip")
     return V
 
 

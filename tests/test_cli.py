@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -344,3 +346,25 @@ def test_sparse_decreasing_filtrations_validate(name, tmp_path):
     assert code == 0
     _, explicit = run(["validate", fx(name)])
     assert json.loads(out)["inputs"][0]["result"] == json.loads(explicit)["inputs"][0]["result"]
+
+
+def test_non_lie_commands_do_not_load_freelie():
+    # only `lie` needs the free-Lie tables, and only --jobs needs a pool
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from hodgegauge import cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    for command in cli._HANDLERS:\n"
+        "        cli.main([command, sys.argv[1]])\n"
+        "loaded = {'hodgegauge.freelie', 'concurrent.futures'} & set(sys.modules)\n"
+        "sys.exit(', '.join(sorted(loaded)) or None)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, os.path.join(fixture_dir(), "t3_2_5.json")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

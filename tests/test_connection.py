@@ -5,6 +5,7 @@ import pytest
 
 from conftest import mat
 from hodgegauge.connection import (
+    beta_coefficient,
     AdmissibilityError,
     EquivariantConnection,
     GaugeTransformation,
@@ -216,3 +217,11 @@ def test_random_gauge_normalization_agrees():
         a, _ = normalize_fock_schwinger(apply_gauge(C, g))
         b, _ = normalize_fock_schwinger(C)
         assert a == b
+
+
+def test_beta_coefficient_matches_freelie_integral():
+    # the closed form the connection uses against the integral of the
+    # hypotenuse pullback that the free-Lie tables are built from
+    for p in range(1, 15):
+        for q in range(1, 15):
+            assert beta_coefficient(p, q) == abelianized_coefficient(p, q)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -120,3 +123,28 @@ def test_real_values():
     assert real_absolute_cohomology(real_tate(1)) == (0, 1)
     assert real_absolute_cohomology(real_sum_tate()) == (1, 1)
     assert real_absolute_cohomology(real_kummer(1)) == (0, 0)
+
+
+def test_invariant_violation_raises_under_optimize():
+    # a broken invariant is a typed error, not an assert that -O strips
+    script = (
+        "import sys\n"
+        "from hodgegauge import hodgecoh\n"
+        "from hodgegauge.fixtures import kummer\n"
+        "from hodgegauge.linalg import InvariantError\n"
+        "from hodgegauge.mhs import GrStructure\n"
+        "assert False, 'asserts are on'\n"
+        "hodgecoh.hom_from_unit = lambda V: -1\n"
+        "try:\n"
+        "    hodgecoh.absolute_cohomology(GrStructure(kummer(2)))\n"
+        "except InvariantError as exc:\n"
+        "    sys.exit(0 if 'disagrees with Hom' in str(exc) else 2)\n"
+        "sys.exit(1)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,8 @@
 
 rank, rref, det, inverse and the multi-row solve_left are compared with
 sympy's DomainMatrix over QQ_I on seeded random Q(i) matrices, including
-rank-deficient, inconsistent and zero-row inputs.
+rank-deficient, inconsistent and zero-row inputs; shapes, transposes,
+products and kernels with no rows or no columns are compared too.
 """
 
 import random
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodgegauge.linalg import Matrix, solve_left
+from hodgegauge.linalg import DimensionMismatch, Matrix, Subspace, solve_left, vstack
 from hodgegauge.scalars import Scalar
 
 sympy = pytest.importorskip("sympy")
@@ -134,3 +135,38 @@ def test_solve_left_zero_row_inputs():
     assert solve_left(A, [(zero, one)]) is None
     assert check_solutions((), 2, ((zero, zero),))
     assert not check_solutions((), 2, ((one, zero),))
+
+
+@pytest.mark.parametrize("r, c", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_zero_row_and_zero_column_shapes(r, c):
+    M = Matrix.zeros(r, c)
+    dm = DomainMatrix.zeros((r, c), QQ_I)
+    assert M.shape == dm.shape == (r, c)
+    assert M.transpose().shape == dm.transpose().shape == (c, r)
+    assert M.transpose().transpose() == M
+    R, pivots = M.rref()
+    want, want_pivots = dm.rref()
+    assert (R.shape, pivots) == (want.shape, tuple(want_pivots))
+    K = M.right_kernel()
+    assert K.rows == from_dm(dm.nullspace())
+    assert K.shape == (c, c)
+    for k in (0, 2):
+        right, left = DomainMatrix.zeros((c, k), QQ_I), DomainMatrix.zeros((k, r), QQ_I)
+        assert (M @ Matrix.zeros(c, k)).shape == (dm * right).shape
+        assert (Matrix.zeros(k, r) @ M).rows == from_dm(left * dm)
+    assert vstack(M, Matrix.zeros(1, c)).shape == (r + 1, c)
+    with pytest.raises(DimensionMismatch):
+        vstack(M, Matrix.zeros(1, c + 1))
+    # the width is part of the value
+    assert M != Matrix.zeros(r, c + 1)
+    assert hash(M) == hash(Matrix.zeros(r, c))
+    assert Subspace.zero(c).basis.shape == (0, c)
+
+
+def test_solve_left_with_no_columns():
+    # every x solves x @ A = () when A has no columns; free coordinates are 0
+    zero = Scalar(0)
+    assert solve_left(Matrix.zeros(2, 0), [(), ()]) == ((zero, zero),) * 2
+    assert solve_left(Matrix.zeros(0, 0), [()]) == ((),)
+    with pytest.raises(DimensionMismatch):
+        solve_left(Matrix.zeros(2, 3), [(zero, zero)])

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hodgegauge.linalg import Matrix
 from hodgegauge.scalars import FieldError, I, ONE, Scalar, ZERO
 
 rationals = st.fractions(
@@ -81,3 +83,108 @@ def test_coercion_with_ints():
     assert Scalar(1) + 1 == Scalar(2)
     assert 3 - Scalar(1) == Scalar(2)
     assert 2 * I == Scalar(0, 2)
+
+
+# differential test: the int-pair kernel against (re, im) pairs of Fractions
+small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+parts = st.one_of(st.just(Fraction(0)), rationals, small)
+values = st.one_of(
+    st.tuples(parts, st.just(Fraction(0))),  # rational
+    st.tuples(parts, parts),  # Gaussian, zero included
+)
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c)
+
+
+def ref_div(x, y):
+    (a, b), (c, d) = x, y
+    norm = c * c + d * d
+    return ((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+
+def ref_pow(x, k):
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        acc = ref_mul(acc, x)
+    return ref_div((Fraction(1), Fraction(0)), acc) if k < 0 else acc
+
+
+def check(z, want):
+    assert (z.re, z.im) == want
+    # the stored parts are reduced, with positive denominators
+    for n, d in ((z._rn, z._rd), (z._in, z._id)):
+        assert type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+    assert Scalar.parse(str(z)) == z
+
+
+@given(values, values)
+def test_arithmetic_matches_fraction_pairs(xv, yv):
+    x, y = Scalar(*xv), Scalar(*yv)
+    check(x, xv)
+    check(x + y, (xv[0] + yv[0], xv[1] + yv[1]))
+    check(x - y, (xv[0] - yv[0], xv[1] - yv[1]))
+    check(-x, (-xv[0], -xv[1]))
+    check(x.conjugate(), (xv[0], -xv[1]))
+    check(x * y, ref_mul(xv, yv))
+    if y:
+        check(x / y, ref_div(xv, yv))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@given(values, st.integers(min_value=-4, max_value=6))
+def test_powers_match_fraction_pairs(xv, k):
+    x = Scalar(*xv)
+    if not x and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+    else:
+        check(x ** k, ref_pow(xv, k))
+
+
+@given(st.tuples(small, small), st.tuples(small, small), values)
+def test_equal_values_hash_equal(av, bv, cv):
+    a, b, c = Scalar(*av), Scalar(*bv), Scalar(*cv)
+    assert (a == b) == (av == bv)
+    if a == b:
+        assert hash(a) == hash(b)
+    # the same value reached by another route
+    assert (a + c) - c == a
+    assert hash((a + c) - c) == hash(a)
+
+
+def test_parse_reduces_its_input():
+    assert str(Scalar.parse("2/4")) == "1/2"
+    assert Scalar.parse("2/4") == Scalar(Fraction(1, 2))
+    assert str(Scalar.parse("-0/3")) == "0/1"
+    assert Scalar.parse("-0/3") == ZERO
+    assert str(Scalar.parse("-6/4+10/4*i")) == "-3/2+5/2*i"
+    assert str(Scalar.parse("1/2-0/5*i")) == "1/2"
+    assert Scalar.parse("7") == Scalar(7)
+
+
+def test_zero_denominators_raise():
+    for text in ("1/0", "0/0", "1/2+3/0*i"):
+        with pytest.raises(ZeroDivisionError):
+            Scalar.parse(text)
+    for x in (ONE, I, ZERO, Scalar(Fraction(-3, 7), 2)):
+        with pytest.raises(ZeroDivisionError):
+            x / ZERO
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
+
+
+def test_floats_and_strings_are_rejected():
+    for bad in (0.1, 1.0, "1/2", None, complex(1, 1)):
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            Scalar(1, bad)
+        with pytest.raises(TypeError):
+            ONE + bad
+    with pytest.raises(TypeError):
+        Matrix([[ONE, 0.5]])
