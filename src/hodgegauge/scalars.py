@@ -132,31 +132,15 @@ class Scalar:
     def __bool__(self):
         return self._rn != 0 or self._in != 0
 
-    # the rational cases of + and * are _add and _mul written out in place:
-    # they are most of the arithmetic, and a call per operation costs about
-    # as much as the operation itself
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)
-        if self._in or other._in:
-            return _fast(
-                *_add(self._rn, self._rd, other._rn, other._rd),
-                *_add(self._in, self._id, other._in, other._id),
-            )
-        a, b, c, d = self._rn, self._rd, other._rn, other._rd
-        s = _new(Scalar)
-        g = gcd(b, d)
-        if g == 1:
-            s._rn = a * d + c * b
-            s._rd = b * d
-        else:
-            t = a * (d // g) + c * (b // g)
-            g2 = gcd(t, g)
-            s._rn = t // g2
-            s._rd = (b // g2) * (d // g)
-        s._in = 0
-        s._id = 1
-        return s
+        if not self._in and not other._in:
+            return _fast(*_add(self._rn, self._rd, other._rn, other._rd), 0, 1)
+        return _fast(
+            *_add(self._rn, self._rd, other._rn, other._rd),
+            *_add(self._in, self._id, other._in, other._id),
+        )
 
     __radd__ = __add__
 
@@ -175,18 +159,7 @@ class Scalar:
         a, b, c, d = self._rn, self._rd, self._in, self._id
         e, f, g, h = other._rn, other._rd, other._in, other._id
         if not c and not g:
-            s = _new(Scalar)
-            s._in = 0
-            s._id = 1
-            if not a or not e:
-                s._rn = 0
-                s._rd = 1
-                return s
-            g1 = gcd(a, f)
-            g2 = gcd(e, b)
-            s._rn = (a // g1) * (e // g2)
-            s._rd = (b // g2) * (f // g1)
-            return s
+            return _fast(*_mul(a, b, e, f), 0, 1)
         # (a/b + c/d i)(e/f + g/h i)
         return _fast(
             *_add(*_mul(a, b, e, f), *_mul(-c, d, g, h)),
