@@ -3,9 +3,10 @@
 Reads structure documents (JSON), runs the requested pipeline on each, and
 prints a single deterministic JSON report.  Exit code 0 means every check
 passed, 1 means a mathematical violation or failed check, 2 means a
-malformed input.  Reports never contain timestamps, so identical inputs
-produce byte-identical output, including under --jobs parallelism (results
-are merged in input order).
+malformed input, 3 means an internal error (an entry with status "error",
+its traceback on stderr; the other inputs are still reported).  Reports never contain timestamps, so
+identical inputs produce byte-identical output, including under --jobs
+parallelism (results are merged in input order).
 """
 
 from __future__ import annotations
@@ -277,7 +278,8 @@ def _process_one(command, path, flags):
             data = fh.read()
         entry["sha256"] = _digest(data)
         doc = json.loads(data.decode("utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the decoder can follow
         return _failed(entry, "malformed", exc), 2
     try:
         result, checks = _HANDLERS[command](_parse(doc, flags), flags)
@@ -285,6 +287,14 @@ def _process_one(command, path, flags):
         return _failed(entry, "malformed", exc), 2
     except (Violation, OpposednessViolation, FieldError) as exc:
         return _failed(entry, "violation", exc), 1
+    except Exception as exc:
+        # a defect of the program: report it, leave the traceback on
+        # stderr, and go on with the batch; traceback costs ~5 ms to import,
+        # so only this branch loads it
+        import traceback
+
+        traceback.print_exc()
+        return _failed(entry, "error", "%s: %s" % (type(exc).__name__, exc)), 3
     entry["result"] = result
     entry["checks"] = [{"name": name, "pass": bool(ok)} for name, ok in checks]
     if all(c["pass"] for c in entry["checks"]):

@@ -5,7 +5,7 @@ punctured plane by the Laurent patching matrix Phi(xi0, xi1) obtained by
 conjugating delta with the monomial frame xi0^{p+q} xi1^{-p} on each piece.
 Restricting Phi to the line attached to a point T of the plane gives a
 one-variable transition matrix on P^1 whose Grothendieck splitting type is
-computed exactly from section counts of its twists.
+read off exactly from one reduction of it to column-reduced form.
 """
 
 from __future__ import annotations
@@ -136,65 +136,49 @@ def restrict_to_line(phi, T):
     return P1TransitionMatrix(PolyMatrix(1, rows))
 
 
-def _h0(G, k, degree_bound):
-    """dim of sections of the k-th twist: polynomial vectors f of degree
-    <= degree_bound such that every entry of G f has xi-exponent <= k."""
-    r = G.rank
-    m = G.matrix
-    ncoef = degree_bound + 1
-    rows = []  # constraints, one per (entry, forbidden exponent)
-    constraints = {}
-    for i in range(r):
-        for j in range(r):
-            poly = m[i, j]
-            for (e,), c in poly.terms.items():
-                for d in range(ncoef):
-                    tot = e + d
-                    if tot > k:
-                        key = (i, tot)
-                        vec = constraints.setdefault(key, [ZERO] * (r * ncoef))
-                        col = j * ncoef + d
-                        vec[col] = vec[col] + c
-    if not constraints:
-        return r * ncoef
-    mat = Matrix([constraints[key] for key in sorted(constraints)])
-    return r * ncoef - mat.rank()
-
-
-def splitting_type(G, degree_bound=None):
+def splitting_type(G):
     """Grothendieck type (a_1 >= ... >= a_r) of the bundle presented by G.
 
-    Derived from the section counts of twists: h0(E(k)) = sum max(0,
-    a_i + k + 1), so the increments count the a_i above each threshold.
-    Cross-checked against the determinant: sum a_i = -det exponent.
+    Column reduction (Wolovich 1974): while the matrix L of each column's
+    top-degree coefficients is singular, take c with L c = 0 and replace
+    the top-degree column t among those with c_t != 0 by
+    sum_j c_j xi^{d_t - d_j} col_j.  That is a unimodular column operation
+    over K[xi] which lowers d_t.  The sum of the column degrees d_j never
+    falls below the determinant exponent, so the loop is bounded.  Once L
+    is invertible, G U = A(1/xi) diag(xi^{d_j}) with U the operations done
+    and A invertible over K[1/xi], so the type is -d_j.  Shifting G by xi^m
+    to a polynomial matrix would shift every d_j by m and change nothing.
     """
     r = G.rank
-    total = -G.det_exponent
-    exps = [e for row in G.matrix.rows for p in row for (e,) in p.terms]
-    M = max((abs(e) for e in exps), default=0)
-    # unipotent fast path: determinant exponent zero and no sections after
-    # one negative twist force the trivial type
-    if total == 0 and _h0(G, -1, M + 1) == 0:
-        return tuple([0] * r)
-    if degree_bound is None:
-        degree_bound = 2 * M + r + 2
-    lo, hi = -(M + 1), M + 1
-    h = {lo - 1: _h0(G, lo - 1, degree_bound)}
-    counts = {}
-    for k in range(lo, hi + 1):
-        h[k] = _h0(G, k, degree_bound)
-    if h[lo - 1] != 0 or h[hi] - h[hi - 1] != r:
-        return splitting_type(G, degree_bound=2 * degree_bound + r)
-    prev = 0
-    type_entries = []
-    for k in range(lo, hi + 1):
-        c = h[k] - h[k - 1]
-        for _ in range(c - prev):
-            type_entries.append(-k)
-        prev = c
-    if len(type_entries) != r or sum(type_entries) != total:
-        return splitting_type(G, degree_bound=2 * degree_bound + r)
-    return tuple(sorted(type_entries, reverse=True))
+    # column j as {(exponent, row): coefficient}, so max() finds its degree
+    cols = [
+        {(e, i): c for i in range(r) for (e,), c in G.matrix[i, j].terms.items()}
+        for j in range(r)
+    ]
+    deg = [max(col)[0] for col in cols]
+    for _ in range(sum(deg) - G.det_exponent + 1):
+        lead = tuple(
+            tuple(cols[j].get((deg[j], i), ZERO) for j in range(r)) for i in range(r)
+        )
+        kernel = Matrix._of(lead, r).right_kernel().rows
+        if not kernel:
+            break
+        c = kernel[0]
+        t = max((j for j in range(r) if c[j]), key=deg.__getitem__)
+        col = {}
+        for j in range(r):
+            if c[j]:
+                shift = deg[t] - deg[j]
+                for (e, i), x in cols[j].items():
+                    key = (e + shift, i)
+                    col[key] = col.get(key, ZERO) + c[j] * x
+        cols[t] = {key: x for key, x in col.items() if x}
+        deg[t] = max(cols[t])[0]
+    else:
+        raise InvariantError("column reduction did not terminate")
+    if sum(deg) != G.det_exponent:
+        raise InvariantError("splitting type does not sum to -det exponent")
+    return tuple(sorted((-d for d in deg), reverse=True))
 
 
 def _joint_type(dims):

@@ -180,6 +180,17 @@ def test_malformed_input(tmp_path):
     assert json.loads(out)["inputs"][0]["status"] == "malformed"
 
 
+def test_deeply_nested_json_is_malformed(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out = run(["validate", str(deep), fx("pure_0_0.json")])
+    assert code == 2
+    first, second = json.loads(out)["inputs"]
+    assert first["status"] == "malformed"
+    assert "recursion" in first["error"]
+    assert second["status"] == "ok"
+
+
 def test_missing_file():
     code, out = run(["validate", "/nonexistent/thing.json"])
     assert code == 2
@@ -368,3 +379,39 @@ def test_non_lie_commands_do_not_load_freelie():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_rees_on_empty_delta(tmp_path):
+    p = tmp_path / "empty_delta.json"
+    p.write_text(json.dumps({"type": "delta", "hodge": {}, "matrix": []}))
+    code, out = run(["rees", str(p)])
+    assert code == 0
+    entry = json.loads(out)["inputs"][0]
+    assert entry["status"] == "ok"
+    assert entry["result"]["w_line_type"] == []
+    assert entry["result"]["point_types"]
+    assert all(t == [] for t in entry["result"]["point_types"].values())
+
+
+def test_internal_error_is_reported_and_the_batch_goes_on(monkeypatch, capsys):
+    from hodgegauge.linalg import InvariantError
+
+    validate = cli._HANDLERS["validate"]
+    calls = []
+
+    def failing_once(obj, flags):
+        calls.append(obj)
+        if len(calls) == 1:
+            raise InvariantError("forced")
+        return validate(obj, flags)
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", failing_once)
+    code, out = run(["validate", fx("kummer_1.json"), fx("pure_0_0.json")])
+    assert code == 3
+    first, second = json.loads(out)["inputs"]
+    assert first["status"] == "error"
+    assert first["error"] == "InvariantError: forced"
+    assert "result" not in first
+    assert second["status"] == "ok"
+    assert second["result"]["hodge"] == {"0,0": 1}
+    assert "InvariantError: forced" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import span
 from hodgegauge.fixtures import kummer, kummer_delta, random_delta, t3_delta
-from hodgegauge.linalg import Subspace
+from hodgegauge.linalg import Matrix, Subspace
 from hodgegauge.mhs import ComplexMHS, Filtration, pure, validate_mhs
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.rees import (
@@ -34,6 +34,58 @@ def laurent(entries):
             )
         rows.append(tuple(out))
     return P1TransitionMatrix(PolyMatrix(1, rows))
+
+
+def _h0(G, k, degree_bound):
+    """Reference route: dim of sections of the k-th twist, the polynomial
+    vectors f of degree <= degree_bound such that every entry of G f has
+    xi-exponent <= k.  It undercounts when degree_bound is too small."""
+    r = G.rank
+    m = G.matrix
+    ncoef = degree_bound + 1
+    constraints = {}  # one row per (entry, forbidden exponent)
+    for i in range(r):
+        for j in range(r):
+            for (e,), c in m[i, j].terms.items():
+                for d in range(ncoef):
+                    if e + d > k:
+                        vec = constraints.setdefault((i, e + d), [ZERO] * (r * ncoef))
+                        vec[j * ncoef + d] = vec[j * ncoef + d] + c
+    if not constraints:
+        return r * ncoef
+    mat = Matrix([constraints[key] for key in sorted(constraints)])
+    return r * ncoef - mat.rank()
+
+
+def _check_section_counts(G):
+    """h0(E(k)) = sum max(0, a_i + k + 1) for the computed type a, on every
+    twist k from below the first section to past the last jump."""
+    t = splitting_type(G)
+    M = max(
+        (abs(e) for row in G.matrix.rows for p in row for (e,) in p.terms), default=0
+    )
+    for k in range(-max(t) - 2, -min(t) + 2):
+        want = sum(max(0, a + k + 1) for a in t)
+        assert _h0(G, k, 2 * M + G.rank + abs(k) + 2) == want, (t, k)
+    return t
+
+
+def _product(rng, a):
+    """A(1/xi) diag(xi^{-a}) B(xi) with A, B unitriangular of degree <= 1,
+    upper and lower, so the bundle it presents has type a."""
+    r = len(a)
+
+    def entry(i, j, sign):
+        if i == j:
+            return {0: 1}
+        if (i < j) != (sign < 0):
+            return {}
+        return {0: rng.randint(-2, 2), sign: rng.randint(-2, 2)}
+
+    A = laurent([[entry(i, j, -1) for j in range(r)] for i in range(r)])
+    D = laurent([[{-a[i]: 1} if i == j else {} for j in range(r)] for i in range(r)])
+    B = laurent([[entry(i, j, 1) for j in range(r)] for i in range(r)])
+    return P1TransitionMatrix(A.matrix @ D.matrix @ B.matrix)
 
 
 def test_patching_identity():
@@ -92,6 +144,41 @@ def test_splitting_type_mixed():
     # an upper-triangular datum with the same determinant
     H = laurent([[{-1: 1}, {0: 1}], [{}, {1: 1}]])
     assert splitting_type(H) == (1, -1)
+
+
+def test_splitting_type_needs_sections_of_high_degree():
+    # E(-1) has one section, of degree 8 or more; a search over twists that
+    # stops at degree M + 1 = 4 finds none and calls the type trivial
+    G = laurent([
+        [{1: 1}, {0: -1}, {-2: 1, 3: -1}],
+        [{}, {-1: 1, 0: 1, 3: 1}, {-3: -1, 1: -1}],
+        [{}, {1: -1}, {-1: 1}],
+    ])
+    assert splitting_type(G) == (1, 0, -1)
+    assert _h0(G, -1, 4) == 0
+    assert _h0(G, -1, 8) == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_section_counts_match_type_on_known_products(seed):
+    rng = random.Random(seed)
+    types = [(1, -1), (2, -1), (3, 0, -3), (1, 0, -1)]
+    a = types[seed] if seed < len(types) else tuple(
+        rng.randint(-2, 2) for _ in range(rng.randint(2, 3))
+    )
+    a = list(a)
+    rng.shuffle(a)
+    G = _product(rng, a)
+    assert _check_section_counts(G) == tuple(sorted(a, reverse=True))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_section_counts_match_type_on_delta_lines(seed):
+    rng = random.Random(100 + seed)
+    d = random_delta(rng, max_dim=3, weight_lo=-3, weight_hi=3)
+    phi = rees_patching(d)
+    for T in (W_LINE, (Scalar(rng.randint(-3, 3)), Scalar(rng.randint(-3, 3)))):
+        assert _check_section_counts(restrict_to_line(phi, T)) == (0,) * d.hodge.dim
 
 
 def test_type_sum_matches_determinant():
