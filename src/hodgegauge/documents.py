@@ -59,12 +59,14 @@ def _filtration_in(doc, field=None):
     try:
         direction = doc["direction"]
         n = int(doc["n"])
+        if n < 0:
+            raise DocumentError("negative dimension %d" % n)
         steps = {}
         for key, rows in doc["steps"].items():
             basis = _matrix_in(rows, field) if rows else Matrix.zeros(0, n)
             steps[int(key)] = Subspace.from_rows(n, basis.rows)
         return Filtration(direction, n, steps)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FieldError):
             raise
         raise DocumentError("bad filtration: %s" % (exc,))

@@ -116,12 +116,11 @@ def _conjugation_on_graded(gr):
     n = gr.hodge.dim
     cols = []
     for (p, q), off, h in gr.hodge.blocks():
-        chart = gr.charts[p + q]
         conj = [
-            tuple(x.conjugate() for x in chart.lift(row))
+            tuple(x.conjugate() for x in gr.lift(row, p + q))
             for row in gr.block_rows[(p, q)]
         ]
-        cols.extend(gr.gr_coords(conj, p + q))
+        cols.extend(gr.gr_coords(gr.coords(conj), p + q))
     S = Matrix.from_columns(cols)
     if S @ S.conjugate() != Matrix.identity(n):
         raise InvariantError("conjugation is not an involution")

@@ -91,20 +91,19 @@ def _segment_pullback(P, Q, a, b):
 
 
 def _picard(M, lower):
-    """Polynomial fundamental solution S of S' = M S with S(lower) = 1.
-
-    Terminates because M takes values in nilpotent matrices; guarded by the
-    ambient dimension.
+    """Polynomial fundamental solution S of S' = M S with S(lower) = 1: the
+    sum of the iterated integrals T_0 = 1, T_{k+1} = integral from lower of
+    M T_k, which end because M takes values in nilpotent matrices; guarded
+    by the ambient dimension.
     """
     n = M.shape[0]
-    ident = PolyMatrix.identity(1, n)
-    S = ident
+    T = S = PolyMatrix.identity(1, n)
     for _ in range(n + 1):
-        F = (M @ S).antiderivative()
-        Sn = ident + F - PolyMatrix.from_scalar_matrix(1, F.eval((lower,)))
-        if Sn == S:
+        F = (M @ T).antiderivative()
+        T = F - PolyMatrix.from_scalar_matrix(1, F.eval((lower,)))
+        if T.is_zero():
             return S
-        S = Sn
+        S = S + T
     raise NotNilpotentError("transport iteration did not terminate")
 
 

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra: matrices, canonical subspaces, quotient charts.
+"""Exact dense linear algebra: matrices and canonical subspaces.
 
 Subspaces are kept in reduced row echelon form so that equality of subspaces
 is equality of representations.  All rank decisions are exact; there is no
@@ -393,58 +393,6 @@ class Subspace:
             kron(a, b) for a in self.basis.rows for b in other.basis.rows
         )
         return Subspace._span(Matrix._of(rows, self.n * other.n))
-
-
-class Quotient:
-    """Chart for S/T with a deterministic echelon-complement basis.
-
-    The complement is the rows of S's echelon basis that are pivots of the
-    columns T | S, i.e. each row not in the span of T and the rows before
-    it, so the chart is a pure function of (S, T).
-    """
-
-    __slots__ = ("S", "T", "complement")
-
-    def __init__(self, S, T):
-        S._check_ambient(T)
-        cols = T.basis.rows + S.basis.rows
-        pivots = Matrix._of(cols, S.n).transpose().rref()[1]
-        if len(pivots) != S.dim:
-            raise ValueError("T is not contained in S")
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(
-            self, "complement", tuple(cols[c] for c in pivots[T.dim :])
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quotient is immutable")
-
-    @property
-    def dim(self):
-        return len(self.complement)
-
-    def project_subspace(self, U):
-        """Image of ((U ∩ S) + T)/T as a subspace of the quotient chart."""
-        inter = U.intersect(self.S)
-        if not inter.dim:
-            return Subspace.zero(self.dim)
-        if inter.dim == self.S.dim:
-            return Subspace.full(self.dim)
-        sols = solve_left(
-            Matrix._of(self.T.basis.rows + self.complement, self.S.n), inter.basis.rows
-        )
-        low = self.T.dim
-        return Subspace._span(Matrix._of(tuple(x[low:] for x in sols), self.dim))
-
-    def lift(self, coords):
-        v = [ZERO] * self.S.n
-        for c, row in zip(coords, self.complement):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] = v[j] + c * x
-        return tuple(v)
 
 
 def nilpotency_index(M):

@@ -12,7 +12,6 @@ from .linalg import (
     DimensionMismatch,
     InvariantError,
     Matrix,
-    Quotient,
     Subspace,
     solve_left,
 )
@@ -100,14 +99,6 @@ class Filtration:
                 raise FiltrationError("decreasing filtration is not separated")
         elif self.n != 0:
             raise FiltrationError("empty filtration on nonzero space")
-
-    def map(self, f):
-        """Entrywise image filtration under v |-> f @ v."""
-        return Filtration(
-            self.direction,
-            f.nrows,
-            {k: sub.apply(f) for k, sub in self.steps.items()},
-        )
 
     def conjugate(self):
         return Filtration(
@@ -241,59 +232,50 @@ def _index_range(filt):
 
 
 def piece_dimensions(Fp, Fpp):
-    """{(p, q): h} for a simultaneous bigrading of two decreasing
-    filtrations of one space: h is the double difference of
-    dim(F'^p ∩ F''^q), over indices from one below each first jump (where
-    a filtration is the full space) to the last.  The pieces of two
+    """({(p, q): h}, {(p, q): F'^p ∩ F''^q}) for a simultaneous bigrading
+    of two decreasing filtrations of one space: h is the double difference
+    of dim(F'^p ∩ F''^q), over indices from one below each first jump
+    (where a filtration is the full space) to the last.  The pieces of two
     separated filtrations sum to the whole space."""
     ps, qs = _index_range(Fp), _index_range(Fpp)
     if not ps or not qs:
-        return {}
+        return {}, {}
     cap = {
-        (p, q): Fp.at(p).intersect(Fpp.at(q)).dim
+        (p, q): Fp.at(p).intersect(Fpp.at(q))
         for p in range(ps[0] - 1, ps[-1] + 2)
         for q in range(qs[0] - 1, qs[-1] + 2)
     }
     out = {}
     for p in range(ps[0] - 1, ps[-1] + 1):
         for q in range(qs[0] - 1, qs[-1] + 1):
-            h = cap[p, q] - cap[p + 1, q] - cap[p, q + 1] + cap[p + 1, q + 1]
+            h = (cap[p, q].dim - cap[p + 1, q].dim - cap[p, q + 1].dim
+                 + cap[p + 1, q + 1].dim)
             if h:
                 out[(p, q)] = h
-    return out
+    return out, cap
 
 
-def graded_pieces(V):
-    """For each weight n with W_n != W_{n-1}, in increasing order:
-    (n, chart of W_n / W_{n-1}, the images of F' and F'' in the chart,
-    their piece dimensions).  Nothing here assumes opposedness."""
-    for n in _index_range(V.W):
-        Wn = V.W.at(n)
-        Wn1 = V.W.at(n - 1)
-        if Wn == Wn1:
-            continue
-        chart = Quotient(Wn, Wn1)
-        fp, fpp = (
-            Filtration(
-                Filtration.DEC,
-                chart.dim,
-                {k: chart.project_subspace(sub) for k, sub in f.steps.items()},
-            )
-            for f in (V.Fp, V.Fpp)
-        )
-        yield n, chart, fp, fpp, piece_dimensions(fp, fpp)
+def _chart(sub, lo, hi):
+    # the rows of an adapted echelon basis vanishing before lo lie in W_n;
+    # the [lo:hi] slices of those nonzero there are again in echelon form
+    rows = tuple(r[lo:hi] for r in sub.basis.rows if not any(r[:lo]) and any(r[lo:hi]))
+    return Subspace(hi - lo, Matrix._of(rows, hi - lo))
 
 
-class GrStructure:
-    """A validated structure with canonical bases of its bigraded pieces.
+class AdaptedTriple:
+    """A filtered triple (W, F', F'') read in one W-adapted basis.
 
-    One pass over the weights checks the three filtrations and opposedness
-    and records the graded data on the way: for each weight n a quotient
-    chart W_n / W_{n-1}, and inside it the piece at (p, q), the intersection
-    of the projected F'^p and F''^q.  Pieces are ordered by (weight, p);
-    their echelon bases concatenate to the canonical basis of the total
-    graded space.  Raises FiltrationError or OpposednessViolation (at the
-    first bad piece) on an invalid structure.
+    The rows of ``basis`` are, for each weight n from the top down, the rows
+    of W_n's echelon basis outside the span of W_{n-1} and the rows before
+    them, picked by one elimination of the stacked W steps.  Columns
+    cols[n] = (lo, hi) chart Gr^W_n, and W_n is spanned by the unit vectors
+    from lo on.  Each F' and F'' step is eliminated once in these
+    coordinates (``F``); as the columns run from the top weight down, the
+    rows of its echelon basis vanishing before lo span its intersection
+    with W_n.  ``graded`` lists, by increasing weight n, (n, the images of
+    F' and F'' in the chart, their piece dimensions and intersections).
+    Nothing here assumes opposedness; a filtration that is not monotone or
+    not exhaustive raises FiltrationError.
     """
 
     def __init__(self, V):
@@ -301,47 +283,95 @@ class GrStructure:
         V.Fp.validate()
         V.Fpp.validate()
         self.V = V
-        self.charts = {}
-        counts = {}
-        spans = {}
-        violations = []
-        for n, chart, fp, fpp, dims in graded_pieces(V):
-            self.charts[n] = chart
-            for (p, q), h in dims.items():
-                if p + q != n:
-                    violations.append((n, p, q, h))
-                else:
-                    counts[(p, q)] = h
-                    spans[(p, q)] = (fp.at(p), fpp.at(q))
+        rows = tuple((k, r) for k in V.W.jumps() for r in V.W.steps[k].basis.rows)
+        blocks = {}
+        for c in Matrix._of(tuple(r for _, r in rows), V.n).transpose().rref()[1]:
+            blocks.setdefault(rows[c][0], []).append(rows[c][1])
+        basis = []
+        self.cols = {}
+        for n in sorted(blocks, reverse=True):
+            self.cols[n] = (len(basis), len(basis) + len(blocks[n]))
+            basis.extend(blocks[n])
+        self.basis = Matrix._of(tuple(basis), V.n)
+        self._inverse = inv = self.basis.inverse()
+        # zero and the full space read the same in every basis
+        self.F = {side: Filtration(Filtration.DEC, V.n, {
+            k: s if s.dim in (0, V.n) else Subspace._span(s.basis @ inv)
+            for k, s in getattr(V, side).steps.items()
+        }) for side in ("Fp", "Fpp")}
+        self.graded = []
+        for n, (lo, hi) in sorted(self.cols.items()):
+            fp, fpp = (
+                Filtration(Filtration.DEC, hi - lo, {
+                    k: _chart(s, lo, hi) for k, s in self.F[side].steps.items()
+                })
+                for side in ("Fp", "Fpp")
+            )
+            self.graded.append((n, fp, fpp) + piece_dimensions(fp, fpp))
+
+    def coords(self, rows):
+        """Adapted coordinates of vectors of K^n."""
+        return (Matrix._of(tuple(map(tuple, rows)), self.V.n) @ self._inverse).rows
+
+    def in_w(self, sub, k):
+        """The rows of an adapted echelon basis that span its part in W_k."""
+        lo = min((lo for n, (lo, _) in self.cols.items() if n <= k), default=self.V.n)
+        return tuple(r for r in sub.basis.rows if not any(r[:lo]))
+
+    def lift(self, coords, n):
+        """The vector of K^n with these coordinates in the chart of Gr^W_n
+        and none outside it."""
+        lo, hi = self.cols[n]
+        chart = Matrix._of(self.basis.rows[lo:hi], self.V.n)
+        return (Matrix._of((tuple(coords),), hi - lo) @ chart).rows[0]
+
+
+class GrStructure(AdaptedTriple):
+    """A validated structure with canonical bases of its bigraded pieces.
+
+    The piece dimensions of the adapted triple are checked for opposedness
+    (OpposednessViolation at the first bad piece), and the piece at (p, q)
+    is the intersection of F'^p and F''^q that the count formed in the
+    chart of weight p + q.  Pieces are ordered by (weight, p); their
+    echelon bases concatenate to the canonical basis of the total graded
+    space.
+    """
+
+    def __init__(self, V):
+        super().__init__(V)
+        violations, counts, pieces = [], {}, {}
+        for n, _, _, dims, cap in self.graded:
+            violations += [(n, p, q, h) for (p, q), h in dims.items() if p + q != n]
+            counts.update(dims)
+            pieces.update((pq, cap[pq]) for pq in dims)
         if violations:
-            violations.sort()
-            raise OpposednessViolation(*violations[0])
+            raise OpposednessViolation(*min(violations))
         self.hodge = HodgeNumbers(counts)
         self.block_rows = {}
-        for pq, (a, b) in spans.items():
-            piece = a.intersect(b)
-            if piece.dim != counts[pq]:
+        # the pieces of one weight are consecutive in the canonical basis,
+        # and their rows together are a basis of its chart
+        charts = {}
+        for pq, off, h in self.hodge.blocks():
+            if pieces[pq].dim != h:
                 raise InvariantError("graded piece dimension drifted at %r" % (pq,))
-            self.block_rows[pq] = piece.basis.rows
-        # the pieces of one weight are consecutive in the canonical basis;
-        # W_{n-1} followed by their lifts is a basis of W_n
-        bases = {}
-        for (p, q), off, h in self.hodge.blocks():
-            chart = self.charts[p + q]
-            rows = bases.setdefault(p + q, (off, list(chart.T.basis.rows)))[1]
-            rows.extend(chart.lift(r) for r in self.block_rows[(p, q)])
-        self._weights = {n: (off, Matrix(rows)) for n, (off, rows) in bases.items()}
+            self.block_rows[pq] = pieces[pq].basis.rows
+            charts.setdefault(sum(pq), (off, []))[1].extend(self.block_rows[pq])
+        self._charts = {
+            n: (off, Matrix._of(tuple(rows), len(rows)))
+            for n, (off, rows) in charts.items()
+        }
 
     def gr_coords(self, rows, n):
-        """Coordinates of v + W_{n-1} in the total canonical basis, for
-        each v of rows (each in W_n), from one elimination."""
-        off, basis = self._weights[n]
-        low = self.charts[n].T.dim
-        sols = solve_left(basis, rows)
-        if sols is None:
+        """Coordinates of v + W_{n-1} in the total canonical basis, for each
+        v of rows (adapted coordinates, each in W_n), from one elimination
+        inside the chart of Gr^W_n."""
+        lo, hi = self.cols[n]
+        if any(x for r in rows for x in r[:lo]):
             raise ValueError("vector does not lie in W_%d" % n)
-        after = (ZERO,) * (self.hodge.dim - off - basis.nrows + low)
-        return tuple((ZERO,) * off + x[low:] + after for x in sols)
+        off, chart = self._charts[n]
+        sols = solve_left(chart, [r[lo:hi] for r in rows])
+        after = (ZERO,) * (self.hodge.dim - off - chart.nrows)
+        return tuple((ZERO,) * off + x + after for x in sols)
 
 
 def validate_mhs(V):

@@ -209,7 +209,7 @@ class Poly:
 
 
 class PolyMatrix:
-    __slots__ = ("nvars", "rows")
+    __slots__ = ("nvars", "rows", "ncols")
 
     def __init__(self, nvars, rows):
         rows = tuple(tuple(rows_i) for rows_i in rows)
@@ -219,13 +219,16 @@ class PolyMatrix:
                     raise DimensionMismatch("entry arity mismatch")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
 
     @classmethod
-    def _of(cls, nvars, rows):
-        # internal constructor for a tuple of row tuples of Polys in nvars
+    def _of(cls, nvars, rows, ncols):
+        # internal constructor for a tuple of row tuples, each of ncols
+        # Polys in nvars
         m = _new(cls)
         _set(m, "nvars", nvars)
         _set(m, "rows", rows)
+        _set(m, "ncols", ncols)
         return m
 
     def __setattr__(self, name, value):
@@ -240,12 +243,13 @@ class PolyMatrix:
                 tuple(Poly._of(nvars, {const: x}, laurent) for x in row)
                 for row in m.rows
             ),
+            m.ncols,
         )
 
     @classmethod
     def zeros(cls, nvars, r, c, laurent=False):
         zero = Poly._of(nvars, {}, laurent)
-        return cls._of(nvars, tuple(tuple(zero for _ in range(c)) for _ in range(r)))
+        return cls._of(nvars, ((zero,) * c,) * r, c)
 
     @classmethod
     def identity(cls, nvars, n, laurent=False):
@@ -256,18 +260,19 @@ class PolyMatrix:
             tuple(
                 tuple(one if i == j else zero for j in range(n)) for i in range(n)
             ),
+            n,
         )
 
     @property
     def shape(self):
-        if not self.rows:
-            return (0, 0)
-        return (len(self.rows), len(self.rows[0]))
+        return (len(self.rows), self.ncols)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.nvars == other.nvars and self.rows == other.rows
+        return (self.nvars, self.ncols, self.rows) == (
+            other.nvars, other.ncols, other.rows
+        )
 
     def __getitem__(self, ij):
         i, j = ij
@@ -282,6 +287,7 @@ class PolyMatrix:
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
             ),
+            self.ncols,
         )
 
     def __sub__(self, other):
@@ -289,13 +295,13 @@ class PolyMatrix:
 
     def __neg__(self):
         return PolyMatrix._of(
-            self.nvars, tuple(tuple(-p for p in row) for row in self.rows)
+            self.nvars, tuple(tuple(-p for p in row) for row in self.rows), self.ncols
         )
 
     def __matmul__(self, other):
-        if self.shape[1] != other.shape[0]:
+        if self.ncols != len(other.rows):
             raise DimensionMismatch("matmul shape mismatch")
-        cols = list(zip(*other.rows))
+        cols = list(zip(*other.rows)) or [()] * other.ncols
         out = []
         for row in self.rows:
             out_row = []
@@ -310,28 +316,33 @@ class PolyMatrix:
                     acc = Poly._of(self.nvars, {}, True)
                 out_row.append(acc)
             out.append(tuple(out_row))
-        return PolyMatrix._of(self.nvars, tuple(out))
+        return PolyMatrix._of(self.nvars, tuple(out), other.ncols)
 
     def scale_poly(self, p):
         return PolyMatrix._of(
-            self.nvars, tuple(tuple(p * x for x in row) for row in self.rows)
+            self.nvars,
+            tuple(tuple(p * x for x in row) for row in self.rows),
+            self.ncols,
         )
 
     def diff(self, var):
         return PolyMatrix._of(
-            self.nvars, tuple(tuple(p.diff(var) for p in row) for row in self.rows)
+            self.nvars,
+            tuple(tuple(p.diff(var) for p in row) for row in self.rows),
+            self.ncols,
         )
 
     def subs(self, var, repl):
         return PolyMatrix._of(
             self.nvars,
             tuple(tuple(p.subs(var, repl) for p in row) for row in self.rows),
+            self.ncols,
         )
 
     def eval(self, point):
         return Matrix._of(
             tuple(tuple(p.eval(point) for p in row) for row in self.rows),
-            self.shape[1],
+            self.ncols,
         )
 
     def is_zero(self):
@@ -347,7 +358,7 @@ class PolyMatrix:
             tuple(
                 tuple(p.terms.get(exps, ZERO) for p in row) for row in self.rows
             ),
-            self.shape[1],
+            self.ncols,
         )
 
     def support(self):
@@ -361,6 +372,7 @@ class PolyMatrix:
         return PolyMatrix._of(
             self.nvars,
             tuple(tuple(p.antiderivative(var) for p in row) for row in self.rows),
+            self.ncols,
         )
 
     def integrate(self, a, b, var=0):
@@ -368,5 +380,5 @@ class PolyMatrix:
             tuple(
                 tuple(p.integrate(a, b, var) for p in row) for row in self.rows
             ),
-            self.shape[1],
+            self.ncols,
         )

@@ -11,7 +11,7 @@ read off exactly from one reduction of it to column-reduced form.
 from __future__ import annotations
 
 from .linalg import InvariantError, Matrix
-from .mhs import graded_pieces, piece_dimensions
+from .mhs import AdaptedTriple, piece_dimensions
 from .poly import Poly, PolyMatrix
 from .scalars import ONE, ZERO, Scalar
 
@@ -192,7 +192,7 @@ def two_filtration_rees_type(Fp, Fpp):
     filtrations on P^1: the multiset of p + q over a simultaneous
     bigrading, sorted descending.  The pair is n-opposite iff every entry
     equals n."""
-    return tuple(_joint_type(piece_dimensions(Fp, Fpp)))
+    return tuple(_joint_type(piece_dimensions(Fp, Fpp)[0]))
 
 
 def w_line_transition(V):
@@ -205,7 +205,7 @@ def w_line_transition(V):
     structure every exponent vanishes and the restriction is trivial.
     """
     exps = []
-    for n, _, _, _, dims in graded_pieces(V):
+    for n, _, _, dims, _ in AdaptedTriple(V).graded:
         exps.extend(entry - n for entry in _joint_type(dims))
     r = len(exps)
     rows = []

@@ -19,6 +19,30 @@ class DeltaError(ValueError):
     """Matrix violates the block shape required of delta."""
 
 
+def _adapted_pieces(gr, side):
+    # the pieces I^{p,q} in the adapted coordinates of gr:
+    # Fa^a ∩ W_n ∩ (Fb^b ∩ W_n + sum over j >= 1 of Fb^{b-j} ∩ W_{n-j-1})
+    if side not in ("Fp", "Fpp"):
+        raise ValueError("side must be 'Fp' or 'Fpp'")
+    Fa, Fb = gr.F[side], gr.F["Fpp" if side == "Fp" else "Fp"]
+    dim = gr.V.n
+    out = {}
+    for (p, q), off, h in gr.hodge.blocks():
+        a, b = (p, q) if side == "Fp" else (q, p)
+        n = p + q
+        first = Subspace(dim, Matrix._of(gr.in_w(Fa.at(a), n), dim))
+        tail = list(gr.in_w(Fb.at(b), n))
+        for j in range(1, n - min(gr.cols)):
+            tail.extend(gr.in_w(Fb.at(b - j), n - j - 1))
+        piece = first.intersect(Subspace._span(Matrix._of(tuple(tail), dim)))
+        if piece.dim != h:
+            raise InvariantError(
+                "splitting piece has wrong dimension at %r" % ((p, q),)
+            )
+        out[(p, q)] = piece
+    return out
+
+
 def splitting_subspaces(gr, side):
     """The bigraded splitting pieces I^{p,q} of the validated structure gr.V;
     side is "Fp" or "Fpp".
@@ -26,30 +50,10 @@ def splitting_subspaces(gr, side):
     The "Fp" splitting is compatible with W and F' on the nose and with F''
     only modulo lower weight; "Fpp" is the mirror image.
     """
-    V, hodge = gr.V, gr.hodge
-    if side == "Fp":
-        Fa, Fb = V.Fp, V.Fpp
-    elif side == "Fpp":
-        Fa, Fb = V.Fpp, V.Fp
-    else:
-        raise ValueError("side must be 'Fp' or 'Fpp'")
-    out = {}
-    for (p, q), off, h in hodge.blocks():
-        a, b = (p, q) if side == "Fp" else (q, p)
-        n = p + q
-        first = Fa.at(a).intersect(V.W.at(n))
-        tail = Fb.at(b).intersect(V.W.at(n))
-        j = 1
-        while n - j - 1 >= V.W.min_index():
-            tail = tail.add(Fb.at(b - j).intersect(V.W.at(n - j - 1)))
-            j += 1
-        piece = first.intersect(tail)
-        if piece.dim != h:
-            raise InvariantError(
-                "splitting piece has wrong dimension at %r" % ((p, q),)
-            )
-        out[(p, q)] = piece
-    return out
+    return {
+        pq: Subspace._span(piece.basis @ gr.basis)
+        for pq, piece in _adapted_pieces(gr, side).items()
+    }
 
 
 class DeltaObject:
@@ -100,15 +104,16 @@ class DeltaObject:
 
 
 def _side_matrix(gr, side):
-    # column-vector map from graded coordinates to ambient coordinates
-    pieces = splitting_subspaces(gr, side)
+    # column-vector map from graded coordinates to adapted coordinates; the
+    # change of basis cancels in delta
+    pieces = _adapted_pieces(gr, side)
     b_rows = []
     g_rows = []
     for (p, q), off, h in gr.hodge.blocks():
         b_rows.extend(pieces[(p, q)].basis.rows)
         g_rows.extend(gr.gr_coords(pieces[(p, q)].basis.rows, p + q))
-    B = Matrix(b_rows)
-    G = Matrix(g_rows)
+    B = Matrix._of(tuple(b_rows), gr.V.n)
+    G = Matrix._of(tuple(g_rows), gr.hodge.dim)
     return B.transpose() @ G.transpose().inverse()
 
 

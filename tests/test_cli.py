@@ -304,42 +304,44 @@ def test_bad_point_flags_are_usage_errors(argv, capsys):
 
 
 def test_each_structure_input_is_validated_once(monkeypatch):
-    # Validation is the only place where a structure's weight charts are
+    # Validation is the only place where a structure's graded charts are
     # built, and every subcommand validates each structure input once;
     # roundtrip also validates the model it rebuilds from delta.  Every
-    # quotient chart of a run is one of these weight charts.
-    from hodgegauge import linalg, mhs
+    # W-adapted basis of a run is built by one of these validations, and
+    # charts each weight of its structure once.
+    from hodgegauge import mhs
 
     built = []
-    charts = []
+    adapted = []
     gr_init = mhs.GrStructure.__init__
-    quotient_init = linalg.Quotient.__init__
+    adapted_init = mhs.AdaptedTriple.__init__
 
     def counting_gr(self, V, *rest):
         built.append((V, self))
         gr_init(self, V, *rest)
 
-    def counting_quotient(self, S, T):
-        charts.append(S)
-        quotient_init(self, S, T)
+    def counting_adapted(self, V):
+        adapted.append((V, self))
+        adapted_init(self, V)
 
     monkeypatch.setattr(mhs.GrStructure, "__init__", counting_gr)
-    monkeypatch.setattr(linalg.Quotient, "__init__", counting_quotient)
+    monkeypatch.setattr(mhs.AdaptedTriple, "__init__", counting_adapted)
     parser = cli.build_parser()
     for name in sorted(os.listdir(fixture_dir())):
         with open(fx(name)) as fh:
             structure = json.load(fh)["type"] in ("complex_mhs", "real_mhs")
         for command in sorted(cli._HANDLERS):
-            del built[:], charts[:]
+            del built[:], adapted[:]
             flags = parser.parse_args([command, fx(name)])
             entry, code = cli._process_one(command, fx(name), flags)
             want = (2 if command == "roundtrip" else 1) if structure else 0
             assert len(built) == want, (command, name, len(built))
-            # a weight chart is a quotient of a stored W step
-            steps = [s for V, _ in built for s in V.W.steps.values()]
-            assert all(any(S is s for s in steps) for S in charts), (command, name)
+            assert len(adapted) == want, (command, name)
+            assert all(
+                a is g and U is V for (U, a), (V, g) in zip(adapted, built)
+            ), (command, name)
             weights = sum(len(gr.hodge.weights()) for _, gr in built)
-            assert len(charts) == weights, (command, name)
+            assert sum(len(gr.cols) for _, gr in built) == weights, (command, name)
 
 
 @pytest.mark.parametrize("name", ["pure_0_0.json", "kummer_3.json"])

@@ -1,0 +1,131 @@
+"""Fuzzed structure documents through the CLI's per-input path: whatever the
+document, ``validate`` and ``split`` end in a defined status (ok, violation
+or malformed) with its exit code, never in an internal error."""
+
+import json
+import os
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from conftest import fixture_dir
+from hodgegauge import cli
+from hodgegauge.documents import serialize
+from hodgegauge.fixtures import corrupt_weight_step, random_mhs
+
+CODES = {"ok": 0, "violation": 1, "malformed": 2}
+SCALARS = ["0", "1", "-1", "2", "1/2", "-3/2", "0+1*i", "1+1*i", "1/2-1*i"]
+# mostly scalars, sometimes a zero denominator, a bad string or no string
+entries = st.sampled_from(SCALARS * 3 + ["1/0", "i", "x", "", 1, None])
+
+
+def mostly(value, *others):
+    return st.sampled_from([value] * 6 + list(others))
+
+
+@st.composite
+def filtrations(draw, n, direction):
+    width = draw(mostly(n, n + 1, max(n - 1, 0)))
+    steps = {}
+    for k in draw(st.lists(st.integers(-3, 3), max_size=4, unique=True)):
+        rows = draw(st.lists(
+            st.lists(entries, min_size=width, max_size=width)
+            | st.lists(entries, max_size=5),  # ragged
+            max_size=n + 1,
+        ))
+        steps[draw(mostly(str(k), "k"))] = rows
+    doc = {
+        "direction": draw(mostly(direction, "inc", "dec", "up")),
+        "n": draw(mostly(n, n + 1, -1, "two")),
+        "steps": draw(mostly(steps, [], None)),
+    }
+    if not draw(st.integers(0, 7)):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@st.composite
+def raw_documents(draw):
+    n = draw(st.integers(0, 4))
+    kind = draw(mostly("complex_mhs", "real_mhs", "delta", None))
+    keys = ("W", "F") if kind == "real_mhs" else ("W", "Fp", "Fpp")
+    doc = {"type": kind, "n": draw(mostly(n, n + 1, -1, "x"))}
+    for key in keys:
+        if draw(st.integers(0, 7)):
+            doc[key] = draw(filtrations(n, "inc" if key == "W" else "dec"))
+    return doc
+
+
+@st.composite
+def damaged_structures(draw):
+    # a valid structure (dim <= 4), or one with a weight step moved, with
+    # one entry, row, step or direction of one filtration changed
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    V = random_mhs(rng, max_dim=4, weight_lo=-3, weight_hi=3)
+    if draw(st.booleans()):
+        V = corrupt_weight_step(V, rng)
+    doc = serialize(V)
+    filt = doc[draw(st.sampled_from(["W", "Fp", "Fpp"]))]
+    steps = filt["steps"]
+    key = draw(st.sampled_from(sorted(steps)))
+    change = draw(st.sampled_from(
+        ["none", "entry", "row", "drop", "direction", "step"]
+    ))
+    if change == "entry" and steps[key] and steps[key][0]:
+        steps[key][0][draw(st.integers(0, len(steps[key][0]) - 1))] = draw(entries)
+    elif change == "row" and steps[key]:
+        steps[key][draw(st.integers(0, len(steps[key]) - 1))].append("1")
+    elif change == "drop":
+        del steps[key]
+    elif change == "direction":
+        filt["direction"] = "inc" if filt["direction"] == "dec" else "dec"
+    elif change == "step":
+        steps[str(draw(st.integers(-5, 5)))] = draw(
+            st.lists(st.lists(st.sampled_from(SCALARS), min_size=doc["n"],
+                              max_size=doc["n"]), max_size=doc["n"])
+        )
+    return doc
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _outcomes(doc, workdir):
+    path = workdir / "doc.json"
+    path.write_text(json.dumps(doc))
+    parser = cli.build_parser()
+    for command in ("validate", "split"):
+        flags = parser.parse_args([command, str(path)])
+        entry, code = cli._process_one(command, str(path), flags)
+        yield command, entry, code
+
+
+@given(doc=st.one_of(raw_documents(), damaged_structures()))
+def test_fuzzed_documents_end_in_a_defined_status(doc, workdir):
+    for command, entry, code in _outcomes(doc, workdir):
+        assert entry["status"] in CODES, (command, entry)
+        assert code == CODES[entry["status"]], (command, entry)
+
+
+@pytest.mark.parametrize("key, steps", [("Fp", None), ("W", [])])
+def test_steps_that_are_not_a_map_are_malformed(key, steps, workdir):
+    # were internal errors (AttributeError)
+    with open(os.path.join(fixture_dir(), "kummer_3.json")) as fh:
+        doc = json.load(fh)
+    doc[key]["steps"] = steps
+    for command, entry, code in _outcomes(doc, workdir):
+        assert (entry["status"], code) == ("malformed", 2), (command, entry)
+
+
+def test_negative_dimension_is_malformed(workdir):
+    # was "ok", with no Hodge numbers and a 0 x 0 delta
+    def filt(direction):
+        return {"direction": direction, "n": -1, "steps": {"0": []}}
+
+    doc = {"type": "complex_mhs", "n": -1, "W": filt("inc"), "Fp": filt("dec"),
+           "Fpp": filt("dec")}
+    for command, entry, code in _outcomes(doc, workdir):
+        assert (entry["status"], code) == ("malformed", 2), (command, entry)

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat, span, vec
+from conftest import Quotient, mat, span, vec
 from hodgegauge.linalg import (
     Matrix,
     NotNilpotentError,
-    Quotient,
     Subspace,
     exp_nilpotent,
     kron,

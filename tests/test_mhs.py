@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat, span, vec
-from hodgegauge.fixtures import corrupt_weight_step, kummer, random_mhs, t3
-from hodgegauge.linalg import Quotient, Subspace
+from conftest import Quotient, mat, span, vec
+from hodgegauge.fixtures import (
+    corrupt_weight_step, kummer, random_delta, random_mhs, t3
+)
+from hodgegauge.linalg import Subspace
 from hodgegauge.mhs import (
+    AdaptedTriple,
     ComplexMHS,
     Filtration,
     FiltrationError,
@@ -17,6 +20,7 @@ from hodgegauge.mhs import (
     conjugate_mhs,
     direct_sum_mhs,
     dual_mhs,
+    piece_dimensions,
     pure,
     realize_real,
     tensor_mhs,
@@ -24,6 +28,7 @@ from hodgegauge.mhs import (
     validate_morphism,
 )
 from hodgegauge.scalars import I, ONE, Scalar, ZERO
+from hodgegauge.splitting import delta_to_mhs
 
 
 def test_filtration_at_semantics():
@@ -242,3 +247,64 @@ def test_graded_count_agrees_with_nested_quotients():
             assert got == want
             seen["valid" if isinstance(want, HodgeNumbers) else "violation"] += 1
     assert seen == {"valid": 12, "violation": 12}
+
+
+def quotient_route(V):
+    """Reference graded charts: for each weight n with W_n != W_{n-1}, a
+    Quotient chart W_n / W_{n-1} and every F' and F'' step projected into
+    it on its own, then Hodge numbers or the first violation."""
+    charts = []
+    counts = {}
+    violations = []
+    for n in range(min(V.W.steps), max(V.W.steps) + 1):
+        if V.W.at(n) == V.W.at(n - 1):
+            continue
+        chart = Quotient(V.W.at(n), V.W.at(n - 1))
+        fp, fpp = (
+            Filtration(Filtration.DEC, chart.dim,
+                       {k: chart.project_subspace(s) for k, s in f.steps.items()})
+            for f in (V.Fp, V.Fpp)
+        )
+        charts.append((n, chart, fp, fpp))
+        for (p, q), h in piece_dimensions(fp, fpp)[0].items():
+            if p + q != n:
+                violations.append((n, p, q, h))
+            counts[(p, q)] = h
+    outcome = min(violations) if violations else HodgeNumbers(counts)
+    return charts, outcome
+
+
+def test_adapted_basis_matches_quotient_charts():
+    # one elimination of the stacked W steps gives each weight's Quotient
+    # complement, and one top-down elimination of each F step gives its
+    # projection into every chart
+    rng = random.Random(23)
+    seen = {"valid": 0, "violation": 0}
+    for _ in range(12):
+        # random_mhs without its own round-trip check, which runs GrStructure
+        d = random_delta(rng, max_dim=6, weight_lo=-4, weight_hi=4)
+        V = delta_to_mhs(d, check=False)
+        for U in (V, corrupt_weight_step(V, rng)):
+            charts, want = quotient_route(U)
+            seen["valid" if isinstance(want, HodgeNumbers) else "violation"] += 1
+            adapted = AdaptedTriple(U)
+            assert [c[0] for c in charts] == [g[0] for g in adapted.graded]
+            for (n, chart, fp, fpp), (_, gp, gpp, _, _) in zip(charts, adapted.graded):
+                lo, hi = adapted.cols[n]
+                assert adapted.basis.rows[lo:hi] == chart.complement
+                assert (gp.steps, gpp.steps) == (fp.steps, fpp.steps)
+                for row in Subspace.full(chart.dim).basis.rows:
+                    assert adapted.lift(row, n) == chart.lift(row)
+            assert _outcome(lambda W: GrStructure(W).hodge, U) == want
+    assert seen == {"valid": 12, "violation": 12}
+
+
+def test_gr_coords_read_back_lifted_pieces():
+    rng = random.Random(29)
+    for _ in range(8):
+        gr = GrStructure(random_mhs(rng, max_dim=6, weight_lo=-4, weight_hi=4))
+        for (p, q), off, h in gr.hodge.blocks():
+            lifted = [gr.lift(r, p + q) for r in gr.block_rows[(p, q)]]
+            coords = gr.gr_coords(gr.coords(lifted), p + q)
+            unit = Subspace.full(gr.hodge.dim).basis.rows[off : off + h]
+            assert coords == unit

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import mat, sc
+from hodgegauge.linalg import DimensionMismatch, Matrix
 from hodgegauge.poly import LaurentError, Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
 
@@ -91,3 +92,24 @@ def test_polymatrix_diff_subs_eval():
 def test_integrate_segment_helper():
     m = PolyMatrix(1, ((-t(),),))
     assert m.integrate(-ONE, ZERO) == mat([[Fraction(1, 2)]])
+
+
+@pytest.mark.parametrize("r, c", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_polymatrix_keeps_its_width(r, c):
+    M = PolyMatrix.zeros(1, r, c)
+    assert M.shape == (r, c)
+    assert (M + M).shape == (-M).shape == M.diff(0).shape == (r, c)
+    assert M.antiderivative().shape == M.subs(0, t()).shape == (r, c)
+    assert M.scale_poly(t()).shape == (r, c)
+    for k in (0, 2):
+        assert (M @ PolyMatrix.zeros(1, c, k)).shape == (r, k)
+        assert (PolyMatrix.zeros(1, k, r) @ M).shape == (k, c)
+    with pytest.raises(DimensionMismatch):
+        M @ PolyMatrix.zeros(1, c + 1, 1)
+    assert M.eval((ONE,)).shape == M.integrate(ZERO, ONE).shape == (r, c)
+    assert M.coefficient_matrix((0,)).shape == (r, c)
+    assert M.eval((ONE,)) == Matrix.zeros(r, c)
+    # the width is part of the value
+    assert M != PolyMatrix.zeros(1, r, c + 1)
+    assert PolyMatrix.from_scalar_matrix(1, Matrix.zeros(r, c)) == M
+    assert PolyMatrix.identity(1, c).shape == (c, c)

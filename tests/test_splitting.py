@@ -148,12 +148,12 @@ def test_tensor_functoriality():
     cols = []
     for (p1, q1), off1, h1 in dV.hodge.blocks():
         for r1 in grV.block_rows[(p1, q1)]:
-            v1 = grV.charts[p1 + q1].lift(r1)
+            v1 = grV.lift(r1, p1 + q1)
             for (p2, q2), off2, h2 in dVp.hodge.blocks():
                 for r2 in grVp.block_rows[(p2, q2)]:
-                    v2 = grVp.charts[p2 + q2].lift(r2)
+                    v2 = grVp.lift(r2, p2 + q2)
                     tens = tuple(a * b for a in v1 for b in v2)
-                    cols.extend(grT.gr_coords([tens], p1 + q1 + p2 + q2))
+                    cols.extend(grT.gr_coords(grT.coords([tens]), p1 + q1 + p2 + q2))
     K = Matrix.from_columns(cols)
     assert dT.delta @ K == K @ mkron(dV.delta, dVp.delta)
 
