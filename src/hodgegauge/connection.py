@@ -8,34 +8,22 @@ determined by coefficient blocks A_{p,q}, B_{p,q} (p, q >= 1) of bidegree
 
 Gauge transformations are unipotent with the same strict double-lowering
 shape.  The Fock-Schwinger condition A + B = 0 picks a unique representative
-in each gauge orbit, and that representative is computed from a delta
-datum level by level from its triangle holonomy.
+in each gauge orbit, and that representative is solved from a delta datum
+in one pass over its entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .linalg import InvariantError, Matrix
 from .poly import Poly, PolyMatrix
-from .scalars import Scalar
-from .splitting import DeltaObject, log_delta_components
+from .scalars import ONE, ZERO, Scalar
 
 
 class AdmissibilityError(ValueError):
     """Coefficient block violates the bidegree constraint."""
-
-
-def beta_coefficient(p, q):
-    """c(p, q) = (-1)^(p+q-1) (p-1)! (q-1)! / (p+q-1)!, the leading
-    coefficient of z_{p,q} on alpha_{p,q}: the Beta integral that
-    ``freelie.abelianized_coefficient`` evaluates from the hypotenuse
-    pullback, in closed form so the connection needs no free-Lie code."""
-    return Fraction(
-        (-1) ** (p + q - 1) * factorial(p - 1) * factorial(q - 1),
-        factorial(p + q - 1),
-    )
 
 
 def _check_block(hodge, M, p, q, what):
@@ -261,34 +249,41 @@ def normalize_fock_schwinger(C):
 def connection_from_delta(dobj):
     """The Fock-Schwinger connection whose triangle holonomy is delta.
 
-    Solved level by level on the total drop d = p + q.  The log of the
-    hypotenuse transport T has the component c(p, q) A_{p,q} at (p, q), plus
-    brackets of strictly lower blocks (Chen's triangular generator change),
-    so with the lower levels already fixed
-    A_{p,q} = (D_{p,q} - [log T]_{p,q}) / c(p, q), where D = log delta,
-    c = beta_coefficient and T is the transport of the blocks found
-    so far.  B = -A.
+    The axis transports are trivial, and with B = -A block (p, q) pulls back
+    to the hypotenuse (-1, 0) -> (0, -1) as A_{p,q} h(s), with
+    h(s) = -(s - 1)^(p-1) (-s)^(q-1); so delta = T(1), T = 1 + int_0^s M T.
+    The entries (i, j) that lower both indices are solved in one pass, in
+    order of weight drop: R = int_0^s sum_{k != j} M[i,k] T[k,j] involves
+    only entries of smaller drop, so A[i,j] = (delta[i,j] - R(1)) / int_0^1 h
+    and T[i,j] = A[i,j] int_0^s h + R.
     """
-    from .holonomy import TRIANGLE, transport_segment
-
     hodge = dobj.hodge
-    spread = _weight_spread(hodge)
-    D = log_delta_components(dobj)
     n = hodge.dim
-    zero = Matrix.zeros(n, n)
-    C = EquivariantConnection.zero(hodge)
-    logT = {}
-    for d in range(2, spread + 1):
-        A = dict(C.A)
-        for p in range(1, d):
-            q = d - p
-            M = D.get((p, q), zero) - logT.get((p, q), zero)
-            if not M.is_zero():
-                A[(p, q)] = M.scale(Scalar(1 / beta_coefficient(p, q)))
-        if len(A) == len(C.A):
-            continue
-        C = EquivariantConnection(hodge, A, {k: -v for k, v in A.items()})
-        if d < spread:
-            T = transport_segment(connection_form(C), TRIANGLE[1], TRIANGLE[2])
-            logT = log_delta_components(DeltaObject(hodge, T))
-    return C
+    owner = hodge.block_of_index()
+    lowering = sorted(
+        ((i, j) for i in range(n) for j in range(n)
+         if owner[i][0] < owner[j][0] and owner[i][1] < owner[j][1]),
+        key=lambda ij: sum(owner[ij[1]]) - sum(owner[ij[0]]),
+    )
+    pullback = {}
+    M = [{} for _ in range(n)]
+    T = {}
+    blocks = {}
+    for i, j in lowering:
+        p, q = pq = (owner[j][0] - owner[i][0], owner[j][1] - owner[i][1])
+        if pq not in pullback:
+            h = Poly(1, {(q - 1 + r,): (-1) ** (p + q - 1 - r) * comb(p - 1, r)
+                         for r in range(p)})
+            H = h.antiderivative()
+            pullback[pq] = (h, H, H.eval((ONE,)))
+        h, H, c = pullback[pq]
+        R = sum((m * T[k, j] for k, m in M[i].items() if (k, j) in T), Poly(1, {}))
+        R = R.antiderivative()
+        a = (dobj.delta[i, j] - R.eval((ONE,))) / c
+        if a:
+            M[i][j] = h.scale(a)
+            blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])[i][j] = a
+            R = R + H.scale(a)
+        T[i, j] = R
+    A = {pq: Matrix(rows) for pq, rows in blocks.items()}
+    return EquivariantConnection(hodge, A, {k: -v for k, v in A.items()})

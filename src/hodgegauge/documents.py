@@ -72,6 +72,19 @@ def _filtration_in(doc, field=None):
         raise DocumentError("bad filtration: %s" % (exc,))
 
 
+def _structure_in(doc, cls, keys, fields):
+    """A structure document: the filtrations under keys, each read in its
+    field, on the document's dimension n, which they must all share."""
+    try:
+        n = int(doc["n"])
+    except (TypeError, ValueError) as exc:
+        raise DocumentError("bad dimension: %s" % (exc,))
+    filtrations = [_filtration_in(doc[k], f) for k, f in zip(keys, fields)]
+    if any(f.n != n for f in filtrations):
+        raise DocumentError("filtrations are not on the document's n = %d" % n)
+    return cls(n, *filtrations)
+
+
 def _hodge_out(h):
     return {"%d,%d" % pq: v for pq, v in sorted(h.counts.items())}
 
@@ -133,18 +146,11 @@ def parse(doc, field=None):
     kind = doc["type"]
     try:
         if kind == "complex_mhs":
-            return ComplexMHS(
-                int(doc["n"]),
-                _filtration_in(doc["W"], field),
-                _filtration_in(doc["Fp"], field),
-                _filtration_in(doc["Fpp"], field),
+            return _structure_in(
+                doc, ComplexMHS, ("W", "Fp", "Fpp"), (field, field, field)
             )
         if kind == "real_mhs":
-            return RealMHS(
-                int(doc["n"]),
-                _filtration_in(doc["W"], "Q"),
-                _filtration_in(doc["F"], field),
-            )
+            return _structure_in(doc, RealMHS, ("W", "F"), ("Q", field))
         if kind == "delta":
             return DeltaObject(
                 _hodge_in(doc["hodge"]), _matrix_in(doc["matrix"], field)

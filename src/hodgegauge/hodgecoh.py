@@ -131,19 +131,11 @@ def _real_fixed_subspace(R):
     """Fixed vectors of x -> R conj(x) as a rational subspace of Q^{2n}
     under the realification x = u + i w -> (u, w)."""
     n = R.nrows
-    re = [[R[i, j].re for j in range(n)] for i in range(n)]
-    im = [[R[i, j].im for j in range(n)] for i in range(n)]
-    # sigma(u, w) = (Re R u + Im R w, Im R u - Re R w)
-    rows = []
-    for i in range(n):
-        rows.append(
-            [Scalar(x) for x in re[i]] + [Scalar(x) for x in im[i]]
-        )
-    for i in range(n):
-        rows.append(
-            [Scalar(x) for x in im[i]] + [Scalar(-x) for x in re[i]]
-        )
-    sigma = Matrix(rows)
+    # conj is (u, w) -> (u, -w): the last n columns of R's realification
+    # change sign
+    sigma = Matrix(
+        [row[:n] + tuple(-x for x in row[n:]) for row in _realify_map(R).rows]
+    )
     return Subspace.from_rows(
         2 * n, (sigma - Matrix.identity(2 * n)).right_kernel().rows
     )

@@ -11,7 +11,7 @@ self-test (convention_selftest) re-derives this pin on a rank-2 fixture.
 
 from __future__ import annotations
 
-from .connection import EquivariantConnection, connection_form
+from .connection import connection_form, connection_from_delta
 from .linalg import InvariantError, Matrix, NotNilpotentError
 from .mhs import HodgeNumbers
 from .poly import Poly, PolyMatrix
@@ -165,8 +165,6 @@ def convention_selftest():
     connection has A_{1,1} = E and the triangle holonomy must return exactly
     the original comparison matrix.
     """
-    from .connection import connection_from_delta
-
     hodge = HodgeNumbers({(0, 0): 1, (-1, -1): 1})
     delta = Matrix([[ONE, -ONE], [ZERO, ONE]])
     dobj = DeltaObject(hodge, delta)

@@ -129,17 +129,6 @@ class Matrix:
             out.append(tuple(out_row))
         return Matrix._of(tuple(out), other.ncols)
 
-    def __pow__(self, k):
-        n = self.nrows
-        acc = Matrix.identity(n)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc @ base
-            base = base @ base
-            k >>= 1
-        return acc
-
     def transpose(self):
         # an empty zip still owes ncols rows of width 0
         return Matrix._of(tuple(zip(*self.rows)) or ((),) * self.ncols, self.nrows)
@@ -410,30 +399,27 @@ def log_unipotent(M):
     """Exact logarithm of a unipotent matrix: sum_{k>=1} (-1)^{k+1} (M-I)^k / k."""
     n = M.nrows
     N = M - Matrix.identity(n)
-    if nilpotency_index(N) is None:
-        raise NotNilpotentError("M - I is not nilpotent")
     acc = Matrix.zeros(n, n)
     P = N
-    k = 1
-    while not P.is_zero():
+    for k in range(1, n + 2):
+        if P.is_zero():
+            return acc
         sign = ONE if k % 2 == 1 else -ONE
         acc = acc + P.scale(sign / Scalar(k))
         P = P @ N
-        k += 1
-    return acc
+    raise NotNilpotentError("M - I is not nilpotent")
+
 
 def exp_nilpotent(D):
     """Exact exponential of a nilpotent matrix."""
     n = D.nrows
-    if nilpotency_index(D) is None:
-        raise NotNilpotentError("matrix is not nilpotent")
     acc = Matrix.identity(n)
     P = D
-    k = 1
     fact = ONE
-    while not P.is_zero():
+    for k in range(1, n + 2):
+        if P.is_zero():
+            return acc
         fact = fact / Scalar(k)
         acc = acc + P.scale(fact)
         P = P @ D
-        k += 1
-    return acc
+    raise NotNilpotentError("matrix is not nilpotent")

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import mat
+from hodgegauge import connection, holonomy, linalg, splitting
 from hodgegauge.connection import (
-    beta_coefficient,
     AdmissibilityError,
     EquivariantConnection,
     GaugeTransformation,
@@ -15,14 +15,14 @@ from hodgegauge.connection import (
     curvature,
     normalize_fock_schwinger,
 )
-from hodgegauge.fixtures import kummer_delta, random_delta, t3_delta
+from hodgegauge.fixtures import kummer_delta, random_delta, t3, t3_delta
 from hodgegauge.freelie import abelianized_coefficient, generator_change_table
 from hodgegauge.holonomy import triangle_delta
 from hodgegauge.linalg import Matrix
-from hodgegauge.mhs import HodgeNumbers
+from hodgegauge.mhs import GrStructure, HodgeNumbers, tensor_mhs
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, Scalar, ZERO
-from hodgegauge.splitting import DeltaObject, log_delta_components
+from hodgegauge.splitting import DeltaObject, delta_operator, log_delta_components
 
 KH = HodgeNumbers({(0, 0): 1, (-1, -1): 1})
 E = mat([[0, 1], [0, 0]])  # sends the weight-0 line to the weight-(-2) line
@@ -219,9 +219,42 @@ def test_random_gauge_normalization_agrees():
         assert a == b
 
 
-def test_beta_coefficient_matches_freelie_integral():
-    # the closed form the connection uses against the integral of the
-    # hypotenuse pullback that the free-Lie tables are built from
-    for p in range(1, 15):
-        for q in range(1, 15):
-            assert beta_coefficient(p, q) == abelianized_coefficient(p, q)
+def test_connection_from_wide_spread_delta_has_it_as_holonomy():
+    # holonomy's Picard transport is the reference at spreads 8-14, which
+    # the table route above does not reach: three deltas of each spread
+    rng = random.Random(11)
+    left = {s: 3 for s in range(8, 15)}
+    while any(left.values()):
+        d = random_delta(rng, max_dim=8, weight_lo=-7, weight_hi=8)
+        ws = d.hodge.weights()
+        if not left.get(ws[-1] - ws[0]):
+            continue
+        left[ws[-1] - ws[0]] -= 1
+        assert triangle_delta(connection_from_delta(d)) == d
+
+
+def test_connection_from_delta_is_one_pass(monkeypatch):
+    d = delta_operator(GrStructure(tensor_mhs(t3(1, 2), t3(3, 4))))
+
+    def refuse(*args):
+        raise AssertionError("connection_from_delta transported or took a log")
+
+    for module, name in (
+        (holonomy, "transport_segment"),
+        (linalg, "log_unipotent"),
+        (splitting, "log_unipotent"),
+        (connection, "connection_form"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    built = []
+    init = EquivariantConnection.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(EquivariantConnection, "__init__", counted)
+    C = connection_from_delta(d)
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert triangle_delta(C) == d

@@ -129,3 +129,15 @@ def test_negative_dimension_is_malformed(workdir):
            "Fpp": filt("dec")}
     for command, entry, code in _outcomes(doc, workdir):
         assert (entry["status"], code) == ("malformed", 2), (command, entry)
+
+
+@pytest.mark.parametrize("name", ["kummer_3.json", "real_kummer_2.json"])
+@pytest.mark.parametrize("n", ["x", 3])
+def test_bad_document_dimension_is_malformed(name, n, workdir):
+    # an n that is no integer, or that the filtrations (n = 2) do not
+    # share, was a violation
+    with open(os.path.join(fixture_dir(), name)) as fh:
+        doc = json.load(fh)
+    doc["n"] = n
+    for command, entry, code in _outcomes(doc, workdir):
+        assert (entry["status"], code) == ("malformed", 2), (command, entry)

@@ -180,6 +180,11 @@ def test_nilpotency_index():
         log_unipotent(mat([[2, 0], [0, 1]]))
 
 
+def test_exp_rejects_non_nilpotent():
+    with pytest.raises(NotNilpotentError):
+        exp_nilpotent(mat([[0, 1], [1, 0]]))
+
+
 def test_tensor_subspace():
     a = span(2, [[1, 0]])
     b = span(2, [[0, 1]])
