@@ -4,9 +4,10 @@ Reads structure documents (JSON), runs the requested pipeline on each, and
 prints a single deterministic JSON report.  Exit code 0 means every check
 passed, 1 means a mathematical violation or failed check, 2 means a
 malformed input, 3 means an internal error (an entry with status "error",
-its traceback on stderr; the other inputs are still reported).  Reports never contain timestamps, so
-identical inputs produce byte-identical output, including under --jobs
-parallelism (results are merged in input order).
+its traceback on stderr; the other inputs are still reported), and 141
+means stdout was closed before the report was written.  Reports never
+contain timestamps, so identical inputs produce byte-identical output,
+including under --jobs parallelism (results are merged in input order).
 """
 
 from __future__ import annotations
@@ -14,16 +15,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .connection import (
-    EquivariantConnection,
-    connection_form,
-    connection_from_delta,
-    curvature,
-)
+from .connection import EquivariantConnection, connection_from_delta, curvature
 from .documents import DocumentError, _hodge_out, _matrix_out, parse, serialize
 from .linalg import Matrix
 from .hodgecoh import absolute_cohomology, real_absolute_cohomology
@@ -51,6 +48,7 @@ from .splitting import (
 )
 
 TRUNCATION_CAP = 12
+CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 
 class Violation(Exception):
@@ -125,7 +123,7 @@ def _connect(obj, flags):
 def _holonomy(obj, flags):
     C = _connection(obj)
     if flags.path:
-        T = holonomy_path(connection_form(C), flags.path)
+        T = holonomy_path(C, flags.path)
         return {"transport": _matrix_out(T)}, []
     dobj = triangle_delta(C)
     return {"triangle_delta": _matrix_out(dobj.delta)}, []
@@ -399,8 +397,16 @@ def main(argv=None):
             outs = [_process_one(flags.command, p, flags) for p in inputs]
         report["inputs"] = [entry for entry, _ in outs]
         worst = max((code for _, code in outs), default=0)
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(report, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (`... | head`): end quietly with the status a
+        # shell gives a process killed by SIGPIPE; stdout now points at
+        # devnull, so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     return worst
 
 

@@ -9,7 +9,8 @@ determined by coefficient blocks A_{p,q}, B_{p,q} (p, q >= 1) of bidegree
 Gauge transformations are unipotent with the same strict double-lowering
 shape.  The Fock-Schwinger condition A + B = 0 picks a unique representative
 in each gauge orbit, and that representative is solved from a delta datum
-in one pass over its entries.
+in one pass over its entries by _walk, the weight-ordered walk that also
+transports connections along segments (holonomy).
 """
 
 from __future__ import annotations
@@ -246,18 +247,15 @@ def normalize_fock_schwinger(C):
     return current, total
 
 
-def connection_from_delta(dobj):
-    """The Fock-Schwinger connection whose triangle holonomy is delta.
+def _walk(hodge, rule):
+    """Transport T(s) = 1 + int_0^s M T of a form M that lowers both indices.
 
-    The axis transports are trivial, and with B = -A block (p, q) pulls back
-    to the hypotenuse (-1, 0) -> (0, -1) as A_{p,q} h(s), with
-    h(s) = -(s - 1)^(p-1) (-s)^(q-1); so delta = T(1), T = 1 + int_0^s M T.
-    The entries (i, j) that lower both indices are solved in one pass, in
-    order of weight drop: R = int_0^s sum_{k != j} M[i,k] T[k,j] involves
-    only entries of smaller drop, so A[i,j] = (delta[i,j] - R(1)) / int_0^1 h
-    and T[i,j] = A[i,j] int_0^s h + R.
+    The entries (i, j) that lower both indices are visited in order of
+    weight drop, so R = int_0^s sum_{k != j} M[i,k] T[k,j] involves only
+    entries already set; then M[i,j] = rule(i, j, R), a univariate Poly or
+    None for zero, and T[i,j] = R + int_0^s M[i,j].  Returns the nonzero
+    off-diagonal entries of T, keyed by (i, j); the diagonal is 1.
     """
-    hodge = dobj.hodge
     n = hodge.dim
     owner = hodge.block_of_index()
     lowering = sorted(
@@ -265,25 +263,50 @@ def connection_from_delta(dobj):
          if owner[i][0] < owner[j][0] and owner[i][1] < owner[j][1]),
         key=lambda ij: sum(owner[ij[1]]) - sum(owner[ij[0]]),
     )
-    pullback = {}
     M = [{} for _ in range(n)]
     T = {}
-    blocks = {}
+    zero = Poly(1, {})
     for i, j in lowering:
+        R = sum(
+            (m * T[k, j] for k, m in M[i].items() if (k, j) in T), zero
+        ).antiderivative()
+        m = rule(i, j, R)
+        if m is not None:
+            M[i][j] = m
+            R = R + m.antiderivative()
+        if R.terms:
+            T[i, j] = R
+    return T
+
+
+def connection_from_delta(dobj):
+    """The Fock-Schwinger connection whose triangle holonomy is delta.
+
+    The axis transports are trivial, and with B = -A block (p, q) pulls back
+    to the hypotenuse (-1, 0) -> (0, -1) as A_{p,q} h(s), with
+    h(s) = -(s - 1)^(p-1) (-s)^(q-1); so delta = T(1) for the transport
+    that _walk builds, and its rule solves each entry as it is reached:
+    A[i,j] = (delta[i,j] - R(1)) / int_0^1 h.
+    """
+    hodge = dobj.hodge
+    n = hodge.dim
+    owner = hodge.block_of_index()
+    pullback = {}
+    blocks = {}
+
+    def solve(i, j, R):
         p, q = pq = (owner[j][0] - owner[i][0], owner[j][1] - owner[i][1])
         if pq not in pullback:
             h = Poly(1, {(q - 1 + r,): (-1) ** (p + q - 1 - r) * comb(p - 1, r)
                          for r in range(p)})
-            H = h.antiderivative()
-            pullback[pq] = (h, H, H.eval((ONE,)))
-        h, H, c = pullback[pq]
-        R = sum((m * T[k, j] for k, m in M[i].items() if (k, j) in T), Poly(1, {}))
-        R = R.antiderivative()
+            pullback[pq] = (h, h.antiderivative().eval((ONE,)))
+        h, c = pullback[pq]
         a = (dobj.delta[i, j] - R.eval((ONE,))) / c
-        if a:
-            M[i][j] = h.scale(a)
-            blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])[i][j] = a
-            R = R + H.scale(a)
-        T[i, j] = R
+        if not a:
+            return None
+        blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])[i][j] = a
+        return h.scale(a)
+
+    _walk(hodge, solve)
     A = {pq: Matrix(rows) for pq, rows in blocks.items()}
     return EquivariantConnection(hodge, A, {k: -v for k, v in A.items()})

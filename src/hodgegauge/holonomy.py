@@ -1,18 +1,20 @@
 """Exact parallel transport of nilpotent polynomial connections.
 
 Transport along a segment solves T' = M(t) T with T(0) = 1, where M is the
-pullback of Omega to the segment; the iterated integrals terminate because
-every coefficient block strictly lowers the weight.  The sign and the
-triangle orientation (0,0) -> (-1,0) -> (0,-1) -> (0,0) are the unique
-combination under which the triangle holonomy of the canonical connection
-of a structure reproduces its splitting comparison operator; a runtime
-self-test (convention_selftest) re-derives this pin on a rank-2 fixture.
+pullback of Omega to the segment.  Every coefficient block strictly lowers
+the weight, so connection._walk solves it entry by entry in order of weight
+drop: the same walk that solves connection_from_delta against delta.  The
+sign and the triangle orientation (0,0) -> (-1,0) -> (0,-1) -> (0,0) are
+the unique combination under which the triangle holonomy of the canonical
+connection of a structure reproduces its splitting comparison operator; a
+runtime self-test (convention_selftest) re-derives this pin on a rank-2
+fixture.
 """
 
 from __future__ import annotations
 
-from .connection import connection_form, connection_from_delta
-from .linalg import InvariantError, Matrix, NotNilpotentError
+from .connection import _walk, connection_from_delta
+from .linalg import InvariantError, Matrix
 from .mhs import HodgeNumbers
 from .poly import Poly, PolyMatrix
 from .scalars import ONE, ZERO, Scalar
@@ -52,78 +54,56 @@ class PolygonalPath:
 TRIANGLE = ((0, 0), (-1, 0), (0, -1), (0, 0))
 
 
-def _segment_pullback(P, Q, a, b):
-    """Univariate matrix M(t) = P(gamma(t)) x1' + Q(gamma(t)) x2' for the
-    straight segment gamma(t) = a + t (b - a), t in [0, 1]."""
-    d1 = b[0] - a[0]
-    d2 = b[1] - a[1]
-    t = Poly.variable(1, 0)
-    g1 = Poly.constant(1, a[0]) + t.scale(d1)
-    g2 = Poly.constant(1, a[1]) + t.scale(d2)
+def _segment_transport(C, a, b):
+    """T(s) along gamma(s) = a + s (b - a), s in [0, 1], by connection._walk.
 
-    cache = {}
-
-    def mono(e1, e2):
-        if (e1, e2) not in cache:
-            acc = Poly.constant(1, ONE)
-            for _ in range(e1):
-                acc = acc * g1
-            for _ in range(e2):
-                acc = acc * g2
-            cache[(e1, e2)] = acc
-        return cache[(e1, e2)]
-
-    zero = Poly(1, {})
-
-    def pull(pm, speed):
-        rows = []
-        for row in pm.rows:
-            out = []
-            for poly in row:
-                acc = zero
-                for (e1, e2), c in poly.terms.items():
-                    acc = acc + mono(e1, e2).scale(c * speed)
-                out.append(acc)
-            rows.append(tuple(out))
-        return PolyMatrix(1, rows)
-
-    return pull(P, d1) + pull(Q, d2)
-
-
-def _picard(M, lower):
-    """Polynomial fundamental solution S of S' = M S with S(lower) = 1: the
-    sum of the iterated integrals T_0 = 1, T_{k+1} = integral from lower of
-    M T_k, which end because M takes values in nilpotent matrices; guarded
-    by the ambient dimension.
+    Entry (i, j) of a block (p, q) pulls back to
+    A[i,j] x1^(p-1) x2^q x1' + B[i,j] x1^p x2^(q-1) x2' at x = gamma(s);
+    only the nonzero entries of A and B are pulled back.
     """
-    n = M.shape[0]
-    T = S = PolyMatrix.identity(1, n)
-    for _ in range(n + 1):
-        F = (M @ T).antiderivative()
-        T = F - PolyMatrix.from_scalar_matrix(1, F.eval((lower,)))
-        if T.is_zero():
-            return S
-        S = S + T
-    raise NotNilpotentError("transport iteration did not terminate")
+    one, s = Poly.constant(1, ONE), Poly.variable(1, 0)
+    speed = [b[k] - a[k] for k in (0, 1)]
+    gamma = [Poly.constant(1, a[k]) + s.scale(speed[k]) for k in (0, 1)]
+    powers = ([one], [one])
+
+    def power(k, e):
+        while len(powers[k]) <= e:
+            powers[k].append(powers[k][-1] * gamma[k])
+        return powers[k][e]
+
+    pull = {}
+    for k, blocks in enumerate((C.A, C.B)):
+        for (p, q), M in blocks.items():
+            h = (power(0, p - 1 + k) * power(1, q - k)).scale(speed[k])
+            if not h.terms:
+                continue
+            for i, row in enumerate(M.rows):
+                for j, x in enumerate(row):
+                    if x:
+                        m = h.scale(x)
+                        pull[i, j] = pull[i, j] + m if (i, j) in pull else m
+    pull = {ij: m for ij, m in pull.items() if m.terms}
+    T = _walk(C.hodge, lambda i, j, R: pull.get((i, j)))
+    n, zero = C.hodge.dim, Poly(1, {})
+    return PolyMatrix._of(1, tuple(
+        tuple(one if i == j else T.get((i, j), zero) for j in range(n))
+        for i in range(n)
+    ), n)
 
 
-def transport_segment(forms, a, b):
-    """Exact transport matrix along the straight segment from a to b."""
-    P, Q = forms
-    a = (Scalar(0) + a[0], Scalar(0) + a[1])
-    b = (Scalar(0) + b[0], Scalar(0) + b[1])
-    M = _segment_pullback(P, Q, a, b)
-    return _picard(M, ZERO).eval((ONE,))
+def transport_segment(C, a, b):
+    """Exact transport matrix of the connection C along the straight segment
+    from a to b."""
+    return _segment_transport(C, a, b).eval((ONE,))
 
 
-def holonomy_path(forms, path):
+def holonomy_path(C, path):
     """Transport along a polygonal path, composed in path order: a section
     at the start maps to T at the end, with later segments acting on the
     left."""
-    n = forms[0].shape[0]
-    T = Matrix.identity(n)
+    T = Matrix.identity(C.hodge.dim)
     for a, b in path.segments():
-        T = transport_segment(forms, a, b) @ T
+        T = transport_segment(C, a, b) @ T
     return T
 
 
@@ -135,9 +115,8 @@ def triangle_delta(C):
     hypotenuse transport; each segment is transported once and the axis
     segments are checked to be trivial.
     """
-    forms = connection_form(C)
     first, hyp, last = (
-        transport_segment(forms, a, b)
+        transport_segment(C, a, b)
         for a, b in PolygonalPath(TRIANGLE).segments()
     )
     one = Matrix.identity(C.hodge.dim)
@@ -150,12 +129,9 @@ def flat_sections_on_line(C):
     """Fundamental solution S(u) on the line t1 = u, t2 = -1 - u with
     S(-1) = 1; columns span the covariantly constant sections, S(0) is the
     hypotenuse transport."""
-    P, Q = connection_form(C)
-    M = _segment_pullback(P, Q, (-ONE, ZERO), (ZERO, -ONE))
-    # reparametrize: the pullback above is in the segment parameter
-    # s in [0, 1] with u = s - 1; shift to the u variable
-    shift = Poly.constant(1, ONE) + Poly.variable(1, 0)
-    return _picard(M.subs(0, shift), -ONE)
+    S = _segment_transport(C, (-ONE, ZERO), (ZERO, -ONE))
+    # the segment's parameter is s = u + 1
+    return S.subs(0, Poly.constant(1, ONE) + Poly.variable(1, 0))
 
 
 def convention_selftest():

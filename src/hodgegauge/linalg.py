@@ -384,17 +384,6 @@ class Subspace:
         return Subspace._span(Matrix._of(rows, self.n * other.n))
 
 
-def nilpotency_index(M):
-    """Least k with M^k = 0, or None if M is not nilpotent (checked up to dim)."""
-    n = M.nrows
-    P = M
-    for k in range(1, n + 1):
-        if P.is_zero():
-            return k
-        P = P @ M
-    return None if not P.is_zero() else n + 1
-
-
 def log_unipotent(M):
     """Exact logarithm of a unipotent matrix: sum_{k>=1} (-1)^{k+1} (M-I)^k / k."""
     n = M.nrows
@@ -409,17 +398,3 @@ def log_unipotent(M):
         P = P @ N
     raise NotNilpotentError("M - I is not nilpotent")
 
-
-def exp_nilpotent(D):
-    """Exact exponential of a nilpotent matrix."""
-    n = D.nrows
-    acc = Matrix.identity(n)
-    P = D
-    fact = ONE
-    for k in range(1, n + 2):
-        if P.is_zero():
-            return acc
-        fact = fact / Scalar(k)
-        acc = acc + P.scale(fact)
-        P = P @ D
-    raise NotNilpotentError("matrix is not nilpotent")

@@ -171,13 +171,6 @@ class Poly:
             acc = acc + term
         return acc
 
-    def exponent_range(self, var):
-        """(min, max) exponent of `var` over the support, or None if zero."""
-        if not self.terms:
-            return None
-        es = [exps[var] for exps in self.terms]
-        return (min(es), max(es))
-
     def antiderivative(self, var=0):
         terms = {}
         for exps, c in self.terms.items():
@@ -367,13 +360,6 @@ class PolyMatrix:
             for p in row:
                 s.update(p.terms)
         return s
-
-    def antiderivative(self, var=0):
-        return PolyMatrix._of(
-            self.nvars,
-            tuple(tuple(p.antiderivative(var) for p in row) for row in self.rows),
-            self.ncols,
-        )
 
     def integrate(self, a, b, var=0):
         return Matrix._of(

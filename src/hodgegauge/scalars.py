@@ -58,9 +58,20 @@ def _part(x):
     raise TypeError("a Scalar part must be an int or a Fraction, not %r" % (x,))
 
 
+# digits allowed in a parsed numerator or denominator: Python's default
+# int-conversion limit, checked here so that the bound and its message are
+# ours whatever PYTHONINTMAXSTRDIGITS says
+MAX_DIGITS = 4300
+
+
 def _rational(text):
     # "n" or "n/d" as matched by _RAT; the denominator has no sign
     num, _, den = text.partition("/")
+    if max(len(num.lstrip("+-")), len(den)) > MAX_DIGITS:
+        raise ValueError(
+            "scalar has a numerator or denominator of more than %d digits"
+            % MAX_DIGITS
+        )
     n, d = int(num), int(den or 1)
     if not d:
         raise ZeroDivisionError("zero denominator in %r" % (text,))

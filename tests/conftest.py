@@ -6,8 +6,10 @@ from hypothesis import settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hodgegauge.linalg import Matrix, Subspace, solve_left
-from hodgegauge.scalars import ZERO, Scalar
+from hodgegauge.connection import connection_form
+from hodgegauge.linalg import Matrix, NotNilpotentError, Subspace, solve_left
+from hodgegauge.poly import Poly, PolyMatrix
+from hodgegauge.scalars import ONE, ZERO, Scalar
 
 # the same examples on every run, so a hypothesis failure cannot come and go
 settings.register_profile(
@@ -84,3 +86,69 @@ class Quotient:
                     if x:
                         v[j] = v[j] + c * x
         return tuple(v)
+
+
+def segment_pullback(P, Q, a, b):
+    """Univariate matrix M(t) = P(gamma(t)) x1' + Q(gamma(t)) x2' for the
+    straight segment gamma(t) = a + t (b - a), t in [0, 1], expanded entry
+    by entry over the dense forms (P, Q) of ``connection_form``."""
+    a = (sc(a[0]), sc(a[1]))
+    b = (sc(b[0]), sc(b[1]))
+    d1 = b[0] - a[0]
+    d2 = b[1] - a[1]
+    t = Poly.variable(1, 0)
+    g1 = Poly.constant(1, a[0]) + t.scale(d1)
+    g2 = Poly.constant(1, a[1]) + t.scale(d2)
+
+    cache = {}
+
+    def mono(e1, e2):
+        if (e1, e2) not in cache:
+            acc = Poly.constant(1, ONE)
+            for _ in range(e1):
+                acc = acc * g1
+            for _ in range(e2):
+                acc = acc * g2
+            cache[(e1, e2)] = acc
+        return cache[(e1, e2)]
+
+    zero = Poly(1, {})
+
+    def pull(pm, speed):
+        rows = []
+        for row in pm.rows:
+            out = []
+            for poly in row:
+                acc = zero
+                for (e1, e2), c in poly.terms.items():
+                    acc = acc + mono(e1, e2).scale(c * speed)
+                out.append(acc)
+            rows.append(tuple(out))
+        return PolyMatrix(1, rows)
+
+    return pull(P, d1) + pull(Q, d2)
+
+
+def picard(M, lower):
+    """Polynomial fundamental solution S of S' = M S with S(lower) = 1: the
+    sum of the iterated integrals T_0 = 1, T_{k+1} = integral from lower of
+    M T_k, which end because M takes values in nilpotent matrices; guarded
+    by the ambient dimension.  The reference the weight-ordered walk of
+    ``hodgegauge.connection`` is tested against.
+    """
+    n = M.shape[0]
+    T = S = PolyMatrix.identity(1, n)
+    for _ in range(n + 1):
+        MT = M @ T
+        F = PolyMatrix(1, [[p.antiderivative() for p in row] for row in MT.rows])
+        T = F - PolyMatrix.from_scalar_matrix(1, F.eval((lower,)))
+        if T.is_zero():
+            return S
+        S = S + T
+    raise NotNilpotentError("transport iteration did not terminate")
+
+
+def picard_transport(C, a, b):
+    """Transport matrix of the connection C from a to b by ``picard``."""
+    P, Q = connection_form(C)
+    return picard(segment_pullback(P, Q, a, b), ZERO).eval((ONE,))

@@ -147,6 +147,36 @@ def test_lie_stdout_matches_benchmark_reference(N):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
 
 
+def _fixture_names(which):
+    names = sorted(f for f in os.listdir(fixture_dir()) if f.endswith(".json"))
+    if which == "all":
+        return names
+    comparison = which == "delta and connection"
+    return [
+        n for n in names if n.startswith(("delta_", "connection_")) == comparison
+    ]
+
+
+# sha256 of stdout of one batch over the shipped fixtures, named relative to
+# the fixture directory so that the digest does not depend on the checkout's
+# location; recorded before transport moved onto the weight-ordered walk
+@pytest.mark.parametrize("argv, which, want", [
+    (["holonomy"], "all",
+     "bb3fe02124d230fd0f4e768b9ea824143e0906b8ca4a5813f5c61210bcad9dd4"),
+    (["holonomy", "--path=-1,0;0,-1;2,3"], "delta and connection",
+     "689cd977da6b0ffd8e271afc953d6cd3df5a048d91026f49779dfa10676f2f07"),
+    (["roundtrip"], "structure",
+     "6aedbec96bf6227c91733504edb2b0da81de002574f3a759802d18a2000391e1"),
+], ids=["holonomy", "holonomy-path", "roundtrip"])
+def test_transport_stdout_is_pinned(argv, which, want, monkeypatch):
+    monkeypatch.chdir(fixture_dir())
+    names = _fixture_names(which)
+    assert len(names) == {"all": 27, "delta and connection": 3, "structure": 24}[which]
+    code, out = run(argv + names)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
 def test_lie_at_the_cap():
     N = cli.TRUNCATION_CAP
     code, out = run(["lie", "--truncation", str(N)])
@@ -242,6 +272,22 @@ def test_zero_denominator_is_malformed(tmp_path):
     entry = json.loads(out)["inputs"][0]
     assert entry["status"] == "malformed"
     assert "zero denominator" in entry["error"]
+
+
+@pytest.mark.parametrize("digits, status", [(4300, "ok"), (4301, "malformed")])
+def test_scalar_digits_are_bounded(tmp_path, digits, status):
+    with open(fx("delta_kummer_2_plus_i.json")) as fh:
+        doc = json.load(fh)
+    doc["matrix"][0][1] = "7" * digits
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    flags = cli.build_parser().parse_args(["connect", str(path)])
+    entry, code = cli._process_one("connect", str(path), flags)
+    assert (entry["status"], code) == (status, {"ok": 0, "malformed": 2}[status])
+    if status == "malformed":
+        assert entry["error"] == (
+            "scalar has a numerator or denominator of more than 4300 digits"
+        )
 
 
 def _empty_fp(doc):
@@ -381,6 +427,25 @@ def test_non_lie_commands_do_not_load_freelie():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    # the reading end is closed before the report is written, as when
+    # `hodgegauge lie --truncation 8 | head -c 100` has read its bytes
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodgegauge.cli", "lie", "--truncation", "8"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == cli.CLOSED_STDOUT == 141
 
 
 def test_rees_on_empty_delta(tmp_path):

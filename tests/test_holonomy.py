@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat
+from conftest import mat, picard, picard_transport, segment_pullback
 from hodgegauge.connection import (
     EquivariantConnection,
+    GaugeTransformation,
+    apply_gauge,
     connection_form,
     connection_from_delta,
 )
@@ -22,8 +24,9 @@ from hodgegauge.holonomy import (
 )
 from hodgegauge.linalg import Matrix, NotNilpotentError
 from hodgegauge.mhs import HodgeNumbers
-from hodgegauge.poly import PolyMatrix
+from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, Scalar, ZERO
+from hodgegauge.splitting import DeltaObject
 
 KH = HodgeNumbers({(0, 0): 1, (-1, -1): 1})
 E = mat([[0, 1], [0, 0]])
@@ -40,40 +43,36 @@ def test_path_validation():
 
 
 def test_zero_connection_transports_trivially():
-    forms = connection_form(EquivariantConnection.zero(KH))
-    assert transport_segment(forms, (0, 0), (5, 7)) == Matrix.identity(2)
-    assert triangle_delta(EquivariantConnection.zero(KH)).delta == Matrix.identity(2)
+    C = EquivariantConnection.zero(KH)
+    assert transport_segment(C, (0, 0), (5, 7)) == Matrix.identity(2)
+    assert triangle_delta(C).delta == Matrix.identity(2)
 
 
 def test_hypotenuse_transport_k_type():
     C = connection_from_delta(kummer_delta(Scalar(3)))
-    forms = connection_form(C)
-    T = transport_segment(forms, (-1, 0), (0, -1))
+    T = transport_segment(C, (-1, 0), (0, -1))
     assert T == Matrix.identity(2) + E.scale(Scalar(-3))
 
 
 def test_reversed_segment_is_inverse():
     C = connection_from_delta(t3_delta(2, 5))
-    forms = connection_form(C)
-    T = transport_segment(forms, (-1, 0), (0, -1))
-    back = transport_segment(forms, (0, -1), (-1, 0))
+    T = transport_segment(C, (-1, 0), (0, -1))
+    back = transport_segment(C, (0, -1), (-1, 0))
     assert T @ back == Matrix.identity(3)
 
 
 def test_two_point_path_equals_segment():
     C = connection_from_delta(kummer_delta(Scalar(1, 2)))
-    forms = connection_form(C)
     path = PolygonalPath([(-1, 0), (0, -1)])
-    assert holonomy_path(forms, path) == transport_segment(forms, (-1, 0), (0, -1))
+    assert holonomy_path(C, path) == transport_segment(C, (-1, 0), (0, -1))
 
 
 def test_rectangle_defect():
     # around the unit square the K-type connection picks up 1 - 2cE
     c = Scalar(4)
     C = connection_from_delta(kummer_delta(c))
-    forms = connection_form(C)
     square = PolygonalPath([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
-    T = holonomy_path(forms, square)
+    T = holonomy_path(C, square)
     assert T == Matrix.identity(2) + E.scale(-2 * c)
 
 
@@ -94,7 +93,6 @@ def test_flat_triangle_subdivision():
     # flat connection: holonomy is path independent, subdividing the
     # boundary does not change the (trivial) loop transport
     C = EquivariantConnection.zero(KH)
-    forms = connection_form(C)
     fine = PolygonalPath(
         [
             (0, 0),
@@ -106,15 +104,14 @@ def test_flat_triangle_subdivision():
             (0, 0),
         ]
     )
-    assert holonomy_path(forms, fine) == Matrix.identity(2)
+    assert holonomy_path(C, fine) == Matrix.identity(2)
 
 
 def test_flat_sections_normalization():
     C = connection_from_delta(kummer_delta(Scalar(5)))
     S = flat_sections_on_line(C)
     assert S.eval((-ONE,)) == Matrix.identity(2)
-    forms = connection_form(C)
-    hyp = transport_segment(forms, (-1, 0), (0, -1))
+    hyp = transport_segment(C, (-1, 0), (0, -1))
     assert S.eval((ZERO,)) == hyp
 
 
@@ -128,7 +125,115 @@ def test_convention_selftest():
 
 
 def test_nonnilpotent_transport_rejected():
+    # a connection-typed transport cannot receive a non-nilpotent form, so
+    # the guard lives in the dense reference
     P = PolyMatrix.from_scalar_matrix(2, mat([[1]]))
     Q = PolyMatrix.zeros(2, 1, 1)
     with pytest.raises(NotNilpotentError):
-        transport_segment((P, Q), (0, 0), (1, 0))
+        picard(segment_pullback(P, Q, (0, 0), (1, 0)), ZERO)
+
+
+def _random_gauge(hodge, rng):
+    owner = hodge.block_of_index()
+    n = hodge.dim
+    blocks = {}
+    for i in range(n):
+        for j in range(n):
+            pq = (owner[j][0] - owner[i][0], owner[j][1] - owner[i][1])
+            if pq[0] >= 1 and pq[1] >= 1 and rng.random() < 0.5:
+                rows = blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])
+                rows[i][j] = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+    return GaugeTransformation(hodge, {pq: Matrix(r) for pq, r in blocks.items()})
+
+
+def _delta_on(hodge, rng):
+    owner = hodge.block_of_index()
+    n = hodge.dim
+    return DeltaObject(hodge, Matrix([
+        [ONE if i == j else Scalar(rng.randint(-3, 3))
+         if owner[i][0] < owner[j][0] and owner[i][1] < owner[j][1] else ZERO
+         for j in range(n)]
+        for i in range(n)
+    ]))
+
+
+def _random_path(rng):
+    def coord():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    while True:
+        pts = [(coord(), coord()) for _ in range(rng.randint(2, 4))]
+        if all(a != b for a, b in zip(pts, pts[1:])):
+            return PolygonalPath(pts)
+
+
+def _check_against_picard(C, path):
+    T = Matrix.identity(C.hodge.dim)
+    for a, b in path.segments():
+        seg = picard_transport(C, a, b)
+        assert transport_segment(C, a, b) == seg
+        T = seg @ T
+    assert holonomy_path(C, path) == T
+
+
+def _gauge_changed(C, rng):
+    """A gauge-equivalent copy of C, and whether it has left A + B = 0."""
+    G = apply_gauge(C, _random_gauge(C.hodge, rng))
+    zero = Matrix.zeros(C.hodge.dim, C.hodge.dim)
+    return G, any(
+        not (G.A.get(pq, zero) + G.B.get(pq, zero)).is_zero()
+        for pq in set(G.A) | set(G.B)
+    )
+
+
+def test_walk_matches_picard_on_random_connections():
+    rng = random.Random(2024)
+    general = 0
+    for _ in range(20):
+        C = connection_from_delta(random_delta(rng, max_dim=8))
+        G, not_fs = _gauge_changed(C, rng)
+        general += not_fs
+        for conn in (C, G):
+            _check_against_picard(conn, PolygonalPath(TRIANGLE))
+            _check_against_picard(conn, _random_path(rng))
+    assert general >= 8
+
+
+# several blocks per weight, up to four dimensions each
+BLOCKS_24 = {
+    (0, 0): 3, (-1, -1): 3, (-1, -2): 2, (-2, -1): 2, (-2, -2): 3,
+    (-3, -2): 2, (-2, -3): 2, (-3, -3): 3, (-4, -4): 4,
+}
+
+
+def _dimension_24(counts):
+    hodge = HodgeNumbers(counts)
+    assert hodge.dim == 24
+    return connection_from_delta(_delta_on(hodge, random.Random(24)))
+
+
+def test_walk_matches_picard_on_the_deepest_chain_at_dimension_24():
+    # one dimension per weight: every drop from 2 to 46 occurs
+    C = _dimension_24({(-k, -k): 1 for k in range(24)})
+    _check_against_picard(C, PolygonalPath(TRIANGLE))
+
+
+def test_walk_matches_picard_after_a_gauge_change_at_dimension_24():
+    rng = random.Random(8)
+    C = _dimension_24(BLOCKS_24)
+    G, not_fs = _gauge_changed(C, rng)
+    assert not_fs
+    for conn in (C, G):
+        _check_against_picard(conn, PolygonalPath(TRIANGLE))
+        _check_against_picard(conn, _random_path(rng))
+
+
+def test_flat_sections_match_picard():
+    rng = random.Random(77)
+    shift = Poly.constant(1, ONE) + Poly.variable(1, 0)
+    bases = [connection_from_delta(random_delta(rng, max_dim=8)) for _ in range(6)]
+    for C in bases + [_dimension_24(BLOCKS_24)]:
+        for conn in (C, _gauge_changed(C, rng)[0]):
+            P, Q = connection_form(conn)
+            M = segment_pullback(P, Q, (-1, 0), (0, -1)).subs(0, shift)
+            assert flat_sections_on_line(conn) == picard(M, -ONE)

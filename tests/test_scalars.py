@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgegauge.linalg import Matrix
-from hodgegauge.scalars import FieldError, I, ONE, Scalar, ZERO
+from hodgegauge.scalars import MAX_DIGITS, FieldError, I, ONE, Scalar, ZERO
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
@@ -188,3 +189,19 @@ def test_floats_and_strings_are_rejected():
             ONE + bad
     with pytest.raises(TypeError):
         Matrix([[ONE, 0.5]])
+
+
+@pytest.mark.parametrize("form", ["%s", "-%s", "1/%s", "1/2-%s/3*i", "0+1/%s*i"])
+def test_parse_limits_the_digits_of_each_part(form):
+    # the bound holds with Python's own int-conversion limit lifted
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Scalar.parse(form % ("7" * MAX_DIGITS))
+        with pytest.raises(ValueError) as exc:
+            Scalar.parse(form % ("7" * (MAX_DIGITS + 1)))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(exc.value) == (
+        "scalar has a numerator or denominator of more than 4300 digits"
+    )
