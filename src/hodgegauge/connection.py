@@ -15,12 +15,11 @@ transports connections along segments (holonomy).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .linalg import InvariantError, Matrix
 from .poly import Poly, PolyMatrix
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO
 
 
 class AdmissibilityError(ValueError):
@@ -231,7 +230,7 @@ def normalize_fock_schwinger(C):
                 (p, q), Matrix.zeros(n, n)
             )
             if not S.is_zero():
-                Cd[(p, q)] = S.scale(Scalar(Fraction(-1, d)))
+                Cd[(p, q)] = S.scale(ONE / -d)
         if not Cd:
             continue
         g = GaugeTransformation(hodge, Cd)
@@ -279,14 +278,21 @@ def _walk(hodge, rule):
     return T
 
 
+def hypotenuse_pullback(p, q):
+    """The coefficient h(s) = -(s - 1)^(p-1) (-s)^(q-1), a univariate Poly,
+    of block (p, q) of a Fock-Schwinger form (B = -A) pulled back to the
+    hypotenuse (-1, 0) -> (0, -1), s in [0, 1]."""
+    return Poly(1, {(q - 1 + r,): (-1) ** (p + q - 1 - r) * comb(p - 1, r)
+                    for r in range(p)})
+
+
 def connection_from_delta(dobj):
     """The Fock-Schwinger connection whose triangle holonomy is delta.
 
-    The axis transports are trivial, and with B = -A block (p, q) pulls back
-    to the hypotenuse (-1, 0) -> (0, -1) as A_{p,q} h(s), with
-    h(s) = -(s - 1)^(p-1) (-s)^(q-1); so delta = T(1) for the transport
-    that _walk builds, and its rule solves each entry as it is reached:
-    A[i,j] = (delta[i,j] - R(1)) / int_0^1 h.
+    The axis transports are trivial, and block (p, q) pulls back to the
+    hypotenuse as A_{p,q} h(s), h = hypotenuse_pullback(p, q); so
+    delta = T(1) for the transport that _walk builds, and its rule solves
+    each entry as it is reached: A[i,j] = (delta[i,j] - R(1)) / int_0^1 h.
     """
     hodge = dobj.hodge
     n = hodge.dim
@@ -295,11 +301,10 @@ def connection_from_delta(dobj):
     blocks = {}
 
     def solve(i, j, R):
-        p, q = pq = (owner[j][0] - owner[i][0], owner[j][1] - owner[i][1])
+        pq = (owner[j][0] - owner[i][0], owner[j][1] - owner[i][1])
         if pq not in pullback:
-            h = Poly(1, {(q - 1 + r,): (-1) ** (p + q - 1 - r) * comb(p - 1, r)
-                         for r in range(p)})
-            pullback[pq] = (h, h.antiderivative().eval((ONE,)))
+            h = hypotenuse_pullback(*pq)
+            pullback[pq] = (h, h.integrate(ZERO, ONE))
         h, c = pullback[pq]
         a = (dobj.delta[i, j] - R.eval((ONE,))) / c
         if not a:

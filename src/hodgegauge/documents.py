@@ -4,6 +4,8 @@ One JSON-compatible document format is used by the command line tool and
 the shipped corpus.  Scalars are canonical strings ("a/b" or "a/b+c/d*i"),
 matrices are row lists, filtrations map stringified indices to basis rows.
 Parsing and serialization are exact inverses on canonical documents.
+A document whose filtration indices, or whose Hodge weights, span more than
+MAX_SPAN is malformed: the cost of every stage grows with that span.
 """
 
 from __future__ import annotations
@@ -15,8 +17,21 @@ from .scalars import FieldError, Scalar
 from .splitting import DeltaObject
 
 
+# the widest range of indices one filtration, or of weights one set of
+# Hodge numbers, may span
+MAX_SPAN = 64
+
+
 class DocumentError(ValueError):
     """Malformed input document."""
+
+
+def _check_span(values, what):
+    if values and max(values) - min(values) > MAX_SPAN:
+        raise DocumentError(
+            "%s span %d, more than %d"
+            % (what, max(values) - min(values), MAX_SPAN)
+        )
 
 
 def _scalar_out(x):
@@ -65,6 +80,7 @@ def _filtration_in(doc, field=None):
         for key, rows in doc["steps"].items():
             basis = _matrix_in(rows, field) if rows else Matrix.zeros(0, n)
             steps[int(key)] = Subspace.from_rows(n, basis.rows)
+        _check_span(steps, "indices")
         return Filtration(direction, n, steps)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FieldError):
@@ -95,6 +111,7 @@ def _hodge_in(doc):
         for key, v in doc.items():
             p, q = (int(x) for x in key.split(","))
             counts[(p, q)] = int(v)
+        _check_span([p + q for p, q in counts], "weights")
         return HodgeNumbers(counts)
     except (AttributeError, TypeError, ValueError) as exc:
         raise DocumentError("bad hodge numbers: %s" % (exc,))

@@ -1,24 +1,29 @@
 """Free Lie algebras in Lyndon coordinates and the universal holonomy log.
 
 Generators carry bidegrees (-p, -q); we store the positive pair (p, q) and
-call p + q the weight.  Elements are kept as rational coordinates on the
-Lyndon-word basis; brackets are computed by expanding into the truncated
+call p + q the weight.  Elements are kept as rational Scalar coordinates on
+the Lyndon-word basis; brackets are computed by expanding into the truncated
 tensor algebra and re-extracting, which is triangular with respect to the
-lexicographic order and hence exact.
+order on words by (length, word) and hence exact.
 
 The universal tables express the logarithm of the transport along the
 hypotenuse from (-1, 0) to (0, -1) as a Lie series z = sum z_{p,q} in the
 connection coefficients alpha_{p,q}, and invert that (triangular) change of
-generators.  Tables depend only on the truncation weight and are memoized
-per process.
+generators.  The transport's iterated integrals are Polys in s on [0, 1],
+over the pullback ``connection.hypotenuse_pullback`` that the canonical
+connection is solved with.  Tables depend only on the truncation weight and
+are memoized per process.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import heapq
 
+from .connection import hypotenuse_pullback
 from .linalg import Matrix
+from .poly import Poly
+from .scalars import ONE, ZERO, _coerce
 
 
 class NotLieElement(ValueError):
@@ -74,22 +79,23 @@ class Alphabet:
         raise KeyError(label)
 
 
+def _bidegree_alphabet(prefix, N):
+    # one letter per (p, q), p, q >= 1, p + q <= N, by weight and then p
+    return Alphabet(
+        ("%s%d,%d" % (prefix, p, d - p), p, d - p)
+        for d in range(2, N + 1)
+        for p in range(1, d)
+    )
+
+
 def alpha_alphabet(N):
     """Connection-coefficient generators alpha_{p,q}, p,q >= 1, p+q <= N."""
-    letters = []
-    for d in range(2, N + 1):
-        for p in range(1, d):
-            letters.append(("a%d,%d" % (p, d - p), p, d - p))
-    return Alphabet(letters)
+    return _bidegree_alphabet("a", N)
 
 
 def z_alphabet(N):
     """Holonomy-log generators z_{p,q} with the same bidegrees."""
-    letters = []
-    for d in range(2, N + 1):
-        for p in range(1, d):
-            letters.append(("z%d,%d" % (p, d - p), p, d - p))
-    return Alphabet(letters)
+    return _bidegree_alphabet("z", N)
 
 
 TT_ALPHABET = Alphabet([("t1", 1, 0), ("t2", 0, 1)])
@@ -143,9 +149,9 @@ def _tensor_bracket(a, b):
         for wb, cb in b.items():
             c = ca * cb
             key = wa + wb
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, ZERO) + c
             key = wb + wa
-            out[key] = out.get(key, Fraction(0)) - c
+            out[key] = out.get(key, ZERO) - c
     return {w: c for w, c in out.items() if c}
 
 
@@ -158,7 +164,7 @@ def expand_lyndon(alphabet, w):
     if key in _EXPAND_CACHE:
         return _EXPAND_CACHE[key]
     if len(w) == 1:
-        out = {w: Fraction(1)}
+        out = {w: ONE}
     else:
         u, v = standard_factorization(w)
         out = _tensor_bracket(expand_lyndon(alphabet, u), expand_lyndon(alphabet, v))
@@ -175,7 +181,7 @@ class LiePolynomial:
         clean = {}
         for w, c in coords.items():
             w = tuple(w)
-            c = Fraction(c)
+            c = _coerce(c)
             if not c:
                 continue
             if not is_lyndon(w):
@@ -189,7 +195,7 @@ class LiePolynomial:
 
     @classmethod
     def generator(cls, alphabet, i):
-        return cls(alphabet, {(i,): Fraction(1)})
+        return cls(alphabet, {(i,): ONE})
 
     @classmethod
     def zero(cls, alphabet):
@@ -199,30 +205,42 @@ class LiePolynomial:
     def from_tensor(cls, alphabet, tensor):
         """Extract Lyndon coordinates; raises NotLieElement on non-Lie input.
 
-        Greedy: the minimal surviving word of a Lie element is Lyndon and
-        appears with coefficient 1 in its own bracketing.
+        The minimal surviving word of a Lie element, in the order by
+        (length, word), is Lyndon and appears with coefficient 1 in its own
+        bracketing, whose other words are larger and of the same length.
+        So the words come off one heap in that order: none is ever pushed
+        below the word being processed, and an entry whose coefficient has
+        cancelled since it was pushed is skipped.
         """
-        work = {w: Fraction(c) for w, c in tensor.items() if c}
+        work = {w: _coerce(c) for w, c in tensor.items() if c}
+        heap = [(len(w), w) for w in work]
+        heapq.heapify(heap)
         coords = {}
-        while work:
-            w = min(work, key=lambda u: (len(u), u))
+        while heap:
+            w = heapq.heappop(heap)[1]
+            c = work.get(w)
+            if c is None:
+                continue
             if not is_lyndon(w):
                 raise NotLieElement("minimal word %r is not Lyndon" % (w,))
-            c = work[w]
             coords[w] = c
             for u, cu in expand_lyndon(alphabet, w).items():
-                new = work.get(u, Fraction(0)) - c * cu
-                if new:
-                    work[u] = new
+                d = c * cu
+                old = work.get(u)
+                if old is None:
+                    work[u] = -d
+                    heapq.heappush(heap, (len(u), u))
+                elif old == d:
+                    del work[u]
                 else:
-                    work.pop(u, None)
+                    work[u] = old - d
         return cls(alphabet, coords)
 
     def to_tensor(self):
         out = {}
         for w, c in self.coords.items():
             for u, cu in expand_lyndon(self.alphabet, w).items():
-                out[u] = out.get(u, Fraction(0)) + c * cu
+                out[u] = out.get(u, ZERO) + c * cu
         return {w: c for w, c in out.items() if c}
 
     def is_zero(self):
@@ -236,14 +254,14 @@ class LiePolynomial:
     def __add__(self, other):
         coords = dict(self.coords)
         for w, c in other.coords.items():
-            coords[w] = coords.get(w, Fraction(0)) + c
+            coords[w] = coords.get(w, ZERO) + c
         return LiePolynomial(self.alphabet, coords)
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-ONE)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coerce(c)
         return LiePolynomial(
             self.alphabet, {w: c * x for w, x in self.coords.items()}
         )
@@ -319,56 +337,31 @@ class LiePolynomial:
             acc = acc + ev(w).scale(c)
         return acc
 
-    def __repr__(self):
+    def __str__(self):
+        """The terms by (length, word), as "c*[label]..." joined by " + "."""
         parts = []
         for w in sorted(self.coords, key=lambda u: (len(u), u)):
             labels = "".join(
                 "[%s]" % self.alphabet.letters[i][0] for i in w
             )
-            parts.append("%s*%s" % (self.coords[w], labels))
-        return "LiePolynomial(%s)" % (" + ".join(parts) or "0")
+            parts.append("%s*%s" % (format_rational(self.coords[w]), labels))
+        return " + ".join(parts) or "0"
+
+    def __repr__(self):
+        return "LiePolynomial(%s)" % self
 
 
-# ---------------------------------------------------------------------------
-# univariate rational polynomials for the hypotenuse integrals
-
-
-def _poly_mul(a, b):
-    out = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            out[da + db] = out.get(da + db, Fraction(0)) + ca * cb
-    return {d: c for d, c in out.items() if c}
-
-
-def _poly_int(a):
-    # antiderivative vanishing at t = -1
-    F = {d + 1: c / (d + 1) for d, c in a.items()}
-    const = -sum(c * Fraction(-1) ** d for d, c in F.items())
-    if const:
-        F[0] = F.get(0, Fraction(0)) + const
-    return {d: c for d, c in F.items() if c}
-
-
-def _poly_at_zero(a):
-    return a.get(0, Fraction(0))
-
-
-def hypotenuse_coefficient(p, q):
-    """The univariate pullback -t^{p-1}(-1-t)^{q-1} on the segment
-    t1 = t, t2 = -1 - t for t in [-1, 0]."""
-    acc = {0: Fraction(-1)}
-    for _ in range(p - 1):
-        acc = _poly_mul(acc, {1: Fraction(1)})
-    for _ in range(q - 1):
-        acc = _poly_mul(acc, {0: Fraction(-1), 1: Fraction(-1)})
-    return acc
+def format_rational(c):
+    """A rational Scalar in lowest terms, with no denominator when it is 1:
+    "2", "-1/2", "0"."""
+    text = str(c)
+    return text[:-2] if text.endswith("/1") else text
 
 
 def abelianized_coefficient(p, q):
-    """Exact integral of the hypotenuse pullback over [-1, 0]; this is the
+    """Exact integral of the hypotenuse pullback over [0, 1]; this is the
     leading coefficient of z_{p,q} on alpha_{p,q} and is always nonzero."""
-    return _poly_at_zero(_poly_int(hypotenuse_coefficient(p, q)))
+    return hypotenuse_pullback(p, q).integrate(ZERO, ONE)
 
 
 def _ts_mul(a, b, alphabet, N):
@@ -381,7 +374,7 @@ def _ts_mul(a, b, alphabet, N):
         for wt in range(N - alphabet.word_weight(wa) + 1):
             for wb, cb in buckets.get(wt, ()):
                 key = wa + wb
-                out[key] = out.get(key, Fraction(0)) + ca * cb
+                out[key] = out.get(key, ZERO) + ca * cb
     return {w: c for w, c in out.items() if c}
 
 
@@ -391,9 +384,9 @@ def _ts_log(u, alphabet, N):
     power = dict(x)
     k = 1
     while power:
-        sign = Fraction(1 if k % 2 == 1 else -1, k)
+        sign = ONE / (k if k % 2 == 1 else -k)
         for w, c in power.items():
-            acc[w] = acc.get(w, Fraction(0)) + sign * c
+            acc[w] = acc.get(w, ZERO) + sign * c
         power = _ts_mul(power, x, alphabet, N)
         k += 1
     return {w: c for w, c in acc.items() if c}
@@ -405,11 +398,11 @@ def _dynkin(alphabet, tensor):
     for w, c in tensor.items():
         if not w:
             continue
-        br = {(w[0],): Fraction(1)}
+        br = {(w[0],): ONE}
         for i in w[1:]:
-            br = _tensor_bracket(br, {(i,): Fraction(1)})
+            br = _tensor_bracket(br, {(i,): ONE})
         for u, cu in br.items():
-            out[u] = out.get(u, Fraction(0)) + c * cu
+            out[u] = out.get(u, ZERO) + c * cu
     return {w: c for w, c in out.items() if c}
 
 
@@ -417,26 +410,31 @@ def _dynkin(alphabet, tensor):
 def universal_log_pexp(N):
     """Bihomogeneous components of log of the hypotenuse transport.
 
-    The transport solves U' = omega(t) U with
-    omega(t) = sum alpha_{p,q} * (-t^{p-1}(-1-t)^{q-1}), U(-1) = 1,
-    in the tensor algebra truncated at weight N.  Returns the map
-    (p, q) -> z_{p,q} as Lyndon-coordinate Lie polynomials, memoized per
-    process.
+    The transport solves U' = omega(s) U with
+    omega(s) = sum alpha_{p,q} h_{p,q}(s), U(0) = 1, where h_{p,q} is
+    ``hypotenuse_pullback(p, q)``, in the tensor algebra truncated at
+    weight N; U(1) is the transport.  Returns the map (p, q) -> z_{p,q} as
+    Lyndon-coordinate Lie polynomials, memoized per process.
     """
     alphabet = alpha_alphabet(N)
-    letters = list(range(len(alphabet)))
-    fs = [hypotenuse_coefficient(*alphabet.bidegrees[i]) for i in letters]
+    letters = range(len(alphabet))
+    hs = [hypotenuse_pullback(p, q) for p, q in alphabet.bidegrees]
     # iterated integrals by word length: the polynomial of (i,) + w is the
-    # integral of f_i times that of w, computed once from its suffix
-    state = {(): {0: Fraction(1)}}
+    # integral from 0 of h_i times that of w, formed once from its suffix;
+    # each is dropped once its extensions exist, keeping its value at s = 1,
+    # the sum of its coefficients
+    state = {(): Poly.constant(1, ONE)}
+    u = {}
     words = [((), 0)]
     for w, wt in words:  # grows while read, so shorter words come first
+        poly = state.pop(w)
+        c = sum(poly.terms.values(), ZERO)
+        if c:
+            u[w] = c
         for i in letters:
             if wt + alphabet.weight(i) <= N:
-                state[(i,) + w] = _poly_int(_poly_mul(fs[i], state[w]))
+                state[(i,) + w] = (hs[i] * poly).antiderivative()
                 words.append(((i,) + w, wt + alphabet.weight(i)))
-    u = {w: _poly_at_zero(poly) for w, poly in state.items()}
-    u = {w: c for w, c in u.items() if c}
     z = _ts_log(u, alphabet, N)
     # the log of a group-like series is primitive; the Dynkin projection
     # detects any extraction bug exactly
@@ -445,17 +443,14 @@ def universal_log_pexp(N):
         by_len.setdefault(len(w), {})[w] = c
     for ell, part in by_len.items():
         proj = _dynkin(alphabet, part)
-        want = {w: Fraction(ell) * c for w, c in part.items()}
+        want = {w: c * ell for w, c in part.items()}
         if proj != want:
             raise NotLieElement("log of the transport is not primitive")
-    lie = LiePolynomial.from_tensor(alphabet, z)
-    comps = lie.bidegree_components()
-    out = {}
-    for d in range(2, N + 1):
-        for p in range(1, d):
-            q = d - p
-            out[(p, q)] = comps.get((p, q), LiePolynomial.zero(alphabet))
-    return out
+    comps = LiePolynomial.from_tensor(alphabet, z).bidegree_components()
+    return {
+        pq: comps.get(pq, LiePolynomial.zero(alphabet))
+        for pq in alphabet.bidegrees
+    }
 
 
 def invert_generator_change(N):
@@ -469,28 +464,21 @@ def invert_generator_change(N):
     A = alpha_alphabet(N)
     Z = z_alphabet(N)
     out = {}
-    for d in range(2, N + 1):
-        for p in range(1, d):
-            q = d - p
-            zpq = ztab[(p, q)]
-            gen = (A.index_of("a%d,%d" % (p, q)),)
-            c = zpq.coords.get(gen, Fraction(0))
-            if not c:
-                raise GeneratorChangeError(
-                    "vanishing leading coefficient at (%d, %d)" % (p, q)
-                )
-            tail = LiePolynomial(
-                A, {w: x for w, x in zpq.coords.items() if w != gen}
+    mapping = {}  # alpha label -> its row of out, for the rows found so far
+    # A and Z list the same bidegrees in the same order
+    for i, pq in enumerate(A.bidegrees):
+        zpq = ztab[pq]
+        c = zpq.coords.get((i,), ZERO)
+        if not c:
+            raise GeneratorChangeError(
+                "vanishing leading coefficient at (%d, %d)" % pq
             )
-            mapping = {
-                "a%d,%d" % (pp, qq): poly for (pp, qq), poly in out.items()
-            }
-            zsym = LiePolynomial.generator(Z, Z.index_of("z%d,%d" % (p, q)))
-            if tail.is_zero():
-                subbed = LiePolynomial.zero(Z)
-            else:
-                subbed = tail.substitute_lie(Z, mapping)
-            out[(p, q)] = (zsym - subbed).scale(Fraction(1) / c)
+        tail = LiePolynomial(
+            A, {w: x for w, x in zpq.coords.items() if w != (i,)}
+        )
+        subbed = tail.substitute_lie(Z, mapping)
+        out[pq] = (LiePolynomial.generator(Z, i) - subbed).scale(ONE / c)
+        mapping[A.letters[i][0]] = out[pq]
     return out
 
 
@@ -533,32 +521,26 @@ def verify_commutant_generation(N):
     zbasis = lyndon_basis(Z, N)
     tbasis = lyndon_basis(TT_ALPHABET, N)
     dims = {}
-    for d in range(2, N + 1):
-        for p in range(1, d):
-            q = d - p
-            zwords = zbasis.get((p, q), [])
-            twords = tbasis.get((p, q), [])
-            index = {w: i for i, w in enumerate(twords)}
-            rows = []
-            for w in zwords:
-                img = LiePolynomial(Z, {w: Fraction(1)}).substitute_lie(
-                    TT_ALPHABET, mapping
-                )
-                row = [Fraction(0)] * len(twords)
-                for u, c in img.coords.items():
-                    row[index[u]] = c
-                rows.append(row)
-            if len(zwords) != len(twords):
-                raise NotLieElement(
-                    "bidegree (%d, %d): %d abstract basis words vs %d"
-                    % (p, q, len(zwords), len(twords))
-                )
-            if twords:
-                m = Matrix(rows)
-                if m.rank() != len(twords):
-                    raise NotLieElement(
-                        "rank defect in bidegree (%d, %d)" % (p, q)
-                    )
-            dims[(p, q)] = len(twords)
+    for pq in Z.bidegrees:
+        zwords = zbasis.get(pq, [])
+        twords = tbasis.get(pq, [])
+        index = {w: i for i, w in enumerate(twords)}
+        rows = []
+        for w in zwords:
+            img = LiePolynomial(Z, {w: ONE}).substitute_lie(
+                TT_ALPHABET, mapping
+            )
+            row = [ZERO] * len(twords)
+            for u, c in img.coords.items():
+                row[index[u]] = c
+            rows.append(row)
+        if len(zwords) != len(twords):
+            raise NotLieElement(
+                "bidegree %r: %d abstract basis words vs %d"
+                % (pq, len(zwords), len(twords))
+            )
+        if twords and Matrix(rows).rank() != len(twords):
+            raise NotLieElement("rank defect in bidegree %r" % (pq,))
+        dims[pq] = len(twords)
     return dims
 

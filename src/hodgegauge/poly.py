@@ -140,12 +140,12 @@ class Poly:
             raise DimensionMismatch("substitution arity mismatch")
         laurent = self.laurent or repl.laurent
         out = Poly._of(self.nvars, {}, laurent)
-        pow_cache = {0: Poly._of(self.nvars, {(0,) * self.nvars: ONE}, repl.laurent)}
+        powers = [Poly._of(self.nvars, {(0,) * self.nvars: ONE}, repl.laurent)]
 
         def rpow(k):
-            if k not in pow_cache:
-                pow_cache[k] = rpow(k - 1) * repl
-            return pow_cache[k]
+            while len(powers) <= k:
+                powers.append(powers[-1] * repl)
+            return powers[k]
 
         for exps, c in self.terms.items():
             e = exps[var]

@@ -7,6 +7,7 @@ from hypothesis import settings
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hodgegauge.connection import connection_form
+from hodgegauge.freelie import LiePolynomial, NotLieElement, expand_lyndon, is_lyndon
 from hodgegauge.linalg import Matrix, NotNilpotentError, Subspace, solve_left
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
@@ -86,6 +87,29 @@ class Quotient:
                     if x:
                         v[j] = v[j] + c * x
         return tuple(v)
+
+
+def greedy_from_tensor(alphabet, tensor):
+    """Lyndon coordinates of a Lie element by greedy extraction: each step
+    takes the minimal surviving word, by (length, word), with a scan of the
+    whole residue, and subtracts its bracketing.  The reference the
+    heap-ordered ``LiePolynomial.from_tensor`` is tested against.
+    """
+    work = {w: c for w, c in tensor.items() if c}
+    coords = {}
+    while work:
+        w = min(work, key=lambda u: (len(u), u))
+        if not is_lyndon(w):
+            raise NotLieElement("minimal word %r is not Lyndon" % (w,))
+        c = work[w]
+        coords[w] = c
+        for u, cu in expand_lyndon(alphabet, w).items():
+            new = work.get(u, ZERO) - c * cu
+            if new:
+                work[u] = new
+            else:
+                work.pop(u, None)
+    return LiePolynomial(alphabet, coords)
 
 
 def segment_pullback(P, Q, a, b):

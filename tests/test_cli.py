@@ -10,6 +10,9 @@ import pytest
 
 from conftest import fixture_dir
 from hodgegauge import cli
+from hodgegauge.documents import MAX_SPAN
+from hodgegauge.freelie import TT_ALPHABET, LiePolynomial, format_rational
+from hodgegauge.scalars import Scalar
 
 
 def run(argv):
@@ -145,6 +148,47 @@ def test_lie_stdout_matches_benchmark_reference(N):
     code, out = run(["lie", "--truncation", str(N)])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+# sha256 of `lie --truncation N` stdout for the truncations that
+# perfbench/reference does not pin, recorded before the tables moved onto
+# Scalar coefficients and the package's Poly
+@pytest.mark.parametrize("N, want", [
+    (2, "ae5d192fc6b8b7dd7b2a3f62d86ca34b8a5c0f4e5a3f51d04bc1d347a469aca7"),
+    (3, "8ae7f00e4f6b8c3958717fd08f26a955c8502c262523fdf277cfcc3386cf4dbb"),
+    (4, "e1208a6942f501aec94b39e6be59a3af5f69cf084f00887dfb85b91d2a350d29"),
+    (5, "e8366a5120ccd55e34de43a1a394ee9c727b5078b34bda0e84ed883dd2a206d6"),
+    (6, "93705f8189675bfa6fa76f224bee0f3aade9c73305a8948046268a02ffd7d56b"),
+    (7, "8aa1a2524d11600f33a06bbb8159f9fbf69db67c9269df6b12d5a0e1d60a99b4"),
+    (12, "15e1a3d2dc09b1f510f5d4c1d7d97f115e9efc77906ef877f54457b9be2a0f46"),
+])
+def test_lie_stdout_is_pinned(N, want):
+    code, out = run(["lie", "--truncation", str(N)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+@pytest.mark.parametrize("c, text", [
+    (Scalar(0), "0"),
+    (Scalar(2), "2"),
+    (Scalar(10), "10"),
+    (Scalar(-3), "-3"),
+    (Scalar.parse("1/2"), "1/2"),
+    (Scalar.parse("-7/12"), "-7/12"),
+    (Scalar.parse("1/11"), "1/11"),
+    (Scalar.parse("-5/21"), "-5/21"),
+])
+def test_lie_coefficients_print_as_fractions(c, text):
+    assert format_rational(c) == text
+
+
+def test_lie_polynomial_format():
+    x = LiePolynomial(
+        TT_ALPHABET, {(0, 1): Scalar.parse("-1/2"), (1,): Scalar(2)}
+    )
+    assert str(x) == "2*[t2] + -1/2*[t1][t2]"
+    assert repr(x) == "LiePolynomial(2*[t2] + -1/2*[t1][t2])"
+    assert str(LiePolynomial.zero(TT_ALPHABET)) == "0"
 
 
 def _fixture_names(which):
@@ -288,6 +332,55 @@ def test_scalar_digits_are_bounded(tmp_path, digits, status):
         assert entry["error"] == (
             "scalar has a numerator or denominator of more than 4300 digits"
         )
+
+
+def _status(command, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flags = cli.build_parser().parse_args([command, str(path)])
+    entry, code = cli._process_one(command, str(path), flags)
+    return entry["status"], code, entry.get("error")
+
+
+@pytest.mark.parametrize("span, status", [(MAX_SPAN, "ok"), (MAX_SPAN + 1, "malformed")])
+def test_filtration_index_span_is_capped(tmp_path, span, status):
+    # a decreasing filtration is the full space below its stored range, so
+    # an explicit full step further down states the same structure
+    with open(fx("kummer_3.json")) as fh:
+        doc = json.load(fh)
+    steps = doc["Fp"]["steps"]
+    top = max(int(k) for k in steps)
+    steps[str(top - span)] = steps[min(steps, key=int)]
+    got = _status("validate", tmp_path, doc)
+    if status == "ok":
+        assert got == ("ok", 0, None)
+    else:
+        assert got == (
+            "malformed", 2, "bad filtration: indices span 65, more than 64"
+        )
+
+
+@pytest.mark.parametrize("span, status", [(MAX_SPAN, "ok"), (MAX_SPAN + 1, "malformed")])
+def test_hodge_weight_span_is_capped(tmp_path, span, status):
+    low = "-%d,-%d" % (span - span // 2, span // 2)
+    doc = {"type": "delta", "hodge": {low: 1, "0,0": 1},
+           "matrix": [["1", "1"], ["0", "1"]]}
+    got = _status("connect", tmp_path, doc)
+    if status == "ok":
+        assert got == ("ok", 0, None)
+    else:
+        assert got == (
+            "malformed", 2, "bad hodge numbers: weights span 65, more than 64"
+        )
+
+
+def test_far_apart_weights_are_malformed_before_any_stage(tmp_path):
+    # spread 8,000: `rees` overflowed the stack substituting a power this
+    # high, and `holonomy` ran for minutes
+    doc = {"type": "delta", "hodge": {"-4000,-4000": 1, "0,0": 1},
+           "matrix": [["1", "1"], ["0", "1"]]}
+    for command in ("rees", "holonomy"):
+        assert _status(command, tmp_path, doc)[:2] == ("malformed", 2)
 
 
 def _empty_fp(doc):

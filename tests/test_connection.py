@@ -169,7 +169,7 @@ def test_connection_from_delta_matches_table_route():
         # blocks that differ from D / c carry bracket corrections
         D = log_delta_components(d)
         bracketed += C.A != {
-            k: M.scale(Scalar(1 / abelianized_coefficient(*k)))
+            k: M.scale(Scalar(1) / abelianized_coefficient(*k))
             for k, M in D.items()
         }
     assert bracketed
@@ -186,7 +186,7 @@ def test_connection_from_spread_14(x):
     C = connection_from_delta(d)
     E = mat([[0, x], [0, 0]])
     c = abelianized_coefficient(7, 7)
-    assert C.A == ({(7, 7): E.scale(Scalar(1 / c))} if x else {})
+    assert C.A == ({(7, 7): E.scale(Scalar(1) / c)} if x else {})
     assert triangle_delta(C) == d
 
 

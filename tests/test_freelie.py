@@ -2,12 +2,11 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from conftest import mat
+from conftest import greedy_from_tensor, mat
 from hodgegauge import cli, freelie
 from hodgegauge.freelie import (
     TT_ALPHABET,
@@ -30,7 +29,7 @@ from hodgegauge.freelie import (
     z_alphabet,
 )
 from hodgegauge.poly import Poly
-from hodgegauge.scalars import ONE, Scalar
+from hodgegauge.scalars import ONE, ZERO, Scalar
 
 
 def _mobius(n):
@@ -102,7 +101,7 @@ def test_expand_extract_roundtrip():
     words = lyndon_words(a, 5)
     rng = random.Random(3)
     x = LiePolynomial(
-        a, {w: Fraction(rng.randint(-3, 3)) for w in words}
+        a, {w: Scalar(rng.randint(-3, 3)) for w in words}
     )
     assert LiePolynomial.from_tensor(a, x.to_tensor()) == x
 
@@ -110,7 +109,62 @@ def test_expand_extract_roundtrip():
 def test_non_lie_tensor_rejected():
     a = alpha_alphabet(4)
     with pytest.raises(NotLieElement):
-        LiePolynomial.from_tensor(a, {(0, 0): Fraction(1)})
+        LiePolynomial.from_tensor(a, {(0, 0): ONE})
+
+
+def _tensor_sum(*tensors):
+    out = {}
+    for t in tensors:
+        for w, c in t.items():
+            out[w] = out.get(w, ZERO) + c
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize(
+    "alphabet", [alpha_alphabet(6), TT_ALPHABET], ids=["alpha6", "t1t2"]
+)
+def test_extraction_matches_greedy_reference(alphabet):
+    rng = random.Random(12)
+    words = lyndon_words(alphabet, 8)
+    non_lyndon = [
+        w + w[:1] for w in words
+        if 2 <= len(w) and alphabet.word_weight(w + w[:1]) <= 8
+    ]
+
+    def rand():
+        picked = rng.sample(words, rng.randint(1, min(8, len(words))))
+        return LiePolynomial(
+            alphabet,
+            {w: Scalar(rng.choice((-3, -2, -1, 1, 2, 3))) / rng.randint(1, 3)
+             for w in picked},
+        )
+
+    cancelled = 0
+    for _ in range(30):
+        x, y = rand(), rand()
+        # y minus part of x: the tensors of x and of this element cancel
+        # on the words of x that were picked
+        part = LiePolynomial(
+            alphabet,
+            {w: c for w, c in x.coords.items() if rng.random() < 0.5},
+        )
+        cancelled += not part.is_zero()
+        z = y - part
+        for want, tensor in (
+            (x, x.to_tensor()),
+            (x + z, _tensor_sum(x.to_tensor(), z.to_tensor())),
+            (LiePolynomial.zero(alphabet),
+             _tensor_sum(x.to_tensor(), x.scale(-1).to_tensor())),
+        ):
+            got = LiePolynomial.from_tensor(alphabet, tensor)
+            assert got == greedy_from_tensor(alphabet, tensor) == want
+        # one word that no Lie element of its length can carry alone
+        bad = _tensor_sum(x.to_tensor(), {rng.choice(non_lyndon): ONE})
+        with pytest.raises(NotLieElement):
+            greedy_from_tensor(alphabet, bad)
+        with pytest.raises(NotLieElement):
+            LiePolynomial.from_tensor(alphabet, bad)
+    assert cancelled
 
 
 def test_bracket_antisymmetry_and_jacobi():
@@ -120,7 +174,7 @@ def test_bracket_antisymmetry_and_jacobi():
 
     def rand():
         return LiePolynomial(
-            a, {w: Fraction(rng.randint(-2, 2)) for w in words}
+            a, {w: Scalar(rng.randint(-2, 2)) for w in words}
         )
 
     for _ in range(5):
@@ -145,16 +199,16 @@ def test_hypotenuse_integrals():
             for _ in range(q - 1):
                 f = f * (Poly.constant(1, -ONE) - t)
             val = f.integrate(-ONE, Scalar(0))
-            assert val == Scalar(abelianized_coefficient(p, q))
+            assert val == abelianized_coefficient(p, q)
 
 
 def test_log_pexp_low_weights():
     ztab = universal_log_pexp(5)
     A = alpha_alphabet(5)
-    assert ztab[(1, 1)].coords == {(A.index_of("a1,1"),): Fraction(-1)}
-    assert ztab[(2, 1)].coords == {(A.index_of("a2,1"),): Fraction(1, 2)}
-    assert ztab[(1, 2)].coords == {(A.index_of("a1,2"),): Fraction(1, 2)}
-    assert ztab[(2, 2)].coords[(A.index_of("a2,2"),)] == Fraction(-1, 6)
+    assert ztab[(1, 1)].coords == {(A.index_of("a1,1"),): Scalar(-1)}
+    assert ztab[(2, 1)].coords == {(A.index_of("a2,1"),): Scalar.parse("1/2")}
+    assert ztab[(1, 2)].coords == {(A.index_of("a1,2"),): Scalar.parse("1/2")}
+    assert ztab[(2, 2)].coords[(A.index_of("a2,2"),)] == Scalar.parse("-1/6")
 
 
 def test_log_pexp_depth_two_term():
@@ -164,16 +218,16 @@ def test_log_pexp_depth_two_term():
     i21 = A.index_of("a2,1")
     # one bracket correction shows up at (3,2)
     assert ztab[(3, 2)].coords == {
-        (A.index_of("a3,2"),): Fraction(1, 12),
-        (i11, i21): Fraction(-1, 12),
+        (A.index_of("a3,2"),): Scalar.parse("1/12"),
+        (i11, i21): Scalar.parse("-1/12"),
     }
 
 
 def test_generator_change_low_weights():
     atab = invert_generator_change(5)
     Z = z_alphabet(5)
-    assert atab[(1, 1)].coords == {(Z.index_of("z1,1"),): Fraction(-1)}
-    assert atab[(2, 1)].coords == {(Z.index_of("z2,1"),): Fraction(2)}
+    assert atab[(1, 1)].coords == {(Z.index_of("z1,1"),): Scalar(-1)}
+    assert atab[(2, 1)].coords == {(Z.index_of("z2,1"),): Scalar(2)}
 
 
 def test_generator_change_roundtrip_weight_5():
@@ -197,7 +251,7 @@ def test_substitute_matrices():
     x = LiePolynomial.generator(a, a.index_of("a1,1"))
     assert x.substitute({"a1,1": m1}) == m1
     br = LiePolynomial(
-        a, {(a.index_of("a1,1"), a.index_of("a2,1")): Fraction(1)}
+        a, {(a.index_of("a1,1"), a.index_of("a2,1")): ONE}
     )
     got = br.substitute({"a1,1": m1, "a2,1": m2})
     assert got == m1 @ m2 - m2 @ m1
@@ -205,8 +259,8 @@ def test_substitute_matrices():
 
 def test_commutant_generators_low():
     phis = commutant_generators(3)
-    assert phis[(1, 1)].coords == {(0, 1): Fraction(1)}
-    assert phis[(2, 1)].coords == {(0, 0, 1): Fraction(1)}
+    assert phis[(1, 1)].coords == {(0, 1): ONE}
+    assert phis[(2, 1)].coords == {(0, 0, 1): ONE}
 
 
 def test_commutant_generation_weight_6():
@@ -228,7 +282,7 @@ def _all_pairs_mul(a, b, alphabet, N):
         for wb, cb in b.items():
             w = wa + wb
             if alphabet.word_weight(w) <= N:
-                out[w] = out.get(w, Fraction(0)) + ca * cb
+                out[w] = out.get(w, ZERO) + ca * cb
     return {w: c for w, c in out.items() if c}
 
 
@@ -240,7 +294,7 @@ def test_ts_mul_matches_all_pairs_product():
         out = {}
         for _ in range(rng.randint(0, 25)):
             w = tuple(rng.randrange(len(A)) for _ in range(rng.randint(0, 3)))
-            out[w] = out.get(w, Fraction(0)) + Fraction(rng.randint(-3, 3))
+            out[w] = out.get(w, ZERO) + Scalar(rng.randint(-3, 3))
         return out
 
     over_cap = 0
@@ -258,7 +312,7 @@ def test_non_primitive_log_raises(monkeypatch):
     # {a1,1 a1,1} is not primitive: its Dynkin bracket [a1,1, a1,1] is 0;
     # the Lyndon extraction would reject it too, so match the message
     monkeypatch.setattr(
-        freelie, "_ts_log", lambda u, alphabet, N: {(0, 0): Fraction(1)}
+        freelie, "_ts_log", lambda u, alphabet, N: {(0, 0): ONE}
     )
     with pytest.raises(NotLieElement, match="not primitive"):
         universal_log_pexp.__wrapped__(4)
@@ -267,10 +321,10 @@ def test_non_primitive_log_raises(monkeypatch):
 def test_non_primitive_log_raises_under_optimize():
     script = (
         "import sys\n"
-        "from fractions import Fraction\n"
         "from hodgegauge import freelie\n"
+        "from hodgegauge.scalars import ONE\n"
         "assert False, 'asserts are on'\n"
-        "freelie._ts_log = lambda u, alphabet, N: {(0, 0): Fraction(1)}\n"
+        "freelie._ts_log = lambda u, alphabet, N: {(0, 0): ONE}\n"
         "try:\n"
         "    freelie.universal_log_pexp.__wrapped__(4)\n"
         "except freelie.NotLieElement as exc:\n"

@@ -60,6 +60,14 @@ def test_subs_composition():
     assert shifted.eval((Scalar(2),)) == Scalar(9)
 
 
+def test_subs_of_a_high_power_does_not_recurse():
+    # the powers of the substituted polynomial were built by one recursive
+    # call per power, which overflowed the stack at exponent ~1000
+    y = t(1, nvars=2)
+    p = Poly(2, {(2000, 1): ONE}).subs(0, y.scale(Scalar(2)))
+    assert p == Poly(2, {(0, 2001): Scalar(2 ** 2000)})
+
+
 def test_polymatrix_product_and_commutator():
     a = PolyMatrix.from_scalar_matrix(1, mat([[0, 1], [0, 0]]))
     b = PolyMatrix.from_scalar_matrix(1, mat([[0, 0], [1, 0]]))
