@@ -57,7 +57,17 @@ def _matrix_out(m):
 def _matrix_in(rows, field=None):
     if not isinstance(rows, list):
         raise DocumentError("matrix must be a list of rows")
-    return Matrix([[_scalar_in(x, field) for x in row] for row in rows])
+    # nearly every entry is "0/1" or "1/1": parse each distinct string once
+    seen = {}
+
+    def entry(x):
+        if type(x) is not str:
+            return _scalar_in(x, field)
+        if x not in seen:
+            seen[x] = _scalar_in(x, field)
+        return seen[x]
+
+    return Matrix([[entry(x) for x in row] for row in rows])
 
 
 def _filtration_out(f):

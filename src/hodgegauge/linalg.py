@@ -53,8 +53,7 @@ class Matrix:
     @classmethod
     def identity(cls, n):
         return cls._of(
-            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)),
-            n,
+            tuple((ZERO,) * i + (ONE,) + (ZERO,) * (n - 1 - i) for i in range(n)), n
         )
 
     @classmethod

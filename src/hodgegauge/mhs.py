@@ -8,6 +8,8 @@ structural equality of structures is decidable bit-for-bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .linalg import (
     DimensionMismatch,
     InvariantError,
@@ -42,10 +44,10 @@ class Filtration:
     Increasing filtrations are 0 below the stored range; decreasing ones are
     the full space below it.  Above the stored range the last stored value
     persists, so constructors should include the terminal step (full space
-    for increasing, zero for decreasing).
+    for increasing, zero for decreasing).  ``at`` bisects the sorted indices.
     """
 
-    __slots__ = ("direction", "n", "steps")
+    __slots__ = ("direction", "n", "steps", "_keys", "_below")
 
     INC = "inc"
     DEC = "dec"
@@ -60,26 +62,25 @@ class Filtration:
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_keys", tuple(sorted(steps)))
+        object.__setattr__(self, "_below", Subspace.zero(n)
+                           if direction == self.INC else Subspace.full(n))
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
 
     def jumps(self):
-        return sorted(self.steps)
+        return list(self._keys)
 
     def min_index(self):
-        return min(self.steps) if self.steps else 0
+        return self._keys[0] if self._keys else 0
 
     def max_index(self):
-        return max(self.steps) if self.steps else 0
+        return self._keys[-1] if self._keys else 0
 
     def at(self, k):
-        below = [j for j in self.steps if j <= k]
-        if not below:
-            if self.direction == self.INC:
-                return Subspace.zero(self.n)
-            return Subspace.full(self.n)
-        return self.steps[max(below)]
+        i = bisect_right(self._keys, k)
+        return self.steps[self._keys[i - 1]] if i else self._below
 
     def validate(self):
         js = self.jumps()
@@ -224,35 +225,33 @@ class RealMHS:
         raise AttributeError("RealMHS is immutable")
 
 
-def _index_range(filt):
-    js = filt.jumps()
-    if not js:
-        return []
-    return list(range(js[0], js[-1] + 1))
-
-
 def piece_dimensions(Fp, Fpp):
     """({(p, q): h}, {(p, q): F'^p ∩ F''^q}) for a simultaneous bigrading
     of two decreasing filtrations of one space: h is the double difference
     of dim(F'^p ∩ F''^q), over indices from one below each first jump
     (where a filtration is the full space) to the last.  The pieces of two
-    separated filtrations sum to the whole space."""
-    ps, qs = _index_range(Fp), _index_range(Fpp)
-    if not ps or not qs:
+    separated filtrations sum to the whole space.  Validation builds this
+    grid only to name a witness (GrStructure); the Rees line types read it."""
+    if not Fp.steps or not Fpp.steps:
         return {}, {}
-    cap = {
-        (p, q): Fp.at(p).intersect(Fpp.at(q))
-        for p in range(ps[0] - 1, ps[-1] + 2)
-        for q in range(qs[0] - 1, qs[-1] + 2)
-    }
+    ps = range(Fp.min_index() - 1, Fp.max_index() + 2)
+    qs = range(Fpp.min_index() - 1, Fpp.max_index() + 2)
+    cap = {(p, q): Fp.at(p).intersect(Fpp.at(q)) for p in ps for q in qs}
     out = {}
-    for p in range(ps[0] - 1, ps[-1] + 1):
-        for q in range(qs[0] - 1, qs[-1] + 1):
+    for p in ps[:-1]:
+        for q in qs[:-1]:
             h = (cap[p, q].dim - cap[p + 1, q].dim - cap[p, q + 1].dim
                  + cap[p + 1, q + 1].dim)
             if h:
                 out[(p, q)] = h
     return out, cap
+
+
+def _splits(A, B, d):
+    """Whether K^d = A ⊕ B, for subspaces A and B of K^d."""
+    if A.dim + B.dim != d or not A.dim or not B.dim:
+        return A.dim + B.dim == d
+    return Matrix._of(A.basis.rows + B.basis.rows, d).rank() == d
 
 
 def _chart(sub, lo, hi):
@@ -273,9 +272,10 @@ class AdaptedTriple:
     coordinates (``F``); as the columns run from the top weight down, the
     rows of its echelon basis vanishing before lo span its intersection
     with W_n.  ``graded`` lists, by increasing weight n, (n, the images of
-    F' and F'' in the chart, their piece dimensions and intersections).
-    Nothing here assumes opposedness; a filtration that is not monotone or
-    not exhaustive raises FiltrationError.
+    F' and F'' in the chart) and no pieces: validation reads only their
+    diagonal, and piece_dimensions(fp, fpp) is the grid.  Nothing here
+    assumes opposedness; a filtration that is not monotone or not
+    exhaustive raises FiltrationError.
     """
 
     def __init__(self, V):
@@ -307,7 +307,7 @@ class AdaptedTriple:
                 })
                 for side in ("Fp", "Fpp")
             )
-            self.graded.append((n, fp, fpp) + piece_dimensions(fp, fpp))
+            self.graded.append((n, fp, fpp))
 
     def coords(self, rows):
         """Adapted coordinates of vectors of K^n."""
@@ -329,37 +329,45 @@ class AdaptedTriple:
 class GrStructure(AdaptedTriple):
     """A validated structure with canonical bases of its bigraded pieces.
 
-    The piece dimensions of the adapted triple are checked for opposedness
-    (OpposednessViolation at the first bad piece), and the piece at (p, q)
-    is the intersection of F'^p and F''^q that the count formed in the
-    chart of weight p + q.  Pieces are ordered by (weight, p); their
+    Two finite decreasing filtrations of Gr^W_n are n-opposed if and only if
+    Gr^W_n = F'^p ⊕ F''^(n+1-p) for every p, and then the only pieces are
+    I^(p,n-p) = F'^p ∩ F''^(n-p) (Deligne, Théorie de Hodge II, §1.2).  So
+    the charts, by increasing weight, are checked and cut on that diagonal
+    alone.  At the first weight that fails, the grid of piece_dimensions
+    names its smallest off-diagonal piece (OpposednessViolation), which is
+    the smallest of the structure.  Pieces are ordered by (weight, p); their
     echelon bases concatenate to the canonical basis of the total graded
     space.
     """
 
     def __init__(self, V):
         super().__init__(V)
-        violations, counts, pieces = [], {}, {}
-        for n, _, _, dims, cap in self.graded:
-            violations += [(n, p, q, h) for (p, q), h in dims.items() if p + q != n]
-            counts.update(dims)
-            pieces.update((pq, cap[pq]) for pq in dims)
-        if violations:
-            raise OpposednessViolation(*min(violations))
+        counts, self.block_rows, self._charts = {}, {}, {}
+        off = 0
+        for n, fp, fpp in self.graded:
+            # below this range F'^p is the chart and F''^(n+1-p) zero, above
+            # it the other way round, so the check can fail only inside it
+            ps = range(min(fp.min_index(), n + 1 - fpp.max_index()),
+                       max(fp.max_index(), n + 1 - fpp.min_index()) + 1)
+            if not all(_splits(fp.at(p), fpp.at(n + 1 - p), fp.n) for p in ps):
+                dims = piece_dimensions(fp, fpp)[0]
+                raise OpposednessViolation(*min(
+                    (n, p, q, h) for (p, q), h in dims.items() if p + q != n))
+            rows = []
+            for p in ps:
+                piece = fp.at(p).intersect(fpp.at(n - p))
+                if piece.dim:
+                    counts[p, n - p] = piece.dim
+                    self.block_rows[p, n - p] = piece.basis.rows
+                    rows += piece.basis.rows
+            # the pieces of one weight are consecutive in the canonical
+            # basis, and their rows together are a basis of its chart
+            if len(rows) != fp.n:
+                raise InvariantError("graded pieces of weight %d do not fill "
+                                     "its chart" % n)
+            self._charts[n] = (off, Matrix._of(tuple(rows), fp.n))
+            off += fp.n
         self.hodge = HodgeNumbers(counts)
-        self.block_rows = {}
-        # the pieces of one weight are consecutive in the canonical basis,
-        # and their rows together are a basis of its chart
-        charts = {}
-        for pq, off, h in self.hodge.blocks():
-            if pieces[pq].dim != h:
-                raise InvariantError("graded piece dimension drifted at %r" % (pq,))
-            self.block_rows[pq] = pieces[pq].basis.rows
-            charts.setdefault(sum(pq), (off, []))[1].extend(self.block_rows[pq])
-        self._charts = {
-            n: (off, Matrix._of(tuple(rows), len(rows)))
-            for n, (off, rows) in charts.items()
-        }
 
     def gr_coords(self, rows, n):
         """Coordinates of v + W_{n-1} in the total canonical basis, for each

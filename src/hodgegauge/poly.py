@@ -157,18 +157,20 @@ class Poly:
         return out
 
     def eval(self, point):
-        """Evaluate at a tuple of Scalars (nonzero where Laurent requires)."""
+        """Evaluate at a tuple of Scalars (nonzero where Laurent requires).
+        Each power of a coordinate is formed once, and coordinates equal to
+        one are skipped."""
+        coords = [(v, x) for v, x in enumerate(point[: self.nvars]) if x != ONE]
+        powers = {}
         acc = ZERO
         for exps, c in self.terms.items():
-            term = c
-            for x, e in zip(point, exps):
-                if e == 0:
-                    continue
-                if e < 0:
-                    term = term / (x ** (-e))
-                else:
-                    term = term * (x ** e)
-            acc = acc + term
+            for v, x in coords:
+                e = exps[v]
+                if e:
+                    if (v, e) not in powers:
+                        powers[v, e] = x ** e
+                    c = c * powers[v, e]
+            acc = acc + c
         return acc
 
     def antiderivative(self, var=0):

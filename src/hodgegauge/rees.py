@@ -205,8 +205,8 @@ def w_line_transition(V):
     structure every exponent vanishes and the restriction is trivial.
     """
     exps = []
-    for n, _, _, dims, _ in AdaptedTriple(V).graded:
-        exps.extend(entry - n for entry in _joint_type(dims))
+    for n, fp, fpp in AdaptedTriple(V).graded:
+        exps.extend(entry - n for entry in _joint_type(piece_dimensions(fp, fpp)[0]))
     r = len(exps)
     rows = []
     for i in range(r):

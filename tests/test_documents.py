@@ -4,7 +4,7 @@ import os
 import pytest
 
 from conftest import fixture_dir
-from hodgegauge.documents import DocumentError, parse, serialize
+from hodgegauge.documents import DocumentError, _matrix_in, _scalar_in, parse, serialize
 from hodgegauge.fixtures import (
     kummer,
     kummer_delta,
@@ -13,7 +13,7 @@ from hodgegauge.fixtures import (
     t3_delta,
 )
 from hodgegauge.connection import connection_from_delta
-from hodgegauge.scalars import FieldError, Scalar
+from hodgegauge.scalars import FieldError, Scalar, ZERO
 
 
 def test_roundtrip_named_corpus():
@@ -70,3 +70,35 @@ def test_shipped_corpus_parses():
             doc = json.load(fh)
         obj = parse(doc)
         assert json.loads(json.dumps(serialize(obj))) == serialize(obj)
+
+
+def test_matrix_parses_each_distinct_string_once(monkeypatch):
+    parsed = []
+    real = Scalar.parse.__func__
+
+    def counting(cls, text):
+        parsed.append(text)
+        return real(cls, text)
+
+    monkeypatch.setattr(Scalar, "parse", classmethod(counting))
+    rows = [["1/1", "0/1", "0/1"], ["0/1", "1/1", "2/4"], ["0/1", "0/1", "1/1"]]
+    m = _matrix_in(rows)
+    assert sorted(parsed) == ["0/1", "1/1", "2/4"]
+    assert m.rows[0][1] is m.rows[2][0] and m.rows[0][1] == ZERO
+    assert m.rows[1][2] == Scalar.parse("1/2")
+    # the cache lives for one matrix only
+    _matrix_in(rows)
+    assert len(parsed) == 2 * 3 + 1
+
+
+@pytest.mark.parametrize("bad, field", [
+    ("x", None), ("1/0", None), (1, None), (None, None), ("0+1/1*i", "Q"),
+])
+def test_matrix_raises_at_its_first_bad_entry(bad, field):
+    # the same error as the entry alone, also after repeated good strings
+    with pytest.raises((DocumentError, FieldError)) as alone:
+        _scalar_in(bad, field)
+    rows = [["0/1", "1/1"], ["1/1", bad], ["0/1", "1/0"]]
+    with pytest.raises(type(alone.value)) as exc:
+        _matrix_in(rows, field)
+    assert str(exc.value) == str(alone.value)

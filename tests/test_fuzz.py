@@ -1,6 +1,7 @@
-"""Fuzzed structure documents through the CLI's per-input path: whatever the
-document, ``validate`` and ``split`` end in a defined status (ok, violation
-or malformed) with its exit code, never in an internal error."""
+"""Fuzzed structure and delta documents through the CLI's per-input path:
+whatever the document, each of the seven commands ends in a defined status
+(ok, violation or malformed) with its exit code, never in an internal
+error."""
 
 import json
 import os
@@ -12,9 +13,10 @@ from hypothesis import given, strategies as st
 from conftest import fixture_dir
 from hodgegauge import cli
 from hodgegauge.documents import serialize
-from hodgegauge.fixtures import corrupt_weight_step, random_mhs
+from hodgegauge.fixtures import corrupt_weight_step, random_delta, random_mhs
 
 CODES = {"ok": 0, "violation": 1, "malformed": 2}
+COMMANDS = ("validate", "split", "connect", "holonomy", "roundtrip", "rees", "ext")
 SCALARS = ["0", "1", "-1", "2", "1/2", "-3/2", "0+1*i", "1+1*i", "1/2-1*i"]
 # mostly scalars, sometimes a zero denominator, a bad string or no string
 entries = st.sampled_from(SCALARS * 3 + ["1/0", "i", "x", "", 1, None])
@@ -88,6 +90,35 @@ def damaged_structures(draw):
     return doc
 
 
+@st.composite
+def damaged_deltas(draw):
+    # a valid delta (dim <= 4) with one entry, row, Hodge number or key
+    # changed, or one of its two parts dropped
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    doc = serialize(random_delta(rng, max_dim=4, weight_lo=-3, weight_hi=3))
+    rows, hodge = doc["matrix"], doc["hodge"]
+    i = draw(st.integers(0, len(rows) - 1))
+    key = draw(st.sampled_from(sorted(hodge)))
+    change = draw(st.sampled_from(
+        ["none", "entry", "row", "count", "key", "drop"]
+    ))
+    if change == "entry":
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(entries)
+    elif change == "row" and draw(st.booleans()):
+        rows[i].append("0/1")
+    elif change == "row":
+        del rows[i]
+    elif change == "count":
+        hodge[key] = draw(st.sampled_from([0, -1, 3, "1", "x", None]))
+    elif change == "key":
+        hodge[draw(st.sampled_from(["0,0", "1", "a,b", "9,-9", "70,0"]))] = (
+            hodge.pop(key)
+        )
+    elif change == "drop":
+        del doc[draw(st.sampled_from(["hodge", "matrix"]))]
+    return doc
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -97,13 +128,13 @@ def _outcomes(doc, workdir):
     path = workdir / "doc.json"
     path.write_text(json.dumps(doc))
     parser = cli.build_parser()
-    for command in ("validate", "split"):
+    for command in COMMANDS:
         flags = parser.parse_args([command, str(path)])
         entry, code = cli._process_one(command, str(path), flags)
         yield command, entry, code
 
 
-@given(doc=st.one_of(raw_documents(), damaged_structures()))
+@given(doc=st.one_of(raw_documents(), damaged_structures(), damaged_deltas()))
 def test_fuzzed_documents_end_in_a_defined_status(doc, workdir):
     for command, entry, code in _outcomes(doc, workdir):
         assert entry["status"] in CODES, (command, entry)

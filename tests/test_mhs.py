@@ -1,12 +1,17 @@
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import Quotient, mat, span, vec
+from conftest import Quotient, fixture_dir, mat, span, vec
+from hodgegauge import mhs
+from hodgegauge.documents import parse
 from hodgegauge.fixtures import (
-    corrupt_weight_step, kummer, random_delta, random_mhs, t3
+    corrupt_weight_step, kummer, random_delta, random_mhs, real_kummer, t3
 )
+from hodgegauge.holonomy import triangle_delta
 from hodgegauge.linalg import Subspace
 from hodgegauge.mhs import (
     AdaptedTriple,
@@ -28,7 +33,12 @@ from hodgegauge.mhs import (
     validate_morphism,
 )
 from hodgegauge.scalars import I, ONE, Scalar, ZERO
-from hodgegauge.splitting import delta_to_mhs
+from hodgegauge.splitting import DeltaObject, delta_to_mhs
+
+
+A3, B3 = span(3, [[1, 0, 0]]), span(3, [[1, 0, 0], [0, 1, 1]])
+INC3 = Filtration(Filtration.INC, 3, {-1: A3, 2: B3, 4: Subspace.full(3)})
+DEC3 = Filtration(Filtration.DEC, 3, {0: B3, 1: A3, 3: Subspace.zero(3)})
 
 
 def test_filtration_at_semantics():
@@ -40,6 +50,22 @@ def test_filtration_at_semantics():
     assert g.at(-3) == Subspace.full(2)
     assert g.at(0) == span(2, [[1, 0]])
     assert g.at(7) == Subspace.zero(2)
+    # below the first jump, at each jump, between jumps, above the last
+    for h, expect in (
+        (INC3, {-5: Subspace.zero(3), -2: Subspace.zero(3), -1: A3, 0: A3,
+                1: A3, 2: B3, 3: B3, 4: Subspace.full(3), 9: Subspace.full(3)}),
+        (DEC3, {-4: Subspace.full(3), -1: Subspace.full(3), 0: B3, 1: A3,
+                2: A3, 3: Subspace.zero(3), 8: Subspace.zero(3)}),
+    ):
+        for k, want in expect.items():
+            assert h.at(k) == want, (h, k)
+
+
+@pytest.mark.parametrize("name", ["steps", "n", "direction", "_keys", "_below", "extra"])
+def test_filtration_attributes_cannot_be_assigned(name):
+    with pytest.raises(AttributeError):
+        setattr(DEC3, name, None)
+    assert DEC3.at(1) == A3
 
 
 def test_filtration_validate():
@@ -62,6 +88,10 @@ def test_filtration_equality_ignores_redundant_steps():
         Filtration.INC, 1, {0: Subspace.full(1), 3: Subspace.full(1)}
     )
     assert a == b
+    # a decreasing filtration with its leading full step left implicit
+    explicit = Filtration(Filtration.DEC, 3, {-1: Subspace.full(3), **DEC3.steps})
+    assert DEC3 == explicit and explicit == DEC3
+    assert DEC3 != Filtration(Filtration.DEC, 3, {0: A3, 3: Subspace.zero(3)})
 
 
 def test_hodge_numbers_block_order():
@@ -289,7 +319,7 @@ def test_adapted_basis_matches_quotient_charts():
             seen["valid" if isinstance(want, HodgeNumbers) else "violation"] += 1
             adapted = AdaptedTriple(U)
             assert [c[0] for c in charts] == [g[0] for g in adapted.graded]
-            for (n, chart, fp, fpp), (_, gp, gpp, _, _) in zip(charts, adapted.graded):
+            for (n, chart, fp, fpp), (_, gp, gpp) in zip(charts, adapted.graded):
                 lo, hi = adapted.cols[n]
                 assert adapted.basis.rows[lo:hi] == chart.complement
                 assert (gp.steps, gpp.steps) == (fp.steps, fpp.steps)
@@ -308,3 +338,130 @@ def test_gr_coords_read_back_lifted_pieces():
             coords = gr.gr_coords(gr.coords(lifted), p + q)
             unit = Subspace.full(gr.hodge.dim).basis.rows[off : off + h]
             assert coords == unit
+
+
+def grid_outcome(V):
+    """Hodge numbers and the piece bases of V from the full piece_dimensions
+    grid of each Quotient chart, or the first violation (n, p, q, h)."""
+    charts, outcome = quotient_route(V)
+    if not isinstance(outcome, HodgeNumbers):
+        return outcome
+    pieces = {}
+    for _, _, fp, fpp in charts:
+        dims, cap = piece_dimensions(fp, fpp)
+        pieces.update((pq, cap[pq].basis.rows) for pq in dims)
+    return outcome, pieces
+
+
+def diagonal_outcome(V):
+    try:
+        gr = GrStructure(V)
+    except OpposednessViolation as exc:
+        return (exc.weight, exc.p, exc.q, exc.h)
+    return gr.hodge, gr.block_rows
+
+
+def seeded_structures(rng):
+    def fresh(max_dim):
+        # random_mhs (Gaussian entries included) without its own round-trip
+        # check, which runs GrStructure
+        d = random_delta(rng, max_dim=max_dim, weight_lo=-4, weight_hi=4)
+        return delta_to_mhs(d, check=False)
+
+    for _ in range(8):
+        yield "random", fresh(6)
+    for _ in range(3):
+        yield "tensor", tensor_mhs(fresh(3), fresh(2))
+        yield "dual", dual_mhs(fresh(5))
+        gamma = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        yield "real", realize_real(real_kummer(gamma))
+        # Hodge numbers symmetric in each weight
+        V = fresh(3)
+        yield "symmetric", direct_sum_mhs(V, conjugate_mhs(V))
+
+
+def lower_weight_step(V, rng):
+    """The converse of corrupt_weight_step: W_n replaced by W_{n-1} for a
+    weight n below the top, so that its pieces sit in a higher chart; None
+    if V has one weight."""
+    js = V.W.jumps()
+    candidates = [n for n in js[:-1] if V.W.at(n) != V.W.at(n - 1)]
+    if not candidates:
+        return None
+    n = rng.choice(candidates)
+    steps = dict(V.W.steps)
+    steps[n] = V.W.at(n - 1)
+    return ComplexMHS(V.n, Filtration(Filtration.INC, V.n, steps), V.Fp, V.Fpp)
+
+
+def damaged(V, rng):
+    """V, a weight step of V moved up or down, and V with F'' replaced by
+    F'; where the Hodge numbers of each weight are symmetric, the dimensions
+    on the diagonal of the last still add up, so only the span test can
+    reject it."""
+    low = lower_weight_step(V, rng)
+    return [V, corrupt_weight_step(V, rng)] + ([low] if low else []) + [
+        ComplexMHS(V.n, V.W, V.Fp, V.Fp)
+    ]
+
+
+def test_diagonal_route_matches_the_grid():
+    # each structure and its damaged forms, also with the leading full
+    # steps of F' and F'' left implicit, which moves the ends of the p range
+    rng = random.Random(31)
+    seen = set()
+    for kind, V in seeded_structures(rng):
+        for U in damaged(V, rng):
+            for X in (U, sparse_form(U)):
+                want = grid_outcome(X)
+                assert diagonal_outcome(X) == want, kind
+                seen.add((kind, isinstance(want[0], HodgeNumbers)))
+    kinds = ("random", "tensor", "dual", "real", "symmetric")
+    assert seen == {(k, valid) for k in kinds for valid in (True, False)}
+
+
+def _structure_of(doc):
+    obj = parse(doc)
+    if isinstance(obj, RealMHS):
+        return realize_real(obj)
+    if isinstance(obj, DeltaObject):
+        return delta_to_mhs(obj, check=False)
+    if isinstance(obj, ComplexMHS):
+        return obj
+    return delta_to_mhs(triangle_delta(obj), check=False)
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    calls = []
+    real = mhs.piece_dimensions
+
+    def counting(Fp, Fpp):
+        calls.append((Fp, Fpp))
+        return real(Fp, Fpp)
+
+    monkeypatch.setattr(mhs, "piece_dimensions", counting)
+    return calls
+
+
+def test_valid_structures_build_no_grid(grid_calls):
+    names = sorted(f for f in os.listdir(fixture_dir()) if f.endswith(".json"))
+    assert len(names) == 27
+    structures = []
+    for name in names:
+        with open(os.path.join(fixture_dir(), name)) as fh:
+            structures.append(_structure_of(json.load(fh)))
+    rng = random.Random(37)
+    structures += [V for _, V in seeded_structures(rng)]
+    for V in structures:
+        GrStructure(V)
+    assert grid_calls == []
+
+
+def test_a_violation_builds_one_grid(grid_calls):
+    rng = random.Random(41)
+    for _, V in seeded_structures(rng):
+        del grid_calls[:]
+        with pytest.raises(OpposednessViolation):
+            GrStructure(corrupt_weight_step(V, rng))
+        assert len(grid_calls) == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -116,3 +117,30 @@ def test_polymatrix_keeps_its_width(r, c):
     assert M != PolyMatrix.zeros(1, r, c + 1)
     assert PolyMatrix.from_scalar_matrix(1, Matrix.zeros(r, c)) == M
     assert PolyMatrix.identity(1, c).shape == (c, c)
+
+
+def _eval_term_by_term(p, point):
+    acc = ZERO
+    for exps, c in p.terms.items():
+        term = c
+        for x, e in zip(point, exps):
+            term = term * x ** e
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("laurent", [False, True], ids=["polynomial", "laurent"])
+def test_eval_matches_term_by_term(laurent):
+    rng = random.Random(43)
+    i = Scalar(0, 1)
+    lo = -3 if laurent else 0
+    for _ in range(20):
+        terms = {
+            (rng.randint(lo, 4), rng.randint(lo, 4)):
+                Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                       Fraction(rng.randint(-2, 2)))
+            for _ in range(rng.randint(0, 6))
+        }
+        p = Poly(2, terms, laurent=laurent)
+        for point in ((ONE, ONE), (-ONE, Scalar(2)), (i, -ONE)):
+            assert p.eval(point) == _eval_term_by_term(p, point)
