@@ -11,7 +11,7 @@ MAX_SPAN is malformed: the cost of every stage grows with that span.
 from __future__ import annotations
 
 from .connection import EquivariantConnection
-from .linalg import Matrix, Subspace
+from .linalg import DimensionMismatch, Matrix, Subspace
 from .mhs import ComplexMHS, Filtration, HodgeNumbers, RealMHS
 from .scalars import FieldError, Scalar
 from .splitting import DeltaObject
@@ -89,7 +89,11 @@ def _filtration_in(doc, field=None):
         steps = {}
         for key, rows in doc["steps"].items():
             basis = _matrix_in(rows, field) if rows else Matrix.zeros(0, n)
-            steps[int(key)] = Subspace.from_rows(n, basis.rows)
+            if basis.ncols != n:
+                raise DimensionMismatch(
+                    "rows of length %d in K^%d" % (basis.ncols, n)
+                )
+            steps[int(key)] = Subspace._span(basis)
         _check_span(steps, "indices")
         return Filtration(direction, n, steps)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -11,7 +11,6 @@ graded piece.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .linalg import Matrix, Subspace

@@ -7,14 +7,17 @@ Omega s is a single matrix whose kernel and cokernel compute Ext^0 and
 Ext^1 from the unit structure; everything in degree >= 2 vanishes.
 
 The real theory is the fixed part under the conjugation that swaps the two
-coordinates of the plane, computed by realifying the complex and cutting
-out the fixed subspaces.
+coordinates of the plane.  On a conjugation-stable complex that conjugation
+is an antilinear involution, whose fixed parts are Q-forms of domain and
+codomain; kernel and image descend with them (Galois descent; Serre, Local
+Fields, ch. X §2).  So the rational dimensions are the complex ones of
+realize_real(V), once stability is checked block by block.
 """
 
 from __future__ import annotations
 
 from .connection import connection_from_delta
-from .linalg import InvariantError, Matrix, Subspace, solve_left, vstack
+from .linalg import InvariantError, Matrix
 from .mhs import GrStructure, dual_mhs, realize_real, tensor_mhs
 from .scalars import ZERO, Scalar
 from .splitting import delta_operator
@@ -127,76 +130,19 @@ def _conjugation_on_graded(gr):
     return S
 
 
-def _real_fixed_subspace(R):
-    """Fixed vectors of x -> R conj(x) as a rational subspace of Q^{2n}
-    under the realification x = u + i w -> (u, w)."""
-    n = R.nrows
-    # conj is (u, w) -> (u, -w): the last n columns of R's realification
-    # change sign
-    sigma = Matrix(
-        [row[:n] + tuple(-x for x in row[n:]) for row in _realify_map(R).rows]
-    )
-    return Subspace.from_rows(
-        2 * n, (sigma - Matrix.identity(2 * n)).right_kernel().rows
-    )
-
-
-def _realify_map(M):
-    r, c = M.shape
-    rows = []
-    for i in range(r):
-        rows.append(
-            [M[i, j].re for j in range(c)] + [-M[i, j].im for j in range(c)]
-        )
-    for i in range(r):
-        rows.append(
-            [M[i, j].im for j in range(c)] + [M[i, j].re for j in range(c)]
-        )
-    return Matrix(rows)
-
-
 def real_absolute_cohomology(V):
     """(dim_Q Ext^0, dim_Q Ext^1) of a rational structure.
 
-    The conjugation acts on the plane by swapping the coordinates, hence on
-    the invariant complex by swapping monomial labels (a, b) <-> (b, a) and
-    the two 1-form slots, entrywise-conjugated through the graded pieces.
+    The conjugation swaps the monomial labels (a, b) <-> (b, a) and the two
+    1-form slots, through x -> S conj(x) on the graded pieces; the complex
+    commutes with it exactly when A_{p,q} = S conj(B_{q,p}) conj(S).
     """
     gr = GrStructure(realize_real(V))
     S = _conjugation_on_graded(gr)
-    cx = invariant_complex(connection_from_delta(delta_operator(gr)))
-    dom = cx.domain_labels
-    cod = cx.codomain_labels
-    dom_index = {lab: i for i, lab in enumerate(dom)}
-    cod_index = {lab: i for i, lab in enumerate(cod)}
-    n = gr.hodge.dim
-    # antilinear action x -> R conj(x) on domain and codomain
-    Rdom = [[ZERO] * len(dom) for _ in dom]
-    for col, (i, a, b) in enumerate(dom):
-        for j in range(n):
-            if S[j, i]:
-                Rdom[dom_index[(j, b, a)]][col] = S[j, i]
-    Rcod = [[ZERO] * len(cod) for _ in cod]
-    for col, (i, a, b, slot) in enumerate(cod):
-        for j in range(n):
-            if S[j, i]:
-                Rcod[cod_index[(j, b, a, 3 - slot)]][col] = S[j, i]
-    Rdom = Matrix(Rdom)
-    Rcod = Matrix(Rcod)
-    M = cx.matrix
-    fix_dom = _real_fixed_subspace(Rdom)
-    fix_cod = _real_fixed_subspace(Rcod)
-    if fix_dom.dim != len(dom) or fix_cod.dim != len(cod):
-        raise InvariantError("a conjugation-fixed subspace has the wrong dimension")
-    if not dom or not cod:
-        return (fix_dom.dim, fix_cod.dim)
-    # the complex must be conjugation-equivariant
-    if Rcod @ M.conjugate() != M @ Rdom:
-        raise InvariantError("complex is not conjugation-stable")
-    MR = _realify_map(M)
-    images = fix_dom.basis @ MR.transpose()
-    restricted = solve_left(fix_cod.basis, images.rows)
-    if restricted is None:
-        raise InvariantError("image left the fixed subspace")
-    rank = Matrix(restricted).rank()
-    return (fix_dom.dim - rank, fix_cod.dim - rank)
+    Sbar = S.conjugate()
+    C = connection_from_delta(delta_operator(gr))
+    zero = Matrix.zeros(gr.hodge.dim, gr.hodge.dim)
+    for p, q in set(C.A) | {(q, p) for p, q in C.B}:
+        if S @ C.B.get((q, p), zero).conjugate() @ Sbar != C.A.get((p, q), zero):
+            raise InvariantError("connection is not conjugation-stable")
+    return invariant_complex(C).cohomology_dims()

@@ -352,9 +352,6 @@ class Subspace:
             rows.append(tuple(v))
         return Subspace._span(Matrix._of(tuple(rows), self.n))
 
-    def contains_vector(self, v):
-        return solve_left(self.basis, (v,)) is not None
-
     def contains(self, other):
         self._check_ambient(other)
         return solve_left(self.basis, other.basis.rows) is not None

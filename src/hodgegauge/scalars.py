@@ -215,9 +215,6 @@ class Scalar:
     def conjugate(self):
         return _fast(self._rn, self._rd, -self._in, self._id)
 
-    def is_rational(self):
-        return self._in == 0
-
     def in_field(self, tag):
         if tag == "Q":
             return self._in == 0

@@ -6,11 +6,20 @@ from hypothesis import settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hodgegauge.connection import connection_form
+from hodgegauge.connection import connection_form, connection_from_delta
 from hodgegauge.freelie import LiePolynomial, NotLieElement, expand_lyndon, is_lyndon
-from hodgegauge.linalg import Matrix, NotNilpotentError, Subspace, solve_left
+from hodgegauge.hodgecoh import _conjugation_on_graded, invariant_complex
+from hodgegauge.linalg import (
+    InvariantError,
+    Matrix,
+    NotNilpotentError,
+    Subspace,
+    solve_left,
+)
+from hodgegauge.mhs import Filtration, GrStructure, RealMHS, realize_real
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
+from hodgegauge.splitting import delta_operator
 
 # the same examples on every run, so a hypothesis failure cannot come and go
 settings.register_profile(
@@ -176,3 +185,123 @@ def picard_transport(C, a, b):
     """Transport matrix of the connection C from a to b by ``picard``."""
     P, Q = connection_form(C)
     return picard(segment_pullback(P, Q, a, b), ZERO).eval((ONE,))
+
+
+def _real_fixed_subspace(R):
+    """Fixed vectors of x -> R conj(x) as a rational subspace of Q^{2n}
+    under the realification x = u + i w -> (u, w)."""
+    n = R.nrows
+    # conj is (u, w) -> (u, -w): the last n columns of R's realification
+    # change sign
+    sigma = Matrix(
+        [row[:n] + tuple(-x for x in row[n:]) for row in _realify_map(R).rows]
+    )
+    return Subspace.from_rows(
+        2 * n, (sigma - Matrix.identity(2 * n)).right_kernel().rows
+    )
+
+
+def _realify_map(M):
+    r, c = M.shape
+    rows = []
+    for i in range(r):
+        rows.append(
+            [M[i, j].re for j in range(c)] + [-M[i, j].im for j in range(c)]
+        )
+    for i in range(r):
+        rows.append(
+            [M[i, j].im for j in range(c)] + [M[i, j].re for j in range(c)]
+        )
+    return Matrix(rows)
+
+
+def realified_cohomology(V):
+    """(dim_Q Ext^0, dim_Q Ext^1) of a rational structure by realification:
+    the reference ``hodgecoh.real_absolute_cohomology`` (Galois descent) is
+    tested against.  The complex is realified to Q^{2n}, its domain and
+    codomain are cut down to the fixed vectors of the conjugation, and the
+    rank is that of the map restricted to them.
+
+    The conjugation acts on the plane by swapping the coordinates, hence on
+    the invariant complex by swapping monomial labels (a, b) <-> (b, a) and
+    the two 1-form slots, entrywise-conjugated through the graded pieces.
+    """
+    gr = GrStructure(realize_real(V))
+    S = _conjugation_on_graded(gr)
+    cx = invariant_complex(connection_from_delta(delta_operator(gr)))
+    dom = cx.domain_labels
+    cod = cx.codomain_labels
+    dom_index = {lab: i for i, lab in enumerate(dom)}
+    cod_index = {lab: i for i, lab in enumerate(cod)}
+    n = gr.hodge.dim
+    # antilinear action x -> R conj(x) on domain and codomain
+    Rdom = [[ZERO] * len(dom) for _ in dom]
+    for col, (i, a, b) in enumerate(dom):
+        for j in range(n):
+            if S[j, i]:
+                Rdom[dom_index[(j, b, a)]][col] = S[j, i]
+    Rcod = [[ZERO] * len(cod) for _ in cod]
+    for col, (i, a, b, slot) in enumerate(cod):
+        for j in range(n):
+            if S[j, i]:
+                Rcod[cod_index[(j, b, a, 3 - slot)]][col] = S[j, i]
+    Rdom = Matrix(Rdom)
+    Rcod = Matrix(Rcod)
+    M = cx.matrix
+    fix_dom = _real_fixed_subspace(Rdom)
+    fix_cod = _real_fixed_subspace(Rcod)
+    if fix_dom.dim != len(dom) or fix_cod.dim != len(cod):
+        raise InvariantError("a conjugation-fixed subspace has the wrong dimension")
+    if not dom or not cod:
+        return (fix_dom.dim, fix_cod.dim)
+    # the complex must be conjugation-equivariant
+    if Rcod @ M.conjugate() != M @ Rdom:
+        raise InvariantError("complex is not conjugation-stable")
+    MR = _realify_map(M)
+    images = fix_dom.basis @ MR.transpose()
+    restricted = solve_left(fix_cod.basis, images.rows)
+    if restricted is None:
+        raise InvariantError("image left the fixed subspace")
+    rank = Matrix(restricted).rank()
+    return (fix_dom.dim - rank, fix_cod.dim - rank)
+
+
+def random_real_structure(rng, max_pieces=4):
+    """A seeded real structure: a split one made of Tate pieces (weight 2k,
+    F^k the line) and planes of weight 2k + 1 (F^(k+1) spanned by e0 + i e1)
+    on the standard rational W, moved by a random complex unipotent g with
+    g[a][b] nonzero only where weight(a) < weight(b).  Such a g preserves W
+    and is the identity on Gr^W, so the triple stays opposed."""
+    pieces = sorted(
+        (2 * k + odd, k, odd)
+        for k, odd in (
+            (rng.randint(-3, 1), int(rng.random() < 0.4))
+            for _ in range(rng.randint(1, max_pieces))
+        )
+    )
+    weights = [w for w, _, odd in pieces for _ in range(1 + odd)]
+    n = len(weights)
+    unit = Matrix.identity(n).rows
+    W = Filtration(Filtration.INC, n, {
+        w: Subspace.from_rows(n, [unit[a] for a in range(n) if weights[a] <= w])
+        for w in weights
+    })
+    g = [list(row) for row in unit]
+    for a in range(n):
+        for b in range(n):
+            if weights[a] < weights[b] and rng.random() < 0.6:
+                g[a][b] = Scalar(rng.randint(-2, 2), rng.randint(-2, 2))
+    # F is split in the unit basis and then moved: v -> g v on each row
+    gt = Matrix(g).transpose()
+    ks = [k for _, k, _ in pieces]
+    steps = {}
+    for p in range(min(ks), max(ks) + 3):
+        rows, a = [], 0
+        for _, k, odd in pieces:
+            if p <= k:
+                rows += unit[a : a + 1 + odd]
+            elif odd and p == k + 1:
+                rows.append(vec([0] * a + [1, Scalar(0, 1)] + [0] * (n - a - 2)))
+            a += 1 + odd
+        steps[p] = Subspace.from_rows(n, (mat(rows) @ gt).rows if rows else ())
+    return RealMHS(n, W, Filtration(Filtration.DEC, n, steps))

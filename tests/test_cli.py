@@ -203,7 +203,8 @@ def _fixture_names(which):
 
 # sha256 of stdout of one batch over the shipped fixtures, named relative to
 # the fixture directory so that the digest does not depend on the checkout's
-# location; recorded before transport moved onto the weight-ordered walk
+# location; recorded before transport moved onto the weight-ordered walk,
+# and (ext) before real cohomology moved onto Galois descent
 @pytest.mark.parametrize("argv, which, want", [
     (["holonomy"], "all",
      "bb3fe02124d230fd0f4e768b9ea824143e0906b8ca4a5813f5c61210bcad9dd4"),
@@ -211,7 +212,9 @@ def _fixture_names(which):
      "689cd977da6b0ffd8e271afc953d6cd3df5a048d91026f49779dfa10676f2f07"),
     (["roundtrip"], "structure",
      "6aedbec96bf6227c91733504edb2b0da81de002574f3a759802d18a2000391e1"),
-], ids=["holonomy", "holonomy-path", "roundtrip"])
+    (["ext"], "structure",
+     "4d63ba390303ea791b33756571fbe62ff5cea82cf40167bc0784b10e3cfb63e6"),
+], ids=["holonomy", "holonomy-path", "roundtrip", "ext"])
 def test_transport_stdout_is_pinned(argv, which, want, monkeypatch):
     monkeypatch.chdir(fixture_dir())
     names = _fixture_names(which)

@@ -4,7 +4,14 @@ import os
 import pytest
 
 from conftest import fixture_dir
-from hodgegauge.documents import DocumentError, _matrix_in, _scalar_in, parse, serialize
+from hodgegauge.documents import (
+    DocumentError,
+    _filtration_in,
+    _matrix_in,
+    _scalar_in,
+    parse,
+    serialize,
+)
 from hodgegauge.fixtures import (
     kummer,
     kummer_delta,
@@ -13,6 +20,7 @@ from hodgegauge.fixtures import (
     t3_delta,
 )
 from hodgegauge.connection import connection_from_delta
+from hodgegauge.linalg import Matrix
 from hodgegauge.scalars import FieldError, Scalar, ZERO
 
 
@@ -102,3 +110,29 @@ def test_matrix_raises_at_its_first_bad_entry(bad, field):
     with pytest.raises(type(alone.value)) as exc:
         _matrix_in(rows, field)
     assert str(exc.value) == str(alone.value)
+
+
+def test_filtration_builds_one_matrix_per_step(monkeypatch):
+    doc = serialize(kummer(Scalar(2, 1)))["Fpp"]
+    built = []
+    real = Matrix.__init__
+
+    def counting(self, rows):
+        built.append(self)
+        real(self, rows)
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    F = _filtration_in(doc)
+    # steps -1 and 0 have rows; step 1 is empty and builds none
+    assert len(built) == sum(1 for s in F.steps.values() if s.dim) == 2
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ([["1/1"]], "bad filtration: rows of length 1 in K^2"),
+    ([[]], "bad filtration: rows of length 0 in K^2"),
+    ([["1/1", "0/1"], ["1/1"]], "bad filtration: ragged rows"),
+])
+def test_step_of_the_wrong_width_is_malformed(rows, reason):
+    with pytest.raises(DocumentError) as exc:
+        _filtration_in({"direction": "dec", "n": 2, "steps": {"0": rows}})
+    assert str(exc.value) == reason

@@ -1,7 +1,7 @@
-"""Fuzzed structure and delta documents through the CLI's per-input path:
-whatever the document, each of the seven commands ends in a defined status
-(ok, violation or malformed) with its exit code, never in an internal
-error."""
+"""Fuzzed structure, delta and connection documents through the CLI's
+per-input path: whatever the document, each of the seven commands ends in a
+defined status (ok, violation or malformed) with its exit code, never in an
+internal error."""
 
 import json
 import os
@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from conftest import fixture_dir
 from hodgegauge import cli
+from hodgegauge.connection import connection_from_delta
 from hodgegauge.documents import serialize
 from hodgegauge.fixtures import corrupt_weight_step, random_delta, random_mhs
 
@@ -119,6 +120,46 @@ def damaged_deltas(draw):
     return doc
 
 
+@st.composite
+def damaged_connections(draw):
+    # a canonical connection (dim <= 4) with one entry, block, key, p or q,
+    # or Hodge number changed or dropped
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    doc = serialize(connection_from_delta(
+        random_delta(rng, max_dim=4, weight_lo=-3, weight_hi=3)
+    ))
+    hodge, blocks = doc["hodge"], doc["blocks"]
+    change = draw(st.sampled_from(
+        ["none", "entry", "block", "key", "pq", "count", "drop"]
+    ))
+    if blocks and change in ("entry", "block", "key", "pq"):
+        block = blocks[draw(st.integers(0, len(blocks) - 1))]
+        side = draw(st.sampled_from(sorted(set(block) & {"A", "B"})))
+        rows = block[side]
+        if change == "entry":
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(entries)
+        elif change == "block":
+            block[side] = draw(st.sampled_from(
+                [rows[1:], [r[1:] for r in rows], [], None, "x"]
+            ))
+        elif change == "key":
+            block[draw(st.sampled_from(["C", "a"]))] = block.pop(side)
+        else:
+            which = draw(st.sampled_from(["p", "q"]))
+            block[which] = draw(st.sampled_from(
+                [block[which] + 1, 0, -1, 99, "1", "x", None]
+            ))
+            if draw(st.booleans()):
+                del block[which]
+    elif change == "count":
+        key = draw(st.sampled_from(sorted(hodge)))
+        hodge[key] = draw(st.sampled_from([0, -1, 3, "1", "x", None]))
+    elif change == "drop":
+        del doc[draw(st.sampled_from(["hodge", "blocks"]))]
+    return doc
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -134,7 +175,9 @@ def _outcomes(doc, workdir):
         yield command, entry, code
 
 
-@given(doc=st.one_of(raw_documents(), damaged_structures(), damaged_deltas()))
+@given(doc=st.one_of(
+    raw_documents(), damaged_structures(), damaged_deltas(), damaged_connections()
+))
 def test_fuzzed_documents_end_in_a_defined_status(doc, workdir):
     for command, entry, code in _outcomes(doc, workdir):
         assert entry["status"] in CODES, (command, entry)

@@ -2,10 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from conftest import mat
+from conftest import mat, random_real_structure, realified_cohomology
+from hodgegauge import hodgecoh
 from hodgegauge.connection import (
     EquivariantConnection,
     GaugeTransformation,
@@ -16,6 +18,7 @@ from hodgegauge.fixtures import (
     kummer,
     kummer_delta,
     random_mhs,
+    real_corpus,
     real_kummer,
     real_sum_tate,
     real_tate,
@@ -34,7 +37,8 @@ from hodgegauge.mhs import (
     direct_sum_mhs,
     pure,
 )
-from hodgegauge.scalars import Scalar
+from hodgegauge.linalg import InvariantError
+from hodgegauge.scalars import I, Scalar
 
 
 def euler_bound(hodge):
@@ -123,6 +127,35 @@ def test_real_values():
     assert real_absolute_cohomology(real_tate(1)) == (0, 1)
     assert real_absolute_cohomology(real_sum_tate()) == (1, 1)
     assert real_absolute_cohomology(real_kummer(1)) == (0, 0)
+
+
+def test_descent_matches_realified_route():
+    structures = [V for _, V in real_corpus()]
+    structures += [real_kummer(g) for g in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3))]
+    rng = random.Random(2024)
+    structures += [random_real_structure(rng) for _ in range(320)]
+    seen = set()
+    for V in structures:
+        dims = real_absolute_cohomology(V)
+        assert dims == realified_cohomology(V)
+        seen.add(dims)
+    assert {(0, 0), (0, 1), (1, 0), (1, 1), (3, 0)} <= seen
+
+
+def test_real_cohomology_rejects_an_unstable_connection(monkeypatch):
+    # i A and i B: conjugation turns i into -i, so the blocks no longer
+    # match and the complex is not conjugation-stable
+    def tilted(dobj):
+        C = connection_from_delta(dobj)
+        return EquivariantConnection(
+            C.hodge,
+            {pq: M.scale(I) for pq, M in C.A.items()},
+            {pq: M.scale(I) for pq, M in C.B.items()},
+        )
+
+    monkeypatch.setattr(hodgecoh, "connection_from_delta", tilted)
+    with pytest.raises(InvariantError, match="conjugation-stable"):
+        real_absolute_cohomology(real_kummer(2))
 
 
 def test_invariant_violation_raises_under_optimize():

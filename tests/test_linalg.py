@@ -62,8 +62,8 @@ def test_annihilator():
 
 def test_containment_and_coords():
     a = span(3, [[1, 0, 1], [0, 1, 0]])
-    assert a.contains_vector(vec([2, 3, 2]))
-    assert not a.contains_vector(vec([0, 0, 1]))
+    assert a.contains(span(3, [[2, 3, 2]]))
+    assert not a.contains(span(3, [[0, 0, 1]]))
     assert a.contains(span(3, [[1, 1, 1]]))
 
 
