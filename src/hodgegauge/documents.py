@@ -34,6 +34,14 @@ def _check_span(values, what):
         )
 
 
+def _integer_in(x, what):
+    # a JSON integer only: int() would truncate 1.5 and read "1", and a bool
+    # is an int to Python
+    if type(x) is not int:
+        raise DocumentError("%s must be an integer, not %r" % (what, x))
+    return x
+
+
 def _scalar_out(x):
     return str(x)
 
@@ -67,7 +75,10 @@ def _matrix_in(rows, field=None):
             seen[x] = _scalar_in(x, field)
         return seen[x]
 
-    return Matrix([[entry(x) for x in row] for row in rows])
+    rows = [[entry(x) for x in row] for row in rows]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DocumentError("ragged rows")
+    return Matrix(rows)
 
 
 def _filtration_out(f):
@@ -83,7 +94,7 @@ def _filtration_out(f):
 def _filtration_in(doc, field=None):
     try:
         direction = doc["direction"]
-        n = int(doc["n"])
+        n = _integer_in(doc["n"], "n")
         if n < 0:
             raise DocumentError("negative dimension %d" % n)
         steps = {}
@@ -105,10 +116,7 @@ def _filtration_in(doc, field=None):
 def _structure_in(doc, cls, keys, fields):
     """A structure document: the filtrations under keys, each read in its
     field, on the document's dimension n, which they must all share."""
-    try:
-        n = int(doc["n"])
-    except (TypeError, ValueError) as exc:
-        raise DocumentError("bad dimension: %s" % (exc,))
+    n = _integer_in(doc["n"], "dimension")
     filtrations = [_filtration_in(doc[k], f) for k, f in zip(keys, fields)]
     if any(f.n != n for f in filtrations):
         raise DocumentError("filtrations are not on the document's n = %d" % n)
@@ -124,7 +132,7 @@ def _hodge_in(doc):
         counts = {}
         for key, v in doc.items():
             p, q = (int(x) for x in key.split(","))
-            counts[(p, q)] = int(v)
+            counts[(p, q)] = _integer_in(v, "hodge number")
         _check_span([p + q for p, q in counts], "weights")
         return HodgeNumbers(counts)
     except (AttributeError, TypeError, ValueError) as exc:
@@ -191,11 +199,15 @@ def parse(doc, field=None):
             A = {}
             B = {}
             for entry in doc["blocks"]:
-                p, q = int(entry["p"]), int(entry["q"])
-                if "A" in entry:
-                    A[(p, q)] = _matrix_in(entry["A"], field)
-                if "B" in entry:
-                    B[(p, q)] = _matrix_in(entry["B"], field)
+                p, q = _integer_in(entry["p"], "p"), _integer_in(entry["q"], "q")
+                for side, coeffs in (("A", A), ("B", B)):
+                    if side not in entry:
+                        continue
+                    M = coeffs[(p, q)] = _matrix_in(entry[side], field)
+                    # checked here, as EquivariantConnection drops zero blocks
+                    if M.shape != (hodge.dim, hodge.dim):
+                        raise DocumentError("%s block at (%d, %d) has shape %r"
+                                            % (side, p, q, M.shape))
             return EquivariantConnection(hodge, A, B)
     except (KeyError, TypeError) as exc:
         raise DocumentError("bad %s document: %s" % (kind, exc))

@@ -7,10 +7,11 @@ Omega s is a single matrix whose kernel and cokernel compute Ext^0 and
 Ext^1 from the unit structure; everything in degree >= 2 vanishes.
 
 The real theory is the fixed part under the conjugation that swaps the two
-coordinates of the plane.  On a conjugation-stable complex that conjugation
-is an antilinear involution, whose fixed parts are Q-forms of domain and
-codomain; kernel and image descend with them (Galois descent; Serre, Local
-Fields, ch. X §2).  So the rational dimensions are the complex ones of
+coordinates of the plane; as W is rational, it acts on the canonical graded
+bases as the block permutation (p, q) <-> (q, p).  On a conjugation-stable
+complex that conjugation is an antilinear involution, whose fixed parts are
+Q-forms of domain and codomain; kernel and image descend with them (Galois
+descent; Serre, Local Fields, ch. X §2).  So the rational dimensions are the complex ones of
 realize_real(V), once stability is checked block by block.
 """
 
@@ -20,7 +21,7 @@ from .connection import connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import GrStructure, dual_mhs, realize_real, tensor_mhs
 from .scalars import ZERO, Scalar
-from .splitting import delta_operator
+from .splitting import block_permutation, delta_operator
 
 
 class TwoTermComplex:
@@ -112,37 +113,26 @@ def rhom(Vsource, Vtarget):
     return absolute_cohomology(GrStructure(tensor_mhs(dual_mhs(Vsource), Vtarget)))
 
 
-def _conjugation_on_graded(gr):
-    """Matrix S of entrywise conjugation on the canonical graded basis of a
-    validated self-conjugate structure; maps the (p, q) block to the (q, p)
-    block and satisfies S conj(S) = 1."""
-    n = gr.hodge.dim
-    cols = []
-    for (p, q), off, h in gr.hodge.blocks():
-        conj = [
-            tuple(x.conjugate() for x in gr.lift(row, p + q))
-            for row in gr.block_rows[(p, q)]
-        ]
-        cols.extend(gr.gr_coords(gr.coords(conj), p + q))
-    S = Matrix.from_columns(cols)
-    if S @ S.conjugate() != Matrix.identity(n):
-        raise InvariantError("conjugation is not an involution")
-    return S
-
-
 def real_absolute_cohomology(V):
     """(dim_Q Ext^0, dim_Q Ext^1) of a rational structure.
 
     The conjugation swaps the monomial labels (a, b) <-> (b, a) and the two
     1-form slots, through x -> S conj(x) on the graded pieces; the complex
-    commutes with it exactly when A_{p,q} = S conj(B_{q,p}) conj(S).
+    commutes with it exactly when A_{p,q} = S conj(B_{q,p}) S.  W is
+    rational, so conjugation acts entrywise on adapted coordinates and keeps
+    echelon forms reduced: it carries the canonical basis of the (p, q)
+    graded piece onto that of the (q, p) one (checked), and S is the block
+    permutation.
     """
     gr = GrStructure(realize_real(V))
-    S = _conjugation_on_graded(gr)
-    Sbar = S.conjugate()
+    for (p, q), rows in gr.block_rows.items():
+        if gr.block_rows.get((q, p)) != Matrix(rows).conjugate().rows:
+            raise InvariantError("conjugation does not swap the graded bases "
+                                 "at %r" % ((p, q),))
+    S = block_permutation(gr.hodge)
     C = connection_from_delta(delta_operator(gr))
     zero = Matrix.zeros(gr.hodge.dim, gr.hodge.dim)
     for p, q in set(C.A) | {(q, p) for p, q in C.B}:
-        if S @ C.B.get((q, p), zero).conjugate() @ Sbar != C.A.get((p, q), zero):
+        if S @ C.B.get((q, p), zero).conjugate() @ S != C.A.get((p, q), zero):
             raise InvariantError("connection is not conjugation-stable")
     return invariant_complex(C).cohomology_dims()

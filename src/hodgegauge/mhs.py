@@ -342,8 +342,7 @@ class GrStructure(AdaptedTriple):
 
     def __init__(self, V):
         super().__init__(V)
-        counts, self.block_rows, self._charts = {}, {}, {}
-        off = 0
+        counts, self.block_rows = {}, {}
         for n, fp, fpp in self.graded:
             # below this range F'^p is the chart and F''^(n+1-p) zero, above
             # it the other way round, so the check can fail only inside it
@@ -353,20 +352,18 @@ class GrStructure(AdaptedTriple):
                 dims = piece_dimensions(fp, fpp)[0]
                 raise OpposednessViolation(*min(
                     (n, p, q, h) for (p, q), h in dims.items() if p + q != n))
-            rows = []
+            filled = 0
             for p in ps:
                 piece = fp.at(p).intersect(fpp.at(n - p))
                 if piece.dim:
                     counts[p, n - p] = piece.dim
                     self.block_rows[p, n - p] = piece.basis.rows
-                    rows += piece.basis.rows
+                    filled += piece.dim
             # the pieces of one weight are consecutive in the canonical
             # basis, and their rows together are a basis of its chart
-            if len(rows) != fp.n:
+            if filled != fp.n:
                 raise InvariantError("graded pieces of weight %d do not fill "
                                      "its chart" % n)
-            self._charts[n] = (off, Matrix._of(tuple(rows), fp.n))
-            off += fp.n
         self.hodge = HodgeNumbers(counts)
 
     def gr_coords(self, rows, n):
@@ -376,10 +373,11 @@ class GrStructure(AdaptedTriple):
         lo, hi = self.cols[n]
         if any(x for r in rows for x in r[:lo]):
             raise ValueError("vector does not lie in W_%d" % n)
-        off, chart = self._charts[n]
-        sols = solve_left(chart, [r[lo:hi] for r in rows])
-        after = (ZERO,) * (self.hodge.dim - off - chart.nrows)
-        return tuple((ZERO,) * off + x + after for x in sols)
+        chart = tuple(r for (p, q), _, _ in self.hodge.blocks() if p + q == n
+                      for r in self.block_rows[p, q])
+        sols = solve_left(Matrix._of(chart, hi - lo), [r[lo:hi] for r in rows])
+        # the canonical basis runs up in weight, the adapted columns down
+        return tuple((ZERO,) * (self.V.n - hi) + x + (ZERO,) * lo for x in sols)
 
 
 def validate_mhs(V):

@@ -1,16 +1,18 @@
 """Deligne splittings and the unipotent comparison operator delta.
 
 Each mixed Hodge structure has two canonical bigraded splittings, one
-splitting (W, F') exactly and one splitting (W, F'').  Comparing the two
-through the associated graded yields a unipotent operator delta whose
-logarithm strictly lowers both Hodge indices.  The structure can be
+splitting (W, F') exactly and one splitting (W, F'').  A piece I^{p,q} of
+weight n meets W_{n-1} in zero, so its reduced echelon basis in W-adapted
+coordinates lifts the canonical basis of the (p, q) piece of Gr^W_n.
+Comparing the two lifts, by one solve, yields a unipotent operator delta
+whose logarithm strictly lowers both Hodge indices.  The structure can be
 rebuilt from (hodge numbers, delta) up to isomorphism, and that model is
 what the connection, holonomy, and cohomology layers consume.
 """
 
 from __future__ import annotations
 
-from .linalg import InvariantError, Matrix, Subspace, log_unipotent
+from .linalg import InvariantError, Matrix, Subspace, log_unipotent, solve_left
 from .mhs import ComplexMHS, Filtration, GrStructure
 from .scalars import ONE, ZERO
 
@@ -21,13 +23,15 @@ class DeltaError(ValueError):
 
 def _adapted_pieces(gr, side):
     # the pieces I^{p,q} in the adapted coordinates of gr:
-    # Fa^a ∩ W_n ∩ (Fb^b ∩ W_n + sum over j >= 1 of Fb^{b-j} ∩ W_{n-j-1})
+    # Fa^a ∩ W_n ∩ (Fb^b ∩ W_n + sum over j >= 1 of Fb^{b-j} ∩ W_{n-j-1});
+    # I ∩ W_{n-1} = 0, so every pivot of its echelon basis lies in the chart
+    # of Gr^W_n, and the chart slice is the canonical basis of the piece
     if side not in ("Fp", "Fpp"):
         raise ValueError("side must be 'Fp' or 'Fpp'")
     Fa, Fb = gr.F[side], gr.F["Fpp" if side == "Fp" else "Fp"]
     dim = gr.V.n
     out = {}
-    for (p, q), off, h in gr.hodge.blocks():
+    for (p, q), _, _ in gr.hodge.blocks():
         a, b = (p, q) if side == "Fp" else (q, p)
         n = p + q
         first = Subspace(dim, Matrix._of(gr.in_w(Fa.at(a), n), dim))
@@ -35,10 +39,10 @@ def _adapted_pieces(gr, side):
         for j in range(1, n - min(gr.cols)):
             tail.extend(gr.in_w(Fb.at(b - j), n - j - 1))
         piece = first.intersect(Subspace._span(Matrix._of(tuple(tail), dim)))
-        if piece.dim != h:
-            raise InvariantError(
-                "splitting piece has wrong dimension at %r" % ((p, q),)
-            )
+        lo, hi = gr.cols[n]
+        if tuple(r[lo:hi] for r in piece.basis.rows) != gr.block_rows[(p, q)]:
+            raise InvariantError("splitting piece does not lift the graded "
+                                 "basis at %r" % ((p, q),))
         out[(p, q)] = piece
     return out
 
@@ -103,26 +107,19 @@ class DeltaObject:
         return "DeltaObject(%r)" % (self.hodge,)
 
 
-def _side_matrix(gr, side):
-    # column-vector map from graded coordinates to adapted coordinates; the
-    # change of basis cancels in delta
-    pieces = _adapted_pieces(gr, side)
-    b_rows = []
-    g_rows = []
-    for (p, q), off, h in gr.hodge.blocks():
-        b_rows.extend(pieces[(p, q)].basis.rows)
-        g_rows.extend(gr.gr_coords(pieces[(p, q)].basis.rows, p + q))
-    B = Matrix._of(tuple(b_rows), gr.V.n)
-    G = Matrix._of(tuple(g_rows), gr.hodge.dim)
-    return B.transpose() @ G.transpose().inverse()
-
-
 def delta_operator(gr):
     """Compare the two canonical splittings of the validated structure gr.V
-    through its associated graded."""
-    Mp = _side_matrix(gr, "Fp")
-    Mpp = _side_matrix(gr, "Fpp")
-    return DeltaObject(gr.hodge, Mpp.inverse() @ Mp)
+    through its associated graded.
+
+    The echelon rows of each side's pieces, stacked in block order into B'
+    and B'', lift the same canonical graded basis, so delta is the matrix
+    (B''^T)^-1 B'^T carrying one lift onto the other: one solve."""
+    Bp, Bpp = (
+        tuple(r for pq, _, _ in gr.hodge.blocks() for r in pieces[pq].basis.rows)
+        for pieces in (_adapted_pieces(gr, "Fp"), _adapted_pieces(gr, "Fpp"))
+    )
+    delta = solve_left(Matrix._of(Bpp, gr.V.n), Bp)
+    return DeltaObject(gr.hodge, Matrix._of(delta, gr.V.n).transpose())
 
 
 def log_delta_components(dobj):

@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hodgegauge.connection import connection_form, connection_from_delta
 from hodgegauge.freelie import LiePolynomial, NotLieElement, expand_lyndon, is_lyndon
-from hodgegauge.hodgecoh import _conjugation_on_graded, invariant_complex
+from hodgegauge.hodgecoh import invariant_complex
 from hodgegauge.linalg import (
     InvariantError,
     Matrix,
@@ -19,7 +19,7 @@ from hodgegauge.linalg import (
 from hodgegauge.mhs import Filtration, GrStructure, RealMHS, realize_real
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
-from hodgegauge.splitting import delta_operator
+from hodgegauge.splitting import DeltaObject, _adapted_pieces, delta_operator
 
 # the same examples on every run, so a hypothesis failure cannot come and go
 settings.register_profile(
@@ -185,6 +185,49 @@ def picard_transport(C, a, b):
     """Transport matrix of the connection C from a to b by ``picard``."""
     P, Q = connection_form(C)
     return picard(segment_pullback(P, Q, a, b), ZERO).eval((ONE,))
+
+
+def _side_matrix(gr, side):
+    """Column-vector map from graded coordinates to adapted coordinates of
+    one side's splitting pieces; the change of basis cancels in delta."""
+    pieces = _adapted_pieces(gr, side)
+    b_rows = []
+    g_rows = []
+    for (p, q), off, h in gr.hodge.blocks():
+        b_rows.extend(pieces[(p, q)].basis.rows)
+        g_rows.extend(gr.gr_coords(pieces[(p, q)].basis.rows, p + q))
+    B = Matrix._of(tuple(b_rows), gr.V.n)
+    G = Matrix._of(tuple(g_rows), gr.hodge.dim)
+    return B.transpose() @ G.transpose().inverse()
+
+
+def side_matrix_delta(gr):
+    """delta of the validated structure gr.V through graded coordinates and
+    two inverses: the reference ``splitting.delta_operator`` (one solve on
+    the echelon lifts) is tested against."""
+    Mp = _side_matrix(gr, "Fp")
+    Mpp = _side_matrix(gr, "Fpp")
+    return DeltaObject(gr.hodge, Mpp.inverse() @ Mp)
+
+
+def _conjugation_on_graded(gr):
+    """Matrix S of entrywise conjugation on the canonical graded basis of a
+    validated self-conjugate structure, by lifting, conjugating and solving
+    back; maps the (p, q) block to the (q, p) block and satisfies
+    S conj(S) = 1.  The reference ``splitting.block_permutation`` is tested
+    against on real structures."""
+    n = gr.hodge.dim
+    cols = []
+    for (p, q), off, h in gr.hodge.blocks():
+        conj = [
+            tuple(x.conjugate() for x in gr.lift(row, p + q))
+            for row in gr.block_rows[(p, q)]
+        ]
+        cols.extend(gr.gr_coords(gr.coords(conj), p + q))
+    S = Matrix.from_columns(cols)
+    if S @ S.conjugate() != Matrix.identity(n):
+        raise InvariantError("conjugation is not an involution")
+    return S
 
 
 def _real_fixed_subspace(R):

@@ -204,8 +204,11 @@ def _fixture_names(which):
 # sha256 of stdout of one batch over the shipped fixtures, named relative to
 # the fixture directory so that the digest does not depend on the checkout's
 # location; recorded before transport moved onto the weight-ordered walk,
-# and (ext) before real cohomology moved onto Galois descent
+# (ext) before real cohomology moved onto Galois descent, and (split) before
+# delta was read off the echelon bases of the splitting pieces
 @pytest.mark.parametrize("argv, which, want", [
+    (["split"], "structure",
+     "a43ac0472a312a24659b85b58a5b1c95651857886173afe0b3a8b482f8d59779"),
     (["holonomy"], "all",
      "bb3fe02124d230fd0f4e768b9ea824143e0906b8ca4a5813f5c61210bcad9dd4"),
     (["holonomy", "--path=-1,0;0,-1;2,3"], "delta and connection",
@@ -214,7 +217,7 @@ def _fixture_names(which):
      "6aedbec96bf6227c91733504edb2b0da81de002574f3a759802d18a2000391e1"),
     (["ext"], "structure",
      "4d63ba390303ea791b33756571fbe62ff5cea82cf40167bc0784b10e3cfb63e6"),
-], ids=["holonomy", "holonomy-path", "roundtrip", "ext"])
+], ids=["split", "holonomy", "holonomy-path", "roundtrip", "ext"])
 def test_transport_stdout_is_pinned(argv, which, want, monkeypatch):
     monkeypatch.chdir(fixture_dir())
     names = _fixture_names(which)

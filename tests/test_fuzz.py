@@ -215,3 +215,53 @@ def test_bad_document_dimension_is_malformed(name, n, workdir):
     doc["n"] = n
     for command, entry, code in _outcomes(doc, workdir):
         assert (entry["status"], code) == ("malformed", 2), (command, entry)
+
+
+def _fixture(name):
+    with open(os.path.join(fixture_dir(), name)) as fh:
+        return json.load(fh)
+
+
+def _set(doc, path, value):
+    # path is a list of keys and indices down to the field to replace
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("connection_t3_2_5.json", ["blocks", 0, "p"], "x"),
+    ("connection_t3_2_5.json", ["blocks", 0, "p"], 1.5),
+    ("connection_t3_2_5.json", ["blocks", 0, "p"], True),
+    ("connection_t3_2_5.json", ["blocks", 1, "q"], 2.0),
+    ("connection_t3_2_5.json", ["hodge", "0,0"], 1.5),
+    ("delta_t3_2_5.json", ["hodge", "0,0"], 1.5),
+    ("delta_t3_2_5.json", ["hodge", "0,0"], "1"),
+    ("delta_t3_2_5.json", ["hodge", "-1,-1"], True),
+    ("kummer_3.json", ["n"], 2.0),
+    ("kummer_3.json", ["Fp", "n"], 2.0),
+    ("real_kummer_2.json", ["n"], 2.0),
+    ("real_kummer_2.json", ["W", "n"], "2"),
+])
+def test_integer_fields_take_only_json_integers(name, path, value, workdir):
+    # int() truncated 1.5 and read "1" and True, and "x" was a violation
+    doc = _fixture(name)
+    _set(doc, path, value)
+    for command, entry, code in _outcomes(doc, workdir):
+        assert (entry["status"], code) == ("malformed", 2), (command, entry)
+        assert "must be an integer" in entry["error"], (command, entry)
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("delta_t3_2_5.json", ["matrix", 1], ["0/1", "1/1"]),
+    ("connection_t3_2_5.json", ["blocks", 0, "A", 2], ["0/1"]),
+    # all zero, so EquivariantConnection would drop it unchecked
+    ("connection_t3_2_5.json", ["blocks", 1, "B"], [["0/1", "0/1"]] * 2),
+    ("connection_t3_2_5.json", ["blocks", 1, "A"], []),
+])
+def test_ragged_and_misshaped_matrices_are_malformed(name, path, value, workdir):
+    # ragged ones were violations, and a zero block of the wrong shape ok
+    doc = _fixture(name)
+    _set(doc, path, value)
+    for command, entry, code in _outcomes(doc, workdir):
+        assert (entry["status"], code) == ("malformed", 2), (command, entry)

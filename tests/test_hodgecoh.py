@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat, random_real_structure, realified_cohomology
+from conftest import (
+    _conjugation_on_graded,
+    mat,
+    random_real_structure,
+    realified_cohomology,
+)
 from hodgegauge import hodgecoh
 from hodgegauge.connection import (
     EquivariantConnection,
@@ -36,9 +41,11 @@ from hodgegauge.mhs import (
     HodgeNumbers,
     direct_sum_mhs,
     pure,
+    realize_real,
 )
-from hodgegauge.linalg import InvariantError
+from hodgegauge.linalg import InvariantError, Matrix
 from hodgegauge.scalars import I, Scalar
+from hodgegauge.splitting import block_permutation
 
 
 def euler_bound(hodge):
@@ -129,17 +136,48 @@ def test_real_values():
     assert real_absolute_cohomology(real_kummer(1)) == (0, 0)
 
 
-def test_descent_matches_realified_route():
+def _real_structures():
     structures = [V for _, V in real_corpus()]
     structures += [real_kummer(g) for g in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3))]
     rng = random.Random(2024)
-    structures += [random_real_structure(rng) for _ in range(320)]
+    return structures + [random_real_structure(rng) for _ in range(320)]
+
+
+def test_descent_matches_realified_route():
     seen = set()
-    for V in structures:
+    for V in _real_structures():
         dims = real_absolute_cohomology(V)
         assert dims == realified_cohomology(V)
         seen.add(dims)
     assert {(0, 0), (0, 1), (1, 0), (1, 1), (3, 0)} <= seen
+
+
+def test_conjugation_is_the_block_permutation():
+    structures = _real_structures()
+    assert len(structures) == 329
+    swapped = 0
+    for V in structures:
+        gr = GrStructure(realize_real(V))
+        S = block_permutation(gr.hodge)
+        assert S == _conjugation_on_graded(gr)
+        swapped += S != Matrix.identity(gr.hodge.dim)
+    assert swapped > 100
+
+
+def test_graded_bases_that_conjugation_does_not_swap_are_an_invariant_error(
+    monkeypatch,
+):
+    # i times a rational canonical basis spans the same piece of real_tate,
+    # but conjugation sends it to -i times itself
+    class Tilted(GrStructure):
+        def __init__(self, V):
+            super().__init__(V)
+            self.block_rows = {pq: tuple(tuple(x * I for x in r) for r in rows)
+                               for pq, rows in self.block_rows.items()}
+
+    monkeypatch.setattr(hodgecoh, "GrStructure", Tilted)
+    with pytest.raises(InvariantError, match="swap the graded bases"):
+        real_absolute_cohomology(real_tate(0))
 
 
 def test_real_cohomology_rejects_an_unstable_connection(monkeypatch):

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports at top level is used in it:
-a stdlib stand-in for a linter's unused-import check."""
+"""Every name a module of the package imports at top level is used in it,
+and every private helper it defines is named somewhere else in the package:
+stdlib stand-ins for a linter's unused-import and dead-code checks."""
 
 import ast
 import os
@@ -32,3 +33,55 @@ def test_the_check_sees_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def orphaned_helpers(sources):
+    """Private module-level functions, and private methods of module-level
+    classes, that no module of sources (file name -> text) names anywhere
+    but in their own definition; as "module.name" or "module.Class.name"."""
+    named = set()
+    defined = []
+    for f, text in sources.items():
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        for node in tree.body:
+            prefix, body = f[:-3] + ".", [node]
+            if isinstance(node, ast.ClassDef):
+                prefix, body = prefix + node.name + ".", node.body
+            defined += [
+                (prefix, d.name) for d in body
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and _private(d.name)
+            ]
+    return sorted(p + name for p, name in defined if name not in named)
+
+
+def test_the_check_sees_an_orphaned_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _orphan():\n    pass\n"
+                "def __getattr__(name):\n    pass\n"
+                "class C:\n    def _m(self):\n        pass\n"
+                "    def _called(self):\n        pass\n"
+                "    def __init__(self):\n        _used()\n",
+        "b.py": "from .a import _imported\ndef _imported():\n    pass\n"
+                "def f(c):\n    c._called()\n",
+    }
+    assert orphaned_helpers(sources) == ["a.C._m", "a._orphan"]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            sources[module] = fh.read()
+    assert orphaned_helpers(sources) == []

@@ -1,11 +1,21 @@
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import mat, span
-from hodgegauge.fixtures import kummer, kummer_delta, random_delta, t3, t3_delta
-from hodgegauge.linalg import Matrix
+from conftest import fixture_dir, mat, side_matrix_delta, span
+from hodgegauge.documents import parse
+from hodgegauge.fixtures import (
+    kummer,
+    kummer_delta,
+    random_delta,
+    random_mhs,
+    t3,
+    t3_delta,
+)
+from hodgegauge.linalg import InvariantError, Matrix
 
 
 def mkron(A, B):
@@ -16,7 +26,19 @@ def mkron(A, B):
                 [A[i, j] * B[k, l] for j in range(A.ncols) for l in range(B.ncols)]
             )
     return Matrix(rows)
-from hodgegauge.mhs import GrStructure, HodgeNumbers, conjugate_mhs, pure, tensor_mhs
+from hodgegauge.mhs import (
+    ComplexMHS,
+    Filtration,
+    GrStructure,
+    HodgeNumbers,
+    RealMHS,
+    conjugate_mhs,
+    direct_sum_mhs,
+    dual_mhs,
+    pure,
+    realize_real,
+    tensor_mhs,
+)
 from hodgegauge.splitting import (
     DeltaError,
     DeltaObject,
@@ -178,3 +200,90 @@ def test_conjugate_delta_matches_structure_path():
 def test_conjugate_delta_involution():
     d = t3_delta(Scalar(1, 1), 4)
     assert conjugate_delta(conjugate_delta(d)) == d
+
+
+def _structure_fixtures():
+    names = sorted(f for f in os.listdir(fixture_dir())
+                   if f.endswith(".json") and not f.startswith(("delta_", "connection_")))
+    out = []
+    for name in names:
+        with open(os.path.join(fixture_dir(), name)) as fh:
+            V = parse(json.load(fh))
+        out.append(realize_real(V) if isinstance(V, RealMHS) else V)
+    return out
+
+
+def _moved(V, g):
+    """V carried onto the same space by the invertible matrix g."""
+    return ComplexMHS(V.n, *(
+        Filtration(f.direction, V.n, {k: s.apply(g) for k, s in f.steps.items()})
+        for f in (V.W, V.Fp, V.Fpp)
+    ))
+
+
+def _random_invertible(rng, n):
+    while True:
+        g = mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if g.rank() == n:
+            return g
+
+
+def _differential_structures():
+    out = _structure_fixtures()
+    assert len(out) == 24
+    rng = random.Random(15)
+    randoms = [random_mhs(rng, max_dim=8, weight_lo=-4, weight_hi=4)
+               for _ in range(24)]
+    # delta_to_mhs puts W and F' on the unit vectors; moved, no filtration is
+    # split in the coordinates the adapted basis starts from
+    out += randoms + [_moved(V, _random_invertible(rng, V.n)) for V in randoms]
+    built = [
+        tensor_mhs(kummer(Scalar(2, 1)), t3(1, -1)),
+        tensor_mhs(randoms[0], randoms[1]),
+        dual_mhs(t3(Scalar(0, 1), 3)),
+        dual_mhs(randoms[2]),
+        direct_sum_mhs(kummer(3), t3(2, Scalar(1, -1))),
+        direct_sum_mhs(randoms[3], randoms[4]),
+    ]
+    return out + built + [conjugate_mhs(V) for V in built]
+
+
+def test_delta_matches_the_graded_coordinate_route():
+    seen = set()
+    for V in _differential_structures():
+        gr = GrStructure(V)
+        d = delta_operator(gr)
+        assert d == side_matrix_delta(gr)
+        seen.add(d.delta == Matrix.identity(gr.hodge.dim))
+    assert seen == {True, False}
+
+
+def test_delta_takes_no_inverse_and_no_graded_coordinates(monkeypatch):
+    grs = [GrStructure(V) for V in _structure_fixtures()]
+    calls = []
+    for cls, name in ((Matrix, "inverse"), (GrStructure, "gr_coords")):
+        real = getattr(cls, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    for gr in grs:
+        delta_operator(gr)
+    assert calls == []
+    side_matrix_delta(grs[-1])
+    assert set(calls) == {"inverse", "gr_coords"}
+
+
+@pytest.mark.parametrize("side", ["Fp", "Fpp"])
+def test_a_piece_that_does_not_lift_the_graded_basis_is_an_invariant_error(side):
+    # twice the canonical basis spans the same graded piece, but is not what
+    # the echelon rows of the splitting piece lift
+    gr = GrStructure(kummer(3))
+    gr.block_rows[(0, 0)] = tuple(tuple(x + x for x in r)
+                                  for r in gr.block_rows[(0, 0)])
+    with pytest.raises(InvariantError, match="does not lift the graded basis"):
+        splitting_subspaces(gr, side)
+    with pytest.raises(InvariantError, match="does not lift the graded basis"):
+        delta_operator(gr)
