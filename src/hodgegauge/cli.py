@@ -3,11 +3,13 @@
 Reads structure documents (JSON), runs the requested pipeline on each, and
 prints a single deterministic JSON report.  Exit code 0 means every check
 passed, 1 means a mathematical violation or failed check, 2 means a
-malformed input, 3 means an internal error (an entry with status "error",
-its traceback on stderr; the other inputs are still reported), and 141
-means stdout was closed before the report was written.  Reports never
-contain timestamps, so identical inputs produce byte-identical output,
-including under --jobs parallelism (results are merged in input order).
+malformed input or a result too large to print, 3 means an internal error
+(an entry with status "error", its traceback on stderr; the other inputs
+are still reported), and 141 means stdout was closed before the report was
+written.  Reports never contain timestamps, so identical inputs produce
+byte-identical output.  Inputs run one after another, in input order, on
+the calling thread; --jobs is accepted and has no effect.  Handlers import
+the layers they reach, so a command loads (and compiles) only those.
 """
 
 from __future__ import annotations
@@ -20,32 +22,7 @@ import sys
 from math import comb
 
 from . import __version__
-from .connection import EquivariantConnection, connection_from_delta, curvature
-from .documents import DocumentError, _hodge_out, _matrix_out, parse, serialize
-from .linalg import Matrix
-from .hodgecoh import absolute_cohomology, real_absolute_cohomology
-from .holonomy import (
-    PolygonalPath,
-    convention_selftest,
-    holonomy_path,
-    triangle_delta,
-)
-from .mhs import (
-    ComplexMHS,
-    FiltrationError,
-    GrStructure,
-    OpposednessViolation,
-    RealMHS,
-    realize_real,
-)
-from .rees import W_LINE, rees_patching, restrict_to_line, splitting_type
-from .scalars import FieldError, Scalar
-from .splitting import (
-    DeltaObject,
-    delta_operator,
-    delta_to_mhs,
-    log_delta_components,
-)
+from .scalars import MAX_DIGITS, FieldError, Scalar
 
 TRUNCATION_CAP = 12
 CLOSED_STDOUT = 141  # 128 + SIGPIPE
@@ -55,14 +32,12 @@ class Violation(Exception):
     """Mathematically invalid input, carrying the first failing witness."""
 
 
-def _digest(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 # one converter per artifact of the chain structure -> graded -> delta ->
 # connection; each accepts anything upstream and computes each link once
 def _graded(obj):
     """Validated graded structure of a structure document."""
+    from .mhs import ComplexMHS, GrStructure, RealMHS, realize_real
+
     if isinstance(obj, RealMHS):
         obj = realize_real(obj)
     if not isinstance(obj, ComplexMHS):
@@ -72,6 +47,11 @@ def _graded(obj):
 
 def _delta(obj):
     """Delta of a structure or delta document, or of a graded structure."""
+    from .connection import EquivariantConnection
+    from .documents import DocumentError
+    from .mhs import GrStructure
+    from .splitting import DeltaObject, delta_operator
+
     if isinstance(obj, DeltaObject):
         return obj
     if isinstance(obj, EquivariantConnection):
@@ -85,12 +65,17 @@ def _delta(obj):
 
 def _connection(obj):
     """Canonical connection of any document, or of an upstream artifact."""
+    from .connection import EquivariantConnection, connection_from_delta
+
     if isinstance(obj, EquivariantConnection):
         return obj
     return connection_from_delta(_delta(obj))
 
 
 def _validate(obj, flags):
+    from .documents import _hodge_out
+    from .mhs import OpposednessViolation
+
     try:
         gr = _graded(obj)
     except OpposednessViolation as exc:
@@ -102,6 +87,9 @@ def _validate(obj, flags):
 
 
 def _split(obj, flags):
+    from .documents import _matrix_out
+    from .splitting import log_delta_components
+
     dobj = _delta(_graded(obj))
     comps = log_delta_components(dobj)
     return {
@@ -113,6 +101,8 @@ def _split(obj, flags):
 
 
 def _connect(obj, flags):
+    from .documents import serialize
+
     C = _connection(obj)
     checks = [("fock_schwinger", all(
         (C.B.get(k) == -v) for k, v in C.A.items()
@@ -121,6 +111,9 @@ def _connect(obj, flags):
 
 
 def _holonomy(obj, flags):
+    from .documents import _matrix_out
+    from .holonomy import holonomy_path, triangle_delta
+
     C = _connection(obj)
     if flags.path:
         T = holonomy_path(C, flags.path)
@@ -130,6 +123,12 @@ def _holonomy(obj, flags):
 
 
 def _roundtrip(obj, flags):
+    from .connection import curvature
+    from .documents import _hodge_out, _matrix_out
+    from .holonomy import triangle_delta
+    from .linalg import Matrix
+    from .splitting import delta_to_mhs
+
     gr = _graded(obj)
     dobj = _delta(gr)
     C = _connection(dobj)
@@ -146,6 +145,8 @@ def _roundtrip(obj, flags):
 
 
 def _rees(obj, flags):
+    from .rees import W_LINE, rees_patching, restrict_to_line, splitting_type
+
     dobj = _delta(obj)
     phi = rees_patching(dobj)
     checks = [
@@ -170,6 +171,9 @@ def _rees(obj, flags):
 
 
 def _ext(obj, flags):
+    from .hodgecoh import absolute_cohomology, real_absolute_cohomology
+    from .mhs import RealMHS
+
     if isinstance(obj, RealMHS):
         e0, e1 = real_absolute_cohomology(obj)
         return {"ext0_rational": e0, "ext1_rational": e1}, []
@@ -183,7 +187,6 @@ def _ext(obj, flags):
 
 
 def _lie_report(N):
-    # only `lie` needs the free-Lie tables, so no other command loads them
     from .freelie import (
         abelianized_coefficient,
         format_rational,
@@ -236,16 +239,6 @@ _HANDLERS = {
 }
 
 
-def _parse(doc, flags):
-    try:
-        return parse(doc, flags.field if flags.field != "Qi" else None)
-    except (DocumentError, FiltrationError):
-        raise
-    except ValueError as exc:
-        # well-formed document describing a mathematically invalid object
-        raise Violation(str(exc))
-
-
 def _failed(entry, status, exc):
     entry["status"] = status
     entry["error"] = str(exc)
@@ -253,17 +246,29 @@ def _failed(entry, status, exc):
 
 
 def _process_one(command, path, flags):
+    from .documents import DocumentError, OversizeResult, parse
+    from .mhs import FiltrationError, OpposednessViolation
+
     entry = {"path": path}
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        entry["sha256"] = _digest(data)
+        entry["sha256"] = hashlib.sha256(data).hexdigest()
         doc = json.loads(data.decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the decoder can follow
         return _failed(entry, "malformed", exc), 2
     try:
-        result, checks = _HANDLERS[command](_parse(doc, flags), flags)
+        try:
+            obj = parse(doc, flags.field if flags.field != "Qi" else None)
+        except ValueError as exc:
+            if isinstance(exc, (DocumentError, FiltrationError)):
+                raise
+            # well-formed document describing a mathematically invalid object
+            raise Violation(str(exc))
+        result, checks = _HANDLERS[command](obj, flags)
+    except OversizeResult as exc:
+        return _failed(entry, "malformed", "%s: %s" % (command, exc)), 2
     except (DocumentError, FiltrationError) as exc:
         return _failed(entry, "malformed", exc), 2
     except (Violation, OpposednessViolation, FieldError) as exc:
@@ -296,6 +301,8 @@ def _point(text):
 
 def _path(text):
     """A ';'-separated list of 'x,y' points as a polygonal path."""
+    from .holonomy import PolygonalPath
+
     return PolygonalPath([_point(chunk) for chunk in text.split(";")])
 
 
@@ -312,7 +319,8 @@ def build_parser():
         if with_inputs:
             sp.add_argument("inputs", nargs="+", help="document files")
             sp.add_argument("--field", choices=("Q", "Qi"), default="Qi")
-            sp.add_argument("--jobs", type=int, default=1)
+            sp.add_argument("--jobs", type=int, default=1, help="has no effect: "
+                            "inputs run one after another, in input order")
         sp.add_argument(
             "--orientation-selftest",
             action="store_true",
@@ -356,28 +364,22 @@ def build_parser():
 
 
 def main(argv=None):
+    # a result is printed only up to the digits a parsed scalar may have:
+    # documents._matrix_out relies on str() refusing longer integers
+    sys.set_int_max_str_digits(MAX_DIGITS)
     ap = build_parser()
     flags = ap.parse_args(argv)
     report = {"command": flags.command, "version": __version__}
     worst = 0
     if flags.orientation_selftest:
+        from .holonomy import convention_selftest
+
         convention_selftest()
         report["orientation_selftest"] = "pass"
     if flags.command == "lie":
         report["result"] = _lie_report(flags.truncation)
     else:
-        inputs = flags.inputs
-        if flags.jobs and flags.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=flags.jobs) as pool:
-                outs = list(
-                    pool.map(
-                        lambda p: _process_one(flags.command, p, flags), inputs
-                    )
-                )
-        else:
-            outs = [_process_one(flags.command, p, flags) for p in inputs]
+        outs = [_process_one(flags.command, p, flags) for p in flags.inputs]
         report["inputs"] = [entry for entry, _ in outs]
         worst = max((code for _, code in outs), default=0)
     try:

@@ -6,6 +6,7 @@ matrices are row lists, filtrations map stringified indices to basis rows.
 Parsing and serialization are exact inverses on canonical documents.
 A document whose filtration indices, or whose Hodge weights, span more than
 MAX_SPAN is malformed: the cost of every stage grows with that span.
+Index keys must be canonical ("k" or "p,q", each part str(int(part))).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from .connection import EquivariantConnection
 from .linalg import DimensionMismatch, Matrix, Subspace
 from .mhs import ComplexMHS, Filtration, HodgeNumbers, RealMHS
-from .scalars import FieldError, Scalar
+from .scalars import MAX_DIGITS, FieldError, Scalar
 from .splitting import DeltaObject
 
 
@@ -26,6 +27,10 @@ class DocumentError(ValueError):
     """Malformed input document."""
 
 
+class OversizeResult(DocumentError):
+    """A result holds a scalar too long to print."""
+
+
 def _check_span(values, what):
     if values and max(values) - min(values) > MAX_SPAN:
         raise DocumentError(
@@ -34,16 +39,18 @@ def _check_span(values, what):
         )
 
 
+def _canonical(key, text):
+    # int() also reads "00", "+1", " 1" and "1_0"
+    if key != text:
+        raise DocumentError("index key %r is not canonical" % (key,))
+
+
 def _integer_in(x, what):
     # a JSON integer only: int() would truncate 1.5 and read "1", and a bool
     # is an int to Python
     if type(x) is not int:
         raise DocumentError("%s must be an integer, not %r" % (what, x))
     return x
-
-
-def _scalar_out(x):
-    return str(x)
 
 
 def _scalar_in(text, field=None):
@@ -59,7 +66,11 @@ def _scalar_in(text, field=None):
 
 
 def _matrix_out(m):
-    return [[_scalar_out(x) for x in row] for row in m.rows]
+    try:
+        return [[str(x) for x in row] for row in m.rows]
+    except ValueError:  # past the int-to-str limit, which cli.main pins
+        raise OversizeResult("result has a numerator or denominator of more "
+                             "than %d digits" % MAX_DIGITS)
 
 
 def _matrix_in(rows, field=None):
@@ -104,7 +115,9 @@ def _filtration_in(doc, field=None):
                 raise DimensionMismatch(
                     "rows of length %d in K^%d" % (basis.ncols, n)
                 )
-            steps[int(key)] = Subspace._span(basis)
+            k = int(key)
+            _canonical(key, str(k))
+            steps[k] = Subspace._span(basis)
         _check_span(steps, "indices")
         return Filtration(direction, n, steps)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -132,6 +145,7 @@ def _hodge_in(doc):
         counts = {}
         for key, v in doc.items():
             p, q = (int(x) for x in key.split(","))
+            _canonical(key, "%d,%d" % (p, q))
             counts[(p, q)] = _integer_in(v, "hodge number")
         _check_span([p + q for p, q in counts], "weights")
         return HodgeNumbers(counts)

@@ -15,7 +15,6 @@ from .linalg import (
     InvariantError,
     Matrix,
     Subspace,
-    solve_left,
 )
 from .scalars import ZERO
 
@@ -293,7 +292,7 @@ class AdaptedTriple:
             self.cols[n] = (len(basis), len(basis) + len(blocks[n]))
             basis.extend(blocks[n])
         self.basis = Matrix._of(tuple(basis), V.n)
-        self._inverse = inv = self.basis.inverse()
+        inv = self.basis.inverse()
         # zero and the full space read the same in every basis
         self.F = {side: Filtration(Filtration.DEC, V.n, {
             k: s if s.dim in (0, V.n) else Subspace._span(s.basis @ inv)
@@ -309,21 +308,10 @@ class AdaptedTriple:
             )
             self.graded.append((n, fp, fpp))
 
-    def coords(self, rows):
-        """Adapted coordinates of vectors of K^n."""
-        return (Matrix._of(tuple(map(tuple, rows)), self.V.n) @ self._inverse).rows
-
     def in_w(self, sub, k):
         """The rows of an adapted echelon basis that span its part in W_k."""
         lo = min((lo for n, (lo, _) in self.cols.items() if n <= k), default=self.V.n)
         return tuple(r for r in sub.basis.rows if not any(r[:lo]))
-
-    def lift(self, coords, n):
-        """The vector of K^n with these coordinates in the chart of Gr^W_n
-        and none outside it."""
-        lo, hi = self.cols[n]
-        chart = Matrix._of(self.basis.rows[lo:hi], self.V.n)
-        return (Matrix._of((tuple(coords),), hi - lo) @ chart).rows[0]
 
 
 class GrStructure(AdaptedTriple):
@@ -365,19 +353,6 @@ class GrStructure(AdaptedTriple):
                 raise InvariantError("graded pieces of weight %d do not fill "
                                      "its chart" % n)
         self.hodge = HodgeNumbers(counts)
-
-    def gr_coords(self, rows, n):
-        """Coordinates of v + W_{n-1} in the total canonical basis, for each
-        v of rows (adapted coordinates, each in W_n), from one elimination
-        inside the chart of Gr^W_n."""
-        lo, hi = self.cols[n]
-        if any(x for r in rows for x in r[:lo]):
-            raise ValueError("vector does not lie in W_%d" % n)
-        chart = tuple(r for (p, q), _, _ in self.hodge.blocks() if p + q == n
-                      for r in self.block_rows[p, q])
-        sols = solve_left(Matrix._of(chart, hi - lo), [r[lo:hi] for r in rows])
-        # the canonical basis runs up in weight, the adapted columns down
-        return tuple((ZERO,) * (self.V.n - hi) + x + (ZERO,) * lo for x in sols)
 
 
 def validate_mhs(V):

@@ -187,6 +187,33 @@ def picard_transport(C, a, b):
     return picard(segment_pullback(P, Q, a, b), ZERO).eval((ONE,))
 
 
+def coords(gr, rows):
+    """Coordinates of vectors of K^n in the W-adapted basis of gr."""
+    return (Matrix._of(tuple(map(tuple, rows)), gr.V.n) @ gr.basis.inverse()).rows
+
+
+def lift(gr, row, n):
+    """The vector of K^n with these coordinates in the chart of Gr^W_n of
+    gr (an AdaptedTriple) and none outside it."""
+    lo, hi = gr.cols[n]
+    chart = Matrix._of(gr.basis.rows[lo:hi], gr.V.n)
+    return (Matrix._of((tuple(row),), hi - lo) @ chart).rows[0]
+
+
+def gr_coords(gr, rows, n):
+    """Coordinates of v + W_{n-1} in the total canonical basis of the
+    validated gr, for each v of rows (adapted coordinates, each in W_n),
+    from one elimination inside the chart of Gr^W_n."""
+    lo, hi = gr.cols[n]
+    if any(x for r in rows for x in r[:lo]):
+        raise ValueError("vector does not lie in W_%d" % n)
+    chart = tuple(r for (p, q), _, _ in gr.hodge.blocks() if p + q == n
+                  for r in gr.block_rows[p, q])
+    sols = solve_left(Matrix._of(chart, hi - lo), [r[lo:hi] for r in rows])
+    # the canonical basis runs up in weight, the adapted columns down
+    return tuple((ZERO,) * (gr.V.n - hi) + x + (ZERO,) * lo for x in sols)
+
+
 def _side_matrix(gr, side):
     """Column-vector map from graded coordinates to adapted coordinates of
     one side's splitting pieces; the change of basis cancels in delta."""
@@ -195,7 +222,7 @@ def _side_matrix(gr, side):
     g_rows = []
     for (p, q), off, h in gr.hodge.blocks():
         b_rows.extend(pieces[(p, q)].basis.rows)
-        g_rows.extend(gr.gr_coords(pieces[(p, q)].basis.rows, p + q))
+        g_rows.extend(gr_coords(gr, pieces[(p, q)].basis.rows, p + q))
     B = Matrix._of(tuple(b_rows), gr.V.n)
     G = Matrix._of(tuple(g_rows), gr.hodge.dim)
     return B.transpose() @ G.transpose().inverse()
@@ -220,10 +247,10 @@ def _conjugation_on_graded(gr):
     cols = []
     for (p, q), off, h in gr.hodge.blocks():
         conj = [
-            tuple(x.conjugate() for x in gr.lift(row, p + q))
+            tuple(x.conjugate() for x in lift(gr, row, p + q))
             for row in gr.block_rows[(p, q)]
         ]
-        cols.extend(gr.gr_coords(gr.coords(conj), p + q))
+        cols.extend(gr_coords(gr, coords(gr, conj), p + q))
     S = Matrix.from_columns(cols)
     if S @ S.conjugate() != Matrix.identity(n):
         raise InvariantError("conjugation is not an involution")

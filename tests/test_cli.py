@@ -506,26 +506,92 @@ def test_sparse_decreasing_filtrations_validate(name, tmp_path):
     assert json.loads(out)["inputs"][0]["result"] == json.loads(explicit)["inputs"][0]["result"]
 
 
-def test_non_lie_commands_do_not_load_freelie():
-    # only `lie` needs the free-Lie tables, and only --jobs needs a pool
+# the package modules each command loads, run on a structure document;
+# reading any document takes _DOCUMENT
+_DOCUMENT = {"cli", "scalars", "linalg", "mhs", "documents", "splitting",
+             "connection", "poly"}
+_HOLONOMY = _DOCUMENT | {"holonomy"}
+_MODULES = {
+    "lie": (["lie", "--truncation", "3"],
+            {"cli", "scalars", "freelie", "connection", "linalg", "poly"}),
+    "validate": (["validate"], _DOCUMENT),
+    "split": (["split"], _DOCUMENT),
+    "connect": (["connect"], _DOCUMENT),
+    "holonomy": (["holonomy"], _HOLONOMY),
+    "roundtrip": (["roundtrip"], _HOLONOMY),
+    "rees": (["rees"], _DOCUMENT | {"rees"}),
+    "ext": (["ext"], _DOCUMENT | {"hodgecoh"}),
+    "orientation-selftest": (["validate", "--orientation-selftest"], _HOLONOMY),
+}
+
+
+@pytest.mark.parametrize("name", list(_MODULES))
+def test_each_command_loads_only_its_modules(name):
+    # every fresh process compiles what it imports, so a command loads only
+    # the layers it reaches; and inputs run serially, with no thread pool
     script = (
-        "import io, sys\n"
+        "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
         "from hodgegauge import cli\n"
         "with redirect_stdout(io.StringIO()):\n"
-        "    for command in cli._HANDLERS:\n"
-        "        cli.main([command, sys.argv[1]])\n"
-        "loaded = {'hodgegauge.freelie', 'concurrent.futures'} & set(sys.modules)\n"
-        "sys.exit(', '.join(sorted(loaded)) or None)\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
+    argv, modules = _MODULES[name]
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, os.path.join(fixture_dir(), "t3_2_5.json")],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
+    runs = [argv]
+    if argv[0] != "lie":
+        runs = [argv + [fx("t3_2_5.json")] + jobs for jobs in ([], ["--jobs", "2"])]
+    for args in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", script] + args,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0, args
+        assert {m[len("hodgegauge."):] for m in loaded
+                if m.startswith("hodgegauge.")} == modules, args
+        assert "concurrent.futures" not in loaded, args
+
+
+def test_jobs_is_an_integer_option(capsys):
+    _usage_error(["validate", fx("pure_0_0.json"), "--jobs", "x"], capsys)
+    code, out = run(["validate", fx("pure_0_0.json"), "--jobs", "0"])
+    assert (code, json.loads(out)["inputs"][0]["status"]) == (0, "ok")
+
+
+@pytest.mark.parametrize("limit", [None, 0, 640])
+@pytest.mark.parametrize("command", ["connect", "holonomy"])
+def test_results_too_large_to_print_are_malformed(command, limit, tmp_path):
+    if command == "connect":
+        # the entries 5 and 2 of the delta fixture as 2,200-digit integers:
+        # the connection holds their product
+        with open(fx("delta_t3_2_5.json")) as fh:
+            doc = json.load(fh)
+        doc["matrix"][0][1] = doc["matrix"][1][2] = "7" * 2200
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        argv = ["connect", str(big)]
+    else:
+        b = "7" * 1500
+        argv = ["holonomy", fx("delta_t3_2_5.json"), "--path=%s,1;1,%s;-%s,3" % (b, b, b)]
+    # the bound is MAX_DIGITS whatever the interpreter's own limit
+    saved = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        code, out = run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    entry = json.loads(out)["inputs"][0]
+    assert (code, entry["status"]) == (2, "malformed")
+    assert entry["error"] == (
+        "%s: result has a numerator or denominator of more than 4300 digits"
+        % command
     )
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_stdout_exits_quietly():

@@ -136,3 +136,34 @@ def test_step_of_the_wrong_width_is_malformed(rows, reason):
     with pytest.raises(DocumentError) as exc:
         _filtration_in({"direction": "dec", "n": 2, "steps": {"0": rows}})
     assert str(exc.value) == reason
+
+
+@pytest.mark.parametrize("key, canonical", [
+    ("-1", True), ("00", False), ("+1", False), (" 1", False), ("1_0", False),
+    ("-0", False),
+])
+def test_step_keys_must_be_canonical(key, canonical):
+    # int() reads each of these; only the canonical form names its index
+    doc = {"direction": "dec", "n": 1, "steps": {key: [["1/1"]], "2": []}}
+    if canonical:
+        assert _filtration_in(doc).jumps() == [int(key), 2]
+        return
+    with pytest.raises(DocumentError) as exc:
+        _filtration_in(doc)
+    assert str(exc.value) == "bad filtration: index key %r is not canonical" % key
+
+
+@pytest.mark.parametrize("key, canonical", [
+    ("-1,-1", True), ("00,0", False), ("0, 0", False), ("+0,0", False),
+    ("0,-0", False),
+])
+def test_hodge_keys_must_be_canonical(key, canonical):
+    # "00,0" beside "0,0" once collapsed silently into h^{0,0} = 1
+    doc = {"type": "delta", "hodge": {"0,0": 1, key: 1},
+           "matrix": [["1/1", "0/1"], ["0/1", "1/1"]]}
+    if canonical:
+        assert parse(doc).hodge.dim == 2
+        return
+    with pytest.raises(DocumentError) as exc:
+        parse(doc)
+    assert str(exc.value) == "bad hodge numbers: index key %r is not canonical" % key

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Quotient, fixture_dir, mat, span, vec
+from conftest import Quotient, coords, fixture_dir, gr_coords, lift, mat, span, vec
 from hodgegauge import mhs
 from hodgegauge.documents import parse
 from hodgegauge.fixtures import (
@@ -324,7 +324,7 @@ def test_adapted_basis_matches_quotient_charts():
                 assert adapted.basis.rows[lo:hi] == chart.complement
                 assert (gp.steps, gpp.steps) == (fp.steps, fpp.steps)
                 for row in Subspace.full(chart.dim).basis.rows:
-                    assert adapted.lift(row, n) == chart.lift(row)
+                    assert lift(adapted, row, n) == chart.lift(row)
             assert _outcome(lambda W: GrStructure(W).hodge, U) == want
     assert seen == {"valid": 12, "violation": 12}
 
@@ -334,10 +334,9 @@ def test_gr_coords_read_back_lifted_pieces():
     for _ in range(8):
         gr = GrStructure(random_mhs(rng, max_dim=6, weight_lo=-4, weight_hi=4))
         for (p, q), off, h in gr.hodge.blocks():
-            lifted = [gr.lift(r, p + q) for r in gr.block_rows[(p, q)]]
-            coords = gr.gr_coords(gr.coords(lifted), p + q)
+            lifted = [lift(gr, r, p + q) for r in gr.block_rows[(p, q)]]
             unit = Subspace.full(gr.hodge.dim).basis.rows[off : off + h]
-            assert coords == unit
+            assert gr_coords(gr, coords(gr, lifted), p + q) == unit
 
 
 def grid_outcome(V):
