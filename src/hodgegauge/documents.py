@@ -4,8 +4,9 @@ One JSON-compatible document format is used by the command line tool and
 the shipped corpus.  Scalars are canonical strings ("a/b" or "a/b+c/d*i"),
 matrices are row lists, filtrations map stringified indices to basis rows.
 Parsing and serialization are exact inverses on canonical documents.
-A document whose filtration indices, or whose Hodge weights, span more than
-MAX_SPAN is malformed: the cost of every stage grows with that span.
+A document whose filtration indices, or Hodge weights, span more than
+MAX_SPAN, or whose dimension is more than MAX_DIM, is malformed: the cost
+of every stage grows with both.
 Index keys must be canonical ("k" or "p,q", each part str(int(part))).
 """
 
@@ -21,6 +22,8 @@ from .splitting import DeltaObject
 # the widest range of indices one filtration, or of weights one set of
 # Hodge numbers, may span
 MAX_SPAN = 64
+# the largest dimension of a structure, or sum of Hodge numbers
+MAX_DIM = 32
 
 
 class DocumentError(ValueError):
@@ -37,6 +40,11 @@ def _check_span(values, what):
             "%s span %d, more than %d"
             % (what, max(values) - min(values), MAX_SPAN)
         )
+
+
+def _check_dim(n):
+    if n > MAX_DIM:
+        raise DocumentError("dimension %d, more than %d" % (n, MAX_DIM))
 
 
 def _canonical(key, text):
@@ -108,6 +116,7 @@ def _filtration_in(doc, field=None):
         n = _integer_in(doc["n"], "n")
         if n < 0:
             raise DocumentError("negative dimension %d" % n)
+        _check_dim(n)
         steps = {}
         for key, rows in doc["steps"].items():
             basis = _matrix_in(rows, field) if rows else Matrix.zeros(0, n)
@@ -130,6 +139,7 @@ def _structure_in(doc, cls, keys, fields):
     """A structure document: the filtrations under keys, each read in its
     field, on the document's dimension n, which they must all share."""
     n = _integer_in(doc["n"], "dimension")
+    _check_dim(n)
     filtrations = [_filtration_in(doc[k], f) for k, f in zip(keys, fields)]
     if any(f.n != n for f in filtrations):
         raise DocumentError("filtrations are not on the document's n = %d" % n)
@@ -148,6 +158,7 @@ def _hodge_in(doc):
             _canonical(key, "%d,%d" % (p, q))
             counts[(p, q)] = _integer_in(v, "hodge number")
         _check_span([p + q for p, q in counts], "weights")
+        _check_dim(sum(counts.values()))
         return HodgeNumbers(counts)
     except (AttributeError, TypeError, ValueError) as exc:
         raise DocumentError("bad hodge numbers: %s" % (exc,))

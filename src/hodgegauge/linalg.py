@@ -263,6 +263,54 @@ def solve_left(A, rows):
     return tuple(sols)
 
 
+def _adapted_rows(d, flag):
+    # (level, row) over a basis of K^d adapted to a decreasing flag: its
+    # steps' echelon rows, deepest first, with a pivot new to the steps
+    # inside; then unit rows.  A step lasts until the next stored one.
+    keys = sorted(flag, reverse=True)
+    levels = keys[:1] + [k - 1 for k in keys] or [-1]
+    steps = [flag[k].basis.rows for k in keys] + [Matrix.identity(d).rows]
+    out, seen = [], set()
+    for level, rows in zip(levels, steps):
+        for r in rows:
+            j = next(i for i, x in enumerate(r) if x)
+            if j not in seen:
+                seen.add(j)
+                out.append((level, r))
+        if len(out) == d:
+            break
+    return out
+
+
+def relative_position(d, F, G):
+    """The relative position of two decreasing flags on K^d (Fulton, Young
+    Tableaux, ch. 10): d triples (p, q, row), the rows a basis of K^d, such
+    that F^p ∩ G^q is spanned by the rows of levels >= (p, q).  F and G map
+    indices to Subspaces; each is the full space below its smallest index
+    and ends in zero.  The rows of an F-adapted basis are written in a
+    G-adapted one (one elimination), and each is reduced by the rows before
+    it until its last nonzero coordinate is new.  Kept rows then have
+    distinct last coordinates, so a combination lies in G^q exactly when
+    each of its rows does: when its last coordinate has level >= q.
+    """
+    f, g = _adapted_rows(d, F), _adapted_rows(d, G)
+    R = Matrix._of(tuple(r for _, r in g + f), d).transpose().rref()[0]
+    coords = list(zip(*(row[d:] for row in R.rows)))
+    kept, out = {}, []
+    for (p, row), x in zip(f, coords):
+        v = list(x) + list(row)
+        j = d - 1
+        while not v[j] or j in kept:
+            if v[j]:
+                c = v[j]
+                v = [a - c * b if b else a for a, b in zip(v, kept[j])]
+            j -= 1
+        inv = ONE / v[j]
+        kept[j] = v = [inv * a if a else a for a in v]
+        out.append((p, g[j][0], tuple(v[d:])))
+    return out
+
+
 def kron(a, b):
     """Kronecker product of two row vectors."""
     return tuple(x * y for x in a for y in b)

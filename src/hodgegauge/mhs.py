@@ -8,14 +8,9 @@ structural equality of structures is decidable bit-for-bit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
-from .linalg import (
-    DimensionMismatch,
-    InvariantError,
-    Matrix,
-    Subspace,
-)
+from .linalg import DimensionMismatch, Matrix, Subspace, relative_position
 from .scalars import ZERO
 
 
@@ -46,7 +41,7 @@ class Filtration:
     for increasing, zero for decreasing).  ``at`` bisects the sorted indices.
     """
 
-    __slots__ = ("direction", "n", "steps", "_keys", "_below")
+    __slots__ = ("direction", "n", "steps", "_keys")
 
     INC = "inc"
     DEC = "dec"
@@ -62,8 +57,6 @@ class Filtration:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_keys", tuple(sorted(steps)))
-        object.__setattr__(self, "_below", Subspace.zero(n)
-                           if direction == self.INC else Subspace.full(n))
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
@@ -79,7 +72,11 @@ class Filtration:
 
     def at(self, k):
         i = bisect_right(self._keys, k)
-        return self.steps[self._keys[i - 1]] if i else self._below
+        if i:
+            return self.steps[self._keys[i - 1]]
+        if self.direction == self.INC:
+            return Subspace.zero(self.n)
+        return Subspace.full(self.n)
 
     def validate(self):
         js = self.jumps()
@@ -224,42 +221,6 @@ class RealMHS:
         raise AttributeError("RealMHS is immutable")
 
 
-def piece_dimensions(Fp, Fpp):
-    """({(p, q): h}, {(p, q): F'^p ∩ F''^q}) for a simultaneous bigrading
-    of two decreasing filtrations of one space: h is the double difference
-    of dim(F'^p ∩ F''^q), over indices from one below each first jump
-    (where a filtration is the full space) to the last.  The pieces of two
-    separated filtrations sum to the whole space.  Validation builds this
-    grid only to name a witness (GrStructure); the Rees line types read it."""
-    if not Fp.steps or not Fpp.steps:
-        return {}, {}
-    ps = range(Fp.min_index() - 1, Fp.max_index() + 2)
-    qs = range(Fpp.min_index() - 1, Fpp.max_index() + 2)
-    cap = {(p, q): Fp.at(p).intersect(Fpp.at(q)) for p in ps for q in qs}
-    out = {}
-    for p in ps[:-1]:
-        for q in qs[:-1]:
-            h = (cap[p, q].dim - cap[p + 1, q].dim - cap[p, q + 1].dim
-                 + cap[p + 1, q + 1].dim)
-            if h:
-                out[(p, q)] = h
-    return out, cap
-
-
-def _splits(A, B, d):
-    """Whether K^d = A ⊕ B, for subspaces A and B of K^d."""
-    if A.dim + B.dim != d or not A.dim or not B.dim:
-        return A.dim + B.dim == d
-    return Matrix._of(A.basis.rows + B.basis.rows, d).rank() == d
-
-
-def _chart(sub, lo, hi):
-    # the rows of an adapted echelon basis vanishing before lo lie in W_n;
-    # the [lo:hi] slices of those nonzero there are again in echelon form
-    rows = tuple(r[lo:hi] for r in sub.basis.rows if not any(r[:lo]) and any(r[lo:hi]))
-    return Subspace(hi - lo, Matrix._of(rows, hi - lo))
-
-
 class AdaptedTriple:
     """A filtered triple (W, F', F'') read in one W-adapted basis.
 
@@ -270,10 +231,10 @@ class AdaptedTriple:
     from lo on.  Each F' and F'' step is eliminated once in these
     coordinates (``F``); as the columns run from the top weight down, the
     rows of its echelon basis vanishing before lo span its intersection
-    with W_n.  ``graded`` lists, by increasing weight n, (n, the images of
-    F' and F'' in the chart) and no pieces: validation reads only their
-    diagonal, and piece_dimensions(fp, fpp) is the grid.  Nothing here
-    assumes opposedness; a filtration that is not monotone or not
+    with W_n, and their slices in the chart its image in Gr^W_n
+    (``chart(n)``).  ``graded()`` yields, weight by weight upward, the
+    relative position of those images, on and off the diagonal: nothing
+    here assumes opposedness.  A filtration that is not monotone or not
     exhaustive raises FiltrationError.
     """
 
@@ -298,15 +259,30 @@ class AdaptedTriple:
             k: s if s.dim in (0, V.n) else Subspace._span(s.basis @ inv)
             for k, s in getattr(V, side).steps.items()
         }) for side in ("Fp", "Fpp")}
-        self.graded = []
+        # each step's echelon rows and their pivots, which rise down the rows
+        self._echelon = {side: [(k, s.basis.rows, [
+            next(j for j, x in enumerate(r) if x) for r in s.basis.rows
+        ]) for k, s in f.steps.items()] for side, f in self.F.items()}
+
+    def chart(self, n):
+        """The steps of F' and F'' in the chart of Gr^W_n, as two maps from
+        index to Subspace."""
+        lo, hi = self.cols[n]
+        # the rows with pivots from lo on lie in W_n, and the [lo:hi] slices
+        # of those with pivots before hi are again echelon
+        return tuple({
+            k: Subspace(hi - lo, Matrix._of(tuple(
+                r[lo:hi] for r in rows[bisect_left(piv, lo):bisect_left(piv, hi)]
+            ), hi - lo))
+            for k, rows, piv in self._echelon[side]
+        } for side in ("Fp", "Fpp"))
+
+    def graded(self):
+        """(n, relative_position of F' and F'' in the chart of Gr^W_n) for
+        each weight n, upward, each computed as it is reached: its triples
+        (p, q, row) name the pieces (p, q) of the chart and their bases."""
         for n, (lo, hi) in sorted(self.cols.items()):
-            fp, fpp = (
-                Filtration(Filtration.DEC, hi - lo, {
-                    k: _chart(s, lo, hi) for k, s in self.F[side].steps.items()
-                })
-                for side in ("Fp", "Fpp")
-            )
-            self.graded.append((n, fp, fpp))
+            yield n, relative_position(hi - lo, *self.chart(n))
 
     def in_w(self, sub, k):
         """The rows of an adapted echelon basis that span its part in W_k."""
@@ -317,41 +293,34 @@ class AdaptedTriple:
 class GrStructure(AdaptedTriple):
     """A validated structure with canonical bases of its bigraded pieces.
 
-    Two finite decreasing filtrations of Gr^W_n are n-opposed if and only if
-    Gr^W_n = F'^p ⊕ F''^(n+1-p) for every p, and then the only pieces are
-    I^(p,n-p) = F'^p ∩ F''^(n-p) (Deligne, Théorie de Hodge II, §1.2).  So
-    the charts, by increasing weight, are checked and cut on that diagonal
-    alone.  At the first weight that fails, the grid of piece_dimensions
-    names its smallest off-diagonal piece (OpposednessViolation), which is
-    the smallest of the structure.  Pieces are ordered by (weight, p); their
-    echelon bases concatenate to the canonical basis of the total graded
-    space.
+    Two filtrations of Gr^W_n are n-opposed when their relative position
+    has no pair (p, q) off the diagonal p + q = n (Deligne, Théorie de
+    Hodge II, §1.2); then the piece I^(p,n-p) = F'^p ∩ F''^(n-p) is spanned
+    by the rows of level (p, n-p).  The charts are read weight by weight
+    upward, and the first with an off-diagonal pair raises
+    OpposednessViolation for its smallest (p, q), the smallest of the
+    structure.  Pieces are ordered by (weight, p); their echelon bases
+    concatenate to the canonical basis of the total graded space.
     """
 
     def __init__(self, V):
         super().__init__(V)
         counts, self.block_rows = {}, {}
-        for n, fp, fpp in self.graded:
-            # below this range F'^p is the chart and F''^(n+1-p) zero, above
-            # it the other way round, so the check can fail only inside it
-            ps = range(min(fp.min_index(), n + 1 - fpp.max_index()),
-                       max(fp.max_index(), n + 1 - fpp.min_index()) + 1)
-            if not all(_splits(fp.at(p), fpp.at(n + 1 - p), fp.n) for p in ps):
-                dims = piece_dimensions(fp, fpp)[0]
-                raise OpposednessViolation(*min(
-                    (n, p, q, h) for (p, q), h in dims.items() if p + q != n))
-            filled = 0
-            for p in ps:
-                piece = fp.at(p).intersect(fpp.at(n - p))
-                if piece.dim:
-                    counts[p, n - p] = piece.dim
-                    self.block_rows[p, n - p] = piece.basis.rows
-                    filled += piece.dim
-            # the pieces of one weight are consecutive in the canonical
-            # basis, and their rows together are a basis of its chart
-            if filled != fp.n:
-                raise InvariantError("graded pieces of weight %d do not fill "
-                                     "its chart" % n)
+        for n, position in self.graded():
+            pieces = {}
+            for p, q, row in position:
+                pieces.setdefault((p, q), []).append(row)
+            bad = min((pq for pq in pieces if sum(pq) != n), default=None)
+            if bad:
+                raise OpposednessViolation(n, *bad, len(pieces[bad]))
+            for pq in sorted(pieces):
+                rows = pieces[pq]
+                counts[pq] = h = len(rows)
+                # a piece that fills its chart has the unit basis
+                self.block_rows[pq] = (
+                    Matrix.identity(h) if h == len(position)
+                    else Subspace._span(Matrix._of(tuple(rows), len(rows[0]))).basis
+                ).rows
         self.hodge = HodgeNumbers(counts)
 
 
@@ -386,56 +355,38 @@ def realize_real(V):
     return ComplexMHS(V.n, V.W, V.F, V.F.conjugate())
 
 
-def _tensor_filtration(f, g, kind):
+def _tensor_filtration(f, g):
+    # step k sums f_a ⊗ g_(k-a) over the stored a; an increasing one also
+    # stores its zero step one below, a decreasing one its zero step above
     n = f.n * g.n
-    steps = {}
-    if kind == "dec":
-        lo = f.min_index() + g.min_index()
-        hi = f.max_index() + g.max_index()
-        for k in range(lo, hi + 1):
-            rows = []
-            for a in range(f.min_index(), f.max_index() + 1):
-                b = k - a
-                Fa = f.at(a)
-                Gb = g.at(b)
-                sub = Fa.tensor(Gb)
-                rows.extend(sub.basis.rows)
-            steps[k] = Subspace.from_rows(n, rows)
-        steps[hi + 1] = Subspace.zero(n)
-        return Filtration(Filtration.DEC, n, steps)
+    dec = f.direction == Filtration.DEC
     lo = f.min_index() + g.min_index()
     hi = f.max_index() + g.max_index()
-    for k in range(lo - 1, hi + 1):
-        rows = []
-        for a in range(f.min_index() - 1, f.max_index() + 1):
-            b = k - a
-            sub = f.at(a).tensor(g.at(b))
-            rows.extend(sub.basis.rows)
-        steps[k] = Subspace.from_rows(n, rows)
-    return Filtration(Filtration.INC, n, steps)
+    steps = {k: Subspace.from_rows(n, [
+        r for a in range(f.min_index(), f.max_index() + 1)
+        for r in f.at(a).tensor(g.at(k - a)).basis.rows
+    ]) for k in range(lo - (not dec), hi + 1)}
+    if dec:
+        steps[hi + 1] = Subspace.zero(n)
+    return Filtration(f.direction, n, steps)
 
 
 def tensor_mhs(V, Vp):
     return ComplexMHS(
         V.n * Vp.n,
-        _tensor_filtration(V.W, Vp.W, "inc"),
-        _tensor_filtration(V.Fp, Vp.Fp, "dec"),
-        _tensor_filtration(V.Fpp, Vp.Fpp, "dec"),
+        _tensor_filtration(V.W, Vp.W),
+        _tensor_filtration(V.Fp, Vp.Fp),
+        _tensor_filtration(V.Fpp, Vp.Fpp),
     )
 
 
 def _dual_filtration(f):
-    steps = {}
-    if f.direction == Filtration.DEC:
-        # (F*)^p = annihilator of F^{1-p}
-        lo, hi = f.min_index(), f.max_index()
-        for p in range(1 - hi, 1 - lo + 2):
-            steps[p] = f.at(1 - p).annihilator()
-        return Filtration(Filtration.DEC, f.n, steps)
-    lo, hi = f.min_index(), f.max_index()
-    for k in range(-hi - 1, -lo + 1):
-        steps[k] = f.at(-k - 1).annihilator()
-    return Filtration(Filtration.INC, f.n, steps)
+    # (F*)^p = Ann(F^(1-p)) and (W*)_k = Ann(W_(-1-k))
+    c = 1 if f.direction == Filtration.DEC else -1
+    return Filtration(f.direction, f.n, {
+        j: f.at(c - j).annihilator()
+        for j in range(c - f.max_index(), c - f.min_index() + 2)
+    })
 
 
 def dual_mhs(V):
@@ -449,16 +400,12 @@ def dual_mhs(V):
 
 def _sum_filtration(f, g):
     n = f.n + g.n
-    keys = sorted(set(f.jumps()) | set(g.jumps()))
-    steps = {}
-    for k in keys:
-        rows = []
-        for row in f.at(k).basis.rows:
-            rows.append(tuple(row) + (ZERO,) * g.n)
-        for row in g.at(k).basis.rows:
-            rows.append((ZERO,) * f.n + tuple(row))
-        steps[k] = Subspace.from_rows(n, rows)
-    return Filtration(f.direction, n, steps)
+    right, left = (ZERO,) * g.n, (ZERO,) * f.n
+    return Filtration(f.direction, n, {
+        k: Subspace.from_rows(n, [r + right for r in f.at(k).basis.rows]
+                              + [left + r for r in g.at(k).basis.rows])
+        for k in sorted(set(f.jumps()) | set(g.jumps()))
+    })
 
 
 def direct_sum_mhs(V, Vp):

@@ -10,8 +10,8 @@ read off exactly from one reduction of it to column-reduced form.
 
 from __future__ import annotations
 
-from .linalg import InvariantError, Matrix
-from .mhs import AdaptedTriple, piece_dimensions
+from .linalg import InvariantError, Matrix, relative_position
+from .mhs import AdaptedTriple
 from .poly import Poly, PolyMatrix
 from .scalars import ONE, ZERO, Scalar
 
@@ -181,40 +181,32 @@ def splitting_type(G):
     return tuple(sorted((-d for d in deg), reverse=True))
 
 
-def _joint_type(dims):
-    """The multiset of p + q over pieces of dimension dims[(p, q)],
-    sorted descending."""
-    return sorted((p + q for (p, q), d in dims.items() for _ in range(d)), reverse=True)
-
-
 def two_filtration_rees_type(Fp, Fpp):
-    """Splitting type of the Rees bundle of a pair of decreasing
-    filtrations on P^1: the multiset of p + q over a simultaneous
-    bigrading, sorted descending.  The pair is n-opposite iff every entry
-    equals n."""
-    return tuple(_joint_type(piece_dimensions(Fp, Fpp)[0]))
+    """Splitting type of the Rees bundle of a pair of finite decreasing
+    filtrations on P^1: the multiset of p + q over the levels (p, q) of
+    their relative position, sorted descending.  The pair is n-opposite
+    iff every entry equals n."""
+    Fp.validate()
+    Fpp.validate()
+    return tuple(sorted(
+        (p + q for p, q, _ in relative_position(Fp.n, Fp.steps, Fpp.steps)),
+        reverse=True))
 
 
 def w_line_transition(V):
     """Transition matrix on the weight line of the Rees bundle of a
     filtered triple that need not satisfy opposedness.
 
-    On each weight-graded piece the induced pair of filtrations is split
-    simultaneously; a piece of joint type (p, q) inside weight n
-    contributes the monomial xi^{(p+q)-n}.  For a genuine mixed Hodge
-    structure every exponent vanishes and the restriction is trivial.
+    On each weight-graded piece the induced pair of filtrations is in
+    relative position; a row of level (p, q) inside weight n contributes
+    the monomial xi^{(p+q)-n}.  For a genuine mixed Hodge structure every
+    exponent vanishes and the restriction is trivial.
     """
     exps = []
-    for n, fp, fpp in AdaptedTriple(V).graded:
-        exps.extend(entry - n for entry in _joint_type(piece_dimensions(fp, fpp)[0]))
-    r = len(exps)
-    rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            if i == j:
-                row.append(Poly(1, {(exps[i],): ONE}, laurent=True))
-            else:
-                row.append(Poly(1, {}, laurent=True))
-        rows.append(tuple(row))
-    return P1TransitionMatrix(PolyMatrix(1, rows))
+    for n, position in AdaptedTriple(V).graded():
+        exps.extend(sorted((p + q - n for p, q, _ in position), reverse=True))
+    return P1TransitionMatrix(PolyMatrix(1, [
+        tuple(Poly(1, {(e,): ONE} if i == j else {}, laurent=True)
+              for j in range(len(exps)))
+        for i, e in enumerate(exps)
+    ]))

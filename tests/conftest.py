@@ -98,6 +98,29 @@ class Quotient:
         return tuple(v)
 
 
+def piece_dimensions(Fp, Fpp):
+    """({(p, q): h}, {(p, q): F'^p ∩ F''^q}) for a simultaneous bigrading
+    of two decreasing filtrations of one space: h is the double difference
+    of dim(F'^p ∩ F''^q), over indices from one below each first jump
+    (where a filtration is the full space) to the last.  The pieces of two
+    separated filtrations sum to the whole space.  The pairwise reference
+    ``linalg.relative_position`` and the graded data of ``mhs.GrStructure``
+    are tested against."""
+    if not Fp.steps or not Fpp.steps:
+        return {}, {}
+    ps = range(Fp.min_index() - 1, Fp.max_index() + 2)
+    qs = range(Fpp.min_index() - 1, Fpp.max_index() + 2)
+    cap = {(p, q): Fp.at(p).intersect(Fpp.at(q)) for p in ps for q in qs}
+    out = {}
+    for p in ps[:-1]:
+        for q in qs[:-1]:
+            h = (cap[p, q].dim - cap[p + 1, q].dim - cap[p, q + 1].dim
+                 + cap[p + 1, q + 1].dim)
+            if h:
+                out[(p, q)] = h
+    return out, cap
+
+
 def greedy_from_tensor(alphabet, tensor):
     """Lyndon coordinates of a Lie element by greedy extraction: each step
     takes the minimal surviving word, by (length, word), with a scan of the

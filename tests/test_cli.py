@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import fixture_dir
 from hodgegauge import cli
-from hodgegauge.documents import MAX_SPAN
+from hodgegauge.documents import MAX_DIM, MAX_SPAN
 from hodgegauge.freelie import TT_ALPHABET, LiePolynomial, format_rational
 from hodgegauge.scalars import Scalar
 
@@ -380,6 +381,48 @@ def test_hodge_weight_span_is_capped(tmp_path, span, status):
         )
 
 
+def _unit_rows(n):
+    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+
+
+def _pure_structure(n):
+    def filt(direction, steps):
+        return {"direction": direction, "n": n, "steps": steps}
+
+    dec = filt("dec", {"0": _unit_rows(n), "1": []})
+    return {"type": "complex_mhs", "n": n, "W": filt("inc", {"0": _unit_rows(n)}),
+            "Fp": dec, "Fpp": dec}
+
+
+@pytest.mark.parametrize(
+    "command, make, reason",
+    [
+        ("validate", _pure_structure, "dimension %d, more than %d"),
+        ("connect", lambda n: {"type": "delta", "hodge": {"0,0": n},
+                               "matrix": _unit_rows(n)},
+         "bad hodge numbers: dimension %d, more than %d"),
+        ("connect", lambda n: {"type": "connection", "hodge": {"0,0": n},
+                               "blocks": []},
+         "bad hodge numbers: dimension %d, more than %d"),
+    ],
+    ids=["structure", "delta", "connection"],
+)
+def test_document_dimension_is_capped(tmp_path, command, make, reason):
+    assert _status(command, tmp_path, make(MAX_DIM)) == ("ok", 0, None)
+    assert _status(command, tmp_path, make(MAX_DIM + 1)) == (
+        "malformed", 2, reason % (MAX_DIM + 1, MAX_DIM)
+    )
+
+
+def test_a_filtration_above_the_dimension_cap_is_malformed(tmp_path):
+    doc = _pure_structure(2)
+    doc["Fp"] = {"direction": "dec", "n": MAX_DIM + 1, "steps": {"1": []}}
+    assert _status("validate", tmp_path, doc) == (
+        "malformed", 2,
+        "bad filtration: dimension %d, more than %d" % (MAX_DIM + 1, MAX_DIM),
+    )
+
+
 def test_far_apart_weights_are_malformed_before_any_stage(tmp_path):
     # spread 8,000: `rees` overflowed the stack substituting a power this
     # high, and `holonomy` ran for minutes
@@ -453,28 +496,48 @@ def test_each_structure_input_is_validated_once(monkeypatch):
     # built, and every subcommand validates each structure input once;
     # roundtrip also validates the model it rebuilds from delta.  Every
     # W-adapted basis of a run is built by one of these validations, and
-    # charts each weight of its structure once.
+    # charts each weight of its structure once, with one relative-position
+    # elimination; a violation stops at the first weight that fails.
     from hodgegauge import mhs
+    from hodgegauge.documents import parse
+    from hodgegauge.fixtures import corrupt_weight_step
 
     built = []
     adapted = []
+    positions = []
     gr_init = mhs.GrStructure.__init__
     adapted_init = mhs.AdaptedTriple.__init__
+    real_position = mhs.relative_position
 
     def counting_gr(self, V, *rest):
-        built.append((V, self))
-        gr_init(self, V, *rest)
+        start = len(positions)
+        built.append((V, self, positions))
+        try:
+            gr_init(self, V, *rest)
+        finally:
+            built[-1] = (V, self, positions[start:])
 
     def counting_adapted(self, V):
         adapted.append((V, self))
         adapted_init(self, V)
 
+    def counting_position(d, F, G):
+        positions.append(d)
+        return real_position(d, F, G)
+
     monkeypatch.setattr(mhs.GrStructure, "__init__", counting_gr)
     monkeypatch.setattr(mhs.AdaptedTriple, "__init__", counting_adapted)
+    monkeypatch.setattr(mhs, "relative_position", counting_position)
     parser = cli.build_parser()
+    structures = []
     for name in sorted(os.listdir(fixture_dir())):
         with open(fx(name)) as fh:
-            structure = json.load(fh)["type"] in ("complex_mhs", "real_mhs")
+            doc = json.load(fh)
+        structure = doc["type"] in ("complex_mhs", "real_mhs")
+        if structure:
+            obj = parse(doc)
+            structures.append(obj if doc["type"] == "complex_mhs"
+                              else mhs.realize_real(obj))
         for command in sorted(cli._HANDLERS):
             del built[:], adapted[:]
             flags = parser.parse_args([command, fx(name)])
@@ -483,10 +546,23 @@ def test_each_structure_input_is_validated_once(monkeypatch):
             assert len(built) == want, (command, name, len(built))
             assert len(adapted) == want, (command, name)
             assert all(
-                a is g and U is V for (U, a), (V, g) in zip(adapted, built)
+                a is g and U is V for (U, a), (V, g, _) in zip(adapted, built)
             ), (command, name)
-            weights = sum(len(gr.hodge.weights()) for _, gr in built)
-            assert sum(len(gr.cols) for _, gr in built) == weights, (command, name)
+            for _, gr, charted in built:
+                ws = gr.hodge.weights()
+                assert len(gr.cols) == len(ws), (command, name)
+                assert charted == [gr.cols[n][1] - gr.cols[n][0] for n in ws]
+    rng = random.Random(43)
+    stopped_early = 0
+    for V in structures:
+        del built[:]
+        with pytest.raises(mhs.OpposednessViolation) as exc:
+            mhs.GrStructure(corrupt_weight_step(V, rng))
+        (_, gr, charted), = built
+        reached = sorted(gr.cols).index(exc.value.weight) + 1
+        assert len(charted) == reached
+        stopped_early += reached < len(gr.cols)
+    assert stopped_early
 
 
 @pytest.mark.parametrize("name", ["pure_0_0.json", "kummer_3.json"])

@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Quotient, mat, span, vec
+from conftest import Quotient, mat, piece_dimensions, sc, span, vec
 from hodgegauge.linalg import (
     Matrix,
     NotNilpotentError,
     Subspace,
     kron,
     log_unipotent,
+    relative_position,
     solve_left,
     vstack,
 )
+from hodgegauge.mhs import Filtration
 from hodgegauge.scalars import ONE, ZERO, Scalar
 
 
@@ -191,3 +193,52 @@ def test_tensor_subspace():
     t = a.tensor(b)
     assert t.n == 4
     assert t == span(4, [[0, 1, 0, 0]])
+
+
+def _random_flag(rng, d):
+    """A seeded decreasing flag on K^d, {index: Subspace}: nested spans of
+    the leading rows of an invertible matrix (unit triangular with sparse
+    rational or Gaussian entries, columns shuffled), steps repeated at
+    random, gaps between the stored indices, and the leading full step
+    sometimes left implicit."""
+    cols = list(range(d))
+    rng.shuffle(cols)
+    rows = []
+    for i in range(d):
+        row = [ZERO] * d
+        row[cols[i]] = ONE
+        for j in range(i + 1, d):
+            row[cols[j]] = sc(rng.choice((0, 0, 1, -1, 2, Fraction(1, 2),
+                                          Scalar(1, 1), Scalar(0, -2))))
+        rows.append(row)
+    rng.shuffle(rows)
+    dims = sorted((rng.randint(0, d) for _ in range(rng.randint(1, 4))),
+                  reverse=True)
+    dims = [d] * rng.randint(0, 1) + dims + [0]
+    # stored indices with gaps, over which a step lasts
+    keys = [rng.randint(-3, 2)]
+    for _ in dims[1:]:
+        keys.append(keys[-1] + rng.choice((1, 1, 2, 3)))
+    return {k: Subspace.from_rows(d, rows[:h]) for k, h in zip(keys, dims)}
+
+
+def test_relative_position_matches_the_intersection_grid():
+    # the rows are a basis of K^d, each row of level (p, q) lies in
+    # F^p ∩ G^q, and as many rows have levels >= (p, q) as F^p ∩ G^q,
+    # intersected pairwise, has dimensions: so they span it
+    rng = random.Random(47)
+    for i in range(500):
+        d = rng.choice((12, 16)) if i % 25 == 0 else rng.randint(1, 8)
+        F, G = _random_flag(rng, d), _random_flag(rng, d)
+        position = relative_position(d, F, G)
+        assert Subspace.from_rows(d, [r for _, _, r in position]).dim == d
+        dims, cap = piece_dimensions(
+            Filtration(Filtration.DEC, d, F), Filtration(Filtration.DEC, d, G))
+        levels = {}
+        for p, q, row in position:
+            levels.setdefault((p, q), []).append(row)
+        assert {pq: len(rows) for pq, rows in levels.items()} == dims
+        for pq, rows in levels.items():
+            assert cap[pq].contains(Subspace.from_rows(d, rows)), pq
+        for (p, q), want in cap.items():
+            assert want.dim == sum(a >= p and b >= q for a, b, _ in position)

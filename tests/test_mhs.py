@@ -1,17 +1,14 @@
-import json
-import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import Quotient, coords, fixture_dir, gr_coords, lift, mat, span, vec
-from hodgegauge import mhs
-from hodgegauge.documents import parse
+from conftest import (
+    Quotient, coords, gr_coords, lift, mat, piece_dimensions, span, vec
+)
 from hodgegauge.fixtures import (
     corrupt_weight_step, kummer, random_delta, random_mhs, real_kummer, t3
 )
-from hodgegauge.holonomy import triangle_delta
 from hodgegauge.linalg import Subspace
 from hodgegauge.mhs import (
     AdaptedTriple,
@@ -25,7 +22,6 @@ from hodgegauge.mhs import (
     conjugate_mhs,
     direct_sum_mhs,
     dual_mhs,
-    piece_dimensions,
     pure,
     realize_real,
     tensor_mhs,
@@ -318,11 +314,11 @@ def test_adapted_basis_matches_quotient_charts():
             charts, want = quotient_route(U)
             seen["valid" if isinstance(want, HodgeNumbers) else "violation"] += 1
             adapted = AdaptedTriple(U)
-            assert [c[0] for c in charts] == [g[0] for g in adapted.graded]
-            for (n, chart, fp, fpp), (_, gp, gpp) in zip(charts, adapted.graded):
+            assert [c[0] for c in charts] == sorted(adapted.cols)
+            for n, chart, fp, fpp in charts:
                 lo, hi = adapted.cols[n]
                 assert adapted.basis.rows[lo:hi] == chart.complement
-                assert (gp.steps, gpp.steps) == (fp.steps, fpp.steps)
+                assert adapted.chart(n) == (fp.steps, fpp.steps)
                 for row in Subspace.full(chart.dim).basis.rows:
                     assert lift(adapted, row, n) == chart.lift(row)
             assert _outcome(lambda W: GrStructure(W).hodge, U) == want
@@ -360,6 +356,27 @@ def diagonal_outcome(V):
     return gr.hodge, gr.block_rows
 
 
+def multi_block_delta(rng, max_dim=16):
+    """A seeded comparison datum whose weights each carry two or three Hodge
+    blocks, of dimension at most max_dim; entries as in random_delta."""
+    while True:
+        counts = {}
+        for n in rng.sample(range(-4, 5), rng.randint(2, 3)):
+            for p in rng.sample(range(-3, 4), rng.randint(2, 3)):
+                counts[p, n - p] = rng.randint(1, 2)
+        if sum(counts.values()) <= max_dim:
+            break
+    hodge = HodgeNumbers(counts)
+    owner = hodge.block_of_index()
+    rows = [[int(a == b) for b in range(hodge.dim)] for a in range(hodge.dim)]
+    for a, (pa, qa) in enumerate(owner):
+        for b, (pb, qb) in enumerate(owner):
+            if pa < pb and qa < qb and rng.random() < 0.7:
+                rows[a][b] = Scalar(Fraction(rng.randint(-3, 3), rng.choice((1, 2))),
+                                    rng.choice((0, 0, 1, -2)))
+    return DeltaObject(hodge, mat(rows))
+
+
 def seeded_structures(rng):
     def fresh(max_dim):
         # random_mhs (Gaussian entries included) without its own round-trip
@@ -377,6 +394,8 @@ def seeded_structures(rng):
         # Hodge numbers symmetric in each weight
         V = fresh(3)
         yield "symmetric", direct_sum_mhs(V, conjugate_mhs(V))
+    for _ in range(6):
+        yield "multi", delta_to_mhs(multi_block_delta(rng), check=False)
 
 
 def lower_weight_step(V, rng):
@@ -404,63 +423,35 @@ def damaged(V, rng):
     ]
 
 
+def gapped_form(V, rng):
+    """V with one stored step of F' or F'' below its last dropped, so that
+    the step below it lasts over two indices."""
+    side = rng.choice(("Fp", "Fpp"))
+    f = getattr(V, side)
+    keys = f.jumps()[1:-1]
+    if not keys:
+        return V
+    steps = {k: s for k, s in f.steps.items() if k != rng.choice(keys)}
+    g = Filtration(Filtration.DEC, V.n, steps)
+    return ComplexMHS(V.n, V.W, *((g, V.Fpp) if side == "Fp" else (V.Fp, g)))
+
+
 def test_diagonal_route_matches_the_grid():
     # each structure and its damaged forms, also with the leading full
-    # steps of F' and F'' left implicit, which moves the ends of the p range
+    # steps of F' and F'' left implicit, which moves the ends of the p range,
+    # and with a step dropped between two others
     rng = random.Random(31)
     seen = set()
     for kind, V in seeded_structures(rng):
+        if kind == "multi":
+            # the corpora have one block per weight; these have several
+            hodge = GrStructure(V).hodge
+            assert all(sum(p + q == n for p, q in hodge.counts) >= 2
+                       for n in hodge.weights())
         for U in damaged(V, rng):
-            for X in (U, sparse_form(U)):
+            for X in (U, sparse_form(U), gapped_form(U, rng)):
                 want = grid_outcome(X)
                 assert diagonal_outcome(X) == want, kind
                 seen.add((kind, isinstance(want[0], HodgeNumbers)))
-    kinds = ("random", "tensor", "dual", "real", "symmetric")
+    kinds = ("random", "tensor", "dual", "real", "symmetric", "multi")
     assert seen == {(k, valid) for k in kinds for valid in (True, False)}
-
-
-def _structure_of(doc):
-    obj = parse(doc)
-    if isinstance(obj, RealMHS):
-        return realize_real(obj)
-    if isinstance(obj, DeltaObject):
-        return delta_to_mhs(obj, check=False)
-    if isinstance(obj, ComplexMHS):
-        return obj
-    return delta_to_mhs(triangle_delta(obj), check=False)
-
-
-@pytest.fixture
-def grid_calls(monkeypatch):
-    calls = []
-    real = mhs.piece_dimensions
-
-    def counting(Fp, Fpp):
-        calls.append((Fp, Fpp))
-        return real(Fp, Fpp)
-
-    monkeypatch.setattr(mhs, "piece_dimensions", counting)
-    return calls
-
-
-def test_valid_structures_build_no_grid(grid_calls):
-    names = sorted(f for f in os.listdir(fixture_dir()) if f.endswith(".json"))
-    assert len(names) == 27
-    structures = []
-    for name in names:
-        with open(os.path.join(fixture_dir(), name)) as fh:
-            structures.append(_structure_of(json.load(fh)))
-    rng = random.Random(37)
-    structures += [V for _, V in seeded_structures(rng)]
-    for V in structures:
-        GrStructure(V)
-    assert grid_calls == []
-
-
-def test_a_violation_builds_one_grid(grid_calls):
-    rng = random.Random(41)
-    for _, V in seeded_structures(rng):
-        del grid_calls[:]
-        with pytest.raises(OpposednessViolation):
-            GrStructure(corrupt_weight_step(V, rng))
-        assert len(grid_calls) == 1
