@@ -25,6 +25,9 @@ from . import __version__
 from .scalars import MAX_DIGITS, FieldError, Scalar
 
 TRUNCATION_CAP = 12
+# a segment pulls each block back to a polynomial of degree up to the spread:
+# 3 rational segments on a 32-dim chain of spread 62 take over 10 s of CPU
+MAX_PATH_POINTS = 16
 CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 
@@ -300,10 +303,14 @@ def _point(text):
 
 
 def _path(text):
-    """A ';'-separated list of 'x,y' points as a polygonal path."""
+    """At most MAX_PATH_POINTS ';'-separated 'x,y' points as a polygonal path."""
     from .holonomy import PolygonalPath
 
-    return PolygonalPath([_point(chunk) for chunk in text.split(";")])
+    chunks = text.split(";")
+    if len(chunks) > MAX_PATH_POINTS:
+        raise argparse.ArgumentTypeError("a path has at most %d points, got %d"
+                                          % (MAX_PATH_POINTS, len(chunks)))
+    return PolygonalPath([_point(chunk) for chunk in chunks])
 
 
 def build_parser():

@@ -282,33 +282,44 @@ def _adapted_rows(d, flag):
     return out
 
 
-def relative_position(d, F, G):
-    """The relative position of two decreasing flags on K^d (Fulton, Young
-    Tableaux, ch. 10): d triples (p, q, row), the rows a basis of K^d, such
-    that F^p ∩ G^q is spanned by the rows of levels >= (p, q).  F and G map
-    indices to Subspaces; each is the full space below its smallest index
-    and ends in zero.  The rows of an F-adapted basis are written in a
-    G-adapted one (one elimination), and each is reduced by the rows before
-    it until its last nonzero coordinate is new.  Kept rows then have
-    distinct last coordinates, so a combination lies in G^q exactly when
-    each of its rows does: when its last coordinate has level >= q.
-    """
-    f, g = _adapted_rows(d, F), _adapted_rows(d, G)
-    R = Matrix._of(tuple(r for _, r in g + f), d).transpose().rref()[0]
-    coords = list(zip(*(row[d:] for row in R.rows)))
-    kept, out = {}, []
-    for (p, row), x in zip(f, coords):
-        v = list(x) + list(row)
-        j = d - 1
-        while not v[j] or j in kept:
-            if v[j]:
-                c = v[j]
+def _reduce(rows, scan):
+    # each row, in order, reduced by the kept rows before it until its first
+    # nonzero coordinate in scan order is new, and scaled to 1 there; yields
+    # (that coordinate, row).  Coordinates outside scan ride along.
+    kept = {}
+    for v in rows:
+        for j in scan:
+            c = v[j]
+            if c:
+                if j not in kept:
+                    break
                 v = [a - c * b if b else a for a, b in zip(v, kept[j])]
-            j -= 1
         inv = ONE / v[j]
         kept[j] = v = [inv * a if a else a for a in v]
-        out.append((p, g[j][0], tuple(v[d:])))
-    return out
+        yield j, v
+
+
+def adapted_position(d, f, g):
+    """The relative position of two decreasing flags on K^d (Fulton, Young
+    Tableaux, ch. 10) from adapted bases f and g, lists of (level, row),
+    levels falling, whose rows of level >= p span the step p: d triples
+    (p, q, row), the rows a basis of K^d, such that F^p ∩ G^q is spanned by
+    the rows of levels >= (p, q).  The rows of f are written in the basis g
+    (one elimination), and each is reduced by the rows before it until its
+    last nonzero coordinate is new.  Then a combination lies in G^q exactly
+    when each of its rows does: when its last coordinate has level >= q.
+    """
+    R = Matrix._of(tuple(r for _, r in g + f), d).transpose().rref()[0]
+    coords = zip(*(row[d:] for row in R.rows))
+    reduced = _reduce((x + row for x, (_, row) in zip(coords, f)),
+                      range(d - 1, -1, -1))
+    return [(p, g[j][0], tuple(v[d:])) for (p, _), (j, v) in zip(f, reduced)]
+
+
+def relative_position(d, F, G):
+    """``adapted_position`` of two decreasing flags, maps from index to
+    Subspace of K^d, each full below its smallest index and ending in 0."""
+    return adapted_position(d, _adapted_rows(d, F), _adapted_rows(d, G))
 
 
 def kron(a, b):

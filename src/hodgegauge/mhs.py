@@ -8,9 +8,16 @@ structural equality of structures is decidable bit-for-bit.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
-from .linalg import DimensionMismatch, Matrix, Subspace, relative_position
+from .linalg import (
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    _adapted_rows,
+    _reduce,
+    adapted_position,
+)
 from .scalars import ZERO
 
 
@@ -228,13 +235,13 @@ class AdaptedTriple:
     of W_n's echelon basis outside the span of W_{n-1} and the rows before
     them, picked by one elimination of the stacked W steps.  Columns
     cols[n] = (lo, hi) chart Gr^W_n, and W_n is spanned by the unit vectors
-    from lo on.  Each F' and F'' step is eliminated once in these
-    coordinates (``F``); as the columns run from the top weight down, the
-    rows of its echelon basis vanishing before lo span its intersection
-    with W_n, and their slices in the chart its image in Gr^W_n
-    (``chart(n)``).  ``graded()`` yields, weight by weight upward, the
-    relative position of those images, on and off the diagonal: nothing
-    here assumes opposedness.  A filtration that is not monotone or not
+    from lo on.  ``rows[side]`` is one basis adapted to F' (or F'') and W
+    (Fulton, Young Tableaux, ch. 10): (level, weight, row) in these
+    coordinates, F^p ∩ W_m spanned by the rows of level >= p and weight
+    <= m.  It is ``linalg._adapted_rows`` of F times the inverse of
+    ``basis``, each row reduced by the rows before it until its first
+    nonzero coordinate, whose chart is its weight, is new.  Nothing here
+    assumes opposedness; a filtration that is not monotone or not
     exhaustive raises FiltrationError.
     """
 
@@ -247,60 +254,43 @@ class AdaptedTriple:
         blocks = {}
         for c in Matrix._of(tuple(r for _, r in rows), V.n).transpose().rref()[1]:
             blocks.setdefault(rows[c][0], []).append(rows[c][1])
-        basis = []
+        basis, weight = [], []
         self.cols = {}
         for n in sorted(blocks, reverse=True):
             self.cols[n] = (len(basis), len(basis) + len(blocks[n]))
             basis.extend(blocks[n])
+            weight.extend([n] * len(blocks[n]))
         self.basis = Matrix._of(tuple(basis), V.n)
         inv = self.basis.inverse()
-        # zero and the full space read the same in every basis
-        self.F = {side: Filtration(Filtration.DEC, V.n, {
-            k: s if s.dim in (0, V.n) else Subspace._span(s.basis @ inv)
-            for k, s in getattr(V, side).steps.items()
-        }) for side in ("Fp", "Fpp")}
-        # each step's echelon rows and their pivots, which rise down the rows
-        self._echelon = {side: [(k, s.basis.rows, [
-            next(j for j, x in enumerate(r) if x) for r in s.basis.rows
-        ]) for k, s in f.steps.items()] for side, f in self.F.items()}
-
-    def chart(self, n):
-        """The steps of F' and F'' in the chart of Gr^W_n, as two maps from
-        index to Subspace."""
-        lo, hi = self.cols[n]
-        # the rows with pivots from lo on lie in W_n, and the [lo:hi] slices
-        # of those with pivots before hi are again echelon
-        return tuple({
-            k: Subspace(hi - lo, Matrix._of(tuple(
-                r[lo:hi] for r in rows[bisect_left(piv, lo):bisect_left(piv, hi)]
-            ), hi - lo))
-            for k, rows, piv in self._echelon[side]
-        } for side in ("Fp", "Fpp"))
+        self.rows = {}
+        for side in ("Fp", "Fpp"):
+            f = _adapted_rows(V.n, getattr(V, side).steps)
+            moved = (Matrix._of(tuple(r for _, r in f), V.n) @ inv).rows
+            self.rows[side] = [(level, weight[j], tuple(v)) for (level, _), (j, v)
+                               in zip(f, _reduce(moved, range(V.n)))]
 
     def graded(self):
-        """(n, relative_position of F' and F'' in the chart of Gr^W_n) for
+        """(n, adapted_position of F' and F'' in the chart of Gr^W_n) for
         each weight n, upward, each computed as it is reached: its triples
         (p, q, row) name the pieces (p, q) of the chart and their bases."""
         for n, (lo, hi) in sorted(self.cols.items()):
-            yield n, relative_position(hi - lo, *self.chart(n))
-
-    def in_w(self, sub, k):
-        """The rows of an adapted echelon basis that span its part in W_k."""
-        lo = min((lo for n, (lo, _) in self.cols.items() if n <= k), default=self.V.n)
-        return tuple(r for r in sub.basis.rows if not any(r[:lo]))
+            yield n, adapted_position(hi - lo, *(
+                [(level, r[lo:hi]) for level, w, r in self.rows[side] if w == n]
+                for side in ("Fp", "Fpp")))
 
 
 class GrStructure(AdaptedTriple):
     """A validated structure with canonical bases of its bigraded pieces.
 
-    Two filtrations of Gr^W_n are n-opposed when their relative position
-    has no pair (p, q) off the diagonal p + q = n (Deligne, Théorie de
-    Hodge II, §1.2); then the piece I^(p,n-p) = F'^p ∩ F''^(n-p) is spanned
-    by the rows of level (p, n-p).  The charts are read weight by weight
-    upward, and the first with an off-diagonal pair raises
-    OpposednessViolation for its smallest (p, q), the smallest of the
-    structure.  Pieces are ordered by (weight, p); their echelon bases
-    concatenate to the canonical basis of the total graded space.
+    Two filtrations of Gr^W_n are n-opposed when their relative position,
+    read off the weight-n rows of F' and F'', has no pair (p, q) off the
+    diagonal p + q = n (Deligne, Théorie de Hodge II, §1.2); then the piece
+    I^(p,n-p) = F'^p ∩ F''^(n-p) is spanned by the rows of level (p, n-p).
+    The charts are read weight by weight upward, and the first with an
+    off-diagonal pair raises OpposednessViolation for its smallest (p, q),
+    the smallest of the structure.  Pieces are ordered by (weight, p); their
+    echelon bases concatenate to the canonical basis of the total graded
+    space.
     """
 
     def __init__(self, V):
@@ -356,17 +346,21 @@ def realize_real(V):
 
 
 def _tensor_filtration(f, g):
-    # step k sums f_a ⊗ g_(k-a) over the stored a; an increasing one also
-    # stores its zero step one below, a decreasing one its zero step above
+    # step k sums f_a ⊗ g_(k-a) over the stored a and, for a decreasing f,
+    # the a one below (the full space); an increasing one also stores its
+    # zero step one below, a decreasing one its zero step above and the one
+    # below unless it is the full space
     n = f.n * g.n
     dec = f.direction == Filtration.DEC
     lo = f.min_index() + g.min_index()
     hi = f.max_index() + g.max_index()
     steps = {k: Subspace.from_rows(n, [
-        r for a in range(f.min_index(), f.max_index() + 1)
+        r for a in range(f.min_index() - dec, f.max_index() + 1)
         for r in f.at(a).tensor(g.at(k - a)).basis.rows
-    ]) for k in range(lo - (not dec), hi + 1)}
+    ]) for k in range(lo - 1, hi + 1)}
     if dec:
+        if steps[lo - 1].dim == n:
+            del steps[lo - 1]
         steps[hi + 1] = Subspace.zero(n)
     return Filtration(f.direction, n, steps)
 

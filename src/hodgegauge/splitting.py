@@ -12,7 +12,14 @@ what the connection, holonomy, and cohomology layers consume.
 
 from __future__ import annotations
 
-from .linalg import InvariantError, Matrix, Subspace, log_unipotent, solve_left
+from .linalg import (
+    InvariantError,
+    Matrix,
+    Subspace,
+    adapted_position,
+    log_unipotent,
+    solve_left,
+)
 from .mhs import ComplexMHS, Filtration, GrStructure
 from .scalars import ONE, ZERO
 
@@ -22,28 +29,32 @@ class DeltaError(ValueError):
 
 
 def _adapted_pieces(gr, side):
-    # the pieces I^{p,q} in the adapted coordinates of gr:
-    # Fa^a ∩ W_n ∩ (Fb^b ∩ W_n + sum over j >= 1 of Fb^{b-j} ∩ W_{n-j-1});
-    # I ∩ W_{n-1} = 0, so every pivot of its echelon basis lies in the chart
-    # of Gr^W_n, and the chart slice is the canonical basis of the piece
+    # the pieces I^{a,n-a} = Fa^a ∩ W_n ∩ T(n-a, n) in the adapted
+    # coordinates of gr, with T(b, n) = Fb^b ∩ W_n + the sum over j >= 1 of
+    # Fb^(b-j) ∩ W_(n-j-1) (Cattani-Kaplan-Schmid, Ann. Math. 123, §2): the
+    # rows (L, w) of gr.rows of Fb with w <= n and L + max(n-w-1, 0) >= b
+    # span T(b, n), so one relative position per weight cuts them all.
+    # I ∩ W_{n-1} = 0, so the chart slice of its echelon basis is the
+    # canonical basis of the piece
     if side not in ("Fp", "Fpp"):
         raise ValueError("side must be 'Fp' or 'Fpp'")
-    Fa, Fb = gr.F[side], gr.F["Fpp" if side == "Fp" else "Fp"]
+    fa, fb = gr.rows[side], gr.rows["Fpp" if side == "Fp" else "Fp"]
     dim = gr.V.n
     out = {}
-    for (p, q), _, _ in gr.hodge.blocks():
-        a, b = (p, q) if side == "Fp" else (q, p)
-        n = p + q
-        first = Subspace(dim, Matrix._of(gr.in_w(Fa.at(a), n), dim))
-        tail = list(gr.in_w(Fb.at(b), n))
-        for j in range(1, n - min(gr.cols)):
-            tail.extend(gr.in_w(Fb.at(b - j), n - j - 1))
-        piece = first.intersect(Subspace._span(Matrix._of(tuple(tail), dim)))
-        lo, hi = gr.cols[n]
-        if tuple(r[lo:hi] for r in piece.basis.rows) != gr.block_rows[(p, q)]:
-            raise InvariantError("splitting piece does not lift the graded "
-                                 "basis at %r" % ((p, q),))
-        out[(p, q)] = piece
+    for n, (lo, hi) in sorted(gr.cols.items()):
+        tails = sorted(((level + max(n - w - 1, 0), r[lo:]) for level, w, r in fb
+                        if w <= n), key=lambda t: -t[0])
+        position = adapted_position(dim - lo, [
+            (level, r[lo:]) for level, w, r in fa if w <= n], tails)
+        for pq in sorted(pq for pq in gr.hodge.counts if sum(pq) == n):
+            a, b = pq if side == "Fp" else pq[::-1]
+            piece = Subspace._span(Matrix._of(tuple(
+                (ZERO,) * lo + r for x, y, r in position if x >= a and y >= b
+            ), dim))
+            if tuple(r[lo:hi] for r in piece.basis.rows) != gr.block_rows[pq]:
+                raise InvariantError("splitting piece does not lift the graded "
+                                     "basis at %r" % (pq,))
+            out[pq] = piece
     return out
 
 

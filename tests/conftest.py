@@ -16,7 +16,9 @@ from hodgegauge.linalg import (
     Subspace,
     solve_left,
 )
-from hodgegauge.mhs import Filtration, GrStructure, RealMHS, realize_real
+from hodgegauge.mhs import (
+    ComplexMHS, Filtration, GrStructure, HodgeNumbers, RealMHS, realize_real
+)
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
 from hodgegauge.splitting import DeltaObject, _adapted_pieces, delta_operator
@@ -119,6 +121,76 @@ def piece_dimensions(Fp, Fpp):
             if h:
                 out[(p, q)] = h
     return out, cap
+
+
+def quotient_route(V):
+    """Reference graded charts: for each weight n with W_n != W_{n-1}, a
+    Quotient chart W_n / W_{n-1} and every F' and F'' step projected into
+    it on its own, then Hodge numbers or the first violation."""
+    charts = []
+    counts = {}
+    violations = []
+    for n in range(min(V.W.steps), max(V.W.steps) + 1):
+        if V.W.at(n) == V.W.at(n - 1):
+            continue
+        chart = Quotient(V.W.at(n), V.W.at(n - 1))
+        fp, fpp = (
+            Filtration(Filtration.DEC, chart.dim,
+                       {k: chart.project_subspace(s) for k, s in f.steps.items()})
+            for f in (V.Fp, V.Fpp)
+        )
+        charts.append((n, chart, fp, fpp))
+        for (p, q), h in piece_dimensions(fp, fpp)[0].items():
+            if p + q != n:
+                violations.append((n, p, q, h))
+            counts[(p, q)] = h
+    outcome = min(violations) if violations else HodgeNumbers(counts)
+    return charts, outcome
+
+
+def sparse_form(V):
+    """V with the leading full step of F' and F'' left implicit."""
+
+    def drop(f):
+        lo = min(f.steps)
+        assert f.steps[lo] == Subspace.full(f.n)
+        return Filtration(f.direction, f.n, {k: s for k, s in f.steps.items() if k != lo})
+
+    return ComplexMHS(V.n, V.W, drop(V.Fp), drop(V.Fpp))
+
+
+def gapped_form(V, rng):
+    """V with one stored step of F' or F'' below its last dropped, so that
+    the step below it lasts over two indices."""
+    side = rng.choice(("Fp", "Fpp"))
+    f = getattr(V, side)
+    keys = f.jumps()[1:-1]
+    if not keys:
+        return V
+    steps = {k: s for k, s in f.steps.items() if k != rng.choice(keys)}
+    g = Filtration(Filtration.DEC, V.n, steps)
+    return ComplexMHS(V.n, V.W, *((g, V.Fpp) if side == "Fp" else (V.Fp, g)))
+
+
+def multi_block_delta(rng, max_dim=16):
+    """A seeded comparison datum whose weights each carry two or three Hodge
+    blocks, of dimension at most max_dim; entries as in random_delta."""
+    while True:
+        counts = {}
+        for n in rng.sample(range(-4, 5), rng.randint(2, 3)):
+            for p in rng.sample(range(-3, 4), rng.randint(2, 3)):
+                counts[p, n - p] = rng.randint(1, 2)
+        if sum(counts.values()) <= max_dim:
+            break
+    hodge = HodgeNumbers(counts)
+    owner = hodge.block_of_index()
+    rows = [[int(a == b) for b in range(hodge.dim)] for a in range(hodge.dim)]
+    for a, (pa, qa) in enumerate(owner):
+        for b, (pb, qb) in enumerate(owner):
+            if pa < pb and qa < qb and rng.random() < 0.7:
+                rows[a][b] = Scalar(Fraction(rng.randint(-3, 3), rng.choice((1, 2))),
+                                    rng.choice((0, 0, 1, -2)))
+    return DeltaObject(hodge, mat(rows))
 
 
 def greedy_from_tensor(alphabet, tensor):
@@ -235,6 +307,50 @@ def gr_coords(gr, rows, n):
     sols = solve_left(Matrix._of(chart, hi - lo), [r[lo:hi] for r in rows])
     # the canonical basis runs up in weight, the adapted columns down
     return tuple((ZERO,) * (gr.V.n - hi) + x + (ZERO,) * lo for x in sols)
+
+
+def pairwise_pieces(gr, side):
+    """The pieces I^{p,q} of one side of the validated gr in its adapted
+    coordinates, each intersected pairwise: every F step eliminated in those
+    coordinates, and for each block Fa^a ∩ W_n against a fresh span of its
+    tail Fb^b ∩ W_n + the sum over j >= 1 of Fb^(b-j) ∩ W_(n-j-1).  The
+    reference ``splitting._adapted_pieces`` (one relative position per
+    weight) is tested against."""
+    dim = gr.V.n
+    inv = gr.basis.inverse()
+    # zero and the full space read the same in every basis
+    F = {s: Filtration(Filtration.DEC, dim, {
+        k: sub if sub.dim in (0, dim) else Subspace._span(sub.basis @ inv)
+        for k, sub in getattr(gr.V, s).steps.items()
+    }) for s in ("Fp", "Fpp")}
+
+    def in_w(sub, k):
+        # the rows of an adapted echelon basis that span its part in W_k
+        lo = min((lo for n, (lo, _) in gr.cols.items() if n <= k), default=dim)
+        return tuple(r for r in sub.basis.rows if not any(r[:lo]))
+
+    Fa, Fb = F[side], F["Fpp" if side == "Fp" else "Fp"]
+    out = {}
+    for (p, q), _, _ in gr.hodge.blocks():
+        a, b = (p, q) if side == "Fp" else (q, p)
+        n = p + q
+        first = Subspace(dim, Matrix._of(in_w(Fa.at(a), n), dim))
+        tail = list(in_w(Fb.at(b), n))
+        for j in range(1, n - min(gr.cols)):
+            tail.extend(in_w(Fb.at(b - j), n - j - 1))
+        out[(p, q)] = first.intersect(Subspace._span(Matrix._of(tuple(tail), dim)))
+    return out
+
+
+def pairwise_delta(gr, pieces):
+    """delta by the solve of ``splitting.delta_operator`` from the pieces of
+    each side, {"Fp": ..., "Fpp": ...}, of ``pairwise_pieces``."""
+    Bp, Bpp = (
+        tuple(r for pq, _, _ in gr.hodge.blocks() for r in pieces[side][pq].basis.rows)
+        for side in ("Fp", "Fpp")
+    )
+    delta = solve_left(Matrix._of(Bpp, gr.V.n), Bp)
+    return DeltaObject(gr.hodge, Matrix._of(delta, gr.V.n).transpose())
 
 
 def _side_matrix(gr, side):

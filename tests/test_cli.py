@@ -491,23 +491,37 @@ def test_bad_point_flags_are_usage_errors(argv, capsys):
     _usage_error([argv[0], fx(argv[1])] + argv[2:], capsys)
 
 
+def test_a_path_over_the_cap_is_a_usage_error(capsys):
+    # 16 points run (tests/test_fuzz.py); one more is refused by argparse
+    k = cli.MAX_PATH_POINTS + 1
+    path = "--path=" + ";".join("%d,%d" % (i, i * i) for i in range(k))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["holonomy", fx("delta_t3_2_5.json"), path])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "--path: a path has at most 16 points, got 17" in captured.err
+
+
 def test_each_structure_input_is_validated_once(monkeypatch):
     # Validation is the only place where a structure's graded charts are
     # built, and every subcommand validates each structure input once;
     # roundtrip also validates the model it rebuilds from delta.  Every
     # W-adapted basis of a run is built by one of these validations, and
     # charts each weight of its structure once, with one relative-position
-    # elimination; a violation stops at the first weight that fails.
-    from hodgegauge import mhs
+    # elimination; a violation stops at the first weight that fails.  Each
+    # side of a splitting cuts the pieces of each weight from one more.
+    from hodgegauge import mhs, splitting
     from hodgegauge.documents import parse
     from hodgegauge.fixtures import corrupt_weight_step
 
     built = []
     adapted = []
     positions = []
+    sides = []
     gr_init = mhs.GrStructure.__init__
     adapted_init = mhs.AdaptedTriple.__init__
-    real_position = mhs.relative_position
+    real_position = mhs.adapted_position
+    real_pieces = splitting._adapted_pieces
 
     def counting_gr(self, V, *rest):
         start = len(positions)
@@ -521,15 +535,24 @@ def test_each_structure_input_is_validated_once(monkeypatch):
         adapted.append((V, self))
         adapted_init(self, V)
 
-    def counting_position(d, F, G):
+    def counting_position(d, f, g):
         positions.append(d)
-        return real_position(d, F, G)
+        return real_position(d, f, g)
+
+    def counting_pieces(gr, side):
+        start = len(positions)
+        out = real_pieces(gr, side)
+        sides.append((gr, side, positions[start:]))
+        return out
 
     monkeypatch.setattr(mhs.GrStructure, "__init__", counting_gr)
     monkeypatch.setattr(mhs.AdaptedTriple, "__init__", counting_adapted)
-    monkeypatch.setattr(mhs, "relative_position", counting_position)
+    monkeypatch.setattr(mhs, "adapted_position", counting_position)
+    monkeypatch.setattr(splitting, "adapted_position", counting_position)
+    monkeypatch.setattr(splitting, "_adapted_pieces", counting_pieces)
     parser = cli.build_parser()
     structures = []
+    split = 0
     for name in sorted(os.listdir(fixture_dir())):
         with open(fx(name)) as fh:
             doc = json.load(fh)
@@ -539,7 +562,7 @@ def test_each_structure_input_is_validated_once(monkeypatch):
             structures.append(obj if doc["type"] == "complex_mhs"
                               else mhs.realize_real(obj))
         for command in sorted(cli._HANDLERS):
-            del built[:], adapted[:]
+            del built[:], adapted[:], sides[:]
             flags = parser.parse_args([command, fx(name)])
             entry, code = cli._process_one(command, fx(name), flags)
             want = (2 if command == "roundtrip" else 1) if structure else 0
@@ -552,6 +575,13 @@ def test_each_structure_input_is_validated_once(monkeypatch):
                 ws = gr.hodge.weights()
                 assert len(gr.cols) == len(ws), (command, name)
                 assert charted == [gr.cols[n][1] - gr.cols[n][0] for n in ws]
+            # delta_operator cuts F' pieces, then F'' pieces, of one gr
+            assert [side for _, side, _ in sides] == ["Fp", "Fpp"] * (len(sides) // 2)
+            for gr, _, cut in sides:
+                assert any(gr is g for _, g, _ in built), (command, name)
+                assert cut == [gr.V.n - gr.cols[n][0] for n in gr.hodge.weights()]
+            split += len(sides)
+    assert split
     rng = random.Random(43)
     stopped_early = 0
     for V in structures:

@@ -1,14 +1,17 @@
 """Fuzzed structure, delta and connection documents through the CLI's
 per-input path: whatever the document, each of the seven commands ends in a
 defined status (ok, violation or malformed) with its exit code, never in an
-internal error."""
+internal error.  Hostile --path and --point values end the same way, or as
+usage errors (exit 2)."""
 
+import io
 import json
 import os
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_dir
 from hodgegauge import cli
@@ -265,3 +268,99 @@ def test_ragged_and_misshaped_matrices_are_malformed(name, path, value, workdir)
     _set(doc, path, value)
     for command, entry, code in _outcomes(doc, workdir):
         assert (entry["status"], code) == ("malformed", 2), (command, entry)
+
+
+def _main(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _defined(argv):
+    code, out = _main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if out:
+        for entry in json.loads(out)["inputs"]:
+            assert entry["status"] in CODES, (argv, entry)
+            assert code >= CODES[entry["status"]], (argv, entry)
+    return code
+
+
+AT_CAP = "9" * 4300  # scalars.MAX_DIGITS
+OVER_CAP = "9" * 4301
+
+
+def _points(k):
+    return ";".join("%d,%d" % (i, i * i - 3) for i in range(k))
+
+
+@pytest.mark.parametrize("path, code", [
+    (_points(16), 0),
+    (_points(17), 2),
+    ("%s,1;1,%s;-%s,3" % (AT_CAP, AT_CAP, AT_CAP), 2),  # result too large
+    ("%s,1;1,1" % OVER_CAP, 2),
+    ("1/%s,1;1,1" % AT_CAP, 2),
+    ("0,0;1,1;0,0;1,1;0,0", 0),  # repeated, never consecutive
+    ("0,0;0,0", 2),
+    ("0,0;1,1;1,1", 2),
+    ("", 2),
+    (";", 2),
+    ("0,0;", 2),
+    ("0,0;;1,1", 2),
+    (",1;1,", 2),
+    ("0,0;1", 2),
+    ("x,1;1,y", 2),
+    ("1/0,1;2,2", 2),
+    ("nan,inf;1,1", 2),
+    ("1.5,2;3,4", 2),
+], ids=["16-points", "17-points", "digits-at-cap", "digits-over-cap",
+        "denominator-at-cap", "repeated", "repeated-consecutive",
+        "repeated-last", "empty", "empty-parts", "empty-last", "empty-middle",
+        "empty-coordinates", "one-coordinate", "non-numeric", "zero-denominator",
+        "nan", "decimal"])
+def test_hostile_paths_end_in_a_defined_status(path, code):
+    argv = ["holonomy", os.path.join(fixture_dir(), "delta_t3_2_5.json"),
+            "--path=" + path]
+    assert _defined(argv) == code
+
+
+@pytest.mark.parametrize("points, code", [
+    (["%s,1" % AT_CAP], 0),
+    (["%s,1" % OVER_CAP], 2),
+    (["1,1"] * 16, 0),
+    (["2,3", "-1,0", "2,3"], 0),
+    ([""], 2),
+    ([","], 2),
+    (["1,"], 2),
+    (["1,2,3"], 2),
+    (["a,b"], 2),
+    (["1/0,0"], 2),
+], ids=["digits-at-cap", "digits-over-cap", "16-equal", "repeated", "empty",
+        "empty-parts", "one-coordinate", "three-coordinates", "non-numeric",
+        "zero-denominator"])
+def test_hostile_points_end_in_a_defined_status(points, code):
+    argv = ["rees", os.path.join(fixture_dir(), "kummer_3.json")]
+    for point in points:
+        argv.append("--point=" + point)
+    assert _defined(argv) == code
+
+
+chunks = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/7", "0+1*i", "1/0",
+                          "", " ", "x", "1.5", "--1", AT_CAP, OVER_CAP, "-" + AT_CAP])
+vertices = st.one_of(st.tuples(chunks, chunks).map(",".join), chunks)
+
+
+@settings(max_examples=40)
+@given(path=st.lists(vertices, max_size=18).map(";".join),
+       points=st.lists(vertices, max_size=4))
+def test_fuzzed_paths_and_points_end_in_a_defined_status(path, points):
+    _defined(["holonomy", os.path.join(fixture_dir(), "delta_t3_2_5.json"),
+              "--path=" + path])
+    argv = ["rees", os.path.join(fixture_dir(), "kummer_3.json")]
+    for point in points:
+        argv.append("--point=" + point)
+    _defined(argv)

@@ -4,7 +4,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    Quotient, coords, gr_coords, lift, mat, piece_dimensions, span, vec
+    Quotient,
+    coords,
+    gapped_form,
+    gr_coords,
+    lift,
+    mat,
+    multi_block_delta,
+    piece_dimensions,
+    quotient_route,
+    span,
+    sparse_form,
+    vec,
 )
 from hodgegauge.fixtures import (
     corrupt_weight_step, kummer, random_delta, random_mhs, real_kummer, t3
@@ -29,7 +40,7 @@ from hodgegauge.mhs import (
     validate_morphism,
 )
 from hodgegauge.scalars import I, ONE, Scalar, ZERO
-from hodgegauge.splitting import DeltaObject, delta_to_mhs
+from hodgegauge.splitting import delta_to_mhs
 
 
 A3, B3 = span(3, [[1, 0, 0]]), span(3, [[1, 0, 0], [0, 1, 1]])
@@ -136,6 +147,23 @@ def test_tensor_with_pure_twist():
     assert h.counts == {(1, 1): 1, (0, 0): 1}
 
 
+def test_tensor_of_sparse_forms_is_the_tensor_of_dense_ones():
+    # F' and F'' of a factor are the full space below their stored range;
+    # the product's steps below the sum of the first indices summed only
+    # over the stored ones and left that full space out
+    A, B = kummer(3), t3(1, 2)
+    dense = tensor_mhs(A, B)
+    for X in (A, sparse_form(A)):
+        for Y in (B, sparse_form(B)):
+            V = tensor_mhs(X, Y)
+            assert V == dense
+            assert validate_mhs(V).counts == {
+                (-3, -3): 1, (-2, -2): 2, (-1, -1): 2, (0, 0): 1
+            }
+    # on dense factors the step one below is the full space, not stored
+    assert sorted(dense.Fp.steps) == list(range(-3, 4))
+
+
 def test_tensor_of_kummers():
     V = tensor_mhs(kummer(1), kummer(2))
     h = validate_mhs(V)
@@ -203,17 +231,6 @@ def test_random_structures_validate():
         validate_mhs(V)
 
 
-def sparse_form(V):
-    """V with the leading full step of F' and F'' left implicit."""
-
-    def drop(f):
-        lo = min(f.steps)
-        assert f.steps[lo] == Subspace.full(f.n)
-        return Filtration(f.direction, f.n, {k: s for k, s in f.steps.items() if k != lo})
-
-    return ComplexMHS(V.n, V.W, drop(V.Fp), drop(V.Fpp))
-
-
 @pytest.mark.parametrize("V", [pure(0, 0), kummer(3)], ids=["pure_0_0", "kummer_3"])
 def test_sparse_decreasing_filtrations_validate(V):
     sparse = sparse_form(V)
@@ -275,35 +292,11 @@ def test_graded_count_agrees_with_nested_quotients():
     assert seen == {"valid": 12, "violation": 12}
 
 
-def quotient_route(V):
-    """Reference graded charts: for each weight n with W_n != W_{n-1}, a
-    Quotient chart W_n / W_{n-1} and every F' and F'' step projected into
-    it on its own, then Hodge numbers or the first violation."""
-    charts = []
-    counts = {}
-    violations = []
-    for n in range(min(V.W.steps), max(V.W.steps) + 1):
-        if V.W.at(n) == V.W.at(n - 1):
-            continue
-        chart = Quotient(V.W.at(n), V.W.at(n - 1))
-        fp, fpp = (
-            Filtration(Filtration.DEC, chart.dim,
-                       {k: chart.project_subspace(s) for k, s in f.steps.items()})
-            for f in (V.Fp, V.Fpp)
-        )
-        charts.append((n, chart, fp, fpp))
-        for (p, q), h in piece_dimensions(fp, fpp)[0].items():
-            if p + q != n:
-                violations.append((n, p, q, h))
-            counts[(p, q)] = h
-    outcome = min(violations) if violations else HodgeNumbers(counts)
-    return charts, outcome
-
-
 def test_adapted_basis_matches_quotient_charts():
     # one elimination of the stacked W steps gives each weight's Quotient
-    # complement, and one top-down elimination of each F step gives its
-    # projection into every chart
+    # complement; each filtration's basis adapted to it and to W gives, in
+    # its weight-n rows sliced to the chart, the projection of every step
+    # into that chart, and in its rows of weight <= m the step's part in W_m
     rng = random.Random(23)
     seen = {"valid": 0, "violation": 0}
     for _ in range(12):
@@ -315,14 +308,49 @@ def test_adapted_basis_matches_quotient_charts():
             seen["valid" if isinstance(want, HodgeNumbers) else "violation"] += 1
             adapted = AdaptedTriple(U)
             assert [c[0] for c in charts] == sorted(adapted.cols)
+            inv = adapted.basis.inverse()
             for n, chart, fp, fpp in charts:
                 lo, hi = adapted.cols[n]
                 assert adapted.basis.rows[lo:hi] == chart.complement
-                assert adapted.chart(n) == (fp.steps, fpp.steps)
+                for side, flag in (("Fp", fp), ("Fpp", fpp)):
+                    rows = adapted.rows[side]
+                    for k, step in flag.steps.items():
+                        assert span(hi - lo, [
+                            r[lo:hi] for level, w, r in rows if w == n and level >= k
+                        ]) == step
+                    for k, step in getattr(U, side).steps.items():
+                        in_w = Subspace._span(step.basis @ inv).intersect(span(
+                            U.n, Subspace.full(U.n).basis.rows[lo:]))
+                        assert span(U.n, [
+                            r for level, w, r in rows if w <= n and level >= k
+                        ]) == in_w
                 for row in Subspace.full(chart.dim).basis.rows:
                     assert lift(adapted, row, n) == chart.lift(row)
             assert _outcome(lambda W: GrStructure(W).hodge, U) == want
     assert seen == {"valid": 12, "violation": 12}
+
+
+def test_adapted_bases_need_no_span_per_step(monkeypatch):
+    # the F' and F'' steps reach the adapted basis through one product and
+    # one reduction per filtration, not one elimination per step
+    spans = []
+    real = Subspace._span.__func__
+
+    def counting(cls, m):
+        spans.append(m.shape)
+        return real(cls, m)
+
+    rng = random.Random(41)
+    structures = [kummer(3), t3(2, 5)] + [
+        delta_to_mhs(multi_block_delta(rng), check=False) for _ in range(4)
+    ]
+    monkeypatch.setattr(Subspace, "_span", classmethod(counting))
+    for V in structures:
+        adapted = AdaptedTriple(V)
+        assert spans == []
+        assert all(len(adapted.rows[side]) == V.n for side in ("Fp", "Fpp"))
+    GrStructure(structures[-1])
+    assert spans
 
 
 def test_gr_coords_read_back_lifted_pieces():
@@ -354,27 +382,6 @@ def diagonal_outcome(V):
     except OpposednessViolation as exc:
         return (exc.weight, exc.p, exc.q, exc.h)
     return gr.hodge, gr.block_rows
-
-
-def multi_block_delta(rng, max_dim=16):
-    """A seeded comparison datum whose weights each carry two or three Hodge
-    blocks, of dimension at most max_dim; entries as in random_delta."""
-    while True:
-        counts = {}
-        for n in rng.sample(range(-4, 5), rng.randint(2, 3)):
-            for p in rng.sample(range(-3, 4), rng.randint(2, 3)):
-                counts[p, n - p] = rng.randint(1, 2)
-        if sum(counts.values()) <= max_dim:
-            break
-    hodge = HodgeNumbers(counts)
-    owner = hodge.block_of_index()
-    rows = [[int(a == b) for b in range(hodge.dim)] for a in range(hodge.dim)]
-    for a, (pa, qa) in enumerate(owner):
-        for b, (pb, qb) in enumerate(owner):
-            if pa < pb and qa < qb and rng.random() < 0.7:
-                rows[a][b] = Scalar(Fraction(rng.randint(-3, 3), rng.choice((1, 2))),
-                                    rng.choice((0, 0, 1, -2)))
-    return DeltaObject(hodge, mat(rows))
 
 
 def seeded_structures(rng):
@@ -421,19 +428,6 @@ def damaged(V, rng):
     return [V, corrupt_weight_step(V, rng)] + ([low] if low else []) + [
         ComplexMHS(V.n, V.W, V.Fp, V.Fp)
     ]
-
-
-def gapped_form(V, rng):
-    """V with one stored step of F' or F'' below its last dropped, so that
-    the step below it lasts over two indices."""
-    side = rng.choice(("Fp", "Fpp"))
-    f = getattr(V, side)
-    keys = f.jumps()[1:-1]
-    if not keys:
-        return V
-    steps = {k: s for k, s in f.steps.items() if k != rng.choice(keys)}
-    g = Filtration(Filtration.DEC, V.n, steps)
-    return ComplexMHS(V.n, V.W, *((g, V.Fpp) if side == "Fp" else (V.Fp, g)))
 
 
 def test_diagonal_route_matches_the_grid():

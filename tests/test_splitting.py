@@ -5,9 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coords, fixture_dir, gr_coords, lift, mat, side_matrix_delta, span
+from conftest import (
+    coords,
+    fixture_dir,
+    gapped_form,
+    gr_coords,
+    lift,
+    mat,
+    multi_block_delta,
+    pairwise_delta,
+    pairwise_pieces,
+    quotient_route,
+    side_matrix_delta,
+    span,
+    sparse_form,
+)
 from hodgegauge.documents import parse
 from hodgegauge.fixtures import (
+    corrupt_weight_step,
     kummer,
     kummer_delta,
     random_delta,
@@ -15,7 +30,7 @@ from hodgegauge.fixtures import (
     t3,
     t3_delta,
 )
-from hodgegauge.linalg import InvariantError, Matrix
+from hodgegauge.linalg import InvariantError, Matrix, Subspace
 
 
 def mkron(A, B):
@@ -31,6 +46,7 @@ from hodgegauge.mhs import (
     Filtration,
     GrStructure,
     HodgeNumbers,
+    OpposednessViolation,
     RealMHS,
     conjugate_mhs,
     direct_sum_mhs,
@@ -256,6 +272,53 @@ def test_delta_matches_the_graded_coordinate_route():
         assert d == side_matrix_delta(gr)
         seen.add(d.delta == Matrix.identity(gr.hodge.dim))
     assert seen == {True, False}
+
+
+def test_pieces_match_the_pairwise_route():
+    # structures with several blocks per weight, moved into general position
+    # by a Gaussian matrix; each also with the leading full steps of F' and
+    # F'' left implicit or with a step dropped between two others, and with
+    # a weight step moved up: splitting subspaces (the adapted pieces moved
+    # back) and delta against one intersection per block, and the violation
+    # against the grid
+    rng = random.Random(47)
+    seen, sizes = set(), set()
+    for i in range(80):
+        V = delta_to_mhs(multi_block_delta(rng, (6, 9, 12, 16)[i % 4]), check=False)
+        sizes.add(V.n)
+        while True:
+            g = Matrix([[Scalar(rng.randint(-1, 1), rng.randint(-1, 1))
+                         if rng.random() < 0.3 else ZERO
+                         for _ in range(V.n)] for _ in range(V.n)])
+            if g.rank() == V.n:
+                break
+        V = _moved(V, g)
+        forms = (("moved", V),
+                 ("sparse", sparse_form(V)) if i % 2 else ("gapped", gapped_form(V, rng)),
+                 ("corrupt", corrupt_weight_step(V, rng)))
+        for kind, U in forms:
+            try:
+                gr = GrStructure(U)
+            except OpposednessViolation as e:
+                assert (e.weight, e.p, e.q, e.h) == quotient_route(U)[1], kind
+                seen.add((kind, False))
+                continue
+            assert all(sum(p + q == n for p, q in gr.hodge.counts) >= 2
+                       for n in gr.hodge.weights())
+            if kind != "sparse":
+                # a sparse form has the filtrations of V, so its pieces
+                ref = {side: pairwise_pieces(gr, side) for side in ("Fp", "Fpp")}
+            for side, pieces in ref.items():
+                assert gr.hodge.counts == {pq: s.dim for pq, s in pieces.items()}
+                assert list(splitting_subspaces(gr, side).items()) == [
+                    (pq, Subspace._span(piece.basis @ gr.basis))
+                    for pq, piece in pieces.items()
+                ]
+            assert delta_operator(gr) == pairwise_delta(gr, ref)
+            seen.add((kind, True))
+    assert seen >= {("moved", True), ("sparse", True), ("corrupt", False)}
+    assert any(kind == "gapped" for kind, _ in seen)
+    assert max(sizes) >= 14
 
 
 def test_delta_takes_no_inverse_and_no_graded_coordinates(monkeypatch):
