@@ -166,7 +166,7 @@ def _rees(obj, flags):
     points = flags.point or [
         (Scalar(-1), Scalar(0)), (Scalar(2), Scalar(3)), (Scalar(0, 1), Scalar(-1))
     ]
-    for (x, y) in points:
+    for (x, y) in dict.fromkeys(points):  # each distinct point once, in order
         t = splitting_type(restrict_to_line(phi, (x, y)))
         result["point_types"]["%s,%s" % (x, y)] = list(t)
         checks.append(("line_trivial_at_%s,%s" % (x, y), all(a == 0 for a in t)))
@@ -350,7 +350,8 @@ def build_parser():
                 action="append",
                 default=None,
                 type=_point,
-                help="line base point as 'x,y'; repeatable",
+                help="line base point as 'x,y', or --point=-1,0 when x is "
+                "negative; repeatable, each distinct point reported once",
             )
     sp = sub.add_parser("holonomy", help="triangle or explicit path transport")
     common(sp)

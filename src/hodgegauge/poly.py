@@ -112,13 +112,6 @@ class Poly:
             self.nvars, {e: c * x for e, x in self.terms.items()}, self.laurent
         )
 
-    def conjugate(self):
-        return Poly._of(
-            self.nvars,
-            {e: c.conjugate() for e, c in self.terms.items()},
-            self.laurent,
-        )
-
     def diff(self, var):
         terms = {}
         for exps, c in self.terms.items():

@@ -4,16 +4,17 @@ The Rees bundle of a bigraded comparison datum is described over the
 punctured plane by the Laurent patching matrix Phi(xi0, xi1) obtained by
 conjugating delta with the monomial frame xi0^{p+q} xi1^{-p} on each piece.
 Restricting Phi to the line attached to a point T of the plane gives a
-one-variable transition matrix on P^1 whose Grothendieck splitting type is
-read off exactly from one reduction of it to column-reduced form.
+one-variable transition matrix on P^1.  Its determinant check and its
+Grothendieck splitting type are read off the column degrees of two weak
+Popov forms of it, reduced from the top degree and from the bottom one.
 """
 
 from __future__ import annotations
 
-from .linalg import InvariantError, Matrix, relative_position
+from .linalg import InvariantError, relative_position
 from .mhs import AdaptedTriple
-from .poly import Poly, PolyMatrix
-from .scalars import ONE, ZERO, Scalar
+from .poly import LaurentError, Poly, PolyMatrix
+from .scalars import ONE, ZERO
 
 W_LINE = "W"
 
@@ -26,9 +27,12 @@ class P1TransitionMatrix:
     """Square Laurent matrix in one variable xi relating the chart at 0 to
     the chart at infinity (coordinate 1/xi).  The determinant must be a
     nonzero monomial c * xi^m; the convention is pinned so that the 1x1
-    matrix (xi^{-1}) presents O(1)."""
+    matrix (xi^{-1}) presents O(1).  It is checked by two column
+    reductions of determinant 1: the top column degrees sum to the highest
+    exponent of det and the bottom ones to minus its lowest.  `degrees`
+    keeps the top ones and `det_exponent` their sum."""
 
-    __slots__ = ("matrix", "det_coeff", "det_exponent")
+    __slots__ = ("matrix", "degrees", "det_exponent")
 
     def __init__(self, matrix):
         r, c = matrix.shape
@@ -36,13 +40,13 @@ class P1TransitionMatrix:
             raise TransitionError("transition matrix must be square")
         if matrix.nvars != 1:
             raise TransitionError("transition matrix must be univariate")
-        det = _laurent_det(matrix)
-        if len(det.terms) != 1:
+        # a column vanishes in one reduction iff it does in the other
+        top, bottom = _column_reduce(matrix, 1), _column_reduce(matrix, -1)
+        if top is None or sum(top) != -sum(bottom):
             raise TransitionError("determinant is not a nonzero monomial")
-        ((exp,), coeff) = next(iter(det.terms.items()))
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "det_coeff", coeff)
-        object.__setattr__(self, "det_exponent", exp)
+        object.__setattr__(self, "degrees", top)
+        object.__setattr__(self, "det_exponent", sum(top))
 
     def __setattr__(self, name, value):
         raise AttributeError("P1TransitionMatrix is immutable")
@@ -57,29 +61,51 @@ class P1TransitionMatrix:
         return self.matrix == other.matrix
 
 
-def _laurent_det(pm):
-    """Determinant by expansion along columns with zero-pruning; the
-    matrices here are small and sparse."""
-    r, _ = pm.shape
-    if r == 0:
-        return Poly.constant(1, ONE, laurent=True)
+def _column_reduce(m, sign):
+    """Column degrees of a weak Popov form of the square Laurent matrix m,
+    read on the exponent sign * e; None when a column vanishes, that is
+    exactly when m is singular.
 
-    rows = pm.rows
-
-    def minor(avail_rows, col, sign):
-        if col == r:
-            return Poly.constant(1, sign, laurent=True)
-        acc = Poly(1, {}, laurent=True)
-        for idx, i in enumerate(avail_rows):
-            entry = rows[i][col]
-            if entry.is_zero():
-                continue
-            sub_sign = sign if idx % 2 == 0 else -sign
-            rest = avail_rows[:idx] + avail_rows[idx + 1 :]
-            acc = acc + entry * minor(rest, col + 1, sub_sign)
-        return acc
-
-    return minor(tuple(range(r)), 0, ONE)
+    A column's leading position is the last row holding its top-degree
+    term.  While columns k and t share one and d_t >= d_k, col_t +=
+    c xi^(d_t - d_k) col_k cancels that term (Mulders and Storjohann, J.
+    Symbolic Comput. 35, 2003): determinant 1, it lowers d_t or the leading
+    position, and no exponent falls below m's lowest, e_min.  Once the
+    positions differ, the top-degree coefficients are triangular up to a
+    column permutation, so the form is column reduced."""
+    r = m.shape[0]
+    # column j as {(degree, row): coefficient}, so max() is its leading term
+    cols = [
+        {(sign * e, i): c for i in range(r) for (e,), c in m[i, j].terms.items()}
+        for j in range(r)
+    ]
+    if not all(cols):
+        return None
+    e_min = min((e for col in cols for e, _ in col), default=0)
+    lead = [max(col) for col in cols]
+    # each step lowers one column's (degree, position), its degree >= e_min
+    steps = r * sum(d - e_min + 1 for d, _ in lead)
+    owner = {}  # leading position -> the column holding it
+    for j in range(r):
+        t = j
+        while (k := owner.setdefault(lead[t][1], t)) != t:
+            if lead[t][0] < lead[k][0]:  # the lower column takes the place
+                owner[lead[k][1]], t, k = t, k, t
+            if not steps:
+                raise InvariantError("column reduction did not terminate")
+            steps -= 1
+            col, shift = cols[t], lead[t][0] - lead[k][0]
+            c = -col[lead[t]] / cols[k][lead[k]]
+            for (e, row), x in cols[k].items():
+                y = col.get((e + shift, row), ZERO) + c * x
+                if y:
+                    col[e + shift, row] = y
+                else:
+                    del col[e + shift, row]
+            if not col:
+                return None
+            lead[t] = max(col)
+    return tuple(d for d, _ in lead)
 
 
 def rees_patching(dobj):
@@ -97,13 +123,9 @@ def rees_patching(dobj):
         p, q = owner[i]
         row = []
         for j in range(n):
-            x = dobj.delta[i, j]
-            if not x:
-                row.append(Poly(2, {}, laurent=True))
-                continue
             pp, qq = owner[j]
             mono = ((pp + qq) - (p + q), p - pp)
-            row.append(Poly(2, {mono: x}, laurent=True))
+            row.append(Poly(2, {mono: dobj.delta[i, j]}, laurent=True))
         rows.append(tuple(row))
     return PolyMatrix(2, rows)
 
@@ -112,73 +134,40 @@ def restrict_to_line(phi, T):
     """Transition matrix of the Rees bundle on the line attached to T.
 
     T is a point (t1, t2) of the plane, or the symbol W_LINE for the weight
-    line at the origin.  The line is parametrized by xi0 = -t2 - t1 xi1,
-    which is substituted into Phi; at the origin every positive power of
-    xi0 dies and the restriction is the identity.
+    line at the origin.  The line is parametrized by xi0 = l = -t2 - t1 xi,
+    xi1 = xi, so each term c xi0^a xi1^b of Phi becomes c xi^b l^a, with
+    the powers of l formed once; at the origin l = 0, every positive power
+    of xi0 dies and the restriction is the identity.
     """
-    if T == W_LINE:
-        t1, t2 = ZERO, ZERO
-    else:
-        t1, t2 = (Scalar(0) + T[0], Scalar(0) + T[1])
-    repl = Poly(2, {(0, 0): -t2, (0, 1): -t1}, laurent=True)
-    sub = phi.subs(0, repl)
-    rows = []
-    for row in sub.rows:
-        out = []
-        for poly in row:
-            terms = {}
-            for (e0, e1), c in poly.terms.items():
-                if e0:
-                    raise InvariantError("xi0 survived the line substitution")
-                terms[(e1,)] = c
-            out.append(Poly(1, terms, laurent=True))
-        rows.append(tuple(out))
-    return P1TransitionMatrix(PolyMatrix(1, rows))
+    t1, t2 = (0, 0) if T == W_LINE else T
+    line = Poly(1, {(0,): -t2, (1,): -t1}, laurent=True)
+    powers = [Poly.constant(1, ONE, laurent=True)]
+
+    def entry(poly):
+        terms = {}
+        for (a, b), c in poly.terms.items():
+            if a < 0:
+                raise LaurentError("cannot substitute into negative power")
+            while len(powers) <= a:
+                powers.append(powers[-1] * line)
+            for (e,), x in powers[a].terms.items():
+                terms[b + e,] = terms.get((b + e,), ZERO) + c * x
+        return Poly._of(1, terms, True)
+
+    rows = tuple(tuple(entry(poly) for poly in row) for row in phi.rows)
+    return P1TransitionMatrix(PolyMatrix._of(1, rows, phi.ncols))
 
 
 def splitting_type(G):
     """Grothendieck type (a_1 >= ... >= a_r) of the bundle presented by G.
 
-    Column reduction (Wolovich 1974): while the matrix L of each column's
-    top-degree coefficients is singular, take c with L c = 0 and replace
-    the top-degree column t among those with c_t != 0 by
-    sum_j c_j xi^{d_t - d_j} col_j.  That is a unimodular column operation
-    over K[xi] which lowers d_t.  The sum of the column degrees d_j never
-    falls below the determinant exponent, so the loop is bounded.  Once L
-    is invertible, G U = A(1/xi) diag(xi^{d_j}) with U the operations done
-    and A invertible over K[1/xi], so the type is -d_j.  Shifting G by xi^m
-    to a polynomial matrix would shift every d_j by m and change nothing.
+    G.degrees are the column degrees d_j of a weak Popov form G U, U
+    unimodular over K[xi] (`_column_reduce`; Wolovich 1974).  Its top-degree
+    coefficients are invertible, so G U = A(1/xi) diag(xi^{d_j}) with A
+    invertible over K[1/xi], and the type is -d_j, summing to -det exponent
+    by construction.  Shifting G by xi^m would shift every d_j by m.
     """
-    r = G.rank
-    # column j as {(exponent, row): coefficient}, so max() finds its degree
-    cols = [
-        {(e, i): c for i in range(r) for (e,), c in G.matrix[i, j].terms.items()}
-        for j in range(r)
-    ]
-    deg = [max(col)[0] for col in cols]
-    for _ in range(sum(deg) - G.det_exponent + 1):
-        lead = tuple(
-            tuple(cols[j].get((deg[j], i), ZERO) for j in range(r)) for i in range(r)
-        )
-        kernel = Matrix._of(lead, r).right_kernel().rows
-        if not kernel:
-            break
-        c = kernel[0]
-        t = max((j for j in range(r) if c[j]), key=deg.__getitem__)
-        col = {}
-        for j in range(r):
-            if c[j]:
-                shift = deg[t] - deg[j]
-                for (e, i), x in cols[j].items():
-                    key = (e + shift, i)
-                    col[key] = col.get(key, ZERO) + c[j] * x
-        cols[t] = {key: x for key, x in col.items() if x}
-        deg[t] = max(cols[t])[0]
-    else:
-        raise InvariantError("column reduction did not terminate")
-    if sum(deg) != G.det_exponent:
-        raise InvariantError("splitting type does not sum to -det exponent")
-    return tuple(sorted((-d for d in deg), reverse=True))
+    return tuple(sorted((-d for d in G.degrees), reverse=True))
 
 
 def two_filtration_rees_type(Fp, Fpp):

@@ -190,7 +190,7 @@ def delta_to_mhs(dobj, check=True):
         n,
         {
             p0: span(lambda p, q: p >= p0)
-            for p0 in range(ps[0], ps[-1] + 2)
+            for p0 in (range(ps[0], ps[-1] + 2) if ps else ())
         },
     )
     dinv = dobj.delta.inverse()
@@ -200,7 +200,7 @@ def delta_to_mhs(dobj, check=True):
         n,
         {
             q0: span(lambda p, q: q >= q0).apply(dinv)
-            for q0 in range(qs[0], qs[-1] + 2)
+            for q0 in (range(qs[0], qs[-1] + 2) if qs else ())
         },
     )
     V = ComplexMHS(n, W, Fp, Fpp)

@@ -257,6 +257,31 @@ def segment_pullback(P, Q, a, b):
     return pull(P, d1) + pull(Q, d2)
 
 
+def _laurent_det(pm):
+    """Determinant by expansion along columns with zero-pruning; the
+    matrices here are small and sparse."""
+    r, _ = pm.shape
+    if r == 0:
+        return Poly.constant(1, ONE, laurent=True)
+
+    rows = pm.rows
+
+    def minor(avail_rows, col, sign):
+        if col == r:
+            return Poly.constant(1, sign, laurent=True)
+        acc = Poly(1, {}, laurent=True)
+        for idx, i in enumerate(avail_rows):
+            entry = rows[i][col]
+            if entry.is_zero():
+                continue
+            sub_sign = sign if idx % 2 == 0 else -sign
+            rest = avail_rows[:idx] + avail_rows[idx + 1 :]
+            acc = acc + entry * minor(rest, col + 1, sub_sign)
+        return acc
+
+    return minor(tuple(range(r)), 0, ONE)
+
+
 def picard(M, lower):
     """Polynomial fundamental solution S of S' = M S with S(lower) = 1: the
     sum of the iterated integrals T_0 = 1, T_{k+1} = integral from lower of

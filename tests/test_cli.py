@@ -71,6 +71,20 @@ def test_rees_line_types():
     assert entry["result"]["point_types"]["2/1,3/1"] == [0, 0]
 
 
+def test_rees_reports_each_distinct_point_once():
+    # 4/2,3 parses to the point 2,3: it was reported with two checks
+    argv = ["rees", fx("kummer_3.json"), "--point", "2,3", "--point=-1,0",
+            "--point", "4/2,3", "--point=-1/1,0"]
+    code, out = run(argv)
+    assert code == 0
+    entry = json.loads(out)["inputs"][0]
+    assert sorted(entry["result"]["point_types"]) == ["-1/1,0/1", "2/1,3/1"]
+    assert [c["name"] for c in entry["checks"]] == [
+        "patching_at_ones_is_delta", "w_line_trivial",
+        "line_trivial_at_2/1,3/1", "line_trivial_at_-1/1,0/1",
+    ]
+
+
 def test_ext_real_tate():
     code, out = run(["ext", fx("real_tate_1.json")])
     assert code == 0

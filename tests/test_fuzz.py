@@ -364,3 +364,65 @@ def test_fuzzed_paths_and_points_end_in_a_defined_status(path, points):
     for point in points:
         argv.append("--point=" + point)
     _defined(argv)
+
+
+def test_a_zero_dimensional_structure_is_ok(workdir):
+    # roundtrip read the lowest Hodge index of an empty list: an internal error
+    def filt(direction):
+        return {"direction": direction, "n": 0, "steps": {}}
+
+    doc = {"type": "complex_mhs", "n": 0, "W": filt("inc"), "Fp": filt("dec"),
+           "Fpp": filt("dec")}
+    for command, entry, code in _outcomes(doc, workdir):
+        assert (entry["status"], code) == ("ok", 0), (command, entry)
+
+
+@pytest.mark.parametrize("name, cells, command", [
+    # delta[0][1] delta[1][2] has 8,600 digits, and so does the connection
+    ("delta_t3_2_5.json", [(["matrix", 0, 1], AT_CAP), (["matrix", 1, 2], AT_CAP)],
+     "connect"),
+    ("connection_t3_2_5.json", [
+        (["blocks", 0, side, i, j], sign + AT_CAP)
+        for side, sign in (("A", "-"), ("B", "")) for i, j in ((0, 1), (1, 2))
+    ], "holonomy"),
+], ids=["delta", "connection"])
+def test_a_product_over_the_digit_cap_is_malformed(name, cells, command, workdir):
+    doc = _fixture(name)
+    for path, value in cells:
+        _set(doc, path, value)
+    for each, entry, code in _outcomes(doc, workdir):
+        assert entry["status"] in CODES, (each, entry)
+        assert code == CODES[entry["status"]], (each, entry)
+        if each == command:
+            assert (entry["status"], code) == ("malformed", 2), entry
+
+
+large = st.sampled_from([AT_CAP, "-" + AT_CAP, "1/" + AT_CAP, "-1/" + AT_CAP,
+                         AT_CAP + "+" + AT_CAP + "*i", "1/2-" + AT_CAP + "*i"])
+
+
+@st.composite
+def large_digit_documents(draw):
+    # a valid delta or canonical connection (dim <= 4) with one to three of
+    # its nonzero off-diagonal entries moved to the digit cap
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    delta = random_delta(rng, max_dim=4, weight_lo=-3, weight_hi=3)
+    doc = serialize(connection_from_delta(delta))
+    matrices = [b[side] for b in doc["blocks"] for side in ("A", "B")]
+    if not matrices or draw(st.booleans()):
+        doc = serialize(delta)
+        matrices = [doc["matrix"]]
+    cells = [(rows, i, j) for rows in matrices for i, row in enumerate(rows)
+             for j, x in enumerate(row) if i != j and x != "0/1"]
+    for rows, i, j in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)
+                           if cells else st.just([])):
+        rows[i][j] = draw(large)
+    return doc
+
+
+@settings(max_examples=40)
+@given(doc=large_digit_documents())
+def test_large_digit_documents_end_in_a_defined_status(doc, workdir):
+    for command, entry, code in _outcomes(doc, workdir):
+        assert entry["status"] in CODES, (command, entry)
+        assert code == CODES[entry["status"]], (command, entry)

@@ -1,9 +1,13 @@
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import span
+from conftest import _laurent_det, fixture_dir, span
+from hodgegauge import cli
+from hodgegauge.documents import parse
 from hodgegauge.fixtures import kummer, kummer_delta, random_delta, t3_delta
 from hodgegauge.linalg import Matrix, Subspace
 from hodgegauge.mhs import ComplexMHS, Filtration, pure, validate_mhs
@@ -22,18 +26,17 @@ from hodgegauge.scalars import ONE, Scalar, ZERO
 from hodgegauge.splitting import delta_operator
 
 
+def laurent_matrix(entries):
+    """Square Laurent matrix from dicts exponent -> coefficient."""
+    return PolyMatrix(1, [
+        tuple(Poly(1, {(e,): Scalar(0) + c for e, c in cell.items()}, laurent=True)
+              for cell in row)
+        for row in entries
+    ])
+
+
 def laurent(entries):
-    """Square matrix from dicts exponent -> coefficient."""
-    r = len(entries)
-    rows = []
-    for row in entries:
-        out = []
-        for cell in row:
-            out.append(
-                Poly(1, {(e,): Scalar(0) + c for e, c in cell.items()}, laurent=True)
-            )
-        rows.append(tuple(out))
-    return P1TransitionMatrix(PolyMatrix(1, rows))
+    return P1TransitionMatrix(laurent_matrix(entries))
 
 
 def _h0(G, k, degree_bound):
@@ -119,6 +122,22 @@ def test_line_restriction_kummer():
     G = restrict_to_line(rees_patching(kummer_delta(c)), (-1, 0))
     # xi0 = -t2 - t1 xi1 = xi1, so the entry collapses to -c xi1
     assert G.matrix[0, 1].terms == {(1,): -c}
+
+
+def test_line_restriction_is_phi_on_the_line():
+    # xi0 = -t2 - t1 xi and xi1 = xi, at sample values of xi; some xi0
+    # exponents are odd, so the sign of the line shows
+    rng = random.Random(23)
+    odd = 0
+    for _ in range(8):
+        phi = rees_patching(random_delta(rng, max_dim=4, weight_lo=-3, weight_hi=3))
+        odd += sum(a % 2 for a, _ in phi.support())
+        for t1, t2 in ((Scalar(-1), ZERO), (Scalar(2), Scalar(3)),
+                       (Scalar(1, 1), Scalar(-2))):
+            G = restrict_to_line(phi, (t1, t2))
+            for x in (Scalar(3), Scalar(-1, 2)):
+                assert G.matrix.eval((x,)) == phi.eval((-t2 - t1 * x, x))
+    assert odd
 
 
 def test_determinant_must_be_monomial():
@@ -248,3 +267,96 @@ def test_w_line_transition_detects_non_hodge():
     bad = ComplexMHS(2, W, V.Fp, V.Fpp)
     t = splitting_type(w_line_transition(bad))
     assert any(a != 0 for a in t)
+
+
+def _add_multiple(x, y, shift, c):
+    """The cell x + c xi^shift y, both dicts exponent -> coefficient."""
+    out = dict(x)
+    for e, v in y.items():
+        out[e + shift] = out.get(e + shift, ZERO) + c * v
+    return {e: v for e, v in out.items() if v}
+
+
+def _random_laurent(rng):
+    """Entries of a seeded r x r Laurent matrix, r <= 4, dense or sparse,
+    rational or Gaussian: terms drawn at random with exponents -2..2 (a
+    determinant that is zero or, often, no monomial), or an upper
+    triangular matrix with a monomial diagonal mixed by column operations
+    (a monomial determinant), or that with one column made a multiple of
+    another or zero (singular)."""
+    r = rng.randint(1, 4)
+    gaussian = rng.random() < 0.25
+    density = rng.choice((0.3, 0.7, 1.0))
+
+    def cell(terms):
+        if rng.random() > density:
+            return {}
+        return {rng.randint(-2, 2): Scalar(rng.randint(-2, 2),
+                                           rng.randint(-1, 1) if gaussian else 0)
+                for _ in range(terms)}
+
+    kind = rng.choice(("random", "monomial", "singular"))
+    if kind == "random":
+        return [[cell(rng.randint(1, 2)) for _ in range(r)] for _ in range(r)]
+    m = [[{rng.randint(-2, 2): Scalar(rng.choice((1, -1, 2)))} if i == j
+          else cell(2) if i < j else {} for j in range(r)] for i in range(r)]
+    for _ in range(rng.randint(0, r) if r > 1 else 0):
+        a, b = rng.sample(range(r), 2)
+        shift, c = rng.randint(-1, 1), Scalar(rng.randint(-2, 2))
+        for row in m:
+            row[a] = _add_multiple(row[a], row[b], shift, c)
+    if kind == "singular":
+        a, b = rng.sample(range(r), 2) if r > 1 else (0, 0)
+        for row in m:
+            row[a] = {} if a == b else _add_multiple({}, row[b], 1, Scalar(3))
+    return m
+
+
+def test_column_reduction_matches_the_cofactor_determinant():
+    # the determinant is a nonzero monomial iff the top and bottom column
+    # reductions both end and agree; the section counts check the type up
+    # to rank 3 (at rank 4 they take ~20 s over these matrices)
+    rng = random.Random(19)
+    seen = {"singular": 0, "no monomial": 0, "invertible": 0}
+    for _ in range(2000):
+        m = laurent_matrix(_random_laurent(rng))
+        det = _laurent_det(m)
+        try:
+            G = P1TransitionMatrix(m)
+        except TransitionError:
+            assert len(det.terms) != 1, m.rows
+            seen["no monomial" if det.terms else "singular"] += 1
+            continue
+        assert len(det.terms) == 1, m.rows
+        assert G.det_exponent == next(iter(det.terms))[0]
+        seen["invertible"] += 1
+        if G.rank <= 3:
+            _check_section_counts(G)
+    assert min(seen.values()) > 250, seen
+
+
+def test_the_line_path_runs_no_elimination_and_no_substitution(monkeypatch):
+    # each fixture's Rees lines are restricted and typed by the column
+    # reduction alone: no rref (so no right_kernel) and no Poly.subs
+    phis = []
+    for name in sorted(os.listdir(fixture_dir())):
+        with open(os.path.join(fixture_dir(), name)) as fh:
+            try:
+                phis.append(rees_patching(cli._delta(parse(json.load(fh)))))
+            except (ValueError, cli.Violation):
+                pass  # a connection document, or no structure
+    assert len(phis) >= 20
+    calls = []
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(Matrix, "rref", count("rref", Matrix.rref))
+    monkeypatch.setattr(Poly, "subs", count("subs", Poly.subs))
+    for phi in phis:
+        for T in (W_LINE, (-1, 0), (Scalar(5, 2), Scalar(1, 3)), (Scalar(1, 1), -2)):
+            splitting_type(restrict_to_line(phi, T))
+    assert calls == []
