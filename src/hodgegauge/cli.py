@@ -9,13 +9,14 @@ are still reported), and 141 means stdout was closed before the report was
 written.  Reports never contain timestamps, so identical inputs produce
 byte-identical output.  Inputs run one after another, in input order, on
 the calling thread; --jobs is accepted and has no effect.  Handlers import
-the layers they reach, so a command loads (and compiles) only those.
+the layers they reach, so a command loads (and compiles) only those: `lie`
+loads scalars, freelie, poly and linalg, and hashlib (with OpenSSL) loads
+only once an input file is read, to hash it.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -249,6 +250,8 @@ def _failed(entry, status, exc):
 
 
 def _process_one(command, path, flags):
+    import hashlib
+
     from .documents import DocumentError, OversizeResult, parse
     from .mhs import FiltrationError, OpposednessViolation
 

@@ -15,10 +15,8 @@ transports connections along segments (holonomy).
 
 from __future__ import annotations
 
-from math import comb
-
 from .linalg import InvariantError, Matrix
-from .poly import Poly, PolyMatrix
+from .poly import Poly, PolyMatrix, hypotenuse_pullback
 from .scalars import ONE, ZERO
 
 
@@ -276,14 +274,6 @@ def _walk(hodge, rule):
         if R.terms:
             T[i, j] = R
     return T
-
-
-def hypotenuse_pullback(p, q):
-    """The coefficient h(s) = -(s - 1)^(p-1) (-s)^(q-1), a univariate Poly,
-    of block (p, q) of a Fock-Schwinger form (B = -A) pulled back to the
-    hypotenuse (-1, 0) -> (0, -1), s in [0, 1]."""
-    return Poly(1, {(q - 1 + r,): (-1) ** (p + q - 1 - r) * comb(p - 1, r)
-                    for r in range(p)})
 
 
 def connection_from_delta(dobj):

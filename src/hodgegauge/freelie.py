@@ -10,7 +10,7 @@ The universal tables express the logarithm of the transport along the
 hypotenuse from (-1, 0) to (0, -1) as a Lie series z = sum z_{p,q} in the
 connection coefficients alpha_{p,q}, and invert that (triangular) change of
 generators.  The transport's iterated integrals are Polys in s on [0, 1],
-over the pullback ``connection.hypotenuse_pullback`` that the canonical
+over the pullback ``poly.hypotenuse_pullback`` that the canonical
 connection is solved with.  Tables depend only on the truncation weight and
 are memoized per process.
 """
@@ -20,9 +20,8 @@ from __future__ import annotations
 import functools
 import heapq
 
-from .connection import hypotenuse_pullback
 from .linalg import Matrix
-from .poly import Poly
+from .poly import Poly, hypotenuse_pullback
 from .scalars import ONE, ZERO, _coerce
 
 
@@ -37,7 +36,7 @@ class GeneratorChangeError(ValueError):
 class Alphabet:
     """Ordered list of generator labels with positive bidegrees (p, q)."""
 
-    __slots__ = ("letters", "bidegrees")
+    __slots__ = ("letters", "bidegrees", "_hash")
 
     def __init__(self, letters):
         letters = tuple((str(lab), int(p), int(q)) for lab, p, q in letters)
@@ -45,6 +44,8 @@ class Alphabet:
         object.__setattr__(
             self, "bidegrees", tuple((p, q) for _, p, q in letters)
         )
+        # hashed once: every expansion-cache lookup hashes the alphabet
+        object.__setattr__(self, "_hash", hash(letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Alphabet is immutable")
@@ -58,7 +59,7 @@ class Alphabet:
         return self.letters == other.letters
 
     def __hash__(self):
-        return hash(self.letters)
+        return self._hash
 
     def weight(self, i):
         p, q = self.bidegrees[i]
@@ -457,15 +458,28 @@ def invert_generator_change(N):
     """Express each alpha_{p,q} as a Lie polynomial in the z generators.
 
     Triangular back-substitution on the total weight: z_{p,q} equals its
-    leading coefficient times alpha_{p,q} plus brackets of strictly lower
-    generators.
+    leading coefficient c times alpha_{p,q} plus brackets of strictly lower
+    generators, so alpha_{p,q} = (z_{p,q} - tail) / c with the lower rows
+    put into the tail.  The work stays in the tensor algebra over z: one
+    memo, shared by every row, maps each Lyndon word over alpha to the
+    tensor of its bracketing, with the rows found so far as its leaves, and
+    each row is extracted to Lyndon coordinates once.
     """
     ztab = universal_log_pexp(N)
     A = alpha_alphabet(N)
     Z = z_alphabet(N)
     out = {}
-    mapping = {}  # alpha label -> its row of out, for the rows found so far
-    # A and Z list the same bidegrees in the same order
+    memo = {}  # Lyndon word over A -> tensor over Z; (i,) -> row i's tensor
+
+    def ev(w):
+        t = memo.get(w)
+        if t is None:
+            u, v = standard_factorization(w)
+            t = memo[w] = _tensor_bracket(ev(u), ev(v))
+        return t
+
+    # A and Z list the same bidegrees in the same order, and a tail word
+    # has only letters of lower weight, whose rows are already in the memo
     for i, pq in enumerate(A.bidegrees):
         zpq = ztab[pq]
         c = zpq.coords.get((i,), ZERO)
@@ -473,12 +487,14 @@ def invert_generator_change(N):
             raise GeneratorChangeError(
                 "vanishing leading coefficient at (%d, %d)" % pq
             )
-        tail = LiePolynomial(
-            A, {w: x for w, x in zpq.coords.items() if w != (i,)}
-        )
-        subbed = tail.substitute_lie(Z, mapping)
-        out[pq] = (LiePolynomial.generator(Z, i) - subbed).scale(ONE / c)
-        mapping[A.letters[i][0]] = out[pq]
+        acc = {(i,): ONE}
+        for w, x in zpq.coords.items():
+            if w != (i,):
+                for u, cu in ev(w).items():
+                    acc[u] = acc.get(u, ZERO) - x * cu
+        inv = ONE / c
+        row = memo[(i,)] = {u: x * inv for u, x in acc.items() if x}
+        out[pq] = LiePolynomial.from_tensor(Z, row)
     return out
 
 

@@ -3,10 +3,14 @@
 Supports one- and two-variable (Laurent) polynomials over Scalar.  Exponent
 tuples index the terms; negative exponents are allowed only when the Laurent
 flag is set.  Used for connection forms, patching functions, and exact
-segment integration.
+segment integration.  ``hypotenuse_pullback`` is the one pullback that both
+the canonical connection and the free-Lie tables integrate, kept here so
+that the tables load without ``connection``.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .scalars import ONE, ZERO, Scalar, _coerce
 from .linalg import DimensionMismatch, Matrix
@@ -194,6 +198,14 @@ class Poly:
             )
             parts.append("(%s)%s" % (c, "*" + mono if mono else ""))
         return " + ".join(parts)
+
+
+def hypotenuse_pullback(p, q):
+    """The coefficient h(s) = -(s - 1)^(p-1) (-s)^(q-1), a univariate Poly,
+    of block (p, q) of a Fock-Schwinger form (B = -A) pulled back to the
+    hypotenuse (-1, 0) -> (0, -1), s in [0, 1]."""
+    return Poly(1, {(q - 1 + r,): (-1) ** (p + q - 1 - r) * comb(p - 1, r)
+                    for r in range(p)})
 
 
 class PolyMatrix:

@@ -55,11 +55,6 @@ class P1TransitionMatrix:
     def rank(self):
         return self.matrix.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, P1TransitionMatrix):
-            return NotImplemented
-        return self.matrix == other.matrix
-
 
 def _column_reduce(m, sign):
     """Column degrees of a weak Popov form of the square Laurent matrix m,

@@ -7,7 +7,16 @@ from hypothesis import settings
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hodgegauge.connection import connection_form, connection_from_delta
-from hodgegauge.freelie import LiePolynomial, NotLieElement, expand_lyndon, is_lyndon
+from hodgegauge.freelie import (
+    GeneratorChangeError,
+    LiePolynomial,
+    NotLieElement,
+    alpha_alphabet,
+    expand_lyndon,
+    is_lyndon,
+    universal_log_pexp,
+    z_alphabet,
+)
 from hodgegauge.hodgecoh import invariant_complex
 from hodgegauge.linalg import (
     InvariantError,
@@ -214,6 +223,35 @@ def greedy_from_tensor(alphabet, tensor):
             else:
                 work.pop(u, None)
     return LiePolynomial(alphabet, coords)
+
+
+def lie_level_inversion(N):
+    """The alpha-in-z table by back-substitution on Lie polynomials: each
+    row substitutes the rows found so far into the tail of z_{p,q} with
+    ``substitute_lie``, which extracts Lyndon coordinates after every
+    bracket.  The reference the tensor-level
+    ``freelie.invert_generator_change`` is tested against.
+    """
+    ztab = universal_log_pexp(N)
+    A = alpha_alphabet(N)
+    Z = z_alphabet(N)
+    out = {}
+    mapping = {}  # alpha label -> its row of out, for the rows found so far
+    # A and Z list the same bidegrees in the same order
+    for i, pq in enumerate(A.bidegrees):
+        zpq = ztab[pq]
+        c = zpq.coords.get((i,), ZERO)
+        if not c:
+            raise GeneratorChangeError(
+                "vanishing leading coefficient at (%d, %d)" % pq
+            )
+        tail = LiePolynomial(
+            A, {w: x for w, x in zpq.coords.items() if w != (i,)}
+        )
+        subbed = tail.substitute_lie(Z, mapping)
+        out[pq] = (LiePolynomial.generator(Z, i) - subbed).scale(ONE / c)
+        mapping[A.letters[i][0]] = out[pq]
+    return out
 
 
 def segment_pullback(P, Q, a, b):

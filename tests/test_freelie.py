@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from conftest import greedy_from_tensor, mat
+from conftest import greedy_from_tensor, lie_level_inversion, mat
 from hodgegauge import cli, freelie
 from hodgegauge.freelie import (
     TT_ALPHABET,
@@ -230,12 +230,39 @@ def test_generator_change_low_weights():
     assert atab[(2, 1)].coords == {(Z.index_of("z2,1"),): Scalar(2)}
 
 
-def test_generator_change_roundtrip_weight_5():
-    ztab = universal_log_pexp(5)
-    atab = generator_change_table(5)
-    Z = z_alphabet(5)
+@pytest.mark.parametrize("N", range(2, 11))
+def test_inversion_matches_the_lie_level_reference(N):
+    assert invert_generator_change(N) == lie_level_inversion(N)
+
+
+@pytest.mark.parametrize("N", [2, 5, 8, 10])
+def test_inversion_extracts_each_entry_once(N, monkeypatch):
+    universal_log_pexp(N)  # the z table's own extraction is not counted
+    calls = []
+    extract = LiePolynomial.from_tensor
+
+    def counted(cls, alphabet, tensor):
+        calls.append(alphabet)
+        return extract(alphabet, tensor)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the inversion left the tensor algebra")
+
+    monkeypatch.setattr(LiePolynomial, "from_tensor", classmethod(counted))
+    monkeypatch.setattr(LiePolynomial, "bracket", forbidden)
+    monkeypatch.setattr(LiePolynomial, "substitute_lie", forbidden)
+    invert_generator_change(N)
+    assert len(calls) == N * (N - 1) // 2
+    assert set(calls) == {z_alphabet(N)}
+
+
+@pytest.mark.parametrize("N", [5, 9])
+def test_generator_change_roundtrip(N):
+    ztab = universal_log_pexp(N)
+    atab = generator_change_table(N)
+    Z = z_alphabet(N)
     mapping = {"a%d,%d" % k: atab[k] for k in atab}
-    for d in range(2, 6):
+    for d in range(2, N + 1):
         for p in range(1, d):
             q = d - p
             back = ztab[(p, q)].substitute_lie(Z, mapping)
