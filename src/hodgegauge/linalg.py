@@ -263,29 +263,11 @@ def solve_left(A, rows):
     return tuple(sols)
 
 
-def _adapted_rows(d, flag):
-    # (level, row) over a basis of K^d adapted to a decreasing flag: its
-    # steps' echelon rows, deepest first, with a pivot new to the steps
-    # inside; then unit rows.  A step lasts until the next stored one.
-    keys = sorted(flag, reverse=True)
-    levels = keys[:1] + [k - 1 for k in keys] or [-1]
-    steps = [flag[k].basis.rows for k in keys] + [Matrix.identity(d).rows]
-    out, seen = [], set()
-    for level, rows in zip(levels, steps):
-        for r in rows:
-            j = next(i for i, x in enumerate(r) if x)
-            if j not in seen:
-                seen.add(j)
-                out.append((level, r))
-        if len(out) == d:
-            break
-    return out
-
-
 def _reduce(rows, scan):
     # each row, in order, reduced by the kept rows before it until its first
     # nonzero coordinate in scan order is new, and scaled to 1 there; yields
-    # (that coordinate, row).  Coordinates outside scan ride along.
+    # (that coordinate, row), or (None, row) for a row that reduces to zero
+    # on scan, which is not kept.  Coordinates outside scan ride along.
     kept = {}
     for v in rows:
         for j in scan:
@@ -294,8 +276,13 @@ def _reduce(rows, scan):
                 if j not in kept:
                     break
                 v = [a - c * b if b else a for a, b in zip(v, kept[j])]
-        inv = ONE / v[j]
-        kept[j] = v = [inv * a if a else a for a in v]
+        else:
+            yield None, v
+            continue
+        if v[j] != ONE:
+            inv = ONE / v[j]
+            v = [inv * a if a else a for a in v]
+        kept[j] = v
         yield j, v
 
 
@@ -314,12 +301,6 @@ def adapted_position(d, f, g):
     reduced = _reduce((x + row for x, (_, row) in zip(coords, f)),
                       range(d - 1, -1, -1))
     return [(p, g[j][0], tuple(v[d:])) for (p, _), (j, v) in zip(f, reduced)]
-
-
-def relative_position(d, F, G):
-    """``adapted_position`` of two decreasing flags, maps from index to
-    Subspace of K^d, each full below its smallest index and ending in 0."""
-    return adapted_position(d, _adapted_rows(d, F), _adapted_rows(d, G))
 
 
 def kron(a, b):

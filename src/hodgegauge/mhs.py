@@ -14,7 +14,6 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    _adapted_rows,
     _reduce,
     adapted_position,
 )
@@ -86,23 +85,47 @@ class Filtration:
         return Subspace.full(self.n)
 
     def validate(self):
-        js = self.jumps()
-        for a, b in zip(js, js[1:]):
-            lo, hi = self.steps[a], self.steps[b]
-            if self.direction == self.INC:
-                if not hi.contains(lo):
-                    raise FiltrationError("not increasing at %d -> %d" % (a, b))
-            else:
-                if not lo.contains(hi):
-                    raise FiltrationError("not decreasing at %d -> %d" % (a, b))
-        if js:
-            top = self.steps[js[-1]]
-            if self.direction == self.INC and top != Subspace.full(self.n):
-                raise FiltrationError("increasing filtration does not exhaust")
-            if self.direction == self.DEC and top.dim != 0:
-                raise FiltrationError("decreasing filtration is not separated")
-        elif self.n != 0:
-            raise FiltrationError("empty filtration on nonzero space")
+        """A basis of K^n adapted to the flag, as (level, row) pairs, from one
+        reduction of the steps' echelon rows, innermost step first: each
+        row is kept if it is independent of the rows before it.  For W the
+        level is the step's index and W_k is spanned by the rows of level
+        <= k; for F it is the last index whose step holds the row, unit rows
+        complete the basis, and F^p is spanned by the rows of level >= p.
+
+        Raises FiltrationError when the rows kept up to a step outnumber its
+        dimension (the innermost pair that is not nested), then when W does
+        not exhaust or F is not separated, or when a flag on K^n, n > 0,
+        has no step.
+        """
+        inc = self.direction == self.INC
+        keys = self._keys if inc else self._keys[::-1]
+        if not keys:
+            if self.n:
+                raise FiltrationError("empty filtration on nonzero space")
+            return []
+        levels = keys if inc else keys[:1] + tuple(k - 1 for k in keys)
+        steps = [self.steps[k].basis.rows for k in keys]
+        units = Matrix.identity(self.n).rows
+        reduced = _reduce((r for rows in steps + [units] for r in rows),
+                          range(self.n))
+        basis = []
+        for i, (level, rows) in enumerate(zip(levels, steps)):
+            # zip pulls one reduced row per row of this step
+            basis.extend((level, r) for r, (j, _) in zip(rows, reduced)
+                         if j is not None)
+            if len(basis) != len(rows):
+                raise FiltrationError("not %s at %d -> %d" % (
+                    "increasing" if inc else "decreasing",
+                    *sorted(keys[i - 1:i + 1])))
+        if self.steps[self._keys[-1]].dim != (self.n if inc else 0):
+            raise FiltrationError("increasing filtration does not exhaust" if inc
+                                  else "decreasing filtration is not separated")
+        for r in units:
+            if len(basis) == self.n:
+                break
+            if next(reduced)[0] is not None:
+                basis.append((keys[-1] - 1, r))
+        return basis
 
     def conjugate(self):
         return Filtration(
@@ -231,29 +254,25 @@ class RealMHS:
 class AdaptedTriple:
     """A filtered triple (W, F', F'') read in one W-adapted basis.
 
-    The rows of ``basis`` are, for each weight n from the top down, the rows
-    of W_n's echelon basis outside the span of W_{n-1} and the rows before
-    them, picked by one elimination of the stacked W steps.  Columns
-    cols[n] = (lo, hi) chart Gr^W_n, and W_n is spanned by the unit vectors
-    from lo on.  ``rows[side]`` is one basis adapted to F' (or F'') and W
-    (Fulton, Young Tableaux, ch. 10): (level, weight, row) in these
-    coordinates, F^p ∩ W_m spanned by the rows of level >= p and weight
-    <= m.  It is ``linalg._adapted_rows`` of F times the inverse of
-    ``basis``, each row reduced by the rows before it until its first
-    nonzero coordinate, whose chart is its weight, is new.  Nothing here
-    assumes opposedness; a filtration that is not monotone or not
-    exhaustive raises FiltrationError.
+    The rows of ``basis`` are the basis adapted to W that ``W.validate()``
+    returns, for each weight n from the top down.  Columns cols[n] =
+    (lo, hi) chart Gr^W_n, and W_n is spanned by the unit vectors from lo
+    on.  ``rows[side]`` is one basis adapted to F' (or F'') and W (Fulton,
+    Young Tableaux, ch. 10): (level, weight, row) in these coordinates,
+    F^p ∩ W_m spanned by the rows of level >= p and weight <= m.  It is the
+    basis that ``F.validate()`` returns times the inverse of ``basis``,
+    each row reduced by the rows before it until its first nonzero
+    coordinate, whose chart is its weight, is new.  Nothing here assumes
+    opposedness; a filtration that is not monotone or not exhaustive raises
+    FiltrationError.
     """
 
     def __init__(self, V):
-        V.W.validate()
-        V.Fp.validate()
-        V.Fpp.validate()
-        self.V = V
-        rows = tuple((k, r) for k in V.W.jumps() for r in V.W.steps[k].basis.rows)
         blocks = {}
-        for c in Matrix._of(tuple(r for _, r in rows), V.n).transpose().rref()[1]:
-            blocks.setdefault(rows[c][0], []).append(rows[c][1])
+        for k, r in V.W.validate():
+            blocks.setdefault(k, []).append(r)
+        flags = {side: getattr(V, side).validate() for side in ("Fp", "Fpp")}
+        self.V = V
         basis, weight = [], []
         self.cols = {}
         for n in sorted(blocks, reverse=True):
@@ -263,8 +282,7 @@ class AdaptedTriple:
         self.basis = Matrix._of(tuple(basis), V.n)
         inv = self.basis.inverse()
         self.rows = {}
-        for side in ("Fp", "Fpp"):
-            f = _adapted_rows(V.n, getattr(V, side).steps)
+        for side, f in flags.items():
             moved = (Matrix._of(tuple(r for _, r in f), V.n) @ inv).rows
             self.rows[side] = [(level, weight[j], tuple(v)) for (level, _), (j, v)
                                in zip(f, _reduce(moved, range(V.n)))]

@@ -11,7 +11,7 @@ Popov forms of it, reduced from the top degree and from the bottom one.
 
 from __future__ import annotations
 
-from .linalg import InvariantError, relative_position
+from .linalg import InvariantError, adapted_position
 from .mhs import AdaptedTriple
 from .poly import LaurentError, Poly, PolyMatrix
 from .scalars import ONE, ZERO
@@ -168,13 +168,11 @@ def splitting_type(G):
 def two_filtration_rees_type(Fp, Fpp):
     """Splitting type of the Rees bundle of a pair of finite decreasing
     filtrations on P^1: the multiset of p + q over the levels (p, q) of
-    their relative position, sorted descending.  The pair is n-opposite
-    iff every entry equals n."""
-    Fp.validate()
-    Fpp.validate()
-    return tuple(sorted(
-        (p + q for p, q, _ in relative_position(Fp.n, Fp.steps, Fpp.steps)),
-        reverse=True))
+    their relative position, read off the adapted bases that ``validate``
+    returns, sorted descending.  The pair is n-opposite iff every entry
+    equals n."""
+    position = adapted_position(Fp.n, Fp.validate(), Fpp.validate())
+    return tuple(sorted((p + q for p, q, _ in position), reverse=True))
 
 
 def w_line_transition(V):

@@ -26,7 +26,8 @@ from hodgegauge.linalg import (
     solve_left,
 )
 from hodgegauge.mhs import (
-    ComplexMHS, Filtration, GrStructure, HodgeNumbers, RealMHS, realize_real
+    ComplexMHS, Filtration, FiltrationError, GrStructure, HodgeNumbers, RealMHS,
+    realize_real,
 )
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
@@ -114,9 +115,9 @@ def piece_dimensions(Fp, Fpp):
     of two decreasing filtrations of one space: h is the double difference
     of dim(F'^p ∩ F''^q), over indices from one below each first jump
     (where a filtration is the full space) to the last.  The pieces of two
-    separated filtrations sum to the whole space.  The pairwise reference
-    ``linalg.relative_position`` and the graded data of ``mhs.GrStructure``
-    are tested against."""
+    separated filtrations sum to the whole space.  The relative position of
+    two validated flags and the graded data of ``mhs.GrStructure`` are
+    tested against it."""
     if not Fp.steps or not Fpp.steps:
         return {}, {}
     ps = range(Fp.min_index() - 1, Fp.max_index() + 2)
@@ -130,6 +131,29 @@ def piece_dimensions(Fp, Fpp):
             if h:
                 out[(p, q)] = h
     return out, cap
+
+
+def pairwise_validate(f):
+    """Reference route for ``Filtration.validate``: each pair of
+    consecutive steps tested for containment, lowest pair first, then
+    exhaustion or separation.  Returns nothing."""
+    js = f.jumps()
+    for a, b in zip(js, js[1:]):
+        lo, hi = f.steps[a], f.steps[b]
+        if f.direction == f.INC:
+            if not hi.contains(lo):
+                raise FiltrationError("not increasing at %d -> %d" % (a, b))
+        else:
+            if not lo.contains(hi):
+                raise FiltrationError("not decreasing at %d -> %d" % (a, b))
+    if js:
+        top = f.steps[js[-1]]
+        if f.direction == f.INC and top != Subspace.full(f.n):
+            raise FiltrationError("increasing filtration does not exhaust")
+        if f.direction == f.DEC and top.dim != 0:
+            raise FiltrationError("decreasing filtration is not separated")
+    elif f.n != 0:
+        raise FiltrationError("empty filtration on nonzero space")
 
 
 def quotient_route(V):

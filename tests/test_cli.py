@@ -454,11 +454,34 @@ def _decreasing_w(doc):
     doc["W"]["direction"] = "dec"
 
 
+def _w_short_of_the_space(doc):
+    del doc["W"]["steps"]["0"]
+
+
+def _fpp_not_separated(doc):
+    del doc["Fpp"]["steps"]["1"]
+
+
+def _fp_crossing_once(doc):
+    # F'^0 = <e0> does not hold F'^1 = <e1>; every other pair nests
+    doc["Fp"]["steps"].update({"1": [["0", "1"]], "2": []})
+
+
+def _fp_crossing_twice(doc):
+    # F'^-1 = <e1> misses F'^0 and F'^0 misses F'^1: the innermost pair is
+    # named
+    doc["Fp"]["steps"].update({"-1": [["0", "1"]], "1": [["0", "1"]], "2": []})
+
+
 @pytest.mark.parametrize(
     "edit, error",
     [
         # found by validation inside the handler
         (_empty_fp, "empty filtration on nonzero space"),
+        (_w_short_of_the_space, "increasing filtration does not exhaust"),
+        (_fpp_not_separated, "decreasing filtration is not separated"),
+        (_fp_crossing_once, "not decreasing at 0 -> 1"),
+        (_fp_crossing_twice, "not decreasing at 0 -> 1"),
         # found while the document is parsed
         (_decreasing_w, "wrong filtration direction"),
     ],

@@ -8,9 +8,9 @@ from hodgegauge.linalg import (
     Matrix,
     NotNilpotentError,
     Subspace,
+    adapted_position,
     kron,
     log_unipotent,
-    relative_position,
     solve_left,
     vstack,
 )
@@ -229,11 +229,11 @@ def test_relative_position_matches_the_intersection_grid():
     rng = random.Random(47)
     for i in range(500):
         d = rng.choice((12, 16)) if i % 25 == 0 else rng.randint(1, 8)
-        F, G = _random_flag(rng, d), _random_flag(rng, d)
-        position = relative_position(d, F, G)
+        F, G = (Filtration(Filtration.DEC, d, _random_flag(rng, d))
+                for _ in range(2))
+        position = adapted_position(d, F.validate(), G.validate())
         assert Subspace.from_rows(d, [r for _, _, r in position]).dim == d
-        dims, cap = piece_dimensions(
-            Filtration(Filtration.DEC, d, F), Filtration(Filtration.DEC, d, G))
+        dims, cap = piece_dimensions(F, G)
         levels = {}
         for p, q, row in position:
             levels.setdefault((p, q), []).append(row)

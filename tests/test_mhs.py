@@ -11,16 +11,18 @@ from conftest import (
     lift,
     mat,
     multi_block_delta,
+    pairwise_validate,
     piece_dimensions,
     quotient_route,
     span,
     sparse_form,
     vec,
 )
+from hodgegauge import linalg
 from hodgegauge.fixtures import (
     corrupt_weight_step, kummer, random_delta, random_mhs, real_kummer, t3
 )
-from hodgegauge.linalg import Subspace
+from hodgegauge.linalg import Matrix, Subspace
 from hodgegauge.mhs import (
     AdaptedTriple,
     ComplexMHS,
@@ -87,6 +89,65 @@ def test_filtration_validate():
     not_separated = Filtration(Filtration.DEC, 2, {0: span(2, [[1, 0]])})
     with pytest.raises(FiltrationError):
         not_separated.validate()
+
+
+def _random_flag(rng, n):
+    """A filtration on K^n with at most 4 stored steps at gapped indices,
+    mostly ending in the full space (W) or zero (F): mostly a chain of
+    spans of leading random rows, sometimes arbitrary spans, with repeated
+    and zero or full steps among them."""
+    direction = rng.choice((Filtration.INC, Filtration.DEC))
+    entries = (0, 0, 1, -1, 2, Fraction(1, 2), Scalar(0, 1), Scalar(1, -1))
+    rows = [vec([rng.choice(entries) for _ in range(n)]) for _ in range(n + 1)]
+    dims = sorted(rng.randint(0, n) for _ in range(rng.randint(0, 3)))
+    dims += [n] * (rng.random() < 0.8)  # W's last step is full, F's zero
+    if direction == Filtration.DEC:
+        dims = [n - h for h in reversed(dims)]
+    nested = rng.random() < 0.7
+    keys = [rng.randint(-3, 2)]
+    for _ in dims[1:]:
+        keys.append(keys[-1] + rng.choice((1, 1, 2)))
+    return Filtration(direction, n, {
+        k: Subspace.from_rows(n, rows[:h] if nested else rng.sample(rows, h))
+        for k, h in zip(keys, dims)
+    })
+
+
+def test_validate_matches_the_pairwise_route():
+    # one reduction, innermost step first, against the containment test of
+    # each pair: the verdict agrees, the message too where the innermost
+    # failing pair is the lowest, and the rows returned are adapted
+    rng = random.Random(53)
+    seen = {"ok": 0, "nesting": 0, "end": 0, "several": 0}
+    for _ in range(3000):
+        f = _random_flag(rng, rng.randint(0, 4))
+        try:
+            pairwise_validate(f)
+            want = None
+        except FiltrationError as exc:
+            want = str(exc)
+        js = f.jumps()
+        failing = sum(not f.steps[a].contains(f.steps[b]) if f.direction == f.DEC
+                      else not f.steps[b].contains(f.steps[a])
+                      for a, b in zip(js, js[1:]))
+        try:
+            basis = f.validate()
+        except FiltrationError as exc:
+            assert want is not None, f
+            if f.direction == f.INC or failing <= 1:
+                assert str(exc) == want, f
+            else:
+                seen["several"] += 1
+            seen["nesting" if failing else "end"] += 1
+            continue
+        assert want is None, (f, want)
+        seen["ok"] += 1
+        assert len(basis) == f.n
+        for p in range(f.min_index() - 1, f.max_index() + 2):
+            rows = [r for level, r in basis
+                    if (level <= p if f.direction == f.INC else level >= p)]
+            assert Subspace.from_rows(f.n, rows) == f.at(p), (f, p)
+    assert min(seen.values()) > 100, seen
 
 
 def test_filtration_equality_ignores_redundant_steps():
@@ -331,26 +392,35 @@ def test_adapted_basis_matches_quotient_charts():
 
 
 def test_adapted_bases_need_no_span_per_step(monkeypatch):
-    # the F' and F'' steps reach the adapted basis through one product and
-    # one reduction per filtration, not one elimination per step
-    spans = []
-    real = Subspace._span.__func__
+    # each flag is read by the one reduction in validate, and the F' and F''
+    # steps reach the adapted basis through one product and one reduction
+    # per filtration: the only elimination is the inverse of the W basis
+    calls = []
 
-    def counting(cls, m):
-        spans.append(m.shape)
-        return real(cls, m)
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
 
     rng = random.Random(41)
     structures = [kummer(3), t3(2, 5)] + [
         delta_to_mhs(multi_block_delta(rng), check=False) for _ in range(4)
     ]
-    monkeypatch.setattr(Subspace, "_span", classmethod(counting))
+    monkeypatch.setattr(Subspace, "_span", classmethod(
+        count("_span", Subspace._span.__func__)))
+    monkeypatch.setattr(Matrix, "rref", count("rref", Matrix.rref))
+    monkeypatch.setattr(linalg, "solve_left", count("solve_left", linalg.solve_left))
     for V in structures:
+        for f in (V.W, V.Fp, V.Fpp):
+            assert len(f.validate()) == V.n
+        assert calls == []
         adapted = AdaptedTriple(V)
-        assert spans == []
+        assert calls == ["rref"]
+        calls.clear()
         assert all(len(adapted.rows[side]) == V.n for side in ("Fp", "Fpp"))
     GrStructure(structures[-1])
-    assert spans
+    assert "_span" in calls
 
 
 def test_gr_coords_read_back_lifted_pieces():
