@@ -4,14 +4,14 @@ The Rees bundle of a bigraded comparison datum is described over the
 punctured plane by the Laurent patching matrix Phi(xi0, xi1) obtained by
 conjugating delta with the monomial frame xi0^{p+q} xi1^{-p} on each piece.
 Restricting Phi to the line attached to a point T of the plane gives a
-one-variable transition matrix on P^1.  Its determinant check and its
-Grothendieck splitting type are read off the column degrees of two weak
-Popov forms of it, reduced from the top degree and from the bottom one.
+one-variable transition matrix on P^1.  A delta's line types are certified
+by the shape of Phi; any other transition matrix has its determinant checked
+and its Grothendieck type read off two weak Popov forms of it.
 """
 
 from __future__ import annotations
 
-from .linalg import InvariantError, adapted_position
+from .linalg import InvariantError
 from .mhs import AdaptedTriple
 from .poly import LaurentError, Poly, PolyMatrix
 from .scalars import ONE, ZERO
@@ -125,6 +125,23 @@ def rees_patching(dobj):
     return PolyMatrix(2, rows)
 
 
+def unipotent_line_type(phi):
+    """Type (0, ..., 0) of Phi's restriction to every line, certified by one
+    scan: each diagonal entry of Phi must be the constant 1 and each entry
+    below it zero, else InvariantError.  A restriction G keeps that shape
+    over K[xi, 1/xi], so G = G_-(1/xi) G_+(xi) with both factors unipotent
+    (Birkhoff; Pressley and Segal, Loop Groups, 1986, ch. 8), and its type
+    is trivial (Grothendieck 1957).  By induction: G = [[G', v], [0, 1]]
+    with G' = A_- A_+; split A_-^{-1} v = w_- + w_+ into negative and
+    non-negative powers, and G = [[A_-, A_- w_-], [0, 1]] [[A_+, w_+], [0, 1]]."""
+    one = {(0,) * phi.nvars: ONE}
+    for i, row in enumerate(phi.rows):
+        for j in range(i + 1):
+            if row[j].terms != (one if i == j else {}):
+                raise InvariantError("Phi is not unitriangular at %d, %d" % (i, j))
+    return (0,) * len(phi.rows)
+
+
 def restrict_to_line(phi, T):
     """Transition matrix of the Rees bundle on the line attached to T.
 
@@ -163,16 +180,6 @@ def splitting_type(G):
     by construction.  Shifting G by xi^m would shift every d_j by m.
     """
     return tuple(sorted((-d for d in G.degrees), reverse=True))
-
-
-def two_filtration_rees_type(Fp, Fpp):
-    """Splitting type of the Rees bundle of a pair of finite decreasing
-    filtrations on P^1: the multiset of p + q over the levels (p, q) of
-    their relative position, read off the adapted bases that ``validate``
-    returns, sorted descending.  The pair is n-opposite iff every entry
-    equals n."""
-    position = adapted_position(Fp.n, Fp.validate(), Fpp.validate())
-    return tuple(sorted((p + q for p, q, _ in position), reverse=True))
 
 
 def w_line_transition(V):

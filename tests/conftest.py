@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from hodgegauge.linalg import (
     Matrix,
     NotNilpotentError,
     Subspace,
+    adapted_position,
     solve_left,
 )
 from hodgegauge.mhs import (
@@ -62,6 +64,29 @@ def fixture_dir():
     import hodgegauge
 
     return os.path.join(os.path.dirname(hodgegauge.__file__), "fixtures")
+
+
+def assert_raises_under_optimize(setup, call, error, match):
+    """Run setup, then call, in a ``python -O`` process and require that
+    call raises error with match in its message: a broken invariant is a
+    typed error, not an assert that -O strips."""
+    script = "\n".join([
+        "import sys",
+        setup,
+        "assert False, 'asserts are on'",
+        "try:",
+        "    " + call,
+        "except %s as exc:" % error,
+        "    sys.exit(0 if %r in str(exc) else 2)" % match,
+        "sys.exit(1)",
+    ])
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class Quotient:
@@ -131,6 +156,16 @@ def piece_dimensions(Fp, Fpp):
             if h:
                 out[(p, q)] = h
     return out, cap
+
+
+def two_filtration_rees_type(Fp, Fpp):
+    """Splitting type of the Rees bundle of a pair of finite decreasing
+    filtrations on P^1: the multiset of p + q over the levels (p, q) of
+    their relative position, read off the adapted bases that ``validate``
+    returns, sorted descending.  The pair is n-opposite iff every entry
+    equals n."""
+    position = adapted_position(Fp.n, Fp.validate(), Fpp.validate())
+    return tuple(sorted((p + q for p, q, _ in position), reverse=True))
 
 
 def pairwise_validate(f):

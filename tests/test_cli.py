@@ -197,6 +197,36 @@ def test_lie_coefficients_print_as_fractions(c, text):
     assert format_rational(c) == text
 
 
+def test_rees_restricts_and_reduces_no_line(monkeypatch):
+    # every line type is read off the one certificate of Phi's shape
+    from hodgegauge import rees
+
+    monkeypatch.chdir(fixture_dir())
+    batches = [["rees"] + _fixture_names("all") + points for points in (
+        [], ["--point", "2,3", "--point=-1,0", "--point", "2,3", "--point", "0+1*i,1"])]
+    want = [run(argv) for argv in batches]
+    calls = []
+    for name in ("restrict_to_line", "_column_reduce"):
+        fn = getattr(rees, name)
+        monkeypatch.setattr(rees, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    assert [run(argv) for argv in batches] == want
+    assert calls == []
+
+
+def test_rees_on_a_phi_of_another_shape_is_an_internal_error(monkeypatch):
+    from hodgegauge import rees
+    from hodgegauge.poly import PolyMatrix
+
+    patching = rees.rees_patching
+    monkeypatch.setattr(rees, "rees_patching",
+                        lambda d: PolyMatrix(2, zip(*patching(d).rows)))  # transposed
+    code, out = run(["rees", fx("kummer_3.json")])
+    entry = json.loads(out)["inputs"][0]
+    assert (code, entry["status"]) == (3, "error")
+    assert entry["error"].startswith("InvariantError: ")
+
+
 def test_lie_polynomial_format():
     x = LiePolynomial(
         TT_ALPHABET, {(0, 1): Scalar.parse("-1/2"), (1,): Scalar(2)}

@@ -1,12 +1,11 @@
-import os
 import random
-import subprocess
-import sys
 from math import gcd
 
 import pytest
 
-from conftest import greedy_from_tensor, lie_level_inversion, mat
+from conftest import (
+    assert_raises_under_optimize, greedy_from_tensor, lie_level_inversion, mat,
+)
 from hodgegauge import cli, freelie
 from hodgegauge.freelie import (
     TT_ALPHABET,
@@ -346,22 +345,10 @@ def test_non_primitive_log_raises(monkeypatch):
 
 
 def test_non_primitive_log_raises_under_optimize():
-    script = (
-        "import sys\n"
+    assert_raises_under_optimize(
         "from hodgegauge import freelie\n"
         "from hodgegauge.scalars import ONE\n"
-        "assert False, 'asserts are on'\n"
-        "freelie._ts_log = lambda u, alphabet, N: {(0, 0): ONE}\n"
-        "try:\n"
-        "    freelie.universal_log_pexp.__wrapped__(4)\n"
-        "except freelie.NotLieElement as exc:\n"
-        "    sys.exit(0 if 'not primitive' in str(exc) else 2)\n"
-        "sys.exit(1)\n"
+        "freelie._ts_log = lambda u, alphabet, N: {(0, 0): ONE}",
+        "freelie.universal_log_pexp.__wrapped__(4)",
+        "freelie.NotLieElement", "not primitive",
     )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-    )
-    assert proc.returncode == 0, proc.stderr

@@ -1,13 +1,11 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
     _conjugation_on_graded,
+    assert_raises_under_optimize,
     mat,
     random_real_structure,
     realified_cohomology,
@@ -197,25 +195,12 @@ def test_real_cohomology_rejects_an_unstable_connection(monkeypatch):
 
 
 def test_invariant_violation_raises_under_optimize():
-    # a broken invariant is a typed error, not an assert that -O strips
-    script = (
-        "import sys\n"
+    assert_raises_under_optimize(
         "from hodgegauge import hodgecoh\n"
         "from hodgegauge.fixtures import kummer\n"
         "from hodgegauge.linalg import InvariantError\n"
         "from hodgegauge.mhs import GrStructure\n"
-        "assert False, 'asserts are on'\n"
-        "hodgecoh.hom_from_unit = lambda V: -1\n"
-        "try:\n"
-        "    hodgecoh.absolute_cohomology(GrStructure(kummer(2)))\n"
-        "except InvariantError as exc:\n"
-        "    sys.exit(0 if 'disagrees with Hom' in str(exc) else 2)\n"
-        "sys.exit(1)\n"
+        "hodgecoh.hom_from_unit = lambda V: -1",
+        "hodgecoh.absolute_cohomology(GrStructure(kummer(2)))",
+        "InvariantError", "disagrees with Hom",
     )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-    )
-    assert proc.returncode == 0, proc.stderr

@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import _laurent_det, fixture_dir, span
+from conftest import (
+    _laurent_det, assert_raises_under_optimize, fixture_dir, span,
+    two_filtration_rees_type,
+)
 from hodgegauge import cli
 from hodgegauge.documents import parse
 from hodgegauge.fixtures import kummer, kummer_delta, random_delta, t3_delta
-from hodgegauge.linalg import Matrix, Subspace, _reduce
-from hodgegauge.mhs import ComplexMHS, Filtration, pure, validate_mhs
+from hodgegauge.linalg import InvariantError, Matrix, Subspace, _reduce
+from hodgegauge.mhs import (
+    ComplexMHS, Filtration, HodgeNumbers, pure, validate_mhs,
+)
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.rees import (
     W_LINE,
@@ -19,11 +24,11 @@ from hodgegauge.rees import (
     rees_patching,
     restrict_to_line,
     splitting_type,
-    two_filtration_rees_type,
+    unipotent_line_type,
     w_line_transition,
 )
 from hodgegauge.scalars import ONE, Scalar, ZERO
-from hodgegauge.splitting import delta_operator
+from hodgegauge.splitting import DeltaObject, delta_operator
 
 
 def laurent_matrix(entries):
@@ -346,17 +351,23 @@ def test_column_reduction_matches_the_cofactor_determinant():
     assert min(seen.values()) > 250, seen
 
 
-def test_the_line_path_runs_no_elimination_and_no_substitution(monkeypatch):
-    # each fixture's Rees lines are restricted and typed by the column
-    # reduction alone: no rref (so no right_kernel) and no Poly.subs
-    phis = []
+def _fixture_deltas():
+    """The delta of every fixture that has one."""
+    deltas = []
     for name in sorted(os.listdir(fixture_dir())):
         with open(os.path.join(fixture_dir(), name)) as fh:
             try:
-                phis.append(rees_patching(cli._delta(parse(json.load(fh)))))
+                deltas.append(cli._delta(parse(json.load(fh))))
             except (ValueError, cli.Violation):
                 pass  # a connection document, or no structure
-    assert len(phis) >= 20
+    assert len(deltas) >= 20
+    return deltas
+
+
+def test_the_line_path_runs_no_elimination_and_no_substitution(monkeypatch):
+    # each fixture's Rees lines are restricted and typed by the column
+    # reduction alone: no rref (so no right_kernel) and no Poly.subs
+    phis = [rees_patching(d) for d in _fixture_deltas()]
     calls = []
 
     def count(name, fn):
@@ -371,3 +382,74 @@ def test_the_line_path_runs_no_elimination_and_no_substitution(monkeypatch):
         for T in (W_LINE, (-1, 0), (Scalar(5, 2), Scalar(1, 3)), (Scalar(1, 1), -2)):
             splitting_type(restrict_to_line(phi, T))
     assert calls == []
+
+
+def _chain_delta(n):
+    """One dimension per weight, (-k, -k) for k < n, so that every drop of
+    weight occurs; entries in -3..3 seeded by n."""
+    rng = random.Random(n)
+    return DeltaObject(HodgeNumbers({(-k, -k): 1 for k in range(n)}), Matrix([
+        [ONE if i == j else Scalar(rng.randint(-3, 3)) if i < j else ZERO
+         for j in range(n)]
+        for i in range(n)
+    ]))
+
+
+def test_the_certificate_agrees_with_the_reduction_on_deltas():
+    # the CLI's lines: the weight line and the three default points
+    lines = (W_LINE, (Scalar(-1), ZERO), (Scalar(2), Scalar(3)),
+             (Scalar(0, 1), Scalar(-1)))
+    for d in _fixture_deltas() + [_chain_delta(16), _chain_delta(24)]:
+        phi = rees_patching(d)
+        t = unipotent_line_type(phi)
+        assert t == (0,) * d.hodge.dim
+        for T in lines:
+            assert splitting_type(restrict_to_line(phi, T)) == t, (d, T)
+
+
+def test_unipotent_triangular_loops_are_trivial():
+    # the lemma alone, with the basis permuted so that the reduction does
+    # not start from the triangular shape
+    rng = random.Random(31)
+    for _ in range(1000):
+        r = rng.randint(1, 6)
+        gaussian = rng.random() < 0.25
+
+        def cell():
+            return {rng.randint(-3, 3): Scalar(rng.randint(-3, 3),
+                                               rng.randint(-1, 1) if gaussian else 0)
+                    for _ in range(rng.randint(0, 2))}
+
+        m = [[{0: 1} if i == j else cell() if i < j else {} for j in range(r)]
+             for i in range(r)]
+        assert unipotent_line_type(laurent_matrix(m)) == (0,) * r
+        perm = rng.sample(range(r), r)
+        G = laurent([[m[a][b] for b in perm] for a in perm])
+        assert (splitting_type(G), G.det_exponent) == ((0,) * r, 0), m
+
+
+def _phi(cells):
+    """Two-variable Laurent matrix from dicts (a, b) -> coefficient of
+    xi0^a xi1^b."""
+    return PolyMatrix(2, [tuple(Poly(2, c, laurent=True) for c in row)
+                          for row in cells])
+
+
+@pytest.mark.parametrize("cells, where", [
+    ([[{(0, 0): 1}, {(2, -1): 3}], [{(2, -1): 3}, {(0, 0): 1}]], "1, 0"),
+    ([[{(0, 0): 2}, {}], [{}, {(0, 0): 1}]], "0, 0"),
+    ([[{(0, 0): 1}, {}], [{}, {(0, 0): 1, (1, 0): 1}]], "1, 1"),
+], ids=["below-the-diagonal", "diagonal-2", "diagonal-1-plus-xi0"])
+def test_the_certificate_refuses_other_shapes(cells, where):
+    with pytest.raises(InvariantError, match="at " + where):
+        unipotent_line_type(_phi(cells))
+
+
+def test_the_certificate_refuses_under_optimize():
+    assert_raises_under_optimize(
+        "from hodgegauge.linalg import InvariantError\n"
+        "from hodgegauge.poly import Poly, PolyMatrix\n"
+        "from hodgegauge.rees import unipotent_line_type",
+        "unipotent_line_type(PolyMatrix(2, [(Poly.constant(2, 2, laurent=True),)]))",
+        "InvariantError", "not unitriangular",
+    )
