@@ -4,7 +4,8 @@ Generators carry bidegrees (-p, -q); we store the positive pair (p, q) and
 call p + q the weight.  Elements are kept as rational Scalar coordinates on
 the Lyndon-word basis; brackets are computed by expanding into the truncated
 tensor algebra and re-extracting, which is triangular with respect to the
-order on words by (length, word) and hence exact.
+order on words by (length, word) and hence exact.  ``bracketing`` evaluates
+bracketed Lyndon words in any algebra; tensor expansions are memoized by word.
 
 The universal tables express the logarithm of the transport along the
 hypotenuse from (-1, 0) to (0, -1) as a Lie series z = sum z_{p,q} in the
@@ -36,7 +37,7 @@ class GeneratorChangeError(ValueError):
 class Alphabet:
     """Ordered list of generator labels with positive bidegrees (p, q)."""
 
-    __slots__ = ("letters", "bidegrees", "_hash")
+    __slots__ = ("letters", "bidegrees")
 
     def __init__(self, letters):
         letters = tuple((str(lab), int(p), int(q)) for lab, p, q in letters)
@@ -44,8 +45,6 @@ class Alphabet:
         object.__setattr__(
             self, "bidegrees", tuple((p, q) for _, p, q in letters)
         )
-        # hashed once: every expansion-cache lookup hashes the alphabet
-        object.__setattr__(self, "_hash", hash(letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Alphabet is immutable")
@@ -59,7 +58,7 @@ class Alphabet:
         return self.letters == other.letters
 
     def __hash__(self):
-        return self._hash
+        return hash(self.letters)
 
     def weight(self, i):
         p, q = self.bidegrees[i]
@@ -144,6 +143,22 @@ def standard_factorization(w):
     raise ValueError("no factorization: %r is not Lyndon" % (w,))
 
 
+def bracketing(w, memo, leaf, bracket):
+    """The bracketed Lyndon word w evaluated with leaf(i) at each letter i
+    and bracket(a, b) at each standard factorization; the value of every
+    subword is stored in memo (Reutenauer, Free Lie Algebras, 5.1)."""
+    out = memo.get(w)
+    if out is None:
+        if len(w) == 1:
+            out = leaf(w[0])
+        else:
+            u, v = standard_factorization(w)
+            out = bracket(bracketing(u, memo, leaf, bracket),
+                          bracketing(v, memo, leaf, bracket))
+        memo[w] = out
+    return out
+
+
 def _tensor_bracket(a, b):
     out = {}
     for wa, ca in a.items():
@@ -156,21 +171,16 @@ def _tensor_bracket(a, b):
     return {w: c for w, c in out.items() if c}
 
 
-_EXPAND_CACHE = {}
+def _letter(i):
+    return {(i,): ONE}
 
 
-def expand_lyndon(alphabet, w):
-    """Tensor expansion of the bracketed Lyndon word."""
-    key = (alphabet, w)
-    if key in _EXPAND_CACHE:
-        return _EXPAND_CACHE[key]
-    if len(w) == 1:
-        out = {w: ONE}
-    else:
-        u, v = standard_factorization(w)
-        out = _tensor_bracket(expand_lyndon(alphabet, u), expand_lyndon(alphabet, v))
-    _EXPAND_CACHE[key] = out
-    return out
+_EXPANSIONS = {}  # Lyndon word -> tensor; the same over every alphabet
+
+
+def expand_lyndon(w):
+    """Tensor expansion of the bracketed Lyndon word, memoized by word."""
+    return bracketing(w, _EXPANSIONS, _letter, _tensor_bracket)
 
 
 class LiePolynomial:
@@ -225,7 +235,7 @@ class LiePolynomial:
             if not is_lyndon(w):
                 raise NotLieElement("minimal word %r is not Lyndon" % (w,))
             coords[w] = c
-            for u, cu in expand_lyndon(alphabet, w).items():
+            for u, cu in expand_lyndon(w).items():
                 d = c * cu
                 old = work.get(u)
                 if old is None:
@@ -240,7 +250,7 @@ class LiePolynomial:
     def to_tensor(self):
         out = {}
         for w, c in self.coords.items():
-            for u, cu in expand_lyndon(self.alphabet, w).items():
+            for u, cu in expand_lyndon(w).items():
                 out[u] = out.get(u, ZERO) + c * cu
         return {w: c for w, c in out.items() if c}
 
@@ -282,60 +292,35 @@ class LiePolynomial:
 
     def substitute(self, assignment):
         """Evaluate with generator label -> Matrix, brackets as commutators."""
-        mats = {}
-        size = None
-        for lab, _, _ in self.alphabet.letters:
-            if lab in assignment:
-                m = assignment[lab]
-                mats[lab] = m
-                size = m.nrows
-
-        def need(i):
-            lab = self.alphabet.letters[i][0]
-            if lab not in mats:
-                raise KeyError("no matrix assigned to generator %r" % (lab,))
-            return mats[lab]
-
-        if size is None:
+        sizes = [assignment[lab].nrows
+                 for lab, _, _ in self.alphabet.letters if lab in assignment]
+        if not sizes:
             raise ValueError("empty assignment")
-        cache = {}
+        memo = {}
 
-        def ev(w):
-            if w in cache:
-                return cache[w]
-            if len(w) == 1:
-                out = need(w[0])
-            else:
-                u, v = standard_factorization(w)
-                a, b = ev(u), ev(v)
-                out = a @ b - b @ a
-            cache[w] = out
-            return out
+        def leaf(i):
+            lab = self.alphabet.letters[i][0]
+            if lab not in assignment:
+                raise KeyError("no matrix assigned to generator %r" % (lab,))
+            return assignment[lab]
 
-        acc = Matrix.zeros(size, size)
+        acc = Matrix.zeros(sizes[-1], sizes[-1])
         for w, c in self.coords.items():
-            acc = acc + ev(w).scale(c)
+            m = bracketing(w, memo, leaf, lambda a, b: a @ b - b @ a)
+            acc = acc + m.scale(c)
         return acc
 
     def substitute_lie(self, target_alphabet, mapping):
-        """Evaluate with generator label -> LiePolynomial over another alphabet."""
-        cache = {}
+        """Evaluate with generator label -> LiePolynomial over another
+        alphabet; Lyndon coordinates are extracted after every bracket."""
+        memo = {}
 
-        def ev(w):
-            if w in cache:
-                return cache[w]
-            if len(w) == 1:
-                lab = self.alphabet.letters[w[0]][0]
-                out = mapping[lab]
-            else:
-                u, v = standard_factorization(w)
-                out = ev(u).bracket(ev(v))
-            cache[w] = out
-            return out
+        def leaf(i):
+            return mapping[self.alphabet.letters[i][0]]
 
         acc = LiePolynomial.zero(target_alphabet)
         for w, c in self.coords.items():
-            acc = acc + ev(w).scale(c)
+            acc = acc + bracketing(w, memo, leaf, LiePolynomial.bracket).scale(c)
         return acc
 
     def __str__(self):
@@ -469,17 +454,10 @@ def invert_generator_change(N):
     A = alpha_alphabet(N)
     Z = z_alphabet(N)
     out = {}
-    memo = {}  # Lyndon word over A -> tensor over Z; (i,) -> row i's tensor
-
-    def ev(w):
-        t = memo.get(w)
-        if t is None:
-            u, v = standard_factorization(w)
-            t = memo[w] = _tensor_bracket(ev(u), ev(v))
-        return t
-
+    rows = []  # row i's tensor over Z, for the rows found so far
+    memo = {}  # Lyndon word over A -> tensor over Z
     # A and Z list the same bidegrees in the same order, and a tail word
-    # has only letters of lower weight, whose rows are already in the memo
+    # has only letters of lower weight, whose rows are already found
     for i, pq in enumerate(A.bidegrees):
         zpq = ztab[pq]
         c = zpq.coords.get((i,), ZERO)
@@ -490,11 +468,12 @@ def invert_generator_change(N):
         acc = {(i,): ONE}
         for w, x in zpq.coords.items():
             if w != (i,):
-                for u, cu in ev(w).items():
+                t = bracketing(w, memo, rows.__getitem__, _tensor_bracket)
+                for u, cu in t.items():
                     acc[u] = acc.get(u, ZERO) - x * cu
         inv = ONE / c
-        row = memo[(i,)] = {u: x * inv for u, x in acc.items() if x}
-        out[pq] = LiePolynomial.from_tensor(Z, row)
+        rows.append({u: x * inv for u, x in acc.items() if x})
+        out[pq] = LiePolynomial.from_tensor(Z, rows[i])
     return out
 
 
@@ -533,7 +512,8 @@ def verify_commutant_generation(N):
     """
     Z = z_alphabet(N)
     phis = commutant_generators(N)
-    mapping = {"z%d,%d" % (p, q): phi for (p, q), phi in phis.items()}
+    leaf = [phis[pq] for pq in Z.bidegrees].__getitem__
+    memo = {}  # Lyndon word over Z -> its image, shared by all bidegrees
     zbasis = lyndon_basis(Z, N)
     tbasis = lyndon_basis(TT_ALPHABET, N)
     dims = {}
@@ -543,9 +523,7 @@ def verify_commutant_generation(N):
         index = {w: i for i, w in enumerate(twords)}
         rows = []
         for w in zwords:
-            img = LiePolynomial(Z, {w: ONE}).substitute_lie(
-                TT_ALPHABET, mapping
-            )
+            img = bracketing(w, memo, leaf, LiePolynomial.bracket)
             row = [ZERO] * len(twords)
             for u, c in img.coords.items():
                 row[index[u]] = c

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .connection import connection_from_delta
 from .linalg import InvariantError, Matrix
-from .mhs import GrStructure, dual_mhs, realize_real, tensor_mhs
+from .mhs import GrStructure, realize_real
 from .scalars import ZERO, Scalar
 from .splitting import block_permutation, delta_operator
 
@@ -58,37 +58,28 @@ def invariant_complex(C):
         p, q = owner[i]
         if p <= 0 and q <= 0:
             dom.append((i, -p, -q))
+    halves = ((1, 1, 0, C.A), (2, 0, 1, C.B))  # slot, exponent drops, blocks
     cod = []
-    for i in range(n):
-        p, q = owner[i]
-        if p <= -1 and q <= 0:
-            cod.append((i, -p - 1, -q, 1))
-    for i in range(n):
-        p, q = owner[i]
-        if p <= 0 and q <= -1:
-            cod.append((i, -p, -q - 1, 2))
+    for slot, da, db, _ in halves:
+        for i in range(n):
+            p, q = owner[i]
+            if p <= -da and q <= -db:
+                cod.append((i, -p - da, -q - db, slot))
     cod_index = {lab: r for r, lab in enumerate(cod)}
     rows = [[ZERO] * len(dom) for _ in cod]
     for col, (i, a, b) in enumerate(dom):
-        # exterior derivative of v t1^a t2^b
-        if a > 0:
-            r = cod_index[(i, a - 1, b, 1)]
-            rows[r][col] = rows[r][col] + Scalar(a)
-        if b > 0:
-            r = cod_index[(i, a, b - 1, 2)]
-            rows[r][col] = rows[r][col] + Scalar(b)
-        # Omega s: A block of bidegree (-r, -s) sends the monomial to
-        # t1^{a+r-1} t2^{b+s} dt1, and B to t1^{a+r} t2^{b+s-1} dt2
-        for (rr, ss), M in C.A.items():
-            for j in range(n):
-                if M[j, i]:
-                    r = cod_index[(j, a + rr - 1, b + ss, 1)]
-                    rows[r][col] = rows[r][col] + M[j, i]
-        for (rr, ss), M in C.B.items():
-            for j in range(n):
-                if M[j, i]:
-                    r = cod_index[(j, a + rr, b + ss - 1, 2)]
-                    rows[r][col] = rows[r][col] + M[j, i]
+        for slot, da, db, blocks in halves:
+            # d(v t1^a t2^b), then Omega s: a block of bidegree (-r, -s)
+            # sends the monomial to t1^{a+r-da} t2^{b+s-db} dt_slot
+            e = da * a + db * b
+            if e > 0:
+                r = cod_index[(i, a - da, b - db, slot)]
+                rows[r][col] = rows[r][col] + Scalar(e)
+            for (rr, ss), M in blocks.items():
+                for j in range(n):
+                    if M[j, i]:
+                        r = cod_index[(j, a + rr - da, b + ss - db, slot)]
+                        rows[r][col] = rows[r][col] + M[j, i]
     return TwoTermComplex(dom, cod, Matrix._of(tuple(map(tuple, rows)), len(dom)))
 
 
@@ -105,12 +96,6 @@ def absolute_cohomology(gr):
     if ext0 != hom_from_unit(gr.V):
         raise InvariantError("complex kernel disagrees with Hom")
     return (ext0, ext1)
-
-
-def rhom(Vsource, Vtarget):
-    """(dim Ext^0, dim Ext^1) between two structures, reduced to the
-    absolute cohomology of dual(source) tensor target."""
-    return absolute_cohomology(GrStructure(tensor_mhs(dual_mhs(Vsource), Vtarget)))
 
 
 def real_absolute_cohomology(V):

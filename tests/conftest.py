@@ -18,7 +18,7 @@ from hodgegauge.freelie import (
     universal_log_pexp,
     z_alphabet,
 )
-from hodgegauge.hodgecoh import invariant_complex
+from hodgegauge.hodgecoh import absolute_cohomology, invariant_complex
 from hodgegauge.linalg import (
     InvariantError,
     Matrix,
@@ -29,7 +29,7 @@ from hodgegauge.linalg import (
 )
 from hodgegauge.mhs import (
     ComplexMHS, Filtration, FiltrationError, GrStructure, HodgeNumbers, RealMHS,
-    realize_real,
+    dual_mhs, realize_real, tensor_mhs,
 )
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
@@ -275,7 +275,7 @@ def greedy_from_tensor(alphabet, tensor):
             raise NotLieElement("minimal word %r is not Lyndon" % (w,))
         c = work[w]
         coords[w] = c
-        for u, cu in expand_lyndon(alphabet, w).items():
+        for u, cu in expand_lyndon(w).items():
             new = work.get(u, ZERO) - c * cu
             if new:
                 work[u] = new
@@ -496,6 +496,12 @@ def side_matrix_delta(gr):
     Mp = _side_matrix(gr, "Fp")
     Mpp = _side_matrix(gr, "Fpp")
     return DeltaObject(gr.hodge, Mpp.inverse() @ Mp)
+
+
+def rhom(Vsource, Vtarget):
+    """(dim Ext^0, dim Ext^1) between two structures, reduced to the
+    absolute cohomology of dual(source) tensor target."""
+    return absolute_cohomology(GrStructure(tensor_mhs(dual_mhs(Vsource), Vtarget)))
 
 
 def _conjugation_on_graded(gr):

@@ -15,6 +15,7 @@ from hodgegauge.freelie import (
     NotLieElement,
     abelianized_coefficient,
     alpha_alphabet,
+    bracketing,
     commutant_generators,
     expand_lyndon,
     generator_change_table,
@@ -73,6 +74,23 @@ def test_is_lyndon():
 def test_standard_factorization():
     assert standard_factorization((0, 0, 1)) == ((0,), (0, 1))
     assert standard_factorization((0, 1, 1)) == ((0, 1), (1,))
+
+
+def test_bracketing_evaluates_each_subword_once():
+    calls = []
+
+    def bracket(a, b):
+        calls.append((a, b))
+        return "[%s,%s]" % (a, b)
+
+    memo = {}
+    # 01011 = (01)(011) and 011 = (01)(1): [a,b] is needed twice
+    got = bracketing((0, 1, 0, 1, 1), memo, "ab".__getitem__, bracket)
+    assert got == "[[a,b],[[a,b],b]]"
+    assert len(calls) == 3
+    assert set(memo) == {(0,), (1,), (0, 1), (0, 1, 1), (0, 1, 0, 1, 1)}
+    # the tensor expansion is the same over every alphabet
+    assert expand_lyndon((0, 1)) == {(0, 1): ONE, (1, 0): -ONE}
 
 
 def test_single_generator_alphabet():
@@ -270,6 +288,41 @@ def test_generator_change_roundtrip(N):
             )
 
 
+def _internal_nodes(w):
+    """The distinct subwords of length >= 2 in the bracketing of w."""
+    if len(w) == 1:
+        return set()
+    u, v = standard_factorization(w)
+    return {w} | _internal_nodes(u) | _internal_nodes(v)
+
+
+@pytest.mark.parametrize(
+    "word", [(0, 1), (0, 0, 1), (0, 0, 1, 0, 1), (0, 1, 0, 1, 1),
+             (0, 0, 1, 0, 1, 1)]
+)
+def test_substitute_lie_extracts_after_every_bracket(word, monkeypatch):
+    # lie_level_inversion checks the tensor-level inversion only while
+    # substitute_lie stays in Lyndon coordinates: one extraction per
+    # distinct bracket of the word, none skipped and none repeated
+    Z = z_alphabet(4)
+    mapping = {
+        "t1": LiePolynomial.generator(Z, 0) + LiePolynomial.generator(Z, 2),
+        "t2": LiePolynomial.generator(Z, 1),
+    }
+    calls = []
+    extract = LiePolynomial.from_tensor
+
+    def counted(cls, alphabet, tensor):
+        calls.append(alphabet)
+        return extract(alphabet, tensor)
+
+    monkeypatch.setattr(LiePolynomial, "from_tensor", classmethod(counted))
+    got = LiePolynomial(TT_ALPHABET, {word: ONE}).substitute_lie(Z, mapping)
+    assert not got.is_zero()
+    assert len(calls) == len(_internal_nodes(word))
+    assert set(calls) == {Z}
+
+
 def test_substitute_matrices():
     a = alpha_alphabet(4)
     m1 = mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -293,6 +346,23 @@ def test_commutant_generation_weight_6():
     dims = verify_commutant_generation(6)
     for (p, q), d in dims.items():
         assert d == witt_bidegree(p, q)
+
+
+@pytest.mark.parametrize("N, brackets", [(8, 41), (10, 179)])
+def test_commutant_check_brackets_each_word_once(N, brackets, monkeypatch):
+    phis = commutant_generators(N)  # their own brackets are not counted
+    monkeypatch.setattr(freelie, "commutant_generators", lambda n: phis)
+    calls = []
+    bracket = LiePolynomial.bracket
+
+    def counted(x, y):
+        calls.append(1)
+        return bracket(x, y)
+
+    monkeypatch.setattr(LiePolynomial, "bracket", counted)
+    verify_commutant_generation(N)
+    words = lyndon_words(z_alphabet(N), N)
+    assert len(calls) == sum(len(w) >= 2 for w in words) == brackets
 
 
 def test_inversion_reports_bad_leading_coefficient():

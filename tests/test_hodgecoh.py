@@ -9,6 +9,7 @@ from conftest import (
     mat,
     random_real_structure,
     realified_cohomology,
+    rhom,
 )
 from hodgegauge import hodgecoh
 from hodgegauge.connection import (
@@ -32,7 +33,6 @@ from hodgegauge.hodgecoh import (
     hom_from_unit,
     invariant_complex,
     real_absolute_cohomology,
-    rhom,
 )
 from hodgegauge.mhs import (
     GrStructure,
@@ -43,7 +43,7 @@ from hodgegauge.mhs import (
 )
 from hodgegauge.linalg import InvariantError, Matrix
 from hodgegauge.scalars import I, Scalar
-from hodgegauge.splitting import block_permutation
+from hodgegauge.splitting import block_permutation, delta_operator
 
 
 def euler_bound(hodge):
@@ -77,6 +77,34 @@ def test_invariant_complex_kummer():
         assert len(cx.domain_labels) == 2
         assert len(cx.codomain_labels) == 2
         assert cx.matrix.rank() == want_rank
+
+
+def test_invariant_complex_entries_read_off_the_labels():
+    # each entry recomputed from its two labels alone: the exterior
+    # derivative, then every block of A (slot 1, dt1) or B (slot 2, dt2)
+    # whose bidegree moves the domain monomial onto the codomain one
+    rng = random.Random(5)
+    structures = [kummer(2), t3(1, 1)] + [
+        random_mhs(rng, max_dim=4, weight_lo=-4, weight_hi=4) for _ in range(3)
+    ]
+    omega_terms = 0
+    for V in structures:
+        C = connection_from_delta(delta_operator(GrStructure(V)))
+        cx = invariant_complex(C)
+        slots = [lab[3] for lab in cx.codomain_labels]
+        assert slots == sorted(slots)  # every dt1 label before every dt2
+        for r, (j, a2, b2, slot) in enumerate(cx.codomain_labels):
+            blocks, da, db = (C.A, 1, 0) if slot == 1 else (C.B, 0, 1)
+            for col, (i, a, b) in enumerate(cx.domain_labels):
+                want = Scalar(0)
+                if i == j and (a2, b2) == (a - da, b - db):
+                    want = want + Scalar(a if slot == 1 else b)
+                for (rr, ss), M in blocks.items():
+                    if (a2, b2) == (a + rr - da, b + ss - db) and M[j, i]:
+                        want = want + M[j, i]
+                        omega_terms += 1
+                assert cx.matrix[r, col] == want
+    assert omega_terms
 
 
 def test_absolute_cohomology_values():
