@@ -14,6 +14,12 @@ generators.  The transport's iterated integrals are Polys in s on [0, 1],
 over the pullback ``poly.hypotenuse_pullback`` that the canonical
 connection is solved with.  Tables depend only on the truncation weight and
 are memoized per process.
+
+The log of the transport is primitive, and the Lyndon extraction of it is
+the certificate, with no second check: ``LiePolynomial.from_tensor``
+returns only once its remainder is empty, that is once z = sum c_w b(w)
+over bracketed Lyndon words b(w), a Lie element; and on a Lie element the
+minimal remaining word is always Lyndon, so it never rejects a true one.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ class GeneratorChangeError(ValueError):
 class Alphabet:
     """Ordered list of generator labels with positive bidegrees (p, q)."""
 
-    __slots__ = ("letters", "bidegrees")
+    __slots__ = ("letters", "bidegrees", "weights")
 
     def __init__(self, letters):
         letters = tuple((str(lab), int(p), int(q)) for lab, p, q in letters)
@@ -45,6 +51,7 @@ class Alphabet:
         object.__setattr__(
             self, "bidegrees", tuple((p, q) for _, p, q in letters)
         )
+        object.__setattr__(self, "weights", tuple(p + q for _, p, q in letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Alphabet is immutable")
@@ -60,12 +67,8 @@ class Alphabet:
     def __hash__(self):
         return hash(self.letters)
 
-    def weight(self, i):
-        p, q = self.bidegrees[i]
-        return p + q
-
     def word_weight(self, w):
-        return sum(self.weight(i) for i in w)
+        return sum(map(self.weights.__getitem__, w))
 
     def word_bidegree(self, w):
         p = sum(self.bidegrees[i][0] for i in w)
@@ -115,8 +118,8 @@ def lyndon_words(alphabet, N):
     def grow(word, weight):
         if word and is_lyndon(word):
             out.append(word)
-        for i in range(len(alphabet)):
-            wt = weight + alphabet.weight(i)
+        for i, wi in enumerate(alphabet.weights):
+            wt = weight + wi
             if wt <= N:
                 grow(word + (i,), wt)
 
@@ -221,7 +224,8 @@ class LiePolynomial:
         bracketing, whose other words are larger and of the same length.
         So the words come off one heap in that order: none is ever pushed
         below the word being processed, and an entry whose coefficient has
-        cancelled since it was pushed is skipped.
+        cancelled since it was pushed is skipped.  It returns only when no
+        word remains, so a return proves tensor = sum coords[w] * b(w).
         """
         work = {w: _coerce(c) for w, c in tensor.items() if c}
         heap = [(len(w), w) for w in work]
@@ -378,20 +382,6 @@ def _ts_log(u, alphabet, N):
     return {w: c for w, c in acc.items() if c}
 
 
-def _dynkin(alphabet, tensor):
-    """Left-nested bracketing word by word, expanded back to tensors."""
-    out = {}
-    for w, c in tensor.items():
-        if not w:
-            continue
-        br = {(w[0],): ONE}
-        for i in w[1:]:
-            br = _tensor_bracket(br, {(i,): ONE})
-        for u, cu in br.items():
-            out[u] = out.get(u, ZERO) + c * cu
-    return {w: c for w, c in out.items() if c}
-
-
 @functools.cache
 def universal_log_pexp(N):
     """Bihomogeneous components of log of the hypotenuse transport.
@@ -403,7 +393,7 @@ def universal_log_pexp(N):
     Lyndon-coordinate Lie polynomials, memoized per process.
     """
     alphabet = alpha_alphabet(N)
-    letters = range(len(alphabet))
+    weights = alphabet.weights
     hs = [hypotenuse_pullback(p, q) for p, q in alphabet.bidegrees]
     # iterated integrals by word length: the polynomial of (i,) + w is the
     # integral from 0 of h_i times that of w, formed once from its suffix;
@@ -417,22 +407,18 @@ def universal_log_pexp(N):
         c = sum(poly.terms.values(), ZERO)
         if c:
             u[w] = c
-        for i in letters:
-            if wt + alphabet.weight(i) <= N:
+        for i, wi in enumerate(weights):
+            if wt + wi <= N:
                 state[(i,) + w] = (hs[i] * poly).antiderivative()
-                words.append(((i,) + w, wt + alphabet.weight(i)))
+                words.append(((i,) + w, wt + wi))
     z = _ts_log(u, alphabet, N)
-    # the log of a group-like series is primitive; the Dynkin projection
-    # detects any extraction bug exactly
-    by_len = {}
-    for w, c in z.items():
-        by_len.setdefault(len(w), {})[w] = c
-    for ell, part in by_len.items():
-        proj = _dynkin(alphabet, part)
-        want = {w: c * ell for w, c in part.items()}
-        if proj != want:
-            raise NotLieElement("log of the transport is not primitive")
-    comps = LiePolynomial.from_tensor(alphabet, z).bidegree_components()
+    # the log of a group-like series is primitive, and the extraction is
+    # the proof: it returns only once z = sum c_w b(w) over Lyndon words w
+    try:
+        lie = LiePolynomial.from_tensor(alphabet, z)
+    except NotLieElement as exc:
+        raise NotLieElement("log of the transport is not primitive") from exc
+    comps = lie.bidegree_components()
     return {
         pq: comps.get(pq, LiePolynomial.zero(alphabet))
         for pq in alphabet.bidegrees

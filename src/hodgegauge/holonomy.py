@@ -125,15 +125,6 @@ def triangle_delta(C):
     return DeltaObject(C.hodge, last @ hyp @ first)
 
 
-def flat_sections_on_line(C):
-    """Fundamental solution S(u) on the line t1 = u, t2 = -1 - u with
-    S(-1) = 1; columns span the covariantly constant sections, S(0) is the
-    hypotenuse transport."""
-    S = _segment_transport(C, (-ONE, ZERO), (ZERO, -ONE))
-    # the segment's parameter is s = u + 1
-    return S.subs(0, Poly.constant(1, ONE) + Poly.variable(1, 0))
-
-
 def convention_selftest():
     """Re-derive the transport sign and orientation pin on a rank-2 fixture.
 

@@ -17,7 +17,6 @@ from .linalg import (
     _reduce,
     adapted_position,
 )
-from .scalars import ZERO
 
 
 class FiltrationError(ValueError):
@@ -351,13 +350,6 @@ def pure(p, q):
     return ComplexMHS(n, W, Fp, Fpp)
 
 
-def conjugate_mhs(V):
-    """Conjugate structure: entrywise-conjugated bases with F' and F'' swapped."""
-    return ComplexMHS(
-        V.n, V.W.conjugate(), V.Fpp.conjugate(), V.Fp.conjugate()
-    )
-
-
 def realize_real(V):
     """ComplexMHS (W (x) Q(i), F, conj F) of a real structure, unvalidated."""
     return ComplexMHS(V.n, V.W, V.F, V.F.conjugate())
@@ -408,36 +400,3 @@ def dual_mhs(V):
         _dual_filtration(V.Fp),
         _dual_filtration(V.Fpp),
     )
-
-
-def _sum_filtration(f, g):
-    n = f.n + g.n
-    right, left = (ZERO,) * g.n, (ZERO,) * f.n
-    return Filtration(f.direction, n, {
-        k: Subspace.from_rows(n, [r + right for r in f.at(k).basis.rows]
-                              + [left + r for r in g.at(k).basis.rows])
-        for k in sorted(set(f.jumps()) | set(g.jumps()))
-    })
-
-
-def direct_sum_mhs(V, Vp):
-    return ComplexMHS(
-        V.n + Vp.n,
-        _sum_filtration(V.W, Vp.W),
-        _sum_filtration(V.Fp, Vp.Fp),
-        _sum_filtration(V.Fpp, Vp.Fpp),
-    )
-
-
-def validate_morphism(f, V, Vp):
-    """True iff the matrix f (n' x n) preserves all three filtrations."""
-    if f.ncols != V.n or f.nrows != Vp.n:
-        raise DimensionMismatch(
-            "morphism shape %r for %d -> %d" % (f.shape, V.n, Vp.n)
-        )
-    for src, dst in ((V.W, Vp.W), (V.Fp, Vp.Fp), (V.Fpp, Vp.Fpp)):
-        keys = set(src.jumps()) | set(dst.jumps())
-        for k in keys:
-            if not dst.at(k).contains(src.at(k).apply(f)):
-                return False
-    return True

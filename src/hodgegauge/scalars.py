@@ -7,6 +7,9 @@ ints with Henrici's gcd reductions (P. Henrici, J. ACM 3, 1956; Knuth, TAOCP
 vol. 2, 4.5.1), with a fast path when both operands are rational.  ``re``
 and ``im`` read the parts back as Fractions.  Only ints and Fractions
 convert to a Scalar: floats are refused, so no floating point gets in.
+``fractions`` (which loads ``decimal`` and ``numbers``) is imported on
+first use, where a Fraction is converted or a part is read, so a process
+that never does so never loads it.
 Plain rationals are the im == 0 case; callers that need to stay inside Q
 can check ``in_field("Q")``.
 """
@@ -14,7 +17,6 @@ can check ``in_field("Q")``.
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
 from math import gcd
 
 
@@ -53,6 +55,8 @@ def _mul(a, b, c, d):
 def _part(x):
     if isinstance(x, int):
         return int(x), 1
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise TypeError("a Scalar part must be an int or a Fraction, not %r" % (x,))
@@ -94,10 +98,14 @@ class Scalar:
 
     @property
     def re(self):
+        from fractions import Fraction
+
         return Fraction(self._rn, self._rd)
 
     @property
     def im(self):
+        from fractions import Fraction
+
         return Fraction(self._in, self._id)
 
     @classmethod
@@ -146,17 +154,26 @@ class Scalar:
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)
+        s = _new(Scalar)
+        s._rn, s._rd = _add(self._rn, self._rd, other._rn, other._rd)
         if not self._in and not other._in:
-            return _fast(*_add(self._rn, self._rd, other._rn, other._rd), 0, 1)
-        return _fast(
-            *_add(self._rn, self._rd, other._rn, other._rd),
-            *_add(self._in, self._id, other._in, other._id),
-        )
+            s._in, s._id = 0, 1
+        else:
+            s._in, s._id = _add(self._in, self._id, other._in, other._id)
+        return s
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -_coerce(other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+        s = _new(Scalar)
+        s._rn, s._rd = _add(self._rn, self._rd, -other._rn, other._rd)
+        if not self._in and not other._in:
+            s._in, s._id = 0, 1
+        else:
+            s._in, s._id = _add(self._in, self._id, -other._in, other._id)
+        return s
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -170,7 +187,10 @@ class Scalar:
         a, b, c, d = self._rn, self._rd, self._in, self._id
         e, f, g, h = other._rn, other._rd, other._in, other._id
         if not c and not g:
-            return _fast(*_mul(a, b, e, f), 0, 1)
+            s = _new(Scalar)
+            s._rn, s._rd = _mul(a, b, e, f)
+            s._in, s._id = 0, 1
+            return s
         # (a/b + c/d i)(e/f + g/h i)
         return _fast(
             *_add(*_mul(a, b, e, f), *_mul(-c, d, g, h)),
@@ -236,9 +256,10 @@ def _fast(rn, rd, in_, id_):
 def _coerce(x):
     if type(x) is Scalar:
         return x
-    if isinstance(x, (int, Fraction)):
+    try:
         return Scalar(x)
-    raise TypeError("cannot coerce %r to Scalar" % (x,))
+    except TypeError:
+        raise TypeError("cannot coerce %r to Scalar" % (x,)) from None
 
 
 ZERO = Scalar(0)

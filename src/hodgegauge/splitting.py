@@ -220,10 +220,3 @@ def block_permutation(hodge):
         for k in range(h):
             rows[off_t[(q, p)] + k][off + k] = ONE
     return Matrix(rows)
-
-
-def conjugate_delta(dobj):
-    """Delta of the conjugate structure, computed on the graded model."""
-    P = block_permutation(dobj.hodge)
-    delta_new = P @ dobj.delta.inverse().conjugate() @ P.transpose()
-    return DeltaObject(dobj.hodge.transpose(), delta_new)

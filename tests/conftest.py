@@ -12,6 +12,7 @@ from hodgegauge.freelie import (
     GeneratorChangeError,
     LiePolynomial,
     NotLieElement,
+    _tensor_bracket,
     alpha_alphabet,
     expand_lyndon,
     is_lyndon,
@@ -19,7 +20,9 @@ from hodgegauge.freelie import (
     z_alphabet,
 )
 from hodgegauge.hodgecoh import absolute_cohomology, invariant_complex
+from hodgegauge.holonomy import _segment_transport
 from hodgegauge.linalg import (
+    DimensionMismatch,
     InvariantError,
     Matrix,
     NotNilpotentError,
@@ -33,7 +36,9 @@ from hodgegauge.mhs import (
 )
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
-from hodgegauge.splitting import DeltaObject, _adapted_pieces, delta_operator
+from hodgegauge.splitting import (
+    DeltaObject, _adapted_pieces, block_permutation, delta_operator,
+)
 
 # the same examples on every run, so a hypothesis failure cannot come and go
 settings.register_profile(
@@ -87,6 +92,66 @@ def assert_raises_under_optimize(setup, call, error, match):
         capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Operations on structures that no command, criterion or benchmark reaches;
+# the tests build their examples with them.
+
+
+def conjugate_mhs(V):
+    """Conjugate structure: entrywise-conjugated bases with F' and F'' swapped."""
+    return ComplexMHS(
+        V.n, V.W.conjugate(), V.Fpp.conjugate(), V.Fp.conjugate()
+    )
+
+
+def _sum_filtration(f, g):
+    n = f.n + g.n
+    right, left = (ZERO,) * g.n, (ZERO,) * f.n
+    return Filtration(f.direction, n, {
+        k: Subspace.from_rows(n, [r + right for r in f.at(k).basis.rows]
+                              + [left + r for r in g.at(k).basis.rows])
+        for k in sorted(set(f.jumps()) | set(g.jumps()))
+    })
+
+
+def direct_sum_mhs(V, Vp):
+    return ComplexMHS(
+        V.n + Vp.n,
+        _sum_filtration(V.W, Vp.W),
+        _sum_filtration(V.Fp, Vp.Fp),
+        _sum_filtration(V.Fpp, Vp.Fpp),
+    )
+
+
+def validate_morphism(f, V, Vp):
+    """True iff the matrix f (n' x n) preserves all three filtrations."""
+    if f.ncols != V.n or f.nrows != Vp.n:
+        raise DimensionMismatch(
+            "morphism shape %r for %d -> %d" % (f.shape, V.n, Vp.n)
+        )
+    for src, dst in ((V.W, Vp.W), (V.Fp, Vp.Fp), (V.Fpp, Vp.Fpp)):
+        keys = set(src.jumps()) | set(dst.jumps())
+        for k in keys:
+            if not dst.at(k).contains(src.at(k).apply(f)):
+                return False
+    return True
+
+
+def conjugate_delta(dobj):
+    """Delta of the conjugate structure, computed on the graded model."""
+    P = block_permutation(dobj.hodge)
+    delta_new = P @ dobj.delta.inverse().conjugate() @ P.transpose()
+    return DeltaObject(dobj.hodge.transpose(), delta_new)
+
+
+def flat_sections_on_line(C):
+    """Fundamental solution S(u) on the line t1 = u, t2 = -1 - u with
+    S(-1) = 1; columns span the covariantly constant sections, S(0) is the
+    hypotenuse transport."""
+    S = _segment_transport(C, (-ONE, ZERO), (ZERO, -ONE))
+    # the segment's parameter is s = u + 1
+    return S.subs(0, Poly.constant(1, ONE) + Poly.variable(1, 0))
 
 
 class Quotient:
@@ -282,6 +347,20 @@ def greedy_from_tensor(alphabet, tensor):
             else:
                 work.pop(u, None)
     return LiePolynomial(alphabet, coords)
+
+
+def _dynkin(alphabet, tensor):
+    """Left-nested bracketing word by word, expanded back to tensors."""
+    out = {}
+    for w, c in tensor.items():
+        if not w:
+            continue
+        br = {(w[0],): ONE}
+        for i in w[1:]:
+            br = _tensor_bracket(br, {(i,): ONE})
+        for u, cu in br.items():
+            out[u] = out.get(u, ZERO) + c * cu
+    return {w: c for w, c in out.items() if c}
 
 
 def lie_level_inversion(N):

@@ -728,6 +728,9 @@ def test_each_command_loads_only_its_modules(name):
         assert {m[len("hodgegauge."):] for m in loaded
                 if m.startswith("hodgegauge.")} == modules, args
         assert "concurrent.futures" not in loaded, args
+        # Scalars are int pairs; Fractions, and the decimal and numbers
+        # modules behind them, load only where one is converted or read
+        assert not {"fractions", "decimal"} & set(loaded), args
         if argv[0] == "lie":  # hashlib and OpenSSL load only to hash inputs
             assert not {"hashlib", "_hashlib"} & set(loaded), args
 

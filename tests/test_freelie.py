@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 
 from conftest import (
-    assert_raises_under_optimize, greedy_from_tensor, lie_level_inversion, mat,
+    _dynkin, assert_raises_under_optimize, greedy_from_tensor,
+    lie_level_inversion, mat,
 )
 from hodgegauge import cli, freelie
 from hodgegauge.freelie import (
@@ -422,3 +423,63 @@ def test_non_primitive_log_raises_under_optimize():
         "freelie.universal_log_pexp.__wrapped__(4)",
         "freelie.NotLieElement", "not primitive",
     )
+
+
+def test_lyndon_minimal_non_lie_log_raises(monkeypatch):
+    # the minimal word (0, 1) is Lyndon, but taking off its bracketing
+    # (0, 1) - (1, 0) leaves (1, 0), which is not: the extraction, not a
+    # separate check, is what finds that the log is not primitive
+    monkeypatch.setattr(
+        freelie, "_ts_log", lambda u, alphabet, N: {(0, 1): ONE}
+    )
+    with pytest.raises(NotLieElement, match="not primitive"):
+        universal_log_pexp.__wrapped__(4)
+
+
+def test_lyndon_minimal_non_lie_log_raises_under_optimize():
+    assert_raises_under_optimize(
+        "from hodgegauge import freelie\n"
+        "from hodgegauge.scalars import ONE\n"
+        "freelie._ts_log = lambda u, alphabet, N: {(0, 1): ONE}",
+        "freelie.universal_log_pexp.__wrapped__(4)",
+        "freelie.NotLieElement", "not primitive",
+    )
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_extraction_certifies_what_dynkin_certifies(N, monkeypatch):
+    # Dynkin-Specht-Wever: a homogeneous z_l of length l is a Lie element
+    # iff its left-nested bracketing D(z_l) is l * z_l.  The log of the
+    # transport passes that test, and its Lyndon extraction gives it back.
+    logs = []
+    ts_log = freelie._ts_log
+    monkeypatch.setattr(
+        freelie, "_ts_log", lambda *args: logs.append(ts_log(*args)) or logs[-1]
+    )
+    universal_log_pexp.__wrapped__(N)
+    (z,) = logs
+    A = alpha_alphabet(N)
+    by_len = {}
+    for w, c in z.items():
+        by_len.setdefault(len(w), {})[w] = c
+    for ell, part in by_len.items():
+        assert _dynkin(A, part) == {w: c * ell for w, c in part.items()}
+    assert LiePolynomial.from_tensor(A, z).to_tensor() == z
+
+
+@pytest.mark.parametrize("N, brackets", [(6, 5), (8, 38), (10, 175)])
+def test_log_pexp_brackets_only_the_words_it_extracts(N, brackets, monkeypatch):
+    # one tensor bracket per multi-letter word added to the expansion memo,
+    # so no primitivity check brackets anything beside the extraction
+    memo = {}
+    monkeypatch.setattr(freelie, "_EXPANSIONS", memo)
+    calls = []
+    bracket = freelie._tensor_bracket
+
+    def counted(a, b):
+        calls.append(1)
+        return bracket(a, b)
+
+    monkeypatch.setattr(freelie, "_tensor_bracket", counted)
+    universal_log_pexp.__wrapped__(N)
+    assert len(calls) == sum(len(w) >= 2 for w in memo) == brackets

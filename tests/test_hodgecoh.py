@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     _conjugation_on_graded,
     assert_raises_under_optimize,
+    direct_sum_mhs,
     mat,
     random_real_structure,
     realified_cohomology,
@@ -37,7 +38,6 @@ from hodgegauge.hodgecoh import (
 from hodgegauge.mhs import (
     GrStructure,
     HodgeNumbers,
-    direct_sum_mhs,
     pure,
     realize_real,
 )

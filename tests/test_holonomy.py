@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat, picard, picard_transport, segment_pullback
+from conftest import (
+    flat_sections_on_line, mat, picard, picard_transport, segment_pullback,
+)
 from hodgegauge.connection import (
     EquivariantConnection,
     GaugeTransformation,
@@ -17,7 +19,6 @@ from hodgegauge.holonomy import (
     PathError,
     PolygonalPath,
     convention_selftest,
-    flat_sections_on_line,
     holonomy_path,
     transport_segment,
     triangle_delta,

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports at top level is used in it,
-and every private helper it defines is named somewhere else in the package:
-stdlib stand-ins for a linter's unused-import and dead-code checks."""
+"""Every name a module of the package imports is used where it is
+imported: in the module for a top-level import, in the function or class
+body for one inside it; and every private helper it defines is named
+somewhere else in the package: stdlib stand-ins for a linter's
+unused-import and dead-code checks."""
 
 import ast
 import os
@@ -9,24 +11,52 @@ import pytest
 
 PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "hodgegauge")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def unused_imports(source):
-    tree = ast.parse(source)
-    imported = set()
-    for node in tree.body:
+def _imported(body):
+    # the names bound by the imports of a block and of the blocks nested in
+    # it, but not of the functions and classes it defines
+    names = []
+    stack = list(body)
+    while stack:
+        node = stack.pop()
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(imported - used)
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unused_imports(source):
+    """Imported names that the importing scope never reads; a function's
+    nested functions count as part of it."""
+    tree = ast.parse(source)
+    out = []
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, _SCOPES)]:
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        out += [name for name in _imported(scope.body) if name not in used]
+    return sorted(out)
 
 
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import random\nfrom .x import a, b as c\nc()\n") == [
         "a", "random"
     ]
+
+
+def test_the_check_sees_an_unused_import_inside_a_function():
+    source = (
+        "import json\n"
+        "def f():\n    from fractions import Fraction\n    return json\n"
+        "def g(x):\n    if x:\n        from math import gcd\n    return Fraction\n"
+        "def h():\n    import os.path\n    def k():\n        return os.sep\n"
+        "    return k\n"
+        "class C:\n    def m(self):\n        import re\n        return re\n"
+    )
+    assert unused_imports(source) == ["Fraction", "gcd"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import (
     Quotient,
+    conjugate_mhs,
     coords,
+    direct_sum_mhs,
     gapped_form,
     gr_coords,
     lift,
@@ -16,6 +18,7 @@ from conftest import (
     quotient_route,
     span,
     sparse_form,
+    validate_morphism,
     vec,
 )
 from hodgegauge import linalg
@@ -32,14 +35,11 @@ from hodgegauge.mhs import (
     HodgeNumbers,
     OpposednessViolation,
     RealMHS,
-    conjugate_mhs,
-    direct_sum_mhs,
     dual_mhs,
     pure,
     realize_real,
     tensor_mhs,
     validate_mhs,
-    validate_morphism,
 )
 from hodgegauge.scalars import I, ONE, Scalar, ZERO
 from hodgegauge.splitting import delta_to_mhs

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgegauge.linalg import Matrix
-from hodgegauge.scalars import MAX_DIGITS, FieldError, I, ONE, Scalar, ZERO
+from hodgegauge.scalars import (
+    MAX_DIGITS, FieldError, I, ONE, Scalar, ZERO, _coerce,
+)
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
@@ -177,6 +179,18 @@ def test_zero_denominators_raise():
             x / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO ** -1
+
+
+def test_fractions_convert_and_read_back():
+    # scalars imports fractions only on these paths, on first use
+    x = Scalar(Fraction(3, 4))
+    assert (x.re, x.im) == (Fraction(3, 4), Fraction(0))
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert (I.re, I.im) == (0, 1)
+    assert _coerce(Fraction(1, 2)) == Scalar.parse("1/2")
+    assert str(ONE - Fraction(1, 2)) == "1/2"
+    with pytest.raises(TypeError, match="cannot coerce"):
+        _coerce(1.5)
 
 
 def test_floats_and_strings_are_rejected():

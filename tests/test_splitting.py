@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    conjugate_delta,
+    conjugate_mhs,
     coords,
+    direct_sum_mhs,
     fixture_dir,
     gapped_form,
     gr_coords,
@@ -19,6 +22,7 @@ from conftest import (
     side_matrix_delta,
     span,
     sparse_form,
+    validate_morphism,
 )
 from hodgegauge.documents import parse
 from hodgegauge.fixtures import (
@@ -48,8 +52,6 @@ from hodgegauge.mhs import (
     HodgeNumbers,
     OpposednessViolation,
     RealMHS,
-    conjugate_mhs,
-    direct_sum_mhs,
     dual_mhs,
     pure,
     realize_real,
@@ -59,7 +61,6 @@ from hodgegauge.splitting import (
     DeltaError,
     DeltaObject,
     block_permutation,
-    conjugate_delta,
     delta_operator,
     delta_to_mhs,
     log_delta_components,
@@ -103,8 +104,6 @@ def test_delta_of_kummer():
 
 
 def test_delta_of_pure_sums_is_identity():
-    from hodgegauge.mhs import direct_sum_mhs
-
     V = direct_sum_mhs(pure(0, 0), pure(-1, 2))
     assert delta_operator(GrStructure(V)).delta == Matrix.identity(2)
 
@@ -157,8 +156,6 @@ def test_delta_to_mhs_model_isomorphic_to_kummer():
     model = delta_to_mhs(kummer_delta(c))
     V = kummer(c)
     # basis swap: the model lists the (-1,-1) line first
-    from hodgegauge.mhs import validate_morphism
-
     g = mat([[0, 1], [1, 0]])
     assert validate_morphism(g, model, V)
     assert validate_morphism(g.inverse(), V, model)
