@@ -182,7 +182,14 @@ def connection_form(C):
 
 
 def curvature(C):
-    """The dt1^dt2 coefficient d1 Q - d2 P + [P, Q]; zero iff flat."""
+    """The dt1^dt2 coefficient d1 Q - d2 P + [P, Q]; zero iff flat.
+
+    With B = -A (Fock-Schwinger) it vanishes iff the connection is zero.
+    Its linear part is -sum (p + q) A_{p,q} t1^{p-1} t2^{q-1}, one monomial
+    per block, and each commutator term has total degree >= 2d - 2 > d - 2,
+    where d is the least p + q over the nonzero blocks: so the monomial of
+    degree d - 2 of a least block cannot cancel.
+    """
     P, Q = connection_form(C)
     return Q.diff(0) - P.diff(1) + P.commutator(Q)
 

@@ -408,9 +408,10 @@ def universal_log_pexp(N):
         if c:
             u[w] = c
         for i, wi in enumerate(weights):
-            if wt + wi <= N:
-                state[(i,) + w] = (hs[i] * poly).antiderivative()
-                words.append(((i,) + w, wt + wi))
+            if wt + wi > N:
+                break  # letters come by weight: the rest are heavier still
+            state[(i,) + w] = (hs[i] * poly).antiderivative()
+            words.append(((i,) + w, wt + wi))
     z = _ts_log(u, alphabet, N)
     # the log of a group-like series is primitive, and the extraction is
     # the proof: it returns only once z = sum c_w b(w) over Lyndon words w

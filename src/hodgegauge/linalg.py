@@ -3,6 +3,12 @@
 Subspaces are kept in reduced row echelon form so that equality of subspaces
 is equality of representations.  All rank decisions are exact; there is no
 floating point anywhere.
+
+_reduce is the one elimination (Matrix.det, used by tests only, keeps its
+own): rref is the rows it keeps plus a second _reduce that clears above
+the pivots, rank is the count it keeps, Subspace.intersect is one _reduce
+of the Zassenhaus rows, and Subspace.conjugate needs none, since
+conjugation keeps a reduced echelon basis reduced.
 """
 
 from __future__ import annotations
@@ -144,37 +150,20 @@ class Matrix:
         return tuple(row[j] for row in self.rows)
 
     def rref(self):
-        """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
-        rows = [list(r) for r in self.rows]
-        nr, nc = self.shape
-        pivots = []
-        pr = 0
-        for pc in range(nc):
-            src = None
-            for r in range(pr, nr):
-                if rows[r][pc]:
-                    src = r
-                    break
-            if src is None:
-                continue
-            rows[pr], rows[src] = rows[src], rows[pr]
-            if rows[pr][pc] != ONE:
-                inv = ONE / rows[pr][pc]
-                rows[pr] = [inv * x if x else x for x in rows[pr]]
-            for r in range(nr):
-                if r != pr and rows[r][pc]:
-                    f = rows[r][pc]
-                    rows[r] = [
-                        x - f * y if y else x for x, y in zip(rows[r], rows[pr])
-                    ]
-            pivots.append(pc)
-            pr += 1
-            if pr == nr:
-                break
-        return Matrix._of(tuple(map(tuple, rows)), nc), tuple(pivots)
+        """Reduced row echelon form; returns (Matrix, pivot column tuple):
+        the rows _reduce keeps, each cleared above its pivot by a second
+        _reduce that scans the pivots from the last one up."""
+        nc = self.ncols
+        kept = {j: v for j, v in _reduce(self.rows, range(nc)) if j is not None}
+        pivots = tuple(sorted(kept))
+        up = pivots[::-1]
+        rows = [tuple(v) for _, v in _reduce([kept[j] for j in up], up)]
+        rows.reverse()
+        rows += ((ZERO,) * nc,) * (self.nrows - len(pivots))
+        return Matrix._of(tuple(rows), nc), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return sum(j is not None for j, _ in _reduce(self.rows, range(self.ncols)))
 
     def right_kernel(self):
         """Rows spanning {v : self @ v = 0}, in echelon order."""
@@ -378,19 +367,14 @@ class Subspace:
             return other
         if other.dim == other.n:
             return self
-        stacked = vstack(self.basis, -other.basis)
-        coeffs = stacked.transpose().right_kernel()
-        ra = self.dim
-        rows = []
-        for coeff in coeffs.rows:
-            v = [ZERO] * self.n
-            for c, brow in zip(coeff[:ra], self.basis.rows):
-                if c:
-                    for j, x in enumerate(brow):
-                        if x:
-                            v[j] = v[j] + c * x
-            rows.append(tuple(v))
-        return Subspace._span(Matrix._of(tuple(rows), self.n))
+        # Zassenhaus: the rows (u | u) and (v | 0) reduced on their first
+        # half; a row that reduces to (0 | w) has w in U ∩ V, and those w
+        # are a basis of it
+        n = self.n
+        zero = (ZERO,) * n
+        rows = [u + u for u in self.basis.rows] + [v + zero for v in other.basis.rows]
+        meet = tuple(tuple(w[n:]) for j, w in _reduce(rows, range(n)) if j is None)
+        return Subspace._span(Matrix._of(meet, n))
 
     def contains(self, other):
         self._check_ambient(other)
@@ -405,7 +389,8 @@ class Subspace:
         return Subspace._span(self.basis @ f.transpose())
 
     def conjugate(self):
-        return Subspace._span(self.basis.conjugate())
+        # conjugation fixes 0 and 1, so the basis stays reduced echelon
+        return Subspace(self.n, self.basis.conjugate())
 
     def annihilator(self):
         """{phi : phi(u) = 0 for u in self}, in dual coordinates."""

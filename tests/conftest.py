@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -69,6 +70,22 @@ def fixture_dir():
     import hodgegauge
 
     return os.path.join(os.path.dirname(hodgegauge.__file__), "fixtures")
+
+
+def fixture_deltas():
+    """The delta of every fixture that has one."""
+    from hodgegauge import cli
+    from hodgegauge.documents import parse
+
+    deltas = []
+    for name in sorted(os.listdir(fixture_dir())):
+        with open(os.path.join(fixture_dir(), name)) as fh:
+            try:
+                deltas.append(cli._delta(parse(json.load(fh))))
+            except (ValueError, cli.Violation):
+                pass  # a connection document, or no structure
+    assert len(deltas) >= 20
+    return deltas
 
 
 def assert_raises_under_optimize(setup, call, error, match):

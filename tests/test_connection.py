@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat
+from conftest import fixture_deltas, mat
 from hodgegauge import connection, holonomy, linalg, splitting
 from hodgegauge.connection import (
     AdmissibilityError,
@@ -54,6 +54,22 @@ def test_admissibility_rejects_bad_support():
 
 def test_curvature_zero_connection():
     assert curvature(EquivariantConnection.zero(KH)).is_zero()
+
+
+def test_a_fock_schwinger_connection_is_flat_iff_zero():
+    # roundtrip reads flatness off C.is_zero(); the proof is in curvature's
+    # docstring, and this compares the two on every fixture and 240 seeded
+    # connections
+    rng = random.Random(31)
+    deltas = fixture_deltas() + [
+        random_delta(rng, max_dim=6, weight_lo=-4, weight_hi=4) for _ in range(240)
+    ]
+    flat = 0
+    for d in deltas:
+        C = connection_from_delta(d)
+        assert curvature(C).is_zero() == C.is_zero()
+        flat += C.is_zero()
+    assert 0 < flat < len(deltas)
 
 
 def test_curvature_k_type_is_minus_two_a():

@@ -1,13 +1,18 @@
 """The exact kernel against sympy's Gaussian-rational matrices.
 
 rank, rref, det, inverse and the multi-row solve_left are compared with
-sympy's DomainMatrix over QQ_I on seeded random Q(i) matrices, including
-rank-deficient, inconsistent and zero-row inputs; shapes, transposes,
-products and kernels with no rows or no columns are compared too.
+sympy's DomainMatrix over QQ_I on seeded random Q(i) matrices up to
+10 x 20, including rank-deficient, inconsistent and zero-row inputs,
+inputs already in RREF and inputs with repeated rows; Subspace.intersect
+is compared with a nullspace route and Subspace.conjugate with a
+conjugated RREF; shapes, transposes, products and kernels with no rows or
+no columns are compared too.  Every reference route in conftest runs on
+the kernel's own elimination, so this is its independent check.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -59,28 +64,42 @@ def random_rows(rng, r, c, rank=None):
     )
 
 
-def shapes(rng, count):
+def shapes(rng, count, max_r=5, max_c=5):
     for _ in range(count):
-        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        r, c = rng.randint(0, max_r), rng.randint(0, max_c)
         yield r, c, (rng.randint(0, min(r, c)) if rng.random() < 0.5 else None)
+
+
+def check_rref(rows, c):
+    M = Matrix(rows) if rows else Matrix.zeros(0, c)
+    R, pivots = M.rref()
+    want, want_pivots = to_dm(rows, c).rref()
+    assert pivots == tuple(want_pivots)
+    assert R.rows == from_dm(want)
+    assert M.rank() == len(pivots) == to_dm(rows, c).rank()
 
 
 def test_rank_and_rref_match_sympy():
     rng = random.Random(3)
-    for r, c, k in shapes(rng, 60):
+    for r, c, k in chain(shapes(rng, 60), shapes(rng, 40, 10, 20)):
         rows = random_rows(rng, r, c, k)
-        R, pivots = Matrix(rows).rref()
-        want, want_pivots = to_dm(rows, c).rref()
-        assert pivots == tuple(want_pivots)
-        assert R.rows == from_dm(want)
-        assert Matrix(rows).rank() == to_dm(rows, c).rank()
+        check_rref(rows, c)
+        # an input already in RREF is its own RREF
+        check_rref(from_dm(to_dm(rows, c).rref()[0]), c)
+        if rows:
+            # repeated rows, scaled and in another order
+            extra = [tuple(Scalar(-2, 1) * x for x in rng.choice(rows))
+                     for _ in range(rng.randint(1, 3))]
+            mixed = list(rows) + extra + [rng.choice(rows)]
+            rng.shuffle(mixed)
+            check_rref(tuple(mixed), c)
 
 
 def test_det_and_inverse_match_sympy():
     rng = random.Random(4)
     singular = 0
-    for _ in range(40):
-        n = rng.randint(0, 5)
+    for _ in range(50):
+        n = rng.randint(0, 10)
         rows = random_rows(rng, n, n, n - 1 if n and rng.random() < 0.3 else None)
         M, dm = Matrix(rows), to_dm(rows, n)
         det = dm.det()
@@ -112,7 +131,7 @@ def check_solutions(A_rows, ncols, b_rows):
 def test_solve_left_matches_sympy():
     rng = random.Random(5)
     outcomes = set()
-    for r, c, k in shapes(rng, 60):
+    for r, c, k in chain(shapes(rng, 60), shapes(rng, 30, 10, 20)):
         A_rows = random_rows(rng, r, c, k)
         m = rng.randint(0, 3)
         if rng.random() < 0.5 and r:
@@ -123,6 +142,56 @@ def test_solve_left_matches_sympy():
             b_rows = random_rows(rng, m, c)
         outcomes.add(check_solutions(A_rows, c, b_rows))
     assert outcomes == {True, False}
+
+
+def random_subspace(rng, n):
+    k = rng.randint(0, n)
+    rank = rng.randint(0, k) if k else None
+    return Subspace.from_rows(n, random_rows(rng, k, n, rank))
+
+
+def canonical(rows, n):
+    """The nonzero rows of sympy's RREF of rows."""
+    if not rows:
+        return ()
+    return tuple(row for row in from_dm(to_dm(rows, n).rref()[0]) if any(row))
+
+
+def test_intersect_matches_sympy():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        U, V = random_subspace(rng, n), random_subspace(rng, n)
+        if rng.random() < 0.4 and U.dim:
+            # share part of U, so that the meet is often neither 0 nor U
+            V = V.add(Subspace.from_rows(n, U.basis.rows[: rng.randint(1, U.dim)]))
+        both = U.basis.rows + V.basis.rows
+        want = ()
+        if U.dim and V.dim:
+            # (a, b) with a U + b V = 0 gives a U in U ∩ V
+            null = from_dm(to_dm(both, n).transpose().nullspace())
+            if null:
+                a = to_dm(tuple(x[: U.dim] for x in null), U.dim)
+                want = canonical(from_dm(a * to_dm(U.basis.rows, n)), n)
+        got = U.intersect(V)
+        assert got.basis.rows == want
+        assert got.basis.shape == (len(want), n)
+        seen.add((got.dim == 0, got.dim in (U.dim, V.dim)))
+    assert len(seen) >= 3
+
+
+def test_conjugate_matches_sympy():
+    rng = random.Random(16)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        U = random_subspace(rng, n)
+        rows = tuple(
+            tuple(from_qqi(QQ_I(z.x, -z.y)) for z in row)
+            for row in to_dm(U.basis.rows, n).to_list()
+        )
+        assert U.conjugate().basis.rows == canonical(rows, n)
+        assert U.conjugate().conjugate() == U
 
 
 def test_solve_left_zero_row_inputs():

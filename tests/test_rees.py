@@ -1,16 +1,12 @@
-import json
-import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
-    _laurent_det, assert_raises_under_optimize, fixture_dir, span,
+    _laurent_det, assert_raises_under_optimize, fixture_deltas, span,
     two_filtration_rees_type,
 )
-from hodgegauge import cli
-from hodgegauge.documents import parse
 from hodgegauge.fixtures import kummer, kummer_delta, random_delta, t3_delta
 from hodgegauge.linalg import InvariantError, Matrix, Subspace, _reduce
 from hodgegauge.mhs import (
@@ -351,23 +347,10 @@ def test_column_reduction_matches_the_cofactor_determinant():
     assert min(seen.values()) > 250, seen
 
 
-def _fixture_deltas():
-    """The delta of every fixture that has one."""
-    deltas = []
-    for name in sorted(os.listdir(fixture_dir())):
-        with open(os.path.join(fixture_dir(), name)) as fh:
-            try:
-                deltas.append(cli._delta(parse(json.load(fh))))
-            except (ValueError, cli.Violation):
-                pass  # a connection document, or no structure
-    assert len(deltas) >= 20
-    return deltas
-
-
 def test_the_line_path_runs_no_elimination_and_no_substitution(monkeypatch):
     # each fixture's Rees lines are restricted and typed by the column
     # reduction alone: no rref (so no right_kernel) and no Poly.subs
-    phis = [rees_patching(d) for d in _fixture_deltas()]
+    phis = [rees_patching(d) for d in fixture_deltas()]
     calls = []
 
     def count(name, fn):
@@ -399,7 +382,7 @@ def test_the_certificate_agrees_with_the_reduction_on_deltas():
     # the CLI's lines: the weight line and the three default points
     lines = (W_LINE, (Scalar(-1), ZERO), (Scalar(2), Scalar(3)),
              (Scalar(0, 1), Scalar(-1)))
-    for d in _fixture_deltas() + [_chain_delta(16), _chain_delta(24)]:
+    for d in fixture_deltas() + [_chain_delta(16), _chain_delta(24)]:
         phi = rees_patching(d)
         t = unipotent_line_type(phi)
         assert t == (0,) * d.hodge.dim
