@@ -8,7 +8,8 @@ _reduce is the one elimination (Matrix.det, used by tests only, keeps its
 own): rref is the rows it keeps plus a second _reduce that clears above
 the pivots, rank is the count it keeps, Subspace.intersect is one _reduce
 of the Zassenhaus rows, and Subspace.conjugate needs none, since
-conjugation keeps a reduced echelon basis reduced.
+conjugation keeps a reduced echelon basis reduced.  solve_left is the one
+change of coordinates: Matrix.inverse and adapted_position go through it.
 """
 
 from __future__ import annotations
@@ -180,20 +181,12 @@ class Matrix:
         return Matrix._of(tuple(basis), nc)
 
     def inverse(self):
-        n = self.nrows
-        if n != self.ncols:
+        if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of non-square matrix")
-        aug = Matrix._of(
-            tuple(
-                row + tuple(ONE if i == j else ZERO for j in range(n))
-                for i, row in enumerate(self.rows)
-            ),
-            2 * n,
-        )
-        R, pivots = aug.rref()
-        if pivots[:n] != tuple(range(n)):
+        sols = solve_left(self, Matrix.identity(self.nrows).rows)
+        if sols is None:
             raise ValueError("matrix is singular")
-        return Matrix._of(tuple(row[n:] for row in R.rows), n)
+        return Matrix._of(sols, self.ncols)
 
     def det(self):
         n = self.nrows
@@ -281,12 +274,11 @@ def adapted_position(d, f, g):
     levels falling, whose rows of level >= p span the step p: d triples
     (p, q, row), the rows a basis of K^d, such that F^p ∩ G^q is spanned by
     the rows of levels >= (p, q).  The rows of f are written in the basis g
-    (one elimination), and each is reduced by the rows before it until its
+    (one solve_left), and each is reduced by the rows before it until its
     last nonzero coordinate is new.  Then a combination lies in G^q exactly
     when each of its rows does: when its last coordinate has level >= q.
     """
-    R = Matrix._of(tuple(r for _, r in g + f), d).transpose().rref()[0]
-    coords = zip(*(row[d:] for row in R.rows))
+    coords = solve_left(Matrix._of(tuple(r for _, r in g), d), [r for _, r in f])
     reduced = _reduce((x + row for x, (_, row) in zip(coords, f)),
                       range(d - 1, -1, -1))
     return [(p, g[j][0], tuple(v[d:])) for (p, _), (j, v) in zip(f, reduced)]

@@ -9,6 +9,7 @@ structural equality of structures is decidable bit-for-bit.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import islice
 
 from .linalg import (
     DimensionMismatch,
@@ -16,6 +17,7 @@ from .linalg import (
     Subspace,
     _reduce,
     adapted_position,
+    solve_left,
 )
 
 
@@ -259,11 +261,11 @@ class AdaptedTriple:
     on.  ``rows[side]`` is one basis adapted to F' (or F'') and W (Fulton,
     Young Tableaux, ch. 10): (level, weight, row) in these coordinates,
     F^p ∩ W_m spanned by the rows of level >= p and weight <= m.  It is the
-    basis that ``F.validate()`` returns times the inverse of ``basis``,
-    each row reduced by the rows before it until its first nonzero
-    coordinate, whose chart is its weight, is new.  Nothing here assumes
-    opposedness; a filtration that is not monotone or not exhaustive raises
-    FiltrationError.
+    basis that ``F.validate()`` returns written in the rows of ``basis``
+    (one solve_left for both sides), each row reduced by the rows before it
+    until its first nonzero coordinate, whose chart is its weight, is new.
+    Nothing here assumes opposedness; a filtration that is not monotone or
+    not exhaustive raises FiltrationError.
     """
 
     def __init__(self, V):
@@ -279,12 +281,11 @@ class AdaptedTriple:
             basis.extend(blocks[n])
             weight.extend([n] * len(blocks[n]))
         self.basis = Matrix._of(tuple(basis), V.n)
-        inv = self.basis.inverse()
+        moved = iter(solve_left(self.basis, [r for f in flags.values() for _, r in f]))
         self.rows = {}
         for side, f in flags.items():
-            moved = (Matrix._of(tuple(r for _, r in f), V.n) @ inv).rows
             self.rows[side] = [(level, weight[j], tuple(v)) for (level, _), (j, v)
-                               in zip(f, _reduce(moved, range(V.n)))]
+                               in zip(f, _reduce(islice(moved, len(f)), range(V.n)))]
 
     def graded(self):
         """(n, adapted_position of F' and F'' in the chart of Gr^W_n) for

@@ -1,11 +1,13 @@
 """Sparse exact polynomials and polynomial matrices.
 
-Supports one- and two-variable (Laurent) polynomials over Scalar.  Exponent
-tuples index the terms; negative exponents are allowed only when the Laurent
-flag is set.  Used for connection forms, patching functions, and exact
-segment integration.  ``hypotenuse_pullback`` is the one pullback that both
-the canonical connection and the free-Lie tables integrate, kept here so
-that the tables load without ``connection``.
+Supports one- and two-variable polynomials over Scalar.  Exponent tuples
+index the terms, and exponents may be negative (Laurent polynomials);
+LaurentError is raised only where the mathematics fails, at the
+antiderivative of x^-1 and at substitution into a negative power.  Used
+for connection forms, patching functions, and exact segment integration.
+``hypotenuse_pullback`` is the one pullback that both the canonical
+connection and the free-Lie tables integrate, kept here so that the tables
+load without ``connection``.
 """
 
 from __future__ import annotations
@@ -21,35 +23,30 @@ _set = object.__setattr__
 
 
 class LaurentError(ValueError):
-    """Negative exponent in a non-Laurent polynomial."""
+    """A negative exponent where the operation has no polynomial answer."""
 
 
 class Poly:
-    __slots__ = ("nvars", "laurent", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms, laurent=False):
+    def __init__(self, nvars, terms):
         clean = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError("exponent arity %d != nvars %d" % (len(exps), nvars))
             coeff = _coerce(coeff)
-            if not coeff:
-                continue
-            if not laurent and any(e < 0 for e in exps):
-                raise LaurentError("negative exponent %r" % (exps,))
-            clean[exps] = coeff
+            if coeff:
+                clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "laurent", laurent)
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _of(cls, nvars, terms, laurent):
+    def _of(cls, nvars, terms):
         # internal constructor for kernel results: Scalar coefficients on
-        # exponent tuples already valid for nvars and laurent; drops zeros
+        # exponent tuples already valid for nvars; drops zeros
         p = _new(cls)
         _set(p, "nvars", nvars)
-        _set(p, "laurent", laurent)
         _set(p, "terms", {e: c for e, c in terms.items() if c})
         return p
 
@@ -57,18 +54,18 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def constant(cls, nvars, c, laurent=False):
-        return cls(nvars, {(0,) * nvars: _coerce(c)}, laurent)
+    def constant(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: _coerce(c)})
 
     @classmethod
-    def monomial(cls, nvars, exps, c=ONE, laurent=False):
-        return cls(nvars, {tuple(exps): _coerce(c)}, laurent)
+    def monomial(cls, nvars, exps, c=ONE):
+        return cls(nvars, {tuple(exps): _coerce(c)})
 
     @classmethod
-    def variable(cls, nvars, idx, laurent=False):
+    def variable(cls, nvars, idx):
         exps = [0] * nvars
         exps[idx] = 1
-        return cls(nvars, {tuple(exps): ONE}, laurent)
+        return cls(nvars, {tuple(exps): ONE})
 
     def is_zero(self):
         return not self.terms
@@ -76,7 +73,6 @@ class Poly:
     def _compat(self, other):
         if self.nvars != other.nvars:
             raise DimensionMismatch("nvars %d vs %d" % (self.nvars, other.nvars))
-        return self.laurent or other.laurent
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -87,34 +83,30 @@ class Poly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        laurent = self._compat(other)
+        self._compat(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, ZERO) + c
-        return Poly._of(self.nvars, terms, laurent)
+        return Poly._of(self.nvars, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly._of(
-            self.nvars, {e: -c for e, c in self.terms.items()}, self.laurent
-        )
+        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        laurent = self._compat(other)
+        self._compat(other)
         terms = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
                 terms[key] = terms.get(key, ZERO) + ca * cb
-        return Poly._of(self.nvars, terms, laurent)
+        return Poly._of(self.nvars, terms)
 
     def scale(self, c):
         c = _coerce(c)
-        return Poly._of(
-            self.nvars, {e: c * x for e, x in self.terms.items()}, self.laurent
-        )
+        return Poly._of(self.nvars, {e: c * x for e, x in self.terms.items()})
 
     def diff(self, var):
         terms = {}
@@ -124,7 +116,7 @@ class Poly:
                 continue
             key = exps[:var] + (e - 1,) + exps[var + 1 :]
             terms[key] = terms.get(key, ZERO) + c * Scalar(e)
-        return Poly._of(self.nvars, terms, self.laurent)
+        return Poly._of(self.nvars, terms)
 
     def subs(self, var, repl):
         """Substitute the polynomial `repl` for variable `var`.
@@ -135,9 +127,8 @@ class Poly:
         """
         if repl.nvars != self.nvars:
             raise DimensionMismatch("substitution arity mismatch")
-        laurent = self.laurent or repl.laurent
-        out = Poly._of(self.nvars, {}, laurent)
-        powers = [Poly._of(self.nvars, {(0,) * self.nvars: ONE}, repl.laurent)]
+        out = Poly._of(self.nvars, {})
+        powers = [Poly._of(self.nvars, {(0,) * self.nvars: ONE})]
 
         def rpow(k):
             while len(powers) <= k:
@@ -149,12 +140,13 @@ class Poly:
             if e < 0:
                 raise LaurentError("cannot substitute into negative power")
             rest = exps[:var] + (0,) + exps[var + 1 :]
-            mono = Poly._of(self.nvars, {rest: c}, laurent)
+            mono = Poly._of(self.nvars, {rest: c})
             out = out + mono * rpow(e)
         return out
 
     def eval(self, point):
-        """Evaluate at a tuple of Scalars (nonzero where Laurent requires).
+        """Evaluate at a tuple of Scalars (nonzero where an exponent is
+        negative).
         Each power of a coordinate is formed once, and coordinates equal to
         one are skipped."""
         coords = [(v, x) for v, x in enumerate(point[: self.nvars]) if x != ONE]
@@ -170,21 +162,21 @@ class Poly:
             acc = acc + c
         return acc
 
-    def antiderivative(self, var=0):
+    def antiderivative(self):
+        """Antiderivative in the first variable, with no constant term."""
         terms = {}
         for exps, c in self.terms.items():
-            e = exps[var]
+            e = exps[0]
             if e == -1:
                 raise LaurentError("no rational antiderivative of 1/x")
-            key = exps[:var] + (e + 1,) + exps[var + 1 :]
-            terms[key] = c / Scalar(e + 1)
-        return Poly._of(self.nvars, terms, self.laurent)
+            terms[(e + 1,) + exps[1:]] = c / Scalar(e + 1)
+        return Poly._of(self.nvars, terms)
 
-    def integrate(self, a, b, var=0):
-        """Exact definite integral over [a, b] in the given variable."""
+    def integrate(self, a, b):
+        """Exact definite integral over [a, b]."""
         if self.nvars != 1:
             raise ValueError("definite integration needs a univariate polynomial")
-        F = self.antiderivative(var)
+        F = self.antiderivative()
         return F.eval((b,)) - F.eval((a,))
 
     def __str__(self):
@@ -235,26 +227,26 @@ class PolyMatrix:
         raise AttributeError("PolyMatrix is immutable")
 
     @classmethod
-    def from_scalar_matrix(cls, nvars, m, laurent=False):
+    def from_scalar_matrix(cls, nvars, m):
         const = (0,) * nvars
         return cls._of(
             nvars,
             tuple(
-                tuple(Poly._of(nvars, {const: x}, laurent) for x in row)
+                tuple(Poly._of(nvars, {const: x}) for x in row)
                 for row in m.rows
             ),
             m.ncols,
         )
 
     @classmethod
-    def zeros(cls, nvars, r, c, laurent=False):
-        zero = Poly._of(nvars, {}, laurent)
+    def zeros(cls, nvars, r, c):
+        zero = Poly._of(nvars, {})
         return cls._of(nvars, ((zero,) * c,) * r, c)
 
     @classmethod
-    def identity(cls, nvars, n, laurent=False):
-        zero = Poly._of(nvars, {}, laurent)
-        one = Poly._of(nvars, {(0,) * nvars: ONE}, laurent)
+    def identity(cls, nvars, n):
+        zero = Poly._of(nvars, {})
+        one = Poly._of(nvars, {(0,) * nvars: ONE})
         return cls._of(
             nvars,
             tuple(
@@ -313,7 +305,7 @@ class PolyMatrix:
                     prod = a * b
                     acc = prod if acc is None else acc + prod
                 if acc is None:
-                    acc = Poly._of(self.nvars, {}, True)
+                    acc = Poly._of(self.nvars, {})
                 out_row.append(acc)
             out.append(tuple(out_row))
         return PolyMatrix._of(self.nvars, tuple(out), other.ncols)
@@ -368,10 +360,10 @@ class PolyMatrix:
                 s.update(p.terms)
         return s
 
-    def integrate(self, a, b, var=0):
+    def integrate(self, a, b):
         return Matrix._of(
             tuple(
-                tuple(p.integrate(a, b, var) for p in row) for row in self.rows
+                tuple(p.integrate(a, b) for p in row) for row in self.rows
             ),
             self.ncols,
         )

@@ -120,7 +120,7 @@ def rees_patching(dobj):
         for j in range(n):
             pp, qq = owner[j]
             mono = ((pp + qq) - (p + q), p - pp)
-            row.append(Poly(2, {mono: dobj.delta[i, j]}, laurent=True))
+            row.append(Poly(2, {mono: dobj.delta[i, j]}))
         rows.append(tuple(row))
     return PolyMatrix(2, rows)
 
@@ -152,8 +152,8 @@ def restrict_to_line(phi, T):
     of xi0 dies and the restriction is the identity.
     """
     t1, t2 = (0, 0) if T == W_LINE else T
-    line = Poly(1, {(0,): -t2, (1,): -t1}, laurent=True)
-    powers = [Poly.constant(1, ONE, laurent=True)]
+    line = Poly(1, {(0,): -t2, (1,): -t1})
+    powers = [Poly.constant(1, ONE)]
 
     def entry(poly):
         terms = {}
@@ -164,7 +164,7 @@ def restrict_to_line(phi, T):
                 powers.append(powers[-1] * line)
             for (e,), x in powers[a].terms.items():
                 terms[b + e,] = terms.get((b + e,), ZERO) + c * x
-        return Poly._of(1, terms, True)
+        return Poly._of(1, terms)
 
     rows = tuple(tuple(entry(poly) for poly in row) for row in phi.rows)
     return P1TransitionMatrix(PolyMatrix._of(1, rows, phi.ncols))
@@ -195,7 +195,7 @@ def w_line_transition(V):
     for n, position in AdaptedTriple(V).graded():
         exps.extend(sorted((p + q - n for p, q, _ in position), reverse=True))
     return P1TransitionMatrix(PolyMatrix(1, [
-        tuple(Poly(1, {(e,): ONE} if i == j else {}, laurent=True)
+        tuple(Poly(1, {(e,): ONE} if i == j else {})
               for j in range(len(exps)))
         for i, e in enumerate(exps)
     ]))

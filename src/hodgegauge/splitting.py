@@ -160,21 +160,21 @@ def delta_to_mhs(dobj, check=True):
     """Mixed Hodge structure on the standard graded space realizing delta.
 
     W and F' are spanned by standard basis blocks; F'' is the image of the
-    standard decreasing-q flag under the inverse of delta.  Round-trips
-    with the splitting comparison by construction, and verifies that unless
-    check is disabled.
+    standard decreasing-q flag under the inverse of delta, so its steps are
+    spanned by the same blocks of rows of the inverse transpose of delta.
+    Round-trips with the splitting comparison by construction, and verifies
+    that unless check is disabled.
     """
     hodge = dobj.hodge
     n = hodge.dim
     blocks = hodge.blocks()
-    std = Matrix.identity(n).rows
 
-    def span(pred):
+    def span(pred, basis=Matrix.identity(n).rows):
         rows = []
         for (p, q), off, h in blocks:
             if pred(p, q):
-                rows.extend(std[off : off + h])
-        return Subspace.from_rows(n, rows)
+                rows.extend(basis[off : off + h])
+        return Subspace._span(Matrix._of(tuple(rows), n))
 
     weights = hodge.weights()
     W = Filtration(
@@ -193,13 +193,14 @@ def delta_to_mhs(dobj, check=True):
             for p0 in (range(ps[0], ps[-1] + 2) if ps else ())
         },
     )
-    dinv = dobj.delta.inverse()
+    # the image of e_i under delta^-1 is column i of delta^-1
+    dinvT = dobj.delta.inverse().transpose().rows
     qs = sorted({q for (p, q) in hodge.counts})
     Fpp = Filtration(
         Filtration.DEC,
         n,
         {
-            q0: span(lambda p, q: q >= q0).apply(dinv)
+            q0: span(lambda p, q: q >= q0, dinvT)
             for q0 in (range(qs[0], qs[-1] + 2) if qs else ())
         },
     )

@@ -455,14 +455,14 @@ def _laurent_det(pm):
     matrices here are small and sparse."""
     r, _ = pm.shape
     if r == 0:
-        return Poly.constant(1, ONE, laurent=True)
+        return Poly.constant(1, ONE)
 
     rows = pm.rows
 
     def minor(avail_rows, col, sign):
         if col == r:
-            return Poly.constant(1, sign, laurent=True)
-        acc = Poly(1, {}, laurent=True)
+            return Poly.constant(1, sign)
+        acc = Poly(1, {})
         for idx, i in enumerate(avail_rows):
             entry = rows[i][col]
             if entry.is_zero():

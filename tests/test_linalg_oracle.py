@@ -16,6 +16,7 @@ from itertools import chain
 
 import pytest
 
+from conftest import fixture_deltas
 from hodgegauge.linalg import DimensionMismatch, Matrix, Subspace, solve_left, vstack
 from hodgegauge.scalars import Scalar
 
@@ -97,10 +98,21 @@ def test_rank_and_rref_match_sympy():
 
 def test_det_and_inverse_match_sympy():
     rng = random.Random(4)
-    singular = 0
+    cases = []
     for _ in range(50):
         n = rng.randint(0, 10)
-        rows = random_rows(rng, n, n, n - 1 if n and rng.random() < 0.3 else None)
+        cases.append(random_rows(rng, n, n, n - 1 if n and rng.random() < 0.3 else None))
+    s, i = Scalar, Scalar(0, 1)
+    cases += [
+        (),  # 0 x 0
+        ((s(0),),),  # 1 x 1 zero
+        ((s(1), s(2), s(0)), (s(0), s(0), s(0)), (s(3), s(1), i)),  # a zero row
+        # rank 2, every entry nonzero
+        ((s(1), i, s(2)), (s(2), i + i, s(4)), (i + 1, s(3), s(-1))),
+    ] + [d.delta.rows for d in fixture_deltas()]  # unipotent
+    singular = 0
+    for rows in cases:
+        n = len(rows)
         M, dm = Matrix(rows), to_dm(rows, n)
         det = dm.det()
         assert M.det() == from_qqi(det)
@@ -108,9 +120,12 @@ def test_det_and_inverse_match_sympy():
             assert M.inverse().rows == from_dm(dm.inv())
         else:
             singular += 1
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^matrix is singular$"):
                 M.inverse()
-    assert singular
+    assert singular >= 3
+    for M in (Matrix(random_rows(rng, 2, 3)), Matrix.zeros(0, 3)):
+        with pytest.raises(DimensionMismatch, match="^inverse of non-square matrix$"):
+            M.inverse()
 
 
 def check_solutions(A_rows, ncols, b_rows):

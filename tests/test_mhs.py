@@ -21,7 +21,7 @@ from conftest import (
     validate_morphism,
     vec,
 )
-from hodgegauge import linalg
+from hodgegauge import linalg, mhs
 from hodgegauge.fixtures import (
     corrupt_weight_step, kummer, random_delta, random_mhs, real_kummer, t3
 )
@@ -393,8 +393,9 @@ def test_adapted_basis_matches_quotient_charts():
 
 def test_adapted_bases_need_no_span_per_step(monkeypatch):
     # each flag is read by the one reduction in validate, and the F' and F''
-    # steps reach the adapted basis through one product and one reduction
-    # per filtration: the only elimination is the inverse of the W basis
+    # steps reach the adapted basis through one reduction per filtration:
+    # the only elimination is the one solve_left that writes both sides in
+    # the W basis, and each chart's adapted_position makes one more
     calls = []
 
     def count(name, fn):
@@ -410,15 +411,22 @@ def test_adapted_bases_need_no_span_per_step(monkeypatch):
     monkeypatch.setattr(Subspace, "_span", classmethod(
         count("_span", Subspace._span.__func__)))
     monkeypatch.setattr(Matrix, "rref", count("rref", Matrix.rref))
-    monkeypatch.setattr(linalg, "solve_left", count("solve_left", linalg.solve_left))
+    monkeypatch.setattr(Matrix, "inverse", count("inverse", Matrix.inverse))
+    monkeypatch.setattr(Matrix, "__matmul__", count("@", Matrix.__matmul__))
+    solve = count("solve_left", linalg.solve_left)
+    monkeypatch.setattr(linalg, "solve_left", solve)
+    monkeypatch.setattr(mhs, "solve_left", solve)
     for V in structures:
         for f in (V.W, V.Fp, V.Fpp):
             assert len(f.validate()) == V.n
         assert calls == []
         adapted = AdaptedTriple(V)
-        assert calls == ["rref"]
+        assert calls == ["solve_left", "rref"]
         calls.clear()
         assert all(len(adapted.rows[side]) == V.n for side in ("Fp", "Fpp"))
+        for _ in adapted.graded():
+            assert calls == ["solve_left", "rref"]
+            calls.clear()
     GrStructure(structures[-1])
     assert "_span" in calls
 

@@ -49,10 +49,34 @@ def test_eval_two_vars():
 
 
 def test_laurent_eval_and_subs_guard():
-    q = Poly(1, {(-2,): ONE}, laurent=True)
+    q = Poly(1, {(-2,): ONE})
     assert q.eval((Scalar(2),)) == Scalar(Fraction(1, 4))
     with pytest.raises(LaurentError):
-        q.subs(0, Poly.variable(1, 0, laurent=True) + Poly.constant(1, ONE, laurent=True))
+        q.subs(0, Poly.variable(1, 0) + Poly.constant(1, ONE))
+
+
+def test_antiderivative_of_reciprocal_raises():
+    with pytest.raises(LaurentError) as err:
+        Poly(1, {(-1,): ONE}).antiderivative()
+    assert str(err.value) == "no rational antiderivative of 1/x"
+
+
+def test_negative_powers_integrate():
+    # x^-2 integrates to -x^-1
+    q = Poly(1, {(-2,): ONE})
+    assert q.antiderivative() == Poly(1, {(-1,): -ONE})
+    assert q.integrate(ONE, Scalar(2)) == Scalar(Fraction(1, 2))
+
+
+def test_mixed_sign_exponents():
+    x = Poly.variable(1, 0)
+    inv = Poly(1, {(-1,): ONE})
+    assert x + inv == Poly(1, {(1,): ONE, (-1,): ONE})
+    assert (inv + x) * (inv - x) == Poly(1, {(-2,): ONE, (2,): -ONE})
+    assert (x * inv).terms == {(0,): ONE}
+    p = Poly(2, {(-1, 2): Scalar(3), (1, -1): ONE, (0, 0): -ONE})
+    assert p.eval((Scalar(2), Scalar(-1))) == Scalar(Fraction(-3, 2))
+    assert (p * p).eval((Scalar(2), Scalar(-1))) == Scalar(Fraction(9, 4))
 
 
 def test_subs_composition():
@@ -141,6 +165,6 @@ def test_eval_matches_term_by_term(laurent):
                        Fraction(rng.randint(-2, 2)))
             for _ in range(rng.randint(0, 6))
         }
-        p = Poly(2, terms, laurent=laurent)
+        p = Poly(2, terms)
         for point in ((ONE, ONE), (-ONE, Scalar(2)), (i, -ONE)):
             assert p.eval(point) == _eval_term_by_term(p, point)

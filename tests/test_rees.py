@@ -30,7 +30,7 @@ from hodgegauge.splitting import DeltaObject, delta_operator
 def laurent_matrix(entries):
     """Square Laurent matrix from dicts exponent -> coefficient."""
     return PolyMatrix(1, [
-        tuple(Poly(1, {(e,): Scalar(0) + c for e, c in cell.items()}, laurent=True)
+        tuple(Poly(1, {(e,): Scalar(0) + c for e, c in cell.items()})
               for cell in row)
         for row in entries
     ])
@@ -108,7 +108,7 @@ def _product(rng, a):
 def test_patching_identity():
     d = kummer_delta(0)
     phi = rees_patching(d)
-    assert phi == PolyMatrix.identity(2, 2, laurent=True)
+    assert phi == PolyMatrix.identity(2, 2)
 
 
 def test_patching_kummer_entry():
@@ -128,7 +128,7 @@ def test_patching_at_ones_is_delta():
 def test_w_line_restriction_is_identity():
     for d in (kummer_delta(7), t3_delta(1, -2)):
         G = restrict_to_line(rees_patching(d), W_LINE)
-        assert G.matrix == PolyMatrix.identity(1, d.hodge.dim, laurent=True)
+        assert G.matrix == PolyMatrix.identity(1, d.hodge.dim)
 
 
 def test_line_restriction_kummer():
@@ -414,7 +414,7 @@ def test_unipotent_triangular_loops_are_trivial():
 def _phi(cells):
     """Two-variable Laurent matrix from dicts (a, b) -> coefficient of
     xi0^a xi1^b."""
-    return PolyMatrix(2, [tuple(Poly(2, c, laurent=True) for c in row)
+    return PolyMatrix(2, [tuple(Poly(2, c) for c in row)
                           for row in cells])
 
 
@@ -433,6 +433,6 @@ def test_the_certificate_refuses_under_optimize():
         "from hodgegauge.linalg import InvariantError\n"
         "from hodgegauge.poly import Poly, PolyMatrix\n"
         "from hodgegauge.rees import unipotent_line_type",
-        "unipotent_line_type(PolyMatrix(2, [(Poly.constant(2, 2, laurent=True),)]))",
+        "unipotent_line_type(PolyMatrix(2, [(Poly.constant(2, 2),)]))",
         "InvariantError", "not unitriangular",
     )
