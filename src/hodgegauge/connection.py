@@ -132,12 +132,7 @@ class GaugeTransformation:
     def matrix(self):
         """g as a polynomial matrix in (t1, t2)."""
         n = self.hodge.dim
-        g = PolyMatrix.identity(2, n)
-        for (p, q), M in sorted(self.C.items()):
-            g = g + PolyMatrix.from_scalar_matrix(2, M).scale_poly(
-                Poly.monomial(2, (p, q))
-            )
-        return g
+        return PolyMatrix.identity(2, n) + _block_form(n, self.C, 0, 0)
 
     def inverse_matrix(self):
         """g^{-1} via the terminating geometric series (g - 1 is nilpotent)."""
@@ -168,17 +163,17 @@ class GaugeTransformation:
 def connection_form(C):
     """The pair (P, Q) with Omega = P dt1 + Q dt2."""
     n = C.hodge.dim
-    P = PolyMatrix.zeros(2, n, n)
-    Q = PolyMatrix.zeros(2, n, n)
-    for (p, q), M in sorted(C.A.items()):
-        P = P + PolyMatrix.from_scalar_matrix(2, M).scale_poly(
-            Poly.monomial(2, (p - 1, q))
+    return _block_form(n, C.A, -1, 0), _block_form(n, C.B, 0, -1)
+
+
+def _block_form(n, blocks, a, b):
+    """sum M t1^(p+a) t2^(q+b) over the blocks (p, q) -> M, in (p, q) order."""
+    out = PolyMatrix.zeros(2, n, n)
+    for (p, q), M in sorted(blocks.items()):
+        out = out + PolyMatrix.from_scalar_matrix(2, M).scale_poly(
+            Poly.monomial(2, (p + a, q + b))
         )
-    for (p, q), M in sorted(C.B.items()):
-        Q = Q + PolyMatrix.from_scalar_matrix(2, M).scale_poly(
-            Poly.monomial(2, (p, q - 1))
-        )
-    return P, Q
+    return out
 
 
 def curvature(C):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .connection import _walk, connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import HodgeNumbers
-from .poly import Poly, PolyMatrix
+from .poly import Poly, powers
 from .scalars import ONE, ZERO, Scalar
 from .splitting import DeltaObject
 
@@ -55,26 +55,21 @@ TRIANGLE = ((0, 0), (-1, 0), (0, -1), (0, 0))
 
 
 def _segment_transport(C, a, b):
-    """T(s) along gamma(s) = a + s (b - a), s in [0, 1], by connection._walk.
+    """The nonzero off-diagonal entries of T(s), keyed by (i, j), along
+    gamma(s) = a + s (b - a), s in [0, 1], as connection._walk returns them;
+    the diagonal of T is 1.
 
     Entry (i, j) of a block (p, q) pulls back to
     A[i,j] x1^(p-1) x2^q x1' + B[i,j] x1^p x2^(q-1) x2' at x = gamma(s);
     only the nonzero entries of A and B are pulled back.
     """
-    one, s = Poly.constant(1, ONE), Poly.variable(1, 0)
+    s = Poly.variable(1, 0)
     speed = [b[k] - a[k] for k in (0, 1)]
-    gamma = [Poly.constant(1, a[k]) + s.scale(speed[k]) for k in (0, 1)]
-    powers = ([one], [one])
-
-    def power(k, e):
-        while len(powers[k]) <= e:
-            powers[k].append(powers[k][-1] * gamma[k])
-        return powers[k][e]
-
+    power = [powers(Poly.constant(1, a[k]) + s.scale(speed[k])) for k in (0, 1)]
     pull = {}
     for k, blocks in enumerate((C.A, C.B)):
         for (p, q), M in blocks.items():
-            h = (power(0, p - 1 + k) * power(1, q - k)).scale(speed[k])
+            h = (power[0](p - 1 + k) * power[1](q - k)).scale(speed[k])
             if not h.terms:
                 continue
             for i, row in enumerate(M.rows):
@@ -83,18 +78,19 @@ def _segment_transport(C, a, b):
                         m = h.scale(x)
                         pull[i, j] = pull[i, j] + m if (i, j) in pull else m
     pull = {ij: m for ij, m in pull.items() if m.terms}
-    T = _walk(C.hodge, lambda i, j, R: pull.get((i, j)))
-    n, zero = C.hodge.dim, Poly(1, {})
-    return PolyMatrix._of(1, tuple(
-        tuple(one if i == j else T.get((i, j), zero) for j in range(n))
-        for i in range(n)
-    ), n)
+    return _walk(C.hodge, lambda i, j, R: pull.get((i, j)))
 
 
 def transport_segment(C, a, b):
     """Exact transport matrix of the connection C along the straight segment
-    from a to b."""
-    return _segment_transport(C, a, b).eval((ONE,))
+    from a to b: T(1), read entry by entry off the walk."""
+    T = _segment_transport(C, a, b)
+    n = C.hodge.dim
+    return Matrix._of(tuple(
+        tuple(ONE if i == j else T[i, j].eval((ONE,)) if (i, j) in T else ZERO
+              for j in range(n))
+        for i in range(n)
+    ), n)
 
 
 def holonomy_path(C, path):
@@ -111,9 +107,10 @@ def triangle_delta(C):
     """Holonomy around the fixed triangle, as a DeltaObject.
 
     The pullback of an admissible form to either coordinate axis vanishes
-    (every monomial carries both variables), so the loop reduces to the
-    hypotenuse transport; each segment is transported once and the axis
-    segments are checked to be trivial.
+    (every monomial carries both variables), so the loop is the hypotenuse
+    transport: each segment is transported once, the two axis transports
+    are checked to be the identity, and the hypotenuse transport is
+    returned as it is.
     """
     first, hyp, last = (
         transport_segment(C, a, b)
@@ -122,7 +119,7 @@ def triangle_delta(C):
     one = Matrix.identity(C.hodge.dim)
     if first != one or last != one:
         raise InvariantError("axis transport is not trivial")
-    return DeltaObject(C.hodge, last @ hyp @ first)
+    return DeltaObject(C.hodge, hyp)
 
 
 def convention_selftest():

@@ -4,11 +4,11 @@ Subspaces are kept in reduced row echelon form so that equality of subspaces
 is equality of representations.  All rank decisions are exact; there is no
 floating point anywhere.
 
-_reduce is the one elimination (Matrix.det, used by tests only, keeps its
-own): rref is the rows it keeps plus a second _reduce that clears above
-the pivots, rank is the count it keeps, Subspace.intersect is one _reduce
-of the Zassenhaus rows, and Subspace.conjugate needs none, since
-conjugation keeps a reduced echelon basis reduced.  solve_left is the one
+_reduce is the one elimination: rref is the rows it keeps plus a second
+_reduce that clears above the pivots, rank is the count it keeps, det is
+read off the pivots it scales, Subspace.intersect is one _reduce of the
+Zassenhaus rows, and Subspace.conjugate needs none, since conjugation
+keeps a reduced echelon basis reduced.  solve_left is the one
 change of coordinates: Matrix.inverse and adapted_position go through it.
 """
 
@@ -189,29 +189,20 @@ class Matrix:
         return Matrix._of(sols, self.ncols)
 
     def det(self):
+        """sign(pivot order) times the pivots s_k that _reduce scales to 1,
+        read off the rows (a_k | e_k): row k's tail keeps 1/s_k at k."""
         n = self.nrows
         if n != self.ncols:
             raise DimensionMismatch("det of non-square matrix")
-        rows = [list(r) for r in self.rows]
-        det = ONE
-        for c in range(n):
-            src = None
-            for r in range(c, n):
-                if rows[r][c]:
-                    src = r
-                    break
-            if src is None:
+        rows = (a + e for a, e in zip(self.rows, Matrix.identity(n).rows))
+        order, inv = [], ONE
+        for k, (j, v) in enumerate(_reduce(rows, range(n))):
+            if j is None:
                 return ZERO
-            if src != c:
-                rows[c], rows[src] = rows[src], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = ONE / rows[c][c]
-            for r in range(c + 1, n):
-                if rows[r][c]:
-                    f = rows[r][c] * inv
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-        return det
+            order.append(j)
+            inv = inv * v[n + k]
+        odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
+        return (-ONE if odd else ONE) / inv
 
 
 def vstack(*mats):
@@ -371,14 +362,6 @@ class Subspace:
     def contains(self, other):
         self._check_ambient(other)
         return solve_left(self.basis, other.basis.rows) is not None
-
-    def apply(self, f):
-        """Image under the linear map v |-> f @ v (f maps K^n to K^m)."""
-        if f.ncols != self.n:
-            raise DimensionMismatch("map domain %d vs ambient %d" % (f.ncols, self.n))
-        if self.dim == 0:
-            return Subspace.zero(f.nrows)
-        return Subspace._span(self.basis @ f.transpose())
 
     def conjugate(self):
         # conjugation fixes 0 and 1, so the basis stays reduced echelon

@@ -5,6 +5,8 @@ index the terms, and exponents may be negative (Laurent polynomials);
 LaurentError is raised only where the mathematics fails, at the
 antiderivative of x^-1 and at substitution into a negative power.  Used
 for connection forms, patching functions, and exact segment integration.
+``powers`` is the one cache of the powers of a polynomial, for
+substitution, the Rees line and the segment pullback alike.
 ``hypotenuse_pullback`` is the one pullback that both the canonical
 connection and the free-Lie tables integrate, kept here so that the tables
 load without ``connection``.
@@ -128,13 +130,7 @@ class Poly:
         if repl.nvars != self.nvars:
             raise DimensionMismatch("substitution arity mismatch")
         out = Poly._of(self.nvars, {})
-        powers = [Poly._of(self.nvars, {(0,) * self.nvars: ONE})]
-
-        def rpow(k):
-            while len(powers) <= k:
-                powers.append(powers[-1] * repl)
-            return powers[k]
-
+        rpow = powers(repl)
         for exps, c in self.terms.items():
             e = exps[var]
             if e < 0:
@@ -190,6 +186,18 @@ class Poly:
             )
             parts.append("(%s)%s" % (c, "*" + mono if mono else ""))
         return " + ".join(parts)
+
+
+def powers(p):
+    """The map k -> p^k, forming each power once, from the one below it."""
+    table = [Poly._of(p.nvars, {(0,) * p.nvars: ONE})]
+
+    def power(k):
+        while len(table) <= k:
+            table.append(table[-1] * p)
+        return table[k]
+
+    return power
 
 
 def hypotenuse_pullback(p, q):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .linalg import InvariantError
 from .mhs import AdaptedTriple
-from .poly import LaurentError, Poly, PolyMatrix
+from .poly import LaurentError, Poly, PolyMatrix, powers
 from .scalars import ONE, ZERO
 
 W_LINE = "W"
@@ -152,17 +152,14 @@ def restrict_to_line(phi, T):
     of xi0 dies and the restriction is the identity.
     """
     t1, t2 = (0, 0) if T == W_LINE else T
-    line = Poly(1, {(0,): -t2, (1,): -t1})
-    powers = [Poly.constant(1, ONE)]
+    power = powers(Poly(1, {(0,): -t2, (1,): -t1}))
 
     def entry(poly):
         terms = {}
         for (a, b), c in poly.terms.items():
             if a < 0:
                 raise LaurentError("cannot substitute into negative power")
-            while len(powers) <= a:
-                powers.append(powers[-1] * line)
-            for (e,), x in powers[a].terms.items():
+            for (e,), x in power(a).terms.items():
                 terms[b + e,] = terms.get((b + e,), ZERO) + c * x
         return Poly._of(1, terms)
 

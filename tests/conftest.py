@@ -141,6 +141,16 @@ def direct_sum_mhs(V, Vp):
     )
 
 
+def apply(U, f):
+    """Image of the subspace U under the linear map v |-> f @ v (f maps K^n
+    to K^m)."""
+    if f.ncols != U.n:
+        raise DimensionMismatch("map domain %d vs ambient %d" % (f.ncols, U.n))
+    if U.dim == 0:
+        return Subspace.zero(f.nrows)
+    return Subspace._span(U.basis @ f.transpose())
+
+
 def validate_morphism(f, V, Vp):
     """True iff the matrix f (n' x n) preserves all three filtrations."""
     if f.ncols != V.n or f.nrows != Vp.n:
@@ -150,7 +160,7 @@ def validate_morphism(f, V, Vp):
     for src, dst in ((V.W, Vp.W), (V.Fp, Vp.Fp), (V.Fpp, Vp.Fpp)):
         keys = set(src.jumps()) | set(dst.jumps())
         for k in keys:
-            if not dst.at(k).contains(src.at(k).apply(f)):
+            if not dst.at(k).contains(apply(src.at(k), f)):
                 return False
     return True
 
@@ -166,9 +176,12 @@ def flat_sections_on_line(C):
     """Fundamental solution S(u) on the line t1 = u, t2 = -1 - u with
     S(-1) = 1; columns span the covariantly constant sections, S(0) is the
     hypotenuse transport."""
-    S = _segment_transport(C, (-ONE, ZERO), (ZERO, -ONE))
+    T = _segment_transport(C, (-ONE, ZERO), (ZERO, -ONE))
+    n, one, zero = C.hodge.dim, Poly.constant(1, ONE), Poly(1, {})
+    S = PolyMatrix(1, [[one if i == j else T.get((i, j), zero) for j in range(n)]
+                       for i in range(n)])
     # the segment's parameter is s = u + 1
-    return S.subs(0, Poly.constant(1, ONE) + Poly.variable(1, 0))
+    return S.subs(0, one + Poly.variable(1, 0))
 
 
 class Quotient:

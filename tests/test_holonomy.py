@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    flat_sections_on_line, mat, picard, picard_transport, segment_pullback,
+    fixture_deltas, flat_sections_on_line, mat, picard, picard_transport,
+    segment_pullback,
 )
+from hodgegauge import holonomy
 from hodgegauge.connection import (
     EquivariantConnection,
     GaugeTransformation,
@@ -119,6 +121,45 @@ def test_flat_sections_normalization():
 def test_flat_sections_zero_connection():
     S = flat_sections_on_line(EquivariantConnection.zero(KH))
     assert S == PolyMatrix.identity(1, 2)
+
+
+def _counted(monkeypatch, calls, owner, name, wrap=lambda f: f):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(counted))
+
+
+def _connections(seed):
+    rng = random.Random(seed)
+    base = [connection_from_delta(d) for d in fixture_deltas()]
+    base += [connection_from_delta(random_delta(rng, max_dim=6)) for _ in range(6)]
+    return base + [_gauge_changed(C, rng)[0] for C in base[-3:]], rng
+
+
+def test_transport_segment_builds_no_polymatrix(monkeypatch):
+    conns, rng = _connections(28)
+    calls = []
+    _counted(monkeypatch, calls, PolyMatrix, "__init__")
+    _counted(monkeypatch, calls, PolyMatrix, "_of", staticmethod)
+    for C in conns:
+        for a, b in PolygonalPath(TRIANGLE).segments() + _random_path(rng).segments():
+            transport_segment(C, a, b)
+    assert calls == []
+
+
+def test_triangle_delta_is_three_walks_and_no_product(monkeypatch):
+    conns, _ = _connections(29)
+    calls = []
+    _counted(monkeypatch, calls, Matrix, "__matmul__")
+    _counted(monkeypatch, calls, holonomy, "_walk")
+    for C in conns:
+        del calls[:]
+        triangle_delta(C)
+        assert calls == ["_walk"] * 3
 
 
 def test_convention_selftest():

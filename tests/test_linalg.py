@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Quotient, mat, piece_dimensions, sc, span, vec
+from conftest import Quotient, apply, mat, piece_dimensions, sc, span, vec
 from hodgegauge.linalg import (
     Matrix,
     NotNilpotentError,
@@ -72,8 +72,8 @@ def test_containment_and_coords():
 def test_apply_image():
     f = mat([[0, 1], [0, 0]])
     line = span(2, [[0, 1]])
-    assert line.apply(f) == span(2, [[1, 0]])
-    assert span(2, [[1, 0]]).apply(f) == Subspace.zero(2)
+    assert apply(line, f) == span(2, [[1, 0]])
+    assert apply(span(2, [[1, 0]]), f) == Subspace.zero(2)
 
 
 def test_quotient_project_lift():

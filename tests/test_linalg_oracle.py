@@ -12,7 +12,7 @@ the kernel's own elimination, so this is its independent check.
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 
 import pytest
 
@@ -109,7 +109,18 @@ def test_det_and_inverse_match_sympy():
         ((s(1), s(2), s(0)), (s(0), s(0), s(0)), (s(3), s(1), i)),  # a zero row
         # rank 2, every entry nonzero
         ((s(1), i, s(2)), (s(2), i + i, s(4)), (i + 1, s(3), s(-1))),
+        ((s(0), s(1), s(2)), (s(3), s(0), i), (s(1), s(1), s(1))),  # top-left zero
+        # singular, but only the last row shows it: row 3 = 2 row 1 + row 2
+        ((s(1), s(2), s(3)), (s(0), s(1), s(4)), (s(2), s(5), s(10))),
     ] + [d.delta.rows for d in fixture_deltas()]  # unipotent
+    # every 4 x 4 permutation matrix, plain and with its rows scaled by
+    # nonzero Gaussian rationals: the sign is the parity of the pivot order
+    scale_rng = random.Random(5)
+    for perm in permutations(range(4)):
+        plain = tuple(tuple(s(int(j == k)) for j in range(4)) for k in perm)
+        scales = [Scalar(Fraction(scale_rng.choice((-3, -1, 1, 2)), scale_rng.randint(1, 3)),
+                         scale_rng.randint(-2, 2)) for _ in perm]
+        cases += [plain, tuple(tuple(c * x for x in row) for c, row in zip(scales, plain))]
     singular = 0
     for rows in cases:
         n = len(rows)
@@ -126,6 +137,8 @@ def test_det_and_inverse_match_sympy():
     for M in (Matrix(random_rows(rng, 2, 3)), Matrix.zeros(0, 3)):
         with pytest.raises(DimensionMismatch, match="^inverse of non-square matrix$"):
             M.inverse()
+        with pytest.raises(DimensionMismatch, match="^det of non-square matrix$"):
+            M.det()
 
 
 def check_solutions(A_rows, ncols, b_rows):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import mat, sc
 from hodgegauge.linalg import DimensionMismatch, Matrix
-from hodgegauge.poly import LaurentError, Poly, PolyMatrix
+from hodgegauge.poly import LaurentError, Poly, PolyMatrix, powers
 from hodgegauge.scalars import ONE, ZERO, Scalar
 
 
@@ -91,6 +91,31 @@ def test_subs_of_a_high_power_does_not_recurse():
     y = t(1, nvars=2)
     p = Poly(2, {(2000, 1): ONE}).subs(0, y.scale(Scalar(2)))
     assert p == Poly(2, {(0, 2001): Scalar(2 ** 2000)})
+
+
+def test_powers_form_each_power_once_in_any_order(monkeypatch):
+    p = Poly(2, {(1, 0): sc(Fraction(1, 2)), (0, 1): Scalar(-3), (0, 0): Scalar(0, 1)})
+    want = [const(1, nvars=2)]
+    for _ in range(12):
+        want.append(want[-1] * p)
+    products = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    rng = random.Random(12)
+    shuffled = rng.sample(range(13), 13)
+    for order in (range(13), range(12, -1, -1), shuffled + rng.choices(range(13), k=13)):
+        power, top = powers(p), 0
+        del products[:]
+        for k in order:
+            assert power(k) == want[k]
+            top = max(top, k)
+            # one product by p per power formed, none for a power seen before
+            assert products == [p] * top
 
 
 def test_polymatrix_product_and_commutator():

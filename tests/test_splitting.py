@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    apply,
     conjugate_delta,
     conjugate_mhs,
     coords,
@@ -229,7 +230,7 @@ def _structure_fixtures():
 def _moved(V, g):
     """V carried onto the same space by the invertible matrix g."""
     return ComplexMHS(V.n, *(
-        Filtration(f.direction, V.n, {k: s.apply(g) for k, s in f.steps.items()})
+        Filtration(f.direction, V.n, {k: apply(s, g) for k, s in f.steps.items()})
         for f in (V.W, V.Fp, V.Fpp)
     ))
 
