@@ -351,7 +351,8 @@ def build_parser():
     sp = sub.add_parser("holonomy", help="triangle or explicit path transport")
     common(sp)
     sp.add_argument(
-        "--path", default=None, type=_path, help="semicolon-separated x,y points"
+        "--path", default=None, type=_path, help="semicolon-separated x,y "
+        "points, or --path=-1,0;0,1 when the first x is negative"
     )
     sp = sub.add_parser("lie", help="universal generator-change tables")
     common(sp, with_inputs=False)

@@ -94,10 +94,12 @@ def _matrix_in(rows, field=None):
             seen[x] = _scalar_in(x, field)
         return seen[x]
 
-    rows = [[entry(x) for x in row] for row in rows]
-    if any(len(row) != len(rows[0]) for row in rows):
+    # every entry is a Scalar now, so the matrix needs no second coercion
+    rows = tuple(tuple(entry(x) for x in row) for row in rows)
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
         raise DocumentError("ragged rows")
-    return Matrix(rows)
+    return Matrix._of(rows, width)
 
 
 def _filtration_out(f):

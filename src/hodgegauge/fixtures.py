@@ -3,7 +3,8 @@
 The named corpus covers the one-dimensional pure structures, the rank-2
 Kummer-type family K(c) (extension of the unit by weight -2, comparison
 entry -c), the rank-3 three-step family T3(a, b), tensor products, duals,
-and the rational forms.  Random structures are produced by drawing a
+and the rational forms.  Each hand-made flag is ``Filtration.from_basis``
+of a basis adapted to it.  Random structures are produced by drawing a
 comparison datum and realizing it, so they are valid by construction;
 corruptions shift one weight step, which always creates an off-diagonal
 graded piece.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from .mhs import (
     ComplexMHS,
     Filtration,
@@ -27,36 +28,19 @@ from .scalars import ONE, ZERO, Scalar
 from .splitting import DeltaObject, delta_to_mhs
 
 
+def _rank2(direction, row):
+    """The W or F flag of a rank-2 fixture: row at level 0 over e_{-1} at
+    level -2 (W) or -1 (F)."""
+    em1 = -2 if direction == Filtration.INC else -1
+    return Filtration.from_basis(direction, 2, [(0, row), (em1, (ZERO, ONE))])
+
+
 def kummer(c):
     """Rank-2 extension: weight 0 piece e0 against weight -2 piece e_{-1},
     with F'' spanned by e0 + c e_{-1}.  Its comparison matrix is 1 - c E."""
-    c = Scalar(0) + c
     e0 = (ONE, ZERO)
-    em1 = (ZERO, ONE)
-    W = Filtration(
-        Filtration.INC,
-        2,
-        {-2: Subspace.from_rows(2, [em1]), 0: Subspace.full(2)},
-    )
-    Fp = Filtration(
-        Filtration.DEC,
-        2,
-        {
-            -1: Subspace.full(2),
-            0: Subspace.from_rows(2, [e0]),
-            1: Subspace.zero(2),
-        },
-    )
-    Fpp = Filtration(
-        Filtration.DEC,
-        2,
-        {
-            -1: Subspace.full(2),
-            0: Subspace.from_rows(2, [(ONE, c)]),
-            1: Subspace.zero(2),
-        },
-    )
-    return ComplexMHS(2, W, Fp, Fpp)
+    return ComplexMHS(2, _rank2(Filtration.INC, e0), _rank2(Filtration.DEC, e0),
+                      _rank2(Filtration.DEC, (ONE, Scalar(0) + c)))
 
 
 def kummer_delta(c):
@@ -83,51 +67,22 @@ def t3(a, b):
 
 def real_tate(n):
     """The rational one-dimensional structure of weight -2n."""
-    W = Filtration(Filtration.INC, 1, {-2 * n: Subspace.full(1)})
-    F = Filtration(
-        Filtration.DEC, 1, {-n: Subspace.full(1), -n + 1: Subspace.zero(1)}
-    )
-    return RealMHS(1, W, F)
+    e = (ONE,)
+    return RealMHS(1, Filtration.from_basis(Filtration.INC, 1, [(-2 * n, e)]),
+                   Filtration.from_basis(Filtration.DEC, 1, [(-n, e)]))
 
 
 def real_kummer(gamma):
     """Rank-2 rational structure whose complexification is Kummer-type with
-    a purely imaginary comparison parameter."""
-    g = Scalar(0, Fraction(gamma))
-    W = Filtration(
-        Filtration.INC,
-        2,
-        {-2: Subspace.from_rows(2, [(ZERO, ONE)]), 0: Subspace.full(2)},
-    )
-    F = Filtration(
-        Filtration.DEC,
-        2,
-        {
-            -1: Subspace.full(2),
-            0: Subspace.from_rows(2, [(ONE, g)]),
-            1: Subspace.zero(2),
-        },
-    )
-    return RealMHS(2, W, F)
+    a purely imaginary comparison parameter; real_kummer(0) is the direct
+    sum of the weight-0 and weight-(-2) rational points."""
+    return RealMHS(2, _rank2(Filtration.INC, (ONE, ZERO)),
+                   _rank2(Filtration.DEC, (ONE, Scalar(0, Fraction(gamma)))))
 
 
 def real_sum_tate():
     """Direct sum of the weight-0 and weight(-2) rational points."""
-    W = Filtration(
-        Filtration.INC,
-        2,
-        {-2: Subspace.from_rows(2, [(ZERO, ONE)]), 0: Subspace.full(2)},
-    )
-    F = Filtration(
-        Filtration.DEC,
-        2,
-        {
-            -1: Subspace.full(2),
-            0: Subspace.from_rows(2, [(ONE, ZERO)]),
-            1: Subspace.zero(2),
-        },
-    )
-    return RealMHS(2, W, F)
+    return real_kummer(0)
 
 
 def named_corpus():

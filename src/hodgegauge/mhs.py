@@ -85,6 +85,24 @@ class Filtration:
             return Subspace.zero(self.n)
         return Subspace.full(self.n)
 
+    @classmethod
+    def from_basis(cls, direction, n, basis):
+        """The flag a basis of (level, row) pairs is adapted to, the inverse
+        of ``validate``: an increasing flag has a step at each level k,
+        spanned by the rows of level <= k; a decreasing one has a step at
+        each p from the least level to one past the greatest, spanned by the
+        rows of level >= p.  The rows are tuples of Scalars of length n.
+        """
+        inc = direction == cls.INC
+        levels = sorted({level for level, _ in basis})
+        if levels and not inc:
+            # every p in the range: ``at`` reads a missing p off the step
+            # below it, which also holds the rows of level p - 1
+            levels = range(levels[0], levels[-1] + 2)
+        return cls(direction, n, {k: Subspace._span(Matrix._of(tuple(
+            r for level, r in basis if (level <= k if inc else level >= k)), n))
+            for k in levels})
+
     def validate(self):
         """A basis of K^n adapted to the flag, as (level, row) pairs, from one
         reduction of the steps' echelon rows, innermost step first: each
@@ -92,6 +110,7 @@ class Filtration:
         level is the step's index and W_k is spanned by the rows of level
         <= k; for F it is the last index whose step holds the row, unit rows
         complete the basis, and F^p is spanned by the rows of level >= p.
+        ``from_basis`` builds the flag back from it.
 
         Raises FiltrationError when the rows kept up to a step outnumber its
         dimension (the innermost pair that is not nested), then when W does
@@ -342,13 +361,10 @@ def validate_mhs(V):
 
 def pure(p, q):
     """One-dimensional pure structure P(p, q)."""
-    n = 1
-    full = Subspace.full(1)
-    zero = Subspace.zero(1)
-    W = Filtration(Filtration.INC, n, {p + q: full})
-    Fp = Filtration(Filtration.DEC, n, {p: full, p + 1: zero})
-    Fpp = Filtration(Filtration.DEC, n, {q: full, q + 1: zero})
-    return ComplexMHS(n, W, Fp, Fpp)
+    (e,) = Matrix.identity(1).rows
+    return ComplexMHS(1, Filtration.from_basis(Filtration.INC, 1, [(p + q, e)]),
+                      Filtration.from_basis(Filtration.DEC, 1, [(p, e)]),
+                      Filtration.from_basis(Filtration.DEC, 1, [(q, e)]))
 
 
 def realize_real(V):

@@ -159,51 +159,25 @@ def log_delta_components(dobj):
 def delta_to_mhs(dobj, check=True):
     """Mixed Hodge structure on the standard graded space realizing delta.
 
-    W and F' are spanned by standard basis blocks; F'' is the image of the
-    standard decreasing-q flag under the inverse of delta, so its steps are
-    spanned by the same blocks of rows of the inverse transpose of delta.
+    Each flag is ``Filtration.from_basis`` of one basis: W and F' of the unit
+    rows at levels p + q and p of their blocks; F'' is the image of the
+    standard decreasing-q flag under the inverse of delta, so of the rows of
+    the inverse transpose of delta at level q.
     Round-trips with the splitting comparison by construction, and verifies
     that unless check is disabled.
     """
     hodge = dobj.hodge
     n = hodge.dim
-    blocks = hodge.blocks()
-
-    def span(pred, basis=Matrix.identity(n).rows):
-        rows = []
-        for (p, q), off, h in blocks:
-            if pred(p, q):
-                rows.extend(basis[off : off + h])
-        return Subspace._span(Matrix._of(tuple(rows), n))
-
-    weights = hodge.weights()
-    W = Filtration(
-        Filtration.INC,
-        n,
-        {w: span(lambda p, q: p + q <= w) for w in weights},
-    )
-    # steps are stored on a contiguous index range because lookups read the
-    # value at the largest stored index below
-    ps = sorted({p for (p, q) in hodge.counts})
-    Fp = Filtration(
-        Filtration.DEC,
-        n,
-        {
-            p0: span(lambda p, q: p >= p0)
-            for p0 in (range(ps[0], ps[-1] + 2) if ps else ())
-        },
-    )
+    owner = hodge.block_of_index()
+    units = Matrix.identity(n).rows
     # the image of e_i under delta^-1 is column i of delta^-1
     dinvT = dobj.delta.inverse().transpose().rows
-    qs = sorted({q for (p, q) in hodge.counts})
-    Fpp = Filtration(
-        Filtration.DEC,
-        n,
-        {
-            q0: span(lambda p, q: q >= q0, dinvT)
-            for q0 in (range(qs[0], qs[-1] + 2) if qs else ())
-        },
-    )
+    W = Filtration.from_basis(Filtration.INC, n, [
+        (p + q, r) for (p, q), r in zip(owner, units)])
+    Fp = Filtration.from_basis(Filtration.DEC, n, [
+        (p, r) for (p, q), r in zip(owner, units)])
+    Fpp = Filtration.from_basis(Filtration.DEC, n, [
+        (q, r) for (p, q), r in zip(owner, dinvT)])
     V = ComplexMHS(n, W, Fp, Fpp)
     if check:
         if delta_operator(GrStructure(V)) != dobj:

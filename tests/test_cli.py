@@ -569,6 +569,21 @@ def test_a_path_over_the_cap_is_a_usage_error(capsys):
     assert "--path: a path has at most 16 points, got 17" in captured.err
 
 
+def test_path_help_names_the_equals_form(capsys):
+    # after a space, argparse reads "-1,0;0,1" as an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["holonomy", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert exc.value.code == 0
+    assert "or --path=-1,0;0,1 when the first x is negative" in help_text
+    doc = fx("delta_t3_2_5.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["holonomy", doc, "--path", "-1,0;0,1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert run(["holonomy", doc, "--path=-1,0;0,1"])[0] == 0
+
+
 def test_each_structure_input_is_validated_once(monkeypatch):
     # Validation is the only place where a structure's graded charts are
     # built, and every subcommand validates each structure input once;

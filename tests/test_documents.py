@@ -4,6 +4,7 @@ import os
 import pytest
 
 from conftest import fixture_dir
+from hodgegauge import documents
 from hodgegauge.documents import (
     DocumentError,
     _filtration_in,
@@ -115,6 +116,22 @@ def test_matrix_raises_at_its_first_bad_entry(bad, field):
 def test_filtration_builds_one_matrix_per_step(monkeypatch):
     doc = serialize(kummer(Scalar(2, 1)))["Fpp"]
     built = []
+    real = documents._matrix_in
+
+    def counting(rows, field=None):
+        built.append(real(rows, field))
+        return built[-1]
+
+    monkeypatch.setattr(documents, "_matrix_in", counting)
+    F = _filtration_in(doc)
+    # steps -1 and 0 have rows; step 1 is empty and builds none
+    assert len(built) == sum(1 for s in F.steps.values() if s.dim) == 2
+
+
+def test_parsing_coerces_no_entry_twice(monkeypatch):
+    # _matrix_in parses every entry to a Scalar, so no Matrix is built by
+    # the coercing constructor while the shipped documents are read
+    built = []
     real = Matrix.__init__
 
     def counting(self, rows):
@@ -122,9 +139,11 @@ def test_filtration_builds_one_matrix_per_step(monkeypatch):
         real(self, rows)
 
     monkeypatch.setattr(Matrix, "__init__", counting)
-    F = _filtration_in(doc)
-    # steps -1 and 0 have rows; step 1 is empty and builds none
-    assert len(built) == sum(1 for s in F.steps.values() if s.dim) == 2
+    d = fixture_dir()
+    for name in sorted(os.listdir(d)):
+        with open(os.path.join(d, name)) as fh:
+            parse(json.load(fh))
+    assert built == []
 
 
 @pytest.mark.parametrize("rows, reason", [

@@ -23,7 +23,14 @@ from conftest import (
 )
 from hodgegauge import linalg, mhs
 from hodgegauge.fixtures import (
-    corrupt_weight_step, kummer, random_delta, random_mhs, real_kummer, t3
+    corrupt_weight_step,
+    kummer,
+    named_corpus,
+    random_delta,
+    random_mhs,
+    real_corpus,
+    real_kummer,
+    t3,
 )
 from hodgegauge.linalg import Matrix, Subspace
 from hodgegauge.mhs import (
@@ -148,6 +155,23 @@ def test_validate_matches_the_pairwise_route():
                     if (level <= p if f.direction == f.INC else level >= p)]
             assert Subspace.from_rows(f.n, rows) == f.at(p), (f, p)
     assert min(seen.values()) > 100, seen
+
+
+def test_from_basis_inverts_validate():
+    # the builder of a flag against its reader: the flag that from_basis
+    # spans from the basis validate reads off f is f, whatever keys f stores
+    structures = [V for _, V in named_corpus()]
+    structures += [realize_real(V) for _, V in real_corpus()]
+    sparse = [sparse_form(V) for V in structures]
+    rng = random.Random(29)
+    randoms = [random_mhs(rng, max_dim=6) for _ in range(60)]
+    corrupted = [corrupt_weight_step(V, rng) for V in randoms[:20]]
+    flags = [f for V in structures + sparse + randoms + corrupted
+             for f in (V.W, V.Fp, V.Fpp)]
+    flags += [Filtration(d, 0, {}) for d in (Filtration.INC, Filtration.DEC)]
+    for f in flags:
+        assert Filtration.from_basis(f.direction, f.n, f.validate()) == f, f
+    assert len(flags) == 3 * (2 * 20 + 80) + 2
 
 
 def test_filtration_equality_ignores_redundant_steps():
