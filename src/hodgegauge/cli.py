@@ -10,8 +10,9 @@ written.  Reports never contain timestamps, so identical inputs produce
 byte-identical output.  Inputs run one after another, in input order, on
 the calling thread; --jobs is accepted and has no effect.  Handlers import
 the layers they reach, so a command loads (and compiles) only those: `lie`
-loads scalars, freelie, poly and linalg, and hashlib (with OpenSSL) loads
-only once an input file is read, to hash it.
+loads scalars, freelie and upoly, with neither poly nor linalg; `validate`
+loads no connection or splitting; and hashlib (with OpenSSL) loads only
+once an input file is read, to hash it.
 """
 
 from __future__ import annotations
@@ -51,19 +52,18 @@ def _graded(obj):
 
 def _delta(obj):
     """Delta of a structure or delta document, or of a graded structure."""
-    from .connection import EquivariantConnection
     from .documents import DocumentError
-    from .mhs import GrStructure
+    from .mhs import ComplexMHS, GrStructure, RealMHS
     from .splitting import DeltaObject, delta_operator
 
     if isinstance(obj, DeltaObject):
         return obj
-    if isinstance(obj, EquivariantConnection):
+    if isinstance(obj, (ComplexMHS, RealMHS)):
+        obj = _graded(obj)
+    if not isinstance(obj, GrStructure):  # a connection document
         raise DocumentError(
             "expected a structure or delta document, got %s" % type(obj).__name__
         )
-    if not isinstance(obj, GrStructure):
-        obj = _graded(obj)
     return delta_operator(obj)
 
 
@@ -387,8 +387,9 @@ def main(argv=None):
         report["inputs"] = [entry for entry, _ in outs]
         worst = max((code for _, code in outs), default=0)
     try:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        # one write: json.dump writes each encoder chunk on its own, and an
+        # unbuffered stdout passes every one of them to the OS
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone (`... | head`): end quietly with the status a

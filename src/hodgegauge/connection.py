@@ -16,8 +16,9 @@ transports connections along segments (holonomy).
 from __future__ import annotations
 
 from .linalg import InvariantError, Matrix
-from .poly import Poly, PolyMatrix, hypotenuse_pullback
+from .poly import Poly, PolyMatrix
 from .scalars import ONE, ZERO
+from .upoly import add, at_one, hypotenuse_pullback, integral, mul, of
 
 
 class AdmissibilityError(ValueError):
@@ -250,10 +251,11 @@ def _walk(hodge, rule):
     """Transport T(s) = 1 + int_0^s M T of a form M that lowers both indices.
 
     The entries (i, j) that lower both indices are visited in order of
-    weight drop, so R = int_0^s sum_{k != j} M[i,k] T[k,j] involves only
-    entries already set; then M[i,j] = rule(i, j, R), a univariate Poly or
-    None for zero, and T[i,j] = R + int_0^s M[i,j].  Returns the nonzero
-    off-diagonal entries of T, keyed by (i, j); the diagonal is 1.
+    weight drop, so S = sum_{k != j} M[i,k] T[k,j] involves only entries
+    already set; then M[i,j] = rule(i, j, S), a polynomial in s of
+    ``upoly`` or None for zero, and T[i,j] = int_0^s (S + M[i,j]).  Returns
+    the nonzero off-diagonal entries of T, keyed by (i, j), as ``upoly``
+    polynomials; the diagonal is 1.
     """
     n = hodge.dim
     owner = hodge.block_of_index()
@@ -264,17 +266,17 @@ def _walk(hodge, rule):
     )
     M = [{} for _ in range(n)]
     T = {}
-    zero = Poly(1, {})
     for i, j in lowering:
-        R = sum(
-            (m * T[k, j] for k, m in M[i].items() if (k, j) in T), zero
-        ).antiderivative()
-        m = rule(i, j, R)
+        S = of(())
+        for k, m in M[i].items():
+            if (k, j) in T:
+                S = add(S, mul(m, T[k, j]))
+        m = rule(i, j, S)
         if m is not None:
             M[i][j] = m
-            R = R + m.antiderivative()
-        if R.terms:
-            T[i, j] = R
+            S = add(S, m)
+        if S[0] or S[1]:
+            T[i, j] = integral(S)
     return T
 
 
@@ -284,7 +286,7 @@ def connection_from_delta(dobj):
     The axis transports are trivial, and block (p, q) pulls back to the
     hypotenuse as A_{p,q} h(s), h = hypotenuse_pullback(p, q); so
     delta = T(1) for the transport that _walk builds, and its rule solves
-    each entry as it is reached: A[i,j] = (delta[i,j] - R(1)) / int_0^1 h.
+    each entry as it is reached: A[i,j] = (delta[i,j] - int_0^1 S) / int_0^1 h.
     """
     hodge = dobj.hodge
     n = hodge.dim
@@ -292,18 +294,19 @@ def connection_from_delta(dobj):
     pullback = {}
     blocks = {}
 
-    def solve(i, j, R):
+    def solve(i, j, S):
         pq = (owner[j][0] - owner[i][0], owner[j][1] - owner[i][1])
         if pq not in pullback:
             h = hypotenuse_pullback(*pq)
-            pullback[pq] = (h, h.integrate(ZERO, ONE))
+            pullback[pq] = (h, at_one(integral(h)))
         h, c = pullback[pq]
-        a = (dobj.delta[i, j] - R.eval((ONE,))) / c
+        a = (dobj.delta[i, j] - at_one(integral(S))) / c
         if not a:
             return None
         blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])[i][j] = a
-        return h.scale(a)
+        return mul(h, of((a,)))
 
     _walk(hodge, solve)
-    A = {pq: Matrix(rows) for pq, rows in blocks.items()}
+    A = {pq: Matrix._of(tuple(map(tuple, rows)), n)
+         for pq, rows in blocks.items()}
     return EquivariantConnection(hodge, A, {k: -v for k, v in A.items()})

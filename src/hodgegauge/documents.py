@@ -12,11 +12,9 @@ Index keys must be canonical ("k" or "p,q", each part str(int(part))).
 
 from __future__ import annotations
 
-from .connection import EquivariantConnection
 from .linalg import DimensionMismatch, Matrix, Subspace
 from .mhs import ComplexMHS, Filtration, HodgeNumbers, RealMHS
 from .scalars import MAX_DIGITS, FieldError, Scalar
-from .splitting import DeltaObject
 
 
 # the widest range of indices one filtration, or of weights one set of
@@ -167,6 +165,10 @@ def _hodge_in(doc):
 
 
 def serialize(obj):
+    # here and in parse: a command that builds neither never loads them
+    from .connection import EquivariantConnection
+    from .splitting import DeltaObject
+
     if isinstance(obj, ComplexMHS):
         return {
             "type": "complex_mhs",
@@ -218,10 +220,14 @@ def parse(doc, field=None):
         if kind == "real_mhs":
             return _structure_in(doc, RealMHS, ("W", "F"), ("Q", field))
         if kind == "delta":
+            from .splitting import DeltaObject
+
             return DeltaObject(
                 _hodge_in(doc["hodge"]), _matrix_in(doc["matrix"], field)
             )
         if kind == "connection":
+            from .connection import EquivariantConnection
+
             hodge = _hodge_in(doc["hodge"])
             A = {}
             B = {}

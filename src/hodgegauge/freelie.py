@@ -10,10 +10,10 @@ bracketed Lyndon words in any algebra; tensor expansions are memoized by word.
 The universal tables express the logarithm of the transport along the
 hypotenuse from (-1, 0) to (0, -1) as a Lie series z = sum z_{p,q} in the
 connection coefficients alpha_{p,q}, and invert that (triangular) change of
-generators.  The transport's iterated integrals are Polys in s on [0, 1],
-over the pullback ``poly.hypotenuse_pullback`` that the canonical
-connection is solved with.  Tables depend only on the truncation weight and
-are memoized per process.
+generators.  The transport's iterated integrals are ``upoly`` polynomials
+in s on [0, 1], over the pullback ``upoly.hypotenuse_pullback`` that the
+canonical connection is solved with.  Tables depend only on the truncation
+weight and are memoized per process.
 
 The log of the transport is primitive, and the Lyndon extraction of it is
 the certificate, with no second check: ``LiePolynomial.from_tensor``
@@ -27,9 +27,8 @@ from __future__ import annotations
 import functools
 import heapq
 
-from .linalg import Matrix
-from .poly import Poly, hypotenuse_pullback
 from .scalars import ONE, ZERO, _coerce
+from .upoly import at_one, hypotenuse_pullback, integral, mul, of
 
 
 class NotLieElement(ValueError):
@@ -296,6 +295,8 @@ class LiePolynomial:
 
     def substitute(self, assignment):
         """Evaluate with generator label -> Matrix, brackets as commutators."""
+        from .linalg import Matrix
+
         sizes = [assignment[lab].nrows
                  for lab, _, _ in self.alphabet.letters if lab in assignment]
         if not sizes:
@@ -351,7 +352,7 @@ def format_rational(c):
 def abelianized_coefficient(p, q):
     """Exact integral of the hypotenuse pullback over [0, 1]; this is the
     leading coefficient of z_{p,q} on alpha_{p,q} and is always nonzero."""
-    return hypotenuse_pullback(p, q).integrate(ZERO, ONE)
+    return at_one(integral(hypotenuse_pullback(p, q)))
 
 
 def _ts_mul(a, b, alphabet, N):
@@ -399,18 +400,18 @@ def universal_log_pexp(N):
     # integral from 0 of h_i times that of w, formed once from its suffix;
     # each is dropped once its extensions exist, keeping its value at s = 1,
     # the sum of its coefficients
-    state = {(): Poly.constant(1, ONE)}
+    state = {(): of((ONE,))}
     u = {}
     words = [((), 0)]
     for w, wt in words:  # grows while read, so shorter words come first
         poly = state.pop(w)
-        c = sum(poly.terms.values(), ZERO)
+        c = at_one(poly)
         if c:
             u[w] = c
         for i, wi in enumerate(weights):
             if wt + wi > N:
                 break  # letters come by weight: the rest are heavier still
-            state[(i,) + w] = (hs[i] * poly).antiderivative()
+            state[(i,) + w] = integral(mul(hs[i], poly))
             words.append(((i,) + w, wt + wi))
     z = _ts_log(u, alphabet, N)
     # the log of a group-like series is primitive, and the extraction is
@@ -497,6 +498,8 @@ def verify_commutant_generation(N):
     the free Lie algebra on t1, t2.  Returns the per-bidegree dimensions;
     raises on any rank defect.
     """
+    from .linalg import Matrix
+
     Z = z_alphabet(N)
     phis = commutant_generators(N)
     leaf = [phis[pq] for pq in Z.bidegrees].__getitem__

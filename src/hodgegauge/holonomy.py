@@ -16,9 +16,9 @@ from __future__ import annotations
 from .connection import _walk, connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import HodgeNumbers
-from .poly import Poly, powers
 from .scalars import ONE, ZERO, Scalar
 from .splitting import DeltaObject
+from .upoly import add, at_one, mul, of
 
 
 class PathError(ValueError):
@@ -63,22 +63,28 @@ def _segment_transport(C, a, b):
     A[i,j] x1^(p-1) x2^q x1' + B[i,j] x1^p x2^(q-1) x2' at x = gamma(s);
     only the nonzero entries of A and B are pulled back.
     """
-    s = Poly.variable(1, 0)
     speed = [b[k] - a[k] for k in (0, 1)]
-    power = [powers(Poly.constant(1, a[k]) + s.scale(speed[k])) for k in (0, 1)]
+    # the powers of each coordinate of gamma, each formed once
+    top = max((p + q for p, q in [*C.A, *C.B]), default=0)
+    power = []
+    for k in (0, 1):
+        line = of((a[k], speed[k]))
+        power.append([of((ONE,))])
+        while len(power[k]) < top:
+            power[k].append(mul(power[k][-1], line))
     pull = {}
     for k, blocks in enumerate((C.A, C.B)):
         for (p, q), M in blocks.items():
-            h = (power[0](p - 1 + k) * power[1](q - k)).scale(speed[k])
-            if not h.terms:
+            h = mul(mul(power[0][p - 1 + k], power[1][q - k]), of((speed[k],)))
+            if not h[0] and not h[1]:
                 continue
             for i, row in enumerate(M.rows):
                 for j, x in enumerate(row):
                     if x:
-                        m = h.scale(x)
-                        pull[i, j] = pull[i, j] + m if (i, j) in pull else m
-    pull = {ij: m for ij, m in pull.items() if m.terms}
-    return _walk(C.hodge, lambda i, j, R: pull.get((i, j)))
+                        m = mul(h, of((x,)))
+                        pull[i, j] = add(pull[i, j], m) if (i, j) in pull else m
+    pull = {ij: m for ij, m in pull.items() if m[0] or m[1]}
+    return _walk(C.hodge, lambda i, j, S: pull.get((i, j)))
 
 
 def transport_segment(C, a, b):
@@ -87,7 +93,7 @@ def transport_segment(C, a, b):
     T = _segment_transport(C, a, b)
     n = C.hodge.dim
     return Matrix._of(tuple(
-        tuple(ONE if i == j else T[i, j].eval((ONE,)) if (i, j) in T else ZERO
+        tuple(ONE if i == j else at_one(T[i, j]) if (i, j) in T else ZERO
               for j in range(n))
         for i in range(n)
     ), n)

@@ -4,17 +4,13 @@ Supports one- and two-variable polynomials over Scalar.  Exponent tuples
 index the terms, and exponents may be negative (Laurent polynomials);
 LaurentError is raised only where the mathematics fails, at the
 antiderivative of x^-1 and at substitution into a negative power.  Used
-for connection forms, patching functions, and exact segment integration.
-``powers`` is the one cache of the powers of a polynomial, for
-substitution, the Rees line and the segment pullback alike.
-``hypotenuse_pullback`` is the one pullback that both the canonical
-connection and the free-Lie tables integrate, kept here so that the tables
-load without ``connection``.
+for connection forms, gauge changes and patching functions; the integrals
+along a segment and along the hypotenuse run on ``upoly``.  ``powers`` is
+the one cache of the powers of a polynomial, for substitution and the Rees
+line alike.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 from .scalars import ONE, ZERO, Scalar, _coerce
 from .linalg import DimensionMismatch, Matrix
@@ -198,14 +194,6 @@ def powers(p):
         return table[k]
 
     return power
-
-
-def hypotenuse_pullback(p, q):
-    """The coefficient h(s) = -(s - 1)^(p-1) (-s)^(q-1), a univariate Poly,
-    of block (p, q) of a Fock-Schwinger form (B = -A) pulled back to the
-    hypotenuse (-1, 0) -> (0, -1), s in [0, 1]."""
-    return Poly(1, {(q - 1 + r,): (-1) ** (p + q - 1 - r) * comb(p - 1, r)
-                    for r in range(p)})
 
 
 class PolyMatrix:

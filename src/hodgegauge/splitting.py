@@ -153,7 +153,8 @@ def log_delta_components(dobj):
             if key not in comps:
                 comps[key] = [[ZERO] * n for _ in range(n)]
             comps[key][i][j] = D[i, j]
-    return {k: Matrix(rows) for k, rows in comps.items()}
+    return {k: Matrix._of(tuple(map(tuple, rows)), n)
+            for k, rows in comps.items()}
 
 
 def delta_to_mhs(dobj, check=True):

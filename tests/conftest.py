@@ -40,6 +40,7 @@ from hodgegauge.scalars import ONE, ZERO, Scalar
 from hodgegauge.splitting import (
     DeltaObject, _adapted_pieces, block_permutation, delta_operator,
 )
+from hodgegauge.upoly import coefficients
 
 # the same examples on every run, so a hypothesis failure cannot come and go
 settings.register_profile(
@@ -176,7 +177,8 @@ def flat_sections_on_line(C):
     """Fundamental solution S(u) on the line t1 = u, t2 = -1 - u with
     S(-1) = 1; columns span the covariantly constant sections, S(0) is the
     hypotenuse transport."""
-    T = _segment_transport(C, (-ONE, ZERO), (ZERO, -ONE))
+    T = {ij: Poly(1, {(k,): c for k, c in enumerate(coefficients(f))})
+         for ij, f in _segment_transport(C, (-ONE, ZERO), (ZERO, -ONE)).items()}
     n, one, zero = C.hodge.dim, Poly.constant(1, ONE), Poly(1, {})
     S = PolyMatrix(1, [[one if i == j else T.get((i, j), zero) for j in range(n)]
                        for i in range(n)])

@@ -695,20 +695,19 @@ def test_sparse_decreasing_filtrations_validate(name, tmp_path):
 
 
 # the package modules each command loads, run on a structure document;
-# reading any document takes _DOCUMENT
-_DOCUMENT = {"cli", "scalars", "linalg", "mhs", "documents", "splitting",
-             "connection", "poly"}
-_HOLONOMY = _DOCUMENT | {"holonomy"}
+# reading any document takes _DOCUMENT, and a delta takes splitting
+_DOCUMENT = {"cli", "scalars", "linalg", "mhs", "documents"}
+_CONNECTION = _DOCUMENT | {"splitting", "connection", "poly", "upoly"}
+_HOLONOMY = _CONNECTION | {"holonomy"}
 _MODULES = {
-    "lie": (["lie", "--truncation", "3"],
-            {"cli", "scalars", "freelie", "poly", "linalg"}),
+    "lie": (["lie", "--truncation", "3"], {"cli", "scalars", "freelie", "upoly"}),
     "validate": (["validate"], _DOCUMENT),
-    "split": (["split"], _DOCUMENT),
-    "connect": (["connect"], _DOCUMENT),
+    "split": (["split"], _DOCUMENT | {"splitting"}),
+    "connect": (["connect"], _CONNECTION),
     "holonomy": (["holonomy"], _HOLONOMY),
     "roundtrip": (["roundtrip"], _HOLONOMY),
-    "rees": (["rees"], _DOCUMENT | {"rees"}),
-    "ext": (["ext"], _DOCUMENT | {"hodgecoh"}),
+    "rees": (["rees"], _DOCUMENT | {"splitting", "rees", "poly"}),
+    "ext": (["ext"], _CONNECTION | {"hodgecoh"}),
     "orientation-selftest": (["validate", "--orientation-selftest"], _HOLONOMY),
 }
 

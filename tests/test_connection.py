@@ -274,3 +274,21 @@ def test_connection_from_delta_is_one_pass(monkeypatch):
     assert len(built) == 1
     monkeypatch.undo()
     assert triangle_delta(C) == d
+
+
+def test_blocks_are_built_without_coercion(monkeypatch):
+    # every entry of a connection block and of a log component is a Scalar
+    # already, so neither builds a Matrix by the coercing constructor
+    deltas = fixture_deltas()
+    built = []
+    init = Matrix.__init__
+
+    def counted(self, rows):
+        built.append(self)
+        init(self, rows)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    for d in deltas:
+        connection_from_delta(d)
+        log_delta_components(d)
+    assert built == []

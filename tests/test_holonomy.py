@@ -16,6 +16,7 @@ from hodgegauge.connection import (
     connection_from_delta,
 )
 from hodgegauge.fixtures import kummer_delta, random_delta, t3_delta
+from hodgegauge.freelie import universal_log_pexp
 from hodgegauge.holonomy import (
     TRIANGLE,
     PathError,
@@ -160,6 +161,22 @@ def test_triangle_delta_is_three_walks_and_no_product(monkeypatch):
         del calls[:]
         triangle_delta(C)
         assert calls == ["_walk"] * 3
+
+
+def test_walks_and_tables_multiply_no_poly(monkeypatch):
+    # the walk and the iterated integrals run on upoly's integer vectors:
+    # no sparse Poly is multiplied or integrated on their way
+    deltas = fixture_deltas()
+    rng = random.Random(30)
+    calls = []
+    _counted(monkeypatch, calls, Poly, "__mul__")
+    _counted(monkeypatch, calls, Poly, "antiderivative")
+    for d in deltas:
+        C = connection_from_delta(d)
+        triangle_delta(C)
+        holonomy_path(C, _random_path(rng))
+    universal_log_pexp.__wrapped__(8)
+    assert calls == []
 
 
 def test_convention_selftest():
