@@ -11,8 +11,8 @@ byte-identical output.  Inputs run one after another, in input order, on
 the calling thread; --jobs is accepted and has no effect.  Handlers import
 the layers they reach, so a command loads (and compiles) only those: `lie`
 loads scalars, freelie and upoly, with neither poly nor linalg; `validate`
-loads no connection or splitting; and hashlib (with OpenSSL) loads only
-once an input file is read, to hash it.
+loads no connection or splitting; only `rees` loads poly; and hashlib (with
+OpenSSL) loads only once an input file is read, to hash it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ transports connections along segments (holonomy).
 from __future__ import annotations
 
 from .linalg import InvariantError, Matrix
-from .poly import Poly, PolyMatrix
 from .scalars import ONE, ZERO
 from .upoly import add, at_one, hypotenuse_pullback, integral, mul, of
 
@@ -25,23 +24,18 @@ class AdmissibilityError(ValueError):
     """Coefficient block violates the bidegree constraint."""
 
 
-def _check_block(hodge, M, p, q, what):
-    n = hodge.dim
+def _check_block(bidegrees, M, p, q, what):
+    n = len(bidegrees)
     if M.shape != (n, n):
         raise AdmissibilityError(
             "%s block at (%d, %d) has shape %r" % (what, p, q, M.shape)
         )
-    owner = hodge.block_of_index()
-    for i in range(n):
-        pi, qi = owner[i]
-        for j in range(n):
-            if not M[i, j]:
-                continue
-            pj, qj = owner[j]
-            if (pi, qi) != (pj - p, qj - q):
+    for i, row in enumerate(bidegrees):
+        for j, (a, b) in enumerate(row):
+            if M[i, j] and (a, b) != (p, q):
                 raise AdmissibilityError(
                     "%s_{%d,%d} has an entry of bidegree %r"
-                    % (what, p, q, (pi - pj, qi - qj))
+                    % (what, p, q, (-a, -b))
                 )
 
 
@@ -59,6 +53,7 @@ class EquivariantConnection:
         A = {k: v for k, v in A.items() if not v.is_zero()}
         B = {k: v for k, v in B.items() if not v.is_zero()}
         spread = _weight_spread(hodge)
+        bidegrees = hodge.bidegrees()
         for coeffs, what in ((A, "A"), (B, "B")):
             for (p, q), M in coeffs.items():
                 if p < 1 or q < 1:
@@ -70,7 +65,7 @@ class EquivariantConnection:
                         "%s block at (%d, %d) exceeds the weight spread %d"
                         % (what, p, q, spread)
                     )
-                _check_block(hodge, M, p, q, what)
+                _check_block(bidegrees, M, p, q, what)
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -109,12 +104,13 @@ class GaugeTransformation:
 
     def __init__(self, hodge, C):
         C = {k: v for k, v in C.items() if not v.is_zero()}
+        bidegrees = hodge.bidegrees()
         for (p, q), M in C.items():
             if p < 1 or q < 1:
                 raise AdmissibilityError(
                     "gauge block at non-lowering (%d, %d)" % (p, q)
                 )
-            _check_block(hodge, M, p, q, "C")
+            _check_block(bidegrees, M, p, q, "C")
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "C", C)
 
@@ -132,11 +128,15 @@ class GaugeTransformation:
 
     def matrix(self):
         """g as a polynomial matrix in (t1, t2)."""
+        from .poly import PolyMatrix
+
         n = self.hodge.dim
         return PolyMatrix.identity(2, n) + _block_form(n, self.C, 0, 0)
 
     def inverse_matrix(self):
         """g^{-1} via the terminating geometric series (g - 1 is nilpotent)."""
+        from .poly import PolyMatrix
+
         n = self.hodge.dim
         one = PolyMatrix.identity(2, n)
         N = self.matrix() - one
@@ -169,6 +169,9 @@ def connection_form(C):
 
 def _block_form(n, blocks, a, b):
     """sum M t1^(p+a) t2^(q+b) over the blocks (p, q) -> M, in (p, q) order."""
+    # no command reaches the Poly code, so it loads only when called
+    from .poly import Poly, PolyMatrix
+
     out = PolyMatrix.zeros(2, n, n)
     for (p, q), M in sorted(blocks.items()):
         out = out + PolyMatrix.from_scalar_matrix(2, M).scale_poly(
@@ -257,16 +260,9 @@ def _walk(hodge, rule):
     the nonzero off-diagonal entries of T, keyed by (i, j), as ``upoly``
     polynomials; the diagonal is 1.
     """
-    n = hodge.dim
-    owner = hodge.block_of_index()
-    lowering = sorted(
-        ((i, j) for i in range(n) for j in range(n)
-         if owner[i][0] < owner[j][0] and owner[i][1] < owner[j][1]),
-        key=lambda ij: sum(owner[ij[1]]) - sum(owner[ij[0]]),
-    )
-    M = [{} for _ in range(n)]
+    M = [{} for _ in range(hodge.dim)]
     T = {}
-    for i, j in lowering:
+    for i, j in hodge.lowering():
         S = of(())
         for k, m in M[i].items():
             if (k, j) in T:
@@ -290,12 +286,12 @@ def connection_from_delta(dobj):
     """
     hodge = dobj.hodge
     n = hodge.dim
-    owner = hodge.block_of_index()
+    bidegrees = hodge.bidegrees()
     pullback = {}
     blocks = {}
 
     def solve(i, j, S):
-        pq = (owner[j][0] - owner[i][0], owner[j][1] - owner[i][1])
+        pq = bidegrees[i][j]
         if pq not in pullback:
             h = hypotenuse_pullback(*pq)
             pullback[pq] = (h, at_one(integral(h)))

@@ -148,16 +148,11 @@ def random_delta(rng, max_dim=8, weight_lo=-6, weight_hi=6, gaussian=True):
             break
     hodge = HodgeNumbers(counts)
     n = hodge.dim
-    owner = hodge.block_of_index()
-    rows = [
-        [ONE if a == b else ZERO for b in range(n)] for a in range(n)
-    ]
-    for a in range(n):
-        pa, qa = owner[a]
-        for b in range(n):
-            pb, qb = owner[b]
-            if pa < pb and qa < qb and rng.random() < 0.7:
-                rows[a][b] = _random_scalar(rng, gaussian)
+    rows = [list(r) for r in Matrix.identity(n).rows]
+    # in (a, b) order, one draw per entry that lowers both indices
+    for a, b in sorted(hodge.lowering()):
+        if rng.random() < 0.7:
+            rows[a][b] = _random_scalar(rng, gaussian)
     return DeltaObject(hodge, Matrix(rows))
 
 

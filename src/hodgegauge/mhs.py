@@ -94,14 +94,18 @@ class Filtration:
         rows of level >= p.  The rows are tuples of Scalars of length n.
         """
         inc = direction == cls.INC
-        levels = sorted({level for level, _ in basis})
+        levels = sorted({level for level, _ in basis}, reverse=not inc)
         if levels and not inc:
             # every p in the range: ``at`` reads a missing p off the step
             # below it, which also holds the rows of level p - 1
-            levels = range(levels[0], levels[-1] + 2)
-        return cls(direction, n, {k: Subspace._span(Matrix._of(tuple(
-            r for level, r in basis if (level <= k if inc else level >= k)), n))
-            for k in levels})
+            levels = range(levels[0] + 1, levels[-1] - 1, -1)
+        # innermost first: each step spans the one inside it and its level
+        steps, rows = {}, ()
+        for k in levels:
+            rows += tuple(r for level, r in basis if level == k)
+            steps[k] = Subspace._span(Matrix._of(rows, n))
+            rows = steps[k].basis.rows
+        return cls(direction, n, steps)
 
     def validate(self):
         """A basis of K^n adapted to the flag, as (level, row) pairs, from one
@@ -201,6 +205,20 @@ class HodgeNumbers:
         """The (p, q) of each basis index, in the canonical block order."""
         return [pq for pq, _, h in self.blocks() for _ in range(h)]
 
+    def bidegrees(self):
+        """The table of how far entry (i, j) of an operator in the block
+        basis lowers the indices: (p' - p, q' - q) for i in block (p, q) and
+        j in block (p', q').  Its (0, 0) entries are the diagonal blocks."""
+        owner = self.block_of_index()
+        return [[(pj - pi, qj - qi) for pj, qj in owner] for pi, qi in owner]
+
+    def lowering(self):
+        """The entries (i, j) that lower both indices, by weight drop, ties
+        in (i, j) order: each comes after every entry it factors through."""
+        return [ij for _, ij in sorted(
+            (a + b, (i, j)) for i, row in enumerate(self.bidegrees())
+            for j, (a, b) in enumerate(row) if a > 0 and b > 0)]
+
     def weights(self):
         return sorted({p + q for (p, q) in self.counts})
 
@@ -285,6 +303,12 @@ class AdaptedTriple:
     until its first nonzero coordinate, whose chart is its weight, is new.
     Nothing here assumes opposedness; a filtration that is not monotone or
     not exhaustive raises FiltrationError.
+
+    The rows ``W.validate()`` keeps at weight n fix the coordinates of
+    Gr^W_n, and so every printed entry of delta: another basis of the same
+    steps prints another delta.  The bases of F' and F'' do not: the pieces
+    are spanned canonically, so any basis adapted to them gives the same
+    output.
     """
 
     def __init__(self, V):

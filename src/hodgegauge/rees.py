@@ -110,19 +110,9 @@ def rees_patching(dobj):
     monomial xi0^{(p'+q') - (p+q)} xi1^{p - p'} times the delta entry, so
     the xi0 exponents of the off-diagonal entries are >= 2.
     """
-    hodge = dobj.hodge
-    n = hodge.dim
-    owner = hodge.block_of_index()
-    rows = []
-    for i in range(n):
-        p, q = owner[i]
-        row = []
-        for j in range(n):
-            pp, qq = owner[j]
-            mono = ((pp + qq) - (p + q), p - pp)
-            row.append(Poly(2, {mono: dobj.delta[i, j]}))
-        rows.append(tuple(row))
-    return PolyMatrix(2, rows)
+    return PolyMatrix(2, [
+        tuple(Poly(2, {(a + b, -a): x}) for (a, b), x in zip(degrees, row))
+        for degrees, row in zip(dobj.hodge.bidegrees(), dobj.delta.rows)])
 
 
 def unipotent_line_type(phi):

@@ -86,23 +86,20 @@ class DeltaObject:
         if delta.shape != (n, n):
             raise DeltaError("matrix shape %r for dimension %d" % (delta.shape, n))
         owner = hodge.block_of_index()
-        for i in range(n):
-            pi, qi = owner[i]
-            for j in range(n):
-                pj, qj = owner[j]
+        lowering = set(hodge.lowering())
+        for i, row in enumerate(hodge.bidegrees()):
+            for j, ab in enumerate(row):
                 x = delta[i, j]
-                if (pi, qi) == (pj, qj):
-                    want = ONE if i == j else ZERO
-                    if x != want:
+                if ab == (0, 0):
+                    if x != (ONE if i == j else ZERO):
                         raise DeltaError(
-                            "diagonal block at %r is not the identity" % ((pi, qi),)
+                            "diagonal block at %r is not the identity" % (owner[i],)
                         )
-                elif x:
-                    if not (pi < pj and qi < qj):
-                        raise DeltaError(
-                            "entry %r <- %r does not lower both indices"
-                            % ((pi, qi), (pj, qj))
-                        )
+                elif x and (i, j) not in lowering:
+                    raise DeltaError(
+                        "entry %r <- %r does not lower both indices"
+                        % (owner[i], owner[j])
+                    )
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "delta", delta)
 
@@ -140,16 +137,12 @@ def log_delta_components(dobj):
     to block (p - a, q - b).  The components sum back to log(delta).
     """
     D = log_unipotent(dobj.delta)
-    owner = dobj.hodge.block_of_index()
     n = dobj.hodge.dim
     comps = {}
-    for i in range(n):
-        pi, qi = owner[i]
-        for j in range(n):
+    for i, row in enumerate(dobj.hodge.bidegrees()):
+        for j, key in enumerate(row):
             if not D[i, j]:
                 continue
-            pj, qj = owner[j]
-            key = (pj - pi, qj - qi)
             if key not in comps:
                 comps[key] = [[ZERO] * n for _ in range(n)]
             comps[key][i][j] = D[i, j]

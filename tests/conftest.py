@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -87,6 +88,17 @@ def fixture_deltas():
                 pass  # a connection document, or no structure
     assert len(deltas) >= 20
     return deltas
+
+
+def chain_delta(n):
+    """One dimension per weight, (-k, -k) for k < n, so that every drop of
+    weight occurs; entries in -3..3 seeded by n."""
+    rng = random.Random(n)
+    return DeltaObject(HodgeNumbers({(-k, -k): 1 for k in range(n)}), Matrix([
+        [ONE if i == j else Scalar(rng.randint(-3, 3)) if i < j else ZERO
+         for j in range(n)]
+        for i in range(n)
+    ]))
 
 
 def assert_raises_under_optimize(setup, call, error, match):

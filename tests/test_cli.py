@@ -9,11 +9,12 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import fixture_dir
+from conftest import chain_delta, fixture_dir
 from hodgegauge import cli
-from hodgegauge.documents import MAX_DIM, MAX_SPAN
+from hodgegauge.documents import MAX_DIM, MAX_SPAN, serialize
 from hodgegauge.freelie import TT_ALPHABET, LiePolynomial, format_rational
 from hodgegauge.scalars import Scalar
+from hodgegauge.splitting import delta_to_mhs
 
 
 def run(argv):
@@ -202,8 +203,7 @@ def test_rees_restricts_and_reduces_no_line(monkeypatch):
     from hodgegauge import rees
 
     monkeypatch.chdir(fixture_dir())
-    batches = [["rees"] + _fixture_names("all") + points for points in (
-        [], ["--point", "2,3", "--point=-1,0", "--point", "2,3", "--point", "0+1*i,1"])]
+    batches = [["rees"] + _fixture_names("all") + points for points in ([], _POINTS)]
     want = [run(argv) for argv in batches]
     calls = []
     for name in ("restrict_to_line", "_column_reduce"):
@@ -249,27 +249,51 @@ def _fixture_names(which):
 # sha256 of stdout of one batch over the shipped fixtures, named relative to
 # the fixture directory so that the digest does not depend on the checkout's
 # location; recorded before transport moved onto the weight-ordered walk,
-# (ext) before real cohomology moved onto Galois descent, and (split) before
-# delta was read off the echelon bases of the splitting pieces
-@pytest.mark.parametrize("argv, which, want", [
-    (["split"], "structure",
+# (ext) before real cohomology moved onto Galois descent, (split) before
+# delta was read off the echelon bases of the splitting pieces, and
+# (validate, connect, rees) before the block bidegrees moved into HodgeNumbers
+_POINTS = ["--point", "2,3", "--point=-1,0", "--point", "2,3", "--point", "0+1*i,1"]
+
+
+@pytest.mark.parametrize("argv, which, want_code, want", [
+    (["validate"], "structure", 0,
+     "ed2a44383494420e978cfb024d0cdb76b145d700ac3da81eec3e3fb7ab88fae2"),
+    (["split"], "structure", 0,
      "a43ac0472a312a24659b85b58a5b1c95651857886173afe0b3a8b482f8d59779"),
-    (["holonomy"], "all",
+    (["connect"], "all", 0,
+     "fb523aec0c595222f25e69a282d5d4b7d9023a170d29bdd026933ee8d8c1add2"),
+    (["holonomy"], "all", 0,
      "bb3fe02124d230fd0f4e768b9ea824143e0906b8ca4a5813f5c61210bcad9dd4"),
-    (["holonomy", "--path=-1,0;0,-1;2,3"], "delta and connection",
+    (["holonomy", "--path=-1,0;0,-1;2,3"], "delta and connection", 0,
      "689cd977da6b0ffd8e271afc953d6cd3df5a048d91026f49779dfa10676f2f07"),
-    (["roundtrip"], "structure",
+    (["roundtrip"], "structure", 0,
      "6aedbec96bf6227c91733504edb2b0da81de002574f3a759802d18a2000391e1"),
-    (["ext"], "structure",
+    # a connection document is malformed for rees
+    (["rees"] + _POINTS, "all", 2,
+     "5de71b714ba77ffc32eff82559b710aedfe180a8e4c91828bbec7cf2b0c757fa"),
+    (["ext"], "structure", 0,
      "4d63ba390303ea791b33756571fbe62ff5cea82cf40167bc0784b10e3cfb63e6"),
-], ids=["split", "holonomy", "holonomy-path", "roundtrip", "ext"])
-def test_transport_stdout_is_pinned(argv, which, want, monkeypatch):
+], ids=["validate", "split", "connect", "holonomy", "holonomy-path", "roundtrip",
+        "rees-points", "ext"])
+def test_transport_stdout_is_pinned(argv, which, want_code, want, monkeypatch):
     monkeypatch.chdir(fixture_dir())
     names = _fixture_names(which)
     assert len(names) == {"all": 27, "delta and connection": 3, "structure": 24}[which]
     code, out = run(argv + names)
-    assert code == 0
+    assert code == want_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+def test_roundtrip_stdout_on_the_chain_is_pinned(tmp_path, monkeypatch):
+    # its F'' is nested and dense, so delta_to_mhs spans every step of it
+    # from rows that are not unit rows; recorded with the digests above
+    monkeypatch.chdir(tmp_path)
+    with open("chain_16.json", "w") as fh:
+        json.dump(serialize(delta_to_mhs(chain_delta(16))), fh)
+    code, out = run(["roundtrip", "chain_16.json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "e2fe227432700a0e2eeb46416f68e8e1586ee4d8573d6328c7be3e729fc5d2a7"
 
 
 def test_lie_at_the_cap():
@@ -697,7 +721,7 @@ def test_sparse_decreasing_filtrations_validate(name, tmp_path):
 # the package modules each command loads, run on a structure document;
 # reading any document takes _DOCUMENT, and a delta takes splitting
 _DOCUMENT = {"cli", "scalars", "linalg", "mhs", "documents"}
-_CONNECTION = _DOCUMENT | {"splitting", "connection", "poly", "upoly"}
+_CONNECTION = _DOCUMENT | {"splitting", "connection", "upoly"}
 _HOLONOMY = _CONNECTION | {"holonomy"}
 _MODULES = {
     "lie": (["lie", "--truncation", "3"], {"cli", "scalars", "freelie", "upoly"}),

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     Quotient,
+    chain_delta,
     conjugate_mhs,
     coords,
     direct_sum_mhs,
@@ -174,6 +175,32 @@ def test_from_basis_inverts_validate():
     assert len(flags) == 3 * (2 * 20 + 80) + 2
 
 
+def test_from_basis_spans_each_step_from_the_one_inside_it(monkeypatch):
+    # F'' of a chain is nested and dense: spanning each step from all the
+    # rows of its levels again multiplies about n^4 times, spanning it from
+    # the reduced step inside it about n^3 times
+    inside, counts = [False], []
+    from_basis, mul = Filtration.from_basis.__func__, Scalar.__mul__
+
+    def counted_from_basis(cls, *args):
+        inside[0] = True
+        try:
+            return from_basis(cls, *args)
+        finally:
+            inside[0] = False
+
+    def counted_mul(a, b):
+        counts[-1] += inside[0]
+        return mul(a, b)
+
+    monkeypatch.setattr(Filtration, "from_basis", classmethod(counted_from_basis))
+    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    for n in (16, 32):
+        counts.append(0)
+        delta_to_mhs(chain_delta(n), check=False)
+    assert 0 < counts[1] < 10 * counts[0], counts
+
+
 def test_filtration_equality_ignores_redundant_steps():
     a = Filtration(Filtration.INC, 1, {0: Subspace.full(1)})
     b = Filtration(
@@ -193,6 +220,30 @@ def test_hodge_numbers_block_order():
     assert h.weights() == [-2, 0]
     assert h.transpose().blocks()[0][0] == (-1, -1)
     assert h.transpose().counts == {(0, 0): 1, (-1, -1): 2, (0, -2): 1}
+
+
+def test_bidegrees_and_lowering_are_read_off_the_blocks():
+    rng = random.Random(31)
+    for _ in range(300):
+        h = HodgeNumbers({(rng.randint(-4, 4), rng.randint(-4, 4)): rng.randint(0, 3)
+                          for _ in range(rng.randint(0, 6))})
+        owner, table = h.block_of_index(), h.bidegrees()
+        assert len(table) == h.dim
+        want = []
+        for i, (p, q) in enumerate(owner):
+            assert len(table[i]) == h.dim
+            for j, (pj, qj) in enumerate(owner):
+                assert table[i][j] == (pj - p, qj - q)
+                if p < pj and q < qj:
+                    want.append((pj + qj - p - q, i, j))
+        lowering = h.lowering()
+        assert lowering == [(i, j) for _, i, j in sorted(want)]
+        # the walk's invariant: an entry comes after those it factors through
+        before = {ij: k for k, ij in enumerate(lowering)}
+        for (i, k), m in before.items():
+            for j in range(h.dim):
+                if (k, j) in before and (i, j) in before:
+                    assert max(m, before[k, j]) < before[i, j]
 
 
 def test_pure_structures_validate():

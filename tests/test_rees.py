@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    _laurent_det, assert_raises_under_optimize, fixture_deltas, span,
-    two_filtration_rees_type,
+    _laurent_det, assert_raises_under_optimize, chain_delta, fixture_deltas,
+    span, two_filtration_rees_type,
 )
 from hodgegauge.fixtures import kummer, kummer_delta, random_delta, t3_delta
 from hodgegauge.linalg import InvariantError, Matrix, Subspace, _reduce
 from hodgegauge.mhs import (
-    ComplexMHS, Filtration, HodgeNumbers, pure, validate_mhs,
+    ComplexMHS, Filtration, pure, validate_mhs,
 )
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.rees import (
@@ -24,7 +24,7 @@ from hodgegauge.rees import (
     w_line_transition,
 )
 from hodgegauge.scalars import ONE, Scalar, ZERO
-from hodgegauge.splitting import DeltaObject, delta_operator
+from hodgegauge.splitting import delta_operator
 
 
 def laurent_matrix(entries):
@@ -367,22 +367,11 @@ def test_the_line_path_runs_no_elimination_and_no_substitution(monkeypatch):
     assert calls == []
 
 
-def _chain_delta(n):
-    """One dimension per weight, (-k, -k) for k < n, so that every drop of
-    weight occurs; entries in -3..3 seeded by n."""
-    rng = random.Random(n)
-    return DeltaObject(HodgeNumbers({(-k, -k): 1 for k in range(n)}), Matrix([
-        [ONE if i == j else Scalar(rng.randint(-3, 3)) if i < j else ZERO
-         for j in range(n)]
-        for i in range(n)
-    ]))
-
-
 def test_the_certificate_agrees_with_the_reduction_on_deltas():
     # the CLI's lines: the weight line and the three default points
     lines = (W_LINE, (Scalar(-1), ZERO), (Scalar(2), Scalar(3)),
              (Scalar(0, 1), Scalar(-1)))
-    for d in fixture_deltas() + [_chain_delta(16), _chain_delta(24)]:
+    for d in fixture_deltas() + [chain_delta(16), chain_delta(24)]:
         phi = rees_patching(d)
         t = unipotent_line_type(phi)
         assert t == (0,) * d.hodge.dim

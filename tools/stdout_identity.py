@@ -1,0 +1,183 @@
+"""Compare stdout and exit codes of the CLI between two source trees.
+
+Usage: ``python3 tools/stdout_identity.py PARENT_SRC CHANGE_SRC [SEED ...]``
+
+Each invocation runs once under each tree, as a fresh
+``python -m hodgegauge.cli`` process with only that tree on PYTHONPATH, on
+the same documents in the same working directory:
+
+- the seven commands on the shipped fixtures, and ``lie --truncation N``
+  for N = 2..12;
+- every invocation of the pipeline-mix and wide-spread plans of
+  ``perfbench/workloads.py``, probes included, on the corpora that
+  ``perfbench/corpus.py`` builds at each SEED (default 7);
+- the seven commands on the one-dimension-per-weight chains at n = 16, 24
+  and 32 (entries in -3..3 seeded by n), as structure and as delta
+  documents, and ``holonomy --path`` with 5 points on the n = 24 chain.
+
+The documents are built under the parent tree.  The fixtures and corpora
+are also read or built under the change tree, and a document whose bytes
+differ is reported.  Prints one line per difference and a summary; exits 1
+when anything differs, else 0.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+COMMANDS = ("validate", "split", "connect", "holonomy", "roundtrip", "rees", "ext")
+CHAINS = (16, 24, 32)
+CHAIN_LIMIT_S = 300
+PATH_5 = "--path=-1,0;0,-1;2,3;1/2,-1/3;1,1"
+
+# writes chain_<n>_structure.json and chain_<n>_delta.json to the cwd
+CHAIN_SCRIPT = """
+import json, random, sys
+from hodgegauge.documents import serialize
+from hodgegauge.linalg import Matrix
+from hodgegauge.mhs import HodgeNumbers
+from hodgegauge.scalars import ONE, ZERO, Scalar
+from hodgegauge.splitting import DeltaObject, delta_to_mhs
+
+for n in map(int, sys.argv[1:]):
+    rng = random.Random(n)
+    d = DeltaObject(HodgeNumbers({(-k, -k): 1 for k in range(n)}), Matrix([
+        [ONE if i == j else Scalar(rng.randint(-3, 3)) if i < j else ZERO
+         for j in range(n)] for i in range(n)]))
+    for kind, obj in (("structure", delta_to_mhs(d)), ("delta", d)):
+        with open("chain_%d_%s.json" % (n, kind), "w") as fh:
+            json.dump(serialize(obj), fh)
+"""
+
+
+def _env(src):
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
+def _run(src, argv, cwd, limit):
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hodgegauge.cli"] + argv,
+                              cwd=cwd, env=_env(src), capture_output=True,
+                              timeout=limit)
+    except subprocess.TimeoutExpired:
+        return "timeout after %.0f s" % limit, b""
+    return "exit %d" % proc.returncode, proc.stdout
+
+
+def _child(src, argv, cwd, fatal=True):
+    # builds documents; a failure under the parent tree ends the comparison
+    proc = subprocess.run([sys.executable] + argv, cwd=cwd, env=_env(src),
+                          capture_output=True)
+    if proc.returncode and fatal:
+        raise SystemExit("building documents under %s failed:\n%s"
+                         % (src, proc.stderr.decode(errors="replace")))
+    return None if proc.returncode else proc.stdout
+
+
+class Comparison:
+    def __init__(self, parent, change):
+        self.srcs = (parent, change)
+        self.count = 0
+        self.diffs = []
+
+    def differ(self, label, why):
+        self.diffs.append(label)
+        print("DIFF %s: %s" % (label, why), flush=True)
+
+    def invocation(self, label, argv, cwd, limit=workloads.TIMED_LIMIT_S):
+        self.count += 1
+        (code_a, out_a), (code_b, out_b) = (
+            _run(src, argv, cwd, limit) for src in self.srcs)
+        if code_a != code_b:
+            self.differ(label, "%s -> %s" % (code_a, code_b))
+        elif out_a != out_b:
+            lines = zip(out_a.splitlines(), out_b.splitlines())
+            k = next((k for k, (a, b) in enumerate(lines) if a != b),
+                     min(out_a.count(b"\n"), out_b.count(b"\n")))
+            self.differ(label, "stdout differs from line %d" % (k + 1))
+
+
+def fixtures(cmp, work):
+    dirs = [os.path.join(src, "hodgegauge", "fixtures") for src in cmp.srcs]
+    names = sorted(f for f in os.listdir(dirs[0]) if f.endswith(".json"))
+    _, mismatch, errors = filecmp.cmpfiles(*dirs, names, shallow=False)
+    for name in mismatch + errors:
+        cmp.differ("fixture " + name, "bytes differ or missing in the change")
+    cwd = os.path.join(work, "fixtures")
+    shutil.copytree(dirs[0], cwd)
+    for command in COMMANDS:
+        cmp.invocation("%s on the fixtures" % command, [command] + names, cwd)
+    for n in range(2, 13):
+        cmp.invocation("lie --truncation %d" % n, ["lie", "--truncation", str(n)],
+                       cwd)
+
+
+def corpora(cmp, work, seed):
+    for workload in ("pipeline-mix", "wide-spread"):
+        label = "%s seed %d" % (workload, seed)
+        argv = [os.path.join(ROOT, "perfbench", "corpus.py"), workload, str(seed)]
+        dirs = [os.path.join(work, side, label.replace(" ", "-"))
+                for side in ("parent", "change")]
+        for cwd in dirs:
+            os.makedirs(cwd)
+        docs = json.loads(_child(cmp.srcs[0], argv, dirs[0]))
+        out = _child(cmp.srcs[1], argv, dirs[1], fatal=False)
+        if out is None:
+            cmp.differ(label + " corpus", "the change fails to build it")
+        else:
+            want, got = ({d["id"]: d["sha256"] for d in ds}
+                         for ds in (docs, json.loads(out)))
+            for name in sorted(set(want) | set(got)):
+                if want.get(name) != got.get(name):
+                    cmp.differ("%s document %s" % (label, name),
+                               "built differently by the change")
+        for inv in workloads.plan(workload, docs):
+            cmp.invocation("%s %s" % (label, inv.ident), inv.argv, dirs[0],
+                           inv.limit_s)
+
+
+def chains(cmp, work):
+    cwd = os.path.join(work, "chains")
+    os.makedirs(cwd)
+    _child(cmp.srcs[0], ["-c", CHAIN_SCRIPT] + [str(n) for n in CHAINS], cwd)
+    docs = ["chain_%d_%s.json" % (n, kind) for n in CHAINS
+            for kind in ("structure", "delta")]
+    for command in COMMANDS:
+        cmp.invocation("%s on the chains" % command, [command] + docs, cwd,
+                       CHAIN_LIMIT_S)
+    cmp.invocation("holonomy %s on the n = 24 chain" % PATH_5,
+                   ["holonomy", PATH_5, "chain_24_structure.json",
+                    "chain_24_delta.json"], cwd, CHAIN_LIMIT_S)
+
+
+def main(argv):
+    if len(argv) < 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    cmp = Comparison(argv[0], argv[1])
+    seeds = [int(s) for s in argv[2:]] or [7]
+    work = tempfile.mkdtemp(prefix="stdout-identity-")
+    try:
+        fixtures(cmp, work)
+        for seed in seeds:
+            corpora(cmp, work, seed)
+        chains(cmp, work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print("%d invocations compared, %d differ" % (cmp.count, len(cmp.diffs)))
+    return 1 if cmp.diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
