@@ -16,7 +16,7 @@ transports connections along segments (holonomy).
 from __future__ import annotations
 
 from .linalg import InvariantError, Matrix
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, Value
 from .upoly import add, at_one, hypotenuse_pullback, integral, mul, of
 
 
@@ -30,9 +30,9 @@ def _check_block(bidegrees, M, p, q, what):
         raise AdmissibilityError(
             "%s block at (%d, %d) has shape %r" % (what, p, q, M.shape)
         )
-    for i, row in enumerate(bidegrees):
-        for j, (a, b) in enumerate(row):
-            if M[i, j] and (a, b) != (p, q):
+    for row, degrees in zip(M.rows, bidegrees):
+        for x, (a, b) in zip(row, degrees):
+            if x and (a, b) != (p, q):
                 raise AdmissibilityError(
                     "%s_{%d,%d} has an entry of bidegree %r"
                     % (what, p, q, (-a, -b))
@@ -44,7 +44,7 @@ def _weight_spread(hodge):
     return ws[-1] - ws[0] if ws else 0
 
 
-class EquivariantConnection:
+class EquivariantConnection(Value):
     """Hodge numbers plus the coefficient maps A, B keyed by (p, q)."""
 
     __slots__ = ("hodge", "A", "B")
@@ -70,21 +70,9 @@ class EquivariantConnection:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EquivariantConnection is immutable")
-
     @classmethod
     def zero(cls, hodge):
         return cls(hodge, {}, {})
-
-    def __eq__(self, other):
-        if not isinstance(other, EquivariantConnection):
-            return NotImplemented
-        return (
-            self.hodge == other.hodge
-            and self.A == other.A
-            and self.B == other.B
-        )
 
     def is_zero(self):
         return not self.A and not self.B
@@ -97,7 +85,7 @@ class EquivariantConnection:
         )
 
 
-class GaugeTransformation:
+class GaugeTransformation(Value):
     """Unipotent change of frame g = 1 + sum C_{p,q} t1^p t2^q."""
 
     __slots__ = ("hodge", "C")
@@ -114,17 +102,9 @@ class GaugeTransformation:
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "C", C)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaugeTransformation is immutable")
-
     @classmethod
     def identity(cls, hodge):
         return cls(hodge, {})
-
-    def __eq__(self, other):
-        if not isinstance(other, GaugeTransformation):
-            return NotImplemented
-        return self.hodge == other.hodge and self.C == other.C
 
     def matrix(self):
         """g as a polynomial matrix in (t1, t2)."""
@@ -223,16 +203,14 @@ def normalize_fock_schwinger(C):
     C_{p,q} = -(A + B)_{p,q} / (p + q).
     """
     hodge = C.hodge
+    zero = Matrix.zeros(hodge.dim, hodge.dim)
     current = C
     total = GaugeTransformation.identity(hodge)
     for d in range(2, _weight_spread(hodge) + 1):
         Cd = {}
         for p in range(1, d):
             q = d - p
-            n = hodge.dim
-            S = current.A.get((p, q), Matrix.zeros(n, n)) + current.B.get(
-                (p, q), Matrix.zeros(n, n)
-            )
+            S = current.A.get((p, q), zero) + current.B.get((p, q), zero)
             if not S.is_zero():
                 Cd[(p, q)] = S.scale(ONE / -d)
         if not Cd:
@@ -241,7 +219,7 @@ def normalize_fock_schwinger(C):
         current = apply_gauge(current, g)
         total = total.compose(g)
     for (p, q), M in current.A.items():
-        resid = M + current.B.get((p, q), Matrix.zeros(*M.shape))
+        resid = M + current.B.get((p, q), zero)
         if not resid.is_zero():
             raise InvariantError("normalization left a defect at %r" % ((p, q),))
     for (p, q), M in current.B.items():
@@ -287,6 +265,7 @@ def connection_from_delta(dobj):
     hodge = dobj.hodge
     n = hodge.dim
     bidegrees = hodge.bidegrees()
+    delta = dobj.delta.rows
     pullback = {}
     blocks = {}
 
@@ -296,7 +275,7 @@ def connection_from_delta(dobj):
             h = hypotenuse_pullback(*pq)
             pullback[pq] = (h, at_one(integral(h)))
         h, c = pullback[pq]
-        a = (dobj.delta[i, j] - at_one(integral(S))) / c
+        a = (delta[i][j] - at_one(integral(S))) / c
         if not a:
             return None
         blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])[i][j] = a

@@ -193,7 +193,6 @@ def serialize(obj):
     if isinstance(obj, EquivariantConnection):
         blocks = []
         for (p, q) in sorted(set(obj.A) | set(obj.B)):
-            n = obj.hodge.dim
             entry = {"p": p, "q": q}
             if (p, q) in obj.A:
                 entry["A"] = _matrix_out(obj.A[(p, q)])

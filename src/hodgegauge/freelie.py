@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import heapq
 
-from .scalars import ONE, ZERO, _coerce
+from .scalars import ONE, ZERO, Value, _coerce
 from .upoly import at_one, hypotenuse_pullback, integral, mul, of
 
 
@@ -39,7 +39,7 @@ class GeneratorChangeError(ValueError):
     """A leading coefficient needed for the triangular inversion vanished."""
 
 
-class Alphabet:
+class Alphabet(Value):
     """Ordered list of generator labels with positive bidegrees (p, q)."""
 
     __slots__ = ("letters", "bidegrees", "weights")
@@ -52,19 +52,8 @@ class Alphabet:
         )
         object.__setattr__(self, "weights", tuple(p + q for _, p, q in letters))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
-
     def __len__(self):
         return len(self.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, Alphabet):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
 
     def word_weight(self, w):
         return sum(map(self.weights.__getitem__, w))
@@ -185,7 +174,7 @@ def expand_lyndon(w):
     return bracketing(w, _EXPANSIONS, _letter, _tensor_bracket)
 
 
-class LiePolynomial:
+class LiePolynomial(Value):
     """Rational coordinates on the Lyndon basis of a free Lie algebra."""
 
     __slots__ = ("alphabet", "coords")
@@ -202,9 +191,6 @@ class LiePolynomial:
             clean[w] = c
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "coords", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LiePolynomial is immutable")
 
     @classmethod
     def generator(cls, alphabet, i):
@@ -259,11 +245,6 @@ class LiePolynomial:
 
     def is_zero(self):
         return not self.coords
-
-    def __eq__(self, other):
-        if not isinstance(other, LiePolynomial):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.coords == other.coords
 
     def __add__(self, other):
         coords = dict(self.coords)

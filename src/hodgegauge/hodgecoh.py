@@ -20,11 +20,11 @@ from __future__ import annotations
 from .connection import connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import GrStructure, realize_real
-from .scalars import ZERO, Scalar
+from .scalars import ZERO, Scalar, Value
 from .splitting import block_permutation, delta_operator
 
 
-class TwoTermComplex:
+class TwoTermComplex(Value):
     """Matrix of d + Omega between monomial-labeled invariant bases.
 
     Domain labels are (graded index, a, b) for v t1^a t2^b; codomain labels
@@ -39,9 +39,6 @@ class TwoTermComplex:
         object.__setattr__(self, "domain_labels", tuple(domain_labels))
         object.__setattr__(self, "codomain_labels", tuple(codomain_labels))
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoTermComplex is immutable")
 
     def cohomology_dims(self):
         rank = self.matrix.rank()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .connection import _walk, connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import HodgeNumbers
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, Value
 from .splitting import DeltaObject
 from .upoly import add, at_one, mul, of
 
@@ -25,7 +25,7 @@ class PathError(ValueError):
     """Degenerate polygonal path."""
 
 
-class PolygonalPath:
+class PolygonalPath(Value):
     """Ordered list of points of the plane, consecutive points distinct."""
 
     __slots__ = ("points",)
@@ -40,9 +40,6 @@ class PolygonalPath:
             if a == b:
                 raise PathError("consecutive path points coincide")
         object.__setattr__(self, "points", pts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolygonalPath is immutable")
 
     def segments(self):
         return list(zip(self.points, self.points[1:]))

@@ -14,7 +14,7 @@ change of coordinates: Matrix.inverse and adapted_position go through it.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar, _coerce
+from .scalars import ONE, ZERO, Scalar, Value, _coerce
 
 _new = object.__new__
 _set = object.__setattr__
@@ -34,7 +34,7 @@ class InvariantError(RuntimeError):
     ``python -O`` too."""
 
 
-class Matrix:
+class Matrix(Value):
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows):
@@ -53,9 +53,6 @@ class Matrix:
         _set(m, "rows", rows)
         _set(m, "ncols", ncols)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n):
@@ -82,14 +79,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.ncols == other.ncols and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.ncols, self.rows))
 
     def __repr__(self):
         return "Matrix(%r)" % ([[str(x) for x in row] for row in self.rows],)
@@ -280,7 +269,7 @@ def kron(a, b):
     return tuple(x * y for x in a for y in b)
 
 
-class Subspace:
+class Subspace(Value):
     """Subspace of K^n in canonical (reduced row echelon) form."""
 
     __slots__ = ("n", "basis")
@@ -288,9 +277,6 @@ class Subspace:
     def __init__(self, n, basis):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_rows(cls, n, rows):
@@ -320,14 +306,6 @@ class Subspace:
     @property
     def dim(self):
         return self.basis.nrows
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.n == other.n and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.n, self.basis))
 
     def __repr__(self):
         return "Subspace(n=%d, dim=%d)" % (self.n, self.dim)

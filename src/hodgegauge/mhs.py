@@ -19,6 +19,7 @@ from .linalg import (
     adapted_position,
     solve_left,
 )
+from .scalars import Value
 
 
 class FiltrationError(ValueError):
@@ -39,7 +40,7 @@ class OpposednessViolation(ValueError):
         )
 
 
-class Filtration:
+class Filtration(Value):
     """Sparse filtration: stored jumps plus constant extension outside.
 
     Increasing filtrations are 0 below the stored range; decreasing ones are
@@ -64,9 +65,6 @@ class Filtration:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_keys", tuple(sorted(steps)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Filtration is immutable")
 
     def jumps(self):
         return list(self._keys)
@@ -172,7 +170,7 @@ class Filtration:
         )
 
 
-class HodgeNumbers:
+class HodgeNumbers(Value):
     """Finite map (p, q) -> h^{p,q} with the canonical block order."""
 
     __slots__ = ("counts",)
@@ -182,9 +180,6 @@ class HodgeNumbers:
         if any(v < 0 for v in counts.values()):
             raise ValueError("negative hodge number")
         object.__setattr__(self, "counts", counts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HodgeNumbers is immutable")
 
     @property
     def dim(self):
@@ -225,16 +220,11 @@ class HodgeNumbers:
     def transpose(self):
         return HodgeNumbers({(q, p): h for (p, q), h in self.counts.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, HodgeNumbers):
-            return NotImplemented
-        return self.counts == other.counts
-
     def __repr__(self):
         return "HodgeNumbers(%r)" % (self.counts,)
 
 
-class ComplexMHS:
+class ComplexMHS(Value):
     """Triple (W, F', F'') of filtrations on K^n, K = Q(i)."""
 
     __slots__ = ("n", "W", "Fp", "Fpp")
@@ -250,24 +240,11 @@ class ComplexMHS:
         object.__setattr__(self, "Fp", Fp)
         object.__setattr__(self, "Fpp", Fpp)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexMHS is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexMHS):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.W == other.W
-            and self.Fp == other.Fp
-            and self.Fpp == other.Fpp
-        )
-
     def __repr__(self):
         return "ComplexMHS(n=%d)" % (self.n,)
 
 
-class RealMHS:
+class RealMHS(Value):
     """Rational W on Q^n together with F on Q(i)^n; F'' is conj(F)."""
 
     __slots__ = ("n", "W", "F")
@@ -284,9 +261,6 @@ class RealMHS:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "F", F)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealMHS is immutable")
 
 
 class AdaptedTriple:

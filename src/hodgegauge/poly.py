@@ -12,7 +12,7 @@ line alike.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar, _coerce
+from .scalars import ONE, ZERO, Scalar, Value, _coerce
 from .linalg import DimensionMismatch, Matrix
 
 
@@ -24,7 +24,7 @@ class LaurentError(ValueError):
     """A negative exponent where the operation has no polynomial answer."""
 
 
-class Poly:
+class Poly(Value):
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms):
@@ -48,9 +48,6 @@ class Poly:
         _set(p, "terms", {e: c for e, c in terms.items() if c})
         return p
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
     @classmethod
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: _coerce(c)})
@@ -71,11 +68,6 @@ class Poly:
     def _compat(self, other):
         if self.nvars != other.nvars:
             raise DimensionMismatch("nvars %d vs %d" % (self.nvars, other.nvars))
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -171,18 +163,6 @@ class Poly:
         F = self.antiderivative()
         return F.eval((b,)) - F.eval((a,))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            mono = "*".join(
-                "x%d^%d" % (i, e) for i, e in enumerate(exps) if e != 0
-            )
-            parts.append("(%s)%s" % (c, "*" + mono if mono else ""))
-        return " + ".join(parts)
-
 
 def powers(p):
     """The map k -> p^k, forming each power once, from the one below it."""
@@ -196,7 +176,7 @@ def powers(p):
     return power
 
 
-class PolyMatrix:
+class PolyMatrix(Value):
     __slots__ = ("nvars", "rows", "ncols")
 
     def __init__(self, nvars, rows):
@@ -218,9 +198,6 @@ class PolyMatrix:
         _set(m, "rows", rows)
         _set(m, "ncols", ncols)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
 
     @classmethod
     def from_scalar_matrix(cls, nvars, m):
@@ -254,13 +231,6 @@ class PolyMatrix:
     @property
     def shape(self):
         return (len(self.rows), self.ncols)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.nvars, self.ncols, self.rows) == (
-            other.nvars, other.ncols, other.rows
-        )
 
     def __getitem__(self, ij):
         i, j = ij

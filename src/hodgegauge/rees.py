@@ -14,7 +14,7 @@ from __future__ import annotations
 from .linalg import InvariantError
 from .mhs import AdaptedTriple
 from .poly import LaurentError, Poly, PolyMatrix, powers
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, Value
 
 W_LINE = "W"
 
@@ -23,7 +23,7 @@ class TransitionError(ValueError):
     """Transition matrix is not invertible over the overlap."""
 
 
-class P1TransitionMatrix:
+class P1TransitionMatrix(Value):
     """Square Laurent matrix in one variable xi relating the chart at 0 to
     the chart at infinity (coordinate 1/xi).  The determinant must be a
     nonzero monomial c * xi^m; the convention is pinned so that the 1x1
@@ -47,9 +47,6 @@ class P1TransitionMatrix:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "degrees", top)
         object.__setattr__(self, "det_exponent", sum(top))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("P1TransitionMatrix is immutable")
 
     @property
     def rank(self):

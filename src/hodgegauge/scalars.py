@@ -12,6 +12,10 @@ first use, where a Fraction is converted or a part is read, so a process
 that never does so never loads it.
 Plain rationals are the im == 0 case; callers that need to stay inside Q
 can check ``in_field("Q")``.
+
+``Value`` is the one rule for every other exact object of the library:
+its fields are set once, by the constructor, and two values are equal, and
+hash equal, when they are of the same type and every field is equal.
 """
 
 from __future__ import annotations
@@ -86,10 +90,31 @@ def _rational(text):
 _new = object.__new__
 
 
+class Value:
+    """An immutable value: equal to another of the same type whose fields in
+    ``__slots__`` are all equal, and hashed on those fields.  A constructor
+    sets them with ``object.__setattr__``; any other assignment raises.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self.__slots__))
+
+
 class Scalar:
     # (real numerator, real denominator, imaginary numerator, imaginary
-    # denominator); set once by the constructors and never reassigned.  There
-    # is no __setattr__ guard: it would slow every arithmetic result.
+    # denominator); set once by the constructors and never reassigned.  It is
+    # not a Value: arithmetic writes the slots of each result directly, and
+    # a __setattr__ guard would slow every one.
     __slots__ = ("_rn", "_rd", "_in", "_id")
 
     def __init__(self, re=0, im=0):

@@ -21,7 +21,7 @@ from .linalg import (
     solve_left,
 )
 from .mhs import ComplexMHS, Filtration, GrStructure
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, Value
 
 
 class DeltaError(ValueError):
@@ -71,7 +71,7 @@ def splitting_subspaces(gr, side):
     }
 
 
-class DeltaObject:
+class DeltaObject(Value):
     """Hodge numbers together with the comparison matrix on the graded space.
 
     The matrix is written in the canonical block basis.  Diagonal blocks are
@@ -102,14 +102,6 @@ class DeltaObject:
                     )
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "delta", delta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeltaObject is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, DeltaObject):
-            return NotImplemented
-        return self.hodge == other.hodge and self.delta == other.delta
 
     def __repr__(self):
         return "DeltaObject(%r)" % (self.hodge,)

@@ -50,6 +50,13 @@ def test_admissibility_rejects_bad_support():
     # an entry that does not move (0,0) to (-1,-1) violates the bidegree
     with pytest.raises(AdmissibilityError):
         EquivariantConnection(KH, {(1, 1): mat([[0, 0], [1, 0]])}, {})
+    # the first bad entry in row-major order is named: entry (0, 2) has
+    # bidegree (-2, -2), entry (1, 0) has (1, 1)
+    h = HodgeNumbers({(0, 0): 1, (-1, -1): 1, (-2, -2): 1})
+    M = mat([[0, 0, 1], [1, 0, 0], [0, 0, 0]])
+    with pytest.raises(AdmissibilityError,
+                       match=r"^A_\{1,1\} has an entry of bidegree \(-2, -2\)$"):
+        EquivariantConnection(h, {(1, 1): M}, {})
 
 
 def test_curvature_zero_connection():
@@ -292,3 +299,20 @@ def test_blocks_are_built_without_coercion(monkeypatch):
         connection_from_delta(d)
         log_delta_components(d)
     assert built == []
+
+
+def test_connection_from_delta_reads_no_entry_by_index(monkeypatch):
+    # the solve and the bidegree check of each block walk the rows, so no
+    # entry is read through Matrix.__getitem__
+    deltas = fixture_deltas()
+    reads = []
+    getitem = Matrix.__getitem__
+
+    def counted(self, ij):
+        reads.append(ij)
+        return getitem(self, ij)
+
+    monkeypatch.setattr(Matrix, "__getitem__", counted)
+    for d in deltas:
+        connection_from_delta(d)
+    assert reads == []

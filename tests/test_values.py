@@ -1,0 +1,146 @@
+"""The value rule of the package, written once in ``scalars.Value``: every
+exact object is immutable, equal to another of its type with equal fields,
+and hashed on those fields.  ``Filtration`` compares flags by ``at`` and is
+unhashable; ``Poly`` hashes its terms as a frozenset; ``Scalar`` writes its
+own slots and stays outside the rule."""
+
+import importlib
+import inspect
+import os
+
+import pytest
+
+from conftest import mat
+from hodgegauge.connection import (
+    EquivariantConnection,
+    GaugeTransformation,
+    connection_from_delta,
+)
+from hodgegauge.fixtures import kummer_delta, real_kummer, real_tate, t3, t3_delta
+from hodgegauge.freelie import Alphabet, LiePolynomial
+from hodgegauge.hodgecoh import TwoTermComplex, invariant_complex
+from hodgegauge.holonomy import TRIANGLE, PolygonalPath
+from hodgegauge.linalg import Matrix, Subspace
+from hodgegauge.mhs import ComplexMHS, Filtration, HodgeNumbers, RealMHS
+from hodgegauge.poly import Poly, PolyMatrix
+from hodgegauge.rees import P1TransitionMatrix
+from hodgegauge.scalars import Scalar, Value
+from hodgegauge.splitting import DeltaObject
+
+PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "hodgegauge")
+MODULES = sorted(f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py"))
+
+
+def _classes():
+    out = []
+    for name in MODULES:
+        module = importlib.import_module("hodgegauge." + name)
+        out += [c for _, c in inspect.getmembers(module, inspect.isclass)
+                if c.__module__ == module.__name__]
+    return out
+
+
+def _defining(method):
+    return sorted(c.__name__ for c in _classes()
+                  if c.__dict__.get(method) is not None)
+
+
+def _transition(exponent):
+    return P1TransitionMatrix(PolyMatrix(1, [[Poly.monomial(1, (exponent,))]]))
+
+
+def _flag(*dims):
+    # the increasing flag on K^2 whose step k is spanned by the first
+    # dims[k] unit vectors
+    units = Matrix.identity(2).rows
+    return Filtration(Filtration.INC, 2, {
+        k: Subspace.from_rows(2, units[:d]) for k, d in enumerate(dims)})
+
+
+ALPHABET = Alphabet([("a", 1, 1), ("b", 1, 2)])
+
+# one instance of each value class
+SAMPLES = {
+    Matrix: lambda: Matrix.identity(2),
+    Subspace: lambda: Subspace.full(2),
+    Filtration: lambda: _flag(1, 2),
+    HodgeNumbers: lambda: t3_delta(1, 2).hodge,
+    ComplexMHS: lambda: t3(1, 2),
+    RealMHS: lambda: real_tate(1),
+    DeltaObject: lambda: kummer_delta(2),
+    EquivariantConnection: lambda: connection_from_delta(t3_delta(1, 2)),
+    GaugeTransformation: lambda: GaugeTransformation.identity(kummer_delta(2).hodge),
+    PolygonalPath: lambda: PolygonalPath(TRIANGLE),
+    TwoTermComplex: lambda: invariant_complex(connection_from_delta(kummer_delta(2))),
+    P1TransitionMatrix: lambda: _transition(-1),
+    Poly: lambda: Poly.monomial(2, (1, 0)),
+    PolyMatrix: lambda: PolyMatrix.identity(2, 2),
+    Alphabet: lambda: ALPHABET,
+    LiePolynomial: lambda: LiePolynomial.generator(ALPHABET, 1),
+}
+
+
+def test_every_slotted_class_but_scalar_is_a_value():
+    slotted = [c for c in _classes()
+               if "__slots__" in c.__dict__ and c not in (Value, Scalar)]
+    assert all(issubclass(c, Value) for c in slotted)
+    assert sorted(c.__name__ for c in slotted) == sorted(c.__name__ for c in SAMPLES)
+
+
+def test_the_rule_is_written_once():
+    assert _defining("__setattr__") == ["Value"]
+    assert _defining("__eq__") == ["Filtration", "Scalar", "Value"]
+    assert _defining("__hash__") == ["Poly", "Scalar", "Value"]
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_a_value_cannot_be_assigned(cls):
+    value = SAMPLES[cls]()
+    assert type(value) is cls
+    message = "^%s is immutable$" % cls.__name__
+    with pytest.raises(AttributeError, match=message):
+        setattr(value, cls.__slots__[0], None)
+    with pytest.raises(AttributeError, match=message):
+        value.anything = None
+
+
+@pytest.mark.parametrize("same, other", [
+    (lambda: real_kummer(2), lambda: real_kummer(3)),
+    (lambda: PolygonalPath(TRIANGLE),
+     lambda: PolygonalPath(TRIANGLE).reversed()),
+    (lambda: _transition(-1), lambda: _transition(1)),
+    (lambda: invariant_complex(connection_from_delta(kummer_delta(2))),
+     lambda: invariant_complex(connection_from_delta(kummer_delta(3)))),
+], ids=["RealMHS", "PolygonalPath", "P1TransitionMatrix", "TwoTermComplex"])
+def test_values_that_were_compared_by_identity_compare_by_fields(same, other):
+    a, b, c = same(), same(), other()
+    assert a is not b
+    assert a == b and not a != b
+    assert a != c and not a == c
+
+
+def test_a_value_never_equals_another_type():
+    assert Matrix.identity(1) != Subspace.full(1)
+    assert Matrix.identity(1) != Matrix.identity(1).rows
+    assert HodgeNumbers({(0, 0): 1}) != {(0, 0): 1}
+
+
+def test_a_filtration_compares_as_a_flag_and_is_unhashable():
+    # the redundant step 2 repeats step 1, so at(k) agrees at every k
+    assert _flag(1, 2, 2) == _flag(1, 2)
+    assert _flag(1, 2, 2).steps != _flag(1, 2).steps
+    assert _flag(1, 2) != _flag(0, 2)
+    with pytest.raises(TypeError):
+        hash(_flag(1, 2))
+
+
+def test_equal_values_hash_equal():
+    pairs = [
+        (mat([[1, 2], [3, 4]]), Matrix([[Scalar(1), 2], [3, Scalar(4)]])),
+        (Subspace.from_rows(2, [[1, 1]]), Subspace.from_rows(2, [[2, 2]])),
+        (Alphabet([("a", 1, 2)]), Alphabet([("a", 1, 2)])),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+    assert len({a for a, _ in pairs} | {b for _, b in pairs}) == 3
