@@ -1,19 +1,24 @@
 """Free Lie algebras in Lyndon coordinates and the universal holonomy log.
 
 Generators carry bidegrees (-p, -q); we store the positive pair (p, q) and
-call p + q the weight.  Elements are kept as rational Scalar coordinates on
-the Lyndon-word basis; brackets are computed by expanding into the truncated
+call p + q the weight.  Elements are kept as Scalar coordinates on the
+Lyndon-word basis; brackets are computed by expanding into the truncated
 tensor algebra and re-extracting, which is triangular with respect to the
 order on words by (length, word) and hence exact.  ``bracketing`` evaluates
-bracketed Lyndon words in any algebra; tensor expansions are memoized by word.
+bracketed Lyndon words in any algebra; tensor expansions have integer
+coefficients and are memoized by word.  The extraction works on integer
+numerators over one positive denominator and makes Scalars only when it
+reads out the coordinates.
 
 The universal tables express the logarithm of the transport along the
 hypotenuse from (-1, 0) to (0, -1) as a Lie series z = sum z_{p,q} in the
 connection coefficients alpha_{p,q}, and invert that (triangular) change of
 generators.  The transport's iterated integrals are ``upoly`` polynomials
 in s on [0, 1], over the pullback ``upoly.hypotenuse_pullback`` that the
-canonical connection is solved with.  Tables depend only on the truncation
-weight and are memoized per process.
+canonical connection is solved with.  The series of their values at s = 1,
+its log and the inversion's rows are integer tensors over one denominator
+each, so a table makes no Scalar arithmetic.  Tables depend only on the
+truncation weight and are memoized per process.
 
 The log of the transport is primitive, and the Lyndon extraction of it is
 the certificate, with no second check: ``LiePolynomial.from_tensor``
@@ -26,9 +31,11 @@ from __future__ import annotations
 
 import functools
 import heapq
+import operator
+from math import gcd, lcm
 
-from .scalars import ONE, ZERO, Value, _coerce
-from .upoly import at_one, hypotenuse_pullback, integral, mul, of
+from .scalars import ONE, ZERO, Value, _coerce, _over
+from .upoly import at_one, hypotenuse_pullback, integral, mul
 
 
 class NotLieElement(ValueError):
@@ -151,26 +158,28 @@ def bracketing(w, memo, leaf, bracket):
 
 
 def _tensor_bracket(a, b):
+    # ab - ba; integer or Scalar coefficients alike
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
             c = ca * cb
             key = wa + wb
-            out[key] = out.get(key, ZERO) + c
+            out[key] = out.get(key, 0) + c
             key = wb + wa
-            out[key] = out.get(key, ZERO) - c
+            out[key] = out.get(key, 0) - c
     return {w: c for w, c in out.items() if c}
 
 
 def _letter(i):
-    return {(i,): ONE}
+    return {(i,): 1}
 
 
 _EXPANSIONS = {}  # Lyndon word -> tensor; the same over every alphabet
 
 
 def expand_lyndon(w):
-    """Tensor expansion of the bracketed Lyndon word, memoized by word."""
+    """Tensor expansion of the bracketed Lyndon word, memoized by word; its
+    coefficients are integers."""
     return bracketing(w, _EXPANSIONS, _letter, _tensor_bracket)
 
 
@@ -193,6 +202,14 @@ class LiePolynomial(Value):
         object.__setattr__(self, "coords", clean)
 
     @classmethod
+    def _of(cls, alphabet, coords):
+        # coords already clean: Lyndon words to nonzero Scalars
+        self = object.__new__(cls)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "coords", coords)
+        return self
+
+    @classmethod
     def generator(cls, alphabet, i):
         return cls(alphabet, {(i,): ONE})
 
@@ -204,6 +221,11 @@ class LiePolynomial(Value):
     def from_tensor(cls, alphabet, tensor):
         """Extract Lyndon coordinates; raises NotLieElement on non-Lie input.
 
+        The tensor is a dict word -> Scalar, or a pair (numerators, d) of
+        a dict word -> int and a positive int d, for numerators / d.  The
+        work runs on integer numerators over one denominator: over Q(i),
+        the real and the imaginary parts one after the other.
+
         The minimal surviving word of a Lie element, in the order by
         (length, word), is Lyndon and appears with coefficient 1 in its own
         bracketing, whose other words are larger and of the same length.
@@ -212,29 +234,37 @@ class LiePolynomial(Value):
         cancelled since it was pushed is skipped.  It returns only when no
         word remains, so a return proves tensor = sum coords[w] * b(w).
         """
-        work = {w: _coerce(c) for w, c in tensor.items() if c}
-        heap = [(len(w), w) for w in work]
-        heapq.heapify(heap)
-        coords = {}
-        while heap:
-            w = heapq.heappop(heap)[1]
-            c = work.get(w)
-            if c is None:
-                continue
-            if not is_lyndon(w):
-                raise NotLieElement("minimal word %r is not Lyndon" % (w,))
-            coords[w] = c
-            for u, cu in expand_lyndon(w).items():
-                d = c * cu
-                old = work.get(u)
-                if old is None:
-                    work[u] = -d
-                    heapq.heappush(heap, (len(u), u))
-                elif old == d:
-                    del work[u]
-                else:
-                    work[u] = old - d
-        return cls(alphabet, coords)
+        if isinstance(tensor, dict):
+            re, im, d = _numerators(tensor)
+        else:
+            (re, d), im = tensor, {}
+        parts = []
+        for work in (dict(re), dict(im)):
+            heap = [(len(w), w) for w in work]
+            heapq.heapify(heap)
+            coords = {}
+            while heap:
+                w = heapq.heappop(heap)[1]
+                c = work.get(w)
+                if c is None:
+                    continue
+                if not is_lyndon(w):
+                    raise NotLieElement("minimal word %r is not Lyndon" % (w,))
+                coords[w] = c
+                for u, cu in expand_lyndon(w).items():
+                    e = c * cu
+                    old = work.get(u)
+                    if old is None:
+                        work[u] = -e
+                        heapq.heappush(heap, (len(u), u))
+                    elif old == e:
+                        del work[u]
+                    else:
+                        work[u] = old - e
+            parts.append(coords)
+        re, im = parts
+        return cls._of(alphabet, {w: _over(re.get(w, 0), im.get(w, 0), d)
+                                  for w in {**re, **im}})
 
     def to_tensor(self):
         out = {}
@@ -270,9 +300,8 @@ class LiePolynomial(Value):
         for w, c in self.coords.items():
             pq = self.alphabet.word_bidegree(w)
             out.setdefault(pq, {})[w] = c
-        return {
-            pq: LiePolynomial(self.alphabet, cs) for pq, cs in out.items()
-        }
+        return {pq: LiePolynomial._of(self.alphabet, cs)
+                for pq, cs in out.items()}
 
     def substitute(self, assignment):
         """Evaluate with generator label -> Matrix, brackets as commutators."""
@@ -323,6 +352,16 @@ class LiePolynomial(Value):
         return "LiePolynomial(%s)" % self
 
 
+def _numerators(tensor):
+    # Scalar values as integer numerators of their real and imaginary
+    # parts, each dict without zeros, over one positive denominator
+    tensor = {w: _coerce(c) for w, c in tensor.items()}
+    cs = tensor.values()
+    d = lcm(*(c._rd for c in cs), *(c._id for c in cs))
+    return ({w: c._rn * (d // c._rd) for w, c in tensor.items() if c._rn},
+            {w: c._in * (d // c._id) for w, c in tensor.items() if c._in}, d)
+
+
 def format_rational(c):
     """A rational Scalar in lowest terms, with no denominator when it is 1:
     "2", "-1/2", "0"."""
@@ -336,32 +375,44 @@ def abelianized_coefficient(p, q):
     return at_one(integral(hypotenuse_pullback(p, q)))
 
 
-def _ts_mul(a, b, alphabet, N):
-    # the words of b bucketed by weight, so no pair above N is ever formed
-    buckets = {}
-    for wb, cb in b.items():
-        buckets.setdefault(alphabet.word_weight(wb), []).append((wb, cb))
+def _ts_mul(a, b, N):
+    # integer series bucketed by weight, {weight: {word: c}}: only buckets
+    # whose weights sum to at most N are multiplied, and the product comes
+    # bucketed the same way, with no empty bucket
     out = {}
-    for wa, ca in a.items():
-        for wt in range(N - alphabet.word_weight(wa) + 1):
-            for wb, cb in buckets.get(wt, ()):
-                key = wa + wb
-                out[key] = out.get(key, ZERO) + ca * cb
-    return {w: c for w, c in out.items() if c}
+    for ka, ta in a.items():
+        for kb, tb in b.items():
+            if ka + kb <= N:
+                t = out.setdefault(ka + kb, {})
+                for wa, ca in ta.items():
+                    for wb, cb in tb.items():
+                        key = wa + wb
+                        t[key] = t.get(key, 0) + ca * cb
+    out = {k: {w: c for w, c in t.items() if c} for k, t in out.items()}
+    return {k: t for k, t in out.items() if t}
 
 
-def _ts_log(u, alphabet, N):
-    x = {w: c for w, c in u.items() if w}
-    acc = {}
-    power = dict(x)
-    k = 1
+def _ts_log(x, d, N):
+    # log(1 + x/d) = sum_k (-1)^(k+1) x^k / (k d^k) for an integer series x
+    # bucketed by weight, with no empty word, over L = lcm(1..K) d^K where
+    # x^(K+1) = 0; returned as (numerators by word, denominator), reduced by
+    # one gcd
+    powers = []
+    power = x
     while power:
-        sign = ONE / (k if k % 2 == 1 else -k)
-        for w, c in power.items():
-            acc[w] = acc.get(w, ZERO) + sign * c
-        power = _ts_mul(power, x, alphabet, N)
-        k += 1
-    return {w: c for w, c in acc.items() if c}
+        powers.append(power)
+        power = _ts_mul(power, x, N)
+    K = len(powers)
+    L = lcm(*range(1, K + 1)) * d ** K
+    acc = {}
+    for k, power in enumerate(powers, 1):
+        f = L // (k * d ** k) * (1 if k % 2 else -1)
+        for t in power.values():
+            for w, c in t.items():
+                acc[w] = acc.get(w, 0) + f * c
+    acc = {w: c for w, c in acc.items() if c}
+    g = gcd(L, *acc.values())
+    return {w: c // g for w, c in acc.items()}, L // g
 
 
 @functools.cache
@@ -376,25 +427,41 @@ def universal_log_pexp(N):
     """
     alphabet = alpha_alphabet(N)
     weights = alphabet.weights
-    hs = [hypotenuse_pullback(p, q) for p, q in alphabet.bidegrees]
-    # iterated integrals by word length: the polynomial of (i,) + w is the
-    # integral from 0 of h_i times that of w, formed once from its suffix;
-    # each is dropped once its extensions exist, keeping its value at s = 1,
-    # the sum of its coefficients
-    state = {(): of((ONE,))}
-    u = {}
+    # the value at s = 1 of the iterated integral of (i,) + w is
+    # int_0^1 h_i P_w ds = sum_j P_w[j] m_i[j] / (d_w E), with the moments
+    # m_i[j] = E int_0^1 h_i s^j ds over E = lcm(1..N - 1): every h is
+    # real, and h_i P_w has degree below N - 1.  So a word needs its own
+    # polynomial only to extend: the integral from 0 of h_i times that of
+    # its suffix, formed once and dropped once its extensions exist
+    E = lcm(*range(1, N))
+    hs, moments = [], []
+    for (p, q), wi in zip(alphabet.bidegrees, weights):
+        h = hypotenuse_pullback(p, q)
+        hs.append(h)
+        moments.append([sum(c * (E // (j + k + 1)) for k, c in enumerate(h[0]))
+                        for j in range(N - wi + 1)])
+    state = {(): ([1], [], 1)}
+    values = {}  # nonempty word -> (weight, value at s = 1 reduced as n, d)
     words = [((), 0)]
     for w, wt in words:  # grows while read, so shorter words come first
         poly = state.pop(w)
-        c = at_one(poly)
-        if c:
-            u[w] = c
+        d = poly[2] * E
         for i, wi in enumerate(weights):
             if wt + wi > N:
                 break  # letters come by weight: the rest are heavier still
-            state[(i,) + w] = integral(mul(hs[i], poly))
-            words.append(((i,) + w, wt + wi))
-    z = _ts_log(u, alphabet, N)
+            v = (i,) + w
+            n = sum(map(operator.mul, poly[0], moments[i]))
+            if n:
+                g = gcd(n, d)
+                values[v] = wt + wi, n // g, d // g
+            if wt + wi + weights[0] <= N:
+                state[v] = integral(mul(hs[i], poly))
+                words.append((v, wt + wi))
+    D = lcm(*(d for _, _, d in values.values()))
+    x = {}  # the values over D, bucketed by the weights found above
+    for w, (wt, n, d) in values.items():
+        x.setdefault(wt, {})[w] = n * (D // d)
+    z = _ts_log(x, D, N)
     # the log of a group-like series is primitive, and the extraction is
     # the proof: it returns only once z = sum c_w b(w) over Lyndon words w
     try:
@@ -417,16 +484,23 @@ def invert_generator_change(N):
     put into the tail.  The work stays in the tensor algebra over z: one
     memo, shared by every row, maps each Lyndon word over alpha to the
     tensor of its bracketing, with the rows found so far as its leaves, and
-    each row is extracted to Lyndon coordinates once.
+    each row is extracted to Lyndon coordinates once.  A tensor is a pair
+    (integer numerators, positive denominator): a bracket multiplies the
+    denominators, and each row is reduced by one gcd.
     """
     ztab = universal_log_pexp(N)
     A = alpha_alphabet(N)
     Z = z_alphabet(N)
     out = {}
-    rows = []  # row i's tensor over Z, for the rows found so far
+    rows = []  # row i as a tensor over Z, for the rows found so far
     memo = {}  # Lyndon word over A -> tensor over Z
+
+    def bracket(a, b):
+        return _tensor_bracket(a[0], b[0]), a[1] * b[1]
+
     # A and Z list the same bidegrees in the same order, and a tail word
-    # has only letters of lower weight, whose rows are already found
+    # has only letters of lower weight, whose rows are already found; the
+    # z table is rational, so each coefficient is x._rn / x._rd
     for i, pq in enumerate(A.bidegrees):
         zpq = ztab[pq]
         c = zpq.coords.get((i,), ZERO)
@@ -434,14 +508,21 @@ def invert_generator_change(N):
             raise GeneratorChangeError(
                 "vanishing leading coefficient at (%d, %d)" % pq
             )
-        acc = {(i,): ONE}
-        for w, x in zpq.coords.items():
-            if w != (i,):
-                t = bracketing(w, memo, rows.__getitem__, _tensor_bracket)
-                for u, cu in t.items():
-                    acc[u] = acc.get(u, ZERO) - x * cu
-        inv = ONE / c
-        rows.append({u: x * inv for u, x in acc.items() if x})
+        tail = [(x, bracketing(w, memo, rows.__getitem__, bracket))
+                for w, x in zpq.coords.items() if w != (i,)]
+        # alpha_i = (z_i - sum x t) / c: over m, the lcm of the tail's
+        # denominators, then times c._rd / c._rn with the sign put on top
+        m = lcm(*(x._rd * d for x, (_, d) in tail))
+        acc = {(i,): m}
+        for x, (t, d) in tail:
+            f = x._rn * (m // (x._rd * d))
+            for u, cu in t.items():
+                acc[u] = acc.get(u, 0) - f * cu
+        k = c._rd if c._rn > 0 else -c._rd
+        acc = {u: v * k for u, v in acc.items() if v}
+        den = m * abs(c._rn)
+        g = gcd(den, *acc.values())
+        rows.append(({u: v // g for u, v in acc.items()}, den // g))
         out[pq] = LiePolynomial.from_tensor(Z, rows[i])
     return out
 

@@ -278,6 +278,12 @@ def _fast(rn, rd, in_, id_):
     return s
 
 
+def _over(rn, in_, d):
+    # the reduced Scalar (rn + in_ i) / d, for integers rn, in_ and d > 0
+    g, h = gcd(rn, d), gcd(in_, d)
+    return _fast(rn // g, d // g, in_ // h, d // h)
+
+
 def _coerce(x):
     if type(x) is Scalar:
         return x

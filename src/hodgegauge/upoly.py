@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from math import comb, gcd, lcm
 
-from .scalars import _coerce, _fast
+from .scalars import _coerce, _over
 
 
 def _trim(a):
@@ -74,15 +74,7 @@ def integral(f):
 
 def at_one(f):
     """The value at s = 1, a reduced Scalar."""
-    rn, in_, d = sum(f[0]), sum(f[1]), f[2]
-    g, h = gcd(rn, d), gcd(in_, d)
-    return _fast(rn // g, d // g, in_ // h, d // h)
-
-
-def coefficients(f):
-    """The coefficients as reduced Scalars, constant first."""
-    return [at_one(([x], [y], f[2]))
-            for x, y in zip_longest(f[0], f[1], fillvalue=0)]
+    return _over(sum(f[0]), sum(f[1]), f[2])
 
 
 def hypotenuse_pullback(p, q):

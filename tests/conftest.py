@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 from hypothesis import settings
 
@@ -41,7 +42,7 @@ from hodgegauge.scalars import ONE, ZERO, Scalar
 from hodgegauge.splitting import (
     DeltaObject, _adapted_pieces, block_permutation, delta_operator,
 )
-from hodgegauge.upoly import coefficients
+from hodgegauge.upoly import at_one, hypotenuse_pullback, integral, mul
 
 # the same examples on every run, so a hypothesis failure cannot come and go
 settings.register_profile(
@@ -183,6 +184,13 @@ def conjugate_delta(dobj):
     P = block_permutation(dobj.hodge)
     delta_new = P @ dobj.delta.inverse().conjugate() @ P.transpose()
     return DeltaObject(dobj.hodge.transpose(), delta_new)
+
+
+def coefficients(f):
+    """The coefficients of a ``upoly`` polynomial as reduced Scalars,
+    constant first."""
+    return [at_one(([x], [y], f[2]))
+            for x, y in zip_longest(f[0], f[1], fillvalue=0)]
 
 
 def flat_sections_on_line(C):
@@ -434,6 +442,55 @@ def lie_level_inversion(N):
         out[pq] = (LiePolynomial.generator(Z, i) - subbed).scale(ONE / c)
         mapping[A.letters[i][0]] = out[pq]
     return out
+
+
+def _ts_mul(a, b, alphabet, N):
+    # the words of b bucketed by weight, so no pair above N is ever formed
+    buckets = {}
+    for wb, cb in b.items():
+        buckets.setdefault(alphabet.word_weight(wb), []).append((wb, cb))
+    out = {}
+    for wa, ca in a.items():
+        for wt in range(N - alphabet.word_weight(wa) + 1):
+            for wb, cb in buckets.get(wt, ()):
+                key = wa + wb
+                out[key] = out.get(key, ZERO) + ca * cb
+    return {w: c for w, c in out.items() if c}
+
+
+def _ts_log(u, alphabet, N):
+    x = {w: c for w, c in u.items() if w}
+    acc = {}
+    power = dict(x)
+    k = 1
+    while power:
+        sign = ONE / (k if k % 2 == 1 else -k)
+        for w, c in power.items():
+            acc[w] = acc.get(w, ZERO) + sign * c
+        power = _ts_mul(power, x, alphabet, N)
+        k += 1
+    return {w: c for w, c in acc.items() if c}
+
+
+def reference_log_pexp(N):
+    """The z-in-alpha table on Scalars: each word's iterated integral read
+    at s = 1 as a Scalar, the log by the Scalar series ``_ts_log`` above,
+    and Lyndon coordinates by ``greedy_from_tensor``.  The reference the
+    integer pipeline of ``freelie.universal_log_pexp`` is tested against.
+    """
+    A = alpha_alphabet(N)
+    hs = [hypotenuse_pullback(p, q) for p, q in A.bidegrees]
+    u = {}
+    words = [((), ([1], [], 1))]
+    for w, f in words:  # grows while read
+        c = at_one(f)
+        if c:
+            u[w] = c
+        for i, h in enumerate(hs):
+            if A.word_weight((i,) + w) <= N:
+                words.append(((i,) + w, integral(mul(h, f))))
+    comps = greedy_from_tensor(A, _ts_log(u, A, N)).bidegree_components()
+    return {pq: comps.get(pq, LiePolynomial.zero(A)) for pq in A.bidegrees}
 
 
 def segment_pullback(P, Q, a, b):

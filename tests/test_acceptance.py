@@ -380,11 +380,13 @@ def _cli_suite(jobs):
         ["ext"] + mhs_docs,
         ["holonomy"] + delta_docs + conn_docs,
     ]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
     outputs = []
     for plan in plans:
         argv = plan + (["--jobs", str(jobs)] if jobs > 1 else [])
         proc = subprocess.run(
             [sys.executable, "-m", "hodgegauge.cli"] + argv,
+            env=dict(os.environ, PYTHONPATH=src),
             capture_output=True,
         )
         outputs.append((plan[0], proc.returncode, proc.stdout))

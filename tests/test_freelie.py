@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from conftest import (
     _dynkin, assert_raises_under_optimize, greedy_from_tensor,
-    lie_level_inversion, mat,
+    lie_level_inversion, mat, reference_log_pexp,
 )
 from hodgegauge import cli, freelie
 from hodgegauge.freelie import (
@@ -90,8 +91,11 @@ def test_bracketing_evaluates_each_subword_once():
     assert got == "[[a,b],[[a,b],b]]"
     assert len(calls) == 3
     assert set(memo) == {(0,), (1,), (0, 1), (0, 1, 1), (0, 1, 0, 1, 1)}
-    # the tensor expansion is the same over every alphabet
-    assert expand_lyndon((0, 1)) == {(0, 1): ONE, (1, 0): -ONE}
+    # the tensor expansion is the same over every alphabet, with integer
+    # coefficients
+    t = expand_lyndon((0, 1))
+    assert t == {(0, 1): 1, (1, 0): -1}
+    assert all(type(c) is int for c in t.values())
 
 
 def test_single_generator_alphabet():
@@ -122,6 +126,24 @@ def test_expand_extract_roundtrip():
         a, {w: Scalar(rng.randint(-3, 3)) for w in words}
     )
     assert LiePolynomial.from_tensor(a, x.to_tensor()) == x
+
+
+def test_gaussian_extraction_roundtrip():
+    # over Q(i) the real and imaginary parts are extracted one after the
+    # other, and a part that is not a Lie element is rejected
+    a = alpha_alphabet(5)
+    words = lyndon_words(a, 5)
+    rng = random.Random(5)
+    x = LiePolynomial(a, {
+        w: Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        for w in words
+    })
+    assert any(not c.in_field("Q") for c in x.coords.values())
+    assert LiePolynomial.from_tensor(a, x.to_tensor()) == x
+    bad = _tensor_sum(x.to_tensor(), {(1, 0): Scalar(0, 1)})
+    with pytest.raises(NotLieElement):
+        LiePolynomial.from_tensor(a, bad)
 
 
 def test_non_lie_tensor_rejected():
@@ -379,11 +401,13 @@ def _all_pairs_mul(a, b, alphabet, N):
         for wb, cb in b.items():
             w = wa + wb
             if alphabet.word_weight(w) <= N:
-                out[w] = out.get(w, ZERO) + ca * cb
+                out[w] = out.get(w, 0) + ca * cb
     return {w: c for w, c in out.items() if c}
 
 
 def test_ts_mul_matches_all_pairs_product():
+    # integer series bucketed by the weights of their words, as the
+    # enumeration of the iterated integrals knows them
     A = alpha_alphabet(6)
     rng = random.Random(11)
 
@@ -391,7 +415,14 @@ def test_ts_mul_matches_all_pairs_product():
         out = {}
         for _ in range(rng.randint(0, 25)):
             w = tuple(rng.randrange(len(A)) for _ in range(rng.randint(0, 3)))
-            out[w] = out.get(w, ZERO) + Scalar(rng.randint(-3, 3))
+            out[w] = out.get(w, 0) + rng.randint(-3, 3)
+        return out
+
+    def bucketed(series):
+        out = {}
+        for w, c in series.items():
+            if c:
+                out.setdefault(A.word_weight(w), {})[w] = c
         return out
 
     over_cap = 0
@@ -401,15 +432,42 @@ def test_ts_mul_matches_all_pairs_product():
         over_cap += sum(
             A.word_weight(wa + wb) > N for wa in a for wb in b
         )
-        assert freelie._ts_mul(a, b, A, N) == _all_pairs_mul(a, b, A, N)
+        got = freelie._ts_mul(bucketed(a), bucketed(b), N)
+        assert got == bucketed(_all_pairs_mul(a, b, A, N))
     assert over_cap > 0
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_log_pexp_matches_the_scalar_reference(N):
+    assert universal_log_pexp(N) == reference_log_pexp(N)
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_tables_make_no_scalar_arithmetic(monkeypatch):
+    # the series, the log, the extraction and the inversion run on
+    # integers; only the readout makes Scalars, with no arithmetic
+    calls = []
+    for name in _ARITHMETIC:
+        def counted(*args, _op=getattr(Scalar, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    monkeypatch.setattr(freelie, "_EXPANSIONS", {})
+    ztab = universal_log_pexp.__wrapped__(8)
+    atab = invert_generator_change(8)
+    assert calls == []
+    assert ztab == universal_log_pexp(8) and len(atab) == 28
 
 
 def test_non_primitive_log_raises(monkeypatch):
     # {a1,1 a1,1} is not primitive: its Dynkin bracket [a1,1, a1,1] is 0;
     # the Lyndon extraction would reject it too, so match the message
     monkeypatch.setattr(
-        freelie, "_ts_log", lambda u, alphabet, N: {(0, 0): ONE}
+        freelie, "_ts_log", lambda x, d, N: ({(0, 0): 1}, 1)
     )
     with pytest.raises(NotLieElement, match="not primitive"):
         universal_log_pexp.__wrapped__(4)
@@ -418,8 +476,7 @@ def test_non_primitive_log_raises(monkeypatch):
 def test_non_primitive_log_raises_under_optimize():
     assert_raises_under_optimize(
         "from hodgegauge import freelie\n"
-        "from hodgegauge.scalars import ONE\n"
-        "freelie._ts_log = lambda u, alphabet, N: {(0, 0): ONE}",
+        "freelie._ts_log = lambda x, d, N: ({(0, 0): 1}, 1)",
         "freelie.universal_log_pexp.__wrapped__(4)",
         "freelie.NotLieElement", "not primitive",
     )
@@ -430,7 +487,7 @@ def test_lyndon_minimal_non_lie_log_raises(monkeypatch):
     # (0, 1) - (1, 0) leaves (1, 0), which is not: the extraction, not a
     # separate check, is what finds that the log is not primitive
     monkeypatch.setattr(
-        freelie, "_ts_log", lambda u, alphabet, N: {(0, 1): ONE}
+        freelie, "_ts_log", lambda x, d, N: ({(0, 1): 1}, 1)
     )
     with pytest.raises(NotLieElement, match="not primitive"):
         universal_log_pexp.__wrapped__(4)
@@ -439,8 +496,7 @@ def test_lyndon_minimal_non_lie_log_raises(monkeypatch):
 def test_lyndon_minimal_non_lie_log_raises_under_optimize():
     assert_raises_under_optimize(
         "from hodgegauge import freelie\n"
-        "from hodgegauge.scalars import ONE\n"
-        "freelie._ts_log = lambda u, alphabet, N: {(0, 1): ONE}",
+        "freelie._ts_log = lambda x, d, N: ({(0, 1): 1}, 1)",
         "freelie.universal_log_pexp.__wrapped__(4)",
         "freelie.NotLieElement", "not primitive",
     )
@@ -457,14 +513,17 @@ def test_extraction_certifies_what_dynkin_certifies(N, monkeypatch):
         freelie, "_ts_log", lambda *args: logs.append(ts_log(*args)) or logs[-1]
     )
     universal_log_pexp.__wrapped__(N)
-    (z,) = logs
+    ((numerators, d),) = logs
+    z = {w: Scalar(Fraction(c, d)) for w, c in numerators.items()}
     A = alpha_alphabet(N)
     by_len = {}
     for w, c in z.items():
         by_len.setdefault(len(w), {})[w] = c
     for ell, part in by_len.items():
         assert _dynkin(A, part) == {w: c * ell for w, c in part.items()}
-    assert LiePolynomial.from_tensor(A, z).to_tensor() == z
+    lie = LiePolynomial.from_tensor(A, (numerators, d))
+    assert lie == LiePolynomial.from_tensor(A, z)
+    assert lie.to_tensor() == z
 
 
 @pytest.mark.parametrize("N, brackets", [(6, 5), (8, 38), (10, 175)])

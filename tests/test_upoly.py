@@ -7,11 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import coefficients
 from hodgegauge.poly import Poly
 from hodgegauge.scalars import ONE, ZERO, Scalar
-from hodgegauge.upoly import (
-    add, at_one, coefficients, hypotenuse_pullback, integral, mul, of,
-)
+from hodgegauge.upoly import add, at_one, hypotenuse_pullback, integral, mul, of
 
 
 def _random_poly(rng, gaussian):
