@@ -7,7 +7,9 @@ Parsing and serialization are exact inverses on canonical documents.
 A document whose filtration indices, or Hodge weights, span more than
 MAX_SPAN, or whose dimension is more than MAX_DIM, is malformed: the cost
 of every stage grows with both.
-Index keys must be canonical ("k" or "p,q", each part str(int(part))).
+Index keys must be canonical ("k" or "p,q", each part str(int(part))).  A
+matrix row or a filtration step that is not a list ([] is the zero step),
+or a (p, q) block that a connection document repeats, is malformed.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ def _matrix_out(m):
 
 
 def _matrix_in(rows, field=None):
-    if not isinstance(rows, list):
-        raise DocumentError("matrix must be a list of rows")
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise DocumentError("matrix must be a list of rows, each a list")
     # nearly every entry is "0/1" or "1/1": parse each distinct string once
     seen = {}
 
@@ -119,7 +121,8 @@ def _filtration_in(doc, field=None):
         _check_dim(n)
         steps = {}
         for key, rows in doc["steps"].items():
-            basis = _matrix_in(rows, field) if rows else Matrix.zeros(0, n)
+            # [] is the zero step; any other step is a list of rows
+            basis = Matrix.zeros(0, n) if rows == [] else _matrix_in(rows, field)
             if basis.ncols != n:
                 raise DimensionMismatch(
                     "rows of length %d in K^%d" % (basis.ncols, n)
@@ -230,8 +233,12 @@ def parse(doc, field=None):
             hodge = _hodge_in(doc["hodge"])
             A = {}
             B = {}
+            seen = set()
             for entry in doc["blocks"]:
                 p, q = _integer_in(entry["p"], "p"), _integer_in(entry["q"], "q")
+                if (p, q) in seen:
+                    raise DocumentError("repeated block at (%d, %d)" % (p, q))
+                seen.add((p, q))
                 for side, coeffs in (("A", A), ("B", B)):
                     if side not in entry:
                         continue

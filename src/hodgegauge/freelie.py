@@ -1,14 +1,15 @@
 """Free Lie algebras in Lyndon coordinates and the universal holonomy log.
 
 Generators carry bidegrees (-p, -q); we store the positive pair (p, q) and
-call p + q the weight.  Elements are kept as Scalar coordinates on the
-Lyndon-word basis; brackets are computed by expanding into the truncated
-tensor algebra and re-extracting, which is triangular with respect to the
-order on words by (length, word) and hence exact.  ``bracketing`` evaluates
+call p + q the weight.  An element holds its rational Lyndon coordinates,
+and a tensor its coefficients, as integer numerators over one positive
+denominator.  Brackets expand into the truncated tensor algebra and
+re-extract, which is triangular with respect to the order on words by
+(length, word) and hence exact, with no Scalar arithmetic: Scalars are made
+only where a coefficient is read in or out, by the constructor, ``scale``,
+``coords``, ``substitute`` and ``__str__``.  ``bracketing`` evaluates
 bracketed Lyndon words in any algebra; tensor expansions have integer
-coefficients and are memoized by word.  The extraction works on integer
-numerators over one positive denominator and makes Scalars only when it
-reads out the coordinates.
+coefficients and are memoized by word.
 
 The universal tables express the logarithm of the transport along the
 hypotenuse from (-1, 0) to (0, -1) as a Lie series z = sum z_{p,q} in the
@@ -34,7 +35,7 @@ import heapq
 import operator
 from math import gcd, lcm
 
-from .scalars import ONE, ZERO, Value, _coerce, _over
+from .scalars import FieldError, Value, _coerce, _over
 from .upoly import at_one, hypotenuse_pullback, integral, mul
 
 
@@ -158,73 +159,91 @@ def bracketing(w, memo, leaf, bracket):
 
 
 def _tensor_bracket(a, b):
-    # ab - ba; integer or Scalar coefficients alike
+    # ab - ba on tensors (numerators, denominator)
+    (na, da), (nb, db) = a, b
     out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
+    for wa, ca in na.items():
+        for wb, cb in nb.items():
             c = ca * cb
             key = wa + wb
             out[key] = out.get(key, 0) + c
             key = wb + wa
             out[key] = out.get(key, 0) - c
-    return {w: c for w, c in out.items() if c}
+    return {w: c for w, c in out.items() if c}, da * db
 
 
 def _letter(i):
-    return {(i,): 1}
+    return {(i,): 1}, 1
 
 
-_EXPANSIONS = {}  # Lyndon word -> tensor; the same over every alphabet
+_EXPANSIONS = {}  # Lyndon word -> tensor over 1; the same over every alphabet
 
 
 def expand_lyndon(w):
     """Tensor expansion of the bracketed Lyndon word, memoized by word; its
     coefficients are integers."""
-    return bracketing(w, _EXPANSIONS, _letter, _tensor_bracket)
+    return bracketing(w, _EXPANSIONS, _letter, _tensor_bracket)[0]
+
+
+def _rational(c):
+    c = _coerce(c)
+    if c._in:
+        raise FieldError("Lie coordinates are rational, not %s" % (c,))
+    return c
 
 
 class LiePolynomial(Value):
-    """Rational coordinates on the Lyndon basis of a free Lie algebra."""
+    """Rational coordinates on the Lyndon basis of a free Lie algebra: the
+    integer numerators ``num`` (Lyndon word -> nonzero int) over one
+    positive denominator ``den``, reduced by one gcd, so that equal
+    elements hold equal fields."""
 
-    __slots__ = ("alphabet", "coords")
+    __slots__ = ("alphabet", "num", "den")
 
     def __init__(self, alphabet, coords):
         clean = {}
         for w, c in coords.items():
             w = tuple(w)
-            c = _coerce(c)
+            c = _rational(c)
             if not c:
                 continue
             if not is_lyndon(w):
                 raise NotLieElement("%r is not a Lyndon word" % (w,))
             clean[w] = c
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "coords", clean)
+        d = lcm(*(c._rd for c in clean.values()))
+        self._set(alphabet, {w: c._rn * (d // c._rd) for w, c in clean.items()}, d)
 
-    @classmethod
-    def _of(cls, alphabet, coords):
-        # coords already clean: Lyndon words to nonzero Scalars
-        self = object.__new__(cls)
+    def _set(self, alphabet, num, den):
+        # num: Lyndon words to nonzero ints, over den > 0; reduced here
+        g = gcd(den, *num.values())
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "num", {w: c // g for w, c in num.items()})
+        object.__setattr__(self, "den", den // g)
         return self
 
     @classmethod
+    def _of(cls, alphabet, num, den):
+        return object.__new__(cls)._set(alphabet, num, den)
+
+    @property
+    def coords(self):
+        """Lyndon word -> nonzero coordinate, as reduced Scalars."""
+        return {w: _over(c, 0, self.den) for w, c in self.num.items()}
+
+    @classmethod
     def generator(cls, alphabet, i):
-        return cls(alphabet, {(i,): ONE})
+        return cls._of(alphabet, {(i,): 1}, 1)
 
     @classmethod
     def zero(cls, alphabet):
-        return cls(alphabet, {})
+        return cls._of(alphabet, {}, 1)
 
     @classmethod
     def from_tensor(cls, alphabet, tensor):
         """Extract Lyndon coordinates; raises NotLieElement on non-Lie input.
 
-        The tensor is a dict word -> Scalar, or a pair (numerators, d) of
-        a dict word -> int and a positive int d, for numerators / d.  The
-        work runs on integer numerators over one denominator: over Q(i),
-        the real and the imaginary parts one after the other.
+        The tensor is a pair (numerators, d) of a dict word -> int and a
+        positive int d, for numerators / d; the work runs on the numerators.
 
         The minimal surviving word of a Lie element, in the order by
         (length, word), is Lyndon and appears with coefficient 1 in its own
@@ -234,62 +253,58 @@ class LiePolynomial(Value):
         cancelled since it was pushed is skipped.  It returns only when no
         word remains, so a return proves tensor = sum coords[w] * b(w).
         """
-        if isinstance(tensor, dict):
-            re, im, d = _numerators(tensor)
-        else:
-            (re, d), im = tensor, {}
-        parts = []
-        for work in (dict(re), dict(im)):
-            heap = [(len(w), w) for w in work]
-            heapq.heapify(heap)
-            coords = {}
-            while heap:
-                w = heapq.heappop(heap)[1]
-                c = work.get(w)
-                if c is None:
-                    continue
-                if not is_lyndon(w):
-                    raise NotLieElement("minimal word %r is not Lyndon" % (w,))
-                coords[w] = c
-                for u, cu in expand_lyndon(w).items():
-                    e = c * cu
-                    old = work.get(u)
-                    if old is None:
-                        work[u] = -e
-                        heapq.heappush(heap, (len(u), u))
-                    elif old == e:
-                        del work[u]
-                    else:
-                        work[u] = old - e
-            parts.append(coords)
-        re, im = parts
-        return cls._of(alphabet, {w: _over(re.get(w, 0), im.get(w, 0), d)
-                                  for w in {**re, **im}})
+        work, d = dict(tensor[0]), tensor[1]
+        heap = [(len(w), w) for w in work]
+        heapq.heapify(heap)
+        num = {}
+        while heap:
+            w = heapq.heappop(heap)[1]
+            c = work.get(w)
+            if c is None:
+                continue
+            if not is_lyndon(w):
+                raise NotLieElement("minimal word %r is not Lyndon" % (w,))
+            num[w] = c
+            for u, cu in expand_lyndon(w).items():
+                e = c * cu
+                old = work.get(u)
+                if old is None:
+                    work[u] = -e
+                    heapq.heappush(heap, (len(u), u))
+                elif old == e:
+                    del work[u]
+                else:
+                    work[u] = old - e
+        return cls._of(alphabet, num, d)
 
     def to_tensor(self):
+        """The pair (numerators, den) of the tensor expansion."""
         out = {}
-        for w, c in self.coords.items():
+        for w, c in self.num.items():
             for u, cu in expand_lyndon(w).items():
-                out[u] = out.get(u, ZERO) + c * cu
-        return {w: c for w, c in out.items() if c}
+                out[u] = out.get(u, 0) + c * cu
+        return {u: c for u, c in out.items() if c}, self.den
 
     def is_zero(self):
-        return not self.coords
+        return not self.num
+
+    def _plus(self, other, sign):
+        d = lcm(self.den, other.den)
+        num = {w: c * (d // self.den) for w, c in self.num.items()}
+        for w, c in other.num.items():
+            num[w] = num.get(w, 0) + c * sign * (d // other.den)
+        return LiePolynomial._of(self.alphabet, {w: c for w, c in num.items() if c}, d)
 
     def __add__(self, other):
-        coords = dict(self.coords)
-        for w, c in other.coords.items():
-            coords[w] = coords.get(w, ZERO) + c
-        return LiePolynomial(self.alphabet, coords)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-ONE)
+        return self._plus(other, -1)
 
     def scale(self, c):
-        c = _coerce(c)
-        return LiePolynomial(
-            self.alphabet, {w: c * x for w, x in self.coords.items()}
-        )
+        c = _rational(c)
+        num = {w: x * c._rn for w, x in self.num.items()} if c else {}
+        return LiePolynomial._of(self.alphabet, num, self.den * c._rd)
 
     def bracket(self, other):
         t = _tensor_bracket(self.to_tensor(), other.to_tensor())
@@ -297,10 +312,9 @@ class LiePolynomial(Value):
 
     def bidegree_components(self):
         out = {}
-        for w, c in self.coords.items():
-            pq = self.alphabet.word_bidegree(w)
-            out.setdefault(pq, {})[w] = c
-        return {pq: LiePolynomial._of(self.alphabet, cs)
+        for w, c in self.num.items():
+            out.setdefault(self.alphabet.word_bidegree(w), {})[w] = c
+        return {pq: LiePolynomial._of(self.alphabet, cs, self.den)
                 for pq, cs in out.items()}
 
     def substitute(self, assignment):
@@ -340,26 +354,17 @@ class LiePolynomial(Value):
 
     def __str__(self):
         """The terms by (length, word), as "c*[label]..." joined by " + "."""
+        coords = self.coords
         parts = []
-        for w in sorted(self.coords, key=lambda u: (len(u), u)):
+        for w in sorted(coords, key=lambda u: (len(u), u)):
             labels = "".join(
                 "[%s]" % self.alphabet.letters[i][0] for i in w
             )
-            parts.append("%s*%s" % (format_rational(self.coords[w]), labels))
+            parts.append("%s*%s" % (format_rational(coords[w]), labels))
         return " + ".join(parts) or "0"
 
     def __repr__(self):
         return "LiePolynomial(%s)" % self
-
-
-def _numerators(tensor):
-    # Scalar values as integer numerators of their real and imaginary
-    # parts, each dict without zeros, over one positive denominator
-    tensor = {w: _coerce(c) for w, c in tensor.items()}
-    cs = tensor.values()
-    d = lcm(*(c._rd for c in cs), *(c._id for c in cs))
-    return ({w: c._rn * (d // c._rd) for w, c in tensor.items() if c._rn},
-            {w: c._in * (d // c._id) for w, c in tensor.items() if c._in}, d)
 
 
 def format_rational(c):
@@ -494,35 +499,28 @@ def invert_generator_change(N):
     out = {}
     rows = []  # row i as a tensor over Z, for the rows found so far
     memo = {}  # Lyndon word over A -> tensor over Z
-
-    def bracket(a, b):
-        return _tensor_bracket(a[0], b[0]), a[1] * b[1]
-
     # A and Z list the same bidegrees in the same order, and a tail word
-    # has only letters of lower weight, whose rows are already found; the
-    # z table is rational, so each coefficient is x._rn / x._rd
+    # has only letters of lower weight, whose rows are already found
     for i, pq in enumerate(A.bidegrees):
         zpq = ztab[pq]
-        c = zpq.coords.get((i,), ZERO)
+        c = zpq.num.get((i,))
         if not c:
             raise GeneratorChangeError(
                 "vanishing leading coefficient at (%d, %d)" % pq
             )
-        tail = [(x, bracketing(w, memo, rows.__getitem__, bracket))
-                for w, x in zpq.coords.items() if w != (i,)]
-        # alpha_i = (z_i - sum x t) / c: over m, the lcm of the tail's
-        # denominators, then times c._rd / c._rn with the sign put on top
-        m = lcm(*(x._rd * d for x, (_, d) in tail))
-        acc = {(i,): m}
+        tail = [(x, bracketing(w, memo, rows.__getitem__, _tensor_bracket))
+                for w, x in zpq.num.items() if w != (i,)]
+        # z_i is the numerators x over zpq.den, so alpha_i =
+        # (zpq.den z_i - sum x t) / c: over m, the lcm of the tail's
+        # denominators, then over m c, reduced by a gcd with the sign of c
+        m = lcm(*(d for _, (_, d) in tail))
+        acc = {(i,): zpq.den * m}
         for x, (t, d) in tail:
-            f = x._rn * (m // (x._rd * d))
+            f = x * (m // d)
             for u, cu in t.items():
                 acc[u] = acc.get(u, 0) - f * cu
-        k = c._rd if c._rn > 0 else -c._rd
-        acc = {u: v * k for u, v in acc.items() if v}
-        den = m * abs(c._rn)
-        g = gcd(den, *acc.values())
-        rows.append(({u: v // g for u, v in acc.items()}, den // g))
+        g = gcd(m * c, *acc.values()) * (1 if c > 0 else -1)
+        rows.append(({u: v // g for u, v in acc.items() if v}, m * c // g))
         out[pq] = LiePolynomial.from_tensor(Z, rows[i])
     return out
 
@@ -576,8 +574,9 @@ def verify_commutant_generation(N):
         rows = []
         for w in zwords:
             img = bracketing(w, memo, leaf, LiePolynomial.bracket)
-            row = [ZERO] * len(twords)
-            for u, c in img.coords.items():
+            # the numerators alone: scaling a row keeps the rank
+            row = [0] * len(twords)
+            for u, c in img.num.items():
                 row[index[u]] = c
             rows.append(row)
         if len(zwords) != len(twords):

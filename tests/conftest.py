@@ -407,10 +407,10 @@ def _dynkin(alphabet, tensor):
     for w, c in tensor.items():
         if not w:
             continue
-        br = {(w[0],): ONE}
+        br = {(w[0],): 1}, 1
         for i in w[1:]:
-            br = _tensor_bracket(br, {(i,): ONE})
-        for u, cu in br.items():
+            br = _tensor_bracket(br, ({(i,): 1}, 1))
+        for u, cu in br[0].items():
             out[u] = out.get(u, ZERO) + c * cu
     return {w: c for w, c in out.items() if c}
 

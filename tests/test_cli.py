@@ -550,6 +550,43 @@ def test_filtration_errors_are_malformed(tmp_path, edit, error):
         assert entry["error"] == error
 
 
+@pytest.mark.parametrize("row", [{"1/1": 7}, "1"], ids=["object", "string"])
+def test_matrix_rows_must_be_lists(tmp_path, row):
+    # an object row was read as its keys and a string row as its characters
+    doc = {"type": "delta", "hodge": {"0,0": 1}, "matrix": [["1/1"]]}
+    assert _status("rees", tmp_path, doc) == ("ok", 0, None)
+    doc["matrix"] = [row]
+    assert _status("rees", tmp_path, doc) == (
+        "malformed", 2, "matrix must be a list of rows, each a list"
+    )
+
+
+@pytest.mark.parametrize("step", [0, "", {}, None])
+def test_a_filtration_step_must_be_a_list(tmp_path, step):
+    # [] is the zero step that serialize writes; any other falsy step was
+    # read as one too
+    with open(fx("pure_0_0.json")) as fh:
+        doc = json.load(fh)
+    doc["W"]["steps"]["-1"] = []
+    assert _status("split", tmp_path, doc) == ("ok", 0, None)
+    doc["W"]["steps"]["-1"] = step
+    assert _status("split", tmp_path, doc) == (
+        "malformed", 2,
+        "bad filtration: matrix must be a list of rows, each a list",
+    )
+
+
+def test_a_repeated_connection_block_is_malformed(tmp_path):
+    # the last copy of a block once replaced the first, silently
+    with open(fx("connection_t3_2_5.json")) as fh:
+        doc = json.load(fh)
+    assert _status("connect", tmp_path, doc) == ("ok", 0, None)
+    doc["blocks"].append(dict(doc["blocks"][0]))
+    assert _status("connect", tmp_path, doc) == (
+        "malformed", 2, "repeated block at (1, 1)"
+    )
+
+
 def test_rees_on_connection_is_malformed():
     code, out = run(["rees", fx("connection_t3_2_5.json")])
     assert code == 2

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -31,7 +31,7 @@ from hodgegauge.freelie import (
     z_alphabet,
 )
 from hodgegauge.poly import Poly
-from hodgegauge.scalars import ONE, ZERO, Scalar
+from hodgegauge.scalars import ONE, FieldError, Scalar
 
 
 def _mobius(n):
@@ -128,36 +128,39 @@ def test_expand_extract_roundtrip():
     assert LiePolynomial.from_tensor(a, x.to_tensor()) == x
 
 
-def test_gaussian_extraction_roundtrip():
-    # over Q(i) the real and imaginary parts are extracted one after the
-    # other, and a part that is not a Lie element is rejected
+def test_gaussian_coordinates_refused():
+    # the coordinates are rational: a coefficient off Q is refused where it
+    # is read in, by the constructor and by scale
     a = alpha_alphabet(5)
-    words = lyndon_words(a, 5)
-    rng = random.Random(5)
-    x = LiePolynomial(a, {
-        w: Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-                  Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
-        for w in words
-    })
-    assert any(not c.in_field("Q") for c in x.coords.values())
-    assert LiePolynomial.from_tensor(a, x.to_tensor()) == x
-    bad = _tensor_sum(x.to_tensor(), {(1, 0): Scalar(0, 1)})
-    with pytest.raises(NotLieElement):
-        LiePolynomial.from_tensor(a, bad)
+    x = LiePolynomial(a, {(0,): Fraction(1, 2), (1,): 3})
+    assert x.num == {(0,): 1, (1,): 6} and x.den == 2
+    with pytest.raises(FieldError):
+        LiePolynomial(a, {(0,): ONE, (1,): Scalar(1, 1)})
+    with pytest.raises(FieldError):
+        x.scale(Scalar(0, 1))
+    assert x.scale(Scalar(Fraction(2, 3))) == LiePolynomial(
+        a, {(0,): Fraction(1, 3), (1,): 2})
 
 
 def test_non_lie_tensor_rejected():
     a = alpha_alphabet(4)
     with pytest.raises(NotLieElement):
-        LiePolynomial.from_tensor(a, {(0, 0): ONE})
+        LiePolynomial.from_tensor(a, ({(0, 0): 1}, 1))
 
 
 def _tensor_sum(*tensors):
+    # pairs (numerators, d) summed over the lcm of their denominators
+    d = lcm(*(e for _, e in tensors))
     out = {}
-    for t in tensors:
+    for t, e in tensors:
         for w, c in t.items():
-            out[w] = out.get(w, ZERO) + c
-    return {w: c for w, c in out.items() if c}
+            out[w] = out.get(w, 0) + c * (d // e)
+    return {w: c for w, c in out.items() if c}, d
+
+
+def _scalar_view(tensor):
+    t, d = tensor
+    return {w: Scalar(Fraction(c, d)) for w, c in t.items()}
 
 
 @pytest.mark.parametrize(
@@ -197,11 +200,11 @@ def test_extraction_matches_greedy_reference(alphabet):
              _tensor_sum(x.to_tensor(), x.scale(-1).to_tensor())),
         ):
             got = LiePolynomial.from_tensor(alphabet, tensor)
-            assert got == greedy_from_tensor(alphabet, tensor) == want
+            assert got == greedy_from_tensor(alphabet, _scalar_view(tensor)) == want
         # one word that no Lie element of its length can carry alone
-        bad = _tensor_sum(x.to_tensor(), {rng.choice(non_lyndon): ONE})
+        bad = _tensor_sum(x.to_tensor(), ({rng.choice(non_lyndon): 1}, 1))
         with pytest.raises(NotLieElement):
-            greedy_from_tensor(alphabet, bad)
+            greedy_from_tensor(alphabet, _scalar_view(bad))
         with pytest.raises(NotLieElement):
             LiePolynomial.from_tensor(alphabet, bad)
     assert cancelled
@@ -446,9 +449,9 @@ _ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
 
 
-def test_tables_make_no_scalar_arithmetic(monkeypatch):
-    # the series, the log, the extraction and the inversion run on
-    # integers; only the readout makes Scalars, with no arithmetic
+@pytest.fixture
+def scalar_arithmetic(monkeypatch):
+    # the Scalar arithmetic calls, by name, made with a fresh expansion memo
     calls = []
     for name in _ARITHMETIC:
         def counted(*args, _op=getattr(Scalar, name), _name=name):
@@ -457,10 +460,34 @@ def test_tables_make_no_scalar_arithmetic(monkeypatch):
 
         monkeypatch.setattr(Scalar, name, counted)
     monkeypatch.setattr(freelie, "_EXPANSIONS", {})
+    return calls
+
+
+def test_tables_make_no_scalar_arithmetic(scalar_arithmetic):
+    # the series, the log, the extraction and the inversion run on
+    # integers; only the readout makes Scalars, with no arithmetic
     ztab = universal_log_pexp.__wrapped__(8)
     atab = invert_generator_change(8)
-    assert calls == []
+    assert scalar_arithmetic == []
     assert ztab == universal_log_pexp(8) and len(atab) == 28
+
+
+def test_brackets_make_no_scalar_arithmetic(scalar_arithmetic):
+    # expansion, bracket and extraction run on integer numerators over one
+    # denominator, whatever the operands' denominators
+    phis = commutant_generators(8)
+    a = alpha_alphabet(4)
+    x = LiePolynomial(a, {(0,): Fraction(1, 2), (0, 1): Fraction(-2, 3)})
+    y = LiePolynomial(a, {(1,): Fraction(3, 4), (2,): 5})
+    got = x.bracket(y)
+    assert scalar_arithmetic == []
+    assert len(phis) == 28 and phis[(2, 1)].coords == {(0, 0, 1): ONE}
+    # [[a0, a1], a2] = b(012) + b(021) by Jacobi
+    assert got == LiePolynomial(a, {
+        (0, 1): Fraction(3, 8), (0, 2): Fraction(5, 2),
+        (0, 1, 1): Fraction(-1, 2), (0, 1, 2): Fraction(-10, 3),
+        (0, 2, 1): Fraction(-10, 3),
+    })
 
 
 def test_non_primitive_log_raises(monkeypatch):
@@ -522,8 +549,8 @@ def test_extraction_certifies_what_dynkin_certifies(N, monkeypatch):
     for ell, part in by_len.items():
         assert _dynkin(A, part) == {w: c * ell for w, c in part.items()}
     lie = LiePolynomial.from_tensor(A, (numerators, d))
-    assert lie == LiePolynomial.from_tensor(A, z)
-    assert lie.to_tensor() == z
+    assert lie == greedy_from_tensor(A, z)
+    assert lie.to_tensor() == (numerators, d)
 
 
 @pytest.mark.parametrize("N, brackets", [(6, 5), (8, 38), (10, 175)])
