@@ -6,7 +6,9 @@ passed, 1 means a mathematical violation or failed check, 2 means a
 malformed input or a result too large to print, 3 means an internal error
 (an entry with status "error", its traceback on stderr; the other inputs
 are still reported), and 141 means stdout was closed before the report was
-written.  Reports never contain timestamps, so identical inputs produce
+written.  `main` returns the code in process; `run` ends the process with
+it by os._exit once stdout and stderr are flushed, with no teardown.
+Reports never contain timestamps, so identical inputs produce
 byte-identical output.  Inputs run one after another, in input order, on
 the calling thread; --jobs is accepted and has no effect.  Handlers import
 the layers they reach, so a command loads (and compiles) only those: `lie`
@@ -299,13 +301,16 @@ def _point(text):
 
 def _path(text):
     """At most MAX_PATH_POINTS ';'-separated 'x,y' points as a polygonal path."""
-    from .holonomy import PolygonalPath
+    from .holonomy import PathError, PolygonalPath
 
     chunks = text.split(";")
     if len(chunks) > MAX_PATH_POINTS:
         raise argparse.ArgumentTypeError("a path has at most %d points, got %d"
                                           % (MAX_PATH_POINTS, len(chunks)))
-    return PolygonalPath([_point(chunk) for chunk in chunks])
+    try:
+        return PolygonalPath([_point(chunk) for chunk in chunks])
+    except PathError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser():
@@ -400,5 +405,13 @@ def main(argv=None):
     return worst
 
 
+def run():
+    """The process entry; argparse's SystemExit or an error exits normally."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

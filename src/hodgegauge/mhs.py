@@ -154,13 +154,23 @@ class Filtration(Value):
             self.direction, self.n, {k: s.conjugate() for k, s in self.steps.items()}
         )
 
+    def _flag(self):
+        # the (k, step) where at(k) changes: flags equal at every k have the
+        # same ones, whichever steps they repeat
+        changes, last = [], self.at(self.min_index() - 1)
+        for k in self._keys:
+            if self.steps[k] != last:
+                last = self.steps[k]
+                changes.append((k, last))
+        return self.direction, self.n, tuple(changes)
+
     def __eq__(self, other):
         if not isinstance(other, Filtration):
             return NotImplemented
-        if (self.direction, self.n) != (other.direction, other.n):
-            return False
-        ks = set(self.steps) | set(other.steps)
-        return all(self.at(k) == other.at(k) for k in ks)
+        return self._flag() == other._flag()
+
+    def __hash__(self):
+        return hash(self._flag())
 
     def __repr__(self):
         return "Filtration(%s, n=%d, jumps=%r)" % (

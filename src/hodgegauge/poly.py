@@ -69,9 +69,6 @@ class Poly(Value):
         if self.nvars != other.nvars:
             raise DimensionMismatch("nvars %d vs %d" % (self.nvars, other.nvars))
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __add__(self, other):
         self._compat(other)
         terms = dict(self.terms)

@@ -92,8 +92,10 @@ _new = object.__new__
 
 class Value:
     """An immutable value: equal to another of the same type whose fields in
-    ``__slots__`` are all equal, and hashed on those fields.  A constructor
-    sets them with ``object.__setattr__``; any other assignment raises.
+    ``__slots__`` are all equal, and hashed on those fields, a dict field as
+    the set of its items.  A constructor sets them with
+    ``object.__setattr__``; any other assignment raises.  ``Filtration``
+    compares and hashes as a flag, not by its stored steps.
     """
 
     __slots__ = ()
@@ -107,7 +109,9 @@ class Value:
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def __hash__(self):
-        return hash(tuple(getattr(self, f) for f in self.__slots__))
+        return hash(tuple(
+            frozenset(v.items()) if isinstance(v, dict) else v
+            for v in (getattr(self, f) for f in self.__slots__)))
 
 
 class Scalar:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -122,6 +123,7 @@ def _usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err
+    return captured.err
 
 
 def test_lie_truncation_cap(capsys):
@@ -619,6 +621,15 @@ def test_bad_point_flags_are_usage_errors(argv, capsys):
     _usage_error([argv[0], fx(argv[1])] + argv[2:], capsys)
 
 
+@pytest.mark.parametrize("path, reason", [
+    ("--path=0,0", "a path needs at least two points"),
+    ("--path=0,0;0,0", "consecutive path points coincide"),
+])
+def test_a_degenerate_path_is_a_usage_error_that_says_why(path, reason, capsys):
+    err = _usage_error(["holonomy", fx("delta_t3_2_5.json"), path], capsys)
+    assert "argument --path: %s\n" % reason in err
+
+
 def test_a_path_over_the_cap_is_a_usage_error(capsys):
     # 16 points run (tests/test_fuzz.py); one more is refused by argparse
     k = cli.MAX_PATH_POINTS + 1
@@ -864,6 +875,66 @@ def test_closed_stdout_exits_quietly():
         os.close(write)
     assert proc.stderr == b""
     assert proc.returncode == cli.CLOSED_STDOUT == 141
+
+
+def _process(argv):
+    # a fresh interpreter on this tree's src, with stdout and stderr
+    # buffered, as an installed script runs
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable] + argv, capture_output=True, env=env)
+
+
+def test_a_process_writes_the_whole_report(monkeypatch):
+    # more than a 64 KiB pipe buffer of report must all reach the reader
+    # before the process ends without teardown; one pass over the fixtures
+    # reports about 30 KB, so they are given three times
+    monkeypatch.chdir(fixture_dir())
+    argv = ["connect"] + _fixture_names("all") * 3
+    proc = _process(["-m", "hodgegauge.cli"] + argv)
+    code, out = run(argv)
+    assert len(proc.stdout) > 65536
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+    assert code == 0
+
+
+def test_a_process_with_an_internal_error_keeps_its_traceback():
+    script = (
+        "from hodgegauge import cli, rees\n"
+        "from hodgegauge.poly import PolyMatrix\n"
+        "patching = rees.rees_patching\n"
+        "rees.rees_patching = lambda d: PolyMatrix(2, zip(*patching(d).rows))\n"
+        "cli.run()\n"
+    )
+    proc = _process(["-c", script, "rees", fx("kummer_3.json")])
+    entry = json.loads(proc.stdout)["inputs"][0]
+    assert (proc.returncode, entry["status"]) == (3, "error")
+    assert entry["error"].startswith("InvariantError: ")
+    err = proc.stderr.decode()
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.splitlines()[-1] == "hodgegauge.linalg." + entry["error"]
+
+
+def test_a_process_ends_normally_on_a_usage_error_and_on_version():
+    proc = _process(["-m", "hodgegauge.cli", "lie", "--truncation", "13"])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"usage: hodgegauge lie")
+    proc = _process(["-m", "hodgegauge.cli", "--version"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0.1.0\n", b"")
+
+
+def test_the_installed_script_is_the_process_entry():
+    # the script a package installer writes calls sys.exit(target()), so it
+    # must be the function that `python -m hodgegauge.cli` calls
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        target = re.search(r'^\[project\.scripts\]\nhodgegauge = "hodgegauge\.cli:(\w+)"$',
+                           fh.read(), re.M).group(1)
+    with open(cli.__file__) as fh:
+        entry = re.search(r'^if __name__ == "__main__":\n    (\w+)\(\)\n\Z',
+                          fh.read(), re.M).group(1)
+    assert target == entry == "run"
 
 
 def test_rees_on_empty_delta(tmp_path):

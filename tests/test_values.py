@@ -1,29 +1,33 @@
 """The value rule of the package, written once in ``scalars.Value``: every
 exact object is immutable, equal to another of its type with equal fields,
-and hashed on those fields.  ``Filtration`` compares flags by ``at`` and is
-unhashable; ``Poly`` hashes its terms as a frozenset; ``Scalar`` writes its
+and hashed on those fields, a dict field as the set of its items.
+``Filtration`` compares and hashes flags by ``at``; ``Scalar`` writes its
 own slots and stays outside the rule."""
 
 import importlib
 import inspect
+import json
 import os
 
 import pytest
 
-from conftest import mat
+from conftest import fixture_dir, mat
+from hodgegauge import cli
 from hodgegauge.connection import (
     EquivariantConnection,
     GaugeTransformation,
     connection_from_delta,
+    normalize_fock_schwinger,
 )
+from hodgegauge.documents import parse
 from hodgegauge.fixtures import kummer_delta, real_kummer, real_tate, t3, t3_delta
-from hodgegauge.freelie import Alphabet, LiePolynomial
+from hodgegauge.freelie import Alphabet, LiePolynomial, universal_log_pexp
 from hodgegauge.hodgecoh import TwoTermComplex, invariant_complex
 from hodgegauge.holonomy import TRIANGLE, PolygonalPath
 from hodgegauge.linalg import Matrix, Subspace
 from hodgegauge.mhs import ComplexMHS, Filtration, HodgeNumbers, RealMHS
 from hodgegauge.poly import Poly, PolyMatrix
-from hodgegauge.rees import P1TransitionMatrix
+from hodgegauge.rees import P1TransitionMatrix, rees_patching, restrict_to_line
 from hodgegauge.scalars import Scalar, Value
 from hodgegauge.splitting import DeltaObject
 
@@ -90,7 +94,7 @@ def test_every_slotted_class_but_scalar_is_a_value():
 def test_the_rule_is_written_once():
     assert _defining("__setattr__") == ["Value"]
     assert _defining("__eq__") == ["Filtration", "Scalar", "Value"]
-    assert _defining("__hash__") == ["Poly", "Scalar", "Value"]
+    assert _defining("__hash__") == ["Filtration", "Scalar", "Value"]
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
@@ -125,13 +129,17 @@ def test_a_value_never_equals_another_type():
     assert HodgeNumbers({(0, 0): 1}) != {(0, 0): 1}
 
 
-def test_a_filtration_compares_as_a_flag_and_is_unhashable():
-    # the redundant step 2 repeats step 1, so at(k) agrees at every k
+def test_a_filtration_compares_and_hashes_as_a_flag():
+    # the redundant step 2 repeats step 1, and step 0 of _flag(0, 2) is the
+    # zero space below the range, so at(k) agrees at every k
     assert _flag(1, 2, 2) == _flag(1, 2)
     assert _flag(1, 2, 2).steps != _flag(1, 2).steps
+    assert hash(_flag(1, 2, 2)) == hash(_flag(1, 2))
+    assert _flag(0, 2) == Filtration(Filtration.INC, 2, {1: Subspace.full(2)})
+    assert hash(_flag(0, 2)) == hash(
+        Filtration(Filtration.INC, 2, {1: Subspace.full(2)}))
     assert _flag(1, 2) != _flag(0, 2)
-    with pytest.raises(TypeError):
-        hash(_flag(1, 2))
+    assert _flag(1, 2) != _flag(1, 1, 2)
 
 
 def test_equal_values_hash_equal():
@@ -144,3 +152,45 @@ def test_equal_values_hash_equal():
         assert a is not b and a == b
         assert hash(a) == hash(b)
     assert len({a for a, _ in pairs} | {b for _, b in pairs}) == 3
+
+
+def _nested(x):
+    """x and every value inside it, depth first, in field order."""
+    if isinstance(x, Value):
+        yield x
+        x = [getattr(x, f) for f in x.__slots__]
+    elif isinstance(x, dict):
+        x = [y for item in x.items() for y in item]
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _nested(y)
+
+
+def _made_from_fixtures():
+    """Every value the pipeline makes of the shipped fixtures and of the
+    lie tables at N = 4, built afresh on each call."""
+    out = [PolygonalPath(TRIANGLE), universal_log_pexp.__wrapped__(4)]
+    for name in sorted(os.listdir(fixture_dir())):
+        with open(os.path.join(fixture_dir(), name)) as fh:
+            obj = parse(json.load(fh))
+        out.append(obj)
+        try:
+            C = cli._connection(obj)
+        except (ValueError, cli.Violation):
+            continue  # not an opposed structure
+        out += [C, normalize_fock_schwinger(C), invariant_complex(C)]
+        if not isinstance(obj, EquivariantConnection):
+            delta = cli._delta(obj)
+            phi = rees_patching(delta)
+            out += [delta, phi, restrict_to_line(phi, (Scalar(2), Scalar(3)))]
+    return list(_nested(out))
+
+
+def test_values_made_from_the_fixtures_that_are_equal_hash_equal():
+    # no value class opts out of hashing: a TypeError from hash() fails here
+    first, second = _made_from_fixtures(), _made_from_fixtures()
+    assert [type(v) for v in first] == [type(v) for v in second]
+    for a, b in zip(first, second):
+        assert a == b
+        assert hash(a) == hash(b)
+    assert {type(v) for v in first} == set(SAMPLES)

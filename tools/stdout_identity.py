@@ -1,4 +1,4 @@
-"""Compare stdout and exit codes of the CLI between two source trees.
+"""Compare stdout, exit codes and stderr of the CLI between two source trees.
 
 Usage: ``python3 tools/stdout_identity.py PARENT_SRC CHANGE_SRC [SEED ...]``
 
@@ -15,10 +15,13 @@ the same documents in the same working directory:
   and 32 (entries in -3..3 seeded by n), as structure and as delta
   documents, and ``holonomy --path`` with 5 points on the n = 24 chain.
 
-The documents are built under the parent tree.  The fixtures and corpora
-are also read or built under the change tree, and a document whose bytes
-differ is reported.  Prints one line per difference and a summary; exits 1
-when anything differs, else 0.
+Stderr is compared by whether it is empty and by its last line, which
+names no path (an exception's text or argparse's error), so a lost
+traceback or warning counts as a difference.  The documents are built
+under the parent tree.  The fixtures and corpora are also read or built
+under the change tree, and a document whose bytes differ is reported.
+Prints one line per difference and a summary; exits 1 when anything
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -71,8 +74,10 @@ def _run(src, argv, cwd, limit):
                               cwd=cwd, env=_env(src), capture_output=True,
                               timeout=limit)
     except subprocess.TimeoutExpired:
-        return "timeout after %.0f s" % limit, b""
-    return "exit %d" % proc.returncode, proc.stdout
+        return "timeout after %.0f s" % limit, b"", "not read"
+    err = proc.stderr.splitlines()
+    return ("exit %d" % proc.returncode, proc.stdout,
+            "ends %r" % err[-1].decode(errors="replace") if err else "empty")
 
 
 def _child(src, argv, cwd, fatal=True):
@@ -97,15 +102,20 @@ class Comparison:
 
     def invocation(self, label, argv, cwd, limit=workloads.TIMED_LIMIT_S):
         self.count += 1
-        (code_a, out_a), (code_b, out_b) = (
+        (code_a, out_a, err_a), (code_b, out_b, err_b) = (
             _run(src, argv, cwd, limit) for src in self.srcs)
+        why = []
         if code_a != code_b:
-            self.differ(label, "%s -> %s" % (code_a, code_b))
+            why.append("%s -> %s" % (code_a, code_b))
         elif out_a != out_b:
             lines = zip(out_a.splitlines(), out_b.splitlines())
             k = next((k for k, (a, b) in enumerate(lines) if a != b),
                      min(out_a.count(b"\n"), out_b.count(b"\n")))
-            self.differ(label, "stdout differs from line %d" % (k + 1))
+            why.append("stdout differs from line %d" % (k + 1))
+        if err_a != err_b:
+            why.append("stderr %s -> %s" % (err_a, err_b))
+        if why:
+            self.differ(label, "; ".join(why))
 
 
 def fixtures(cmp, work):
@@ -175,7 +185,8 @@ def main(argv):
         chains(cmp, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    print("%d invocations compared, %d differ" % (cmp.count, len(cmp.diffs)))
+    print("%d invocations compared, %d differ in stdout, exit code or stderr"
+          % (cmp.count, len(cmp.diffs)))
     return 1 if cmp.diffs else 0
 
 
