@@ -10,13 +10,18 @@ of every stage grows with both.
 Index keys must be canonical ("k" or "p,q", each part str(int(part))).  A
 matrix row or a filtration step that is not a list ([] is the zero step),
 or a (p, q) block that a connection document repeats, is malformed.
+A filtration step is read straight into integer rows (numerators over the
+row's lcm, content removed; see ``linalg``), so no Scalar is made of it;
+the matrices of delta and connection documents are read into Scalars.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .linalg import DimensionMismatch, Matrix, Subspace
 from .mhs import ComplexMHS, Filtration, HodgeNumbers, RealMHS
-from .scalars import MAX_DIGITS, FieldError, Scalar
+from .scalars import MAX_DIGITS, FieldError, _fast, parse_parts
 
 
 # the widest range of indices one filtration, or of weights one set of
@@ -62,15 +67,16 @@ def _integer_in(x, what):
 
 
 def _scalar_in(text, field=None):
+    # the parts (rn, rd, in, id) of one entry
     try:
-        x = Scalar.parse(text)
+        parts = parse_parts(text)
     except (ValueError, TypeError) as exc:
         raise DocumentError(str(exc))
     except ZeroDivisionError:
         raise DocumentError("zero denominator in scalar %r" % (text,))
-    if field is not None and not x.in_field(field):
-        raise FieldError("scalar %s outside field %s" % (x, field))
-    return x
+    if field is not None and not _fast(*parts).in_field(field):
+        raise FieldError("scalar %s outside field %s" % (_fast(*parts), field))
+    return parts
 
 
 def _matrix_out(m):
@@ -81,25 +87,53 @@ def _matrix_out(m):
                              "than %d digits" % MAX_DIGITS)
 
 
-def _matrix_in(rows, field=None):
+def _lists_in(rows):
     if type(rows) is not list or any(type(row) is not list for row in rows):
         raise DocumentError("matrix must be a list of rows, each a list")
-    # nearly every entry is "0/1" or "1/1": parse each distinct string once
-    seen = {}
+
+
+def _rows_in(rows, field, make, seen):
+    # the rows of a matrix as make(parts) of each entry, and their width;
+    # nearly every entry is "0/1" or "1/1", so seen keeps make(parts) of each
+    # distinct string
+    _lists_in(rows)
 
     def entry(x):
         if type(x) is not str:
             return _scalar_in(x, field)
-        if x not in seen:
-            seen[x] = _scalar_in(x, field)
+        seen[x] = make(_scalar_in(x, field))
         return seen[x]
 
-    # every entry is a Scalar now, so the matrix needs no second coercion
-    rows = tuple(tuple(entry(x) for x in row) for row in rows)
+    rows = [[seen[x] if type(x) is str and x in seen else entry(x) for x in row]
+            for row in rows]
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise DocumentError("ragged rows")
-    return Matrix._of(rows, width)
+    return rows, width
+
+
+def _matrix_in(rows, field=None):
+    # every entry is a Scalar, so the matrix needs no second coercion
+    rows, width = _rows_in(rows, field, lambda parts: _fast(*parts), {})
+    return Matrix._of(tuple(map(tuple, rows)), width)
+
+
+def _integer_row(parts):
+    # numerators over the row's lcm, with the content removed: (re, im)
+    if not parts:
+        return (), None
+    re, rd, im, id_ = zip(*parts)
+    d = lcm(*rd, *id_)
+    if d != 1:
+        re = [x * (d // y) for x, y in zip(re, rd)]
+        im = [x * (d // y) for x, y in zip(im, id_)]
+    if not any(im):
+        im = None
+    g = gcd(*re, *im) if im else gcd(*re)
+    if g > 1:
+        re = [x // g for x in re]
+        im = im and [x // g for x in im]
+    return tuple(re), im and tuple(im)
 
 
 def _filtration_out(f):
@@ -112,7 +146,24 @@ def _filtration_out(f):
     }
 
 
-def _filtration_in(doc, field=None):
+def _step_in(rows, n, field, seen):
+    # the span of the rows of a step; seen keeps, for one document and field,
+    # the parts of each entry string and the step of each list of rows
+    _lists_in(rows)
+    try:
+        return seen[n, tuple(map(tuple, rows))]
+    except (KeyError, TypeError):  # new, or an entry is not a string
+        pass
+    parts, width = _rows_in(rows, field, tuple, seen)
+    if width != n:
+        raise DimensionMismatch("rows of length %d in K^%d" % (width, n))
+    seen[n, tuple(map(tuple, rows))] = step = Subspace._span(
+        n, [_integer_row(r) for r in parts])
+    return step
+
+
+def _filtration_in(doc, field=None, seen=None):
+    seen = {} if seen is None else seen
     try:
         direction = doc["direction"]
         n = _integer_in(doc["n"], "n")
@@ -122,14 +173,10 @@ def _filtration_in(doc, field=None):
         steps = {}
         for key, rows in doc["steps"].items():
             # [] is the zero step; any other step is a list of rows
-            basis = Matrix.zeros(0, n) if rows == [] else _matrix_in(rows, field)
-            if basis.ncols != n:
-                raise DimensionMismatch(
-                    "rows of length %d in K^%d" % (basis.ncols, n)
-                )
+            step = Subspace.zero(n) if rows == [] else _step_in(rows, n, field, seen)
             k = int(key)
             _canonical(key, str(k))
-            steps[k] = Subspace._span(basis)
+            steps[k] = step
         _check_span(steps, "indices")
         return Filtration(direction, n, steps)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -143,7 +190,9 @@ def _structure_in(doc, cls, keys, fields):
     field, on the document's dimension n, which they must all share."""
     n = _integer_in(doc["n"], "dimension")
     _check_dim(n)
-    filtrations = [_filtration_in(doc[k], f) for k, f in zip(keys, fields)]
+    seen = {}
+    filtrations = [_filtration_in(doc[k], f, seen.setdefault(f, {}))
+                   for k, f in zip(keys, fields)]
     if any(f.n != n for f in filtrations):
         raise DocumentError("filtrations are not on the document's n = %d" % n)
     return cls(n, *filtrations)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Matrix, _ints
 from .mhs import (
     ComplexMHS,
     Filtration,
@@ -32,7 +32,8 @@ def _rank2(direction, row):
     """The W or F flag of a rank-2 fixture: row at level 0 over e_{-1} at
     level -2 (W) or -1 (F)."""
     em1 = -2 if direction == Filtration.INC else -1
-    return Filtration.from_basis(direction, 2, [(0, row), (em1, (ZERO, ONE))])
+    return Filtration.from_basis(direction, 2, [
+        (0, _ints(row)[:2]), (em1, ((0, 1), None))])
 
 
 def kummer(c):
@@ -67,7 +68,7 @@ def t3(a, b):
 
 def real_tate(n):
     """The rational one-dimensional structure of weight -2n."""
-    e = (ONE,)
+    e = ((1,), None)
     return RealMHS(1, Filtration.from_basis(Filtration.INC, 1, [(-2 * n, e)]),
                    Filtration.from_basis(Filtration.DEC, 1, [(-n, e)]))
 

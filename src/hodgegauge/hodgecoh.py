@@ -108,7 +108,8 @@ def real_absolute_cohomology(V):
     """
     gr = GrStructure(realize_real(V))
     for (p, q), rows in gr.block_rows.items():
-        if gr.block_rows.get((q, p)) != Matrix(rows).conjugate().rows:
+        if gr.block_rows.get((q, p)) != tuple(
+                (re, im and tuple(-x for x in im)) for re, im in rows):
             raise InvariantError("conjugation does not swap the graded bases "
                                  "at %r" % ((p, q),))
     S = block_permutation(gr.hodge)

@@ -1,23 +1,36 @@
 """Exact dense linear algebra: matrices and canonical subspaces.
 
-Subspaces are kept in reduced row echelon form so that equality of subspaces
-is equality of representations.  All rank decisions are exact; there is no
-floating point anywhere.
+A ``Matrix`` holds rows of Scalars: operators and what callers read.  The
+flag layer holds integer rows: a pair (re, im) of tuples of ints, im None
+when every imaginary part is 0, standing for re + im*i up to a nonzero
+factor; a row that stands for one vector carries a positive denominator,
+(re, im, d), the form ``upoly`` uses.  A Subspace holds its reduced echelon
+rows so, each primitive (its parts have gcd 1) with a positive integer
+pivot: equal subspaces have equal rows.  ``basis`` makes Scalars of them,
+each row over its pivot.  There is no floating point anywhere.
 
-_reduce is the one elimination: rref is the rows it keeps plus a second
-_reduce that clears above the pivots, rank is the count it keeps, det is
-read off the pivots it scales, Subspace.intersect is one _reduce of the
-Zassenhaus rows, and Subspace.conjugate needs none, since conjugation
-keeps a reduced echelon basis reduced.  solve_left is the one
-change of coordinates: Matrix.inverse and adapted_position go through it.
+_reduce is the one elimination, fraction free: a row is cleared against a
+kept row by cross-multiplication and its content comes out after each step
+(Bareiss, Math. Comp. 22, 1968, divides exactly instead).  _echelon is its
+kept rows cleared above their pivots by a second _reduce; rank and det read
+its kept rows, Subspace.intersect is one _reduce of the Zassenhaus rows.
+_solve is the one change of coordinates, for solve_left, Matrix.inverse,
+adapted_position, the adapted bases and delta.  Matrix.rref, rank, det and
+solve_left convert their Scalars once at entry and once at exit.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar, Value, _coerce
+from itertools import islice, repeat, starmap
+from math import gcd, lcm
+from operator import attrgetter, mul, neg
+
+from .scalars import ONE, ZERO, Scalar, Value, _coerce, _over
 
 _new = object.__new__
 _set = object.__setattr__
+_NO_IM = repeat(0)
+_PARTS = attrgetter("_rn", "_rd", "_in", "_id")
 
 
 class DimensionMismatch(ValueError):
@@ -140,20 +153,16 @@ class Matrix(Value):
         return tuple(row[j] for row in self.rows)
 
     def rref(self):
-        """Reduced row echelon form; returns (Matrix, pivot column tuple):
-        the rows _reduce keeps, each cleared above its pivot by a second
-        _reduce that scans the pivots from the last one up."""
+        """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
         nc = self.ncols
-        kept = {j: v for j, v in _reduce(self.rows, range(nc)) if j is not None}
-        pivots = tuple(sorted(kept))
-        up = pivots[::-1]
-        rows = [tuple(v) for _, v in _reduce([kept[j] for j in up], up)]
-        rows.reverse()
-        rows += ((ZERO,) * nc,) * (self.nrows - len(pivots))
-        return Matrix._of(tuple(rows), nc), pivots
+        pivots, rows = _echelon([_ints(r)[:2] for r in self.rows], nc)
+        out = [_scalars(re, im, re[j]) for j, (re, im) in zip(pivots, rows)]
+        out += ((ZERO,) * nc,) * (self.nrows - len(pivots))
+        return Matrix._of(tuple(out), nc), pivots
 
     def rank(self):
-        return sum(j is not None for j, _ in _reduce(self.rows, range(self.ncols)))
+        return sum(j is not None for j, _ in
+                   _reduce([_ints(r)[:2] for r in self.rows], range(self.ncols)))
 
     def right_kernel(self):
         """Rows spanning {v : self @ v = 0}, in echelon order."""
@@ -178,20 +187,23 @@ class Matrix(Value):
         return Matrix._of(sols, self.ncols)
 
     def det(self):
-        """sign(pivot order) times the pivots s_k that _reduce scales to 1,
-        read off the rows (a_k | e_k): row k's tail keeps 1/s_k at k."""
+        """sign(pivot order) times the pivots s_k of the rows _reduce keeps,
+        read off the rows d (a_k | e_k): row k is kept as c (a_k - ... |
+        e_k - ...), so its pivot over its entry at n + k is s_k."""
         n = self.nrows
         if n != self.ncols:
             raise DimensionMismatch("det of non-square matrix")
-        rows = (a + e for a, e in zip(self.rows, Matrix.identity(n).rows))
-        order, inv = [], ONE
-        for k, (j, v) in enumerate(_reduce(rows, range(n))):
+        z = (0,) * n
+        rows = ((re + z[:k] + (d,) + z[k + 1:], im and im + z)
+                for k, (re, im, d) in enumerate(map(_ints, self.rows)))
+        order, det = [], ONE
+        for k, (j, (re, im)) in enumerate(_reduce(rows, range(n))):
             if j is None:
                 return ZERO
             order.append(j)
-            inv = inv * v[n + k]
+            det = det * Scalar(re[j]) / Scalar(re[n + k], im[n + k] if im else 0)
         odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
-        return (-ONE if odd else ONE) / inv
+        return -det if odd else det
 
 
 def vstack(*mats):
@@ -210,58 +222,182 @@ def solve_left(A, rows):
     if some row is not in the row space of A.
     """
     rows = tuple(map(tuple, rows))
-    na, n = A.shape
+    n = A.ncols
     if any(len(b) != n for b in rows):
         raise DimensionMismatch("right-hand rows must have length %d" % n)
-    R, pivots = Matrix._of(A.rows + rows, n).transpose().rref()
-    if pivots and pivots[-1] >= na:
-        return None
-    sols = []
-    for k in range(na, na + len(rows)):
-        x = [ZERO] * na
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][k]
-        sols.append(tuple(x))
-    return tuple(sols)
+    sols = _solve(list(map(_ints, A.rows)), list(map(_ints, rows)), n)
+    return None if sols is None else tuple(starmap(_scalars, sols))
+
+
+def _ints(row):
+    # a row of Scalars as (re, im, d): the numerators over the lcm d of its
+    # denominators
+    rn, rd, in_, id_ = tuple(zip(*map(_PARTS, row))) or ((),) * 4
+    d = lcm(*rd, *id_)
+    re = tuple(map(mul, rn, map(d.__floordiv__, rd)))
+    if not any(in_):
+        return re, None, d
+    return re, tuple(map(mul, in_, map(d.__floordiv__, id_))), d
+
+
+def _scalars(re, im, d):
+    # the Scalars (re + im i) / d, each reduced
+    return tuple(map(_over, re, im or _NO_IM, repeat(d)))
+
+
+def _over_pivot(rows):
+    # echelon rows as (re, im, d), each standing for itself over its pivot
+    return [(re, im, next(filter(None, re))) for re, im in rows]
+
+
+def _units(n):
+    return tuple(((0,) * i + (1,) + (0,) * (n - 1 - i), None) for i in range(n))
+
+
+def _cat(a, b):
+    # the row a followed by the row b
+    (ar, ai), (br, bi) = a, b
+    if ai is None and bi is None:
+        return ar + br, None
+    return ar + br, (ai or (0,) * len(ar)) + (bi or (0,) * len(br))
+
+
+def _scale(v, c):
+    # the row v times the integer c
+    re, im = v
+    return tuple(map(c.__mul__, re)), im and tuple(map(c.__mul__, im))
+
+
+def _cut(v, lo, hi=None):
+    # coordinates lo..hi of the row v
+    re, im = v
+    return re[lo:hi], im and im[lo:hi]
+
+
+def _primitive(re, im, j):
+    # the row over the gcd of its parts with a positive integer at j, which
+    # holds a nonzero entry: a Gaussian one is first multiplied by its
+    # conjugate; im None when every imaginary part is 0
+    if im is None and re[j] == 1:
+        return tuple(re), None
+    if im is not None:
+        a, b = re[j], im[j]
+        if b:
+            re, im = ([a * x + b * y for x, y in zip(re, im)],
+                      [a * y - b * x for x, y in zip(re, im)])
+        if not any(im):
+            im = None
+    g = gcd(*re, *im) if im else gcd(*re)
+    if re[j] < 0:
+        g = -g
+    if g != 1:
+        re = map(g.__rfloordiv__, re)
+        im = im and map(g.__rfloordiv__, im)
+    return tuple(re), im and tuple(im)
 
 
 def _reduce(rows, scan):
-    # each row, in order, reduced by the kept rows before it until its first
-    # nonzero coordinate in scan order is new, and scaled to 1 there; yields
-    # (that coordinate, row), or (None, row) for a row that reduces to zero
-    # on scan, which is not kept.  Coordinates outside scan ride along.
+    # each row (re, im), in order, reduced by the rows kept before it until
+    # its first nonzero coordinate in scan order is new: a kept row b with
+    # pivot p > 0 there and the row's entry c there make the row p v - c b,
+    # over the gcd of its parts.  Yields (that coordinate, the row made
+    # primitive with a positive pivot there), kept, or (None, row) for a row
+    # that reduces to zero on scan, which is not kept.  Coordinates outside
+    # scan ride along.
     kept = {}
-    for v in rows:
+    for vr, vi in rows:
         for j in scan:
-            c = v[j]
-            if c:
-                if j not in kept:
+            if vr[j] or vi and vi[j]:
+                b = kept.get(j)
+                if b is None:
                     break
-                v = [a - c * b if b else a for a, b in zip(v, kept[j])]
+                br, bi = b
+                p, c, e = br[j], vr[j], vi[j] if vi else 0
+                g = gcd(p, c, e)
+                if g != 1:
+                    p, c, e = p // g, c // g, e // g
+                if e or bi:
+                    # p v - (c + e i)(br + bi i)
+                    zi, bi = vi or _NO_IM, bi or _NO_IM
+                    vr, vi = ([p * x - c * y + e * z for x, y, z in zip(vr, br, bi)],
+                              [p * w - c * z - e * y for w, y, z in zip(zi, br, bi)])
+                else:
+                    vr = [p * x - c * y for x, y in zip(vr, br)]
+                    if vi:
+                        vi = list(map(p.__mul__, vi))
+                g = gcd(*vr, *vi) if vi else gcd(*vr)
+                if g > 1:
+                    vr = list(map(g.__rfloordiv__, vr))
+                    vi = vi and list(map(g.__rfloordiv__, vi))
         else:
-            yield None, v
+            yield None, (vr, vi)
             continue
-        if v[j] != ONE:
-            inv = ONE / v[j]
-            v = [inv * a if a else a for a in v]
-        kept[j] = v
+        kept[j] = v = _primitive(vr, vi, j)
         yield j, v
+
+
+def _echelon(rows, n):
+    # (pivots, rows) of the reduced echelon form of the span of rows on n
+    # coordinates: the rows _reduce keeps, each cleared above its pivot by a
+    # second _reduce that scans the pivots from the last one up
+    kept = {j: v for j, v in _reduce(rows, range(n)) if j is not None}
+    up = sorted(kept, reverse=True)
+    if len(up) < 2:
+        return tuple(up), tuple(kept.values())
+    rows = [v for _, v in _reduce([kept[j] for j in up], up)]
+    rows.reverse()
+    return tuple(up[::-1]), tuple(rows)
+
+
+def _solve(A, B, n):
+    # x with x @ A = b for each row b of B, on n coordinates, free
+    # coordinates 0, as (re, im, d) with d > 0; or None when some b is not in
+    # the row space of A.  A row (re, im, d) of A enters as d (a_k | -e_k | 0)
+    # and one of B as d (b | 0 | 1); a b that reduces to zero on the first n
+    # coordinates is then c (0 | x | 1) with c > 0, as every pivot is.
+    na = len(A)
+    z = (0,) * na
+    rows = [(re + z[:k] + (-d,) + z[k + 1:] + (0,), im and im + z + (0,))
+            for k, (re, im, d) in enumerate(A)]
+    rows += [(re + z + (d,), im and im + z + (0,)) for re, im, d in B]
+    out = []
+    for j, (re, im) in islice(_reduce(rows, range(n)), na, None):
+        if j is not None:
+            return None
+        out.append((tuple(re[n:-1]), im and tuple(im[n:-1]), re[-1]))
+    return out
 
 
 def adapted_position(d, f, g):
     """The relative position of two decreasing flags on K^d (Fulton, Young
-    Tableaux, ch. 10) from adapted bases f and g, lists of (level, row),
-    levels falling, whose rows of level >= p span the step p: d triples
-    (p, q, row), the rows a basis of K^d, such that F^p ∩ G^q is spanned by
-    the rows of levels >= (p, q).  The rows of f are written in the basis g
-    (one solve_left), and each is reduced by the rows before it until its
-    last nonzero coordinate is new.  Then a combination lies in G^q exactly
-    when each of its rows does: when its last coordinate has level >= q.
+    Tableaux, ch. 10) from adapted bases f and g, lists of (level, row) with
+    integer rows, levels falling, whose rows of level >= p span the step p:
+    d triples (p, q, row), the rows a basis of K^d, such that F^p ∩ G^q is
+    spanned by the rows of levels >= (p, q).  The rows of f are written in
+    the basis g (one _solve), and each is reduced by the rows before it
+    until its last nonzero coordinate is new.  Then a combination lies in
+    G^q exactly when each of its rows does: when its last coordinate has
+    level >= q.  Only spans matter here, so no row carries a denominator.
     """
-    coords = solve_left(Matrix._of(tuple(r for _, r in g), d), [r for _, r in f])
-    reduced = _reduce((x + row for x, (_, row) in zip(coords, f)),
+    coords = _solve([(*r, 1) for _, r in g], [(*r, 1) for _, r in f], d)
+    return _position([q for q, _ in g],
+                     [(p, x, row) for (p, row), x in zip(f, coords)])
+
+
+def _pick(x, idx):
+    # the coordinates idx, in order, of x = (xr, xi, c)
+    xr, xi, c = x
+    return tuple(map(xr.__getitem__, idx)), xi and tuple(map(xi.__getitem__, idx)), c
+
+
+def _position(levels, f):
+    # adapted_position from the rows of f already written in the basis g:
+    # triples (p, (xr, xi, c), row), x @ g = row for x = (xr + xi i) / c, and
+    # the levels of g.  (x | row) is reduced as (xr + xi i | c row)
+    d = len(levels)
+    reduced = _reduce((_cat((xr, xi), _scale(row, c)) for _, (xr, xi, c), row in f),
                       range(d - 1, -1, -1))
-    return [(p, g[j][0], tuple(v[d:])) for (p, _), (j, v) in zip(f, reduced)]
+    return [(p, levels[j], _cut(v, d)) for (p, _, _), (j, v) in zip(f, reduced)]
 
 
 def kron(a, b):
@@ -270,42 +406,47 @@ def kron(a, b):
 
 
 class Subspace(Value):
-    """Subspace of K^n in canonical (reduced row echelon) form."""
+    """Subspace of K^n in canonical form: ``rows`` are its reduced echelon
+    rows as integer rows, each primitive with a positive integer pivot."""
 
-    __slots__ = ("n", "basis")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n, basis):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, n, rows):
+        _set(self, "n", n)
+        _set(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, n, rows):
+        """The span of rows of Scalars (or of what converts to them)."""
         if not rows:
             return cls.zero(n)
         m = Matrix(rows)
         if m.ncols != n:
             raise DimensionMismatch("rows of length %d in K^%d" % (m.ncols, n))
-        return cls._span(m)
+        return cls._span(n, [_ints(r)[:2] for r in m.rows])
 
     @classmethod
-    def _span(cls, m):
-        # row space of a Matrix built by the kernel, so nothing to coerce
-        if not m.rows:
-            return cls(m.ncols, m)
-        R, pivots = m.rref()
-        return cls(m.ncols, Matrix._of(R.rows[: len(pivots)], m.ncols))
+    def _span(cls, n, rows):
+        # the span of integer rows
+        return cls(n, _echelon(rows, n)[1])
 
     @classmethod
     def zero(cls, n):
-        return cls(n, Matrix.zeros(0, n))
+        return cls(n, ())
 
     @classmethod
     def full(cls, n):
-        return cls(n, Matrix.identity(n))
+        return cls(n, _units(n))
+
+    @property
+    def basis(self):
+        """The reduced row echelon basis as a Matrix of Scalars: each row
+        over its pivot."""
+        return Matrix._of(tuple(starmap(_scalars, _over_pivot(self.rows))), self.n)
 
     @property
     def dim(self):
-        return self.basis.nrows
+        return len(self.rows)
 
     def __repr__(self):
         return "Subspace(n=%d, dim=%d)" % (self.n, self.dim)
@@ -318,7 +459,7 @@ class Subspace(Value):
 
     def add(self, other):
         self._check_ambient(other)
-        return Subspace._span(vstack(self.basis, other.basis))
+        return Subspace._span(self.n, self.rows + other.rows)
 
     def intersect(self, other):
         self._check_ambient(other)
@@ -330,32 +471,32 @@ class Subspace(Value):
             return self
         # Zassenhaus: the rows (u | u) and (v | 0) reduced on their first
         # half; a row that reduces to (0 | w) has w in U ∩ V, and those w
-        # are a basis of it
+        # span it
         n = self.n
-        zero = (ZERO,) * n
-        rows = [u + u for u in self.basis.rows] + [v + zero for v in other.basis.rows]
-        meet = tuple(tuple(w[n:]) for j, w in _reduce(rows, range(n)) if j is None)
-        return Subspace._span(Matrix._of(meet, n))
+        zero = ((0,) * n, None)
+        rows = [_cat(u, u) for u in self.rows] + [_cat(v, zero) for v in other.rows]
+        return Subspace._span(n, [_cut(w, n) for j, w in _reduce(rows, range(n))
+                                  if j is None])
 
     def contains(self, other):
         self._check_ambient(other)
-        return solve_left(self.basis, other.basis.rows) is not None
+        reduced = _reduce(self.rows + other.rows, range(self.n))
+        return all(j is None for j, _ in islice(reduced, self.dim, None))
 
     def conjugate(self):
-        # conjugation fixes 0 and 1, so the basis stays reduced echelon
-        return Subspace(self.n, self.basis.conjugate())
+        # the pivots are real, so the rows stay canonical
+        return Subspace(self.n, tuple((re, im and tuple(map(neg, im)))
+                                      for re, im in self.rows))
 
     def annihilator(self):
         """{phi : phi(u) = 0 for u in self}, in dual coordinates."""
         if self.dim == 0:
             return Subspace.full(self.n)
-        return Subspace._span(self.basis.right_kernel())
+        return Subspace.from_rows(self.n, self.basis.right_kernel().rows)
 
     def tensor(self, other):
-        rows = tuple(
-            kron(a, b) for a in self.basis.rows for b in other.basis.rows
-        )
-        return Subspace._span(Matrix._of(rows, self.n * other.n))
+        return Subspace.from_rows(self.n * other.n, [
+            kron(a, b) for a in self.basis.rows for b in other.basis.rows])
 
 
 def log_unipotent(M):

@@ -3,7 +3,10 @@
 A complex mixed Hodge structure is a triple of filtrations (W increasing,
 F' and F'' decreasing) on K^n whose triple-graded pieces vanish off the
 diagonal n = p + q.  All filtration steps are canonical subspaces, so
-structural equality of structures is decidable bit-for-bit.
+structural equality of structures is decidable bit-for-bit.  Every basis
+here (of a step, adapted to a flag, of a graded piece) is a list of
+integer rows, as ``linalg`` describes them; the W rows of an adapted basis
+fix coordinates, so ``AdaptedTriple.basis`` reads them as Scalars.
 """
 
 from __future__ import annotations
@@ -15,9 +18,15 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _cut,
+    _echelon,
+    _over_pivot,
+    _pick,
+    _position,
     _reduce,
-    adapted_position,
-    solve_left,
+    _scalars,
+    _solve,
+    _units,
 )
 from .scalars import Value
 
@@ -89,7 +98,7 @@ class Filtration(Value):
         of ``validate``: an increasing flag has a step at each level k,
         spanned by the rows of level <= k; a decreasing one has a step at
         each p from the least level to one past the greatest, spanned by the
-        rows of level >= p.  The rows are tuples of Scalars of length n.
+        rows of level >= p.  The rows are integer rows of length n.
         """
         inc = direction == cls.INC
         levels = sorted({level for level, _ in basis}, reverse=not inc)
@@ -101,8 +110,8 @@ class Filtration(Value):
         steps, rows = {}, ()
         for k in levels:
             rows += tuple(r for level, r in basis if level == k)
-            steps[k] = Subspace._span(Matrix._of(rows, n))
-            rows = steps[k].basis.rows
+            steps[k] = Subspace._span(n, rows)
+            rows = steps[k].rows
         return cls(direction, n, steps)
 
     def validate(self):
@@ -126,8 +135,8 @@ class Filtration(Value):
                 raise FiltrationError("empty filtration on nonzero space")
             return []
         levels = keys if inc else keys[:1] + tuple(k - 1 for k in keys)
-        steps = [self.steps[k].basis.rows for k in keys]
-        units = Matrix.identity(self.n).rows
+        steps = [self.steps[k].rows for k in keys]
+        units = _units(self.n)
         reduced = _reduce((r for rows in steps + [units] for r in rows),
                           range(self.n))
         basis = []
@@ -264,10 +273,8 @@ class RealMHS(Value):
             raise DimensionMismatch("filtration ambient mismatch")
         if W.direction != Filtration.INC or F.direction != Filtration.DEC:
             raise FiltrationError("wrong filtration direction")
-        for sub in W.steps.values():
-            for row in sub.basis.rows:
-                if any(not x.in_field("Q") for x in row):
-                    raise FiltrationError("weight filtration must be rational")
+        if any(im is not None for sub in W.steps.values() for _, im in sub.rows):
+            raise FiltrationError("weight filtration must be rational")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "F", F)
@@ -283,8 +290,10 @@ class AdaptedTriple:
     Young Tableaux, ch. 10): (level, weight, row) in these coordinates,
     F^p ∩ W_m spanned by the rows of level >= p and weight <= m.  It is the
     basis that ``F.validate()`` returns written in the rows of ``basis``
-    (one solve_left for both sides), each row reduced by the rows before it
+    (one _solve for both sides), each row reduced by the rows before it
     until its first nonzero coordinate, whose chart is its weight, is new.
+    These rows, and the ``basis`` rows as ``W.validate()`` keeps them, are
+    integer rows; ``basis`` is the W rows read as Scalars.
     Nothing here assumes opposedness; a filtration that is not monotone or
     not exhaustive raises FiltrationError.
 
@@ -307,21 +316,43 @@ class AdaptedTriple:
             self.cols[n] = (len(basis), len(basis) + len(blocks[n]))
             basis.extend(blocks[n])
             weight.extend([n] * len(blocks[n]))
-        self.basis = Matrix._of(tuple(basis), V.n)
-        moved = iter(solve_left(self.basis, [r for f in flags.values() for _, r in f]))
+        # a W row stands for itself over its pivot; the F rows for their spans
+        self._w = _over_pivot(basis)
+        moved = iter(_solve(self._w, [(*r, 1) for f in flags.values() for _, r in f],
+                            V.n))
         self.rows = {}
         for side, f in flags.items():
-            self.rows[side] = [(level, weight[j], tuple(v)) for (level, _), (j, v)
-                               in zip(f, _reduce(islice(moved, len(f)), range(V.n)))]
+            self.rows[side] = [(level, weight[j], v) for (level, _), (j, v) in zip(
+                f, _reduce((x[:2] for x in islice(moved, len(f))), range(V.n)))]
+        self._x = {}
+
+    def written_in_other(self, side):
+        """Each row of ``rows[side]`` written in the rows of the other side,
+        as (re, im, c) for the combination (re + im i) / c: one _solve, kept.
+        A row of weight n lies in W_n, so it involves only rows of weight <=
+        n, and only those of weight n where it is sliced to the chart."""
+        if side not in self._x:
+            other = self.rows["Fpp" if side == "Fp" else "Fp"]
+            self._x[side] = _solve([(*r, 1) for _, _, r in other],
+                                   [(*r, 1) for _, _, r in self.rows[side]], self.V.n)
+        return self._x[side]
+
+    @property
+    def basis(self):
+        """The W-adapted basis as a Matrix of Scalars."""
+        return Matrix._of(tuple(_scalars(*r) for r in self._w), self.V.n)
 
     def graded(self):
         """(n, adapted_position of F' and F'' in the chart of Gr^W_n) for
         each weight n, upward, each computed as it is reached: its triples
-        (p, q, row) name the pieces (p, q) of the chart and their bases."""
+        (p, q, row) name the pieces (p, q) of the chart and their bases.
+        The rows of F' are written in those of F'' once, for every chart."""
+        x, fpp = self.written_in_other("Fp"), self.rows["Fpp"]
         for n, (lo, hi) in sorted(self.cols.items()):
-            yield n, adapted_position(hi - lo, *(
-                [(level, r[lo:hi]) for level, w, r in self.rows[side] if w == n]
-                for side in ("Fp", "Fpp")))
+            g = [i for i, (_, w, _) in enumerate(fpp) if w == n]
+            yield n, _position([fpp[i][0] for i in g], [
+                (level, _pick(xf, g), _cut(r, lo, hi))
+                for (level, w, r), xf in zip(self.rows["Fp"], x) if w == n])
 
 
 class GrStructure(AdaptedTriple):
@@ -335,7 +366,7 @@ class GrStructure(AdaptedTriple):
     off-diagonal pair raises OpposednessViolation for its smallest (p, q),
     the smallest of the structure.  Pieces are ordered by (weight, p); their
     echelon bases concatenate to the canonical basis of the total graded
-    space.
+    space.  ``block_rows`` holds those bases as integer rows.
     """
 
     def __init__(self, V):
@@ -352,10 +383,8 @@ class GrStructure(AdaptedTriple):
                 rows = pieces[pq]
                 counts[pq] = h = len(rows)
                 # a piece that fills its chart has the unit basis
-                self.block_rows[pq] = (
-                    Matrix.identity(h) if h == len(position)
-                    else Subspace._span(Matrix._of(tuple(rows), len(rows[0]))).basis
-                ).rows
+                self.block_rows[pq] = (_units(h) if h == len(position)
+                                       else _echelon(rows, len(position))[1])
         self.hodge = HodgeNumbers(counts)
 
 
@@ -369,7 +398,7 @@ def validate_mhs(V):
 
 def pure(p, q):
     """One-dimensional pure structure P(p, q)."""
-    (e,) = Matrix.identity(1).rows
+    (e,) = _units(1)
     return ComplexMHS(1, Filtration.from_basis(Filtration.INC, 1, [(p + q, e)]),
                       Filtration.from_basis(Filtration.DEC, 1, [(p, e)]),
                       Filtration.from_basis(Filtration.DEC, 1, [(q, e)]))
@@ -389,9 +418,9 @@ def _tensor_filtration(f, g):
     dec = f.direction == Filtration.DEC
     lo = f.min_index() + g.min_index()
     hi = f.max_index() + g.max_index()
-    steps = {k: Subspace.from_rows(n, [
+    steps = {k: Subspace._span(n, [
         r for a in range(f.min_index() - dec, f.max_index() + 1)
-        for r in f.at(a).tensor(g.at(k - a)).basis.rows
+        for r in f.at(a).tensor(g.at(k - a)).rows
     ]) for k in range(lo - 1, hi + 1)}
     if dec:
         if steps[lo - 1].dim == n:

@@ -11,7 +11,9 @@ convert to a Scalar: floats are refused, so no floating point gets in.
 first use, where a Fraction is converted or a part is read, so a process
 that never does so never loads it.
 Plain rationals are the im == 0 case; callers that need to stay inside Q
-can check ``in_field("Q")``.
+can check ``in_field("Q")``.  ``parse_parts`` reads a string into reduced
+integer parts without making a Scalar: the flag layer keeps integer rows
+(see ``linalg``), and Scalars are made where a caller reads rationals.
 
 ``Value`` is the one rule for every other exact object of the library:
 its fields are set once, by the constructor, and two values are equal, and
@@ -87,6 +89,21 @@ def _rational(text):
     return n // g, d // g
 
 
+def parse_parts(text):
+    """The reduced parts (rn, rd, in, id) that ``Scalar.parse`` reads from
+    text, with its errors, for a reader that keeps integers."""
+    m = _SCALAR_RE.match(text)
+    if m is None:
+        raise ValueError("not a scalar: %r" % (text,))
+    rn, rd = _rational(m.group("re"))
+    in_, id_ = 0, 1
+    if m.group("im") is not None:
+        in_, id_ = _rational(m.group("im"))
+        if m.group("sign") == "-":
+            in_ = -in_
+    return rn, rd, in_, id_
+
+
 _new = object.__new__
 
 
@@ -143,16 +160,7 @@ class Scalar:
 
         Non-reduced input is reduced; a zero denominator raises
         ZeroDivisionError."""
-        m = _SCALAR_RE.match(text)
-        if m is None:
-            raise ValueError("not a scalar: %r" % (text,))
-        rn, rd = _rational(m.group("re"))
-        in_, id_ = 0, 1
-        if m.group("im") is not None:
-            in_, id_ = _rational(m.group("im"))
-            if m.group("sign") == "-":
-                in_ = -in_
-        return _fast(rn, rd, in_, id_)
+        return _fast(*parse_parts(text))
 
     def __str__(self):
         if not self._in:

@@ -16,12 +16,20 @@ from .linalg import (
     InvariantError,
     Matrix,
     Subspace,
-    adapted_position,
+    _cat,
+    _cut,
+    _echelon,
+    _ints,
+    _over_pivot,
+    _pick,
+    _position,
+    _primitive,
+    _solve,
+    _units,
     log_unipotent,
-    solve_left,
 )
 from .mhs import ComplexMHS, Filtration, GrStructure
-from .scalars import ONE, ZERO, Value
+from .scalars import ONE, ZERO, Value, _over
 
 
 class DeltaError(ValueError):
@@ -34,27 +42,38 @@ def _adapted_pieces(gr, side):
     # Fb^(b-j) ∩ W_(n-j-1) (Cattani-Kaplan-Schmid, Ann. Math. 123, §2): the
     # rows (L, w) of gr.rows of Fb with w <= n and L + max(n-w-1, 0) >= b
     # span T(b, n), so one relative position per weight cuts them all.
-    # I ∩ W_{n-1} = 0, so the chart slice of its echelon basis is the
-    # canonical basis of the piece
+    # I ∩ W_{n-1} = 0, so the chart slice of its echelon basis, made
+    # primitive, is the canonical basis of the piece.  The rows are integer
+    # rows, cut to the coordinates from lo on.  The rows of Fa of weight
+    # <= n lie in W_n, spanned by the rows of Fb of weight <= n: so one
+    # _solve writes every row of Fa in the rows of Fb, for all weights
+    # (``written_in_other``, which graded() shares for Fa = F')
     if side not in ("Fp", "Fpp"):
         raise ValueError("side must be 'Fp' or 'Fpp'")
     fa, fb = gr.rows[side], gr.rows["Fpp" if side == "Fp" else "Fp"]
     dim = gr.V.n
-    out = {}
+    coords = gr.written_in_other(side)
+    out, of_weight = {}, {}
+    for pq in sorted(gr.hodge.counts):
+        of_weight.setdefault(sum(pq), []).append(pq)
     for n, (lo, hi) in sorted(gr.cols.items()):
-        tails = sorted(((level + max(n - w - 1, 0), r[lo:]) for level, w, r in fb
-                        if w <= n), key=lambda t: -t[0])
-        position = adapted_position(dim - lo, [
-            (level, r[lo:]) for level, w, r in fa if w <= n], tails)
-        for pq in sorted(pq for pq in gr.hodge.counts if sum(pq) == n):
+        tails = sorted(((level + max(n - w - 1, 0), i) for i, (level, w, _)
+                        in enumerate(fb) if w <= n), key=lambda t: -t[0])
+        idx = [i for _, i in tails]
+        position = _position([level for level, _ in tails], [
+            (level, _pick(x, idx), _cut(r, lo))
+            for (level, w, r), x in zip(fa, coords) if w <= n])
+        zero = ((0,) * lo, None)
+        for pq in of_weight.get(n, ()):
             a, b = pq if side == "Fp" else pq[::-1]
-            piece = Subspace._span(Matrix._of(tuple(
-                (ZERO,) * lo + r for x, y, r in position if x >= a and y >= b
-            ), dim))
-            if tuple(r[lo:hi] for r in piece.basis.rows) != gr.block_rows[pq]:
+            pivots, rows = _echelon(
+                [r for x, y, r in position if x >= a and y >= b], dim - lo)
+            if pivots[-1] >= hi - lo or tuple(
+                    _primitive(*_cut(r, 0, hi - lo), j) for j, r in zip(pivots, rows)
+            ) != gr.block_rows[pq]:
                 raise InvariantError("splitting piece does not lift the graded "
                                      "basis at %r" % (pq,))
-            out[pq] = piece
+            out[pq] = Subspace(dim, tuple(_cat(zero, r) for r in rows))
     return out
 
 
@@ -66,7 +85,7 @@ def splitting_subspaces(gr, side):
     only modulo lower weight; "Fpp" is the mirror image.
     """
     return {
-        pq: Subspace._span(piece.basis @ gr.basis)
+        pq: Subspace.from_rows(gr.V.n, (piece.basis @ gr.basis).rows)
         for pq, piece in _adapted_pieces(gr, side).items()
     }
 
@@ -86,16 +105,14 @@ class DeltaObject(Value):
         if delta.shape != (n, n):
             raise DeltaError("matrix shape %r for dimension %d" % (delta.shape, n))
         owner = hodge.block_of_index()
-        lowering = set(hodge.lowering())
-        for i, row in enumerate(hodge.bidegrees()):
-            for j, ab in enumerate(row):
-                x = delta[i, j]
-                if ab == (0, 0):
+        for i, (row, xs) in enumerate(zip(hodge.bidegrees(), delta.rows)):
+            for j, ((a, b), x) in enumerate(zip(row, xs)):
+                if a == b == 0:
                     if x != (ONE if i == j else ZERO):
                         raise DeltaError(
                             "diagonal block at %r is not the identity" % (owner[i],)
                         )
-                elif x and (i, j) not in lowering:
+                elif x and (a <= 0 or b <= 0):  # not in hodge.lowering()
                     raise DeltaError(
                         "entry %r <- %r does not lower both indices"
                         % (owner[i], owner[j])
@@ -113,13 +130,18 @@ def delta_operator(gr):
 
     The echelon rows of each side's pieces, stacked in block order into B'
     and B'', lift the same canonical graded basis, so delta is the matrix
-    (B''^T)^-1 B'^T carrying one lift onto the other: one solve."""
+    (B''^T)^-1 B'^T carrying one lift onto the other: one solve, on the
+    integer rows, each standing for itself over its pivot.  Its solutions
+    are the one place Scalars are made, as the entries of delta."""
+    n = gr.V.n
     Bp, Bpp = (
-        tuple(r for pq, _, _ in gr.hodge.blocks() for r in pieces[pq].basis.rows)
+        _over_pivot(r for pq, _, _ in gr.hodge.blocks() for r in pieces[pq].rows)
         for pieces in (_adapted_pieces(gr, "Fp"), _adapted_pieces(gr, "Fpp"))
     )
-    delta = solve_left(Matrix._of(Bpp, gr.V.n), Bp)
-    return DeltaObject(gr.hodge, Matrix._of(delta, gr.V.n).transpose())
+    sols = _solve(Bpp, Bp, n)
+    return DeltaObject(gr.hodge, Matrix._of(tuple(
+        tuple(_over(re[i], im[i] if im else 0, d) for re, im, d in sols)
+        for i in range(n)), n))
 
 
 def log_delta_components(dobj):
@@ -155,9 +177,9 @@ def delta_to_mhs(dobj, check=True):
     hodge = dobj.hodge
     n = hodge.dim
     owner = hodge.block_of_index()
-    units = Matrix.identity(n).rows
+    units = _units(n)
     # the image of e_i under delta^-1 is column i of delta^-1
-    dinvT = dobj.delta.inverse().transpose().rows
+    dinvT = [_ints(r)[:2] for r in dobj.delta.inverse().transpose().rows]
     W = Filtration.from_basis(Filtration.INC, n, [
         (p + q, r) for (p, q), r in zip(owner, units)])
     Fp = Filtration.from_basis(Filtration.DEC, n, [

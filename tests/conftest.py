@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from itertools import zip_longest
 
+import pytest
 from hypothesis import settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -33,6 +34,7 @@ from hodgegauge.linalg import (
     adapted_position,
     solve_left,
 )
+from hodgegauge import freelie
 from hodgegauge.mhs import (
     ComplexMHS, Filtration, FiltrationError, GrStructure, HodgeNumbers, RealMHS,
     dual_mhs, realize_real, tensor_mhs,
@@ -67,6 +69,57 @@ def vec(entries):
 
 def span(n, rows):
     return Subspace.from_rows(n, [vec(r) for r in rows])
+
+
+def block_basis(gr, pq):
+    """The canonical basis of the graded piece pq of gr, as rows of Scalars:
+    ``gr.block_rows`` holds it as integer rows."""
+    rows = gr.block_rows[pq]
+    return Subspace(len(rows[0][0]), rows).basis.rows
+
+
+def scalar_reduce(rows, scan):
+    """The elimination ``linalg._reduce`` ran on Scalars before it ran on
+    integer rows, kept verbatim as the reference the integer kernel is
+    tested against."""
+    # each row, in order, reduced by the kept rows before it until its first
+    # nonzero coordinate in scan order is new, and scaled to 1 there; yields
+    # (that coordinate, row), or (None, row) for a row that reduces to zero
+    # on scan, which is not kept.  Coordinates outside scan ride along.
+    kept = {}
+    for v in rows:
+        for j in scan:
+            c = v[j]
+            if c:
+                if j not in kept:
+                    break
+                v = [a - c * b if b else a for a, b in zip(v, kept[j])]
+        else:
+            yield None, v
+            continue
+        if v[j] != ONE:
+            inv = ONE / v[j]
+            v = [inv * a if a else a for a in v]
+        kept[j] = v
+        yield j, v
+
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+@pytest.fixture
+def scalar_arithmetic(monkeypatch):
+    # the Scalar arithmetic calls, by name, made with a fresh expansion memo
+    calls = []
+    for name in _ARITHMETIC:
+        def counted(*args, _op=getattr(Scalar, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    monkeypatch.setattr(freelie, "_EXPANSIONS", {})
+    return calls
 
 
 def fixture_dir():
@@ -162,7 +215,7 @@ def apply(U, f):
         raise DimensionMismatch("map domain %d vs ambient %d" % (f.ncols, U.n))
     if U.dim == 0:
         return Subspace.zero(f.nrows)
-    return Subspace._span(U.basis @ f.transpose())
+    return Subspace.from_rows(f.nrows, (U.basis @ f.transpose()).rows)
 
 
 def validate_morphism(f, V, Vp):
@@ -240,7 +293,7 @@ class Quotient:
             Matrix._of(self.T.basis.rows + self.complement, self.S.n), inter.basis.rows
         )
         low = self.T.dim
-        return Subspace._span(Matrix._of(tuple(x[low:] for x in sols), self.dim))
+        return Subspace.from_rows(self.dim, [x[low:] for x in sols])
 
     def lift(self, coords):
         v = [ZERO] * self.S.n
@@ -605,7 +658,7 @@ def gr_coords(gr, rows, n):
     if any(x for r in rows for x in r[:lo]):
         raise ValueError("vector does not lie in W_%d" % n)
     chart = tuple(r for (p, q), _, _ in gr.hodge.blocks() if p + q == n
-                  for r in gr.block_rows[p, q])
+                  for r in block_basis(gr, (p, q)))
     sols = solve_left(Matrix._of(chart, hi - lo), [r[lo:hi] for r in rows])
     # the canonical basis runs up in weight, the adapted columns down
     return tuple((ZERO,) * (gr.V.n - hi) + x + (ZERO,) * lo for x in sols)
@@ -622,7 +675,8 @@ def pairwise_pieces(gr, side):
     inv = gr.basis.inverse()
     # zero and the full space read the same in every basis
     F = {s: Filtration(Filtration.DEC, dim, {
-        k: sub if sub.dim in (0, dim) else Subspace._span(sub.basis @ inv)
+        k: sub if sub.dim in (0, dim)
+        else Subspace.from_rows(dim, (sub.basis @ inv).rows)
         for k, sub in getattr(gr.V, s).steps.items()
     }) for s in ("Fp", "Fpp")}
 
@@ -636,11 +690,11 @@ def pairwise_pieces(gr, side):
     for (p, q), _, _ in gr.hodge.blocks():
         a, b = (p, q) if side == "Fp" else (q, p)
         n = p + q
-        first = Subspace(dim, Matrix._of(in_w(Fa.at(a), n), dim))
+        first = Subspace.from_rows(dim, in_w(Fa.at(a), n))
         tail = list(in_w(Fb.at(b), n))
         for j in range(1, n - min(gr.cols)):
             tail.extend(in_w(Fb.at(b - j), n - j - 1))
-        out[(p, q)] = first.intersect(Subspace._span(Matrix._of(tuple(tail), dim)))
+        out[(p, q)] = first.intersect(Subspace.from_rows(dim, tail))
     return out
 
 
@@ -695,7 +749,7 @@ def _conjugation_on_graded(gr):
     for (p, q), off, h in gr.hodge.blocks():
         conj = [
             tuple(x.conjugate() for x in lift(gr, row, p + q))
-            for row in gr.block_rows[(p, q)]
+            for row in block_basis(gr, (p, q))
         ]
         cols.extend(gr_coords(gr, coords(gr, conj), p + q))
     S = Matrix.from_columns(cols)

@@ -674,7 +674,7 @@ def test_each_structure_input_is_validated_once(monkeypatch):
     sides = []
     gr_init = mhs.GrStructure.__init__
     adapted_init = mhs.AdaptedTriple.__init__
-    real_position = mhs.adapted_position
+    real_position = splitting._position
     real_pieces = splitting._adapted_pieces
 
     def counting_gr(self, V, *rest):
@@ -689,9 +689,9 @@ def test_each_structure_input_is_validated_once(monkeypatch):
         adapted.append((V, self))
         adapted_init(self, V)
 
-    def counting_position(d, f, g):
-        positions.append(d)
-        return real_position(d, f, g)
+    def counting_position(levels, f):
+        positions.append(len(levels))
+        return real_position(levels, f)
 
     def counting_pieces(gr, side):
         start = len(positions)
@@ -701,8 +701,8 @@ def test_each_structure_input_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(mhs.GrStructure, "__init__", counting_gr)
     monkeypatch.setattr(mhs.AdaptedTriple, "__init__", counting_adapted)
-    monkeypatch.setattr(mhs, "adapted_position", counting_position)
-    monkeypatch.setattr(splitting, "adapted_position", counting_position)
+    monkeypatch.setattr(mhs, "_position", counting_position)
+    monkeypatch.setattr(splitting, "_position", counting_position)
     monkeypatch.setattr(splitting, "_adapted_pieces", counting_pieces)
     parser = cli.build_parser()
     structures = []

@@ -18,8 +18,10 @@ from hodgegauge.fixtures import (
     kummer_delta,
     named_corpus,
     real_corpus,
+    real_kummer,
     t3_delta,
 )
+from hodgegauge.mhs import FiltrationError, RealMHS
 from hodgegauge.connection import connection_from_delta
 from hodgegauge.linalg import Matrix
 from hodgegauge.scalars import FieldError, Scalar, ZERO
@@ -83,13 +85,13 @@ def test_shipped_corpus_parses():
 
 def test_matrix_parses_each_distinct_string_once(monkeypatch):
     parsed = []
-    real = Scalar.parse.__func__
+    real = documents.parse_parts
 
-    def counting(cls, text):
+    def counting(text):
         parsed.append(text)
-        return real(cls, text)
+        return real(text)
 
-    monkeypatch.setattr(Scalar, "parse", classmethod(counting))
+    monkeypatch.setattr(documents, "parse_parts", counting)
     rows = [["1/1", "0/1", "0/1"], ["0/1", "1/1", "2/4"], ["0/1", "0/1", "1/1"]]
     m = _matrix_in(rows)
     assert sorted(parsed) == ["0/1", "1/1", "2/4"]
@@ -97,7 +99,7 @@ def test_matrix_parses_each_distinct_string_once(monkeypatch):
     assert m.rows[1][2] == Scalar.parse("1/2")
     # the cache lives for one matrix only
     _matrix_in(rows)
-    assert len(parsed) == 2 * 3 + 1
+    assert len(parsed) == 2 * 3
 
 
 @pytest.mark.parametrize("bad, field", [
@@ -116,13 +118,13 @@ def test_matrix_raises_at_its_first_bad_entry(bad, field):
 def test_filtration_builds_one_matrix_per_step(monkeypatch):
     doc = serialize(kummer(Scalar(2, 1)))["Fpp"]
     built = []
-    real = documents._matrix_in
+    real = documents._rows_in
 
-    def counting(rows, field=None):
-        built.append(real(rows, field))
+    def counting(rows, field, make, seen):
+        built.append(real(rows, field, make, seen))
         return built[-1]
 
-    monkeypatch.setattr(documents, "_matrix_in", counting)
+    monkeypatch.setattr(documents, "_rows_in", counting)
     F = _filtration_in(doc)
     # steps -1 and 0 have rows; step 1 is empty and builds none
     assert len(built) == sum(1 for s in F.steps.values() if s.dim) == 2
@@ -186,3 +188,60 @@ def test_hodge_keys_must_be_canonical(key, canonical):
     with pytest.raises(DocumentError) as exc:
         parse(doc)
     assert str(exc.value) == "bad hodge numbers: index key %r is not canonical" % key
+
+
+def _set_entry(key, value):
+    def edit(doc):
+        doc[key]["steps"]["0"][0][1] = value
+    return edit
+
+
+def _add_short_row(doc):
+    doc["Fpp"]["steps"]["0"].append(["1/1"])
+
+
+@pytest.mark.parametrize("edit, real, flags, code, status, error", [
+    (_set_entry("Fpp", "1/0"), False, (), 2, "malformed",
+     "bad filtration: zero denominator in scalar '1/0'"),
+    (_set_entry("Fpp", "7" * 4301), False, (), 2, "malformed",
+     "bad filtration: scalar has a numerator or denominator of more than "
+     "4300 digits"),
+    (_set_entry("Fpp", "7" * 4300), False, (), 0, "ok", None),
+    (_set_entry("Fpp", "1/2x"), False, (), 2, "malformed",
+     "bad filtration: not a scalar: '1/2x'"),
+    (_set_entry("Fpp", 1), False, (), 2, "malformed",
+     "bad filtration: expected string or bytes-like object, got 'int'"),
+    (_set_entry("Fpp", None), False, (), 2, "malformed",
+     "bad filtration: expected string or bytes-like object, got 'NoneType'"),
+    (_set_entry("Fpp", "1/2+3/4*i"), False, ("--field", "Q"), 1, "violation",
+     "scalar 1/2+3/4*i outside field Q"),
+    (_set_entry("W", "0/1+1/1*i"), True, (), 1, "violation",
+     "scalar 0/1+1/1*i outside field Q"),
+    (_add_short_row, False, (), 2, "malformed", "bad filtration: ragged rows"),
+], ids=["zero-denominator", "digits", "digits-at-the-bound", "not-a-scalar",
+        "int-entry", "null-entry", "field-Q", "real-W", "ragged"])
+def test_step_entry_errors_keep_their_text_and_status(
+        tmp_path, edit, real, flags, code, status, error):
+    # a step is read straight into integer rows; each error of an entry
+    # reads as it did when steps were read into Scalars
+    from hodgegauge import cli
+
+    doc = serialize(real_kummer(2) if real else kummer(1))
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["validate", *flags, str(path)]
+    entry, got = cli._process_one("validate", str(path),
+                                  cli.build_parser().parse_args(argv))
+    assert (got, entry["status"], entry.get("error")) == (code, status, error)
+
+
+def test_a_gaussian_weight_filtration_is_not_real():
+    # --field Q stops a Gaussian W at parse; a W read over Q(i) reaches the
+    # check on the integer rows of its steps
+    W = {"direction": "inc", "n": 2,
+         "steps": {"-2": [["1/1", "0/1+1/1*i"]], "0": [["1/1", "0/1"], ["0/1", "1/1"]]}}
+    V = real_kummer(2)
+    with pytest.raises(FiltrationError, match="^weight filtration must be rational$"):
+        RealMHS(2, _filtration_in(W), V.F)
+    assert RealMHS(2, _filtration_in(serialize(V)["W"]), V.F) == V

@@ -445,24 +445,6 @@ def test_log_pexp_matches_the_scalar_reference(N):
     assert universal_log_pexp(N) == reference_log_pexp(N)
 
 
-_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-               "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
-
-
-@pytest.fixture
-def scalar_arithmetic(monkeypatch):
-    # the Scalar arithmetic calls, by name, made with a fresh expansion memo
-    calls = []
-    for name in _ARITHMETIC:
-        def counted(*args, _op=getattr(Scalar, name), _name=name):
-            calls.append(_name)
-            return _op(*args)
-
-        monkeypatch.setattr(Scalar, name, counted)
-    monkeypatch.setattr(freelie, "_EXPANSIONS", {})
-    return calls
-
-
 def test_tables_make_no_scalar_arithmetic(scalar_arithmetic):
     # the series, the log, the extraction and the inversion run on
     # integers; only the readout makes Scalars, with no arithmetic

@@ -198,7 +198,9 @@ def test_graded_bases_that_conjugation_does_not_swap_are_an_invariant_error(
     class Tilted(GrStructure):
         def __init__(self, V):
             super().__init__(V)
-            self.block_rows = {pq: tuple(tuple(x * I for x in r) for r in rows)
+            # i (re + im i) = -im + re i
+            self.block_rows = {pq: tuple((tuple(-x for x in im or (0,) * len(re)), re)
+                                         for re, im in rows)
                                for pq, rows in self.block_rows.items()}
 
     monkeypatch.setattr(hodgecoh, "GrStructure", Tilted)

@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Quotient, apply, mat, piece_dimensions, sc, span, vec
+from conftest import (
+    Quotient, apply, mat, piece_dimensions, sc, scalar_reduce, span, vec,
+)
 from hodgegauge.linalg import (
     Matrix,
     NotNilpotentError,
     Subspace,
+    _ints,
+    _reduce,
+    _scalars,
     adapted_position,
     kron,
     log_unipotent,
@@ -232,13 +237,64 @@ def test_relative_position_matches_the_intersection_grid():
         F, G = (Filtration(Filtration.DEC, d, _random_flag(rng, d))
                 for _ in range(2))
         position = adapted_position(d, F.validate(), G.validate())
-        assert Subspace.from_rows(d, [r for _, _, r in position]).dim == d
+        assert Subspace._span(d, [r for _, _, r in position]).dim == d
         dims, cap = piece_dimensions(F, G)
         levels = {}
         for p, q, row in position:
             levels.setdefault((p, q), []).append(row)
         assert {pq: len(rows) for pq, rows in levels.items()} == dims
         for pq, rows in levels.items():
-            assert cap[pq].contains(Subspace.from_rows(d, rows)), pq
+            assert cap[pq].contains(Subspace._span(d, rows)), pq
         for (p, q), want in cap.items():
             assert want.dim == sum(a >= p and b >= q for a, b, _ in position)
+
+
+def _entry(rng, gaussian, big):
+    # mostly small; big entries have parts of about 300 digits
+    if rng.random() < 0.35:
+        return ZERO
+    if big:
+        den = rng.getrandbits(990) + 1
+        return Scalar(Fraction(rng.getrandbits(1000) - 2 ** 999, den),
+                      Fraction(rng.getrandbits(996), den + 2) * gaussian)
+    return Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                  rng.randint(-2, 2) * (gaussian and rng.random() < 0.6))
+
+
+def _row_set(rng, gaussian, width):
+    # random rows, then zero rows and scaled repeats mixed in
+    big = rng.random() < 0.05
+    rows = [tuple(_entry(rng, gaussian, big) for _ in range(width))
+            for _ in range(rng.randint(0, 5))]
+    for _ in range(rng.randint(0, 2)):
+        rows.append((ZERO,) * width)
+    for _ in range(rng.randint(0, 2) if rows else 0):
+        c = _entry(rng, gaussian, False) or ONE
+        rows.append(tuple(c * x for x in rng.choice(rows)))
+    rng.shuffle(rows)
+    return rows, big
+
+
+def test_integer_reduce_matches_the_scalar_reference():
+    # the kernel on integer rows against the elimination it replaced, on
+    # the same rows, scanned forward and reversed, with coordinates riding
+    # along past the scan: the same kept coordinates and zero verdicts, and
+    # each kept row over its pivot is the reference's row scaled to 1
+    rng = random.Random(71)
+    seen = set()
+    for case in range(240):
+        gaussian = case % 2 == 1
+        n = rng.randint(0, 6)
+        rows, big = _row_set(rng, gaussian, n + rng.randint(0, 2))
+        for scan in (range(n), range(n - 1, -1, -1)):
+            want = list(scalar_reduce(rows, scan))
+            got = list(_reduce([_ints(r)[:2] for r in rows], scan))
+            assert [j for j, _ in got] == [j for j, _ in want], rows
+            for (j, (re, im)), (_, row) in zip(got, want):
+                if j is not None:
+                    assert im is None or not im[j]
+                    assert _scalars(re, im, re[j]) == tuple(row), rows
+        seen.update([("gaussian", gaussian), ("big", big), ("width 0", n == 0)])
+        seen.update(("zero", j is None) for j, _ in got)
+        seen.add(("repeated", len(set(rows)) < len(rows)))
+    assert len(seen) == 10

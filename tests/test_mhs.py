@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    block_basis,
     Quotient,
     chain_delta,
     conjugate_mhs,
@@ -33,7 +34,7 @@ from hodgegauge.fixtures import (
     real_kummer,
     t3,
 )
-from hodgegauge.linalg import Matrix, Subspace
+from hodgegauge.linalg import Matrix, Subspace, _cut
 from hodgegauge.mhs import (
     AdaptedTriple,
     ComplexMHS,
@@ -154,7 +155,7 @@ def test_validate_matches_the_pairwise_route():
         for p in range(f.min_index() - 1, f.max_index() + 2):
             rows = [r for level, r in basis
                     if (level <= p if f.direction == f.INC else level >= p)]
-            assert Subspace.from_rows(f.n, rows) == f.at(p), (f, p)
+            assert Subspace._span(f.n, rows) == f.at(p), (f, p)
     assert min(seen.values()) > 100, seen
 
 
@@ -177,10 +178,11 @@ def test_from_basis_inverts_validate():
 
 def test_from_basis_spans_each_step_from_the_one_inside_it(monkeypatch):
     # F'' of a chain is nested and dense: spanning each step from all the
-    # rows of its levels again multiplies about n^4 times, spanning it from
-    # the reduced step inside it about n^3 times
+    # rows of its levels again takes about n^3 elimination steps, spanning
+    # it from the reduced step inside it about n^2; each step, and each row
+    # kept, takes the gcd of its parts
     inside, counts = [False], []
-    from_basis, mul = Filtration.from_basis.__func__, Scalar.__mul__
+    from_basis, gcd = Filtration.from_basis.__func__, linalg.gcd
 
     def counted_from_basis(cls, *args):
         inside[0] = True
@@ -189,16 +191,16 @@ def test_from_basis_spans_each_step_from_the_one_inside_it(monkeypatch):
         finally:
             inside[0] = False
 
-    def counted_mul(a, b):
+    def counted_gcd(*args):
         counts[-1] += inside[0]
-        return mul(a, b)
+        return gcd(*args)
 
     monkeypatch.setattr(Filtration, "from_basis", classmethod(counted_from_basis))
-    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    monkeypatch.setattr(linalg, "gcd", counted_gcd)
     for n in (16, 32):
         counts.append(0)
         delta_to_mhs(chain_delta(n), check=False)
-    assert 0 < counts[1] < 10 * counts[0], counts
+    assert 0 < counts[1] < 5 * counts[0], counts
 
 
 def test_filtration_equality_ignores_redundant_steps():
@@ -451,13 +453,15 @@ def test_adapted_basis_matches_quotient_charts():
                 for side, flag in (("Fp", fp), ("Fpp", fpp)):
                     rows = adapted.rows[side]
                     for k, step in flag.steps.items():
-                        assert span(hi - lo, [
-                            r[lo:hi] for level, w, r in rows if w == n and level >= k
+                        assert Subspace._span(hi - lo, [
+                            _cut(r, lo, hi) for level, w, r in rows
+                            if w == n and level >= k
                         ]) == step
                     for k, step in getattr(U, side).steps.items():
-                        in_w = Subspace._span(step.basis @ inv).intersect(span(
+                        moved = Subspace.from_rows(U.n, (step.basis @ inv).rows)
+                        in_w = moved.intersect(span(
                             U.n, Subspace.full(U.n).basis.rows[lo:]))
-                        assert span(U.n, [
+                        assert Subspace._span(U.n, [
                             r for level, w, r in rows if w <= n and level >= k
                         ]) == in_w
                 for row in Subspace.full(chart.dim).basis.rows:
@@ -469,8 +473,8 @@ def test_adapted_basis_matches_quotient_charts():
 def test_adapted_bases_need_no_span_per_step(monkeypatch):
     # each flag is read by the one reduction in validate, and the F' and F''
     # steps reach the adapted basis through one reduction per filtration:
-    # the only elimination is the one solve_left that writes both sides in
-    # the W basis, and each chart's adapted_position makes one more
+    # the only change of coordinates is the one _solve that writes both
+    # sides in the W basis, and one more writes F' in F'' for every chart
     calls = []
 
     def count(name, fn):
@@ -488,22 +492,24 @@ def test_adapted_bases_need_no_span_per_step(monkeypatch):
     monkeypatch.setattr(Matrix, "rref", count("rref", Matrix.rref))
     monkeypatch.setattr(Matrix, "inverse", count("inverse", Matrix.inverse))
     monkeypatch.setattr(Matrix, "__matmul__", count("@", Matrix.__matmul__))
-    solve = count("solve_left", linalg.solve_left)
-    monkeypatch.setattr(linalg, "solve_left", solve)
-    monkeypatch.setattr(mhs, "solve_left", solve)
+    monkeypatch.setattr(linalg, "solve_left", count("solve_left", linalg.solve_left))
+    solve = count("_solve", linalg._solve)
+    monkeypatch.setattr(linalg, "_solve", solve)
+    monkeypatch.setattr(mhs, "_solve", solve)
+    monkeypatch.setattr(mhs, "_echelon", count("_echelon", mhs._echelon))
     for V in structures:
         for f in (V.W, V.Fp, V.Fpp):
             assert len(f.validate()) == V.n
         assert calls == []
         adapted = AdaptedTriple(V)
-        assert calls == ["solve_left", "rref"]
+        assert calls == ["_solve"]
         calls.clear()
         assert all(len(adapted.rows[side]) == V.n for side in ("Fp", "Fpp"))
         for _ in adapted.graded():
-            assert calls == ["solve_left", "rref"]
-            calls.clear()
+            assert calls == ["_solve"]
+        calls.clear()
     GrStructure(structures[-1])
-    assert "_span" in calls
+    assert "_echelon" in calls
 
 
 def test_gr_coords_read_back_lifted_pieces():
@@ -511,7 +517,7 @@ def test_gr_coords_read_back_lifted_pieces():
     for _ in range(8):
         gr = GrStructure(random_mhs(rng, max_dim=6, weight_lo=-4, weight_hi=4))
         for (p, q), off, h in gr.hodge.blocks():
-            lifted = [lift(gr, r, p + q) for r in gr.block_rows[(p, q)]]
+            lifted = [lift(gr, r, p + q) for r in block_basis(gr, (p, q))]
             unit = Subspace.full(gr.hodge.dim).basis.rows[off : off + h]
             assert gr_coords(gr, coords(gr, lifted), p + q) == unit
 
@@ -525,7 +531,7 @@ def grid_outcome(V):
     pieces = {}
     for _, _, fp, fpp in charts:
         dims, cap = piece_dimensions(fp, fpp)
-        pieces.update((pq, cap[pq].basis.rows) for pq in dims)
+        pieces.update((pq, cap[pq].rows) for pq in dims)
     return outcome, pieces
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import (
     _laurent_det, assert_raises_under_optimize, chain_delta, fixture_deltas,
-    span, two_filtration_rees_type,
+    scalar_reduce, span, two_filtration_rees_type,
 )
 from hodgegauge.fixtures import kummer, kummer_delta, random_delta, t3_delta
-from hodgegauge.linalg import InvariantError, Matrix, Subspace, _reduce
+from hodgegauge.linalg import InvariantError, Matrix, Subspace
 from hodgegauge.mhs import (
     ComplexMHS, Filtration, pure, validate_mhs,
 )
@@ -61,7 +61,7 @@ def _section_counts(G, twists, degree_bound):
                         vec = constraints.setdefault((-e - d, i), [ZERO] * (r * ncoef))
                         vec[j * ncoef + d] = vec[j * ncoef + d] + c
     keys = sorted(constraints)
-    reduced = _reduce((constraints[key] for key in keys), range(r * ncoef))
+    reduced = scalar_reduce((constraints[key] for key in keys), range(r * ncoef))
     kept = [key for key, (j, _) in zip(keys, reduced) if j is not None]
     return {k: r * ncoef - sum(-x > k for x, _ in kept) for k in twists}
 

@@ -13,7 +13,9 @@ the same documents in the same working directory:
   ``perfbench/corpus.py`` builds at each SEED (default 7);
 - the seven commands on the one-dimension-per-weight chains at n = 16, 24
   and 32 (entries in -3..3 seeded by n), as structure and as delta
-  documents, and ``holonomy --path`` with 5 points on the n = 24 chain.
+  documents, and ``holonomy --path`` with 5 points on the n = 24 chain;
+- the same on the Gaussian chains at n = 16 and 24 (entries a + b*i, a and
+  b in -3..3 seeded by n).
 
 Stderr is compared by whether it is empty and by its last line, which
 names no path (an exception's text or argparse's error), so a lost
@@ -41,10 +43,12 @@ import workloads  # noqa: E402
 
 COMMANDS = ("validate", "split", "connect", "holonomy", "roundtrip", "rees", "ext")
 CHAINS = (16, 24, 32)
+GAUSSIAN_CHAINS = (16, 24)
 CHAIN_LIMIT_S = 300
 PATH_5 = "--path=-1,0;0,-1;2,3;1/2,-1/3;1,1"
 
-# writes chain_<n>_structure.json and chain_<n>_delta.json to the cwd
+# writes chain_<n>_structure.json and chain_<n>_delta.json to the cwd, or
+# gchain_<n>_... for an argument "<n>i", whose entries are Gaussian
 CHAIN_SCRIPT = """
 import json, random, sys
 from hodgegauge.documents import serialize
@@ -53,13 +57,20 @@ from hodgegauge.mhs import HodgeNumbers
 from hodgegauge.scalars import ONE, ZERO, Scalar
 from hodgegauge.splitting import DeltaObject, delta_to_mhs
 
-for n in map(int, sys.argv[1:]):
+for arg in sys.argv[1:]:
+    n, gaussian = int(arg.rstrip("i")), arg.endswith("i")
     rng = random.Random(n)
+
+    def entry():
+        if gaussian:
+            return Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+        return Scalar(rng.randint(-3, 3))
+
     d = DeltaObject(HodgeNumbers({(-k, -k): 1 for k in range(n)}), Matrix([
-        [ONE if i == j else Scalar(rng.randint(-3, 3)) if i < j else ZERO
+        [ONE if i == j else entry() if i < j else ZERO
          for j in range(n)] for i in range(n)]))
     for kind, obj in (("structure", delta_to_mhs(d)), ("delta", d)):
-        with open("chain_%d_%s.json" % (n, kind), "w") as fh:
+        with open("%schain_%d_%s.json" % ("g" * gaussian, n, kind), "w") as fh:
             json.dump(serialize(obj), fh)
 """
 
@@ -160,12 +171,15 @@ def corpora(cmp, work, seed):
 def chains(cmp, work):
     cwd = os.path.join(work, "chains")
     os.makedirs(cwd)
-    _child(cmp.srcs[0], ["-c", CHAIN_SCRIPT] + [str(n) for n in CHAINS], cwd)
-    docs = ["chain_%d_%s.json" % (n, kind) for n in CHAINS
-            for kind in ("structure", "delta")]
-    for command in COMMANDS:
-        cmp.invocation("%s on the chains" % command, [command] + docs, cwd,
-                       CHAIN_LIMIT_S)
+    _child(cmp.srcs[0], ["-c", CHAIN_SCRIPT] + [str(n) for n in CHAINS]
+           + ["%di" % n for n in GAUSSIAN_CHAINS], cwd)
+    for label, prefix, sizes in (("chains", "", CHAINS),
+                                 ("Gaussian chains", "g", GAUSSIAN_CHAINS)):
+        docs = ["%schain_%d_%s.json" % (prefix, n, kind) for n in sizes
+                for kind in ("structure", "delta")]
+        for command in COMMANDS:
+            cmp.invocation("%s on the %s" % (command, label), [command] + docs,
+                           cwd, CHAIN_LIMIT_S)
     cmp.invocation("holonomy %s on the n = 24 chain" % PATH_5,
                    ["holonomy", PATH_5, "chain_24_structure.json",
                     "chain_24_delta.json"], cwd, CHAIN_LIMIT_S)
