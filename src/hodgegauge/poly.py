@@ -127,19 +127,12 @@ class Poly(Value):
 
     def eval(self, point):
         """Evaluate at a tuple of Scalars (nonzero where an exponent is
-        negative).
-        Each power of a coordinate is formed once, and coordinates equal to
-        one are skipped."""
-        coords = [(v, x) for v, x in enumerate(point[: self.nvars]) if x != ONE]
-        powers = {}
+        negative)."""
         acc = ZERO
         for exps, c in self.terms.items():
-            for v, x in coords:
-                e = exps[v]
+            for x, e in zip(point, exps):
                 if e:
-                    if (v, e) not in powers:
-                        powers[v, e] = x ** e
-                    c = c * powers[v, e]
+                    c = c * x ** e
             acc = acc + c
         return acc
 

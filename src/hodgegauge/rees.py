@@ -4,9 +4,9 @@ The Rees bundle of a bigraded comparison datum is described over the
 punctured plane by the Laurent patching matrix Phi(xi0, xi1) obtained by
 conjugating delta with the monomial frame xi0^{p+q} xi1^{-p} on each piece.
 Restricting Phi to the line attached to a point T of the plane gives a
-one-variable transition matrix on P^1.  A delta's line types are certified
-by the shape of Phi; any other transition matrix has its determinant checked
-and its Grothendieck type read off two weak Popov forms of it.
+one-variable transition matrix on P^1.  The CLI reads line types off
+delta's shape (`splitting.delta_line_type`).  This module is the library
+route, for criterion 06 and the tests; it reads a type off weak Popov forms.
 """
 
 from __future__ import annotations

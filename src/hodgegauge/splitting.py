@@ -124,6 +124,18 @@ class DeltaObject(Value):
         return "DeltaObject(%r)" % (self.hodge,)
 
 
+def delta_line_type(dobj):
+    """Type (0, ..., 0) of the Rees bundle of dobj on every line: Phi's
+    entry (i, j) is delta_ij times a monomial equal to 1 on the diagonal
+    (`rees.rees_patching`), so `rees.unipotent_line_type`'s scan of Phi, and
+    its InvariantError, is this scan of delta."""
+    for i, row in enumerate(dobj.delta.rows):
+        for j in range(i + 1):
+            if row[j] != (ONE if i == j else ZERO):
+                raise InvariantError("Phi is not unitriangular at %d, %d" % (i, j))
+    return (0,) * len(dobj.delta.rows)
+
+
 def delta_operator(gr):
     """Compare the two canonical splittings of the validated structure gr.V
     through its associated graded.

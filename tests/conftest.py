@@ -155,6 +155,14 @@ def chain_delta(n):
     ]))
 
 
+def unchecked_delta(hodge, delta):
+    """A DeltaObject of any matrix, built past ``__init__``'s shape checks."""
+    d = object.__new__(DeltaObject)
+    object.__setattr__(d, "hodge", hodge)
+    object.__setattr__(d, "delta", delta)
+    return d
+
+
 def assert_raises_under_optimize(setup, call, error, match):
     """Run setup, then call, in a ``python -O`` process and require that
     call raises error with match in its message: a broken invariant is a

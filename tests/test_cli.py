@@ -10,7 +10,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import chain_delta, fixture_dir
+from conftest import chain_delta, fixture_dir, unchecked_delta
 from hodgegauge import cli
 from hodgegauge.documents import MAX_DIM, MAX_SPAN, serialize
 from hodgegauge.freelie import TT_ALPHABET, LiePolynomial, format_rational
@@ -201,14 +201,16 @@ def test_lie_coefficients_print_as_fractions(c, text):
 
 
 def test_rees_restricts_and_reduces_no_line(monkeypatch):
-    # every line type is read off the one certificate of Phi's shape
+    # every line type is read off the one certificate of delta's shape,
+    # with no patching matrix built
     from hodgegauge import rees
 
     monkeypatch.chdir(fixture_dir())
     batches = [["rees"] + _fixture_names("all") + points for points in ([], _POINTS)]
     want = [run(argv) for argv in batches]
     calls = []
-    for name in ("restrict_to_line", "_column_reduce"):
+    for name in ("rees_patching", "unipotent_line_type", "restrict_to_line",
+                 "_column_reduce"):
         fn = getattr(rees, name)
         monkeypatch.setattr(rees, name,
                             lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
@@ -217,12 +219,10 @@ def test_rees_restricts_and_reduces_no_line(monkeypatch):
 
 
 def test_rees_on_a_phi_of_another_shape_is_an_internal_error(monkeypatch):
-    from hodgegauge import rees
-    from hodgegauge.poly import PolyMatrix
-
-    patching = rees.rees_patching
-    monkeypatch.setattr(rees, "rees_patching",
-                        lambda d: PolyMatrix(2, zip(*patching(d).rows)))  # transposed
+    # a transposed delta, past DeltaObject's checks, makes Phi lower triangular
+    delta = cli._delta
+    monkeypatch.setattr(cli, "_delta", lambda obj: unchecked_delta(
+        delta(obj).hodge, delta(obj).delta.transpose()))
     code, out = run(["rees", fx("kummer_3.json")])
     entry = json.loads(out)["inputs"][0]
     assert (code, entry["status"]) == (3, "error")
@@ -778,7 +778,7 @@ _MODULES = {
     "connect": (["connect"], _CONNECTION),
     "holonomy": (["holonomy"], _HOLONOMY),
     "roundtrip": (["roundtrip"], _HOLONOMY),
-    "rees": (["rees"], _DOCUMENT | {"splitting", "rees", "poly"}),
+    "rees": (["rees"], _DOCUMENT | {"splitting"}),
     "ext": (["ext"], _CONNECTION | {"hodgecoh"}),
     "orientation-selftest": (["validate", "--orientation-selftest"], _HOLONOMY),
 }
@@ -813,6 +813,8 @@ def test_each_command_loads_only_its_modules(name):
         assert code == 0, args
         assert {m[len("hodgegauge."):] for m in loaded
                 if m.startswith("hodgegauge.")} == modules, args
+        # no command builds the patching matrix Phi or any PolyMatrix
+        assert not {"hodgegauge.poly", "hodgegauge.rees"} & set(loaded), args
         assert "concurrent.futures" not in loaded, args
         # Scalars are int pairs; Fractions, and the decimal and numbers
         # modules behind them, load only where one is converted or read
@@ -901,10 +903,15 @@ def test_a_process_writes_the_whole_report(monkeypatch):
 
 def test_a_process_with_an_internal_error_keeps_its_traceback():
     script = (
-        "from hodgegauge import cli, rees\n"
-        "from hodgegauge.poly import PolyMatrix\n"
-        "patching = rees.rees_patching\n"
-        "rees.rees_patching = lambda d: PolyMatrix(2, zip(*patching(d).rows))\n"
+        "from hodgegauge import cli\n"
+        "from hodgegauge.splitting import DeltaObject\n"
+        "delta = cli._delta\n"
+        "def transposed(obj):\n"
+        "    d = object.__new__(DeltaObject)\n"
+        "    object.__setattr__(d, 'hodge', delta(obj).hodge)\n"
+        "    object.__setattr__(d, 'delta', delta(obj).delta.transpose())\n"
+        "    return d\n"
+        "cli._delta = transposed\n"
         "cli.run()\n"
     )
     proc = _process(["-c", script, "rees", fx("kummer_3.json")])

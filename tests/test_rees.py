@@ -5,12 +5,12 @@ import pytest
 
 from conftest import (
     _laurent_det, assert_raises_under_optimize, chain_delta, fixture_deltas,
-    scalar_reduce, span, two_filtration_rees_type,
+    scalar_reduce, span, two_filtration_rees_type, unchecked_delta,
 )
 from hodgegauge.fixtures import kummer, kummer_delta, random_delta, t3_delta
 from hodgegauge.linalg import InvariantError, Matrix, Subspace
 from hodgegauge.mhs import (
-    ComplexMHS, Filtration, pure, validate_mhs,
+    ComplexMHS, Filtration, HodgeNumbers, pure, validate_mhs,
 )
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.rees import (
@@ -24,7 +24,7 @@ from hodgegauge.rees import (
     w_line_transition,
 )
 from hodgegauge.scalars import ONE, Scalar, ZERO
-from hodgegauge.splitting import delta_operator
+from hodgegauge.splitting import delta_line_type, delta_operator
 
 
 def laurent_matrix(entries):
@@ -119,8 +119,19 @@ def test_patching_kummer_entry():
     assert phi[0, 0].terms == {(0, 0): ONE}
 
 
+def _deltas():
+    """Every fixture delta, the n = 16 and 24 chains, and 40 seeded
+    random_delta draws, half of them rational and half Gaussian."""
+    rng = random.Random(37)
+    return fixture_deltas() + [chain_delta(16), chain_delta(24)] + [
+        random_delta(rng, gaussian=k % 2 == 1) for k in range(40)]
+
+
 def test_patching_at_ones_is_delta():
-    for d in (kummer_delta(Scalar(2, 1)), t3_delta(2, 5)):
+    # the rees report's patching_at_ones_is_delta: each entry of Phi is the
+    # delta entry times a monomial, which is 1 at (1, 1), so the check holds
+    # by rees_patching's form, and this test, not the command, checks it
+    for d in _deltas() + [kummer_delta(Scalar(2, 1)), t3_delta(2, 5)]:
         phi = rees_patching(d)
         assert phi.eval((ONE, ONE)) == d.delta
 
@@ -415,6 +426,58 @@ def _phi(cells):
 def test_the_certificate_refuses_other_shapes(cells, where):
     with pytest.raises(InvariantError, match="at " + where):
         unipotent_line_type(_phi(cells))
+
+
+def _verdict(scan, d):
+    try:
+        return scan(d)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def _broken(cells):
+    """Identity plus cells {(i, j): x} on two 2-dim blocks, (-1, -1) and
+    (0, 0), past DeltaObject's checks; (0, 2) is a lowering entry."""
+    rows = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    for (i, j), x in {(0, 2): Scalar(5), **cells}.items():
+        rows[i][j] = Scalar(0) + x
+    return unchecked_delta(HodgeNumbers({(-1, -1): 2, (0, 0): 2}), Matrix(rows))
+
+
+@pytest.mark.parametrize("cells, where", [
+    ({(1, 1): 2}, "1, 1"),
+    ({(3, 3): Scalar(1, 1)}, "3, 3"),
+    ({(1, 0): 1}, "1, 0"),  # below the diagonal inside a block
+    ({(2, 0): 4}, "2, 0"),  # below the diagonal across blocks
+    ({(0, 1): 3}, None),  # above it inside a block: refused only by __init__
+    ({}, None),
+], ids=["diagonal-2", "diagonal-1-plus-i", "inside-a-block", "across-blocks",
+        "above-inside-a-block", "lowering"])
+def test_the_delta_scan_refuses_what_the_phi_scan_refuses(cells, where):
+    d = _broken(cells)
+    want = (0,) * 4 if where is None else "Phi is not unitriangular at " + where
+    assert _verdict(delta_line_type, d) == want
+    assert _verdict(lambda d: unipotent_line_type(rees_patching(d)), d) == want
+
+
+def test_the_delta_scan_agrees_with_the_phi_scan_on_deltas():
+    for d in _deltas():
+        want = _verdict(lambda d: unipotent_line_type(rees_patching(d)), d)
+        assert want == (0,) * d.hodge.dim
+        assert _verdict(delta_line_type, d) == want, d
+
+
+def test_the_delta_scan_refuses_under_optimize():
+    assert_raises_under_optimize(
+        "from hodgegauge.fixtures import kummer_delta\n"
+        "from hodgegauge.linalg import InvariantError\n"
+        "from hodgegauge.splitting import DeltaObject, delta_line_type\n"
+        "d, t = object.__new__(DeltaObject), kummer_delta(3)\n"
+        "object.__setattr__(d, 'hodge', t.hodge)\n"
+        "object.__setattr__(d, 'delta', t.delta.transpose())",
+        "delta_line_type(d)",
+        "InvariantError", "not unitriangular at 1, 0",
+    )
 
 
 def test_the_certificate_refuses_under_optimize():

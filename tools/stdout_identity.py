@@ -8,6 +8,10 @@ the same documents in the same working directory:
 
 - the seven commands on the shipped fixtures, and ``lie --truncation N``
   for N = 2..12;
+- ``rees`` with line base points on the fixtures and on all the chains
+  below: a repeated point written two ways (``--point 2,3 --point 4/2,3``),
+  a negative first coordinate (``--point=-1,0``) and a Gaussian point
+  (``--point 1/2-3*i,-2``), one invocation each;
 - every invocation of the pipeline-mix and wide-spread plans of
   ``perfbench/workloads.py``, probes included, on the corpora that
   ``perfbench/corpus.py`` builds at each SEED (default 7);
@@ -46,6 +50,8 @@ CHAINS = (16, 24, 32)
 GAUSSIAN_CHAINS = (16, 24)
 CHAIN_LIMIT_S = 300
 PATH_5 = "--path=-1,0;0,-1;2,3;1/2,-1/3;1,1"
+REES_POINTS = (["--point", "2,3", "--point", "4/2,3"], ["--point=-1,0"],
+               ["--point", "1/2-3*i,-2"])
 
 # writes chain_<n>_structure.json and chain_<n>_delta.json to the cwd, or
 # gchain_<n>_... for an argument "<n>i", whose entries are Gaussian
@@ -139,6 +145,9 @@ def fixtures(cmp, work):
     shutil.copytree(dirs[0], cwd)
     for command in COMMANDS:
         cmp.invocation("%s on the fixtures" % command, [command] + names, cwd)
+    for points in REES_POINTS:
+        cmp.invocation("rees %s on the fixtures" % " ".join(points),
+                       ["rees"] + points + names, cwd)
     for n in range(2, 13):
         cmp.invocation("lie --truncation %d" % n, ["lie", "--truncation", str(n)],
                        cwd)
@@ -180,6 +189,9 @@ def chains(cmp, work):
         for command in COMMANDS:
             cmp.invocation("%s on the %s" % (command, label), [command] + docs,
                            cwd, CHAIN_LIMIT_S)
+        for points in REES_POINTS:
+            cmp.invocation("rees %s on the %s" % (" ".join(points), label),
+                           ["rees"] + points + docs, cwd, CHAIN_LIMIT_S)
     cmp.invocation("holonomy %s on the n = 24 chain" % PATH_5,
                    ["holonomy", PATH_5, "chain_24_structure.json",
                     "chain_24_delta.json"], cwd, CHAIN_LIMIT_S)
