@@ -9,15 +9,16 @@ determined by coefficient blocks A_{p,q}, B_{p,q} (p, q >= 1) of bidegree
 Gauge transformations are unipotent with the same strict double-lowering
 shape.  The Fock-Schwinger condition A + B = 0 picks a unique representative
 in each gauge orbit, and that representative is solved from a delta datum
-in one pass over its entries by _walk, the weight-ordered walk that also
-transports connections along segments (holonomy).
+in one pass over its entries by splitting._walk, the walk beside
+DeltaObject that also solves log delta and transports along segments.
 """
 
 from __future__ import annotations
 
 from .linalg import InvariantError, Matrix
-from .scalars import ONE, ZERO, Value
-from .upoly import add, at_one, hypotenuse_pullback, integral, mul, of
+from .scalars import ONE, Value
+from .splitting import _solve_blocks
+from .upoly import hypotenuse_pullback
 
 
 class AdmissibilityError(ValueError):
@@ -228,60 +229,9 @@ def normalize_fock_schwinger(C):
     return current, total
 
 
-def _walk(hodge, rule):
-    """Transport T(s) = 1 + int_0^s M T of a form M that lowers both indices.
-
-    The entries (i, j) that lower both indices are visited in order of
-    weight drop, so S = sum_{k != j} M[i,k] T[k,j] involves only entries
-    already set; then M[i,j] = rule(i, j, S), a polynomial in s of
-    ``upoly`` or None for zero, and T[i,j] = int_0^s (S + M[i,j]).  Returns
-    the nonzero off-diagonal entries of T, keyed by (i, j), as ``upoly``
-    polynomials; the diagonal is 1.
-    """
-    M = [{} for _ in range(hodge.dim)]
-    T = {}
-    for i, j in hodge.lowering():
-        S = of(())
-        for k, m in M[i].items():
-            if (k, j) in T:
-                S = add(S, mul(m, T[k, j]))
-        m = rule(i, j, S)
-        if m is not None:
-            M[i][j] = m
-            S = add(S, m)
-        if S[0] or S[1]:
-            T[i, j] = integral(S)
-    return T
-
-
 def connection_from_delta(dobj):
-    """The Fock-Schwinger connection whose triangle holonomy is delta.
-
-    The axis transports are trivial, and block (p, q) pulls back to the
-    hypotenuse as A_{p,q} h(s), h = hypotenuse_pullback(p, q); so
-    delta = T(1) for the transport that _walk builds, and its rule solves
-    each entry as it is reached: A[i,j] = (delta[i,j] - int_0^1 S) / int_0^1 h.
-    """
-    hodge = dobj.hodge
-    n = hodge.dim
-    bidegrees = hodge.bidegrees()
-    delta = dobj.delta.rows
-    pullback = {}
-    blocks = {}
-
-    def solve(i, j, S):
-        pq = bidegrees[i][j]
-        if pq not in pullback:
-            h = hypotenuse_pullback(*pq)
-            pullback[pq] = (h, at_one(integral(h)))
-        h, c = pullback[pq]
-        a = (delta[i][j] - at_one(integral(S))) / c
-        if not a:
-            return None
-        blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])[i][j] = a
-        return mul(h, of((a,)))
-
-    _walk(hodge, solve)
-    A = {pq: Matrix._of(tuple(map(tuple, rows)), n)
-         for pq, rows in blocks.items()}
-    return EquivariantConnection(hodge, A, {k: -v for k, v in A.items()})
+    """The Fock-Schwinger connection whose triangle holonomy is delta: the
+    axis transports are trivial, so delta is the hypotenuse transport, where
+    block (p, q) pulls back as A_{p,q} hypotenuse_pullback(p, q)."""
+    A = _solve_blocks(dobj, hypotenuse_pullback)
+    return EquivariantConnection(dobj.hodge, A, {k: -v for k, v in A.items()})

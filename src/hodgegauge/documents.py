@@ -10,16 +10,14 @@ of every stage grows with both.
 Index keys must be canonical ("k" or "p,q", each part str(int(part))).  A
 matrix row or a filtration step that is not a list ([] is the zero step),
 or a (p, q) block that a connection document repeats, is malformed.
-A filtration step is read straight into integer rows (numerators over the
-row's lcm, content removed; see ``linalg``), so no Scalar is made of it;
-the matrices of delta and connection documents are read into Scalars.
+A filtration step is read straight into integer rows (``linalg._ints`` of
+the parsed parts), so no Scalar is made of it; the matrices of delta and
+connection documents are read into Scalars.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
-from .linalg import DimensionMismatch, Matrix, Subspace
+from .linalg import DimensionMismatch, Matrix, Subspace, _ints
 from .mhs import ComplexMHS, Filtration, HodgeNumbers, RealMHS
 from .scalars import MAX_DIGITS, FieldError, _fast, parse_parts
 
@@ -118,24 +116,6 @@ def _matrix_in(rows, field=None):
     return Matrix._of(tuple(map(tuple, rows)), width)
 
 
-def _integer_row(parts):
-    # numerators over the row's lcm, with the content removed: (re, im)
-    if not parts:
-        return (), None
-    re, rd, im, id_ = zip(*parts)
-    d = lcm(*rd, *id_)
-    if d != 1:
-        re = [x * (d // y) for x, y in zip(re, rd)]
-        im = [x * (d // y) for x, y in zip(im, id_)]
-    if not any(im):
-        im = None
-    g = gcd(*re, *im) if im else gcd(*re)
-    if g > 1:
-        re = [x // g for x in re]
-        im = im and [x // g for x in im]
-    return tuple(re), im and tuple(im)
-
-
 def _filtration_out(f):
     return {
         "direction": f.direction,
@@ -157,8 +137,9 @@ def _step_in(rows, n, field, seen):
     parts, width = _rows_in(rows, field, tuple, seen)
     if width != n:
         raise DimensionMismatch("rows of length %d in K^%d" % (width, n))
+    # the entries are parts already, and _span makes each row primitive
     seen[n, tuple(map(tuple, rows))] = step = Subspace._span(
-        n, [_integer_row(r) for r in parts])
+        n, [_ints(r, tuple)[:2] for r in parts])
     return step
 
 

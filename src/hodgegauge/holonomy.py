@@ -2,22 +2,22 @@
 
 Transport along a segment solves T' = M(t) T with T(0) = 1, where M is the
 pullback of Omega to the segment.  Every coefficient block strictly lowers
-the weight, so connection._walk solves it entry by entry in order of weight
-drop: the same walk that solves connection_from_delta against delta.  The
-sign and the triangle orientation (0,0) -> (-1,0) -> (0,-1) -> (0,0) are
-the unique combination under which the triangle holonomy of the canonical
-connection of a structure reproduces its splitting comparison operator; a
-runtime self-test (convention_selftest) re-derives this pin on a rank-2
-fixture.
+the weight, so splitting._walk, beside DeltaObject, solves it entry by
+entry in order of weight drop: the walk that solves connection_from_delta
+and log_delta_components against delta.  The sign and the triangle
+orientation (0,0) -> (-1,0) -> (0,-1) -> (0,0) are the unique combination
+under which the triangle holonomy of the canonical connection of a
+structure reproduces its splitting comparison operator; a runtime self-test
+(convention_selftest) re-derives this pin on a rank-2 fixture.
 """
 
 from __future__ import annotations
 
-from .connection import _walk, connection_from_delta
+from .connection import connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import HodgeNumbers
 from .scalars import ONE, ZERO, Scalar, Value
-from .splitting import DeltaObject
+from .splitting import DeltaObject, _walk
 from .upoly import add, at_one, mul, of
 
 
@@ -53,7 +53,7 @@ TRIANGLE = ((0, 0), (-1, 0), (0, -1), (0, 0))
 
 def _segment_transport(C, a, b):
     """The nonzero off-diagonal entries of T(s), keyed by (i, j), along
-    gamma(s) = a + s (b - a), s in [0, 1], as connection._walk returns them;
+    gamma(s) = a + s (b - a), s in [0, 1], as splitting._walk returns them;
     the diagonal of T is 1.
 
     Entry (i, j) of a block (p, q) pulls back to

@@ -229,15 +229,16 @@ def solve_left(A, rows):
     return None if sols is None else tuple(starmap(_scalars, sols))
 
 
-def _ints(row):
-    # a row of Scalars as (re, im, d): the numerators over the lcm d of its
-    # denominators
-    rn, rd, in_, id_ = tuple(zip(*map(_PARTS, row))) or ((),) * 4
+def _ints(row, parts=_PARTS):
+    # a row as (re, im, d): the numerators over the lcm d of its
+    # denominators, read by parts(x) = (rn, rd, in, id) of each entry x
+    rn, rd, in_, id_ = tuple(zip(*map(parts, row))) or ((),) * 4
     d = lcm(*rd, *id_)
-    re = tuple(map(mul, rn, map(d.__floordiv__, rd)))
-    if not any(in_):
-        return re, None, d
-    return re, tuple(map(mul, in_, map(d.__floordiv__, id_))), d
+    im = in_ if any(in_) else None
+    if d != 1:  # most rows of a document are integers already
+        rn = tuple(map(mul, rn, map(d.__floordiv__, rd)))
+        im = im and tuple(map(mul, im, map(d.__floordiv__, id_)))
+    return rn, im, d
 
 
 def _scalars(re, im, d):

@@ -7,7 +7,8 @@ coordinates lifts the canonical basis of the (p, q) piece of Gr^W_n.
 Comparing the two lifts, by one solve, yields a unipotent operator delta
 whose logarithm strictly lowers both Hodge indices.  The structure can be
 rebuilt from (hodge numbers, delta) up to isomorphism, and that model is
-what the connection, holonomy, and cohomology layers consume.
+what the connection, holonomy, and cohomology layers consume.  _walk lives
+here: the one walk that solves log delta and the connection from delta.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .linalg import (
     _primitive,
     _solve,
     _units,
-    log_unipotent,
 )
 from .mhs import ComplexMHS, Filtration, GrStructure
 from .scalars import ONE, ZERO, Value, _over
@@ -156,24 +156,77 @@ def delta_operator(gr):
         for i in range(n)), n))
 
 
+def _walk(hodge, rule):
+    """Transport T(s) = 1 + int_0^s M T of a form M that lowers both indices.
+
+    The entries (i, j) that lower both indices are visited in order of
+    weight drop, so S = sum_{k != j} M[i,k] T[k,j] involves only entries
+    already set; then M[i,j] = rule(i, j, S), a polynomial in s of
+    ``upoly`` or None for zero, and T[i,j] = int_0^s (S + M[i,j]).  Returns
+    the nonzero off-diagonal entries of T, keyed by (i, j), as ``upoly``
+    polynomials; the diagonal is 1.
+    """
+    # upoly loads only where a walk runs, so rees, which runs none, skips it
+    from .upoly import add, integral, mul, of
+
+    M = [{} for _ in range(hodge.dim)]
+    T = {}
+    for i, j in hodge.lowering():
+        S = of(())
+        for k, m in M[i].items():
+            if (k, j) in T:
+                S = add(S, mul(m, T[k, j]))
+        m = rule(i, j, S)
+        if m is not None:
+            M[i][j] = m
+            S = add(S, m)
+        if S[0] or S[1]:
+            T[i, j] = integral(S)
+    return T
+
+
+def _solve_blocks(dobj, pullback):
+    """The blocks M_{p,q}, keyed by the bidegree they lower by, of the form
+    with entries M[i,j] h(s), h = pullback(p, q) in ``upoly``, whose
+    transport is delta at s = 1; the walk solves each entry as it reaches
+    it: M[i,j] = (delta[i,j] - int_0^1 S) / int_0^1 h."""
+    from .upoly import at_one, integral, mul, of
+
+    n = dobj.hodge.dim
+    bidegrees = dobj.hodge.bidegrees()
+    delta = dobj.delta.rows
+    pulled = {}
+    blocks = {}
+
+    def solve(i, j, S):
+        pq = bidegrees[i][j]
+        if pq not in pulled:
+            h = pullback(*pq)
+            pulled[pq] = (h, at_one(integral(h)))
+        h, c = pulled[pq]
+        a = (delta[i][j] - at_one(integral(S))) / c
+        if not a:
+            return None
+        blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])[i][j] = a
+        return mul(h, of((a,)))
+
+    _walk(dobj.hodge, solve)
+    return {pq: Matrix._of(tuple(map(tuple, rows)), n)
+            for pq, rows in blocks.items()}
+
+
 def log_delta_components(dobj):
     """Bigraded components of log(delta), keyed by how far they lower (p, q).
 
     Component (a, b) with a, b >= 1 carries the entries from block (p, q)
-    to block (p - a, q - b).  The components sum back to log(delta).
+    to block (p - a, q - b).  The components sum back to L = log(delta):
+    T(s) = exp(sL) solves T' = L T with T(0) = 1, so L is the constant
+    lowering form whose transport is delta at s = 1.  _solve_blocks solves
+    it with the pullback h = 1, as connection_from_delta solves the
+    connection with the hypotenuse pullback; int_0^1 h = 1 fixes every
+    entry, so L is the unique nilpotent logarithm.
     """
-    D = log_unipotent(dobj.delta)
-    n = dobj.hodge.dim
-    comps = {}
-    for i, row in enumerate(dobj.hodge.bidegrees()):
-        for j, key in enumerate(row):
-            if not D[i, j]:
-                continue
-            if key not in comps:
-                comps[key] = [[ZERO] * n for _ in range(n)]
-            comps[key][i][j] = D[i, j]
-    return {k: Matrix._of(tuple(map(tuple, rows)), n)
-            for k, rows in comps.items()}
+    return _solve_blocks(dobj, lambda p, q: ([1], [], 1))
 
 
 def delta_to_mhs(dobj, check=True):

@@ -767,14 +767,15 @@ def test_sparse_decreasing_filtrations_validate(name, tmp_path):
 
 
 # the package modules each command loads, run on a structure document;
-# reading any document takes _DOCUMENT, and a delta takes splitting
+# reading any document takes _DOCUMENT, a delta takes splitting, and a walk
+# on delta (log delta, the connection) takes upoly
 _DOCUMENT = {"cli", "scalars", "linalg", "mhs", "documents"}
 _CONNECTION = _DOCUMENT | {"splitting", "connection", "upoly"}
 _HOLONOMY = _CONNECTION | {"holonomy"}
 _MODULES = {
     "lie": (["lie", "--truncation", "3"], {"cli", "scalars", "freelie", "upoly"}),
     "validate": (["validate"], _DOCUMENT),
-    "split": (["split"], _DOCUMENT | {"splitting"}),
+    "split": (["split"], _DOCUMENT | {"splitting", "upoly"}),
     "connect": (["connect"], _CONNECTION),
     "holonomy": (["holonomy"], _HOLONOMY),
     "roundtrip": (["roundtrip"], _HOLONOMY),

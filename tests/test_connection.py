@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import fixture_deltas, mat
-from hodgegauge import connection, holonomy, linalg, splitting
+from hodgegauge import connection, holonomy, linalg
 from hodgegauge.connection import (
     AdmissibilityError,
     EquivariantConnection,
@@ -265,7 +265,6 @@ def test_connection_from_delta_is_one_pass(monkeypatch):
     for module, name in (
         (holonomy, "transport_segment"),
         (linalg, "log_unipotent"),
-        (splitting, "log_unipotent"),
         (connection, "connection_form"),
     ):
         monkeypatch.setattr(module, name, refuse)
@@ -281,6 +280,21 @@ def test_connection_from_delta_is_one_pass(monkeypatch):
     assert len(built) == 1
     monkeypatch.undo()
     assert triangle_delta(C) == d
+
+
+def test_both_sets_of_generators_take_no_matrix_product(monkeypatch):
+    # the log components and the connection are read off one walk, with
+    # no power series in delta - 1 and no product of Scalar matrices
+    deltas = fixture_deltas()
+
+    def refuse(*args):
+        raise AssertionError("a generator of delta took a matrix product")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(linalg, "log_unipotent", refuse)
+    for d in deltas:
+        log_delta_components(d)
+        connection_from_delta(d)
 
 
 def test_blocks_are_built_without_coercion(monkeypatch):

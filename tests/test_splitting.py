@@ -8,10 +8,12 @@ import pytest
 from conftest import (
     apply,
     block_basis,
+    chain_delta,
     conjugate_delta,
     conjugate_mhs,
     coords,
     direct_sum_mhs,
+    fixture_deltas,
     fixture_dir,
     gapped_form,
     gr_coords,
@@ -138,13 +140,23 @@ def test_log_components_t3():
 
 
 def test_log_components_sum_to_log():
-    d = t3_delta(2, 5)
+    # the walk against the power series of log_unipotent: on every fixture
+    # delta, the chains at n = 16 and 24, and seeded random deltas, rational
+    # and Gaussian; each entry of component (a, b) lowers by (a, b)
     from hodgegauge.linalg import log_unipotent
 
-    total = Matrix.zeros(3, 3)
-    for m in log_delta_components(d).values():
-        total = total + m
-    assert total == log_unipotent(d.delta)
+    rng = random.Random(38)
+    deltas = [t3_delta(2, 5), *fixture_deltas(), chain_delta(16), chain_delta(24)]
+    deltas += [random_delta(rng, gaussian=k % 2 == 1) for k in range(40)]
+    for d in deltas:
+        n = d.hodge.dim
+        bidegrees = d.hodge.bidegrees()
+        total = Matrix.zeros(n, n)
+        for key, m in log_delta_components(d).items():
+            assert all(bidegrees[i][j] == key for i, row in enumerate(m.rows)
+                       for j, x in enumerate(row) if x)
+            total = total + m
+        assert total == log_unipotent(d.delta)
 
 
 def test_delta_to_mhs_roundtrip():

@@ -15,6 +15,10 @@ the same documents in the same working directory:
 - every invocation of the pipeline-mix and wide-spread plans of
   ``perfbench/workloads.py``, probes included, on the corpora that
   ``perfbench/corpus.py`` builds at each SEED (default 7);
+- ``split`` on every non-hostile document of the wide-spread corpus at each
+  SEED, which its plan does not run: the 18-dim tensor product, the 9-dim
+  ``t3 x t3`` products and the spread 8-10 structures, whose blocks are
+  multi-dimensional;
 - the seven commands on the one-dimension-per-weight chains at n = 16, 24
   and 32 (entries in -3..3 seeded by n), as structure and as delta
   documents, and ``holonomy --path`` with 5 points on the n = 24 chain;
@@ -175,6 +179,9 @@ def corpora(cmp, work, seed):
         for inv in workloads.plan(workload, docs):
             cmp.invocation("%s %s" % (label, inv.ident), inv.argv, dirs[0],
                            inv.limit_s)
+        if workload == "wide-spread":
+            cmp.invocation(label + " split", ["split"] + [
+                d["path"] for d in docs if d["kind"] != "hostile"], dirs[0])
 
 
 def chains(cmp, work):
