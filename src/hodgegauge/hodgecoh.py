@@ -8,11 +8,11 @@ Ext^1 from the unit structure; everything in degree >= 2 vanishes.
 
 The real theory is the fixed part under the conjugation that swaps the two
 coordinates of the plane; as W is rational, it acts on the canonical graded
-bases as the block permutation (p, q) <-> (q, p).  On a conjugation-stable
+bases as the block swap (p, q) <-> (q, p).  On a conjugation-stable
 complex that conjugation is an antilinear involution, whose fixed parts are
 Q-forms of domain and codomain; kernel and image descend with them (Galois
-descent; Serre, Local Fields, ch. X §2).  So the rational dimensions are the complex ones of
-realize_real(V), once stability is checked block by block.
+descent; Serre, Local Fields, ch. X §2).  So the rational dimensions are the
+complex ones of realize_real(V), once stability is checked entry by entry.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .connection import connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import GrStructure, realize_real
 from .scalars import ZERO, Scalar, Value
-from .splitting import block_permutation, delta_operator
+from .splitting import delta_operator
 
 
 class TwoTermComplex(Value):
@@ -45,39 +45,42 @@ class TwoTermComplex(Value):
         return (len(self.domain_labels) - rank, len(self.codomain_labels) - rank)
 
 
+def _entries(blocks):
+    # the nonzero entries of coefficient blocks, keyed by ((p, q), i, j)
+    return {(pq, i, j): x for pq, M in blocks.items()
+            for i, row in enumerate(M.rows) for j, x in enumerate(row) if x}
+
+
 def invariant_complex(C):
-    """The invariant two-term complex of an admissible connection."""
-    hodge = C.hodge
-    owner = hodge.block_of_index()
-    n = hodge.dim
-    dom = []
-    for i in range(n):
-        p, q = owner[i]
-        if p <= 0 and q <= 0:
-            dom.append((i, -p, -q))
-    halves = ((1, 1, 0, C.A), (2, 0, 1, C.B))  # slot, exponent drops, blocks
-    cod = []
-    for slot, da, db, _ in halves:
-        for i in range(n):
-            p, q = owner[i]
+    """The invariant two-term complex of an admissible connection.
+
+    A label is fixed by its graded index and slot, so each entry of d +
+    Omega is written once, at the row and column of its indices."""
+    owner = C.hodge.block_of_index()
+    col = {i: c for c, i in enumerate(
+        i for i, (p, q) in enumerate(owner) if p <= 0 and q <= 0)}
+    dom = [(i, -owner[i][0], -owner[i][1]) for i in col]
+    cod, rows = [], []
+    for slot, da, db, blocks in ((1, 1, 0, C.A), (2, 0, 1, C.B)):
+        row = {}  # graded index -> row
+        for i, (p, q) in enumerate(owner):
             if p <= -da and q <= -db:
+                row[i] = len(cod)
                 cod.append((i, -p - da, -q - db, slot))
-    cod_index = {lab: r for r, lab in enumerate(cod)}
-    rows = [[ZERO] * len(dom) for _ in cod]
-    for col, (i, a, b) in enumerate(dom):
-        for slot, da, db, blocks in halves:
-            # d(v t1^a t2^b), then Omega s: a block of bidegree (-r, -s)
-            # sends the monomial to t1^{a+r-da} t2^{b+s-db} dt_slot
-            e = da * a + db * b
-            if e > 0:
-                r = cod_index[(i, a - da, b - db, slot)]
-                rows[r][col] = rows[r][col] + Scalar(e)
-            for (rr, ss), M in blocks.items():
-                for j in range(n):
-                    if M[j, i]:
-                        r = cod_index[(j, a + rr - da, b + ss - db, slot)]
-                        rows[r][col] = rows[r][col] + M[j, i]
+                rows.append([ZERO] * len(dom))
+                rows[-1][col[i]] = Scalar(-da * p - db * q)
+        for (_, j, i), x in _entries(blocks).items():
+            if i in col:
+                rows[row[j]][col[i]] = x
     return TwoTermComplex(dom, cod, Matrix._of(tuple(map(tuple, rows)), len(dom)))
+
+
+def _block_swap(hodge):
+    """The index s(i) of the (q, p) block that conjugation sends index i of
+    the (p, q) block to, at the same place in its block, for every i."""
+    offset = {pq: off for pq, off, _ in hodge.blocks()}
+    return [offset[q, p] + i - offset[p, q]
+            for i, (p, q) in enumerate(hodge.block_of_index())]
 
 
 def hom_from_unit(V):
@@ -100,11 +103,12 @@ def real_absolute_cohomology(V):
 
     The conjugation swaps the monomial labels (a, b) <-> (b, a) and the two
     1-form slots, through x -> S conj(x) on the graded pieces; the complex
-    commutes with it exactly when A_{p,q} = S conj(B_{q,p}) S.  W is
+    commutes with it exactly when A_{p,q} = S conj(B_{q,p}) S, that is
+    A_{p,q}[i,j] = conj B_{q,p}[s(i), s(j)] on the nonzero entries.  W is
     rational, so conjugation acts entrywise on adapted coordinates and keeps
     echelon forms reduced: it carries the canonical basis of the (p, q)
-    graded piece onto that of the (q, p) one (checked), and S is the block
-    permutation.
+    graded piece onto that of the (q, p) one (checked), and S permutes by
+    the block swap s.
     """
     gr = GrStructure(realize_real(V))
     for (p, q), rows in gr.block_rows.items():
@@ -112,10 +116,9 @@ def real_absolute_cohomology(V):
                 (re, im and tuple(-x for x in im)) for re, im in rows):
             raise InvariantError("conjugation does not swap the graded bases "
                                  "at %r" % ((p, q),))
-    S = block_permutation(gr.hodge)
+    s = _block_swap(gr.hodge)
     C = connection_from_delta(delta_operator(gr))
-    zero = Matrix.zeros(gr.hodge.dim, gr.hodge.dim)
-    for p, q in set(C.A) | {(q, p) for p, q in C.B}:
-        if S @ C.B.get((q, p), zero).conjugate() @ S != C.A.get((p, q), zero):
-            raise InvariantError("connection is not conjugation-stable")
+    if _entries(C.A) != {((q, p), s[i], s[j]): x.conjugate()
+                         for ((p, q), i, j), x in _entries(C.B).items()}:
+        raise InvariantError("connection is not conjugation-stable")
     return invariant_complex(C).cohomology_dims()

@@ -4,11 +4,13 @@ Transport along a segment solves T' = M(t) T with T(0) = 1, where M is the
 pullback of Omega to the segment.  Every coefficient block strictly lowers
 the weight, so splitting._walk, beside DeltaObject, solves it entry by
 entry in order of weight drop: the walk that solves connection_from_delta
-and log_delta_components against delta.  The sign and the triangle
-orientation (0,0) -> (-1,0) -> (0,-1) -> (0,0) are the unique combination
-under which the triangle holonomy of the canonical connection of a
-structure reproduces its splitting comparison operator; a runtime self-test
-(convention_selftest) re-derives this pin on a rank-2 fixture.
+and log_delta_components against delta.  Along a path each segment's walk
+starts at T(0) = the transport so far: one ODE, continued, with no matrix
+product.  The sign and the triangle orientation (0,0) -> (-1,0) -> (0,-1)
+-> (0,0) are the unique combination under which the triangle holonomy of
+the canonical connection of a structure reproduces its splitting
+comparison operator; a runtime self-test (convention_selftest) re-derives
+this pin on a rank-2 fixture.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ class PolygonalPath(Value):
 TRIANGLE = ((0, 0), (-1, 0), (0, -1), (0, 0))
 
 
-def _segment_transport(C, a, b):
+def _segment_transport(C, a, b, start=None):
     """The nonzero off-diagonal entries of T(s), keyed by (i, j), along
-    gamma(s) = a + s (b - a), s in [0, 1], as splitting._walk returns them;
-    the diagonal of T is 1.
+    gamma(s) = a + s (b - a), s in [0, 1], as splitting._walk returns them
+    from T(0) = 1 plus the entries of start; the diagonal of T is 1.
 
     Entry (i, j) of a block (p, q) pulls back to
     A[i,j] x1^(p-1) x2^q x1' + B[i,j] x1^p x2^(q-1) x2' at x = gamma(s);
@@ -81,29 +83,32 @@ def _segment_transport(C, a, b):
                         m = mul(h, of((x,)))
                         pull[i, j] = add(pull[i, j], m) if (i, j) in pull else m
     pull = {ij: m for ij, m in pull.items() if m[0] or m[1]}
-    return _walk(C.hodge, lambda i, j, S: pull.get((i, j)))
+    return _walk(C.hodge, lambda i, j, S: pull.get((i, j)), start)
+
+
+def _transport(C, segments):
+    """T(1) of the last of segments, as a Matrix, each walk started at the
+    transport so far: the read-out of transport_segment and holonomy_path."""
+    T = {}
+    for a, b in segments:
+        T = {ij: x for ij, t in _segment_transport(C, a, b, T).items()
+             if (x := at_one(t))}
+    n = C.hodge.dim
+    return Matrix._of(tuple(tuple(T.get((i, j), ONE if i == j else ZERO)
+                                  for j in range(n)) for i in range(n)), n)
 
 
 def transport_segment(C, a, b):
     """Exact transport matrix of the connection C along the straight segment
     from a to b: T(1), read entry by entry off the walk."""
-    T = _segment_transport(C, a, b)
-    n = C.hodge.dim
-    return Matrix._of(tuple(
-        tuple(ONE if i == j else at_one(T[i, j]) if (i, j) in T else ZERO
-              for j in range(n))
-        for i in range(n)
-    ), n)
+    return _transport(C, [(a, b)])
 
 
 def holonomy_path(C, path):
     """Transport along a polygonal path, composed in path order: a section
     at the start maps to T at the end, with later segments acting on the
     left."""
-    T = Matrix.identity(C.hodge.dim)
-    for a, b in path.segments():
-        T = transport_segment(C, a, b) @ T
-    return T
+    return _transport(C, path.segments())
 
 
 def triangle_delta(C):
@@ -111,18 +116,13 @@ def triangle_delta(C):
 
     The pullback of an admissible form to either coordinate axis vanishes
     (every monomial carries both variables), so the loop is the hypotenuse
-    transport: each segment is transported once, the two axis transports
-    are checked to be the identity, and the hypotenuse transport is
-    returned as it is.
+    transport: each segment is walked once, the two axis walks are checked
+    to return no entry, and the hypotenuse transport is returned as it is.
     """
-    first, hyp, last = (
-        transport_segment(C, a, b)
-        for a, b in PolygonalPath(TRIANGLE).segments()
-    )
-    one = Matrix.identity(C.hodge.dim)
-    if first != one or last != one:
+    first, hyp, last = PolygonalPath(TRIANGLE).segments()
+    if _segment_transport(C, *first) or _segment_transport(C, *last):
         raise InvariantError("axis transport is not trivial")
-    return DeltaObject(C.hodge, hyp)
+    return DeltaObject(C.hodge, transport_segment(C, *hyp))
 
 
 def convention_selftest():

@@ -8,7 +8,8 @@ Comparing the two lifts, by one solve, yields a unipotent operator delta
 whose logarithm strictly lowers both Hodge indices.  The structure can be
 rebuilt from (hodge numbers, delta) up to isomorphism, and that model is
 what the connection, holonomy, and cohomology layers consume.  _walk lives
-here: the one walk that solves log delta and the connection from delta.
+here: the one walk that solves log delta and the connection from delta,
+and transports along a path from the transport so far.
 """
 
 from __future__ import annotations
@@ -156,21 +157,23 @@ def delta_operator(gr):
         for i in range(n)), n))
 
 
-def _walk(hodge, rule):
-    """Transport T(s) = 1 + int_0^s M T of a form M that lowers both indices.
+def _walk(hodge, rule, start=None):
+    """Transport T(s) = T(0) + int_0^s M T of a form M that lowers both
+    indices; T(0) is 1 plus start, Scalars keyed by (i, j) that lower both
+    indices (a transport so far), so the order below still holds.
 
     The entries (i, j) that lower both indices are visited in order of
     weight drop, so S = sum_{k != j} M[i,k] T[k,j] involves only entries
     already set; then M[i,j] = rule(i, j, S), a polynomial in s of
-    ``upoly`` or None for zero, and T[i,j] = int_0^s (S + M[i,j]).  Returns
-    the nonzero off-diagonal entries of T, keyed by (i, j), as ``upoly``
-    polynomials; the diagonal is 1.
+    ``upoly`` or None for zero, and T[i,j] = T(0)[i,j] + int_0^s (S +
+    M[i,j]).  Returns the nonzero off-diagonal entries of T, keyed by
+    (i, j), as ``upoly`` polynomials; the diagonal is 1.
     """
     # upoly loads only where a walk runs, so rees, which runs none, skips it
     from .upoly import add, integral, mul, of
 
     M = [{} for _ in range(hodge.dim)]
-    T = {}
+    T = {ij: of((x,)) for ij, x in (start or {}).items()}
     for i, j in hodge.lowering():
         S = of(())
         for k, m in M[i].items():
@@ -181,7 +184,7 @@ def _walk(hodge, rule):
             M[i][j] = m
             S = add(S, m)
         if S[0] or S[1]:
-            T[i, j] = integral(S)
+            T[i, j] = add(T[i, j], integral(S)) if (i, j) in T else integral(S)
     return T
 
 
@@ -234,8 +237,8 @@ def delta_to_mhs(dobj, check=True):
 
     Each flag is ``Filtration.from_basis`` of one basis: W and F' of the unit
     rows at levels p + q and p of their blocks; F'' is the image of the
-    standard decreasing-q flag under the inverse of delta, so of the rows of
-    the inverse transpose of delta at level q.
+    standard decreasing-q flag under the inverse of delta, so of the
+    columns of delta^-1 at level q, one solve against delta's columns.
     Round-trips with the splitting comparison by construction, and verifies
     that unless check is disabled.
     """
@@ -243,28 +246,18 @@ def delta_to_mhs(dobj, check=True):
     n = hodge.dim
     owner = hodge.block_of_index()
     units = _units(n)
-    # the image of e_i under delta^-1 is column i of delta^-1
-    dinvT = [_ints(r)[:2] for r in dobj.delta.inverse().transpose().rows]
+    # the image of e_i under delta^-1 is column i of delta^-1: x delta^T = e_i
+    cols = _solve([_ints(c) for c in zip(*dobj.delta.rows)],
+                  [u + (1,) for u in units], n)
     W = Filtration.from_basis(Filtration.INC, n, [
         (p + q, r) for (p, q), r in zip(owner, units)])
     Fp = Filtration.from_basis(Filtration.DEC, n, [
         (p, r) for (p, q), r in zip(owner, units)])
     Fpp = Filtration.from_basis(Filtration.DEC, n, [
-        (q, r) for (p, q), r in zip(owner, dinvT)])
+        (q, r[:2]) for (p, q), r in zip(owner, cols)])
     V = ComplexMHS(n, W, Fp, Fpp)
     if check:
         if delta_operator(GrStructure(V)) != dobj:
             raise InvariantError("splitting comparison does not round-trip")
     return V
 
-
-def block_permutation(hodge):
-    """Permutation matrix from the block basis of h to that of its transpose."""
-    ht = hodge.transpose()
-    off_t = {pq: off for pq, off, h in ht.blocks()}
-    n = hodge.dim
-    rows = [[ZERO] * n for _ in range(n)]
-    for (p, q), off, h in hodge.blocks():
-        for k in range(h):
-            rows[off_t[(q, p)] + k][off + k] = ONE
-    return Matrix(rows)

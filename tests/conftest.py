@@ -41,9 +41,7 @@ from hodgegauge.mhs import (
 )
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
-from hodgegauge.splitting import (
-    DeltaObject, _adapted_pieces, block_permutation, delta_operator,
-)
+from hodgegauge.splitting import DeltaObject, _adapted_pieces, delta_operator
 from hodgegauge.upoly import at_one, hypotenuse_pullback, integral, mul
 
 # the same examples on every run, so a hypothesis failure cannot come and go
@@ -238,6 +236,18 @@ def validate_morphism(f, V, Vp):
             if not dst.at(k).contains(apply(src.at(k), f)):
                 return False
     return True
+
+
+def block_permutation(hodge):
+    """Permutation matrix from the block basis of h to that of its transpose."""
+    ht = hodge.transpose()
+    off_t = {pq: off for pq, off, h in ht.blocks()}
+    n = hodge.dim
+    rows = [[ZERO] * n for _ in range(n)]
+    for (p, q), off, h in hodge.blocks():
+        for k in range(h):
+            rows[off_t[(q, p)] + k][off + k] = ONE
+    return Matrix(rows)
 
 
 def conjugate_delta(dobj):
@@ -750,8 +760,8 @@ def _conjugation_on_graded(gr):
     """Matrix S of entrywise conjugation on the canonical graded basis of a
     validated self-conjugate structure, by lifting, conjugating and solving
     back; maps the (p, q) block to the (q, p) block and satisfies
-    S conj(S) = 1.  The reference ``splitting.block_permutation`` is tested
-    against on real structures."""
+    S conj(S) = 1.  ``block_permutation`` and ``hodgecoh._block_swap`` are
+    tested against it on real structures."""
     n = gr.hodge.dim
     cols = []
     for (p, q), off, h in gr.hodge.blocks():

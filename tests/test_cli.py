@@ -14,6 +14,7 @@ from conftest import chain_delta, fixture_dir, unchecked_delta
 from hodgegauge import cli
 from hodgegauge.documents import MAX_DIM, MAX_SPAN, serialize
 from hodgegauge.freelie import TT_ALPHABET, LiePolynomial, format_rational
+from hodgegauge.linalg import Matrix
 from hodgegauge.scalars import Scalar
 from hodgegauge.splitting import delta_to_mhs
 
@@ -654,6 +655,26 @@ def test_path_help_names_the_equals_form(capsys):
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
     assert run(["holonomy", doc, "--path=-1,0;0,1"])[0] == 0
+
+
+def test_no_command_multiplies_or_inverts_a_matrix(monkeypatch):
+    # every handler on every shipped fixture, and a path through a Gaussian
+    # vertex, with the dense product and inverse refused: paths compose in
+    # the walk, real descent swaps indices, the model solves for delta^-1
+    def refuse(*args):
+        raise AssertionError("a command multiplied or inverted a matrix")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(Matrix, "inverse", refuse)
+    parser = cli.build_parser()
+    names = _fixture_names("all")
+    assert len(names) == 27
+    runs = [[command] for command in sorted(cli._HANDLERS)]
+    for argv in runs + [["holonomy", "--path=-1,0;1/2+1*i,-1;0,-1"]]:
+        for name in names:
+            flags = parser.parse_args(argv + [fx(name)])
+            entry, _ = cli._process_one(argv[0], fx(name), flags)
+            assert entry["status"] != "error", (argv, name, entry["error"])
 
 
 def test_each_structure_input_is_validated_once(monkeypatch):

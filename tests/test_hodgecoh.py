@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     _conjugation_on_graded,
     assert_raises_under_optimize,
+    block_permutation,
     direct_sum_mhs,
     mat,
     random_real_structure,
@@ -42,8 +43,8 @@ from hodgegauge.mhs import (
     realize_real,
 )
 from hodgegauge.linalg import InvariantError, Matrix
-from hodgegauge.scalars import I, Scalar
-from hodgegauge.splitting import block_permutation, delta_operator
+from hodgegauge.scalars import ONE, ZERO, I, Scalar
+from hodgegauge.splitting import delta_operator
 
 
 def euler_bound(hodge):
@@ -179,15 +180,54 @@ def test_descent_matches_realified_route():
 
 
 def test_conjugation_is_the_block_permutation():
+    # hodgecoh's swap, as a permutation matrix, against the conjugation
+    # solved on the graded bases and against the matrix built block by block
     structures = _real_structures()
     assert len(structures) == 329
     swapped = 0
     for V in structures:
         gr = GrStructure(realize_real(V))
-        S = block_permutation(gr.hodge)
-        assert S == _conjugation_on_graded(gr)
-        swapped += S != Matrix.identity(gr.hodge.dim)
+        s = hodgecoh._block_swap(gr.hodge)
+        n = len(s)
+        S = Matrix([[ONE if i == s[j] else ZERO for j in range(n)] for i in range(n)])
+        assert S == _conjugation_on_graded(gr) == block_permutation(gr.hodge)
+        swapped += s != list(range(n))
     assert swapped > 100
+
+
+def test_real_cohomology_applies_the_block_swap(monkeypatch):
+    # B_{q,p} the entrywise conjugate of A_{p,q} at the same indices, built
+    # past the admissibility checks.  Where the swap moves no nonzero entry,
+    # or moves only entries onto equal ones (a purely imaginary A_{1,1} on
+    # four of the structures), this is the connection's own B and the check
+    # passes; everywhere else the unswapped B must fail it.
+    same = []
+
+    def unswapped(dobj):
+        C = connection_from_delta(dobj)
+        U = object.__new__(EquivariantConnection)
+        for name, value in (("hodge", C.hodge), ("A", C.A), ("B", {
+                (q, p): M.conjugate() for (p, q), M in C.A.items()})):
+            object.__setattr__(U, name, value)
+        same.append(U == C)
+        return U
+
+    monkeypatch.setattr(hodgecoh, "connection_from_delta", unswapped)
+    moved = failed = 0
+    for V in _real_structures():
+        gr = GrStructure(realize_real(V))
+        s = hodgecoh._block_swap(gr.hodge)
+        moved += any((s[i], s[j]) != (i, j) for _, i, j in hodgecoh._entries(
+            connection_from_delta(delta_operator(gr)).A))
+        try:
+            real_absolute_cohomology(V)
+        except InvariantError as exc:
+            assert "conjugation-stable" in str(exc)
+            assert not same[-1]
+            failed += 1
+        else:
+            assert same[-1]
+    assert (moved, failed) == (129, 125)
 
 
 def test_graded_bases_that_conjugation_does_not_swap_are_an_invariant_error(

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    fixture_deltas, flat_sections_on_line, mat, picard, picard_transport,
-    segment_pullback,
+    chain_delta, fixture_deltas, flat_sections_on_line, mat, picard,
+    picard_transport, segment_pullback,
 )
 from hodgegauge import holonomy
 from hodgegauge.connection import (
@@ -233,6 +233,35 @@ def _check_against_picard(C, path):
         assert transport_segment(C, a, b) == seg
         T = seg @ T
     assert holonomy_path(C, path) == T
+
+
+def _check_composition(C, path):
+    T = Matrix.identity(C.hodge.dim)
+    for a, b in path.segments():
+        T = transport_segment(C, a, b) @ T
+    assert holonomy_path(C, path) == T
+
+
+def test_path_transport_is_the_product_of_its_segments():
+    # each segment's walk starts at the transport so far; the product of the
+    # segments' transports, taken here, is what that continuation must give
+    rng = random.Random(39)
+    conns = [connection_from_delta(d) for d in fixture_deltas()]
+    conns.append(next(G for G, not_fs in (_gauge_changed(C, rng) for C in conns)
+                      if not_fs))
+    conns.append(connection_from_delta(chain_delta(16)))
+    for C in conns:
+        g = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   rng.choice((-2, -1, 1, 2)))
+        for path in (
+            PolygonalPath([(-1, 0), (g, -1), (0, -1)]),
+            PolygonalPath([(0, 0), (1, 2), (0, 0), (-1, g), (1, 2)]),
+            _random_path(rng),
+        ):
+            _check_composition(C, path)
+        n = C.hodge.dim
+        for a in ((0, 0), (g, -1), (Fraction(1, 2), 3)):
+            assert transport_segment(C, a, a) == Matrix.identity(n)
 
 
 def _gauge_changed(C, rng):

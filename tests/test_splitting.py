@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     apply,
     block_basis,
+    block_permutation,
     chain_delta,
     conjugate_delta,
     conjugate_mhs,
@@ -64,7 +65,6 @@ from hodgegauge.mhs import (
 from hodgegauge.splitting import (
     DeltaError,
     DeltaObject,
-    block_permutation,
     delta_operator,
     delta_to_mhs,
     log_delta_components,

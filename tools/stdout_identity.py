@@ -21,9 +21,13 @@ the same documents in the same working directory:
   multi-dimensional;
 - the seven commands on the one-dimension-per-weight chains at n = 16, 24
   and 32 (entries in -3..3 seeded by n), as structure and as delta
-  documents, and ``holonomy --path`` with 5 points on the n = 24 chain;
+  documents, and ``holonomy --path`` with 5 rational points on the n = 24
+  chain;
 - the same on the Gaussian chains at n = 16 and 24 (entries a + b*i, a and
-  b in -3..3 seeded by n).
+  b in -3..3 seeded by n);
+- ``holonomy --path`` on the fixtures and on the n = 16 Gaussian chain,
+  once with the 5 rational points and once with a Gaussian vertex
+  (``--path=-1,0;1/2+1*i,-1;0,-1``).
 
 Stderr is compared by whether it is empty and by its last line, which
 names no path (an exception's text or argparse's error), so a lost
@@ -54,6 +58,7 @@ CHAINS = (16, 24, 32)
 GAUSSIAN_CHAINS = (16, 24)
 CHAIN_LIMIT_S = 300
 PATH_5 = "--path=-1,0;0,-1;2,3;1/2,-1/3;1,1"
+PATHS = (PATH_5, "--path=-1,0;1/2+1*i,-1;0,-1")
 REES_POINTS = (["--point", "2,3", "--point", "4/2,3"], ["--point=-1,0"],
                ["--point", "1/2-3*i,-2"])
 
@@ -152,6 +157,9 @@ def fixtures(cmp, work):
     for points in REES_POINTS:
         cmp.invocation("rees %s on the fixtures" % " ".join(points),
                        ["rees"] + points + names, cwd)
+    for path in PATHS:
+        cmp.invocation("holonomy %s on the fixtures" % path,
+                       ["holonomy", path] + names, cwd)
     for n in range(2, 13):
         cmp.invocation("lie --truncation %d" % n, ["lie", "--truncation", str(n)],
                        cwd)
@@ -202,6 +210,10 @@ def chains(cmp, work):
     cmp.invocation("holonomy %s on the n = 24 chain" % PATH_5,
                    ["holonomy", PATH_5, "chain_24_structure.json",
                     "chain_24_delta.json"], cwd, CHAIN_LIMIT_S)
+    for path in PATHS:
+        cmp.invocation("holonomy %s on the n = 16 Gaussian chain" % path,
+                       ["holonomy", path, "gchain_16_structure.json",
+                        "gchain_16_delta.json"], cwd, CHAIN_LIMIT_S)
 
 
 def main(argv):
