@@ -18,7 +18,7 @@ from __future__ import annotations
 from .connection import connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import HodgeNumbers
-from .scalars import ONE, ZERO, Scalar, Value
+from .scalars import ONE, ZERO, Value, _coerce
 from .splitting import DeltaObject, _walk
 from .upoly import add, at_one, mul, of
 
@@ -33,9 +33,7 @@ class PolygonalPath(Value):
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = tuple(
-            (Scalar(0) + x, Scalar(0) + y) for (x, y) in points
-        )
+        pts = tuple((_coerce(x), _coerce(y)) for (x, y) in points)
         if len(pts) < 2:
             raise PathError("a path needs at least two points")
         for a, b in zip(pts, pts[1:]):

@@ -77,10 +77,6 @@ class Matrix(Value):
     def zeros(cls, r, c):
         return cls._of(((ZERO,) * c,) * r, c)
 
-    @classmethod
-    def from_columns(cls, cols):
-        return cls(cols).transpose()
-
     @property
     def shape(self):
         return (len(self.rows), self.ncols)
@@ -110,14 +106,17 @@ class Matrix(Value):
     def __sub__(self, other):
         return self + (-other)
 
+    def _map(self, f):
+        # f of each entry, for an f with f(0) = 0: f runs on the nonzero
+        # entries only, and each zero entry stays the shared ZERO
+        return Matrix._of(tuple(tuple(f(x) if x else ZERO for x in row)
+                                for row in self.rows), self.ncols)
+
     def __neg__(self):
-        return Matrix._of(tuple(tuple(-x for x in row) for row in self.rows), self.ncols)
+        return self._map(neg)
 
     def scale(self, c):
-        c = _coerce(c)
-        return Matrix._of(
-            tuple(tuple(c * x for x in row) for row in self.rows), self.ncols
-        )
+        return self._map(_coerce(c).__mul__)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -142,15 +141,10 @@ class Matrix(Value):
         return Matrix._of(tuple(zip(*self.rows)) or ((),) * self.ncols, self.nrows)
 
     def conjugate(self):
-        return Matrix._of(
-            tuple(tuple(x.conjugate() for x in row) for row in self.rows), self.ncols
-        )
+        return self._map(Scalar.conjugate)
 
     def is_zero(self):
         return all(not x for row in self.rows for x in row)
-
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
@@ -204,15 +198,6 @@ class Matrix(Value):
             det = det * Scalar(re[j]) / Scalar(re[n + k], im[n + k] if im else 0)
         odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
         return -det if odd else det
-
-
-def vstack(*mats):
-    if not mats:
-        raise ValueError("vstack of nothing")
-    nc = mats[0].ncols
-    if any(m.ncols != nc for m in mats):
-        raise DimensionMismatch("vstack column mismatch")
-    return Matrix._of(tuple(row for m in mats for row in m.rows), nc)
 
 
 def solve_left(A, rows):

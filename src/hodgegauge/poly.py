@@ -241,10 +241,16 @@ class PolyMatrix(Value):
     def __sub__(self, other):
         return self + (-other)
 
+    def _map(self, f, scalars=False):
+        # f of each entry, row by row: a Matrix when f gives Scalars, else a
+        # PolyMatrix in the same variables
+        rows = tuple(tuple(map(f, row)) for row in self.rows)
+        if scalars:
+            return Matrix._of(rows, self.ncols)
+        return PolyMatrix._of(self.nvars, rows, self.ncols)
+
     def __neg__(self):
-        return PolyMatrix._of(
-            self.nvars, tuple(tuple(-p for p in row) for row in self.rows), self.ncols
-        )
+        return self._map(Poly.__neg__)
 
     def __matmul__(self, other):
         if self.ncols != len(other.rows):
@@ -267,31 +273,16 @@ class PolyMatrix(Value):
         return PolyMatrix._of(self.nvars, tuple(out), other.ncols)
 
     def scale_poly(self, p):
-        return PolyMatrix._of(
-            self.nvars,
-            tuple(tuple(p * x for x in row) for row in self.rows),
-            self.ncols,
-        )
+        return self._map(p.__mul__)
 
     def diff(self, var):
-        return PolyMatrix._of(
-            self.nvars,
-            tuple(tuple(p.diff(var) for p in row) for row in self.rows),
-            self.ncols,
-        )
+        return self._map(lambda p: p.diff(var))
 
     def subs(self, var, repl):
-        return PolyMatrix._of(
-            self.nvars,
-            tuple(tuple(p.subs(var, repl) for p in row) for row in self.rows),
-            self.ncols,
-        )
+        return self._map(lambda p: p.subs(var, repl))
 
     def eval(self, point):
-        return Matrix._of(
-            tuple(tuple(p.eval(point) for p in row) for row in self.rows),
-            self.ncols,
-        )
+        return self._map(lambda p: p.eval(point), scalars=True)
 
     def is_zero(self):
         return all(p.is_zero() for row in self.rows for p in row)
@@ -302,12 +293,7 @@ class PolyMatrix(Value):
     def coefficient_matrix(self, exps):
         """Scalar matrix of the coefficient of the given monomial."""
         exps = tuple(exps)
-        return Matrix._of(
-            tuple(
-                tuple(p.terms.get(exps, ZERO) for p in row) for row in self.rows
-            ),
-            self.ncols,
-        )
+        return self._map(lambda p: p.terms.get(exps, ZERO), scalars=True)
 
     def support(self):
         s = set()
@@ -317,9 +303,4 @@ class PolyMatrix(Value):
         return s
 
     def integrate(self, a, b):
-        return Matrix._of(
-            tuple(
-                tuple(p.integrate(a, b) for p in row) for row in self.rows
-            ),
-            self.ncols,
-        )
+        return self._map(lambda p: p.integrate(a, b), scalars=True)

@@ -202,15 +202,7 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            other = _coerce(other)
-        s = _new(Scalar)
-        s._rn, s._rd = _add(self._rn, self._rd, -other._rn, other._rd)
-        if not self._in and not other._in:
-            s._in, s._id = 0, 1
-        else:
-            s._in, s._id = _add(self._in, self._id, -other._in, other._id)
-        return s
+        return self + -_coerce(other)
 
     def __rsub__(self, other):
         return _coerce(other) - self

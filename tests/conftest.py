@@ -770,7 +770,7 @@ def _conjugation_on_graded(gr):
             for row in block_basis(gr, (p, q))
         ]
         cols.extend(gr_coords(gr, coords(gr, conj), p + q))
-    S = Matrix.from_columns(cols)
+    S = Matrix(cols).transpose()
     if S @ S.conjugate() != Matrix.identity(n):
         raise InvariantError("conjugation is not an involution")
     return S

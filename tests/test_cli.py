@@ -10,10 +10,15 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import chain_delta, fixture_dir, unchecked_delta
+from conftest import chain_delta, fixture_dir, mat, unchecked_delta
 from hodgegauge import cli
-from hodgegauge.documents import MAX_DIM, MAX_SPAN, serialize
+from hodgegauge.connection import (
+    GaugeTransformation, apply_gauge, connection_from_delta,
+)
+from hodgegauge.documents import MAX_DIM, MAX_SPAN, _matrix_out, serialize
+from hodgegauge.fixtures import t3_delta
 from hodgegauge.freelie import TT_ALPHABET, LiePolynomial, format_rational
+from hodgegauge.holonomy import triangle_delta
 from hodgegauge.linalg import Matrix
 from hodgegauge.scalars import Scalar
 from hodgegauge.splitting import delta_to_mhs
@@ -588,6 +593,27 @@ def test_a_repeated_connection_block_is_malformed(tmp_path):
     assert _status("connect", tmp_path, doc) == (
         "malformed", 2, "repeated block at (1, 1)"
     )
+
+
+def test_a_connection_off_fock_schwinger(tmp_path, monkeypatch):
+    # a gauge change of the shipped connection has A + B != 0: connect
+    # reports the violation, and holonomy transports its own A and B
+    C = connection_from_delta(t3_delta(2, 5))
+    g = GaugeTransformation(C.hodge, {(1, 1): mat([[0, 2, 0], [0, 0, -1], [0, 0, 0]])})
+    G = apply_gauge(C, g)
+    assert any(G.B.get(pq) != -M for pq, M in G.A.items())
+    monkeypatch.chdir(tmp_path)
+    with open("gauged.json", "w") as fh:
+        json.dump(serialize(G), fh)
+    code, out = run(["connect", "gauged.json"])
+    (entry,) = json.loads(out)["inputs"]
+    assert (code, entry["status"]) == (1, "violation")
+    assert entry["checks"] == [{"name": "fock_schwinger", "pass": False}]
+    assert entry["result"] == serialize(G)
+    code, out = run(["holonomy", "gauged.json"])
+    (entry,) = json.loads(out)["inputs"]
+    assert (code, entry["status"]) == (0, "ok")
+    assert entry["result"]["triangle_delta"] == _matrix_out(triangle_delta(G).delta)
 
 
 def test_rees_on_connection_is_malformed():

@@ -46,6 +46,17 @@ def test_path_validation():
     assert p.reversed().points[0] == p.points[-1]
 
 
+def test_a_path_stores_its_points_with_no_scalar_arithmetic(scalar_arithmetic):
+    g = Scalar(Fraction(1, 2), 1)
+    p = PolygonalPath([(-1, 0), (g, Fraction(-1, 3)), (0, -1)])
+    assert p.points == ((Scalar(-1), ZERO), (g, Scalar(Fraction(-1, 3))), (ZERO, Scalar(-1)))
+    assert all(type(x) is Scalar for pt in p.points for x in pt)
+    assert scalar_arithmetic == []
+    for bad in ((0.5, 0), (0, "1")):
+        with pytest.raises(TypeError):
+            PolygonalPath([(0, 0), bad])
+
+
 def test_zero_connection_transports_trivially():
     C = EquivariantConnection.zero(KH)
     assert transport_segment(C, (0, 0), (5, 7)) == Matrix.identity(2)

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from operator import neg
 
 import pytest
 
 from conftest import (
-    Quotient, apply, mat, piece_dimensions, sc, scalar_reduce, span, vec,
+    Quotient, apply, chain_delta, fixture_deltas, mat, piece_dimensions, sc,
+    scalar_reduce, span, vec,
 )
+from hodgegauge.connection import connection_from_delta
 from hodgegauge.linalg import (
     Matrix,
     NotNilpotentError,
@@ -17,7 +20,6 @@ from hodgegauge.linalg import (
     kron,
     log_unipotent,
     solve_left,
-    vstack,
 )
 from hodgegauge.mhs import Filtration
 from hodgegauge.scalars import ONE, ZERO, Scalar
@@ -130,7 +132,7 @@ def test_rank_and_kernel():
     ker = m.right_kernel()
     assert ker.nrows == 2
     for row in ker.rows:
-        assert all(not x for x in (m @ Matrix([[e] for e in row])).column(0))
+        assert all(not r[0] for r in (m @ Matrix([[e] for e in row])).rows)
 
 
 def test_solve_left():
@@ -143,10 +145,28 @@ def test_solve_left():
     assert solve_left(A, [vec([0, 0, 1])]) is None
 
 
-def test_vstack_and_kron():
-    a = mat([[1, 2]])
-    b = mat([[3, 4]])
-    assert vstack(a, b) == mat([[1, 2], [3, 4]])
+def test_entrywise_maps_keep_zero_entries():
+    # -M, M.scale(c) and M.conjugate() map each nonzero entry and leave each
+    # zero entry as the shared ZERO, on the blocks a connection is made of
+    deltas = fixture_deltas() + [chain_delta(16)]
+    blocks = [M for C in map(connection_from_delta, deltas)
+              for M in (*C.A.values(), *C.B.values())]
+    assert len(blocks) > 2 * len(deltas)
+    maps = [(neg, lambda M: -M), (Scalar.conjugate, Matrix.conjugate)]
+    for c in (Scalar(Fraction(-2, 3)), Scalar(1, -3), Scalar(0, 1)):
+        maps.append((c.__mul__, lambda M, c=c: M.scale(c)))
+    for M in blocks:
+        for f, entrywise in maps:
+            got = entrywise(M)
+            assert got.shape == M.shape
+            for row, out in zip(M.rows, got.rows):
+                for x, y in zip(row, out):
+                    assert y == f(x)
+                    if not x:
+                        assert y is ZERO
+
+
+def test_kron():
     # kron works on vectors with the outer index running fastest on the left
     assert kron(vec([1, 2]), vec([0, 1])) == vec([0, 1, 0, 2])
 

@@ -17,7 +17,7 @@ from itertools import chain, permutations
 import pytest
 
 from conftest import fixture_deltas
-from hodgegauge.linalg import DimensionMismatch, Matrix, Subspace, solve_left, vstack
+from hodgegauge.linalg import DimensionMismatch, Matrix, Subspace, solve_left
 from hodgegauge.scalars import Scalar
 
 sympy = pytest.importorskip("sympy")
@@ -251,9 +251,6 @@ def test_zero_row_and_zero_column_shapes(r, c):
         right, left = DomainMatrix.zeros((c, k), QQ_I), DomainMatrix.zeros((k, r), QQ_I)
         assert (M @ Matrix.zeros(c, k)).shape == (dm * right).shape
         assert (Matrix.zeros(k, r) @ M).rows == from_dm(left * dm)
-    assert vstack(M, Matrix.zeros(1, c)).shape == (r + 1, c)
-    with pytest.raises(DimensionMismatch):
-        vstack(M, Matrix.zeros(1, c + 1))
     # the width is part of the value
     assert M != Matrix.zeros(r, c + 1)
     assert hash(M) == hash(Matrix.zeros(r, c))

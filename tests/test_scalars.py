@@ -39,6 +39,20 @@ def test_add_sub_cancel(a, b):
     assert (a + b) - b == a
 
 
+@given(scalars, scalars, st.integers(-50, 50), rationals)
+def test_subtraction_adds_the_negative(s, t, k, q):
+    # equal parts, not only equal values: rational and Gaussian Scalars,
+    # with an int or a Fraction on either side
+    rs, rt = Scalar(s.re), Scalar(t.re)
+    for a, b in ((s, t), (rs, rt), (rs, t), (s, rt),
+                 (s, k), (k, s), (rs, k), (k, rs),
+                 (s, q), (q, s), (rs, q), (q, rs)):
+        diff, total = a - b, a + (-b)
+        assert type(diff) is Scalar and type(total) is Scalar
+        assert (diff._rn, diff._rd, diff._in, diff._id) == \
+            (total._rn, total._rd, total._in, total._id)
+
+
 @given(scalars, scalars, scalars)
 def test_mul_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c

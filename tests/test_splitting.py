@@ -203,7 +203,7 @@ def test_tensor_functoriality():
                     v2 = lift(grVp, r2, p2 + q2)
                     tens = tuple(a * b for a in v1 for b in v2)
                     cols.extend(gr_coords(grT, coords(grT, [tens]), p1 + q1 + p2 + q2))
-    K = Matrix.from_columns(cols)
+    K = Matrix(cols).transpose()
     assert dT.delta @ K == K @ mkron(dV.delta, dVp.delta)
 
 

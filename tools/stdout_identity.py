@@ -27,12 +27,16 @@ the same documents in the same working directory:
   b in -3..3 seeded by n);
 - ``holonomy --path`` on the fixtures and on the n = 16 Gaussian chain,
   once with the 5 rational points and once with a Gaussian vertex
-  (``--path=-1,0;1/2+1*i,-1;0,-1``).
+  (``--path=-1,0;1/2+1*i,-1;0,-1``);
+- ``connect``, ``holonomy`` and the two ``holonomy --path`` runs on a
+  connection document with A + B != 0: the shipped ``connection_t3_2_5``
+  changed by a unipotent gauge with a (1, 1) block.
 
 Stderr is compared by whether it is empty and by its last line, which
 names no path (an exception's text or argparse's error), so a lost
 traceback or warning counts as a difference.  The documents are built
-under the parent tree.  The fixtures and corpora are also read or built
+under the parent tree, the chains and the gauge-changed connection
+included.  The fixtures and corpora are also read or built
 under the change tree, and a document whose bytes differ is reported.
 Prints one line per difference and a summary; exits 1 when anything
 differs, else 0.
@@ -87,6 +91,23 @@ for arg in sys.argv[1:]:
     for kind, obj in (("structure", delta_to_mhs(d)), ("delta", d)):
         with open("%schain_%d_%s.json" % ("g" * gaussian, n, kind), "w") as fh:
             json.dump(serialize(obj), fh)
+"""
+
+
+# writes gauged_t3_2_5.json to the cwd: connection_from_delta(t3_delta(2, 5))
+# under apply_gauge, so that A + B != 0
+GAUGED_SCRIPT = """
+import json
+from hodgegauge.connection import (
+    GaugeTransformation, apply_gauge, connection_from_delta)
+from hodgegauge.documents import serialize
+from hodgegauge.fixtures import t3_delta
+from hodgegauge.linalg import Matrix
+
+C = connection_from_delta(t3_delta(2, 5))
+g = GaugeTransformation(C.hodge, {(1, 1): Matrix([[0, 2, 0], [0, 0, -1], [0, 0, 0]])})
+with open("gauged_t3_2_5.json", "w") as fh:
+    json.dump(serialize(apply_gauge(C, g)), fh)
 """
 
 
@@ -214,6 +235,10 @@ def chains(cmp, work):
         cmp.invocation("holonomy %s on the n = 16 Gaussian chain" % path,
                        ["holonomy", path, "gchain_16_structure.json",
                         "gchain_16_delta.json"], cwd, CHAIN_LIMIT_S)
+    _child(cmp.srcs[0], ["-c", GAUGED_SCRIPT], cwd)
+    for argv in (["connect"], ["holonomy"]) + tuple(["holonomy", p] for p in PATHS):
+        cmp.invocation("%s on the gauge-changed connection" % " ".join(argv),
+                       argv + ["gauged_t3_2_5.json"], cwd)
 
 
 def main(argv):
