@@ -1,22 +1,23 @@
 """Torus-equivariant connections on the affine plane, in coordinates.
 
-An admissible connection on the bundle attached to a bigraded space is
-determined by coefficient blocks A_{p,q}, B_{p,q} (p, q >= 1) of bidegree
-(-p, -q), assembled into the form
+An admissible connection d - Omega on the bundle attached to a bigraded
+space is determined by coefficient blocks A_{p,q}, B_{p,q} (p, q >= 1) of
+bidegree (-p, -q), assembled into the form
 
     Omega = sum A_{p,q} t1^{p-1} t2^q dt1  +  B_{p,q} t1^p t2^{q-1} dt2.
 
-Gauge transformations are unipotent with the same strict double-lowering
-shape.  The Fock-Schwinger condition A + B = 0 picks a unique representative
-in each gauge orbit, and that representative is solved from a delta datum
-in one pass over its entries by splitting._walk, the walk beside
-DeltaObject that also solves log delta and transports along segments.
+Its flat sections solve ds = Omega s.  A unipotent gauge g = 1 + sum
+C_{p,q} t1^p t2^q acts by Omega -> g^{-1} Omega g - g^{-1} dg on the dicts
+of blocks: each block carries one monomial, so a product adds bidegrees and
+d1, d2 multiply block (p, q) by p, q.  The Fock-Schwinger condition A + B = 0
+picks one representative per gauge orbit, which splitting._walk solves from
+a delta datum in one pass over its entries.
 """
 
 from __future__ import annotations
 
 from .linalg import InvariantError, Matrix
-from .scalars import ONE, Value
+from .scalars import ONE, ZERO, Value
 from .splitting import _solve_blocks
 from .upoly import hypotenuse_pullback
 
@@ -107,43 +108,60 @@ class GaugeTransformation(Value):
     def identity(cls, hodge):
         return cls(hodge, {})
 
-    def matrix(self):
-        """g as a polynomial matrix in (t1, t2)."""
-        from .poly import PolyMatrix
-
-        n = self.hodge.dim
-        return PolyMatrix.identity(2, n) + _block_form(n, self.C, 0, 0)
-
-    def inverse_matrix(self):
-        """g^{-1} via the terminating geometric series (g - 1 is nilpotent)."""
-        from .poly import PolyMatrix
-
-        n = self.hodge.dim
-        one = PolyMatrix.identity(2, n)
-        N = self.matrix() - one
-        acc = one
-        term = one
-        while True:
-            term = -(term @ N)
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
+    def inverse(self):
+        """g^{-1} = sum_k (1 - g)^k, which ends once its blocks pass the
+        weight spread."""
+        K = {}
+        term = N = {k: -M for k, M in self.C.items()}
+        while term:
+            K = _combine((ONE, K), (ONE, term))
+            term = _product(self.hodge, term, N)
+        return GaugeTransformation(self.hodge, K)
 
     def compose(self, other):
         """Pointwise product; apply_gauge(apply_gauge(C, g), h) equals
         apply_gauge(C, g.compose(h))."""
-        prod = self.matrix() @ other.matrix()
-        C = {}
-        for (p, q) in prod.support():
-            if p == 0 and q == 0:
-                continue
-            C[(p, q)] = prod.coefficient_matrix((p, q))
-        return GaugeTransformation(self.hodge, C)
+        return GaugeTransformation(self.hodge, _combine(
+            (ONE, self.C), (ONE, other.C),
+            (ONE, _product(self.hodge, self.C, other.C))))
+
+
+def _combine(*terms):
+    """sum of c X over the (c, X) pairs, zero blocks dropped."""
+    out = {}
+    for c, X in terms:
+        for k, M in X.items():
+            out[k] = out[k] + M.scale(c) if k in out else M.scale(c)
+    return {k: M for k, M in out.items() if not M.is_zero()}
+
+
+def _product(hodge, X, Y):
+    """XY: block (p, q) of X times block (r, s) of Y lands at (p + r, q + s),
+    which is the bidegree of each of its entries.  So the block sums
+    multiply once, and the product splits back into blocks by that table."""
+    n, degrees = hodge.dim, hodge.bidegrees()
+
+    def total(Z):
+        # entry (i, j) of the block sum, read off the block of its bidegree
+        return Matrix._of(tuple(tuple(Z[pq].rows[i][j] if pq in Z else ZERO
+                                      for j, pq in enumerate(row))
+                                for i, row in enumerate(degrees)), n)
+
+    XY = tuple(zip((total(X) @ total(Y)).rows, degrees))
+    found = {pq for row, ds in XY for x, pq in zip(row, ds) if x}
+    return {pq: Matrix._of(tuple(tuple(x if d == pq else ZERO
+                                       for x, d in zip(row, ds))
+                                 for row, ds in XY), n)
+            for pq in found}
+
+
+def _derivative(X, k):
+    """d1 (k = 0) or d2 (k = 1) of the blocks X: block (p, q) times p or q."""
+    return {pq: M.scale(pq[k]) for pq, M in X.items()}
 
 
 def connection_form(C):
-    """The pair (P, Q) with Omega = P dt1 + Q dt2."""
+    """The pair (P, Q) with Omega = P dt1 + Q dt2, as PolyMatrix."""
     n = C.hodge.dim
     return _block_form(n, C.A, -1, 0), _block_form(n, C.B, 0, -1)
 
@@ -162,38 +180,32 @@ def _block_form(n, blocks, a, b):
 
 
 def curvature(C):
-    """The dt1^dt2 coefficient d1 Q - d2 P + [P, Q]; zero iff flat.
+    """The blocks of d1 Q - d2 P - [P, Q], the dt1^dt2 coefficient of
+    -(d - Omega)^2; flat iff there are none.
 
     With B = -A (Fock-Schwinger) it vanishes iff the connection is zero.
-    Its linear part is -sum (p + q) A_{p,q} t1^{p-1} t2^{q-1}, one monomial
-    per block, and each commutator term has total degree >= 2d - 2 > d - 2,
-    where d is the least p + q over the nonzero blocks: so the monomial of
-    degree d - 2 of a least block cannot cancel.
+    Its linear part is -sum (p + q) A_{p,q} t1^{p-1} t2^{q-1}, one block
+    each, and each commutator block has p + q >= 2d > d, where d is the
+    least p + q over the nonzero blocks: so a least block cannot cancel.
     """
-    P, Q = connection_form(C)
-    return Q.diff(0) - P.diff(1) + P.commutator(Q)
-
-
-def _extract_connection(hodge, P, Q):
-    A = {}
-    B = {}
-    for (a, b) in P.support():
-        A[(a + 1, b)] = P.coefficient_matrix((a, b))
-    for (a, b) in Q.support():
-        B[(a, b + 1)] = Q.coefficient_matrix((a, b))
-    return EquivariantConnection(hodge, A, B)
+    return _combine((ONE, _derivative(C.B, 0)), (-ONE, _derivative(C.A, 1)),
+                    (-ONE, _product(C.hodge, C.A, C.B)),
+                    (ONE, _product(C.hodge, C.B, C.A)))
 
 
 def apply_gauge(C, g):
-    """Omega -> g^{-1} dg + g^{-1} Omega g, repackaged into coefficients."""
-    if C.hodge != g.hodge:
+    """Omega -> g^{-1} Omega g - g^{-1} dg: the connection whose flat
+    sections are g^{-1} times those of C, so its transport from a to b is
+    g(b)^{-1} T g(a)."""
+    hodge = C.hodge
+    if hodge != g.hodge:
         raise AdmissibilityError("connection and gauge on different spaces")
-    G = g.matrix()
-    Ginv = g.inverse_matrix()
-    P, Q = connection_form(C)
-    Pn = Ginv @ (G.diff(0) + P @ G)
-    Qn = Ginv @ (G.diff(1) + Q @ G)
-    return _extract_connection(C.hodge, Pn, Qn)
+    one = {(0, 0): Matrix.identity(hodge.dim)}
+    G, H = {**one, **g.C}, {**one, **g.inverse().C}
+    A, B = (_product(hodge, H, _combine((ONE, _product(hodge, form, G)),
+                                        (-ONE, _derivative(g.C, k))))
+            for k, form in enumerate((C.A, C.B)))
+    return EquivariantConnection(hodge, A, B)
 
 
 def normalize_fock_schwinger(C):
@@ -201,31 +213,18 @@ def normalize_fock_schwinger(C):
 
     Solved level by level on the total drop d = p + q: at each level the
     defect (A + B)_{p,q} of the partially corrected connection determines
-    C_{p,q} = -(A + B)_{p,q} / (p + q).
+    C_{p,q} = (A + B)_{p,q} / (p + q); that gauge moves no lower level.
     """
-    hodge = C.hodge
-    zero = Matrix.zeros(hodge.dim, hodge.dim)
-    current = C
-    total = GaugeTransformation.identity(hodge)
-    for d in range(2, _weight_spread(hodge) + 1):
-        Cd = {}
-        for p in range(1, d):
-            q = d - p
-            S = current.A.get((p, q), zero) + current.B.get((p, q), zero)
-            if not S.is_zero():
-                Cd[(p, q)] = S.scale(ONE / -d)
-        if not Cd:
-            continue
-        g = GaugeTransformation(hodge, Cd)
-        current = apply_gauge(current, g)
-        total = total.compose(g)
-    for (p, q), M in current.A.items():
-        resid = M + current.B.get((p, q), zero)
-        if not resid.is_zero():
-            raise InvariantError("normalization left a defect at %r" % ((p, q),))
-    for (p, q), M in current.B.items():
-        if (p, q) not in current.A and not M.is_zero():
-            raise InvariantError("normalization left a B block at %r" % ((p, q),))
+    current, total = C, GaugeTransformation.identity(C.hodge)
+    for d in range(2, _weight_spread(C.hodge) + 1):
+        defect = _combine((ONE, current.A), (ONE, current.B))
+        Cd = {pq: M.scale(ONE / d) for pq, M in defect.items() if sum(pq) == d}
+        if Cd:
+            g = GaugeTransformation(C.hodge, Cd)
+            current, total = apply_gauge(current, g), total.compose(g)
+    defect = _combine((ONE, current.A), (ONE, current.B))
+    if defect:
+        raise InvariantError("normalization left a defect at %r" % (min(defect),))
     return current, total
 
 

@@ -2,9 +2,9 @@
 
 For the canonical connection of a structure, the torus-invariant global
 sections and 1-forms on the plane are finite dimensional: a graded piece of
-bidegree (-a, -b) pairs with the monomial t1^a t2^b.  The map s |-> ds +
-Omega s is a single matrix whose kernel and cokernel compute Ext^0 and
-Ext^1 from the unit structure; everything in degree >= 2 vanishes.
+bidegree (-a, -b) pairs with the monomial t1^a t2^b.  The map s |-> ds -
+Omega s of d - Omega is one matrix whose kernel and cokernel compute Ext^0
+and Ext^1 from the unit structure; everything in degree >= 2 vanishes.
 
 The real theory is the fixed part under the conjugation that swaps the two
 coordinates of the plane; as W is rational, it acts on the canonical graded
@@ -25,7 +25,7 @@ from .splitting import delta_operator
 
 
 class TwoTermComplex(Value):
-    """Matrix of d + Omega between monomial-labeled invariant bases.
+    """Matrix of d - Omega between monomial-labeled invariant bases.
 
     Domain labels are (graded index, a, b) for v t1^a t2^b; codomain labels
     are (graded index, a, b, slot) with slot 1 for dt1 and 2 for dt2.
@@ -54,7 +54,7 @@ def _entries(blocks):
 def invariant_complex(C):
     """The invariant two-term complex of an admissible connection.
 
-    A label is fixed by its graded index and slot, so each entry of d +
+    A label is fixed by its graded index and slot, so each entry of d -
     Omega is written once, at the row and column of its indices."""
     owner = C.hodge.block_of_index()
     col = {i: c for c, i in enumerate(
@@ -71,7 +71,7 @@ def invariant_complex(C):
                 rows[-1][col[i]] = Scalar(-da * p - db * q)
         for (_, j, i), x in _entries(blocks).items():
             if i in col:
-                rows[row[j]][col[i]] = x
+                rows[row[j]][col[i]] = -x
     return TwoTermComplex(dom, cod, Matrix._of(tuple(map(tuple, rows)), len(dom)))
 
 

@@ -11,7 +11,14 @@ from hypothesis import settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hodgegauge.connection import connection_form, connection_from_delta
+from hodgegauge.connection import (
+    EquivariantConnection,
+    GaugeTransformation,
+    _block_form,
+    _weight_spread,
+    connection_form,
+    connection_from_delta,
+)
 from hodgegauge.freelie import (
     GeneratorChangeError,
     LiePolynomial,
@@ -653,6 +660,113 @@ def picard_transport(C, a, b):
     """Transport matrix of the connection C from a to b by ``picard``."""
     P, Q = connection_form(C)
     return picard(segment_pullback(P, Q, a, b), ZERO).eval((ONE,))
+
+
+# The gauge layer on dense polynomial matrices, in the transport's
+# convention d - Omega: the reference the block dicts of
+# ``hodgegauge.connection`` are tested against.
+
+
+def random_gauge(hodge, rng):
+    """A seeded admissible gauge: each lowering entry below the weight
+    spread set with probability 0.6 to a + b*i, a in -3..3, b in -1..1;
+    the gauges of acceptance criteria 04 and 08."""
+    owner = hodge.block_of_index()
+    ws = hodge.weights()
+    spread = ws[-1] - ws[0]
+    n = hodge.dim
+    C = {}
+    for p in range(1, spread):
+        for q in range(1, spread - p + 1):
+            rows = [[ZERO] * n for _ in range(n)]
+            hit = False
+            for i in range(n):
+                for j in range(n):
+                    if owner[i] == (owner[j][0] - p, owner[j][1] - q):
+                        if rng.random() < 0.6:
+                            x = Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
+                            rows[i][j] = x
+                            hit = hit or bool(x)
+            if hit:
+                C[(p, q)] = Matrix(rows)
+    return GaugeTransformation(hodge, C)
+
+
+def gauge_matrix(g):
+    """g as a polynomial matrix in (t1, t2)."""
+    n = g.hodge.dim
+    return PolyMatrix.identity(2, n) + _block_form(n, g.C, 0, 0)
+
+
+def gauge_inverse_matrix(g):
+    """g^{-1} via the terminating geometric series (g - 1 is nilpotent)."""
+    one = PolyMatrix.identity(2, g.hodge.dim)
+    N = gauge_matrix(g) - one
+    acc = term = one
+    while True:
+        term = -(term @ N)
+        if term.is_zero():
+            return acc
+        acc = acc + term
+
+
+def _gauge_of(hodge, G):
+    return GaugeTransformation(hodge, {
+        pq: G.coefficient_matrix(pq) for pq in G.support() if pq != (0, 0)})
+
+
+def reference_compose(g, h):
+    return _gauge_of(g.hodge, gauge_matrix(g) @ gauge_matrix(h))
+
+
+def reference_inverse(g):
+    return _gauge_of(g.hodge, gauge_inverse_matrix(g))
+
+
+def reference_apply_gauge(C, g):
+    """Omega -> g^{-1} Omega g - g^{-1} dg, repackaged into coefficients."""
+    G, Ginv = gauge_matrix(g), gauge_inverse_matrix(g)
+    P, Q = connection_form(C)
+    Pn = Ginv @ (P @ G - G.diff(0))
+    Qn = Ginv @ (Q @ G - G.diff(1))
+    return EquivariantConnection(
+        C.hodge,
+        {(a + 1, b): Pn.coefficient_matrix((a, b)) for a, b in Pn.support()},
+        {(a, b + 1): Qn.coefficient_matrix((a, b)) for a, b in Qn.support()},
+    )
+
+
+def reference_curvature(C):
+    """d1 Q - d2 P - [P, Q] as a polynomial matrix."""
+    P, Q = connection_form(C)
+    return Q.diff(0) - P.diff(1) - P.commutator(Q)
+
+
+def reference_normalize(C):
+    """Fock-Schwinger normal form and gauge, level by level on d = p + q
+    with C_{p,q} = (A + B)_{p,q} / d, on the polynomial route."""
+    hodge = C.hodge
+    zero = Matrix.zeros(hodge.dim, hodge.dim)
+    current, total = C, GaugeTransformation.identity(hodge)
+    for d in range(2, _weight_spread(hodge) + 1):
+        Cd = {}
+        for p in range(1, d):
+            S = current.A.get((p, d - p), zero) + current.B.get((p, d - p), zero)
+            if not S.is_zero():
+                Cd[(p, d - p)] = S.scale(ONE / d)
+        if Cd:
+            g = GaugeTransformation(hodge, Cd)
+            current = reference_apply_gauge(current, g)
+            total = reference_compose(total, g)
+    return current, total
+
+
+def gauge_at(g, x):
+    """The matrix g(x) at a point x of the plane."""
+    M = Matrix.identity(g.hodge.dim)
+    for (p, q), B in g.C.items():
+        M = M + B.scale(x[0] ** p * x[1] ** q)
+    return M
 
 
 def coords(gr, rows):

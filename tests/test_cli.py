@@ -614,6 +614,8 @@ def test_a_connection_off_fock_schwinger(tmp_path, monkeypatch):
     (entry,) = json.loads(out)["inputs"]
     assert (code, entry["status"]) == (0, "ok")
     assert entry["result"]["triangle_delta"] == _matrix_out(triangle_delta(G).delta)
+    # the gauge is 1 on both axes, so the holonomy is still delta of t3_2_5
+    assert entry["result"]["triangle_delta"] == _matrix_out(t3_delta(2, 5).delta)
 
 
 def test_rees_on_connection_is_malformed():

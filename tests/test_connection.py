@@ -3,12 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_deltas, mat
+from conftest import (
+    chain_delta,
+    fixture_deltas,
+    gauge_inverse_matrix,
+    gauge_matrix,
+    mat,
+    random_gauge,
+    reference_apply_gauge,
+    reference_compose,
+    reference_curvature,
+    reference_inverse,
+    reference_normalize,
+)
 from hodgegauge import connection, holonomy, linalg
 from hodgegauge.connection import (
     AdmissibilityError,
     EquivariantConnection,
     GaugeTransformation,
+    _block_form,
     apply_gauge,
     connection_form,
     connection_from_delta,
@@ -60,7 +73,7 @@ def test_admissibility_rejects_bad_support():
 
 
 def test_curvature_zero_connection():
-    assert curvature(EquivariantConnection.zero(KH)).is_zero()
+    assert curvature(EquivariantConnection.zero(KH)) == {}
 
 
 def test_a_fock_schwinger_connection_is_flat_iff_zero():
@@ -74,16 +87,30 @@ def test_a_fock_schwinger_connection_is_flat_iff_zero():
     flat = 0
     for d in deltas:
         C = connection_from_delta(d)
-        assert curvature(C).is_zero() == C.is_zero()
+        assert (not curvature(C)) == C.is_zero()
         flat += C.is_zero()
     assert 0 < flat < len(deltas)
 
 
 def test_curvature_k_type_is_minus_two_a():
+    # block (1, 1) of a curvature carries t1^0 t2^0
     C = k_connection(5)
     F = curvature(C)
-    assert F.support() == {(0, 0)}
-    assert F.coefficient_matrix((0, 0)) == E.scale(Scalar(-10))
+    assert set(F) == {(1, 1)}
+    assert F[(1, 1)] == E.scale(Scalar(-10))
+
+
+def test_curvature_commutator_sign():
+    # P = X t2 and Q = Y t1 with X = e12, Y = e01: XY = 0 and YX = e02, so
+    # d1 Q - d2 P - [P, Q] = (Y - X) + e02 t1 t2, whose block (2, 2) has the
+    # sign of -[P, Q]
+    h3 = HodgeNumbers({(0, 0): 1, (-1, -1): 1, (-2, -2): 1})
+    X = mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    Y = mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    C = EquivariantConnection(h3, {(1, 1): X}, {(1, 1): Y})
+    F = curvature(C)
+    assert F == {(1, 1): Y - X, (2, 2): mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])}
+    assert _block_form(3, F, -1, -1) == reference_curvature(C)
 
 
 def test_apply_gauge_identity():
@@ -93,9 +120,10 @@ def test_apply_gauge_identity():
 
 def test_gauge_of_zero_connection():
     g = GaugeTransformation(KH, {(1, 1): E})
+    # -g^{-1} dg for g = 1 + E t1 t2: E^2 = 0, so A = B = -E
     out = apply_gauge(EquivariantConnection.zero(KH), g)
-    assert out.A == {(1, 1): E}
-    assert out.B == {(1, 1): E}
+    assert out.A == {(1, 1): -E}
+    assert out.B == {(1, 1): -E}
 
 
 def test_gauge_composition_is_matrix_product():
@@ -113,8 +141,10 @@ def test_gauge_composition_is_matrix_product():
 
 def test_gauge_inverse_matrix():
     g = GaugeTransformation(KH, {(1, 1): E})
-    prod = g.matrix() @ g.inverse_matrix()
-    assert prod == PolyMatrix.identity(2, 2)
+    assert g.inverse() == GaugeTransformation(KH, {(1, 1): -E})
+    assert g.compose(g.inverse()) == GaugeTransformation.identity(KH)
+    assert gauge_matrix(g) @ gauge_matrix(g.inverse()) == PolyMatrix.identity(2, 2)
+    assert gauge_matrix(g.inverse()) == gauge_inverse_matrix(g)
 
 
 def test_normalize_single_level():
@@ -123,7 +153,7 @@ def test_normalize_single_level():
     half = Scalar(Fraction(1, 2))
     assert Cn.A == {(1, 1): E.scale(half)}
     assert Cn.B == {(1, 1): E.scale(-half)}
-    assert g.C == {(1, 1): E.scale(-half)}
+    assert g.C == {(1, 1): E.scale(half)}
 
 
 def test_normalize_idempotent():
@@ -330,3 +360,59 @@ def test_connection_from_delta_reads_no_entry_by_index(monkeypatch):
     for d in deltas:
         connection_from_delta(d)
     assert reads == []
+
+
+def _check_against_reference(C, g, h, normalize=True):
+    """The block dicts against the polynomial route of conftest, on C, on
+    its gauge change by g, and on the gauges g and h."""
+    G = apply_gauge(C, g)
+    assert G == reference_apply_gauge(C, g)
+    if normalize:
+        assert normalize_fock_schwinger(G) == reference_normalize(G)
+    assert g.compose(h) == reference_compose(g, h)
+    assert g.inverse() == reference_inverse(g)
+    for conn in (C, G):
+        assert _block_form(C.hodge.dim, curvature(conn), -1, -1) == (
+            reference_curvature(conn))
+
+
+def test_gauge_layer_matches_the_reference_on_criterion_04_gauges():
+    # the connections and gauges of acceptance criterion 04, drawn in its
+    # order from its seed
+    rng = random.Random(4242)
+    for _ in range(100):
+        d = random_delta(rng, max_dim=5, weight_lo=-3, weight_hi=3)
+        C = connection_from_delta(d)
+        g = random_gauge(d.hodge, rng)
+        _check_against_reference(C, g, random_gauge(d.hodge, random.Random(1)))
+
+
+def test_gauge_layer_matches_the_reference_on_the_fixtures():
+    rng = random.Random(41)
+    for d in fixture_deltas():
+        C = connection_from_delta(d)
+        _check_against_reference(C, random_gauge(d.hodge, rng),
+                                 random_gauge(d.hodge, rng))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_gauge_layer_matches_the_reference_on_a_chain(n):
+    # one dimension per weight: a gauge block at every drop (k, k).  The
+    # normal form is left out: the reference takes about 8 s at n = 24
+    rng = random.Random(n)
+    C = connection_from_delta(chain_delta(n))
+    _check_against_reference(C, random_gauge(C.hodge, rng),
+                             random_gauge(C.hodge, rng), normalize=False)
+
+
+def test_curvature_is_gauge_covariant():
+    # F -> g^{-1} F g, with g and F as polynomial matrices
+    rng = random.Random(43)
+    deltas = fixture_deltas() + [random_delta(rng, max_dim=6) for _ in range(20)]
+    for d in deltas:
+        C = connection_from_delta(d)
+        g = random_gauge(d.hodge, rng)
+        n = d.hodge.dim
+        assert _block_form(n, curvature(apply_gauge(C, g)), -1, -1) == (
+            gauge_inverse_matrix(g) @ _block_form(n, curvature(C), -1, -1)
+            @ gauge_matrix(g))

@@ -82,8 +82,9 @@ def test_invariant_complex_kummer():
 
 def test_invariant_complex_entries_read_off_the_labels():
     # each entry recomputed from its two labels alone: the exterior
-    # derivative, then every block of A (slot 1, dt1) or B (slot 2, dt2)
-    # whose bidegree moves the domain monomial onto the codomain one
+    # derivative, then minus every block of A (slot 1, dt1) or B (slot 2,
+    # dt2) whose bidegree moves the domain monomial onto the codomain one,
+    # as d - Omega has it
     rng = random.Random(5)
     structures = [kummer(2), t3(1, 1)] + [
         random_mhs(rng, max_dim=4, weight_lo=-4, weight_hi=4) for _ in range(3)
@@ -102,7 +103,7 @@ def test_invariant_complex_entries_read_off_the_labels():
                     want = want + Scalar(a if slot == 1 else b)
                 for (rr, ss), M in blocks.items():
                     if (a2, b2) == (a + rr - da, b + ss - db) and M[j, i]:
-                        want = want + M[j, i]
+                        want = want - M[j, i]
                         omega_terms += 1
                 assert cx.matrix[r, col] == want
     assert omega_terms

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    chain_delta, fixture_deltas, flat_sections_on_line, mat, picard,
-    picard_transport, segment_pullback,
+    chain_delta, fixture_deltas, flat_sections_on_line, gauge_matrix, mat,
+    picard, picard_transport, segment_pullback,
 )
 from hodgegauge import holonomy
 from hodgegauge.connection import (
@@ -273,6 +273,35 @@ def test_path_transport_is_the_product_of_its_segments():
         n = C.hodge.dim
         for a in ((0, 0), (g, -1), (Fraction(1, 2), 3)):
             assert transport_segment(C, a, a) == Matrix.identity(n)
+
+
+def test_holonomy_is_gauge_covariant():
+    # the flat sections of apply_gauge(C, g) are g^{-1} times those of C, so
+    # its transport from a to b is g(b)^{-1} T g(a); g(b) is inverted here
+    # apart from the gauge layer
+    rng = random.Random(41)
+    conns = [connection_from_delta(d) for d in fixture_deltas()]
+    conns.append(connection_from_delta(chain_delta(16)))
+    for C in conns:
+        g = _random_gauge(C.hodge, rng)
+        G = apply_gauge(C, g)
+        z = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   rng.choice((-2, -1, 1, 2)))
+        for path in (PolygonalPath([(-1, 0), (z, -1), (1, 2)]), _random_path(rng)):
+            a, b = path.points[0], path.points[-1]
+            assert holonomy_path(G, path) == (gauge_matrix(g).eval(b).inverse()
+                                              @ holonomy_path(C, path)
+                                              @ gauge_matrix(g).eval(a))
+
+
+def test_triangle_delta_is_gauge_invariant():
+    # an admissible gauge is 1 on both axes, where the triangle starts
+    rng = random.Random(42)
+    deltas = fixture_deltas() + [random_delta(rng, max_dim=8) for _ in range(30)]
+    for d in deltas:
+        C = connection_from_delta(d)
+        for _ in range(2):
+            assert triangle_delta(apply_gauge(C, _random_gauge(d.hodge, rng))) == d
 
 
 def _gauge_changed(C, rng):
