@@ -3,11 +3,11 @@
 The named corpus covers the one-dimensional pure structures, the rank-2
 Kummer-type family K(c) (extension of the unit by weight -2, comparison
 entry -c), the rank-3 three-step family T3(a, b), tensor products, duals,
-and the rational forms.  Each hand-made flag is ``Filtration.from_basis``
-of a basis adapted to it.  Random structures are produced by drawing a
-comparison datum and realizing it, so they are valid by construction;
-corruptions shift one weight step, which always creates an off-diagonal
-graded piece.
+and the rational forms.  Each flag, hand-made or a tensor or dual of
+others, is ``Filtration.from_basis`` of a basis adapted to it.  Random
+structures are produced by drawing a comparison datum and realizing it, so
+they are valid by construction; corruptions shift one weight step, which
+always creates an off-diagonal graded piece.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ kept row by cross-multiplication and its content comes out after each step
 kept rows cleared above their pivots by a second _reduce; rank and det read
 its kept rows, Subspace.intersect is one _reduce of the Zassenhaus rows.
 _solve is the one change of coordinates, for solve_left, Matrix.inverse,
-adapted_position, the adapted bases and delta.  Matrix.rref, rank, det and
-solve_left convert their Scalars once at entry and once at exit.
+adapted_position, the adapted bases, delta and the dual basis.  Matrix.rref,
+rank, det and solve_left convert their Scalars once at entry and once at
+exit.
 """
 
 from __future__ import annotations
@@ -157,20 +158,6 @@ class Matrix(Value):
     def rank(self):
         return sum(j is not None for j, _ in
                    _reduce([_ints(r)[:2] for r in self.rows], range(self.ncols)))
-
-    def right_kernel(self):
-        """Rows spanning {v : self @ v = 0}, in echelon order."""
-        R, pivots = self.rref()
-        nc = self.ncols
-        free = [c for c in range(nc) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [ZERO] * nc
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.rows[r][fc]
-            basis.append(tuple(v))
-        return Matrix._of(tuple(basis), nc)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -386,11 +373,6 @@ def _position(levels, f):
     return [(p, levels[j], _cut(v, d)) for (p, _, _), (j, v) in zip(f, reduced)]
 
 
-def kron(a, b):
-    """Kronecker product of two row vectors."""
-    return tuple(x * y for x in a for y in b)
-
-
 class Subspace(Value):
     """Subspace of K^n in canonical form: ``rows`` are its reduced echelon
     rows as integer rows, each primitive with a positive integer pivot."""
@@ -473,16 +455,6 @@ class Subspace(Value):
         # the pivots are real, so the rows stay canonical
         return Subspace(self.n, tuple((re, im and tuple(map(neg, im)))
                                       for re, im in self.rows))
-
-    def annihilator(self):
-        """{phi : phi(u) = 0 for u in self}, in dual coordinates."""
-        if self.dim == 0:
-            return Subspace.full(self.n)
-        return Subspace.from_rows(self.n, self.basis.right_kernel().rows)
-
-    def tensor(self, other):
-        return Subspace.from_rows(self.n * other.n, [
-            kron(a, b) for a in self.basis.rows for b in other.basis.rows])
 
 
 def log_unipotent(M):

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from itertools import islice
 
 from .linalg import (
+    _NO_IM,
     DimensionMismatch,
     Matrix,
     Subspace,
@@ -409,27 +410,37 @@ def realize_real(V):
     return ComplexMHS(V.n, V.W, V.F, V.F.conjugate())
 
 
+def _kron(u, v):
+    # the Kronecker product of integer rows (re, im), entry by entry
+    # (a + bi)(c + di)
+    (ar, ai), (br, bi) = u, v
+    if ai is None and bi is None:
+        return tuple(x * y for x in ar for y in br), None
+    a, b = tuple(zip(ar, ai or _NO_IM)), tuple(zip(br, bi or _NO_IM))
+    return (tuple(x * y - s * t for x, s in a for y, t in b),
+            tuple(x * t + s * y for x, s in a for y, t in b))
+
+
 def _tensor_filtration(f, g):
-    # step k sums f_a ⊗ g_(k-a) over the stored a and, for a decreasing f,
-    # the a one below (the full space); an increasing one also stores its
-    # zero step one below, a decreasing one its zero step above and the one
-    # below unless it is the full space
+    # the products of bases adapted to f and g, each at the sum of its two
+    # levels, are adapted to the sum over a of f_a ⊗ g_(k-a).  Stored: one
+    # below the sum of the first indices and, when decreasing, up to one
+    # above the sum of the last, the step below dropped if it is full
     n = f.n * g.n
     dec = f.direction == Filtration.DEC
+    flag = Filtration.from_basis(f.direction, n, [
+        (a + b, _kron(u, v)) for a, u in f.validate() for b, v in g.validate()])
     lo = f.min_index() + g.min_index()
-    hi = f.max_index() + g.max_index()
-    steps = {k: Subspace._span(n, [
-        r for a in range(f.min_index() - dec, f.max_index() + 1)
-        for r in f.at(a).tensor(g.at(k - a)).rows
-    ]) for k in range(lo - 1, hi + 1)}
-    if dec:
-        if steps[lo - 1].dim == n:
-            del steps[lo - 1]
-        steps[hi + 1] = Subspace.zero(n)
+    steps = {k: flag.at(k) for k in range(
+        lo - 1, f.max_index() + g.max_index() + 1 + dec)}
+    if dec and steps[lo - 1].dim == n:
+        del steps[lo - 1]
     return Filtration(f.direction, n, steps)
 
 
 def tensor_mhs(V, Vp):
+    """Tensor product, unvalidated; a factor's flag that is not nested, not
+    exhaustive or not separated raises FiltrationError."""
     return ComplexMHS(
         V.n * Vp.n,
         _tensor_filtration(V.W, Vp.W),
@@ -439,15 +450,24 @@ def tensor_mhs(V, Vp):
 
 
 def _dual_filtration(f):
-    # (F*)^p = Ann(F^(1-p)) and (W*)_k = Ann(W_(-1-k))
+    # the basis dual to an adapted one B, at the negated levels, is adapted
+    # to (F*)^p = Ann(F^(1-p)) and (W*)_k = Ann(W_(-1-k)): x B^T = e_i, one
+    # _solve against the columns of B
     c = 1 if f.direction == Filtration.DEC else -1
+    basis = f.validate()
+    re = zip(*(r for _, (r, _) in basis))
+    im = zip(*(i or (0,) * f.n for _, (_, i) in basis))
+    cols = [(r, i if any(i) else None, 1) for r, i in zip(re, im)]
+    dual = _solve(cols, [u + (1,) for u in _units(f.n)], f.n)
+    flag = Filtration.from_basis(f.direction, f.n, [
+        (-level, x[:2]) for (level, _), x in zip(basis, dual)])
     return Filtration(f.direction, f.n, {
-        j: f.at(c - j).annihilator()
-        for j in range(c - f.max_index(), c - f.min_index() + 2)
-    })
+        j: flag.at(j) for j in range(c - f.max_index(), c - f.min_index() + 2)})
 
 
 def dual_mhs(V):
+    """Dual structure, unvalidated; a flag that is not nested, not
+    exhaustive or not separated raises FiltrationError."""
     return ComplexMHS(
         V.n,
         _dual_filtration(V.W),

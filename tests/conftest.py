@@ -221,6 +221,59 @@ def direct_sum_mhs(V, Vp):
     )
 
 
+def reference_tensor_mhs(V, Vp):
+    """``mhs.tensor_mhs`` by its per-step definition: step k of each flag is
+    the span of the Scalar Kronecker products of the bases of f_a and
+    g_(k-a), summed over a from one below f's first index to its last (the
+    a outside add nothing), stored at the keys ``tensor_mhs`` stores."""
+
+    def tensor(f, g):
+        n = f.n * g.n
+        lo, hi = f.min_index() + g.min_index(), f.max_index() + g.max_index()
+        dec = f.direction == Filtration.DEC
+        steps = {k: Subspace.from_rows(n, [
+            tuple(x * y for x in u for y in v)
+            for a in range(f.min_index() - 1, f.max_index() + 1)
+            for u in f.at(a).basis.rows for v in g.at(k - a).basis.rows
+        ]) for k in range(lo - 1, hi + 1 + dec)}
+        if dec and steps[lo - 1].dim == n:
+            del steps[lo - 1]
+        return Filtration(f.direction, n, steps)
+
+    return ComplexMHS(V.n * Vp.n, tensor(V.W, Vp.W), tensor(V.Fp, Vp.Fp),
+                      tensor(V.Fpp, Vp.Fpp))
+
+
+def reference_annihilator(U):
+    """{phi : phi(u) = 0 for u in U} in dual coordinates: the nullspace of
+    U's basis, by sympy's DomainMatrix over QQ_I."""
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def q(z):
+        return Fraction(int(z.numerator), int(z.denominator))
+
+    if not U.dim:
+        return Subspace.full(U.n)
+    dm = DomainMatrix([[QQ_I(x.re, x.im) for x in row] for row in U.basis.rows],
+                      (U.dim, U.n), QQ_I)
+    return Subspace.from_rows(U.n, [[Scalar(q(z.x), q(z.y)) for z in row]
+                                    for row in dm.nullspace().to_list()])
+
+
+def reference_dual_mhs(V):
+    """``mhs.dual_mhs`` by its per-step definition: (F*)^p = Ann(F^(1-p))
+    and (W*)_k = Ann(W_(-1-k)), stored at the keys ``dual_mhs`` stores."""
+
+    def dual(f):
+        c = 1 if f.direction == Filtration.DEC else -1
+        return Filtration(f.direction, f.n, {
+            j: reference_annihilator(f.at(c - j))
+            for j in range(c - f.max_index(), c - f.min_index() + 2)})
+
+    return ComplexMHS(V.n, dual(V.W), dual(V.Fp), dual(V.Fpp))
+
+
 def apply(U, f):
     """Image of the subspace U under the linear map v |-> f @ v (f maps K^n
     to K^m)."""
@@ -899,9 +952,8 @@ def _real_fixed_subspace(R):
     sigma = Matrix(
         [row[:n] + tuple(-x for x in row[n:]) for row in _realify_map(R).rows]
     )
-    return Subspace.from_rows(
-        2 * n, (sigma - Matrix.identity(2 * n)).right_kernel().rows
-    )
+    # sigma is an involution, so its fixed vectors are the image of sigma + 1
+    return Subspace.from_rows(2 * n, (sigma + Matrix.identity(2 * n)).transpose().rows)
 
 
 def _realify_map(M):

@@ -17,7 +17,6 @@ from hodgegauge.linalg import (
     _reduce,
     _scalars,
     adapted_position,
-    kron,
     log_unipotent,
     solve_left,
 )
@@ -60,13 +59,6 @@ def test_grassmann_identity_random():
             n, [vec([rng.randint(-3, 3) for _ in range(n)]) for _ in range(rng.randint(0, n))]
         )
         assert a.dim + b.dim == a.add(b).dim + a.intersect(b).dim
-
-
-def test_annihilator():
-    a = span(3, [[1, 0, 0]])
-    ann = a.annihilator()
-    assert ann.dim == 2
-    assert ann.annihilator() == a
 
 
 def test_containment_and_coords():
@@ -126,13 +118,9 @@ def test_matrix_inverse_and_det():
         singular.inverse()
 
 
-def test_rank_and_kernel():
+def test_rank():
     m = mat([[1, 2, 3], [2, 4, 6]])
     assert m.rank() == 1
-    ker = m.right_kernel()
-    assert ker.nrows == 2
-    for row in ker.rows:
-        assert all(not r[0] for r in (m @ Matrix([[e] for e in row])).rows)
 
 
 def test_solve_left():
@@ -164,11 +152,6 @@ def test_entrywise_maps_keep_zero_entries():
                     assert y == f(x)
                     if not x:
                         assert y is ZERO
-
-
-def test_kron():
-    # kron works on vectors with the outer index running fastest on the left
-    assert kron(vec([1, 2]), vec([0, 1])) == vec([0, 1, 0, 2])
 
 
 def exp_series(D):
@@ -210,14 +193,6 @@ def test_log_exp_random_roundtrip():
 def test_log_rejects_non_unipotent():
     with pytest.raises(NotNilpotentError):
         log_unipotent(mat([[2, 0], [0, 1]]))
-
-
-def test_tensor_subspace():
-    a = span(2, [[1, 0]])
-    b = span(2, [[0, 1]])
-    t = a.tensor(b)
-    assert t.n == 4
-    assert t == span(4, [[0, 1, 0, 0]])
 
 
 def _random_flag(rng, d):

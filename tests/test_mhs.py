@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -18,12 +19,15 @@ from conftest import (
     pairwise_validate,
     piece_dimensions,
     quotient_route,
+    reference_dual_mhs,
+    reference_tensor_mhs,
     span,
     sparse_form,
     validate_morphism,
     vec,
 )
 from hodgegauge import linalg, mhs
+from hodgegauge.documents import serialize
 from hodgegauge.fixtures import (
     corrupt_weight_step,
     kummer,
@@ -52,6 +56,11 @@ from hodgegauge.mhs import (
 )
 from hodgegauge.scalars import I, ONE, Scalar, ZERO
 from hodgegauge.splitting import delta_to_mhs
+
+
+def document(V):
+    """The bytes a structure document is written with."""
+    return json.dumps(serialize(V), sort_keys=True, indent=1)
 
 
 A3, B3 = span(3, [[1, 0, 0]]), span(3, [[1, 0, 0], [0, 1, 1]])
@@ -279,6 +288,22 @@ def test_degenerate_zero_space():
     assert validate_mhs(V).dim == 0
 
 
+def fixture_factors():
+    """The factors of the shipped tensor and dual fixtures."""
+    return [kummer(1), kummer(2), kummer(3), kummer(I), pure(-1, -1), pure(1, 1),
+            t3(1, 2)]
+
+
+def seeded_pairs(seed, count):
+    # random_mhs pairs, Gaussian entries included, without the round-trip
+    # check
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(delta_to_mhs(random_delta(rng, max_dim=d, weight_lo=-4,
+                                              weight_hi=4), check=False)
+                    for d in (4, 3))
+
+
 def test_tensor_with_pure_twist():
     V = tensor_mhs(kummer(3), pure(1, 1))
     h = validate_mhs(V)
@@ -309,13 +334,84 @@ def test_tensor_of_kummers():
 
 
 def test_dual_is_involutive():
-    for V in (kummer(2), t3(1, 2), pure(1, -1)):
+    seeded = [V for pair in seeded_pairs(6, 20) for V in pair]
+    for V in [kummer(2), t3(1, 2), pure(1, -1)] + seeded:
         assert dual_mhs(dual_mhs(V)) == V
 
 
 def test_dual_hodge_numbers_negate():
     h = validate_mhs(dual_mhs(kummer(2)))
     assert h.counts == {(0, 0): 1, (1, 1): 1}
+
+
+def test_tensor_and_dual_match_the_per_step_definition():
+    # each flag, and the document's bytes, against the span of Kronecker
+    # products of step bases and the annihilator from sympy's nullspace
+    pytest.importorskip("sympy")
+    rng = random.Random(42)
+    factors = fixture_factors()
+    cases = [(tensor_mhs, reference_tensor_mhs, (A, B))
+             for A in factors for B in factors]
+    cases += [(dual_mhs, reference_dual_mhs, (A,)) for A in factors]
+    forms = [sparse_form(A) for A in factors] + [gapped_form(A, rng) for A in factors]
+    cases += [(tensor_mhs, reference_tensor_mhs, (X, rng.choice(forms)))
+              for X in forms]
+    cases += [(dual_mhs, reference_dual_mhs, (X,)) for X in forms]
+    for A, B in seeded_pairs(5, 20):
+        cases += [(tensor_mhs, reference_tensor_mhs, (A, B)),
+                  (tensor_mhs, reference_tensor_mhs, (sparse_form(A), B)),
+                  (dual_mhs, reference_dual_mhs, (A,))]
+    big = tensor_mhs(tensor_mhs(t3(1, 2), t3(3, 4)), kummer(5))
+    cases += [(dual_mhs, reference_dual_mhs, (big,))]
+    for build, reference, args in cases:
+        got, want = build(*args), reference(*args)
+        assert got == want
+        assert document(got) == document(want)
+    want = reference_tensor_mhs(reference_tensor_mhs(t3(1, 2), t3(3, 4)), kummer(5))
+    assert big.n == 18
+    assert big == want and document(big) == document(want)
+
+
+def test_dual_of_a_tensor_is_the_tensor_of_the_duals():
+    for A, B in seeded_pairs(7, 20):
+        assert dual_mhs(tensor_mhs(A, B)) == tensor_mhs(dual_mhs(A), dual_mhs(B))
+
+
+def test_tensor_and_dual_eliminate_no_scalars(monkeypatch):
+    # the flags come from the factors' adapted bases: no Scalar elimination,
+    # product or span of Scalar rows
+    factors = fixture_factors()
+
+    def refuse(*args):
+        raise AssertionError("a tensor or dual went through Scalar rows")
+
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(Subspace, "from_rows", classmethod(refuse))
+    for A in factors:
+        dual_mhs(A)
+        for B in factors:
+            tensor_mhs(A, B)
+
+
+def test_tensor_and_dual_of_a_non_flag_raise():
+    # a factor whose filtration is not nested, not exhaustive or not
+    # separated is refused by its validate, not built into a triple
+    V, full, zero = kummer(1), Subspace.full(2), Subspace.zero(2)
+    e0 = span(2, [[1, 0]])
+    bad = [
+        (ComplexMHS(2, Filtration(Filtration.INC, 2, {0: full, 1: zero}), V.Fp,
+                    V.Fpp), "not increasing at 0 -> 1"),
+        (ComplexMHS(2, Filtration(Filtration.INC, 2, {0: e0}), V.Fp, V.Fpp),
+         "increasing filtration does not exhaust"),
+        (ComplexMHS(2, V.W, Filtration(Filtration.DEC, 2, {0: full, 1: e0}),
+                    V.Fpp), "decreasing filtration is not separated"),
+    ]
+    for X, message in bad:
+        for build in (lambda: tensor_mhs(X, pure(0, 0)),
+                      lambda: tensor_mhs(pure(0, 0), X), lambda: dual_mhs(X)):
+            with pytest.raises(FiltrationError, match=message):
+                build()
 
 
 def test_conjugate_is_involutive():
