@@ -13,8 +13,9 @@ byte-identical output.  Inputs run one after another, in input order, on
 the calling thread; --jobs is accepted and has no effect.  Handlers import
 the layers they reach, so a command loads (and compiles) only those: `lie`
 loads scalars, freelie and upoly, with neither poly nor linalg; `validate`
-loads no connection or splitting; no command loads `poly` or `rees`; and
-hashlib (with OpenSSL) loads only once an input file is read, to hash it.
+of a structure loads no connection or splitting (of a delta, splitting; of
+a connection, connection, splitting and upoly); no command loads `poly` or
+`rees`; and hashlib (with OpenSSL) loads only to hash an input file.
 """
 
 from __future__ import annotations

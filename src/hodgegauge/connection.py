@@ -10,13 +10,13 @@ Its flat sections solve ds = Omega s.  A unipotent gauge g = 1 + sum
 C_{p,q} t1^p t2^q acts by Omega -> g^{-1} Omega g - g^{-1} dg on the dicts
 of blocks: each block carries one monomial, so a product adds bidegrees and
 d1, d2 multiply block (p, q) by p, q.  The Fock-Schwinger condition A + B = 0
-picks one representative per gauge orbit, which splitting._walk solves from
-a delta datum in one pass over its entries.
+is the radial gauge x . Omega = 0; it picks one connection per gauge orbit,
+which splitting._walk solves from a delta datum in one pass over its entries.
 """
 
 from __future__ import annotations
 
-from .linalg import InvariantError, Matrix
+from .linalg import Matrix
 from .scalars import ONE, ZERO, Value
 from .splitting import _solve_blocks
 from .upoly import hypotenuse_pullback
@@ -81,10 +81,7 @@ class EquivariantConnection(Value):
 
     def __repr__(self):
         return "EquivariantConnection(dim=%d, A=%r, B=%r)" % (
-            self.hodge.dim,
-            sorted(self.A),
-            sorted(self.B),
-        )
+            self.hodge.dim, sorted(self.A), sorted(self.B))
 
 
 class GaugeTransformation(Value):
@@ -137,8 +134,7 @@ def _combine(*terms):
 
 def _product(hodge, X, Y):
     """XY: block (p, q) of X times block (r, s) of Y lands at (p + r, q + s),
-    which is the bidegree of each of its entries.  So the block sums
-    multiply once, and the product splits back into blocks by that table."""
+    the bidegree of each of its entries, so the block sums multiply once."""
     n, degrees = hodge.dim, hodge.bidegrees()
 
     def total(Z):
@@ -147,12 +143,16 @@ def _product(hodge, X, Y):
                                       for j, pq in enumerate(row))
                                 for i, row in enumerate(degrees)), n)
 
-    XY = tuple(zip((total(X) @ total(Y)).rows, degrees))
-    found = {pq for row, ds in XY for x, pq in zip(row, ds) if x}
+    return _blocks(hodge, total(X) @ total(Y))
+
+
+def _blocks(hodge, M):
+    """M as blocks: entry (i, j) goes to the block of its bidegree."""
+    rows = tuple(zip(M.rows, hodge.bidegrees()))
     return {pq: Matrix._of(tuple(tuple(x if d == pq else ZERO
                                        for x, d in zip(row, ds))
-                                 for row, ds in XY), n)
-            for pq in found}
+                                 for row, ds in rows), hodge.dim)
+            for pq in {d for row, ds in rows for x, d in zip(row, ds) if x}}
 
 
 def _derivative(X, k):
@@ -211,21 +211,19 @@ def apply_gauge(C, g):
 def normalize_fock_schwinger(C):
     """The unique gauge-equivalent connection with A + B = 0, plus the gauge.
 
-    Solved level by level on the total drop d = p + q: at each level the
-    defect (A + B)_{p,q} of the partially corrected connection determines
-    C_{p,q} = (A + B)_{p,q} / (p + q); that gauge moves no lower level.
+    A + B = 0 is x . Omega = 0: flat sections are constant on rays from the
+    origin.  The change by g transports by g(b)^{-1} T g(a), which is 1 from
+    the origin for g(t) = T(0 -> t); block (p, q) of g carries t1^p t2^q, so
+    each entry of T(0 -> (1, 1)) goes to the block of its bidegree.  A gauge
+    is 1 on both axes, so it keeps the triangle holonomy: the normal form is
+    the one Fock-Schwinger connection with that delta.
     """
-    current, total = C, GaugeTransformation.identity(C.hodge)
-    for d in range(2, _weight_spread(C.hodge) + 1):
-        defect = _combine((ONE, current.A), (ONE, current.B))
-        Cd = {pq: M.scale(ONE / d) for pq, M in defect.items() if sum(pq) == d}
-        if Cd:
-            g = GaugeTransformation(C.hodge, Cd)
-            current, total = apply_gauge(current, g), total.compose(g)
-    defect = _combine((ONE, current.A), (ONE, current.B))
-    if defect:
-        raise InvariantError("normalization left a defect at %r" % (min(defect),))
-    return current, total
+    # holonomy imports this module, so it loads only when called
+    from .holonomy import transport_segment, triangle_delta
+
+    T = transport_segment(C, (0, 0), (1, 1))
+    return connection_from_delta(triangle_delta(C)), GaugeTransformation(
+        C.hodge, {pq: M for pq, M in _blocks(C.hodge, T).items() if pq != (0, 0)})
 
 
 def connection_from_delta(dobj):

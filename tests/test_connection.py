@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     chain_delta,
     fixture_deltas,
+    gauge_at,
     gauge_inverse_matrix,
     gauge_matrix,
     mat,
@@ -416,3 +417,80 @@ def test_curvature_is_gauge_covariant():
         assert _block_form(n, curvature(apply_gauge(C, g)), -1, -1) == (
             gauge_inverse_matrix(g) @ _block_form(n, curvature(C), -1, -1)
             @ gauge_matrix(g))
+
+
+def _gaussian_connections(rng, count):
+    """Seeded admissible connections with A + B != 0 and Gaussian entries,
+    dim <= 6: the blocks of two random gauges, at every drop up to the
+    weight spread."""
+    out = []
+    for _ in range(count):
+        hodge = random_delta(rng, max_dim=6).hodge
+        out.append(EquivariantConnection(hodge, random_gauge(hodge, rng).C,
+                                         random_gauge(hodge, rng).C))
+    return out
+
+
+def _normal_form_cases():
+    """Criterion 04's connections and their gauge changes, drawn in its
+    order from its seed; each fixture connection as it is and under two
+    seeded gauges; and 40 Gaussian connections."""
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(100):
+        d = random_delta(rng, max_dim=5, weight_lo=-3, weight_hi=3)
+        C = connection_from_delta(d)
+        cases += [C, apply_gauge(C, random_gauge(d.hodge, rng))]
+    rng = random.Random(43)
+    for d in fixture_deltas():
+        C = connection_from_delta(d)
+        cases += [C] + [apply_gauge(C, random_gauge(d.hodge, rng))
+                        for _ in range(2)]
+    return cases + _gaussian_connections(random.Random(44), 40)
+
+
+def test_normal_form_matches_the_reference_on_gaussian_connections():
+    # the level-by-level polynomial route of conftest, under 0.03 s each
+    for C in _gaussian_connections(random.Random(45), 60):
+        assert normalize_fock_schwinger(C) == reference_normalize(C)
+
+
+def test_normal_form_is_the_gauge_change_by_its_gauge():
+    for C in _normal_form_cases():
+        N, g = normalize_fock_schwinger(C)
+        assert N.A == {pq: -M for pq, M in N.B.items()}
+        assert apply_gauge(C, g) == N
+
+
+def test_normal_form_gauge_is_the_ray_transport():
+    # the radial gauge, read at points off the transport itself: g(x) is
+    # the transport of C from the origin to x, and that of N is 1
+    origin = (ZERO, ZERO)
+    points = [(Scalar(2), Scalar(Fraction(-1, 3))),
+              (Scalar(Fraction(1, 2), 1), Scalar(-2, 3)),
+              (Scalar(0, -1), Scalar(Fraction(3, 4)))]
+    rng = random.Random(46)
+    cases = _gaussian_connections(rng, 20) + [
+        apply_gauge(C, random_gauge(C.hodge, rng))
+        for C in map(connection_from_delta, fixture_deltas())]
+    for C in cases:
+        N, g = normalize_fock_schwinger(C)
+        one = Matrix.identity(C.hodge.dim)
+        for x in points:
+            assert gauge_at(g, x) == holonomy.transport_segment(C, origin, x)
+            assert holonomy.transport_segment(N, origin, x) == one
+
+
+def test_normal_form_takes_no_gauge_action_or_product(monkeypatch):
+    # the normal form and its gauge are read off the transport walk, with
+    # no gauge action, composition or block product
+    cases = _normal_form_cases()
+    expected = [normalize_fock_schwinger(C) for C in cases]
+
+    def refuse(*args):
+        raise AssertionError("the normal form took a gauge action or product")
+
+    monkeypatch.setattr(connection, "apply_gauge", refuse)
+    monkeypatch.setattr(connection, "_product", refuse)
+    monkeypatch.setattr(GaugeTransformation, "compose", refuse)
+    assert [normalize_fock_schwinger(C) for C in cases] == expected
