@@ -111,9 +111,7 @@ def _connect(obj, flags):
     from .documents import serialize
 
     C = _connection(obj)
-    checks = [("fock_schwinger", all(
-        (C.B.get(k) == -v) for k, v in C.A.items()
-    ) and set(C.A) == set(C.B))]
+    checks = [("fock_schwinger", C.B == {pq: -M for pq, M in C.A.items()})]
     return serialize(C), checks
 
 

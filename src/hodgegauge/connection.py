@@ -7,17 +7,21 @@ bidegree (-p, -q), assembled into the form
     Omega = sum A_{p,q} t1^{p-1} t2^q dt1  +  B_{p,q} t1^p t2^{q-1} dt2.
 
 Its flat sections solve ds = Omega s.  A unipotent gauge g = 1 + sum
-C_{p,q} t1^p t2^q acts by Omega -> g^{-1} Omega g - g^{-1} dg on the dicts
-of blocks: each block carries one monomial, so a product adds bidegrees and
-d1, d2 multiply block (p, q) by p, q.  The Fock-Schwinger condition A + B = 0
-is the radial gauge x . Omega = 0; it picks one connection per gauge orbit,
-which splitting._walk solves from a delta datum in one pass over its entries.
+C_{p,q} t1^p t2^q acts by Omega -> g^{-1} Omega g - g^{-1} dg.  Entry (i, j)
+of a form, gauge or curvature carries the one monomial of its bidegree, so
+the blocks are fixed by their value at (1, 1), a point of the open torus
+orbit: sums, products and inverses commute with taking that value, and d1,
+d2 multiply entry (i, j) by the p, q of its bidegree.  The gauge layer is
+matrix algebra on those values, filed back into blocks.  The
+Fock-Schwinger condition A + B = 0 is the radial gauge x . Omega = 0; it
+picks one connection per gauge orbit, which splitting._walk solves from a
+delta datum in one pass over its entries.
 """
 
 from __future__ import annotations
 
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Value
+from .scalars import ZERO, Value
 from .splitting import _solve_blocks
 from .upoly import hypotenuse_pullback
 
@@ -106,44 +110,25 @@ class GaugeTransformation(Value):
         return cls(hodge, {})
 
     def inverse(self):
-        """g^{-1} = sum_k (1 - g)^k, which ends once its blocks pass the
-        weight spread."""
-        K = {}
-        term = N = {k: -M for k, M in self.C.items()}
-        while term:
-            K = _combine((ONE, K), (ONE, term))
-            term = _product(self.hodge, term, N)
-        return GaugeTransformation(self.hodge, K)
+        """g^{-1}: at (1, 1) the inverse of 1 + c, for c the value of the
+        blocks."""
+        one = Matrix.identity(self.hodge.dim)
+        G = one + _value(self.hodge, self.C)
+        return GaugeTransformation(self.hodge, _blocks(self.hodge, G.inverse() - one))
 
     def compose(self, other):
-        """Pointwise product; apply_gauge(apply_gauge(C, g), h) equals
-        apply_gauge(C, g.compose(h))."""
-        return GaugeTransformation(self.hodge, _combine(
-            (ONE, self.C), (ONE, other.C),
-            (ONE, _product(self.hodge, self.C, other.C))))
+        """Pointwise product, at (1, 1) (1 + c)(1 + c') - 1 = c + c' + cc';
+        apply_gauge(apply_gauge(C, g), h) equals apply_gauge(C, g.compose(h))."""
+        c, d = _value(self.hodge, self.C), _value(self.hodge, other.C)
+        return GaugeTransformation(self.hodge, _blocks(self.hodge, c + d + c @ d))
 
 
-def _combine(*terms):
-    """sum of c X over the (c, X) pairs, zero blocks dropped."""
-    out = {}
-    for c, X in terms:
-        for k, M in X.items():
-            out[k] = out[k] + M.scale(c) if k in out else M.scale(c)
-    return {k: M for k, M in out.items() if not M.is_zero()}
-
-
-def _product(hodge, X, Y):
-    """XY: block (p, q) of X times block (r, s) of Y lands at (p + r, q + s),
-    the bidegree of each of its entries, so the block sums multiply once."""
-    n, degrees = hodge.dim, hodge.bidegrees()
-
-    def total(Z):
-        # entry (i, j) of the block sum, read off the block of its bidegree
-        return Matrix._of(tuple(tuple(Z[pq].rows[i][j] if pq in Z else ZERO
-                                      for j, pq in enumerate(row))
-                                for i, row in enumerate(degrees)), n)
-
-    return _blocks(hodge, total(X) @ total(Y))
+def _value(hodge, X):
+    """The value at (1, 1) of the blocks X: entry (i, j) is read off the
+    block of its bidegree."""
+    return Matrix._of(tuple(tuple(X[pq].rows[i][j] if pq in X else ZERO
+                                  for j, pq in enumerate(row))
+                            for i, row in enumerate(hodge.bidegrees())), hodge.dim)
 
 
 def _blocks(hodge, M):
@@ -155,9 +140,12 @@ def _blocks(hodge, M):
             for pq in {d for row, ds in rows for x, d in zip(row, ds) if x}}
 
 
-def _derivative(X, k):
-    """d1 (k = 0) or d2 (k = 1) of the blocks X: block (p, q) times p or q."""
-    return {pq: M.scale(pq[k]) for pq, M in X.items()}
+def _degree(hodge, M, k):
+    """d1 (k = 0) or d2 (k = 1) on values at (1, 1): entry (i, j) times the
+    p or q of its bidegree (p, q)."""
+    return Matrix._of(tuple(tuple(x * d[k] if x else ZERO
+                                  for x, d in zip(row, ds))
+                            for row, ds in zip(M.rows, hodge.bidegrees())), hodge.dim)
 
 
 def connection_form(C):
@@ -188,9 +176,10 @@ def curvature(C):
     each, and each commutator block has p + q >= 2d > d, where d is the
     least p + q over the nonzero blocks: so a least block cannot cancel.
     """
-    return _combine((ONE, _derivative(C.B, 0)), (-ONE, _derivative(C.A, 1)),
-                    (-ONE, _product(C.hodge, C.A, C.B)),
-                    (ONE, _product(C.hodge, C.B, C.A)))
+    hodge = C.hodge
+    P, Q = _value(hodge, C.A), _value(hodge, C.B)
+    return _blocks(hodge, _degree(hodge, Q, 0) - _degree(hodge, P, 1)
+                   - (P @ Q - Q @ P))
 
 
 def apply_gauge(C, g):
@@ -200,10 +189,10 @@ def apply_gauge(C, g):
     hodge = C.hodge
     if hodge != g.hodge:
         raise AdmissibilityError("connection and gauge on different spaces")
-    one = {(0, 0): Matrix.identity(hodge.dim)}
-    G, H = {**one, **g.C}, {**one, **g.inverse().C}
-    A, B = (_product(hodge, H, _combine((ONE, _product(hodge, form, G)),
-                                        (-ONE, _derivative(g.C, k))))
+    c = _value(hodge, g.C)
+    G = Matrix.identity(hodge.dim) + c
+    H = G.inverse()
+    A, B = (_blocks(hodge, H @ (_value(hodge, form) @ G - _degree(hodge, c, k)))
             for k, form in enumerate((C.A, C.B)))
     return EquivariantConnection(hodge, A, B)
 
@@ -213,8 +202,8 @@ def normalize_fock_schwinger(C):
 
     A + B = 0 is x . Omega = 0: flat sections are constant on rays from the
     origin.  The change by g transports by g(b)^{-1} T g(a), which is 1 from
-    the origin for g(t) = T(0 -> t); block (p, q) of g carries t1^p t2^q, so
-    each entry of T(0 -> (1, 1)) goes to the block of its bidegree.  A gauge
+    the origin for g(t) = T(0 -> t).  Its value at (1, 1) is T(0 -> (1, 1)),
+    so its blocks are those of T(0 -> (1, 1)) - 1.  A gauge
     is 1 on both axes, so it keeps the triangle holonomy: the normal form is
     the one Fock-Schwinger connection with that delta.
     """
@@ -223,7 +212,7 @@ def normalize_fock_schwinger(C):
 
     T = transport_segment(C, (0, 0), (1, 1))
     return connection_from_delta(triangle_delta(C)), GaugeTransformation(
-        C.hodge, {pq: M for pq, M in _blocks(C.hodge, T).items() if pq != (0, 0)})
+        C.hodge, _blocks(C.hodge, T - Matrix.identity(C.hodge.dim)))
 
 
 def connection_from_delta(dobj):

@@ -17,7 +17,7 @@ complex ones of realize_real(V), once stability is checked entry by entry.
 
 from __future__ import annotations
 
-from .connection import connection_from_delta
+from .connection import _value, connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import GrStructure, realize_real
 from .scalars import ZERO, Scalar, Value
@@ -45,12 +45,6 @@ class TwoTermComplex(Value):
         return (len(self.domain_labels) - rank, len(self.codomain_labels) - rank)
 
 
-def _entries(blocks):
-    # the nonzero entries of coefficient blocks, keyed by ((p, q), i, j)
-    return {(pq, i, j): x for pq, M in blocks.items()
-            for i, row in enumerate(M.rows) for j, x in enumerate(row) if x}
-
-
 def invariant_complex(C):
     """The invariant two-term complex of an admissible connection.
 
@@ -69,9 +63,10 @@ def invariant_complex(C):
                 cod.append((i, -p - da, -q - db, slot))
                 rows.append([ZERO] * len(dom))
                 rows[-1][col[i]] = Scalar(-da * p - db * q)
-        for (_, j, i), x in _entries(blocks).items():
-            if i in col:
-                rows[row[j]][col[i]] = -x
+        for j, entries in enumerate(_value(C.hodge, blocks).rows):
+            for i, x in enumerate(entries):
+                if x and i in col:
+                    rows[row[j]][col[i]] = -x
     return TwoTermComplex(dom, cod, Matrix._of(tuple(map(tuple, rows)), len(dom)))
 
 
@@ -104,7 +99,8 @@ def real_absolute_cohomology(V):
     The conjugation swaps the monomial labels (a, b) <-> (b, a) and the two
     1-form slots, through x -> S conj(x) on the graded pieces; the complex
     commutes with it exactly when A_{p,q} = S conj(B_{q,p}) S, that is
-    A_{p,q}[i,j] = conj B_{q,p}[s(i), s(j)] on the nonzero entries.  W is
+    A_{p,q}[i,j] = conj B_{q,p}[s(i), s(j)], on the values at (1, 1) A[i,j]
+    = conj B[s(i), s(j)].  W is
     rational, so conjugation acts entrywise on adapted coordinates and keeps
     echelon forms reduced: it carries the canonical basis of the (p, q)
     graded piece onto that of the (q, p) one (checked), and S permutes by
@@ -118,7 +114,8 @@ def real_absolute_cohomology(V):
                                  "at %r" % ((p, q),))
     s = _block_swap(gr.hodge)
     C = connection_from_delta(delta_operator(gr))
-    if _entries(C.A) != {((q, p), s[i], s[j]): x.conjugate()
-                         for ((p, q), i, j), x in _entries(C.B).items()}:
+    A, B = (_value(gr.hodge, X).rows for X in (C.A, C.B))
+    if any(x != B[s[i]][s[j]].conjugate()
+           for i, row in enumerate(A) for j, x in enumerate(row)):
         raise InvariantError("connection is not conjugation-stable")
     return invariant_complex(C).cohomology_dims()

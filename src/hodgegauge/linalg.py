@@ -98,7 +98,7 @@ class Matrix(Value):
             raise DimensionMismatch("matrix shapes %r vs %r" % (self.shape, other.shape))
         return Matrix._of(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+                tuple(a + b if a and b else a or b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
             ),
             self.ncols,

@@ -419,6 +419,35 @@ def test_curvature_is_gauge_covariant():
             @ gauge_matrix(g))
 
 
+def test_the_gauge_layer_multiplies_values_a_fixed_number_of_times(monkeypatch):
+    # each operation is matrix algebra on values at (1, 1): its count of
+    # products and inverses does not grow with the weight spread
+    calls = []
+
+    def counted(f):
+        def call(*args):
+            calls.append(f)
+            return f(*args)
+        return call
+
+    matmul, inverse = Matrix.__matmul__, Matrix.inverse
+    monkeypatch.setattr(Matrix, "__matmul__", counted(matmul))
+    monkeypatch.setattr(Matrix, "inverse", counted(inverse))
+
+    def count(f, *args):
+        calls.clear()
+        f(*args)
+        return calls.count(matmul), calls.count(inverse)
+
+    for d in (t3_delta(2, 5), chain_delta(16), chain_delta(24)):
+        C = connection_from_delta(d)
+        g = random_gauge(d.hodge, random.Random(1))
+        assert count(apply_gauge, C, g) == (4, 1)
+        assert count(curvature, apply_gauge(C, g)) == (2, 0)
+        assert count(g.compose, g) == (1, 0)
+        assert count(g.inverse) == (0, 1)
+
+
 def _gaussian_connections(rng, count):
     """Seeded admissible connections with A + B != 0 and Gaussian entries,
     dim <= 6: the blocks of two random gauges, at every drop up to the
@@ -483,7 +512,7 @@ def test_normal_form_gauge_is_the_ray_transport():
 
 def test_normal_form_takes_no_gauge_action_or_product(monkeypatch):
     # the normal form and its gauge are read off the transport walk, with
-    # no gauge action, composition or block product
+    # no gauge action, composition, matrix product or inverse
     cases = _normal_form_cases()
     expected = [normalize_fock_schwinger(C) for C in cases]
 
@@ -491,6 +520,7 @@ def test_normal_form_takes_no_gauge_action_or_product(monkeypatch):
         raise AssertionError("the normal form took a gauge action or product")
 
     monkeypatch.setattr(connection, "apply_gauge", refuse)
-    monkeypatch.setattr(connection, "_product", refuse)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(Matrix, "inverse", refuse)
     monkeypatch.setattr(GaugeTransformation, "compose", refuse)
     assert [normalize_fock_schwinger(C) for C in cases] == expected

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from operator import neg
+from operator import add, neg, sub
 
 import pytest
 
@@ -135,10 +135,11 @@ def test_solve_left():
 
 def test_entrywise_maps_keep_zero_entries():
     # -M, M.scale(c) and M.conjugate() map each nonzero entry and leave each
-    # zero entry as the shared ZERO, on the blocks a connection is made of
+    # zero entry as the shared ZERO, on the blocks a connection is made of;
+    # M + N and M - N add entry by entry and leave ZERO where both are zero
     deltas = fixture_deltas() + [chain_delta(16)]
-    blocks = [M for C in map(connection_from_delta, deltas)
-              for M in (*C.A.values(), *C.B.values())]
+    connections = list(map(connection_from_delta, deltas))
+    blocks = [M for C in connections for M in (*C.A.values(), *C.B.values())]
     assert len(blocks) > 2 * len(deltas)
     maps = [(neg, lambda M: -M), (Scalar.conjugate, Matrix.conjugate)]
     for c in (Scalar(Fraction(-2, 3)), Scalar(1, -3), Scalar(0, 1)):
@@ -152,6 +153,17 @@ def test_entrywise_maps_keep_zero_entries():
                     assert y == f(x)
                     if not x:
                         assert y is ZERO
+    for C in connections:
+        same = [*C.A.values(), *C.B.values()]
+        for M, N in zip(same, same[1:] + same[:1]):
+            for f, entrywise in ((add, Matrix.__add__), (sub, Matrix.__sub__)):
+                got = entrywise(M, N)
+                assert got.shape == M.shape
+                for a, b, out in zip(M.rows, N.rows, got.rows):
+                    for x, z, y in zip(a, b, out):
+                        assert y == f(x, z)
+                        if not x and not z:
+                            assert y is ZERO
 
 
 def exp_series(D):
