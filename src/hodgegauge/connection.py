@@ -12,7 +12,9 @@ of a form, gauge or curvature carries the one monomial of its bidegree, so
 the blocks are fixed by their value at (1, 1), a point of the open torus
 orbit: sums, products and inverses commute with taking that value, and d1,
 d2 multiply entry (i, j) by the p, q of its bidegree.  The gauge layer is
-matrix algebra on those values, filed back into blocks.  The
+matrix algebra on those values, filed back into blocks.  A gauge is the
+splitting.DeltaObject of its value G = g(1, 1), whose check is its
+admissibility; the group law is 1, G H and G^{-1}.  The
 Fock-Schwinger condition A + B = 0 is the radial gauge x . Omega = 0; it
 picks one connection per gauge orbit, which splitting._walk solves from a
 delta datum in one pass over its entries.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from .linalg import Matrix
 from .scalars import ZERO, Value
-from .splitting import _solve_blocks
+from .splitting import DeltaObject, _solve_blocks
 from .upoly import hypotenuse_pullback
 
 
@@ -51,15 +53,17 @@ def _weight_spread(hodge):
 
 
 class EquivariantConnection(Value):
-    """Hodge numbers plus the coefficient maps A, B keyed by (p, q)."""
+    """Hodge numbers plus the coefficient maps A, B keyed by (p, q); a
+    caller that has read hodge.bidegrees() passes it on as bidegrees."""
 
     __slots__ = ("hodge", "A", "B")
 
-    def __init__(self, hodge, A, B):
+    def __init__(self, hodge, A, B, bidegrees=None):
         A = {k: v for k, v in A.items() if not v.is_zero()}
         B = {k: v for k, v in B.items() if not v.is_zero()}
         spread = _weight_spread(hodge)
-        bidegrees = hodge.bidegrees()
+        if bidegrees is None:
+            bidegrees = hodge.bidegrees()
         for coeffs, what in ((A, "A"), (B, "B")):
             for (p, q), M in coeffs.items():
                 if p < 1 or q < 1:
@@ -88,83 +92,46 @@ class EquivariantConnection(Value):
             self.hodge.dim, sorted(self.A), sorted(self.B))
 
 
-class GaugeTransformation(Value):
-    """Unipotent change of frame g = 1 + sum C_{p,q} t1^p t2^q."""
-
-    __slots__ = ("hodge", "C")
-
-    def __init__(self, hodge, C):
-        C = {k: v for k, v in C.items() if not v.is_zero()}
-        bidegrees = hodge.bidegrees()
-        for (p, q), M in C.items():
-            if p < 1 or q < 1:
-                raise AdmissibilityError(
-                    "gauge block at non-lowering (%d, %d)" % (p, q)
-                )
-            _check_block(bidegrees, M, p, q, "C")
-        object.__setattr__(self, "hodge", hodge)
-        object.__setattr__(self, "C", C)
-
-    @classmethod
-    def identity(cls, hodge):
-        return cls(hodge, {})
-
-    def inverse(self):
-        """g^{-1}: at (1, 1) the inverse of 1 + c, for c the value of the
-        blocks."""
-        one = Matrix.identity(self.hodge.dim)
-        G = one + _value(self.hodge, self.C)
-        return GaugeTransformation(self.hodge, _blocks(self.hodge, G.inverse() - one))
-
-    def compose(self, other):
-        """Pointwise product, at (1, 1) (1 + c)(1 + c') - 1 = c + c' + cc';
-        apply_gauge(apply_gauge(C, g), h) equals apply_gauge(C, g.compose(h))."""
-        c, d = _value(self.hodge, self.C), _value(self.hodge, other.C)
-        return GaugeTransformation(self.hodge, _blocks(self.hodge, c + d + c @ d))
-
-
-def _value(hodge, X):
+def _value(bidegrees, X):
     """The value at (1, 1) of the blocks X: entry (i, j) is read off the
-    block of its bidegree."""
+    block of its bidegree, in the table bidegrees = hodge.bidegrees()."""
     return Matrix._of(tuple(tuple(X[pq].rows[i][j] if pq in X else ZERO
                                   for j, pq in enumerate(row))
-                            for i, row in enumerate(hodge.bidegrees())), hodge.dim)
+                            for i, row in enumerate(bidegrees)), len(bidegrees))
 
 
-def _blocks(hodge, M):
+def _blocks(bidegrees, M):
     """M as blocks: entry (i, j) goes to the block of its bidegree."""
-    rows = tuple(zip(M.rows, hodge.bidegrees()))
+    rows = tuple(zip(M.rows, bidegrees))
     return {pq: Matrix._of(tuple(tuple(x if d == pq else ZERO
                                        for x, d in zip(row, ds))
-                                 for row, ds in rows), hodge.dim)
+                                 for row, ds in rows), len(bidegrees))
             for pq in {d for row, ds in rows for x, d in zip(row, ds) if x}}
 
 
-def _degree(hodge, M, k):
+def _degree(bidegrees, M, k):
     """d1 (k = 0) or d2 (k = 1) on values at (1, 1): entry (i, j) times the
     p or q of its bidegree (p, q)."""
-    return Matrix._of(tuple(tuple(x * d[k] if x else ZERO
+    return Matrix._of(tuple(tuple(x * d[k] if x and d[k] else ZERO
                                   for x, d in zip(row, ds))
-                            for row, ds in zip(M.rows, hodge.bidegrees())), hodge.dim)
+                            for row, ds in zip(M.rows, bidegrees)), len(bidegrees))
 
 
 def connection_form(C):
-    """The pair (P, Q) with Omega = P dt1 + Q dt2, as PolyMatrix."""
-    n = C.hodge.dim
-    return _block_form(n, C.A, -1, 0), _block_form(n, C.B, 0, -1)
-
-
-def _block_form(n, blocks, a, b):
-    """sum M t1^(p+a) t2^(q+b) over the blocks (p, q) -> M, in (p, q) order."""
+    """The pair (P, Q) with Omega = P dt1 + Q dt2, as PolyMatrix: an entry x
+    of A's value at bidegree (p, q) is the one term x t1^(p-1) t2^q, of B's
+    the term x t1^p t2^(q-1)."""
     # no command reaches the Poly code, so it loads only when called
     from .poly import Poly, PolyMatrix
 
-    out = PolyMatrix.zeros(2, n, n)
-    for (p, q), M in sorted(blocks.items()):
-        out = out + PolyMatrix.from_scalar_matrix(2, M).scale_poly(
-            Poly.monomial(2, (p + a, q + b))
-        )
-    return out
+    bidegrees = C.hodge.bidegrees()
+
+    def form(X, a, b):
+        return PolyMatrix._of(2, tuple(
+            tuple(Poly._of(2, {(p + a, q + b): x}) for x, (p, q) in zip(row, ds))
+            for row, ds in zip(_value(bidegrees, X).rows, bidegrees)), C.hodge.dim)
+
+    return form(C.A, -1, 0), form(C.B, 0, -1)
 
 
 def curvature(C):
@@ -176,25 +143,27 @@ def curvature(C):
     each, and each commutator block has p + q >= 2d > d, where d is the
     least p + q over the nonzero blocks: so a least block cannot cancel.
     """
-    hodge = C.hodge
-    P, Q = _value(hodge, C.A), _value(hodge, C.B)
-    return _blocks(hodge, _degree(hodge, Q, 0) - _degree(hodge, P, 1)
+    bidegrees = C.hodge.bidegrees()
+    P, Q = _value(bidegrees, C.A), _value(bidegrees, C.B)
+    return _blocks(bidegrees, _degree(bidegrees, Q, 0) - _degree(bidegrees, P, 1)
                    - (P @ Q - Q @ P))
 
 
 def apply_gauge(C, g):
     """Omega -> g^{-1} Omega g - g^{-1} dg: the connection whose flat
     sections are g^{-1} times those of C, so its transport from a to b is
-    g(b)^{-1} T g(a)."""
+    g(b)^{-1} T g(a).  The gauge g is the DeltaObject of its value G at
+    (1, 1), where dg is the d1 or d2 of G."""
     hodge = C.hodge
     if hodge != g.hodge:
         raise AdmissibilityError("connection and gauge on different spaces")
-    c = _value(hodge, g.C)
-    G = Matrix.identity(hodge.dim) + c
+    bidegrees = hodge.bidegrees()
+    G = g.delta
     H = G.inverse()
-    A, B = (_blocks(hodge, H @ (_value(hodge, form) @ G - _degree(hodge, c, k)))
+    A, B = (_blocks(bidegrees,
+                    H @ (_value(bidegrees, form) @ G - _degree(bidegrees, G, k)))
             for k, form in enumerate((C.A, C.B)))
-    return EquivariantConnection(hodge, A, B)
+    return EquivariantConnection(hodge, A, B, bidegrees)
 
 
 def normalize_fock_schwinger(C):
@@ -202,17 +171,16 @@ def normalize_fock_schwinger(C):
 
     A + B = 0 is x . Omega = 0: flat sections are constant on rays from the
     origin.  The change by g transports by g(b)^{-1} T g(a), which is 1 from
-    the origin for g(t) = T(0 -> t).  Its value at (1, 1) is T(0 -> (1, 1)),
-    so its blocks are those of T(0 -> (1, 1)) - 1.  A gauge
-    is 1 on both axes, so it keeps the triangle holonomy: the normal form is
-    the one Fock-Schwinger connection with that delta.
+    the origin for g(t) = T(0 -> t), so the gauge is the DeltaObject of
+    T(0 -> (1, 1)), as triangle_delta is of the triangle's transport.  A
+    gauge is 1 on both axes, so it keeps the triangle holonomy: the normal
+    form is the one Fock-Schwinger connection with that delta.
     """
     # holonomy imports this module, so it loads only when called
     from .holonomy import transport_segment, triangle_delta
 
-    T = transport_segment(C, (0, 0), (1, 1))
-    return connection_from_delta(triangle_delta(C)), GaugeTransformation(
-        C.hodge, _blocks(C.hodge, T - Matrix.identity(C.hodge.dim)))
+    return connection_from_delta(triangle_delta(C)), DeltaObject(
+        C.hodge, transport_segment(C, (0, 0), (1, 1)))
 
 
 def connection_from_delta(dobj):

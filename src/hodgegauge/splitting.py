@@ -14,7 +14,10 @@ and transports along a path from the transport so far.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .linalg import (
+    _NO_IM,
     InvariantError,
     Matrix,
     Subspace,
@@ -26,6 +29,7 @@ from .linalg import (
     _pick,
     _position,
     _primitive,
+    _scale,
     _solve,
     _units,
 )
@@ -78,25 +82,46 @@ def _adapted_pieces(gr, side):
     return out
 
 
+def _times(x, rows, n):
+    # the integer row sum_k x_k rows_k on n coordinates, for x an integer
+    # row (re, im) of coefficients: (a + bi)(c + di) entry by entry
+    re, im = [0] * n, [0] * n
+    for a, b, (cr, ci) in zip(x[0], x[1] or _NO_IM, rows):
+        if a or b:
+            for j, c, d in zip(range(n), cr, ci or _NO_IM):
+                re[j] += a * c - b * d
+                im[j] += a * d + b * c
+    return tuple(re), tuple(im) if any(im) else None
+
+
 def splitting_subspaces(gr, side):
     """The bigraded splitting pieces I^{p,q} of the validated structure gr.V;
     side is "Fp" or "Fpp".
 
     The "Fp" splitting is compatible with W and F' on the nose and with F''
-    only modulo lower weight; "Fpp" is the mirror image.
+    only modulo lower weight; "Fpp" is the mirror image.  A piece's integer
+    rows over the W-adapted basis, each W row over its pivot d, are written
+    in K^n through the W rows scaled by m / d, m the lcm of the pivots:
+    each comes out m times its vector, so the span is the piece.
     """
+    m = lcm(*(d for _, _, d in gr._w))
+    basis = [_scale((re, im), m // d) for re, im, d in gr._w]
     return {
-        pq: Subspace.from_rows(gr.V.n, (piece.basis @ gr.basis).rows)
+        pq: Subspace._span(gr.V.n, [_times(x, basis, gr.V.n) for x in piece.rows])
         for pq, piece in _adapted_pieces(gr, side).items()
     }
 
 
 class DeltaObject(Value):
-    """Hodge numbers together with the comparison matrix on the graded space.
+    """Hodge numbers together with a unipotent matrix on the graded space.
 
     The matrix is written in the canonical block basis.  Diagonal blocks are
     identities; a block (p', q') <- (p, q) may be nonzero only when p' < p
-    and q' < q.
+    and q' < q.  It has three roles: delta, the comparison of the two
+    splittings (delta_operator); a holonomy, the transport around the
+    triangle (holonomy.triangle_delta); and a gauge g, as its value
+    g(1, 1), whose entry (i, j) off the diagonal carries the monomial
+    t1^p t2^q of its bidegree (p, q) (connection.apply_gauge).
     """
 
     __slots__ = ("hodge", "delta")

@@ -13,8 +13,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hodgegauge.connection import (
     EquivariantConnection,
-    GaugeTransformation,
-    _block_form,
     _weight_spread,
     connection_form,
     connection_from_delta,
@@ -716,39 +714,41 @@ def picard_transport(C, a, b):
 
 
 # The gauge layer on dense polynomial matrices, in the transport's
-# convention d - Omega: the reference the block dicts of
-# ``hodgegauge.connection`` are tested against.
+# convention d - Omega: the reference the values of ``hodgegauge.connection``
+# are tested against.  A gauge is the DeltaObject of its value at (1, 1).
 
 
 def random_gauge(hodge, rng):
     """A seeded admissible gauge: each lowering entry below the weight
-    spread set with probability 0.6 to a + b*i, a in -3..3, b in -1..1;
-    the gauges of acceptance criteria 04 and 08."""
+    spread set with probability 0.6 to a + b*i, a in -3..3, b in -1..1,
+    drawn by bidegree (p, q) and then by entry (i, j); the gauges of
+    acceptance criteria 04 and 08."""
     owner = hodge.block_of_index()
     ws = hodge.weights()
     spread = ws[-1] - ws[0]
     n = hodge.dim
-    C = {}
+    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for p in range(1, spread):
         for q in range(1, spread - p + 1):
-            rows = [[ZERO] * n for _ in range(n)]
-            hit = False
             for i in range(n):
                 for j in range(n):
                     if owner[i] == (owner[j][0] - p, owner[j][1] - q):
                         if rng.random() < 0.6:
-                            x = Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
-                            rows[i][j] = x
-                            hit = hit or bool(x)
-            if hit:
-                C[(p, q)] = Matrix(rows)
-    return GaugeTransformation(hodge, C)
+                            rows[i][j] = Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
+    return DeltaObject(hodge, Matrix(rows))
 
 
 def gauge_matrix(g):
-    """g as a polynomial matrix in (t1, t2)."""
-    n = g.hodge.dim
-    return PolyMatrix.identity(2, n) + _block_form(n, g.C, 0, 0)
+    """g as a polynomial matrix in (t1, t2): entry (i, j) of its value at
+    (1, 1) times t1^p t2^q, for (p, q) the bidegree of the entry."""
+    return PolyMatrix(2, [[Poly.monomial(2, pq, x) for x, pq in zip(row, ds)]
+                          for row, ds in zip(g.delta.rows, g.hodge.bidegrees())])
+
+
+def gauge_blocks(g):
+    """The blocks C_{p,q} of g = 1 + sum C_{p,q} t1^p t2^q."""
+    G = gauge_matrix(g)
+    return {pq: G.coefficient_matrix(pq) for pq in G.support() if pq != (0, 0)}
 
 
 def gauge_inverse_matrix(g):
@@ -764,8 +764,11 @@ def gauge_inverse_matrix(g):
 
 
 def _gauge_of(hodge, G):
-    return GaugeTransformation(hodge, {
-        pq: G.coefficient_matrix(pq) for pq in G.support() if pq != (0, 0)})
+    """The gauge whose polynomial matrix is G, which must be the matrix of
+    its value at (1, 1)."""
+    g = DeltaObject(hodge, G.eval((ONE, ONE)))
+    assert gauge_matrix(g) == G
+    return g
 
 
 def reference_compose(g, h):
@@ -795,20 +798,30 @@ def reference_curvature(C):
     return Q.diff(0) - P.diff(1) - P.commutator(Q)
 
 
+def curvature_matrix(n, F):
+    """The curvature blocks F as a polynomial matrix: block (p, q) carries
+    t1^(p-1) t2^(q-1)."""
+    out = PolyMatrix.zeros(2, n, n)
+    for (p, q), M in F.items():
+        out = out + PolyMatrix.from_scalar_matrix(2, M).scale_poly(
+            Poly.monomial(2, (p - 1, q - 1)))
+    return out
+
+
 def reference_normalize(C):
     """Fock-Schwinger normal form and gauge, level by level on d = p + q
     with C_{p,q} = (A + B)_{p,q} / d, on the polynomial route."""
     hodge = C.hodge
+    one = Matrix.identity(hodge.dim)
     zero = Matrix.zeros(hodge.dim, hodge.dim)
-    current, total = C, GaugeTransformation.identity(hodge)
+    current, total = C, DeltaObject(hodge, one)
     for d in range(2, _weight_spread(hodge) + 1):
-        Cd = {}
+        c = zero
         for p in range(1, d):
             S = current.A.get((p, d - p), zero) + current.B.get((p, d - p), zero)
-            if not S.is_zero():
-                Cd[(p, d - p)] = S.scale(ONE / d)
-        if Cd:
-            g = GaugeTransformation(hodge, Cd)
+            c = c + S.scale(ONE / d)
+        if not c.is_zero():
+            g = DeltaObject(hodge, one + c)
             current = reference_apply_gauge(current, g)
             total = reference_compose(total, g)
     return current, total
@@ -816,10 +829,7 @@ def reference_normalize(C):
 
 def gauge_at(g, x):
     """The matrix g(x) at a point x of the plane."""
-    M = Matrix.identity(g.hodge.dim)
-    for (p, q), B in g.C.items():
-        M = M + B.scale(x[0] ** p * x[1] ** q)
-    return M
+    return gauge_matrix(g).eval(x)
 
 
 def coords(gr, rows):

@@ -159,7 +159,7 @@ def test_criterion_04_gauge_uniqueness(capsys):
         b, _ = normalize_fock_schwinger(C)
         ok = ok and a == b
         again, gid = normalize_fock_schwinger(b)
-        ok = ok and again == b and not gid.C
+        ok = ok and again == b and gid.delta == Matrix.identity(b.hodge.dim)
         if not ok:
             break
     report(4, "gauge-uniqueness", ok, capsys)

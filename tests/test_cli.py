@@ -13,7 +13,7 @@ import pytest
 from conftest import chain_delta, fixture_dir, mat, unchecked_delta
 from hodgegauge import cli
 from hodgegauge.connection import (
-    GaugeTransformation, apply_gauge, connection_from_delta,
+    apply_gauge, connection_from_delta,
 )
 from hodgegauge.documents import MAX_DIM, MAX_SPAN, _matrix_out, serialize
 from hodgegauge.fixtures import t3_delta
@@ -21,7 +21,7 @@ from hodgegauge.freelie import TT_ALPHABET, LiePolynomial, format_rational
 from hodgegauge.holonomy import triangle_delta
 from hodgegauge.linalg import Matrix
 from hodgegauge.scalars import Scalar
-from hodgegauge.splitting import delta_to_mhs
+from hodgegauge.splitting import DeltaObject, delta_to_mhs
 
 
 def run(argv):
@@ -599,7 +599,7 @@ def test_a_connection_off_fock_schwinger(tmp_path, monkeypatch):
     # a gauge change of the shipped connection has A + B != 0: connect
     # reports the violation, and holonomy transports its own A and B
     C = connection_from_delta(t3_delta(2, 5))
-    g = GaugeTransformation(C.hodge, {(1, 1): mat([[0, 2, 0], [0, 0, -1], [0, 0, 0]])})
+    g = DeltaObject(C.hodge, mat([[1, 2, 0], [0, 1, -1], [0, 0, 1]]))
     G = apply_gauge(C, g)
     assert any(G.B.get(pq) != -M for pq, M in G.A.items())
     monkeypatch.chdir(tmp_path)

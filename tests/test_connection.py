@@ -5,8 +5,10 @@ import pytest
 
 from conftest import (
     chain_delta,
+    curvature_matrix,
     fixture_deltas,
     gauge_at,
+    gauge_blocks,
     gauge_inverse_matrix,
     gauge_matrix,
     mat,
@@ -21,8 +23,6 @@ from hodgegauge import connection, holonomy, linalg
 from hodgegauge.connection import (
     AdmissibilityError,
     EquivariantConnection,
-    GaugeTransformation,
-    _block_form,
     apply_gauge,
     connection_form,
     connection_from_delta,
@@ -36,10 +36,13 @@ from hodgegauge.linalg import Matrix
 from hodgegauge.mhs import GrStructure, HodgeNumbers, tensor_mhs
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, Scalar, ZERO
-from hodgegauge.splitting import DeltaObject, delta_operator, log_delta_components
+from hodgegauge.splitting import (
+    DeltaError, DeltaObject, delta_operator, log_delta_components,
+)
 
 KH = HodgeNumbers({(0, 0): 1, (-1, -1): 1})
 E = mat([[0, 1], [0, 0]])  # sends the weight-0 line to the weight-(-2) line
+ONE_2 = Matrix.identity(2)
 
 
 def k_connection(a):
@@ -111,16 +114,16 @@ def test_curvature_commutator_sign():
     C = EquivariantConnection(h3, {(1, 1): X}, {(1, 1): Y})
     F = curvature(C)
     assert F == {(1, 1): Y - X, (2, 2): mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])}
-    assert _block_form(3, F, -1, -1) == reference_curvature(C)
+    assert curvature_matrix(3, F) == reference_curvature(C)
 
 
 def test_apply_gauge_identity():
     C = k_connection(2)
-    assert apply_gauge(C, GaugeTransformation.identity(KH)) == C
+    assert apply_gauge(C, DeltaObject(KH, ONE_2)) == C
 
 
 def test_gauge_of_zero_connection():
-    g = GaugeTransformation(KH, {(1, 1): E})
+    g = DeltaObject(KH, ONE_2 + E)
     # -g^{-1} dg for g = 1 + E t1 t2: E^2 = 0, so A = B = -E
     out = apply_gauge(EquivariantConnection.zero(KH), g)
     assert out.A == {(1, 1): -E}
@@ -131,21 +134,37 @@ def test_gauge_composition_is_matrix_product():
     h3 = HodgeNumbers({(0, 0): 1, (-1, -1): 1, (-2, -2): 1})
     n1 = mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     n2 = mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    g1 = GaugeTransformation(h3, {(1, 1): n1})
-    g2 = GaugeTransformation(h3, {(2, 2): n2})
+    one = Matrix.identity(3)
+    g1 = DeltaObject(h3, one + n1)
+    g2 = DeltaObject(h3, one + n2)
     d = t3_delta(1, 1)
     C = connection_from_delta(d)
     left = apply_gauge(apply_gauge(C, g1), g2)
-    right = apply_gauge(C, g1.compose(g2))
+    right = apply_gauge(C, DeltaObject(h3, g1.delta @ g2.delta))
     assert left == right
 
 
 def test_gauge_inverse_matrix():
-    g = GaugeTransformation(KH, {(1, 1): E})
-    assert g.inverse() == GaugeTransformation(KH, {(1, 1): -E})
-    assert g.compose(g.inverse()) == GaugeTransformation.identity(KH)
-    assert gauge_matrix(g) @ gauge_matrix(g.inverse()) == PolyMatrix.identity(2, 2)
-    assert gauge_matrix(g.inverse()) == gauge_inverse_matrix(g)
+    g = DeltaObject(KH, ONE_2 + E)
+    inverse = DeltaObject(KH, g.delta.inverse())
+    assert inverse == DeltaObject(KH, ONE_2 - E)
+    assert g.delta @ inverse.delta == ONE_2
+    assert gauge_matrix(g) @ gauge_matrix(inverse) == PolyMatrix.identity(2, 2)
+    assert gauge_matrix(inverse) == gauge_inverse_matrix(g)
+
+
+def test_a_gauge_is_refused_unless_its_value_is_unipotent_and_lowering():
+    # a gauge is the DeltaObject of its value at (1, 1), whose check is the
+    # gauge's admissibility
+    h3 = HodgeNumbers({(0, 0): 1, (-1, -1): 1, (-2, -2): 1})
+    with pytest.raises(DeltaError, match="diagonal block at \\(0, 0\\) is not"):
+        DeltaObject(KH, mat([[1, 1], [0, 2]]))
+    with pytest.raises(DeltaError, match="does not lower both indices"):
+        DeltaObject(KH, mat([[1, 0], [1, 1]]))
+    with pytest.raises(DeltaError, match="does not lower both indices"):
+        DeltaObject(HodgeNumbers({(0, 0): 1, (-1, 0): 1}), mat([[1, 1], [0, 1]]))
+    with pytest.raises(DeltaError, match="shape"):
+        DeltaObject(h3, ONE_2 + E)
 
 
 def test_normalize_single_level():
@@ -154,14 +173,14 @@ def test_normalize_single_level():
     half = Scalar(Fraction(1, 2))
     assert Cn.A == {(1, 1): E.scale(half)}
     assert Cn.B == {(1, 1): E.scale(-half)}
-    assert g.C == {(1, 1): E.scale(half)}
+    assert g.delta == ONE_2 + E.scale(half)
 
 
 def test_normalize_idempotent():
     C = k_connection(7)
     Cn, g = normalize_fock_schwinger(C)
     assert Cn == C
-    assert g == GaugeTransformation.identity(KH)
+    assert g == DeltaObject(KH, ONE_2)
 
 
 def test_normalize_gauge_invariant_t3():
@@ -169,7 +188,7 @@ def test_normalize_gauge_invariant_t3():
     C = connection_from_delta(d)
     h3 = C.hodge
     n1 = mat([[0, 2, 0], [0, 0, -1], [0, 0, 0]])
-    g = GaugeTransformation(h3, {(1, 1): n1})
+    g = DeltaObject(h3, Matrix.identity(3) + n1)
     Cn1, _ = normalize_fock_schwinger(apply_gauge(C, g))
     Cn2, _ = normalize_fock_schwinger(C)
     assert Cn1 == Cn2
@@ -252,22 +271,17 @@ def test_random_gauge_normalization_agrees():
         hodge = C.hodge
         owner = hodge.block_of_index()
         spread = hodge.weights()[-1] - hodge.weights()[0]
-        Cg = {}
         n = hodge.dim
+        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         for p in range(1, spread):
             for q in range(1, spread - p + 1):
-                rows = [[ZERO] * n for _ in range(n)]
-                hit = False
                 for i in range(n):
                     for j in range(n):
                         pi, qi = owner[i]
                         pj, qj = owner[j]
                         if (pi, qi) == (pj - p, qj - q) and rng.random() < 0.5:
                             rows[i][j] = Scalar(rng.randint(-2, 2))
-                            hit = hit or bool(rows[i][j])
-                if hit:
-                    Cg[(p, q)] = Matrix(rows)
-        g = GaugeTransformation(hodge, Cg)
+        g = DeltaObject(hodge, Matrix(rows))
         a, _ = normalize_fock_schwinger(apply_gauge(C, g))
         b, _ = normalize_fock_schwinger(C)
         assert a == b
@@ -370,10 +384,10 @@ def _check_against_reference(C, g, h, normalize=True):
     assert G == reference_apply_gauge(C, g)
     if normalize:
         assert normalize_fock_schwinger(G) == reference_normalize(G)
-    assert g.compose(h) == reference_compose(g, h)
-    assert g.inverse() == reference_inverse(g)
+    assert DeltaObject(C.hodge, g.delta @ h.delta) == reference_compose(g, h)
+    assert DeltaObject(C.hodge, g.delta.inverse()) == reference_inverse(g)
     for conn in (C, G):
-        assert _block_form(C.hodge.dim, curvature(conn), -1, -1) == (
+        assert curvature_matrix(C.hodge.dim, curvature(conn)) == (
             reference_curvature(conn))
 
 
@@ -414,8 +428,8 @@ def test_curvature_is_gauge_covariant():
         C = connection_from_delta(d)
         g = random_gauge(d.hodge, rng)
         n = d.hodge.dim
-        assert _block_form(n, curvature(apply_gauge(C, g)), -1, -1) == (
-            gauge_inverse_matrix(g) @ _block_form(n, curvature(C), -1, -1)
+        assert curvature_matrix(n, curvature(apply_gauge(C, g))) == (
+            gauge_inverse_matrix(g) @ curvature_matrix(n, curvature(C))
             @ gauge_matrix(g))
 
 
@@ -444,8 +458,28 @@ def test_the_gauge_layer_multiplies_values_a_fixed_number_of_times(monkeypatch):
         g = random_gauge(d.hodge, random.Random(1))
         assert count(apply_gauge, C, g) == (4, 1)
         assert count(curvature, apply_gauge(C, g)) == (2, 0)
-        assert count(g.compose, g) == (1, 0)
-        assert count(g.inverse) == (0, 1)
+
+
+def test_the_gauge_layer_reads_the_bidegree_table_once(monkeypatch):
+    # apply_gauge and curvature read hodge.bidegrees() once and pass the
+    # table to every helper and to the connection they build
+    cases = [(connection_from_delta(d), random_gauge(d.hodge, random.Random(1)))
+             for d in fixture_deltas() + [t3_delta(2, 5), chain_delta(16)]]
+    calls = []
+    bidegrees = HodgeNumbers.bidegrees
+
+    def counted(self):
+        calls.append(self)
+        return bidegrees(self)
+
+    monkeypatch.setattr(HodgeNumbers, "bidegrees", counted)
+    for C, g in cases:
+        calls.clear()
+        G = apply_gauge(C, g)
+        assert calls == [C.hodge]
+        calls.clear()
+        curvature(G)
+        assert calls == [C.hodge]
 
 
 def _gaussian_connections(rng, count):
@@ -455,8 +489,8 @@ def _gaussian_connections(rng, count):
     out = []
     for _ in range(count):
         hodge = random_delta(rng, max_dim=6).hodge
-        out.append(EquivariantConnection(hodge, random_gauge(hodge, rng).C,
-                                         random_gauge(hodge, rng).C))
+        out.append(EquivariantConnection(hodge, gauge_blocks(random_gauge(hodge, rng)),
+                                         gauge_blocks(random_gauge(hodge, rng))))
     return out
 
 
@@ -522,5 +556,4 @@ def test_normal_form_takes_no_gauge_action_or_product(monkeypatch):
     monkeypatch.setattr(connection, "apply_gauge", refuse)
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     monkeypatch.setattr(Matrix, "inverse", refuse)
-    monkeypatch.setattr(GaugeTransformation, "compose", refuse)
     assert [normalize_fock_schwinger(C) for C in cases] == expected

@@ -16,7 +16,6 @@ from conftest import (
 from hodgegauge import connection, hodgecoh
 from hodgegauge.connection import (
     EquivariantConnection,
-    GaugeTransformation,
     apply_gauge,
     connection_from_delta,
 )
@@ -44,7 +43,7 @@ from hodgegauge.mhs import (
 )
 from hodgegauge.linalg import InvariantError, Matrix
 from hodgegauge.scalars import ONE, ZERO, I, Scalar
-from hodgegauge.splitting import delta_operator
+from hodgegauge.splitting import DeltaObject, delta_operator
 
 
 def euler_bound(hodge):
@@ -144,7 +143,7 @@ def test_additivity_over_direct_sums():
 def test_gauge_invariance():
     conn = connection_from_delta(kummer_delta(Scalar(2)))
     E = mat([[0, 1], [0, 0]])
-    g = GaugeTransformation(conn.hodge, {(1, 1): E})
+    g = DeltaObject(conn.hodge, Matrix.identity(2) + E)
     moved = apply_gauge(conn, g)
     assert invariant_complex(moved).cohomology_dims() == invariant_complex(
         conn
@@ -218,7 +217,7 @@ def test_real_cohomology_applies_the_block_swap(monkeypatch):
     for V in _real_structures():
         gr = GrStructure(realize_real(V))
         s = hodgecoh._block_swap(gr.hodge)
-        A = connection._value(gr.hodge, connection_from_delta(
+        A = connection._value(gr.hodge.bidegrees(), connection_from_delta(
             delta_operator(gr)).A)
         moved += any((s[i], s[j]) != (i, j) for i, row in enumerate(A.rows)
                      for j, x in enumerate(row) if x)

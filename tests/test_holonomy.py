@@ -10,7 +10,6 @@ from conftest import (
 from hodgegauge import holonomy
 from hodgegauge.connection import (
     EquivariantConnection,
-    GaugeTransformation,
     apply_gauge,
     connection_form,
     connection_from_delta,
@@ -206,14 +205,13 @@ def test_nonnilpotent_transport_rejected():
 def _random_gauge(hodge, rng):
     owner = hodge.block_of_index()
     n = hodge.dim
-    blocks = {}
+    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             pq = (owner[j][0] - owner[i][0], owner[j][1] - owner[i][1])
             if pq[0] >= 1 and pq[1] >= 1 and rng.random() < 0.5:
-                rows = blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])
                 rows[i][j] = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
-    return GaugeTransformation(hodge, {pq: Matrix(r) for pq, r in blocks.items()})
+    return DeltaObject(hodge, Matrix(rows))
 
 
 def _delta_on(hodge, rng):

@@ -65,6 +65,7 @@ from hodgegauge.mhs import (
 from hodgegauge.splitting import (
     DeltaError,
     DeltaObject,
+    _adapted_pieces,
     delta_operator,
     delta_to_mhs,
     log_delta_components,
@@ -348,6 +349,26 @@ def test_delta_takes_no_inverse_and_no_graded_coordinates(monkeypatch):
     assert calls == []
     side_matrix_delta(grs[-1])
     assert calls
+
+
+def test_pieces_are_spanned_from_integer_rows(monkeypatch, scalar_arithmetic):
+    # each piece's integer rows over the adapted basis are written in K^n
+    # through the W rows, with no product of Scalar matrices, no Scalar
+    # elimination and no Scalar arithmetic, on every fixture structure
+    grs = [GrStructure(V) for V in _structure_fixtures()]
+    want = [[{pq: Subspace.from_rows(gr.V.n, (piece.basis @ gr.basis).rows)
+              for pq, piece in _adapted_pieces(gr, side).items()}
+             for side in ("Fp", "Fpp")] for gr in grs]
+
+    def refuse(*args):
+        raise AssertionError("the splitting pieces took a Scalar route")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(Subspace, "from_rows", refuse)
+    scalar_arithmetic.clear()
+    assert [[splitting_subspaces(gr, side) for side in ("Fp", "Fpp")]
+            for gr in grs] == want
+    assert scalar_arithmetic == []
 
 
 @pytest.mark.parametrize("side", ["Fp", "Fpp"])

@@ -15,7 +15,6 @@ from conftest import fixture_dir, mat
 from hodgegauge import cli
 from hodgegauge.connection import (
     EquivariantConnection,
-    GaugeTransformation,
     connection_from_delta,
     normalize_fock_schwinger,
 )
@@ -73,7 +72,6 @@ SAMPLES = {
     RealMHS: lambda: real_tate(1),
     DeltaObject: lambda: kummer_delta(2),
     EquivariantConnection: lambda: connection_from_delta(t3_delta(1, 2)),
-    GaugeTransformation: lambda: GaugeTransformation.identity(kummer_delta(2).hodge),
     PolygonalPath: lambda: PolygonalPath(TRIANGLE),
     TwoTermComplex: lambda: invariant_complex(connection_from_delta(kummer_delta(2))),
     P1TransitionMatrix: lambda: _transition(-1),

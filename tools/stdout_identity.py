@@ -30,14 +30,17 @@ the same documents in the same working directory:
   (``--path=-1,0;1/2+1*i,-1;0,-1``);
 - ``connect``, ``holonomy`` and the two ``holonomy --path`` runs on a
   connection document with A + B != 0: the shipped ``connection_t3_2_5``
-  changed by a unipotent gauge with a (1, 1) block.
+  changed by the unipotent gauge 1 + E t1 t2, E = 2 e01 - e12.  Its A and
+  B blocks, computed once by ``apply_gauge``, are written out as literals
+  and built with ``EquivariantConnection`` and ``serialize``, which both
+  trees share.
 
 Stderr is compared by whether it is empty and by its last line, which
 names no path (an exception's text or argparse's error), so a lost
 traceback or warning counts as a difference.  The documents are built
-under the parent tree, the chains and the gauge-changed connection
-included.  The fixtures and corpora are also read or built
-under the change tree, and a document whose bytes differ is reported.
+under the parent tree, the chains included.  The fixtures, corpora and
+the gauge-changed connection are also read or built under the change
+tree, and a document whose bytes differ is reported.
 Prints one line per difference and a summary; exits 1 when anything
 differs, else 0.
 """
@@ -95,19 +98,25 @@ for arg in sys.argv[1:]:
 
 
 # writes gauged_t3_2_5.json to the cwd: connection_from_delta(t3_delta(2, 5))
-# under apply_gauge, so that A + B != 0
+# under the gauge 1 + E t1 t2, E = 2 e01 - e12, so that A + B != 0; the
+# blocks are apply_gauge's, written out
 GAUGED_SCRIPT = """
 import json
-from hodgegauge.connection import (
-    GaugeTransformation, apply_gauge, connection_from_delta)
+from hodgegauge.connection import EquivariantConnection
 from hodgegauge.documents import serialize
-from hodgegauge.fixtures import t3_delta
 from hodgegauge.linalg import Matrix
+from hodgegauge.mhs import HodgeNumbers
 
-C = connection_from_delta(t3_delta(2, 5))
-g = GaugeTransformation(C.hodge, {(1, 1): Matrix([[0, 2, 0], [0, 0, -1], [0, 0, 0]])})
+
+def corner(x, y, z):
+    return Matrix([[0, x, z], [0, 0, y], [0, 0, 0]])
+
+
+C = EquivariantConnection(HodgeNumbers({(-2, -2): 1, (-1, -1): 1, (0, 0): 1}),
+                          {(1, 1): corner(-7, -1, 0), (2, 2): corner(0, 0, 37)},
+                          {(1, 1): corner(3, 3, 0), (2, 2): corner(0, 0, -41)})
 with open("gauged_t3_2_5.json", "w") as fh:
-    json.dump(serialize(apply_gauge(C, g)), fh)
+    json.dump(serialize(C), fh)
 """
 
 
@@ -236,6 +245,13 @@ def chains(cmp, work):
                        ["holonomy", path, "gchain_16_structure.json",
                         "gchain_16_delta.json"], cwd, CHAIN_LIMIT_S)
     _child(cmp.srcs[0], ["-c", GAUGED_SCRIPT], cwd)
+    other = os.path.join(work, "gauged-change")
+    os.makedirs(other)
+    if _child(cmp.srcs[1], ["-c", GAUGED_SCRIPT], other, fatal=False) is None:
+        cmp.differ("gauge-changed connection", "the change fails to build it")
+    elif not filecmp.cmp(*(os.path.join(d, "gauged_t3_2_5.json") for d in (cwd, other)),
+                         shallow=False):
+        cmp.differ("gauge-changed connection", "built differently by the change")
     for argv in (["connect"], ["holonomy"]) + tuple(["holonomy", p] for p in PATHS):
         cmp.invocation("%s on the gauge-changed connection" % " ".join(argv),
                        argv + ["gauged_t3_2_5.json"], cwd)
