@@ -32,13 +32,12 @@ class AdmissibilityError(ValueError):
     """Coefficient block violates the bidegree constraint."""
 
 
-def _check_block(bidegrees, M, p, q, what):
-    n = len(bidegrees)
-    if M.shape != (n, n):
+def _check_block(hodge, M, p, q, what):
+    if M.shape != (hodge.dim, hodge.dim):
         raise AdmissibilityError(
             "%s block at (%d, %d) has shape %r" % (what, p, q, M.shape)
         )
-    for row, degrees in zip(M.rows, bidegrees):
+    for row, degrees in zip(M.rows, hodge.bidegrees()):
         for x, (a, b) in zip(row, degrees):
             if x and (a, b) != (p, q):
                 raise AdmissibilityError(
@@ -53,17 +52,14 @@ def _weight_spread(hodge):
 
 
 class EquivariantConnection(Value):
-    """Hodge numbers plus the coefficient maps A, B keyed by (p, q); a
-    caller that has read hodge.bidegrees() passes it on as bidegrees."""
+    """Hodge numbers plus the coefficient maps A, B keyed by (p, q)."""
 
     __slots__ = ("hodge", "A", "B")
 
-    def __init__(self, hodge, A, B, bidegrees=None):
+    def __init__(self, hodge, A, B):
         A = {k: v for k, v in A.items() if not v.is_zero()}
         B = {k: v for k, v in B.items() if not v.is_zero()}
         spread = _weight_spread(hodge)
-        if bidegrees is None:
-            bidegrees = hodge.bidegrees()
         for coeffs, what in ((A, "A"), (B, "B")):
             for (p, q), M in coeffs.items():
                 if p < 1 or q < 1:
@@ -75,7 +71,7 @@ class EquivariantConnection(Value):
                         "%s block at (%d, %d) exceeds the weight spread %d"
                         % (what, p, q, spread)
                     )
-                _check_block(bidegrees, M, p, q, what)
+                _check_block(hodge, M, p, q, what)
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -92,29 +88,29 @@ class EquivariantConnection(Value):
             self.hodge.dim, sorted(self.A), sorted(self.B))
 
 
-def _value(bidegrees, X):
+def _value(hodge, X):
     """The value at (1, 1) of the blocks X: entry (i, j) is read off the
-    block of its bidegree, in the table bidegrees = hodge.bidegrees()."""
+    block of its bidegree."""
     return Matrix._of(tuple(tuple(X[pq].rows[i][j] if pq in X else ZERO
                                   for j, pq in enumerate(row))
-                            for i, row in enumerate(bidegrees)), len(bidegrees))
+                            for i, row in enumerate(hodge.bidegrees())), hodge.dim)
 
 
-def _blocks(bidegrees, M):
+def _blocks(hodge, M):
     """M as blocks: entry (i, j) goes to the block of its bidegree."""
-    rows = tuple(zip(M.rows, bidegrees))
+    rows = tuple(zip(M.rows, hodge.bidegrees()))
     return {pq: Matrix._of(tuple(tuple(x if d == pq else ZERO
                                        for x, d in zip(row, ds))
-                                 for row, ds in rows), len(bidegrees))
+                                 for row, ds in rows), hodge.dim)
             for pq in {d for row, ds in rows for x, d in zip(row, ds) if x}}
 
 
-def _degree(bidegrees, M, k):
+def _degree(hodge, M, k):
     """d1 (k = 0) or d2 (k = 1) on values at (1, 1): entry (i, j) times the
     p or q of its bidegree (p, q)."""
     return Matrix._of(tuple(tuple(x * d[k] if x and d[k] else ZERO
                                   for x, d in zip(row, ds))
-                            for row, ds in zip(M.rows, bidegrees)), len(bidegrees))
+                            for row, ds in zip(M.rows, hodge.bidegrees())), hodge.dim)
 
 
 def connection_form(C):
@@ -124,12 +120,12 @@ def connection_form(C):
     # no command reaches the Poly code, so it loads only when called
     from .poly import Poly, PolyMatrix
 
-    bidegrees = C.hodge.bidegrees()
+    hodge = C.hodge
 
     def form(X, a, b):
         return PolyMatrix._of(2, tuple(
             tuple(Poly._of(2, {(p + a, q + b): x}) for x, (p, q) in zip(row, ds))
-            for row, ds in zip(_value(bidegrees, X).rows, bidegrees)), C.hodge.dim)
+            for row, ds in zip(_value(hodge, X).rows, hodge.bidegrees())), hodge.dim)
 
     return form(C.A, -1, 0), form(C.B, 0, -1)
 
@@ -143,10 +139,9 @@ def curvature(C):
     each, and each commutator block has p + q >= 2d > d, where d is the
     least p + q over the nonzero blocks: so a least block cannot cancel.
     """
-    bidegrees = C.hodge.bidegrees()
-    P, Q = _value(bidegrees, C.A), _value(bidegrees, C.B)
-    return _blocks(bidegrees, _degree(bidegrees, Q, 0) - _degree(bidegrees, P, 1)
-                   - (P @ Q - Q @ P))
+    hodge = C.hodge
+    P, Q = _value(hodge, C.A), _value(hodge, C.B)
+    return _blocks(hodge, _degree(hodge, Q, 0) - _degree(hodge, P, 1) - (P @ Q - Q @ P))
 
 
 def apply_gauge(C, g):
@@ -157,13 +152,11 @@ def apply_gauge(C, g):
     hodge = C.hodge
     if hodge != g.hodge:
         raise AdmissibilityError("connection and gauge on different spaces")
-    bidegrees = hodge.bidegrees()
     G = g.delta
     H = G.inverse()
-    A, B = (_blocks(bidegrees,
-                    H @ (_value(bidegrees, form) @ G - _degree(bidegrees, G, k)))
+    A, B = (_blocks(hodge, H @ (_value(hodge, form) @ G - _degree(hodge, G, k)))
             for k, form in enumerate((C.A, C.B)))
-    return EquivariantConnection(hodge, A, B, bidegrees)
+    return EquivariantConnection(hodge, A, B)
 
 
 def normalize_fock_schwinger(C):

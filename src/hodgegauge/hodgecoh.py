@@ -50,7 +50,7 @@ def invariant_complex(C):
 
     A label is fixed by its graded index and slot, so each entry of d -
     Omega is written once, at the row and column of its indices."""
-    owner, bidegrees = C.hodge.block_of_index(), C.hodge.bidegrees()
+    owner = C.hodge.block_of_index()
     col = {i: c for c, i in enumerate(
         i for i, (p, q) in enumerate(owner) if p <= 0 and q <= 0)}
     dom = [(i, -owner[i][0], -owner[i][1]) for i in col]
@@ -63,7 +63,7 @@ def invariant_complex(C):
                 cod.append((i, -p - da, -q - db, slot))
                 rows.append([ZERO] * len(dom))
                 rows[-1][col[i]] = Scalar(-da * p - db * q)
-        for j, entries in enumerate(_value(bidegrees, blocks).rows):
+        for j, entries in enumerate(_value(C.hodge, blocks).rows):
             for i, x in enumerate(entries):
                 if x and i in col:
                     rows[row[j]][col[i]] = -x
@@ -114,8 +114,7 @@ def real_absolute_cohomology(V):
                                  "at %r" % ((p, q),))
     s = _block_swap(gr.hodge)
     C = connection_from_delta(delta_operator(gr))
-    bidegrees = gr.hodge.bidegrees()
-    A, B = (_value(bidegrees, X).rows for X in (C.A, C.B))
+    A, B = (_value(gr.hodge, X).rows for X in (C.A, C.B))
     if any(x != B[s[i]][s[j]].conjugate()
            for i, row in enumerate(A) for j, x in enumerate(row)):
         raise InvariantError("connection is not conjugation-stable")

@@ -15,7 +15,8 @@ kept row by cross-multiplication and its content comes out after each step
 kept rows cleared above their pivots by a second _reduce; rank and det read
 its kept rows, Subspace.intersect is one _reduce of the Zassenhaus rows.
 _solve is the one change of coordinates, for solve_left, Matrix.inverse,
-adapted_position, the adapted bases, delta and the dual basis.  Matrix.rref,
+the relative position of two flags, the adapted bases, delta and the dual
+basis.  Matrix.rref,
 rank, det and solve_left convert their Scalars once at entry and once at
 exit.
 """
@@ -36,10 +37,6 @@ _PARTS = attrgetter("_rn", "_rd", "_in", "_id")
 
 class DimensionMismatch(ValueError):
     """Operands live in different ambient spaces."""
-
-
-class NotNilpotentError(ValueError):
-    """A matrix expected to be (uni)potent is not."""
 
 
 class InvariantError(RuntimeError):
@@ -341,22 +338,6 @@ def _solve(A, B, n):
     return out
 
 
-def adapted_position(d, f, g):
-    """The relative position of two decreasing flags on K^d (Fulton, Young
-    Tableaux, ch. 10) from adapted bases f and g, lists of (level, row) with
-    integer rows, levels falling, whose rows of level >= p span the step p:
-    d triples (p, q, row), the rows a basis of K^d, such that F^p ∩ G^q is
-    spanned by the rows of levels >= (p, q).  The rows of f are written in
-    the basis g (one _solve), and each is reduced by the rows before it
-    until its last nonzero coordinate is new.  Then a combination lies in
-    G^q exactly when each of its rows does: when its last coordinate has
-    level >= q.  Only spans matter here, so no row carries a denominator.
-    """
-    coords = _solve([(*r, 1) for _, r in g], [(*r, 1) for _, r in f], d)
-    return _position([q for q, _ in g],
-                     [(p, x, row) for (p, row), x in zip(f, coords)])
-
-
 def _pick(x, idx):
     # the coordinates idx, in order, of x = (xr, xi, c)
     xr, xi, c = x
@@ -364,9 +345,12 @@ def _pick(x, idx):
 
 
 def _position(levels, f):
-    # adapted_position from the rows of f already written in the basis g:
-    # triples (p, (xr, xi, c), row), x @ g = row for x = (xr + xi i) / c, and
-    # the levels of g.  (x | row) is reduced as (xr + xi i | c row)
+    # the relative position of two decreasing flags F, G on K^d (Fulton,
+    # Young Tableaux, ch. 10): d triples (p, q, row), F^p ∩ G^q spanned by
+    # the rows of levels >= (p, q).  From an adapted basis of F written in
+    # an adapted basis g of G, triples (p, (xr, xi, c), row), x @ g = row for
+    # x = (xr + xi i) / c, and the levels of g.  (x | row) is reduced as
+    # (xr + xi i | c row), each row until its last nonzero coordinate is new
     d = len(levels)
     reduced = _reduce((_cat((xr, xi), _scale(row, c)) for _, (xr, xi, c), row in f),
                       range(d - 1, -1, -1))
@@ -425,10 +409,6 @@ class Subspace(Value):
                 "ambient dimensions %d vs %d" % (self.n, other.n)
             )
 
-    def add(self, other):
-        self._check_ambient(other)
-        return Subspace._span(self.n, self.rows + other.rows)
-
     def intersect(self, other):
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
@@ -446,28 +426,7 @@ class Subspace(Value):
         return Subspace._span(n, [_cut(w, n) for j, w in _reduce(rows, range(n))
                                   if j is None])
 
-    def contains(self, other):
-        self._check_ambient(other)
-        reduced = _reduce(self.rows + other.rows, range(self.n))
-        return all(j is None for j, _ in islice(reduced, self.dim, None))
-
     def conjugate(self):
         # the pivots are real, so the rows stay canonical
         return Subspace(self.n, tuple((re, im and tuple(map(neg, im)))
                                       for re, im in self.rows))
-
-
-def log_unipotent(M):
-    """Exact logarithm of a unipotent matrix: sum_{k>=1} (-1)^{k+1} (M-I)^k / k."""
-    n = M.nrows
-    N = M - Matrix.identity(n)
-    acc = Matrix.zeros(n, n)
-    P = N
-    for k in range(1, n + 2):
-        if P.is_zero():
-            return acc
-        sign = ONE if k % 2 == 1 else -ONE
-        acc = acc + P.scale(sign / Scalar(k))
-        P = P @ N
-    raise NotNilpotentError("M - I is not nilpotent")
-

@@ -191,51 +191,55 @@ class Filtration(Value):
 
 
 class HodgeNumbers(Value):
-    """Finite map (p, q) -> h^{p,q} with the canonical block order."""
+    """Finite map (p, q) -> h^{p,q} and the shape of the block basis it
+    fixes, built once as tuples: the blocks in canonical order with their
+    offsets, the owner (p, q) of each index, the bidegree table and the
+    lowering order."""
 
-    __slots__ = ("counts",)
+    __slots__ = ("counts", "_blocks", "_owner", "_bidegrees", "_lowering")
 
     def __init__(self, counts):
         counts = {k: int(v) for k, v in counts.items() if v}
         if any(v < 0 for v in counts.values()):
             raise ValueError("negative hodge number")
-        object.__setattr__(self, "counts", counts)
+        blocks, owner = [], []
+        for pq in sorted(counts, key=lambda pq: (pq[0] + pq[1], pq[0])):
+            blocks.append((pq, len(owner), counts[pq]))
+            owner += [pq] * counts[pq]
+        table = tuple(tuple((pj - pi, qj - qi) for pj, qj in owner)
+                      for pi, qi in owner)
+        lowering = tuple(ij for _, ij in sorted(
+            (a + b, (i, j)) for i, row in enumerate(table)
+            for j, (a, b) in enumerate(row) if a > 0 and b > 0))
+        for name, value in zip(self.__slots__, (
+                counts, tuple(blocks), tuple(owner), table, lowering)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self):
-        return sum(self.counts.values())
+        return len(self._owner)
 
     def blocks(self):
         """Canonical ordering: by weight p+q, then p, with offsets."""
-        order = sorted(self.counts, key=lambda pq: (pq[0] + pq[1], pq[0]))
-        out = []
-        off = 0
-        for pq in order:
-            h = self.counts[pq]
-            out.append((pq, off, h))
-            off += h
-        return out
+        return self._blocks
 
     def block_of_index(self):
         """The (p, q) of each basis index, in the canonical block order."""
-        return [pq for pq, _, h in self.blocks() for _ in range(h)]
+        return self._owner
 
     def bidegrees(self):
         """The table of how far entry (i, j) of an operator in the block
         basis lowers the indices: (p' - p, q' - q) for i in block (p, q) and
         j in block (p', q').  Its (0, 0) entries are the diagonal blocks."""
-        owner = self.block_of_index()
-        return [[(pj - pi, qj - qi) for pj, qj in owner] for pi, qi in owner]
+        return self._bidegrees
 
     def lowering(self):
         """The entries (i, j) that lower both indices, by weight drop, ties
         in (i, j) order: each comes after every entry it factors through."""
-        return [ij for _, ij in sorted(
-            (a + b, (i, j)) for i, row in enumerate(self.bidegrees())
-            for j, (a, b) in enumerate(row) if a > 0 and b > 0)]
+        return self._lowering
 
     def weights(self):
-        return sorted({p + q for (p, q) in self.counts})
+        return tuple(sorted({p + q for (p, q) in self.counts}))
 
     def transpose(self):
         return HodgeNumbers({(q, p): h for (p, q), h in self.counts.items()})
@@ -344,10 +348,11 @@ class AdaptedTriple:
         return Matrix._of(tuple(_scalars(*r) for r in self._w), self.V.n)
 
     def graded(self):
-        """(n, adapted_position of F' and F'' in the chart of Gr^W_n) for
-        each weight n, upward, each computed as it is reached: its triples
-        (p, q, row) name the pieces (p, q) of the chart and their bases.
-        The rows of F' are written in those of F'' once, for every chart."""
+        """(n, the relative position of F' and F'' in the chart of Gr^W_n,
+        linalg._position) for each weight n, upward, each computed as it is
+        reached: its triples (p, q, row) name the pieces (p, q) of the chart
+        and their bases.  The rows of F' are written in those of F'' once,
+        for every chart."""
         x, fpp = self.written_in_other("Fp"), self.rows["Fpp"]
         for n, (lo, hi) in sorted(self.cols.items()):
             g = [i for i, (_, w, _) in enumerate(fpp) if w == n]

@@ -59,7 +59,7 @@ def _adapted_pieces(gr, side):
     dim = gr.V.n
     coords = gr.written_in_other(side)
     out, of_weight = {}, {}
-    for pq in sorted(gr.hodge.counts):
+    for pq, _, _ in gr.hodge.blocks():
         of_weight.setdefault(sum(pq), []).append(pq)
     for n, (lo, hi) in sorted(gr.cols.items()):
         tails = sorted(((level + max(n - w - 1, 0), i) for i, (level, w, _)

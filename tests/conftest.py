@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import settings
@@ -34,9 +34,10 @@ from hodgegauge.linalg import (
     DimensionMismatch,
     InvariantError,
     Matrix,
-    NotNilpotentError,
     Subspace,
-    adapted_position,
+    _position,
+    _reduce,
+    _solve,
     solve_left,
 )
 from hodgegauge import freelie
@@ -72,6 +73,54 @@ def vec(entries):
 
 def span(n, rows):
     return Subspace.from_rows(n, [vec(r) for r in rows])
+
+
+class NotNilpotentError(ValueError):
+    """A matrix expected to be (uni)potent is not."""
+
+
+def log_unipotent(M):
+    """Exact logarithm of a unipotent matrix: sum_{k>=1} (-1)^{k+1} (M-I)^k / k."""
+    n = M.nrows
+    N = M - Matrix.identity(n)
+    acc = Matrix.zeros(n, n)
+    P = N
+    for k in range(1, n + 2):
+        if P.is_zero():
+            return acc
+        sign = ONE if k % 2 == 1 else -ONE
+        acc = acc + P.scale(sign / Scalar(k))
+        P = P @ N
+    raise NotNilpotentError("M - I is not nilpotent")
+
+
+def adapted_position(d, f, g):
+    """The relative position of two decreasing flags on K^d (Fulton, Young
+    Tableaux, ch. 10) from adapted bases f and g, lists of (level, row) with
+    integer rows, levels falling, whose rows of level >= p span the step p:
+    d triples (p, q, row), the rows a basis of K^d, such that F^p ∩ G^q is
+    spanned by the rows of levels >= (p, q).  The rows of f are written in
+    the basis g (one _solve), and each is reduced by the rows before it
+    until its last nonzero coordinate is new.  Then a combination lies in
+    G^q exactly when each of its rows does: when its last coordinate has
+    level >= q.  Only spans matter here, so no row carries a denominator.
+    """
+    coords = _solve([(*r, 1) for _, r in g], [(*r, 1) for _, r in f], d)
+    return _position([q for q, _ in g],
+                     [(p, x, row) for (p, row), x in zip(f, coords)])
+
+
+def subspace_sum(self, other):
+    """U + V, for Subspaces U = self and V = other."""
+    self._check_ambient(other)
+    return Subspace._span(self.n, self.rows + other.rows)
+
+
+def subspace_contains(self, other):
+    """Whether the Subspace self contains the Subspace other."""
+    self._check_ambient(other)
+    reduced = _reduce(self.rows + other.rows, range(self.n))
+    return all(j is None for j, _ in islice(reduced, self.dim, None))
 
 
 def block_basis(gr, pq):
@@ -145,6 +194,39 @@ def fixture_deltas():
                 pass  # a connection document, or no structure
     assert len(deltas) >= 20
     return deltas
+
+
+def fixture_hodge_numbers():
+    """The Hodge numbers of every fixture: a delta or connection document's
+    own, a structure's as it validates."""
+    from hodgegauge import cli
+    from hodgegauge.documents import parse
+
+    out = []
+    for name in sorted(os.listdir(fixture_dir())):
+        with open(os.path.join(fixture_dir(), name)) as fh:
+            obj = parse(json.load(fh))
+        out.append(obj.hodge if hasattr(obj, "hodge") else cli._graded(obj).hodge)
+    return out
+
+
+def reference_shape(counts):
+    """The block order with offsets, the owner of each index, the bidegree
+    table and the lowering order of the Hodge numbers counts, derived on
+    demand as lists, the reference for the fields of HodgeNumbers."""
+    order = sorted(counts, key=lambda pq: (pq[0] + pq[1], pq[0]))
+    blocks = []
+    off = 0
+    for pq in order:
+        h = counts[pq]
+        blocks.append((pq, off, h))
+        off += h
+    owner = [pq for pq, _, h in blocks for _ in range(h)]
+    table = [[(pj - pi, qj - qi) for pj, qj in owner] for pi, qi in owner]
+    lowering = [ij for _, ij in sorted(
+        (a + b, (i, j)) for i, row in enumerate(table)
+        for j, (a, b) in enumerate(row) if a > 0 and b > 0)]
+    return blocks, owner, table, lowering
 
 
 def chain_delta(n):
@@ -291,7 +373,7 @@ def validate_morphism(f, V, Vp):
     for src, dst in ((V.W, Vp.W), (V.Fp, Vp.Fp), (V.Fpp, Vp.Fpp)):
         keys = set(src.jumps()) | set(dst.jumps())
         for k in keys:
-            if not dst.at(k).contains(apply(src.at(k), f)):
+            if not subspace_contains(dst.at(k), apply(src.at(k), f)):
                 return False
     return True
 
@@ -422,10 +504,10 @@ def pairwise_validate(f):
     for a, b in zip(js, js[1:]):
         lo, hi = f.steps[a], f.steps[b]
         if f.direction == f.INC:
-            if not hi.contains(lo):
+            if not subspace_contains(hi, lo):
                 raise FiltrationError("not increasing at %d -> %d" % (a, b))
         else:
-            if not lo.contains(hi):
+            if not subspace_contains(lo, hi):
                 raise FiltrationError("not decreasing at %d -> %d" % (a, b))
     if js:
         top = f.steps[js[-1]]

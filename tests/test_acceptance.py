@@ -18,7 +18,7 @@ from math import comb
 
 import pytest
 
-from conftest import fixture_dir, mat, random_gauge
+from conftest import fixture_dir, mat, random_gauge, subspace_sum
 from hodgegauge.connection import (
     apply_gauge,
     connection_from_delta,
@@ -120,7 +120,7 @@ def test_criterion_02_splitting_contracts(capsys):
                 acc = Subspace.zero(V.n)
                 for pq in pieces:
                     if pq[0] + pq[1] <= n:
-                        acc = acc.add(pieces[pq])
+                        acc = subspace_sum(acc, pieces[pq])
                 ok = ok and acc == V.W.at(n)
             # the side's own filtration is split on the nose
             keys = sorted({pq[0] for pq in hodge.counts} | {pq[1] for pq in hodge.counts})
@@ -128,12 +128,12 @@ def test_criterion_02_splitting_contracts(capsys):
                 acc = Subspace.zero(V.n)
                 for pq in pieces:
                     if select(pq, k):
-                        acc = acc.add(pieces[pq])
+                        acc = subspace_sum(acc, pieces[pq])
                 ok = ok and acc == filt.at(k)
         # the two splittings agree modulo lower weight
         for pq in hodge.counts:
             low = V.W.at(pq[0] + pq[1] - 1)
-            ok = ok and fp[pq].add(low) == fpp[pq].add(low)
+            ok = ok and subspace_sum(fp[pq], low) == subspace_sum(fpp[pq], low)
         if not ok:
             break
     report(2, "splitting-contracts", ok, capsys)

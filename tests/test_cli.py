@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -488,6 +489,16 @@ def test_document_dimension_is_capped(tmp_path, command, make, reason):
     assert _status(command, tmp_path, make(MAX_DIM + 1)) == (
         "malformed", 2, reason % (MAX_DIM + 1, MAX_DIM)
     )
+
+
+def test_a_huge_hodge_number_ends_before_the_block_shape(tmp_path):
+    # HodgeNumbers builds its n x n bidegree table at construction, so the
+    # dimension bound runs before it: a block of dimension 10^9 ends at once
+    doc = {"type": "connection", "hodge": {"0,0": 10 ** 9}, "blocks": []}
+    start = time.process_time()
+    assert _status("connect", tmp_path, doc) == (
+        "malformed", 2, "bad hodge numbers: dimension 1000000000, more than 32")
+    assert time.process_time() - start < 1
 
 
 def test_a_filtration_above_the_dimension_cap_is_malformed(tmp_path):

@@ -19,7 +19,7 @@ from conftest import (
     reference_inverse,
     reference_normalize,
 )
-from hodgegauge import connection, holonomy, linalg
+from hodgegauge import connection, holonomy
 from hodgegauge.connection import (
     AdmissibilityError,
     EquivariantConnection,
@@ -309,7 +309,6 @@ def test_connection_from_delta_is_one_pass(monkeypatch):
 
     for module, name in (
         (holonomy, "transport_segment"),
-        (linalg, "log_unipotent"),
         (connection, "connection_form"),
     ):
         monkeypatch.setattr(module, name, refuse)
@@ -336,7 +335,6 @@ def test_both_sets_of_generators_take_no_matrix_product(monkeypatch):
         raise AssertionError("a generator of delta took a matrix product")
 
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
-    monkeypatch.setattr(linalg, "log_unipotent", refuse)
     for d in deltas:
         log_delta_components(d)
         connection_from_delta(d)
@@ -460,26 +458,49 @@ def test_the_gauge_layer_multiplies_values_a_fixed_number_of_times(monkeypatch):
         assert count(curvature, apply_gauge(C, g)) == (2, 0)
 
 
-def test_the_gauge_layer_reads_the_bidegree_table_once(monkeypatch):
-    # apply_gauge and curvature read hodge.bidegrees() once and pass the
-    # table to every helper and to the connection they build
-    cases = [(connection_from_delta(d), random_gauge(d.hodge, random.Random(1)))
+def test_each_structure_builds_its_shape_once(monkeypatch):
+    # the block order, owners, bidegree table and lowering order are fields
+    # of HodgeNumbers, built at construction: no operation builds one, and
+    # a command builds one per structure it validates
+    from types import SimpleNamespace
+
+    from hodgegauge import cli
+    from hodgegauge.documents import parse, serialize
+    from hodgegauge.splitting import delta_to_mhs
+
+    path = holonomy.PolygonalPath([(0, 0), (2, Fraction(-1, 3)), (-1, 1)])
+    cases = [(connection_from_delta(d), random_gauge(d.hodge, random.Random(1)), d)
              for d in fixture_deltas() + [t3_delta(2, 5), chain_delta(16)]]
-    calls = []
-    bidegrees = HodgeNumbers.bidegrees
+    d = chain_delta(16)
+    structure = parse(serialize(delta_to_mhs(d)), None)
+    delta = parse(serialize(d), None)
+    flags = SimpleNamespace(path=None, point=None)
+    built = []
+    init = HodgeNumbers.__init__
 
-    def counted(self):
-        calls.append(self)
-        return bidegrees(self)
+    def counted(self, counts):
+        built.append(1)
+        init(self, counts)
 
-    monkeypatch.setattr(HodgeNumbers, "bidegrees", counted)
-    for C, g in cases:
-        calls.clear()
-        G = apply_gauge(C, g)
-        assert calls == [C.hodge]
-        calls.clear()
-        curvature(G)
-        assert calls == [C.hodge]
+    monkeypatch.setattr(HodgeNumbers, "__init__", counted)
+    for C, g, dobj in cases:
+        for call, *args in ((apply_gauge, C, g), (curvature, C),
+                            (connection_from_delta, dobj), (triangle_delta, C),
+                            (holonomy.holonomy_path, C, path),
+                            (normalize_fock_schwinger, C)):
+            built.clear()
+            call(*args)
+            assert not built, call.__name__
+    for command, handler in cli._HANDLERS.items():
+        built.clear()
+        handler(structure, flags)
+        assert len(built) == (2 if command == "roundtrip" else 1), command
+        built.clear()
+        try:
+            handler(delta, flags)
+        except cli.Violation:
+            pass
+        assert not built, command
 
 
 def _gaussian_connections(rng, count):

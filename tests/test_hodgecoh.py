@@ -217,8 +217,7 @@ def test_real_cohomology_applies_the_block_swap(monkeypatch):
     for V in _real_structures():
         gr = GrStructure(realize_real(V))
         s = hodgecoh._block_swap(gr.hodge)
-        A = connection._value(gr.hodge.bidegrees(), connection_from_delta(
-            delta_operator(gr)).A)
+        A = connection._value(gr.hodge, connection_from_delta(delta_operator(gr)).A)
         moved += any((s[i], s[j]) != (i, j) for i, row in enumerate(A.rows)
                      for j, x in enumerate(row) if x)
         try:

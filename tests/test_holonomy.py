@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    chain_delta, fixture_deltas, flat_sections_on_line, gauge_matrix, mat,
-    picard, picard_transport, segment_pullback,
+    NotNilpotentError, chain_delta, fixture_deltas, flat_sections_on_line,
+    gauge_matrix, mat, picard, picard_transport, segment_pullback,
 )
 from hodgegauge import holonomy
 from hodgegauge.connection import (
@@ -25,7 +25,7 @@ from hodgegauge.holonomy import (
     transport_segment,
     triangle_delta,
 )
-from hodgegauge.linalg import Matrix, NotNilpotentError
+from hodgegauge.linalg import Matrix
 from hodgegauge.mhs import HodgeNumbers
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, Scalar, ZERO

@@ -16,7 +16,7 @@ from itertools import chain, permutations
 
 import pytest
 
-from conftest import fixture_deltas
+from conftest import fixture_deltas, subspace_sum
 from hodgegauge.linalg import DimensionMismatch, Matrix, Subspace, solve_left
 from hodgegauge.scalars import Scalar
 
@@ -193,7 +193,8 @@ def test_intersect_matches_sympy():
         U, V = random_subspace(rng, n), random_subspace(rng, n)
         if rng.random() < 0.4 and U.dim:
             # share part of U, so that the meet is often neither 0 nor U
-            V = V.add(Subspace.from_rows(n, U.basis.rows[: rng.randint(1, U.dim)]))
+            shared = Subspace.from_rows(n, U.basis.rows[: rng.randint(1, U.dim)])
+            V = subspace_sum(V, shared)
         both = U.basis.rows + V.basis.rows
         want = ()
         if U.dim and V.dim:

@@ -11,6 +11,7 @@ from conftest import (
     conjugate_mhs,
     coords,
     direct_sum_mhs,
+    fixture_hodge_numbers,
     gapped_form,
     gr_coords,
     lift,
@@ -20,9 +21,11 @@ from conftest import (
     piece_dimensions,
     quotient_route,
     reference_dual_mhs,
+    reference_shape,
     reference_tensor_mhs,
     span,
     sparse_form,
+    subspace_contains,
     validate_morphism,
     vec,
 )
@@ -145,8 +148,9 @@ def test_validate_matches_the_pairwise_route():
         except FiltrationError as exc:
             want = str(exc)
         js = f.jumps()
-        failing = sum(not f.steps[a].contains(f.steps[b]) if f.direction == f.DEC
-                      else not f.steps[b].contains(f.steps[a])
+        failing = sum(not subspace_contains(f.steps[a], f.steps[b])
+                      if f.direction == f.DEC
+                      else not subspace_contains(f.steps[b], f.steps[a])
                       for a, b in zip(js, js[1:]))
         try:
             basis = f.validate()
@@ -228,16 +232,48 @@ def test_hodge_numbers_block_order():
     h = HodgeNumbers({(0, 0): 1, (-1, -1): 2, (-2, 0): 1})
     assert h.dim == 4
     assert [b[0] for b in h.blocks()] == [(-2, 0), (-1, -1), (0, 0)]
-    assert h.weights() == [-2, 0]
+    assert h.weights() == (-2, 0)
     assert h.transpose().blocks()[0][0] == (-1, -1)
     assert h.transpose().counts == {(0, 0): 1, (-1, -1): 2, (0, -2): 1}
 
 
-def test_bidegrees_and_lowering_are_read_off_the_blocks():
+def _seeded_hodge_numbers():
+    """Seeded Hodge numbers: 300 small ones, dim 0, dim 32 in few and in
+    many blocks, and weight spread 64."""
     rng = random.Random(31)
-    for _ in range(300):
-        h = HodgeNumbers({(rng.randint(-4, 4), rng.randint(-4, 4)): rng.randint(0, 3)
-                          for _ in range(rng.randint(0, 6))})
+    out = [HodgeNumbers({(rng.randint(-4, 4), rng.randint(-4, 4)): rng.randint(0, 3)
+                         for _ in range(rng.randint(0, 6))}) for _ in range(300)]
+    out.append(HodgeNumbers({}))
+    out.append(HodgeNumbers({(-k, -k): 1 for k in range(32)}))
+    out.append(HodgeNumbers({(0, 0): 9, (-1, -2): 7, (-2, -1): 6, (-3, -3): 10}))
+    counts = {}
+    while sum(counts.values()) < 32:
+        pq = (rng.randint(-6, 6), rng.randint(-6, 6))
+        counts[pq] = counts.get(pq, 0) + 1
+    out.append(HodgeNumbers(counts))
+    out.append(HodgeNumbers({(-16, -16): 2, (-5, 3): 1, (0, 0): 1, (16, 16): 3}))
+    return out
+
+
+def test_bidegrees_and_lowering_are_read_off_the_blocks():
+    hodges = _seeded_hodge_numbers()
+    assert {h.dim for h in hodges} >= {0, 32}
+    assert max(h.weights()[-1] - h.weights()[0] for h in hodges if h.dim) == 64
+    for h in fixture_hodge_numbers() + hodges:
+        # the fields, built once, against the derivation on demand
+        blocks, owner, table, lowering = reference_shape(h.counts)
+        assert h.blocks() == tuple(blocks)
+        assert h.block_of_index() == tuple(owner)
+        assert h.bidegrees() == tuple(map(tuple, table))
+        assert h.lowering() == tuple(lowering)
+        assert h.dim == len(owner)
+        assert h.weights() == tuple(sorted({p + q for p, q in h.counts}))
+        for shape in (h.blocks, h.block_of_index, h.bidegrees, h.lowering):
+            assert shape() is shape()
+        # equal counts in another order: an equal value, with an equal hash
+        other = HodgeNumbers(dict(reversed(list(h.counts.items()))))
+        assert other == h and hash(other) == hash(h)
+    for h in hodges[:300]:
         owner, table = h.block_of_index(), h.bidegrees()
         assert len(table) == h.dim
         want = []
@@ -248,7 +284,7 @@ def test_bidegrees_and_lowering_are_read_off_the_blocks():
                 if p < pj and q < qj:
                     want.append((pj + qj - p - q, i, j))
         lowering = h.lowering()
-        assert lowering == [(i, j) for _, i, j in sorted(want)]
+        assert lowering == tuple((i, j) for _, i, j in sorted(want))
         # the walk's invariant: an entry comes after those it factors through
         before = {ij: k for k, ij in enumerate(lowering)}
         for (i, k), m in before.items():

@@ -19,6 +19,7 @@ from conftest import (
     gapped_form,
     gr_coords,
     lift,
+    log_unipotent,
     mat,
     multi_block_delta,
     pairwise_delta,
@@ -144,8 +145,6 @@ def test_log_components_sum_to_log():
     # the walk against the power series of log_unipotent: on every fixture
     # delta, the chains at n = 16 and 24, and seeded random deltas, rational
     # and Gaussian; each entry of component (a, b) lowers by (a, b)
-    from hodgegauge.linalg import log_unipotent
-
     rng = random.Random(38)
     deltas = [t3_delta(2, 5), *fixture_deltas(), chain_delta(16), chain_delta(24)]
     deltas += [random_delta(rng, gaussian=k % 2 == 1) for k in range(40)]
