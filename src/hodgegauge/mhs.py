@@ -116,18 +116,18 @@ class Filtration(Value):
         return cls(direction, n, steps)
 
     def validate(self):
-        """A basis of K^n adapted to the flag, as (level, row) pairs, from one
-        reduction of the steps' echelon rows, innermost step first: each
-        row is kept if it is independent of the rows before it.  For W the
-        level is the step's index and W_k is spanned by the rows of level
-        <= k; for F it is the last index whose step holds the row, unit rows
-        complete the basis, and F^p is spanned by the rows of level >= p.
-        ``from_basis`` builds the flag back from it.
+        """A basis of K^n adapted to the flag, as (level, row) pairs, read one
+        nested pair at a time, innermost step first: each step's echelon
+        rows are reduced after those of the step inside it, and the step
+        rows that stay independent are its new basis rows.  For W the level
+        is the step's index and W_k is spanned by the rows of level <= k;
+        for F it is the last index whose step holds the row, K^n's unit rows
+        come as one more step outside the last, and F^p is spanned by the
+        rows of level >= p.  ``from_basis`` builds the flag back from it.
 
-        Raises FiltrationError when the rows kept up to a step outnumber its
-        dimension (the innermost pair that is not nested), then when W does
-        not exhaust or F is not separated, or when a flag on K^n, n > 0,
-        has no step.
+        Raises FiltrationError when a step does not hold the one inside it
+        (the innermost such pair), then when W does not exhaust or F is not
+        separated, or when a flag on K^n, n > 0, has no step.
         """
         inc = self.direction == self.INC
         keys = self._keys if inc else self._keys[::-1]
@@ -136,27 +136,27 @@ class Filtration(Value):
                 raise FiltrationError("empty filtration on nonzero space")
             return []
         levels = keys if inc else keys[:1] + tuple(k - 1 for k in keys)
-        steps = [self.steps[k].rows for k in keys]
-        units = _units(self.n)
-        reduced = _reduce((r for rows in steps + [units] for r in rows),
-                          range(self.n))
-        basis = []
+        # zip drops the unit step for W, whose levels stop at its last step
+        steps = [self.steps[k].rows for k in keys] + [_units(self.n)]
+        basis, inner = [], ()
         for i, (level, rows) in enumerate(zip(levels, steps)):
-            # zip pulls one reduced row per row of this step
-            basis.extend((level, r) for r, (j, _) in zip(rows, reduced)
-                         if j is not None)
-            if len(basis) != len(rows):
+            if rows == inner:  # a repeated step adds no row
+                continue
+            # the inner step's rows come first and are all kept: the pair is
+            # nested when the rows kept span no more than this step, which
+            # keeps len(rows) - len(inner) of its own
+            pair = inner + rows
+            kept = [r for r, (j, _) in zip(pair, _reduce(pair, range(self.n)))
+                    if j is not None]
+            if len(kept) != len(rows):
                 raise FiltrationError("not %s at %d -> %d" % (
                     "increasing" if inc else "decreasing",
                     *sorted(keys[i - 1:i + 1])))
+            basis.extend((level, r) for r in kept[len(inner):])
+            inner = rows
         if self.steps[self._keys[-1]].dim != (self.n if inc else 0):
             raise FiltrationError("increasing filtration does not exhaust" if inc
                                   else "decreasing filtration is not separated")
-        for r in units:
-            if len(basis) == self.n:
-                break
-            if next(reduced)[0] is not None:
-                basis.append((keys[-1] - 1, r))
         return basis
 
     def conjugate(self):

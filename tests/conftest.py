@@ -38,6 +38,7 @@ from hodgegauge.linalg import (
     _position,
     _reduce,
     _solve,
+    _units,
     solve_left,
 )
 from hodgegauge import freelie
@@ -229,15 +230,34 @@ def reference_shape(counts):
     return blocks, owner, table, lowering
 
 
+def _upper_chain(n, entry):
+    # one dimension per weight, (-k, -k) for k < n, the entries above the
+    # diagonal drawn row by row
+    return DeltaObject(HodgeNumbers({(-k, -k): 1 for k in range(n)}), Matrix([
+        [ONE if i == j else entry() if i < j else ZERO for j in range(n)]
+        for i in range(n)
+    ]))
+
+
 def chain_delta(n):
     """One dimension per weight, (-k, -k) for k < n, so that every drop of
     weight occurs; entries in -3..3 seeded by n."""
     rng = random.Random(n)
-    return DeltaObject(HodgeNumbers({(-k, -k): 1 for k in range(n)}), Matrix([
-        [ONE if i == j else Scalar(rng.randint(-3, 3)) if i < j else ZERO
-         for j in range(n)]
-        for i in range(n)
-    ]))
+    return _upper_chain(n, lambda: Scalar(rng.randint(-3, 3)))
+
+
+def cap_chain_delta(n, gaussian=False):
+    """The chain at the cap in bits: entries uniform in +-10^100 from
+    random.Random(30), whatever n; a Gaussian entry draws its real part,
+    then its imaginary part, the same way.  ``tools/stdout_identity.py``
+    draws the same documents."""
+    rng = random.Random(30)
+
+    def part():
+        return rng.randint(-10 ** 100, 10 ** 100)
+
+    return _upper_chain(n, lambda: Scalar(part(), part()) if gaussian
+                        else Scalar(part()))
 
 
 def unchecked_delta(hodge, delta):
@@ -517,6 +537,42 @@ def pairwise_validate(f):
             raise FiltrationError("decreasing filtration is not separated")
     elif f.n != 0:
         raise FiltrationError("empty filtration on nonzero space")
+
+
+def one_pass_validate(self):
+    """Reference route for ``Filtration.validate`` on the Filtration self,
+    kept verbatim: one _reduce of every step's echelon rows, innermost step
+    first, and then of K^n's unit rows, which a decreasing flag's basis
+    takes from the same generator until it has n rows."""
+    inc = self.direction == self.INC
+    keys = self._keys if inc else self._keys[::-1]
+    if not keys:
+        if self.n:
+            raise FiltrationError("empty filtration on nonzero space")
+        return []
+    levels = keys if inc else keys[:1] + tuple(k - 1 for k in keys)
+    steps = [self.steps[k].rows for k in keys]
+    units = _units(self.n)
+    reduced = _reduce((r for rows in steps + [units] for r in rows),
+                      range(self.n))
+    basis = []
+    for i, (level, rows) in enumerate(zip(levels, steps)):
+        # zip pulls one reduced row per row of this step
+        basis.extend((level, r) for r, (j, _) in zip(rows, reduced)
+                     if j is not None)
+        if len(basis) != len(rows):
+            raise FiltrationError("not %s at %d -> %d" % (
+                "increasing" if inc else "decreasing",
+                *sorted(keys[i - 1:i + 1])))
+    if self.steps[self._keys[-1]].dim != (self.n if inc else 0):
+        raise FiltrationError("increasing filtration does not exhaust" if inc
+                              else "decreasing filtration is not separated")
+    for r in units:
+        if len(basis) == self.n:
+            break
+        if next(reduced)[0] is not None:
+            basis.append((keys[-1] - 1, r))
+    return basis
 
 
 def quotient_route(V):

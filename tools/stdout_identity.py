@@ -25,6 +25,10 @@ the same documents in the same working directory:
   chain;
 - the same on the Gaussian chains at n = 16 and 24 (entries a + b*i, a and
   b in -3..3 seeded by n);
+- the seven commands and the ``rees`` base points on the cap chains at
+  n = 16 and 24, as structure and as delta documents: entries uniform in
+  +-10^100 from ``random.Random(30)``, the documents of
+  ``tests/conftest.py``'s ``cap_chain_delta``;
 - ``holonomy --path`` on the fixtures and on the n = 16 Gaussian chain,
   once with the 5 rational points and once with a Gaussian vertex
   (``--path=-1,0;1/2+1*i,-1;0,-1``);
@@ -63,6 +67,7 @@ import workloads  # noqa: E402
 COMMANDS = ("validate", "split", "connect", "holonomy", "roundtrip", "rees", "ext")
 CHAINS = (16, 24, 32)
 GAUSSIAN_CHAINS = (16, 24)
+CAP_CHAINS = (16, 24)
 CHAIN_LIMIT_S = 300
 PATH_5 = "--path=-1,0;0,-1;2,3;1/2,-1/3;1,1"
 PATHS = (PATH_5, "--path=-1,0;1/2+1*i,-1;0,-1")
@@ -70,7 +75,10 @@ REES_POINTS = (["--point", "2,3", "--point", "4/2,3"], ["--point=-1,0"],
                ["--point", "1/2-3*i,-2"])
 
 # writes chain_<n>_structure.json and chain_<n>_delta.json to the cwd, or
-# gchain_<n>_... for an argument "<n>i", whose entries are Gaussian
+# gchain_<n>_... for an argument "<n>i", whose entries are Gaussian, or
+# cap_chain_<n>_... for an argument "<n>c", whose entries are those of
+# tests/conftest.py's cap_chain_delta(n): uniform in +-10^100 from
+# random.Random(30) (cap_gchain_<n>_... for "<n>ci")
 CHAIN_SCRIPT = """
 import json, random, sys
 from hodgegauge.documents import serialize
@@ -80,19 +88,21 @@ from hodgegauge.scalars import ONE, ZERO, Scalar
 from hodgegauge.splitting import DeltaObject, delta_to_mhs
 
 for arg in sys.argv[1:]:
-    n, gaussian = int(arg.rstrip("i")), arg.endswith("i")
-    rng = random.Random(n)
+    n, gaussian, cap = int(arg.rstrip("ic")), "i" in arg, "c" in arg
+    rng = random.Random(30 if cap else n)
+    bound = 10 ** 100 if cap else 3
 
     def entry():
         if gaussian:
-            return Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-        return Scalar(rng.randint(-3, 3))
+            return Scalar(rng.randint(-bound, bound), rng.randint(-bound, bound))
+        return Scalar(rng.randint(-bound, bound))
 
     d = DeltaObject(HodgeNumbers({(-k, -k): 1 for k in range(n)}), Matrix([
         [ONE if i == j else entry() if i < j else ZERO
          for j in range(n)] for i in range(n)]))
     for kind, obj in (("structure", delta_to_mhs(d)), ("delta", d)):
-        with open("%schain_%d_%s.json" % ("g" * gaussian, n, kind), "w") as fh:
+        with open("%s%schain_%d_%s.json" % ("cap_" * cap, "g" * gaussian, n, kind),
+                  "w") as fh:
             json.dump(serialize(obj), fh)
 """
 
@@ -226,9 +236,11 @@ def chains(cmp, work):
     cwd = os.path.join(work, "chains")
     os.makedirs(cwd)
     _child(cmp.srcs[0], ["-c", CHAIN_SCRIPT] + [str(n) for n in CHAINS]
-           + ["%di" % n for n in GAUSSIAN_CHAINS], cwd)
+           + ["%di" % n for n in GAUSSIAN_CHAINS]
+           + ["%dc" % n for n in CAP_CHAINS], cwd)
     for label, prefix, sizes in (("chains", "", CHAINS),
-                                 ("Gaussian chains", "g", GAUSSIAN_CHAINS)):
+                                 ("Gaussian chains", "g", GAUSSIAN_CHAINS),
+                                 ("cap chains", "cap_", CAP_CHAINS)):
         docs = ["%schain_%d_%s.json" % (prefix, n, kind) for n in sizes
                 for kind in ("structure", "delta")]
         for command in COMMANDS:
