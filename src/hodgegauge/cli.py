@@ -111,7 +111,7 @@ def _connect(obj, flags):
     from .documents import serialize
 
     C = _connection(obj)
-    checks = [("fock_schwinger", C.B == {pq: -M for pq, M in C.A.items()})]
+    checks = [("fock_schwinger", C.Q == -C.P)]
     return serialize(C), checks
 
 

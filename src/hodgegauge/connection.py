@@ -11,20 +11,20 @@ C_{p,q} t1^p t2^q acts by Omega -> g^{-1} Omega g - g^{-1} dg.  Entry (i, j)
 of a form, gauge or curvature carries the one monomial of its bidegree, so
 the blocks are fixed by their value at (1, 1), a point of the open torus
 orbit: sums, products and inverses commute with taking that value, and d1,
-d2 multiply entry (i, j) by the p, q of its bidegree.  The gauge layer is
-matrix algebra on those values, filed back into blocks.  A gauge is the
-splitting.DeltaObject of its value G = g(1, 1), whose check is its
-admissibility; the group law is 1, G H and G^{-1}.  The
-Fock-Schwinger condition A + B = 0 is the radial gauge x . Omega = 0; it
-picks one connection per gauge orbit, which splitting._walk solves from a
-delta datum in one pass over its entries.
+d2 multiply entry (i, j) by the p, q of its bidegree.  So a connection is
+the two values P, Q of its A- and B-forms, and the gauge layer is matrix
+algebra on values; blocks are read (from_blocks) and filed (A, B) only at
+the document boundary.  A gauge is the splitting.DeltaObject of its value
+G = g(1, 1); the group law is 1, G H and G^{-1}.  The Fock-Schwinger
+condition A + B = 0 is the radial gauge x . Omega = 0; it picks one
+connection per gauge orbit, which splitting._walk solves from a delta.
 """
 
 from __future__ import annotations
 
 from .linalg import Matrix
 from .scalars import ZERO, Value
-from .splitting import DeltaObject, _solve_blocks
+from .splitting import DeltaObject, _blocks, _solve_form
 from .upoly import hypotenuse_pullback
 
 
@@ -32,77 +32,74 @@ class AdmissibilityError(ValueError):
     """Coefficient block violates the bidegree constraint."""
 
 
-def _check_block(hodge, M, p, q, what):
-    if M.shape != (hodge.dim, hodge.dim):
-        raise AdmissibilityError(
-            "%s block at (%d, %d) has shape %r" % (what, p, q, M.shape)
-        )
-    for row, degrees in zip(M.rows, hodge.bidegrees()):
-        for x, (a, b) in zip(row, degrees):
-            if x and (a, b) != (p, q):
-                raise AdmissibilityError(
-                    "%s_{%d,%d} has an entry of bidegree %r"
-                    % (what, p, q, (-a, -b))
-                )
-
-
-def _weight_spread(hodge):
-    ws = hodge.weights()
-    return ws[-1] - ws[0] if ws else 0
-
-
 class EquivariantConnection(Value):
-    """Hodge numbers plus the coefficient maps A, B keyed by (p, q)."""
+    """Hodge numbers plus the values P, Q at (1, 1) of the A- and B-forms,
+    Omega = P dt1 + Q dt2 there; A and B file them into blocks."""
 
-    __slots__ = ("hodge", "A", "B")
+    __slots__ = ("hodge", "P", "Q")
 
-    def __init__(self, hodge, A, B):
-        A = {k: v for k, v in A.items() if not v.is_zero()}
-        B = {k: v for k, v in B.items() if not v.is_zero()}
-        spread = _weight_spread(hodge)
-        for coeffs, what in ((A, "A"), (B, "B")):
-            for (p, q), M in coeffs.items():
-                if p < 1 or q < 1:
-                    raise AdmissibilityError(
-                        "%s block at non-admissible (%d, %d)" % (what, p, q)
-                    )
-                if p + q > spread:
-                    raise AdmissibilityError(
-                        "%s block at (%d, %d) exceeds the weight spread %d"
-                        % (what, p, q, spread)
-                    )
-                _check_block(hodge, M, p, q, what)
-        object.__setattr__(self, "hodge", hodge)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+    def __init__(self, hodge, P, Q):
+        for X, what in ((P, "A"), (Q, "B")):
+            if X.shape != (hodge.dim, hodge.dim) or any(
+                    x and min(d) <= 0 for row, ds in zip(X.rows, hodge.bidegrees())
+                    for x, d in zip(row, ds)):
+                raise AdmissibilityError(
+                    "the value of %s does not lower both indices" % what)
+        for name, value in zip(self.__slots__, (hodge, P, Q)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def A(self):
+        return _blocks(self.hodge, self.P)
+
+    @property
+    def B(self):
+        return _blocks(self.hodge, self.Q)
 
     @classmethod
     def zero(cls, hodge):
-        return cls(hodge, {}, {})
+        return cls(hodge, *[Matrix.zeros(hodge.dim, hodge.dim)] * 2)
 
     def is_zero(self):
-        return not self.A and not self.B
+        return self.P.is_zero() and self.Q.is_zero()
 
     def __repr__(self):
         return "EquivariantConnection(dim=%d, A=%r, B=%r)" % (
             self.hodge.dim, sorted(self.A), sorted(self.B))
 
 
-def _value(hodge, X):
-    """The value at (1, 1) of the blocks X: entry (i, j) is read off the
-    block of its bidegree."""
-    return Matrix._of(tuple(tuple(X[pq].rows[i][j] if pq in X else ZERO
-                                  for j, pq in enumerate(row))
-                            for i, row in enumerate(hodge.bidegrees())), hodge.dim)
-
-
-def _blocks(hodge, M):
-    """M as blocks: entry (i, j) goes to the block of its bidegree."""
-    rows = tuple(zip(M.rows, hodge.bidegrees()))
-    return {pq: Matrix._of(tuple(tuple(x if d == pq else ZERO
-                                       for x, d in zip(row, ds))
-                                 for row, ds in rows), hodge.dim)
-            for pq in {d for row, ds in rows for x, d in zip(row, ds) if x}}
+def from_blocks(hodge, A, B):
+    """The connection of the blocks A, B keyed by (p, q).  Zero blocks are
+    dropped; any other must sit at an admissible (p, q) within the weight
+    spread, be n x n and carry only entries of its bidegree."""
+    ws, n = hodge.weights(), hodge.dim
+    spread = ws[-1] - ws[0] if ws else 0
+    values = []
+    for coeffs, what in ((A, "A"), (B, "B")):
+        rows = [[ZERO] * n for _ in range(n)]
+        for (p, q), M in coeffs.items():
+            if M.is_zero():
+                continue
+            if p < 1 or q < 1:
+                raise AdmissibilityError(
+                    "%s block at non-admissible (%d, %d)" % (what, p, q))
+            if p + q > spread:
+                raise AdmissibilityError(
+                    "%s block at (%d, %d) exceeds the weight spread %d"
+                    % (what, p, q, spread))
+            if M.shape != (n, n):
+                raise AdmissibilityError(
+                    "%s block at (%d, %d) has shape %r" % (what, p, q, M.shape))
+            for row, xs, degrees in zip(rows, M.rows, hodge.bidegrees()):
+                for j, (x, (a, b)) in enumerate(zip(xs, degrees)):
+                    if x and (a, b) != (p, q):
+                        raise AdmissibilityError(
+                            "%s_{%d,%d} has an entry of bidegree %r"
+                            % (what, p, q, (-a, -b)))
+                    if x:
+                        row[j] = x
+        values.append(Matrix._of(tuple(map(tuple, rows)), n))
+    return EquivariantConnection(hodge, *values)
 
 
 def _degree(hodge, M, k):
@@ -125,9 +122,9 @@ def connection_form(C):
     def form(X, a, b):
         return PolyMatrix._of(2, tuple(
             tuple(Poly._of(2, {(p + a, q + b): x}) for x, (p, q) in zip(row, ds))
-            for row, ds in zip(_value(hodge, X).rows, hodge.bidegrees())), hodge.dim)
+            for row, ds in zip(X.rows, hodge.bidegrees())), hodge.dim)
 
-    return form(C.A, -1, 0), form(C.B, 0, -1)
+    return form(C.P, -1, 0), form(C.Q, 0, -1)
 
 
 def curvature(C):
@@ -139,8 +136,7 @@ def curvature(C):
     each, and each commutator block has p + q >= 2d > d, where d is the
     least p + q over the nonzero blocks: so a least block cannot cancel.
     """
-    hodge = C.hodge
-    P, Q = _value(hodge, C.A), _value(hodge, C.B)
+    hodge, P, Q = C.hodge, C.P, C.Q
     return _blocks(hodge, _degree(hodge, Q, 0) - _degree(hodge, P, 1) - (P @ Q - Q @ P))
 
 
@@ -152,11 +148,9 @@ def apply_gauge(C, g):
     hodge = C.hodge
     if hodge != g.hodge:
         raise AdmissibilityError("connection and gauge on different spaces")
-    G = g.delta
-    H = G.inverse()
-    A, B = (_blocks(hodge, H @ (_value(hodge, form) @ G - _degree(hodge, G, k)))
-            for k, form in enumerate((C.A, C.B)))
-    return EquivariantConnection(hodge, A, B)
+    G, H = g.delta, g.delta.inverse()
+    return EquivariantConnection(hodge, *(H @ (X @ G - _degree(hodge, G, k))
+                                          for k, X in enumerate((C.P, C.Q))))
 
 
 def normalize_fock_schwinger(C):
@@ -180,5 +174,5 @@ def connection_from_delta(dobj):
     """The Fock-Schwinger connection whose triangle holonomy is delta: the
     axis transports are trivial, so delta is the hypotenuse transport, where
     block (p, q) pulls back as A_{p,q} hypotenuse_pullback(p, q)."""
-    A = _solve_blocks(dobj, hypotenuse_pullback)
-    return EquivariantConnection(dobj.hodge, A, {k: -v for k, v in A.items()})
+    P = _solve_form(dobj, hypotenuse_pullback)
+    return EquivariantConnection(dobj.hodge, P, -P)

@@ -224,13 +224,13 @@ def serialize(obj):
             "matrix": _matrix_out(obj.delta),
         }
     if isinstance(obj, EquivariantConnection):
-        blocks = []
-        for (p, q) in sorted(set(obj.A) | set(obj.B)):
+        A, B, blocks = obj.A, obj.B, []
+        for (p, q) in sorted(set(A) | set(B)):
             entry = {"p": p, "q": q}
-            if (p, q) in obj.A:
-                entry["A"] = _matrix_out(obj.A[(p, q)])
-            if (p, q) in obj.B:
-                entry["B"] = _matrix_out(obj.B[(p, q)])
+            if (p, q) in A:
+                entry["A"] = _matrix_out(A[(p, q)])
+            if (p, q) in B:
+                entry["B"] = _matrix_out(B[(p, q)])
             blocks.append(entry)
         return {
             "type": "connection",
@@ -258,7 +258,7 @@ def parse(doc, field=None):
                 _hodge_in(doc["hodge"]), _matrix_in(doc["matrix"], field)
             )
         if kind == "connection":
-            from .connection import EquivariantConnection
+            from .connection import from_blocks
 
             hodge = _hodge_in(doc["hodge"])
             A = {}
@@ -273,11 +273,11 @@ def parse(doc, field=None):
                     if side not in entry:
                         continue
                     M = coeffs[(p, q)] = _matrix_in(entry[side], field)
-                    # checked here, as EquivariantConnection drops zero blocks
+                    # checked here, as from_blocks drops zero blocks
                     if M.shape != (hodge.dim, hodge.dim):
                         raise DocumentError("%s block at (%d, %d) has shape %r"
                                             % (side, p, q, M.shape))
-            return EquivariantConnection(hodge, A, B)
+            return from_blocks(hodge, A, B)
     except (KeyError, TypeError) as exc:
         raise DocumentError("bad %s document: %s" % (kind, exc))
     raise DocumentError("unknown document type %r" % (kind,))

@@ -17,7 +17,7 @@ complex ones of realize_real(V), once stability is checked entry by entry.
 
 from __future__ import annotations
 
-from .connection import _value, connection_from_delta
+from .connection import connection_from_delta
 from .linalg import InvariantError, Matrix
 from .mhs import GrStructure, realize_real
 from .scalars import ZERO, Scalar, Value
@@ -55,7 +55,7 @@ def invariant_complex(C):
         i for i, (p, q) in enumerate(owner) if p <= 0 and q <= 0)}
     dom = [(i, -owner[i][0], -owner[i][1]) for i in col]
     cod, rows = [], []
-    for slot, da, db, blocks in ((1, 1, 0, C.A), (2, 0, 1, C.B)):
+    for slot, da, db, X in ((1, 1, 0, C.P), (2, 0, 1, C.Q)):
         row = {}  # graded index -> row
         for i, (p, q) in enumerate(owner):
             if p <= -da and q <= -db:
@@ -63,7 +63,7 @@ def invariant_complex(C):
                 cod.append((i, -p - da, -q - db, slot))
                 rows.append([ZERO] * len(dom))
                 rows[-1][col[i]] = Scalar(-da * p - db * q)
-        for j, entries in enumerate(_value(C.hodge, blocks).rows):
+        for j, entries in enumerate(X.rows):
             for i, x in enumerate(entries):
                 if x and i in col:
                     rows[row[j]][col[i]] = -x
@@ -114,8 +114,7 @@ def real_absolute_cohomology(V):
                                  "at %r" % ((p, q),))
     s = _block_swap(gr.hodge)
     C = connection_from_delta(delta_operator(gr))
-    A, B = (_value(gr.hodge, X).rows for X in (C.A, C.B))
-    if any(x != B[s[i]][s[j]].conjugate()
-           for i, row in enumerate(A) for j, x in enumerate(row)):
+    if any(x != C.Q.rows[s[i]][s[j]].conjugate()
+           for i, row in enumerate(C.P.rows) for j, x in enumerate(row)):
         raise InvariantError("connection is not conjugation-stable")
     return invariant_complex(C).cohomology_dims()

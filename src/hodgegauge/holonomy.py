@@ -56,30 +56,30 @@ def _segment_transport(C, a, b, start=None):
     gamma(s) = a + s (b - a), s in [0, 1], as splitting._walk returns them
     from T(0) = 1 plus the entries of start; the diagonal of T is 1.
 
-    Entry (i, j) of a block (p, q) pulls back to
-    A[i,j] x1^(p-1) x2^q x1' + B[i,j] x1^p x2^(q-1) x2' at x = gamma(s);
-    only the nonzero entries of A and B are pulled back.
+    Entry (i, j) of bidegree (p, q) pulls back to
+    P[i,j] x1^(p-1) x2^q x1' + Q[i,j] x1^p x2^(q-1) x2' at x = gamma(s):
+    one pass over the nonzero entries of the values P and Q, which forms
+    each bidegree's pullback, and each power of a coordinate, once.
     """
     speed = [b[k] - a[k] for k in (0, 1)]
-    # the powers of each coordinate of gamma, each formed once
-    top = max((p + q for p, q in [*C.A, *C.B]), default=0)
-    power = []
-    for k in (0, 1):
-        line = of((a[k], speed[k]))
-        power.append([of((ONE,))])
-        while len(power[k]) < top:
-            power[k].append(mul(power[k][-1], line))
-    pull = {}
-    for k, blocks in enumerate((C.A, C.B)):
-        for (p, q), M in blocks.items():
-            h = mul(mul(power[0][p - 1 + k], power[1][q - k]), of((speed[k],)))
-            if not h[0] and not h[1]:
-                continue
-            for i, row in enumerate(M.rows):
-                for j, x in enumerate(row):
-                    if x:
-                        m = mul(h, of((x,)))
-                        pull[i, j] = add(pull[i, j], m) if (i, j) in pull else m
+    line = [of((a[k], speed[k])) for k in (0, 1)]
+    power = [[of((ONE,))], [of((ONE,))]]
+    pulled, pull = {}, {}
+    for k, X in enumerate((C.P, C.Q)):
+        for i, (row, ds) in enumerate(zip(X.rows, C.hodge.bidegrees())):
+            for j, (x, (p, q)) in enumerate(zip(row, ds)):
+                if not x:
+                    continue
+                if (k, p, q) not in pulled:
+                    for c, e in ((0, p - 1 + k), (1, q - k)):
+                        while len(power[c]) <= e:
+                            power[c].append(mul(power[c][-1], line[c]))
+                    pulled[k, p, q] = mul(mul(power[0][p - 1 + k], power[1][q - k]),
+                                          of((speed[k],)))
+                h = pulled[k, p, q]
+                if h[0] or h[1]:
+                    m = mul(h, of((x,)))
+                    pull[i, j] = add(pull[i, j], m) if (i, j) in pull else m
     pull = {ij: m for ij, m in pull.items() if m[0] or m[1]}
     return _walk(C.hodge, lambda i, j, S: pull.get((i, j)), start)
 
@@ -134,7 +134,7 @@ def convention_selftest():
     delta = Matrix([[ONE, -ONE], [ZERO, ONE]])
     dobj = DeltaObject(hodge, delta)
     C = connection_from_delta(dobj)
-    if C.A.get((1, 1)) != Matrix([[ZERO, ONE], [ZERO, ZERO]]):
+    if C.P != Matrix([[ZERO, ONE], [ZERO, ZERO]]):
         raise InvariantError("canonical connection block drifted")
     if triangle_delta(C).delta != delta:
         raise InvariantError("orientation pin failed")

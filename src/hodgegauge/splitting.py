@@ -213,18 +213,17 @@ def _walk(hodge, rule, start=None):
     return T
 
 
-def _solve_blocks(dobj, pullback):
-    """The blocks M_{p,q}, keyed by the bidegree they lower by, of the form
-    with entries M[i,j] h(s), h = pullback(p, q) in ``upoly``, whose
-    transport is delta at s = 1; the walk solves each entry as it reaches
-    it: M[i,j] = (delta[i,j] - int_0^1 S) / int_0^1 h."""
+def _solve_form(dobj, pullback):
+    """The value M of the form with entries M[i,j] h(s), h = pullback(p, q)
+    in ``upoly`` for (p, q) the bidegree of (i, j), whose transport is
+    delta at s = 1; the walk solves each entry as it reaches it: M[i,j] =
+    (delta[i,j] - int_0^1 S) / int_0^1 h."""
     from .upoly import at_one, integral, mul, of
 
     n = dobj.hodge.dim
     bidegrees = dobj.hodge.bidegrees()
     delta = dobj.delta.rows
-    pulled = {}
-    blocks = {}
+    pulled, rows = {}, [[ZERO] * n for _ in range(n)]
 
     def solve(i, j, S):
         pq = bidegrees[i][j]
@@ -235,12 +234,20 @@ def _solve_blocks(dobj, pullback):
         a = (delta[i][j] - at_one(integral(S))) / c
         if not a:
             return None
-        blocks.setdefault(pq, [[ZERO] * n for _ in range(n)])[i][j] = a
+        rows[i][j] = a
         return mul(h, of((a,)))
 
     _walk(dobj.hodge, solve)
-    return {pq: Matrix._of(tuple(map(tuple, rows)), n)
-            for pq, rows in blocks.items()}
+    return Matrix._of(tuple(map(tuple, rows)), n)
+
+
+def _blocks(hodge, M):
+    """M as blocks: entry (i, j) goes to the block of its bidegree."""
+    rows = tuple(zip(M.rows, hodge.bidegrees()))
+    return {pq: Matrix._of(tuple(tuple(x if d == pq else ZERO
+                                       for x, d in zip(row, ds))
+                                 for row, ds in rows), hodge.dim)
+            for pq in {d for row, ds in rows for x, d in zip(row, ds) if x}}
 
 
 def log_delta_components(dobj):
@@ -249,12 +256,12 @@ def log_delta_components(dobj):
     Component (a, b) with a, b >= 1 carries the entries from block (p, q)
     to block (p - a, q - b).  The components sum back to L = log(delta):
     T(s) = exp(sL) solves T' = L T with T(0) = 1, so L is the constant
-    lowering form whose transport is delta at s = 1.  _solve_blocks solves
+    lowering form whose transport is delta at s = 1.  _solve_form solves
     it with the pullback h = 1, as connection_from_delta solves the
     connection with the hypotenuse pullback; int_0^1 h = 1 fixes every
-    entry, so L is the unique nilpotent logarithm.
+    entry, so L is the unique nilpotent logarithm, filed into blocks.
     """
-    return _solve_blocks(dobj, lambda p, q: ([1], [], 1))
+    return _blocks(dobj.hodge, _solve_form(dobj, lambda p, q: ([1], [], 1)))
 
 
 def delta_to_mhs(dobj, check=True):

@@ -12,10 +12,10 @@ from hypothesis import settings
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hodgegauge.connection import (
-    EquivariantConnection,
-    _weight_spread,
+    AdmissibilityError,
     connection_form,
     connection_from_delta,
+    from_blocks,
 )
 from hodgegauge.freelie import (
     GeneratorChangeError,
@@ -851,6 +851,54 @@ def picard_transport(C, a, b):
     return picard(segment_pullback(P, Q, a, b), ZERO).eval((ONE,))
 
 
+# The connection as it was held before it became its two values at (1, 1):
+# the block constructor, verbatim, which ``connection.from_blocks`` is
+# tested against.
+
+
+def _check_block(hodge, M, p, q, what):
+    if M.shape != (hodge.dim, hodge.dim):
+        raise AdmissibilityError(
+            "%s block at (%d, %d) has shape %r" % (what, p, q, M.shape)
+        )
+    for row, degrees in zip(M.rows, hodge.bidegrees()):
+        for x, (a, b) in zip(row, degrees):
+            if x and (a, b) != (p, q):
+                raise AdmissibilityError(
+                    "%s_{%d,%d} has an entry of bidegree %r"
+                    % (what, p, q, (-a, -b))
+                )
+
+
+def _weight_spread(hodge):
+    ws = hodge.weights()
+    return ws[-1] - ws[0] if ws else 0
+
+
+class ReferenceConnection:
+    """Hodge numbers plus the coefficient maps A, B keyed by (p, q)."""
+
+    def __init__(self, hodge, A, B):
+        A = {k: v for k, v in A.items() if not v.is_zero()}
+        B = {k: v for k, v in B.items() if not v.is_zero()}
+        spread = _weight_spread(hodge)
+        for coeffs, what in ((A, "A"), (B, "B")):
+            for (p, q), M in coeffs.items():
+                if p < 1 or q < 1:
+                    raise AdmissibilityError(
+                        "%s block at non-admissible (%d, %d)" % (what, p, q)
+                    )
+                if p + q > spread:
+                    raise AdmissibilityError(
+                        "%s block at (%d, %d) exceeds the weight spread %d"
+                        % (what, p, q, spread)
+                    )
+                _check_block(hodge, M, p, q, what)
+        object.__setattr__(self, "hodge", hodge)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+
+
 # The gauge layer on dense polynomial matrices, in the transport's
 # convention d - Omega: the reference the values of ``hodgegauge.connection``
 # are tested against.  A gauge is the DeltaObject of its value at (1, 1).
@@ -923,7 +971,7 @@ def reference_apply_gauge(C, g):
     P, Q = connection_form(C)
     Pn = Ginv @ (P @ G - G.diff(0))
     Qn = Ginv @ (Q @ G - G.diff(1))
-    return EquivariantConnection(
+    return from_blocks(
         C.hodge,
         {(a + 1, b): Pn.coefficient_matrix((a, b)) for a, b in Pn.support()},
         {(a, b + 1): Qn.coefficient_matrix((a, b)) for a, b in Qn.support()},

@@ -1,12 +1,21 @@
+import json
+import os
 import random
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    ReferenceConnection,
+    _weight_spread,
+    assert_raises_under_optimize,
     chain_delta,
     curvature_matrix,
     fixture_deltas,
+    fixture_dir,
     gauge_at,
     gauge_blocks,
     gauge_inverse_matrix,
@@ -19,7 +28,7 @@ from conftest import (
     reference_inverse,
     reference_normalize,
 )
-from hodgegauge import connection, holonomy
+from hodgegauge import cli, connection, holonomy, splitting
 from hodgegauge.connection import (
     AdmissibilityError,
     EquivariantConnection,
@@ -27,9 +36,11 @@ from hodgegauge.connection import (
     connection_form,
     connection_from_delta,
     curvature,
+    from_blocks,
     normalize_fock_schwinger,
 )
-from hodgegauge.fixtures import kummer_delta, random_delta, t3, t3_delta
+from hodgegauge.documents import _matrix_in, parse, serialize
+from hodgegauge.fixtures import kummer, kummer_delta, random_delta, t3, t3_delta
 from hodgegauge.freelie import abelianized_coefficient, generator_change_table
 from hodgegauge.holonomy import triangle_delta
 from hodgegauge.linalg import Matrix
@@ -37,7 +48,7 @@ from hodgegauge.mhs import GrStructure, HodgeNumbers, tensor_mhs
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, Scalar, ZERO
 from hodgegauge.splitting import (
-    DeltaError, DeltaObject, delta_operator, log_delta_components,
+    DeltaError, DeltaObject, delta_operator, delta_to_mhs, log_delta_components,
 )
 
 KH = HodgeNumbers({(0, 0): 1, (-1, -1): 1})
@@ -47,7 +58,7 @@ ONE_2 = Matrix.identity(2)
 
 def k_connection(a):
     A = E.scale(Scalar(a))
-    return EquivariantConnection(KH, {(1, 1): A}, {(1, 1): -A})
+    return from_blocks(KH, {(1, 1): A}, {(1, 1): -A})
 
 
 def test_connection_form_k_type():
@@ -61,19 +72,114 @@ def test_connection_form_k_type():
 
 def test_admissibility_rejects_bad_support():
     with pytest.raises(AdmissibilityError):
-        EquivariantConnection(KH, {(0, 1): E}, {})
+        from_blocks(KH, {(0, 1): E}, {})
     with pytest.raises(AdmissibilityError):
-        EquivariantConnection(KH, {(1, 2): E}, {})  # exceeds the weight spread
+        from_blocks(KH, {(1, 2): E}, {})  # exceeds the weight spread
     # an entry that does not move (0,0) to (-1,-1) violates the bidegree
     with pytest.raises(AdmissibilityError):
-        EquivariantConnection(KH, {(1, 1): mat([[0, 0], [1, 0]])}, {})
+        from_blocks(KH, {(1, 1): mat([[0, 0], [1, 0]])}, {})
     # the first bad entry in row-major order is named: entry (0, 2) has
     # bidegree (-2, -2), entry (1, 0) has (1, 1)
     h = HodgeNumbers({(0, 0): 1, (-1, -1): 1, (-2, -2): 1})
     M = mat([[0, 0, 1], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(AdmissibilityError,
                        match=r"^A_\{1,1\} has an entry of bidegree \(-2, -2\)$"):
-        EquivariantConnection(h, {(1, 1): M}, {})
+        from_blocks(h, {(1, 1): M}, {})
+
+
+def test_a_value_that_does_not_lower_both_indices_is_refused():
+    with pytest.raises(AdmissibilityError, match="value of A does not lower"):
+        EquivariantConnection(KH, ONE_2, Matrix.zeros(2, 2))
+    with pytest.raises(AdmissibilityError, match="value of B does not lower"):
+        EquivariantConnection(KH, E, mat([[0, 0], [1, 0]]))
+    with pytest.raises(AdmissibilityError, match="value of A does not lower"):
+        EquivariantConnection(KH, Matrix.zeros(2, 3), Matrix.zeros(2, 2))
+    assert_raises_under_optimize(
+        "from hodgegauge.connection import AdmissibilityError, "
+        "EquivariantConnection\n"
+        "from hodgegauge.linalg import Matrix\n"
+        "from hodgegauge.mhs import HodgeNumbers\n"
+        "h = HodgeNumbers({(0, 0): 1, (-1, -1): 1})\n"
+        "Z, M = Matrix([[0, 0], [0, 0]]), Matrix([[0, 0], [1, 0]])",
+        "EquivariantConnection(h, Z, M)", "AdmissibilityError",
+        "the value of B does not lower both indices")
+
+
+def _outcome(build, hodge, A, B):
+    """The blocks A, B read by build, or the type and text of its error."""
+    try:
+        C = build(hodge, A, B)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return C.A, C.B
+
+
+@st.composite
+def _block_dicts(draw):
+    """Hodge numbers of dimension <= 8 and two block dicts keyed by (p, q)
+    in -1..spread+1: zero blocks, blocks of the wrong shape, blocks with
+    entries on their bidegree and blocks with one entry off it, with
+    Gaussian entries."""
+    hodge = HodgeNumbers(draw(st.dictionaries(
+        st.tuples(st.integers(-3, 0), st.integers(-3, 0)), st.integers(1, 2),
+        min_size=2, max_size=4)))
+    n, spread = hodge.dim, _weight_spread(hodge)
+    entry = st.builds(Scalar, st.integers(-3, 3).filter(bool), st.integers(-2, 2))
+
+    def block(pq):
+        kind = draw(st.sampled_from(["on", "zero", "on", "off", "shape"]))
+        rows, cols = (n, n) if kind != "shape" else draw(st.sampled_from(
+            [(n, n + 1), (n + 1, n), (max(n - 1, 0), n)]))
+        M = [[ZERO] * cols for _ in range(rows)]
+        for i in range(min(rows, n)):
+            for j in range(min(cols, n)):
+                if kind != "zero" and hodge.bidegrees()[i][j] == pq:
+                    M[i][j] = draw(entry)
+        if kind in ("off", "shape") and rows and cols:
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            M[i][j] = draw(entry)
+        return Matrix(M) if rows else Matrix.zeros(0, cols)
+
+    key = st.tuples(st.integers(-1, spread + 1), st.integers(-1, spread + 1))
+    lowering = sorted({d for row in hodge.bidegrees() for d in row
+                       if d[0] > 0 and d[1] > 0})
+    if lowering:  # mostly the bidegrees that have entries
+        key = st.one_of(st.sampled_from(lowering), st.sampled_from(lowering), key)
+    A, B = ({pq: block(pq) for pq in draw(st.lists(key, min_size=1, max_size=3))}
+            for _ in range(2))
+    return hodge, A, B
+
+
+@settings(max_examples=400)
+@given(_block_dicts())
+def test_from_blocks_reads_blocks_as_the_block_constructor_did(case):
+    assert _outcome(from_blocks, *case) == _outcome(ReferenceConnection, *case)
+
+
+def test_from_blocks_reads_the_pipeline_connections_as_they_are():
+    # every fixture connection; the blocks of the shipped connection
+    # document as written; and the gauge change that stdout_identity's
+    # connection document writes out, A + B != 0
+    with open(os.path.join(fixture_dir(), "connection_t3_2_5.json")) as fh:
+        doc = json.load(fh)
+    shipped = tuple({(e["p"], e["q"]): _matrix_in(e[side]) for e in doc["blocks"]}
+                    for side in "AB")
+    C = connection_from_delta(t3_delta(2, 5))
+    g = DeltaObject(C.hodge, mat([[1, 2, 0], [0, 1, -1], [0, 0, 1]]))
+    cases = [(F.hodge, F.A, F.B) for F in map(connection_from_delta, fixture_deltas())]
+    gauged = apply_gauge(C, g)
+    assert (gauged.A, gauged.B) == (
+        {(1, 1): mat([[0, -7, 0], [0, 0, -1], [0, 0, 0]]),
+         (2, 2): mat([[0, 0, 37], [0, 0, 0], [0, 0, 0]])},
+        {(1, 1): mat([[0, 3, 0], [0, 0, 3], [0, 0, 0]]),
+         (2, 2): mat([[0, 0, -41], [0, 0, 0], [0, 0, 0]])})
+    cases += [(C.hodge, *shipped), (C.hodge, gauged.A, gauged.B)]
+    for case in cases:
+        assert _outcome(from_blocks, *case) == _outcome(ReferenceConnection, *case)
+        D = from_blocks(*case)
+        assert parse(serialize(D)) == D
+    assert from_blocks(C.hodge, *shipped) == C
+    assert from_blocks(C.hodge, gauged.A, gauged.B) == gauged
 
 
 def test_curvature_zero_connection():
@@ -111,7 +217,7 @@ def test_curvature_commutator_sign():
     h3 = HodgeNumbers({(0, 0): 1, (-1, -1): 1, (-2, -2): 1})
     X = mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     Y = mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    C = EquivariantConnection(h3, {(1, 1): X}, {(1, 1): Y})
+    C = from_blocks(h3, {(1, 1): X}, {(1, 1): Y})
     F = curvature(C)
     assert F == {(1, 1): Y - X, (2, 2): mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])}
     assert curvature_matrix(3, F) == reference_curvature(C)
@@ -168,7 +274,7 @@ def test_a_gauge_is_refused_unless_its_value_is_unipotent_and_lowering():
 
 
 def test_normalize_single_level():
-    C = EquivariantConnection(KH, {(1, 1): E}, {})
+    C = from_blocks(KH, {(1, 1): E}, {})
     Cn, g = normalize_fock_schwinger(C)
     half = Scalar(Fraction(1, 2))
     assert Cn.A == {(1, 1): E.scale(half)}
@@ -225,7 +331,7 @@ def _table_route(d):
     zero = Matrix.zeros(hodge.dim, hodge.dim)
     assignment = {"z%d,%d" % k: D.get(k, zero) for k in table}
     A = {k: poly.substitute(assignment) for k, poly in table.items()}
-    return EquivariantConnection(hodge, A, {k: -v for k, v in A.items()})
+    return from_blocks(hodge, A, {k: -v for k, v in A.items()})
 
 
 def test_connection_from_delta_matches_table_route():
@@ -510,8 +616,8 @@ def _gaussian_connections(rng, count):
     out = []
     for _ in range(count):
         hodge = random_delta(rng, max_dim=6).hodge
-        out.append(EquivariantConnection(hodge, gauge_blocks(random_gauge(hodge, rng)),
-                                         gauge_blocks(random_gauge(hodge, rng))))
+        out.append(from_blocks(hodge, gauge_blocks(random_gauge(hodge, rng)),
+                               gauge_blocks(random_gauge(hodge, rng))))
     return out
 
 
@@ -578,3 +684,36 @@ def test_normal_form_takes_no_gauge_action_or_product(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     monkeypatch.setattr(Matrix, "inverse", refuse)
     assert [normalize_fock_schwinger(C) for C in cases] == expected
+
+
+def test_blocks_are_built_only_at_the_document_boundary(monkeypatch):
+    # a connection is its two values at (1, 1): of the commands, only
+    # connect files them into blocks (serialize reads A and B once each)
+    # and split its log components; no operation on a connection does
+    built = []
+    blocks = splitting._blocks
+
+    def counted(*args):
+        built.append(1)
+        return blocks(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hodgegauge.") and vars(module).get("_blocks") is blocks:
+            monkeypatch.setattr(module, "_blocks", counted)
+    path = holonomy.PolygonalPath([(0, 0), (2, Fraction(-1, 3)), (-1, 1)])
+    product = tensor_mhs(tensor_mhs(t3(1, 2), t3(3, 4)), kummer(5))
+    flags = SimpleNamespace(path=None, point=None)
+    for V in (delta_to_mhs(chain_delta(16)), product):
+        structure = parse(serialize(V))
+        for command, handler in cli._HANDLERS.items():
+            built.clear()
+            handler(structure, flags)
+            assert len(built) == {"connect": 2, "split": 1}.get(command, 0), command
+        d = delta_operator(GrStructure(V))
+        C = connection_from_delta(d)
+        g = random_gauge(d.hodge, random.Random(1))
+        built.clear()
+        for call, *args in ((connection_from_delta, d), (apply_gauge, C, g),
+                            (triangle_delta, C), (holonomy.holonomy_path, C, path)):
+            call(*args)
+        assert not built

@@ -258,7 +258,7 @@ def test_integer_fields_take_only_json_integers(name, path, value, workdir):
 @pytest.mark.parametrize("name, path, value", [
     ("delta_t3_2_5.json", ["matrix", 1], ["0/1", "1/1"]),
     ("connection_t3_2_5.json", ["blocks", 0, "A", 2], ["0/1"]),
-    # all zero, so EquivariantConnection would drop it unchecked
+    # all zero, so from_blocks would drop it unchecked
     ("connection_t3_2_5.json", ["blocks", 1, "B"], [["0/1", "0/1"]] * 2),
     ("connection_t3_2_5.json", ["blocks", 1, "A"], []),
 ])

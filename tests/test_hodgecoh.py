@@ -13,7 +13,7 @@ from conftest import (
     realified_cohomology,
     rhom,
 )
-from hodgegauge import connection, hodgecoh
+from hodgegauge import hodgecoh
 from hodgegauge.connection import (
     EquivariantConnection,
     apply_gauge,
@@ -196,19 +196,21 @@ def test_conjugation_is_the_block_permutation():
 
 
 def test_real_cohomology_applies_the_block_swap(monkeypatch):
-    # B_{q,p} the entrywise conjugate of A_{p,q} at the same indices, built
-    # past the admissibility checks.  Where the swap moves no nonzero entry,
-    # or moves only entries onto equal ones (a purely imaginary A_{1,1} on
-    # four of the structures), this is the connection's own B and the check
-    # passes; everywhere else the unswapped B must fail it.
+    # B_{q,p} the entrywise conjugate of A_{p,q} at the same indices.  An
+    # entry of bidegree (p, q), p != q, then sits in block (q, p), off its
+    # bidegree, and is no part of B's value at (1, 1): that value is the
+    # conjugate of A's on the entries of bidegree (p, p), and 0 elsewhere.
+    # Where the swap moves no nonzero entry, or moves only entries onto
+    # equal ones (a purely imaginary A_{1,1} on four of the structures),
+    # this is the connection's own B and the check passes; everywhere else
+    # the unswapped B must fail it.
     same = []
 
     def unswapped(dobj):
         C = connection_from_delta(dobj)
-        U = object.__new__(EquivariantConnection)
-        for name, value in (("hodge", C.hodge), ("A", C.A), ("B", {
-                (q, p): M.conjugate() for (p, q), M in C.A.items()})):
-            object.__setattr__(U, name, value)
+        U = EquivariantConnection(C.hodge, C.P, Matrix([
+            [x.conjugate() if p == q else ZERO for x, (p, q) in zip(row, ds)]
+            for row, ds in zip(C.P.rows, C.hodge.bidegrees())]))
         same.append(U == C)
         return U
 
@@ -217,7 +219,7 @@ def test_real_cohomology_applies_the_block_swap(monkeypatch):
     for V in _real_structures():
         gr = GrStructure(realize_real(V))
         s = hodgecoh._block_swap(gr.hodge)
-        A = connection._value(gr.hodge, connection_from_delta(delta_operator(gr)).A)
+        A = connection_from_delta(delta_operator(gr)).P
         moved += any((s[i], s[j]) != (i, j) for i, row in enumerate(A.rows)
                      for j, x in enumerate(row) if x)
         try:
@@ -254,11 +256,7 @@ def test_real_cohomology_rejects_an_unstable_connection(monkeypatch):
     # match and the complex is not conjugation-stable
     def tilted(dobj):
         C = connection_from_delta(dobj)
-        return EquivariantConnection(
-            C.hodge,
-            {pq: M.scale(I) for pq, M in C.A.items()},
-            {pq: M.scale(I) for pq, M in C.B.items()},
-        )
+        return EquivariantConnection(C.hodge, C.P.scale(I), C.Q.scale(I))
 
     monkeypatch.setattr(hodgecoh, "connection_from_delta", tilted)
     with pytest.raises(InvariantError, match="conjugation-stable"):

@@ -35,9 +35,9 @@ the same documents in the same working directory:
 - ``connect``, ``holonomy`` and the two ``holonomy --path`` runs on a
   connection document with A + B != 0: the shipped ``connection_t3_2_5``
   changed by the unipotent gauge 1 + E t1 t2, E = 2 e01 - e12.  Its A and
-  B blocks, computed once by ``apply_gauge``, are written out as literals
-  and built with ``EquivariantConnection`` and ``serialize``, which both
-  trees share.
+  B blocks, computed once by ``apply_gauge``, are written out as a literal
+  connection document and passed through ``documents.parse`` and
+  ``serialize``, which both trees share.
 
 Stderr is compared by whether it is empty and by its last line, which
 names no path (an exception's text or argparse's error), so a lost
@@ -109,24 +109,23 @@ for arg in sys.argv[1:]:
 
 # writes gauged_t3_2_5.json to the cwd: connection_from_delta(t3_delta(2, 5))
 # under the gauge 1 + E t1 t2, E = 2 e01 - e12, so that A + B != 0; the
-# blocks are apply_gauge's, written out
+# blocks are apply_gauge's, written out as a literal connection document
 GAUGED_SCRIPT = """
 import json
-from hodgegauge.connection import EquivariantConnection
-from hodgegauge.documents import serialize
-from hodgegauge.linalg import Matrix
-from hodgegauge.mhs import HodgeNumbers
+from hodgegauge.documents import parse, serialize
 
 
 def corner(x, y, z):
-    return Matrix([[0, x, z], [0, 0, y], [0, 0, 0]])
+    return [["0", x, z], ["0", "0", y], ["0", "0", "0"]]
 
 
-C = EquivariantConnection(HodgeNumbers({(-2, -2): 1, (-1, -1): 1, (0, 0): 1}),
-                          {(1, 1): corner(-7, -1, 0), (2, 2): corner(0, 0, 37)},
-                          {(1, 1): corner(3, 3, 0), (2, 2): corner(0, 0, -41)})
+doc = {"type": "connection", "hodge": {"-2,-2": 1, "-1,-1": 1, "0,0": 1},
+       "blocks": [{"p": 1, "q": 1, "A": corner("-7", "-1", "0"),
+                   "B": corner("3", "3", "0")},
+                  {"p": 2, "q": 2, "A": corner("0", "0", "37"),
+                   "B": corner("0", "0", "-41")}]}
 with open("gauged_t3_2_5.json", "w") as fh:
-    json.dump(serialize(C), fh)
+    json.dump(serialize(parse(doc)), fh)
 """
 
 
