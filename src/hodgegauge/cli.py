@@ -30,8 +30,8 @@ from . import __version__
 from .scalars import MAX_DIGITS, FieldError, Scalar
 
 TRUNCATION_CAP = 12
-# a segment pulls each block back to a polynomial of degree up to the spread:
-# 3 rational segments on a 32-dim chain of spread 62 take over 10 s of CPU
+# a segment pulls each entry back to degree up to the spread: 3 rational
+# segments on a 32-dim chain take 0.8 s of CPU, 7 s with 100-digit entries
 MAX_PATH_POINTS = 16
 CLOSED_STDOUT = 141  # 128 + SIGPIPE
 

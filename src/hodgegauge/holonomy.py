@@ -1,16 +1,17 @@
 """Exact parallel transport of nilpotent polynomial connections.
 
-Transport along a segment solves T' = M(t) T with T(0) = 1, where M is the
-pullback of Omega to the segment.  Every coefficient block strictly lowers
-the weight, so splitting._walk, beside DeltaObject, solves it entry by
-entry in order of weight drop: the walk that solves connection_from_delta
-and log_delta_components against delta.  Along a path each segment's walk
-starts at T(0) = the transport so far: one ODE, continued, with no matrix
-product.  The sign and the triangle orientation (0,0) -> (-1,0) -> (0,-1)
--> (0,0) are the unique combination under which the triangle holonomy of
-the canonical connection of a structure reproduces its splitting
-comparison operator; a runtime self-test (convention_selftest) re-derives
-this pin on a rank-2 fixture.
+Transport along a segment solves T' = M T with T(0) = 1, M the pullback of
+Omega, whose entry (i, j) of bidegree (p, q) is g c: g the pullback of
+t1^(p-1) t2^(q-1), shared by its dt1 and dt2 terms, and c linear in s.
+Every entry lowers the weight, so splitting._walk, beside DeltaObject,
+solves it entry by entry in order of weight drop, on the pairs (g, c), as
+it solves connection_from_delta and log_delta_components against delta.
+Along a path each segment's walk starts at T(0) = the transport so far: one
+ODE, continued, with no matrix product.  The sign and the triangle
+orientation (0,0) -> (-1,0) -> (0,-1) -> (0,0) are the unique combination
+under which the triangle holonomy of the canonical connection of a
+structure reproduces its splitting comparison operator; a runtime self-test
+(convention_selftest) re-derives this pin on a rank-2 fixture.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .linalg import InvariantError, Matrix
 from .mhs import HodgeNumbers
 from .scalars import ONE, ZERO, Value, _coerce
 from .splitting import DeltaObject, _walk
-from .upoly import add, at_one, mul, of
+from .upoly import at_one, mul, of
 
 
 class PathError(ValueError):
@@ -53,34 +54,30 @@ TRIANGLE = ((0, 0), (-1, 0), (0, -1), (0, 0))
 
 def _segment_transport(C, a, b, start=None):
     """The nonzero off-diagonal entries of T(s), keyed by (i, j), along
-    gamma(s) = a + s (b - a), s in [0, 1], as splitting._walk returns them
+    x = a + s d, s in [0, 1], d = b - a, as splitting._walk returns them
     from T(0) = 1 plus the entries of start; the diagonal of T is 1.
 
-    Entry (i, j) of bidegree (p, q) pulls back to
-    P[i,j] x1^(p-1) x2^q x1' + Q[i,j] x1^p x2^(q-1) x2' at x = gamma(s):
-    one pass over the nonzero entries of the values P and Q, which forms
-    each bidegree's pullback, and each power of a coordinate, once.
+    Entry (i, j) of bidegree (p, q) pulls back to g (c0 + c1 s), g =
+    x1^(p-1) x2^(q-1), c0 = P[i,j] d1 a2 + Q[i,j] d2 a1, c1 = (P[i,j] +
+    Q[i,j]) d1 d2: one pass over the nonzero entries of P and Q forms each
+    bidegree's g, and each power of x_k, once.
     """
-    speed = [b[k] - a[k] for k in (0, 1)]
-    line = [of((a[k], speed[k])) for k in (0, 1)]
-    power = [[of((ONE,))], [of((ONE,))]]
+    d = [b[k] - a[k] for k in (0, 1)]
+    power = [[of((ONE,)), of((a[k], d[k]))] for k in (0, 1)]
+    d1a2, d2a1, d1d2 = d[0] * a[1], d[1] * a[0], d[0] * d[1]
     pulled, pull = {}, {}
-    for k, X in enumerate((C.P, C.Q)):
-        for i, (row, ds) in enumerate(zip(X.rows, C.hodge.bidegrees())):
-            for j, (x, (p, q)) in enumerate(zip(row, ds)):
-                if not x:
-                    continue
-                if (k, p, q) not in pulled:
-                    for c, e in ((0, p - 1 + k), (1, q - k)):
-                        while len(power[c]) <= e:
-                            power[c].append(mul(power[c][-1], line[c]))
-                    pulled[k, p, q] = mul(mul(power[0][p - 1 + k], power[1][q - k]),
-                                          of((speed[k],)))
-                h = pulled[k, p, q]
-                if h[0] or h[1]:
-                    m = mul(h, of((x,)))
-                    pull[i, j] = add(pull[i, j], m) if (i, j) in pull else m
-    pull = {ij: m for ij, m in pull.items() if m[0] or m[1]}
+    for i, (xs, ys, ds) in enumerate(zip(C.P.rows, C.Q.rows, C.hodge.bidegrees())):
+        for j, (x, y, (p, q)) in enumerate(zip(xs, ys, ds)):
+            if not (x or y):
+                continue
+            if (p, q) not in pulled:
+                for k, e in ((0, p - 1), (1, q - 1)):
+                    while len(power[k]) <= e:
+                        power[k].append(mul(power[k][-1], power[k][1]))
+                pulled[p, q] = mul(power[0][p - 1], power[1][q - 1])
+            g, c = pulled[p, q], of((x * d1a2 + y * d2a1, (x + y) * d1d2))
+            if (g[0] or g[1]) and (c[0] or c[1]):
+                pull[i, j] = g, c
     return _walk(C.hodge, lambda i, j, S: pull.get((i, j)), start)
 
 

@@ -188,11 +188,12 @@ def _walk(hodge, rule, start=None):
     indices (a transport so far), so the order below still holds.
 
     The entries (i, j) that lower both indices are visited in order of
-    weight drop, so S = sum_{k != j} M[i,k] T[k,j] involves only entries
-    already set; then M[i,j] = rule(i, j, S), a polynomial in s of
-    ``upoly`` or None for zero, and T[i,j] = T(0)[i,j] + int_0^s (S +
-    M[i,j]).  Returns the nonzero off-diagonal entries of T, keyed by
-    (i, j), as ``upoly`` polynomials; the diagonal is 1.
+    weight drop, so S = sum_{k != j} c (h T[k,j]) over M[i,k] = (h, c)
+    involves only entries already set; then M[i,j] = rule(i, j, S), None for
+    zero or the ``upoly`` pair (h, c) of its bidegree's pullback h, with
+    small coefficients, and its coefficient c, so a big c meets T only in a
+    scaling; and T[i,j] = T(0)[i,j] + int_0^s (S + c h).  Returns T's
+    nonzero off-diagonal entries, keyed by (i, j), in ``upoly``.
     """
     # upoly loads only where a walk runs, so rees, which runs none, skips it
     from .upoly import add, integral, mul, of
@@ -201,13 +202,12 @@ def _walk(hodge, rule, start=None):
     T = {ij: of((x,)) for ij, x in (start or {}).items()}
     for i, j in hodge.lowering():
         S = of(())
-        for k, m in M[i].items():
+        for k, (h, c) in M[i].items():
             if (k, j) in T:
-                S = add(S, mul(m, T[k, j]))
-        m = rule(i, j, S)
-        if m is not None:
+                S = add(S, mul(c, mul(h, T[k, j])))
+        if (m := rule(i, j, S)) is not None:
             M[i][j] = m
-            S = add(S, m)
+            S = add(S, mul(m[1], m[0]))
         if S[0] or S[1]:
             T[i, j] = add(T[i, j], integral(S)) if (i, j) in T else integral(S)
     return T
@@ -216,9 +216,9 @@ def _walk(hodge, rule, start=None):
 def _solve_form(dobj, pullback):
     """The value M of the form with entries M[i,j] h(s), h = pullback(p, q)
     in ``upoly`` for (p, q) the bidegree of (i, j), whose transport is
-    delta at s = 1; the walk solves each entry as it reaches it: M[i,j] =
-    (delta[i,j] - int_0^1 S) / int_0^1 h."""
-    from .upoly import at_one, integral, mul, of
+    delta at s = 1; the walk solves each entry as it reaches it, as the
+    pair (h, M[i,j]): M[i,j] = (delta[i,j] - int_0^1 S) / int_0^1 h."""
+    from .upoly import at_one, integral, of
 
     n = dobj.hodge.dim
     bidegrees = dobj.hodge.bidegrees()
@@ -235,7 +235,7 @@ def _solve_form(dobj, pullback):
         if not a:
             return None
         rows[i][j] = a
-        return mul(h, of((a,)))
+        return h, of((a,))
 
     _walk(dobj.hodge, solve)
     return Matrix._of(tuple(map(tuple, rows)), n)

@@ -25,6 +25,8 @@ def _trim(a):
 
 def _conv(a, b):
     # at these degrees (a few to ~70) this beats Kronecker packing
+    if len(a) == 1:
+        return [a[0] * y for y in b]
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:

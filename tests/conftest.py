@@ -49,7 +49,7 @@ from hodgegauge.mhs import (
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, ZERO, Scalar
 from hodgegauge.splitting import DeltaObject, _adapted_pieces, delta_operator
-from hodgegauge.upoly import at_one, hypotenuse_pullback, integral, mul
+from hodgegauge.upoly import add, at_one, hypotenuse_pullback, integral, mul, of
 
 # the same examples on every run, so a hypothesis failure cannot come and go
 settings.register_profile(
@@ -239,11 +239,14 @@ def _upper_chain(n, entry):
     ]))
 
 
-def chain_delta(n):
+def chain_delta(n, gaussian=False):
     """One dimension per weight, (-k, -k) for k < n, so that every drop of
-    weight occurs; entries in -3..3 seeded by n."""
+    weight occurs; entries in -3..3 seeded by n, a Gaussian entry drawing
+    its real part, then its imaginary part: the chains of
+    ``tools/stdout_identity.py``."""
     rng = random.Random(n)
-    return _upper_chain(n, lambda: Scalar(rng.randint(-3, 3)))
+    return _upper_chain(n, lambda: Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
+                        if gaussian else Scalar(rng.randint(-3, 3)))
 
 
 def cap_chain_delta(n, gaussian=False):
@@ -849,6 +852,76 @@ def picard_transport(C, a, b):
     """Transport matrix of the connection C from a to b by ``picard``."""
     P, Q = connection_form(C)
     return picard(segment_pullback(P, Q, a, b), ZERO).eval((ONE,))
+
+
+# The walk as it was before its form entry became the pair (pullback,
+# coefficient): each entry one polynomial, which the walk convolved with
+# the transport.  splitting._walk, splitting._solve_form and
+# holonomy._segment_transport as they were then, verbatim but for their
+# names and imports, which the pair entries are tested against.
+
+
+def reference_walk(hodge, rule, start=None):
+    M = [{} for _ in range(hodge.dim)]
+    T = {ij: of((x,)) for ij, x in (start or {}).items()}
+    for i, j in hodge.lowering():
+        S = of(())
+        for k, m in M[i].items():
+            if (k, j) in T:
+                S = add(S, mul(m, T[k, j]))
+        m = rule(i, j, S)
+        if m is not None:
+            M[i][j] = m
+            S = add(S, m)
+        if S[0] or S[1]:
+            T[i, j] = add(T[i, j], integral(S)) if (i, j) in T else integral(S)
+    return T
+
+
+def reference_solve_form(dobj, pullback):
+    n = dobj.hodge.dim
+    bidegrees = dobj.hodge.bidegrees()
+    delta = dobj.delta.rows
+    pulled, rows = {}, [[ZERO] * n for _ in range(n)]
+
+    def solve(i, j, S):
+        pq = bidegrees[i][j]
+        if pq not in pulled:
+            h = pullback(*pq)
+            pulled[pq] = (h, at_one(integral(h)))
+        h, c = pulled[pq]
+        a = (delta[i][j] - at_one(integral(S))) / c
+        if not a:
+            return None
+        rows[i][j] = a
+        return mul(h, of((a,)))
+
+    reference_walk(dobj.hodge, solve)
+    return Matrix._of(tuple(map(tuple, rows)), n)
+
+
+def reference_segment_transport(C, a, b, start=None):
+    speed = [b[k] - a[k] for k in (0, 1)]
+    line = [of((a[k], speed[k])) for k in (0, 1)]
+    power = [[of((ONE,))], [of((ONE,))]]
+    pulled, pull = {}, {}
+    for k, X in enumerate((C.P, C.Q)):
+        for i, (row, ds) in enumerate(zip(X.rows, C.hodge.bidegrees())):
+            for j, (x, (p, q)) in enumerate(zip(row, ds)):
+                if not x:
+                    continue
+                if (k, p, q) not in pulled:
+                    for c, e in ((0, p - 1 + k), (1, q - k)):
+                        while len(power[c]) <= e:
+                            power[c].append(mul(power[c][-1], line[c]))
+                    pulled[k, p, q] = mul(mul(power[0][p - 1 + k], power[1][q - k]),
+                                          of((speed[k],)))
+                h = pulled[k, p, q]
+                if h[0] or h[1]:
+                    m = mul(h, of((x,)))
+                    pull[i, j] = add(pull[i, j], m) if (i, j) in pull else m
+    pull = {ij: m for ij, m in pull.items() if m[0] or m[1]}
+    return reference_walk(C.hodge, lambda i, j, S: pull.get((i, j)), start)
 
 
 # The connection as it was held before it became its two values at (1, 1):

@@ -1,19 +1,23 @@
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
-    NotNilpotentError, chain_delta, fixture_deltas, flat_sections_on_line,
-    gauge_matrix, mat, picard, picard_transport, segment_pullback,
+    NotNilpotentError, cap_chain_delta, chain_delta, fixture_deltas, fixture_dir,
+    flat_sections_on_line, gauge_matrix, mat, picard, picard_transport,
+    reference_segment_transport, reference_solve_form, segment_pullback,
 )
-from hodgegauge import holonomy
+from hodgegauge import holonomy, upoly
 from hodgegauge.connection import (
     EquivariantConnection,
     apply_gauge,
     connection_form,
     connection_from_delta,
 )
+from hodgegauge.documents import parse
 from hodgegauge.fixtures import kummer_delta, random_delta, t3_delta
 from hodgegauge.freelie import universal_log_pexp
 from hodgegauge.holonomy import (
@@ -29,7 +33,8 @@ from hodgegauge.linalg import Matrix
 from hodgegauge.mhs import HodgeNumbers
 from hodgegauge.poly import Poly, PolyMatrix
 from hodgegauge.scalars import ONE, Scalar, ZERO
-from hodgegauge.splitting import DeltaObject
+from hodgegauge.splitting import DeltaObject, _blocks, log_delta_components
+from hodgegauge.upoly import at_one, hypotenuse_pullback
 
 KH = HodgeNumbers({(0, 0): 1, (-1, -1): 1})
 E = mat([[0, 1], [0, 0]])
@@ -363,3 +368,79 @@ def test_flat_sections_match_picard():
             P, Q = connection_form(conn)
             M = segment_pullback(P, Q, (-1, 0), (0, -1)).subs(0, shift)
             assert flat_sections_on_line(conn) == picard(M, -ONE)
+
+
+# the paths of tools/stdout_identity.py: 5 rational points, and a Gaussian
+# vertex
+PATH_5 = ((-1, 0), (0, -1), (2, 3), (Fraction(1, 2), Fraction(-1, 3)), (1, 1))
+GAUSSIAN_VERTEX = ((-1, 0), (Scalar(Fraction(1, 2), 1), -1), (0, -1))
+# the hypotenuse, both axes, a segment through the origin, and segments
+# with a1 = 0, d1 = 0 or both: x1, and with it g for p > 1, vanishes at
+# s = 0, nowhere or everywhere
+SEGMENTS = (((-1, 0), (0, -1)), ((0, 0), (-1, 0)), ((0, -1), (0, 0)),
+            ((-2, 1), (2, -1)), ((0, 2), (3, -1)), ((2, 1), (2, -3)),
+            ((0, 1), (0, -2)))
+
+
+def _shipped_and_gauged():
+    # the shipped connection document, and the gauge change that
+    # tools/stdout_identity.py writes out, A + B != 0
+    with open(os.path.join(fixture_dir(), "connection_t3_2_5.json")) as fh:
+        C = parse(json.load(fh))
+    G = apply_gauge(C, DeltaObject(C.hodge, mat([[1, 2, 0], [0, 1, -1], [0, 0, 1]])))
+    assert G.Q != -G.P
+    return [C, G]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fixture_deltas() + _shipped_and_gauged(),
+    lambda: [chain_delta(16), chain_delta(24)],
+    lambda: [chain_delta(16, gaussian=True)],
+    lambda: [cap_chain_delta(16)],
+    lambda: [cap_chain_delta(16, gaussian=True)],
+], ids=["fixtures", "chains-16-24", "gaussian-chain-16", "cap-16", "cap-16-i"])
+def test_pair_entries_walk_as_the_convolved_entries_did(build):
+    # the walk on (pullback, coefficient) pairs against the walk it
+    # replaced, which convolved one polynomial per entry: the same solved
+    # values, and the same transport polynomials on each segment from
+    # T(0) = 1 and along each path, continued from the transport so far
+    for x in build():
+        if isinstance(x, DeltaObject):
+            assert log_delta_components(x) == _blocks(
+                x.hodge, reference_solve_form(x, lambda p, q: ([1], [], 1)))
+            C = connection_from_delta(x)
+            assert C.P == reference_solve_form(x, hypotenuse_pullback)
+        else:
+            C = x
+        for a, b in (PolygonalPath(ab).segments()[0] for ab in SEGMENTS):
+            assert (holonomy._segment_transport(C, a, b)
+                    == reference_segment_transport(C, a, b))
+        for points in (PATH_5, GAUSSIAN_VERTEX):
+            T = {}
+            for a, b in PolygonalPath(points).segments():
+                got = holonomy._segment_transport(C, a, b, T)
+                assert got == reference_segment_transport(C, a, b, T)
+                T = {ij: v for ij, t in got.items() if (v := at_one(t))}
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Qi"])
+def test_big_coefficients_meet_a_transport_only_in_a_scaling(monkeypatch, gaussian):
+    # on the cap chain at n = 16, whose entries run to 333 bits, no product
+    # of two polynomials that each carry more than two coefficients over
+    # 128 bits: the walk convolved 1388 (Q) and 5552 (Q(i)) of them when a
+    # form entry was the coefficient times the pullback.  A pullback g
+    # carries no coefficient of the connection, but on the segment
+    # (2, 3) -> (1/2, -1/3) its numerators, over 2^(p-1) 3^(q-1), reach 83
+    # bits at degree 24, so 64 bits would count g T
+    conv, big = upoly._conv, []
+
+    def counted(a, b):
+        if all(sum(x.bit_length() > 128 for x in v) > 2 for v in (a, b)):
+            big.append((len(a), len(b)))
+        return conv(a, b)
+
+    monkeypatch.setattr(upoly, "_conv", counted)
+    C = connection_from_delta(cap_chain_delta(16, gaussian))
+    triangle_delta(C)
+    holonomy_path(C, PolygonalPath(PATH_5[1:]))
+    assert big == []

@@ -8,6 +8,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import coefficients
+from hodgegauge.connection import EquivariantConnection
+from hodgegauge.holonomy import _segment_transport
+from hodgegauge.linalg import Matrix
+from hodgegauge.mhs import HodgeNumbers
 from hodgegauge.poly import Poly
 from hodgegauge.scalars import ONE, ZERO, Scalar
 from hodgegauge.upoly import add, at_one, hypotenuse_pullback, integral, mul, of
@@ -83,3 +87,19 @@ def test_hypotenuse_pullback_is_its_product_formula():
             for _ in range(q - 1):
                 h = h * -s
             assert _poly(hypotenuse_pullback(p, q)) == h
+    # the hypotenuse walk of a one-entry Fock-Schwinger connection of
+    # bidegree (p, q), rational or Gaussian: its segment factor (g, c) is
+    # the closed form times the entry
+    rng = random.Random(75)
+    for p in range(1, 12):
+        for q in range(1, 13 - p):
+            hodge = HodgeNumbers({(0, 0): 1, (-p, -q): 1})
+            owner = hodge.block_of_index()
+            i, j = owner.index((-p, -q)), owner.index((0, 0))
+            for x in (Scalar(Fraction(rng.randint(-10 ** 30, 10 ** 30), 97)),
+                      Scalar(rng.randint(-9, 9), rng.randint(1, 9))):
+                P = Matrix([[x if (r, c) == (i, j) else ZERO for c in range(2)]
+                            for r in range(2)])
+                C = EquivariantConnection(hodge, P, -P)
+                assert _segment_transport(C, (-ONE, ZERO), (ZERO, -ONE)) == {
+                    (i, j): integral(mul(hypotenuse_pullback(p, q), of((x,))))}

@@ -29,9 +29,13 @@ the same documents in the same working directory:
   n = 16 and 24, as structure and as delta documents: entries uniform in
   +-10^100 from ``random.Random(30)``, the documents of
   ``tests/conftest.py``'s ``cap_chain_delta``;
-- ``holonomy --path`` on the fixtures and on the n = 16 Gaussian chain,
-  once with the 5 rational points and once with a Gaussian vertex
-  (``--path=-1,0;1/2+1*i,-1;0,-1``);
+- ``holonomy --path`` on the fixtures, on the n = 16 Gaussian chain and
+  on the n = 16 cap chain delta documents, rational and Gaussian (those of
+  ``cap_chain_delta(16)`` and ``cap_chain_delta(16, gaussian=True)``), once
+  with the 5 rational points and once with a Gaussian vertex
+  (``--path=-1,0;1/2+1*i,-1;0,-1``): segments off the axes and the
+  hypotenuse, where both coefficients of a pulled-back entry, c0 + c1 s,
+  are nonzero;
 - ``connect``, ``holonomy`` and the two ``holonomy --path`` runs on a
   connection document with A + B != 0: the shipped ``connection_t3_2_5``
   changed by the unipotent gauge 1 + E t1 t2, E = 2 e01 - e12.  Its A and
@@ -236,7 +240,7 @@ def chains(cmp, work):
     os.makedirs(cwd)
     _child(cmp.srcs[0], ["-c", CHAIN_SCRIPT] + [str(n) for n in CHAINS]
            + ["%di" % n for n in GAUSSIAN_CHAINS]
-           + ["%dc" % n for n in CAP_CHAINS], cwd)
+           + ["%dc" % n for n in CAP_CHAINS] + ["16ci"], cwd)
     for label, prefix, sizes in (("chains", "", CHAINS),
                                  ("Gaussian chains", "g", GAUSSIAN_CHAINS),
                                  ("cap chains", "cap_", CAP_CHAINS)):
@@ -255,6 +259,9 @@ def chains(cmp, work):
         cmp.invocation("holonomy %s on the n = 16 Gaussian chain" % path,
                        ["holonomy", path, "gchain_16_structure.json",
                         "gchain_16_delta.json"], cwd, CHAIN_LIMIT_S)
+        for doc in ("cap_chain_16_delta.json", "cap_gchain_16_delta.json"):
+            cmp.invocation("holonomy %s on %s" % (path, doc),
+                           ["holonomy", path, doc], cwd, CHAIN_LIMIT_S)
     _child(cmp.srcs[0], ["-c", GAUGED_SCRIPT], cwd)
     other = os.path.join(work, "gauged-change")
     os.makedirs(other)
