@@ -10,16 +10,16 @@ of every stage grows with both.
 Index keys must be canonical ("k" or "p,q", each part str(int(part))).  A
 matrix row or a filtration step that is not a list ([] is the zero step),
 or a (p, q) block that a connection document repeats, is malformed.
-A filtration step is read straight into integer rows (``linalg._ints`` of
-the parsed parts), so no Scalar is made of it; the matrices of delta and
-connection documents are read into Scalars.
+Every entry is read into a Scalar, each distinct string once per matrix, or
+once per document and field in filtration steps; a step is the span of
+``scalars._ints`` of its rows.
 """
 
 from __future__ import annotations
 
-from .linalg import DimensionMismatch, Matrix, Subspace, _ints
+from .linalg import DimensionMismatch, Matrix, Subspace
 from .mhs import ComplexMHS, Filtration, HodgeNumbers, RealMHS
-from .scalars import MAX_DIGITS, FieldError, _fast, parse_parts
+from .scalars import MAX_DIGITS, FieldError, _ints, _over, parse_parts
 
 
 # the widest range of indices one filtration, or of weights one set of
@@ -65,16 +65,15 @@ def _integer_in(x, what):
 
 
 def _scalar_in(text, field=None):
-    # the parts (rn, rd, in, id) of one entry
     try:
-        parts = parse_parts(text)
+        x = _over(*parse_parts(text))
     except (ValueError, TypeError) as exc:
         raise DocumentError(str(exc))
     except ZeroDivisionError:
         raise DocumentError("zero denominator in scalar %r" % (text,))
-    if field is not None and not _fast(*parts).in_field(field):
-        raise FieldError("scalar %s outside field %s" % (_fast(*parts), field))
-    return parts
+    if field is not None and not x.in_field(field):
+        raise FieldError("scalar %s outside field %s" % (x, field))
+    return x
 
 
 def _matrix_out(m):
@@ -90,16 +89,15 @@ def _lists_in(rows):
         raise DocumentError("matrix must be a list of rows, each a list")
 
 
-def _rows_in(rows, field, make, seen):
-    # the rows of a matrix as make(parts) of each entry, and their width;
-    # nearly every entry is "0/1" or "1/1", so seen keeps make(parts) of each
-    # distinct string
+def _rows_in(rows, field, seen):
+    # the rows of a matrix as Scalars, and their width; nearly every entry is
+    # "0/1" or "1/1", so seen keeps the Scalar of each distinct string
     _lists_in(rows)
 
     def entry(x):
         if type(x) is not str:
             return _scalar_in(x, field)
-        seen[x] = make(_scalar_in(x, field))
+        seen[x] = _scalar_in(x, field)
         return seen[x]
 
     rows = [[seen[x] if type(x) is str and x in seen else entry(x) for x in row]
@@ -112,7 +110,7 @@ def _rows_in(rows, field, make, seen):
 
 def _matrix_in(rows, field=None):
     # every entry is a Scalar, so the matrix needs no second coercion
-    rows, width = _rows_in(rows, field, lambda parts: _fast(*parts), {})
+    rows, width = _rows_in(rows, field, {})
     return Matrix._of(tuple(map(tuple, rows)), width)
 
 
@@ -128,18 +126,18 @@ def _filtration_out(f):
 
 def _step_in(rows, n, field, seen):
     # the span of the rows of a step; seen keeps, for one document and field,
-    # the parts of each entry string and the step of each list of rows
+    # the Scalar of each entry string and the step of each list of rows
     _lists_in(rows)
     try:
         return seen[n, tuple(map(tuple, rows))]
     except (KeyError, TypeError):  # new, or an entry is not a string
         pass
-    parts, width = _rows_in(rows, field, tuple, seen)
+    scalars, width = _rows_in(rows, field, seen)
     if width != n:
         raise DimensionMismatch("rows of length %d in K^%d" % (width, n))
-    # the entries are parts already, and _span makes each row primitive
+    # _span makes each row primitive
     seen[n, tuple(map(tuple, rows))] = step = Subspace._span(
-        n, [_ints(r, tuple)[:2] for r in parts])
+        n, [_ints(r)[:2] for r in scalars])
     return step
 
 

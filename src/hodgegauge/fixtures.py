@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, _ints
+from .linalg import Matrix
 from .mhs import (
     ComplexMHS,
     Filtration,
@@ -24,7 +24,7 @@ from .mhs import (
     pure,
     tensor_mhs,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _ints
 from .splitting import DeltaObject, delta_to_mhs
 
 

@@ -3,7 +3,7 @@
 Generators carry bidegrees (-p, -q); we store the positive pair (p, q) and
 call p + q the weight.  An element holds its rational Lyndon coordinates,
 and a tensor its coefficients, as integer numerators over one positive
-denominator.  Brackets expand into the truncated tensor algebra and
+denominator, the form of a Scalar, read in through ``scalars._ints``.  Brackets expand into the truncated tensor algebra and
 re-extract, which is triangular with respect to the order on words by
 (length, word) and hence exact, with no Scalar arithmetic: Scalars are made
 only where a coefficient is read in or out, by the constructor, ``scale``,
@@ -35,7 +35,7 @@ import heapq
 import operator
 from math import gcd, lcm
 
-from .scalars import FieldError, Value, _coerce, _over
+from .scalars import FieldError, Value, _coerce, _ints, _over
 from .upoly import at_one, hypotenuse_pullback, integral, mul
 
 
@@ -187,7 +187,7 @@ def expand_lyndon(w):
 
 def _rational(c):
     c = _coerce(c)
-    if c._in:
+    if not c.in_field("Q"):
         raise FieldError("Lie coordinates are rational, not %s" % (c,))
     return c
 
@@ -210,8 +210,8 @@ class LiePolynomial(Value):
             if not is_lyndon(w):
                 raise NotLieElement("%r is not a Lyndon word" % (w,))
             clean[w] = c
-        d = lcm(*(c._rd for c in clean.values()))
-        self._set(alphabet, {w: c._rn * (d // c._rd) for w, c in clean.items()}, d)
+        num, _, d = _ints(clean.values())
+        self._set(alphabet, dict(zip(clean, num)), d)
 
     def _set(self, alphabet, num, den):
         # num: Lyndon words to nonzero ints, over den > 0; reduced here
@@ -302,9 +302,9 @@ class LiePolynomial(Value):
         return self._plus(other, -1)
 
     def scale(self, c):
-        c = _rational(c)
-        num = {w: x * c._rn for w, x in self.num.items()} if c else {}
-        return LiePolynomial._of(self.alphabet, num, self.den * c._rd)
+        (c,), _, d = _ints((_rational(c),))
+        num = {w: x * c for w, x in self.num.items()} if c else {}
+        return LiePolynomial._of(self.alphabet, num, self.den * d)
 
     def bracket(self, other):
         t = _tensor_bracket(self.to_tensor(), other.to_tensor())

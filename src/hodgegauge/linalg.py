@@ -4,7 +4,8 @@ A ``Matrix`` holds rows of Scalars: operators and what callers read.  The
 flag layer holds integer rows: a pair (re, im) of tuples of ints, im None
 when every imaginary part is 0, standing for re + im*i up to a nonzero
 factor; a row that stands for one vector carries a positive denominator,
-(re, im, d), the form ``upoly`` uses.  A Subspace holds its reduced echelon
+(re, im, d), the form of a Scalar and of ``upoly``, which ``scalars._ints``
+makes of a row of Scalars.  A Subspace holds its reduced echelon
 rows so, each primitive (its parts have gcd 1) with a positive integer
 pivot: equal subspaces have equal rows.  ``basis`` makes Scalars of them,
 each row over its pivot.  There is no floating point anywhere.
@@ -24,15 +25,14 @@ exit.
 from __future__ import annotations
 
 from itertools import islice, repeat, starmap
-from math import gcd, lcm
-from operator import attrgetter, mul, neg
+from math import gcd
+from operator import neg
 
-from .scalars import ONE, ZERO, Scalar, Value, _coerce, _over
+from .scalars import ONE, ZERO, Scalar, Value, _coerce, _ints, _over
 
 _new = object.__new__
 _set = object.__setattr__
 _NO_IM = repeat(0)
-_PARTS = attrgetter("_rn", "_rd", "_in", "_id")
 
 
 class DimensionMismatch(ValueError):
@@ -196,18 +196,6 @@ def solve_left(A, rows):
         raise DimensionMismatch("right-hand rows must have length %d" % n)
     sols = _solve(list(map(_ints, A.rows)), list(map(_ints, rows)), n)
     return None if sols is None else tuple(starmap(_scalars, sols))
-
-
-def _ints(row, parts=_PARTS):
-    # a row as (re, im, d): the numerators over the lcm d of its
-    # denominators, read by parts(x) = (rn, rd, in, id) of each entry x
-    rn, rd, in_, id_ = tuple(zip(*map(parts, row))) or ((),) * 4
-    d = lcm(*rd, *id_)
-    im = in_ if any(in_) else None
-    if d != 1:  # most rows of a document are integers already
-        rn = tuple(map(mul, rn, map(d.__floordiv__, rd)))
-        im = im and tuple(map(mul, im, map(d.__floordiv__, id_)))
-    return rn, im, d
 
 
 def _scalars(re, im, d):

@@ -1,19 +1,19 @@
 """Exact scalar arithmetic over Q and Q(i).
 
-A Scalar is a Gaussian rational re + im*i.  Each part is held as two Python
-ints, a numerator and a positive denominator in lowest terms, so equality is
-structural and a + b - b == a holds bit-exactly.  Arithmetic runs on those
-ints with Henrici's gcd reductions (P. Henrici, J. ACM 3, 1956; Knuth, TAOCP
-vol. 2, 4.5.1), with a fast path when both operands are rational.  ``re``
-and ``im`` read the parts back as Fractions.  Only ints and Fractions
-convert to a Scalar: floats are refused, so no floating point gets in.
-``fractions`` (which loads ``decimal`` and ``numbers``) is imported on
-first use, where a Fraction is converted or a part is read, so a process
-that never does so never loads it.
-Plain rationals are the im == 0 case; callers that need to stay inside Q
-can check ``in_field("Q")``.  ``parse_parts`` reads a string into reduced
-integer parts without making a Scalar: the flag layer keeps integer rows
-(see ``linalg``), and Scalars are made where a caller reads rationals.
+A Scalar is a Gaussian rational (re + im*i) / d: three ints, d > 0 and
+gcd(re, im, d) = 1, the form of ``linalg``'s rows and ``upoly``'s
+polynomials, so equality is structural and a + b - b == a holds
+bit-exactly.  A Gaussian product or quotient is reduced by one gcd, a sum
+by Henrici's (P. Henrici, J. ACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1), and
+a rational product cancels across the diagonals.  ``re`` and ``im`` read
+the parts back as reduced Fractions.  Only ints and Fractions convert to a
+Scalar: floats are refused, so no floating point gets in.  ``fractions``
+(which loads ``decimal`` and ``numbers``) is imported on first use, where a
+Fraction is converted or a part is read, so a process that never does so
+never loads it.  Plain rationals are the im == 0 case; callers that need to
+stay inside Q can check ``in_field("Q")``.  No other module reads a
+Scalar's fields: ``parse_parts`` reads text into a triple, ``_over`` makes
+the Scalar of one, and ``_ints`` writes Scalars over one denominator.
 
 ``Value`` is the one rule for every other exact object of the library:
 its fields are set once, by the constructor, and two values are equal, and
@@ -23,7 +23,8 @@ hash equal, when they are of the same type and every field is equal.
 from __future__ import annotations
 
 import re as _re
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 class FieldError(ValueError):
@@ -34,28 +35,6 @@ _RAT = r"[+-]?\d+(?:/\d+)?"
 _SCALAR_RE = _re.compile(
     r"^\s*(?P<re>%s)\s*(?:(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)\s*\*\s*i)?\s*$" % _RAT
 )
-
-
-def _add(a, b, c, d):
-    """a/b + c/d in lowest terms; b, d > 0 and both inputs reduced."""
-    g = gcd(b, d)
-    if g == 1:
-        # coprime denominators leave nothing to cancel
-        return a * d + c * b, b * d
-    s = d // g
-    t = a * s + c * (b // g)
-    # any common factor of t and b*s divides g
-    g2 = gcd(t, g)
-    return t // g2, (b // g2) * s
-
-
-def _mul(a, b, c, d):
-    """a/b * c/d in lowest terms, cancelling across the diagonals first."""
-    if not a or not c:
-        return 0, 1
-    g1 = gcd(a, d)
-    g2 = gcd(c, b)
-    return (a // g1) * (c // g2), (b // g2) * (d // g1)
 
 
 def _part(x):
@@ -85,23 +64,22 @@ def _rational(text):
     n, d = int(num), int(den or 1)
     if not d:
         raise ZeroDivisionError("zero denominator in %r" % (text,))
-    g = gcd(n, d)
-    return n // g, d // g
+    return n, d
 
 
 def parse_parts(text):
-    """The reduced parts (rn, rd, in, id) that ``Scalar.parse`` reads from
-    text, with its errors, for a reader that keeps integers."""
+    """The triple (re, im, d), d > 0, of the number text holds, not yet
+    reduced, with the errors of ``Scalar.parse``, which is ``_over`` of it."""
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ValueError("not a scalar: %r" % (text,))
-    rn, rd = _rational(m.group("re"))
-    in_, id_ = 0, 1
-    if m.group("im") is not None:
-        in_, id_ = _rational(m.group("im"))
-        if m.group("sign") == "-":
-            in_ = -in_
-    return rn, rd, in_, id_
+    a, b = _rational(m.group("re"))
+    if m.group("im") is None:
+        return a, 0, b
+    c, e = _rational(m.group("im"))
+    if m.group("sign") == "-":
+        c = -c
+    return a * e, c * b, b * e
 
 
 _new = object.__new__
@@ -132,27 +110,29 @@ class Value:
 
 
 class Scalar:
-    # (real numerator, real denominator, imaginary numerator, imaginary
-    # denominator); set once by the constructors and never reassigned.  It is
-    # not a Value: arithmetic writes the slots of each result directly, and
-    # a __setattr__ guard would slow every one.
-    __slots__ = ("_rn", "_rd", "_in", "_id")
+    # (re + im i) / d as the ints (_re, _im, _d), d > 0 and gcd(re, im, d) =
+    # 1; set once by the constructors and never reassigned.  It is not a
+    # Value: arithmetic writes the slots of each result directly, and a
+    # __setattr__ guard would slow every one.
+    __slots__ = ("_re", "_im", "_d")
 
     def __init__(self, re=0, im=0):
-        self._rn, self._rd = _part(re)
-        self._in, self._id = _part(im)
+        # two reduced parts over the lcm of their denominators are canonical
+        (a, b), (c, e) = _part(re), _part(im)
+        d = lcm(b, e)
+        self._re, self._im, self._d = a * (d // b), c * (d // e), d
 
     @property
     def re(self):
         from fractions import Fraction
 
-        return Fraction(self._rn, self._rd)
+        return Fraction(self._re, self._d)
 
     @property
     def im(self):
         from fractions import Fraction
 
-        return Fraction(self._in, self._id)
+        return Fraction(self._im, self._d)
 
     @classmethod
     def parse(cls, text):
@@ -160,13 +140,16 @@ class Scalar:
 
         Non-reduced input is reduced; a zero denominator raises
         ZeroDivisionError."""
-        return _fast(*parse_parts(text))
+        return _over(*parse_parts(text))
 
     def __str__(self):
-        if not self._in:
-            return "%d/%d" % (self._rn, self._rd)
+        re, im, d = self._re, self._im, self._d
+        if not im:
+            return "%d/%d" % (re, d)
+        # each part over its own reduced denominator
+        g, h = gcd(re, d), gcd(im, d)
         return "%d/%d%s%d/%d*i" % (
-            self._rn, self._rd, "+" if self._in > 0 else "-", abs(self._in), self._id
+            re // g, d // g, "+" if im > 0 else "-", abs(im) // h, d // h
         )
 
     def __repr__(self):
@@ -176,28 +159,29 @@ class Scalar:
         if type(other) is not Scalar:
             return NotImplemented
         return (
-            self._rn == other._rn
-            and self._in == other._in
-            and self._rd == other._rd
-            and self._id == other._id
+            self._re == other._re and self._im == other._im and self._d == other._d
         )
 
     def __hash__(self):
-        return hash((self._rn, self._rd, self._in, self._id))
+        return hash((self._re, self._im, self._d))
 
     def __bool__(self):
-        return self._rn != 0 or self._in != 0
+        return self._re != 0 or self._im != 0
 
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)
-        s = _new(Scalar)
-        s._rn, s._rd = _add(self._rn, self._rd, other._rn, other._rd)
-        if not self._in and not other._in:
-            s._in, s._id = 0, 1
-        else:
-            s._in, s._id = _add(self._in, self._id, other._in, other._id)
-        return s
+        a, b, d = self._re, self._im, self._d
+        c, e, k = other._re, other._im, other._d
+        g = gcd(d, k)
+        if g == 1:
+            # coprime denominators leave nothing to cancel
+            return _fast(a * k + c * d, b * k + e * d, d * k)
+        s, t = k // g, d // g
+        x, y = a * s + c * t, b * s + e * t
+        # any common factor of x, y and the lcm d s divides g
+        h = gcd(x, y, g)
+        return _fast(x // h, y // h, d // h * s)
 
     __radd__ = __add__
 
@@ -208,43 +192,36 @@ class Scalar:
         return _coerce(other) - self
 
     def __neg__(self):
-        return _fast(-self._rn, self._rd, -self._in, self._id)
+        return _fast(-self._re, -self._im, self._d)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)
-        a, b, c, d = self._rn, self._rd, self._in, self._id
-        e, f, g, h = other._rn, other._rd, other._in, other._id
-        if not c and not g:
-            s = _new(Scalar)
-            s._rn, s._rd = _mul(a, b, e, f)
-            s._in, s._id = 0, 1
-            return s
-        # (a/b + c/d i)(e/f + g/h i)
-        return _fast(
-            *_add(*_mul(a, b, e, f), *_mul(-c, d, g, h)),
-            *_add(*_mul(a, b, g, h), *_mul(c, d, e, f)),
-        )
+        a, b, d = self._re, self._im, self._d
+        c, e, k = other._re, other._im, other._d
+        if b or e:
+            return _over(a * c - b * e, a * e + b * c, d * k)
+        if not a or not c:
+            return _fast(0, 0, 1)
+        # a/d * c/k, cancelling across the diagonals first
+        g, h = gcd(a, k), gcd(c, d)
+        return _fast((a // g) * (c // h), 0, (d // h) * (k // g))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)
-        a, b, c, d = self._rn, self._rd, self._in, self._id
-        e, f, g, h = other._rn, other._rd, other._in, other._id
-        if not g:
-            if not e:
-                raise ZeroDivisionError("division by zero scalar")
-            # divide each part by the rational e/f
-            if e < 0:
-                e, f = -e, -f
-            return _fast(*_mul(a, b, f, e), *_mul(c, d, f, e))
-        # multiply by the conjugate e/f - g/h i, then divide by the norm
-        nn, nd = _add(*_mul(e, f, e, f), *_mul(g, h, g, h))
-        rn, rd = _add(*_mul(a, b, e, f), *_mul(c, d, g, h))
-        in_, id_ = _add(*_mul(c, d, e, f), *_mul(-a, b, g, h))
-        return _fast(*_mul(rn, rd, nd, nn), *_mul(in_, id_, nd, nn))
+        a, b, d = self._re, self._im, self._d
+        c, e, k = other._re, other._im, other._d
+        if e:
+            # times the conjugate (c - e i) k, over the norm d (c^2 + e^2)
+            return _over((a * c + b * e) * k, (b * c - a * e) * k,
+                         d * (c * c + e * e))
+        if not c:
+            raise ZeroDivisionError("division by zero scalar")
+        # times k/c, a reduced rational
+        return self * (_fast(k, 0, c) if c > 0 else _fast(-k, 0, -c))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -262,30 +239,45 @@ class Scalar:
         return acc
 
     def conjugate(self):
-        return _fast(self._rn, self._rd, -self._in, self._id)
+        return _fast(self._re, -self._im, self._d)
 
     def in_field(self, tag):
         if tag == "Q":
-            return self._in == 0
+            return self._im == 0
         if tag == "Qi":
             return True
         raise FieldError("unknown field tag %r" % (tag,))
 
 
-def _fast(rn, rd, in_, id_):
-    # internal constructor for parts already reduced, denominators positive
+def _fast(re, im, d):
+    # the Scalar of a triple that is canonical already
     s = _new(Scalar)
-    s._rn = rn
-    s._rd = rd
-    s._in = in_
-    s._id = id_
+    s._re, s._im, s._d = re, im, d
     return s
 
 
-def _over(rn, in_, d):
-    # the reduced Scalar (rn + in_ i) / d, for integers rn, in_ and d > 0
-    g, h = gcd(rn, d), gcd(in_, d)
-    return _fast(rn // g, d // g, in_ // h, d // h)
+def _over(re, im, d):
+    """The Scalar (re + im i) / d, for integers re, im and d > 0: the one
+    canonical constructor, which divides out gcd(re, im, d)."""
+    g = gcd(re, im, d)
+    if g != 1:
+        re, im, d = re // g, im // g, d // g
+    return _fast(re, im, d)
+
+
+def _ints(xs):
+    """The Scalars xs as integers over one denominator, the rows of
+    ``linalg``: (re, im, d), the tuples of their numerators over the lcm d
+    of their denominators, im None when every imaginary part is 0."""
+    xs = tuple(xs)
+    ds = [x._d for x in xs]
+    d = lcm(*ds)
+    re, im = tuple([x._re for x in xs]), tuple([x._im for x in xs])
+    im = im if any(im) else None
+    if d != 1:  # most rows of a document are integers already
+        ks = tuple(map(d.__floordiv__, ds))
+        re, im = tuple(map(mul, re, ks)), im and tuple(map(mul, im, ks))
+    return re, im, d
 
 
 def _coerce(x):

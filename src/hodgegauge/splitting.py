@@ -24,7 +24,6 @@ from .linalg import (
     _cat,
     _cut,
     _echelon,
-    _ints,
     _over_pivot,
     _pick,
     _position,
@@ -34,7 +33,7 @@ from .linalg import (
     _units,
 )
 from .mhs import ComplexMHS, Filtration, GrStructure
-from .scalars import ONE, ZERO, Value, _over
+from .scalars import ONE, ZERO, Value, _ints, _over
 
 
 class DeltaError(ValueError):

@@ -2,7 +2,8 @@
 
 A polynomial in s is a triple (re, im, d): the integer numerators of the
 real and imaginary parts of its coefficients, constant term first and with
-no trailing zero, over one positive denominator d.  This is the one exact
+no trailing zero, over one positive denominator d, the form of a Scalar;
+``of`` reads its coefficients through ``scalars._ints``.  This is the one exact
 kernel for the integral of a product, int_0^s sum f g, of the free-Lie
 tables and of every transport walk: a product is integer convolutions, a
 sum is taken over the lcm of the denominators, and only an integral
@@ -14,7 +15,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from math import comb, gcd, lcm
 
-from .scalars import _coerce, _over
+from .scalars import _coerce, _ints, _over
 
 
 def _trim(a):
@@ -42,10 +43,8 @@ def _plus(a, b, ka=1, kb=1):
 
 def of(coefficients):
     """The polynomial with the given coefficients, constant first."""
-    cs = [_coerce(x) for x in coefficients]
-    d = lcm(*(x._rd for x in cs), *(x._id for x in cs))
-    return (_trim([x._rn * (d // x._rd) for x in cs]),
-            _trim([x._in * (d // x._id) for x in cs]), d)
+    re, im, d = _ints(map(_coerce, coefficients))
+    return _trim(list(re)), _trim(list(im or ())), d
 
 
 def mul(f, g):

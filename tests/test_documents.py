@@ -120,8 +120,8 @@ def test_filtration_builds_one_matrix_per_step(monkeypatch):
     built = []
     real = documents._rows_in
 
-    def counting(rows, field, make, seen):
-        built.append(real(rows, field, make, seen))
+    def counting(rows, field, seen):
+        built.append(real(rows, field, seen))
         return built[-1]
 
     monkeypatch.setattr(documents, "_rows_in", counting)

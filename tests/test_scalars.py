@@ -1,3 +1,5 @@
+import ast
+import os
 import sys
 from fractions import Fraction
 from math import gcd
@@ -5,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import hodgegauge
 from hodgegauge.linalg import Matrix
 from hodgegauge.scalars import (
     MAX_DIGITS, FieldError, I, ONE, Scalar, ZERO, _coerce,
@@ -49,8 +52,7 @@ def test_subtraction_adds_the_negative(s, t, k, q):
                  (s, q), (q, s), (rs, q), (q, rs)):
         diff, total = a - b, a + (-b)
         assert type(diff) is Scalar and type(total) is Scalar
-        assert (diff._rn, diff._rd, diff._in, diff._id) == \
-            (total._rn, total._rd, total._in, total._id)
+        assert (diff._re, diff._im, diff._d) == (total._re, total._im, total._d)
 
 
 @given(scalars, scalars, scalars)
@@ -102,12 +104,20 @@ def test_coercion_with_ints():
     assert 2 * I == Scalar(0, 2)
 
 
-# differential test: the int-pair kernel against (re, im) pairs of Fractions
+# differential test: the integer kernel against (re, im) pairs of Fractions
 small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-parts = st.one_of(st.just(Fraction(0)), rationals, small)
+# parts of about 330 bits over denominators of about 330 bits
+big = st.builds(Fraction, st.integers(-2 ** 330, 2 ** 330), st.integers(1, 2 ** 330))
+parts = st.one_of(st.just(Fraction(0)), rationals, small, big)
+integers = st.integers(-9, 9).map(Fraction)
 values = st.one_of(
     st.tuples(parts, st.just(Fraction(0))),  # rational
     st.tuples(parts, parts),  # Gaussian, zero included
+    st.tuples(integers, integers),  # Gaussian integers
+    # parts over unrelated denominators, such as 1/3 + 1/5 i
+    st.builds(lambda a, b, p, q: (Fraction(a, p), Fraction(b, q)),
+              st.integers(-20, 20), st.integers(-20, 20),
+              st.sampled_from((3, 7, 9, 12)), st.sampled_from((4, 5, 11, 25))),
 )
 
 
@@ -129,11 +139,22 @@ def ref_pow(x, k):
     return ref_div((Fraction(1), Fraction(0)), acc) if k < 0 else acc
 
 
+def ref_str(re, im):
+    # each part as its reduced fraction
+    text = "%d/%d" % (re.numerator, re.denominator)
+    if not im:
+        return text
+    return text + "%s%d/%d*i" % ("+" if im > 0 else "-", abs(im.numerator),
+                                 im.denominator)
+
+
 def check(z, want):
     assert (z.re, z.im) == want
-    # the stored parts are reduced, with positive denominators
-    for n, d in ((z._rn, z._rd), (z._in, z._id)):
-        assert type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+    # the stored triple (re + im i) / d is canonical: d > 0, gcd 1
+    re, im, d = z._re, z._im, z._d
+    assert all(type(v) is int for v in (re, im, d))
+    assert d > 0 and gcd(re, im, d) == 1
+    assert str(z) == ref_str(*want)
     assert Scalar.parse(str(z)) == z
 
 
@@ -233,3 +254,20 @@ def test_parse_limits_the_digits_of_each_part(form):
     assert str(exc.value) == (
         "scalar has a numerator or denominator of more than 4300 digits"
     )
+
+
+def test_only_scalars_reads_a_scalar_field():
+    # the number format lives behind one module: no other module names a
+    # field of a Scalar, as an attribute or as a string
+    fields = set(Scalar.__slots__)
+    src = os.path.dirname(hodgegauge.__file__)
+    readers = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "scalars.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        readers += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                    if (isinstance(node, ast.Attribute) and node.attr in fields)
+                    or (isinstance(node, ast.Constant) and node.value in fields)]
+    assert readers == []

@@ -24,7 +24,9 @@ the same documents in the same working directory:
   documents, and ``holonomy --path`` with 5 rational points on the n = 24
   chain;
 - the same on the Gaussian chains at n = 16 and 24 (entries a + b*i, a and
-  b in -3..3 seeded by n);
+  b in -3..3 seeded by n), and on the n = 16 chain whose entries are
+  a/3 + b/5*i (a and b in -3..3), where a Gaussian's parts have unrelated
+  denominators, so that printing reduces each part over its own;
 - the seven commands and the ``rees`` base points on the cap chains at
   n = 16 and 24, as structure and as delta documents: entries uniform in
   +-10^100 from ``random.Random(30)``, the documents of
@@ -71,6 +73,7 @@ import workloads  # noqa: E402
 COMMANDS = ("validate", "split", "connect", "holonomy", "roundtrip", "rees", "ext")
 CHAINS = (16, 24, 32)
 GAUSSIAN_CHAINS = (16, 24)
+UNRELATED_CHAINS = (16,)
 CAP_CHAINS = (16, 24)
 CHAIN_LIMIT_S = 300
 PATH_5 = "--path=-1,0;0,-1;2,3;1/2,-1/3;1,1"
@@ -80,11 +83,13 @@ REES_POINTS = (["--point", "2,3", "--point", "4/2,3"], ["--point=-1,0"],
 
 # writes chain_<n>_structure.json and chain_<n>_delta.json to the cwd, or
 # gchain_<n>_... for an argument "<n>i", whose entries are Gaussian, or
+# uchain_<n>_... for an argument "<n>u", whose entries are a/3 + b/5*i, or
 # cap_chain_<n>_... for an argument "<n>c", whose entries are those of
 # tests/conftest.py's cap_chain_delta(n): uniform in +-10^100 from
 # random.Random(30) (cap_gchain_<n>_... for "<n>ci")
 CHAIN_SCRIPT = """
 import json, random, sys
+from fractions import Fraction
 from hodgegauge.documents import serialize
 from hodgegauge.linalg import Matrix
 from hodgegauge.mhs import HodgeNumbers
@@ -92,11 +97,15 @@ from hodgegauge.scalars import ONE, ZERO, Scalar
 from hodgegauge.splitting import DeltaObject, delta_to_mhs
 
 for arg in sys.argv[1:]:
-    n, gaussian, cap = int(arg.rstrip("ic")), "i" in arg, "c" in arg
+    n, gaussian, cap = int(arg.rstrip("icu")), "i" in arg, "c" in arg
+    unrelated = "u" in arg
     rng = random.Random(30 if cap else n)
     bound = 10 ** 100 if cap else 3
 
     def entry():
+        if unrelated:
+            return Scalar(Fraction(rng.randint(-bound, bound), 3),
+                          Fraction(rng.randint(-bound, bound), 5))
         if gaussian:
             return Scalar(rng.randint(-bound, bound), rng.randint(-bound, bound))
         return Scalar(rng.randint(-bound, bound))
@@ -105,8 +114,9 @@ for arg in sys.argv[1:]:
         [ONE if i == j else entry() if i < j else ZERO
          for j in range(n)] for i in range(n)]))
     for kind, obj in (("structure", delta_to_mhs(d)), ("delta", d)):
-        with open("%s%schain_%d_%s.json" % ("cap_" * cap, "g" * gaussian, n, kind),
-                  "w") as fh:
+        name = "%s%s%schain_%d_%s.json" % ("cap_" * cap, "g" * gaussian,
+                                           "u" * unrelated, n, kind)
+        with open(name, "w") as fh:
             json.dump(serialize(obj), fh)
 """
 
@@ -240,9 +250,11 @@ def chains(cmp, work):
     os.makedirs(cwd)
     _child(cmp.srcs[0], ["-c", CHAIN_SCRIPT] + [str(n) for n in CHAINS]
            + ["%di" % n for n in GAUSSIAN_CHAINS]
+           + ["%du" % n for n in UNRELATED_CHAINS]
            + ["%dc" % n for n in CAP_CHAINS] + ["16ci"], cwd)
     for label, prefix, sizes in (("chains", "", CHAINS),
                                  ("Gaussian chains", "g", GAUSSIAN_CHAINS),
+                                 ("a/3 + b/5*i chain", "u", UNRELATED_CHAINS),
                                  ("cap chains", "cap_", CAP_CHAINS)):
         docs = ["%schain_%d_%s.json" % (prefix, n, kind) for n in sizes
                 for kind in ("structure", "delta")]
