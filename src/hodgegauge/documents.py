@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .linalg import DimensionMismatch, Matrix, Subspace
 from .mhs import ComplexMHS, Filtration, HodgeNumbers, RealMHS
-from .scalars import MAX_DIGITS, FieldError, _ints, _over, parse_parts
+from .scalars import MAX_DIGITS, FieldError, _fast, _ints, parse_parts
 
 
 # the widest range of indices one filtration, or of weights one set of
@@ -66,7 +66,7 @@ def _integer_in(x, what):
 
 def _scalar_in(text, field=None):
     try:
-        x = _over(*parse_parts(text))
+        x = _fast(*parse_parts(text))
     except (ValueError, TypeError) as exc:
         raise DocumentError(str(exc))
     except ZeroDivisionError:
@@ -126,15 +126,20 @@ def _filtration_out(f):
 
 def _step_in(rows, n, field, seen):
     # the span of the rows of a step; seen keeps, for one document and field,
-    # the Scalar of each entry string and the step of each list of rows
+    # the Scalar of each entry string and the step of each list of rows.
+    # The rows' lengths are checked before any entry is read, so a wide
+    # row costs its length, not its parse
     _lists_in(rows)
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise DocumentError("ragged rows")
+    if width != n:
+        raise DimensionMismatch("rows of length %d in K^%d" % (width, n))
     try:
         return seen[n, tuple(map(tuple, rows))]
     except (KeyError, TypeError):  # new, or an entry is not a string
         pass
-    scalars, width = _rows_in(rows, field, seen)
-    if width != n:
-        raise DimensionMismatch("rows of length %d in K^%d" % (width, n))
+    scalars, _ = _rows_in(rows, field, seen)
     # _span makes each row primitive
     seen[n, tuple(map(tuple, rows))] = step = Subspace._span(
         n, [_ints(r)[:2] for r in scalars])

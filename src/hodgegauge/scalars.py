@@ -12,8 +12,9 @@ Scalar: floats are refused, so no floating point gets in.  ``fractions``
 Fraction is converted or a part is read, so a process that never does so
 never loads it.  Plain rationals are the im == 0 case; callers that need to
 stay inside Q can check ``in_field("Q")``.  No other module reads a
-Scalar's fields: ``parse_parts`` reads text into a triple, ``_over`` makes
-the Scalar of one, and ``_ints`` writes Scalars over one denominator.
+Scalar's fields: ``parse_parts`` reads text into a canonical triple,
+``_fast`` makes the Scalar of one, ``_over`` that of any triple, and
+``_ints`` writes Scalars over one denominator.
 
 ``Value`` is the one rule for every other exact object of the library:
 its fields are set once, by the constructor, and two values are equal, and
@@ -64,12 +65,15 @@ def _rational(text):
     n, d = int(num), int(den or 1)
     if not d:
         raise ZeroDivisionError("zero denominator in %r" % (text,))
-    return n, d
+    g = gcd(n, d)
+    return (n // g, d // g) if g != 1 else (n, d)
 
 
 def parse_parts(text):
-    """The triple (re, im, d), d > 0, of the number text holds, not yet
-    reduced, with the errors of ``Scalar.parse``, which is ``_over`` of it."""
+    """The canonical triple (re, im, d) of the number text holds, with the
+    errors of ``Scalar.parse``, which is ``_fast`` of it.  Each part is
+    reduced on its own and set over the lcm of the two denominators, which
+    leaves nothing to cancel, so no gcd is taken of the longer triple."""
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ValueError("not a scalar: %r" % (text,))
@@ -79,7 +83,8 @@ def parse_parts(text):
     c, e = _rational(m.group("im"))
     if m.group("sign") == "-":
         c = -c
-    return a * e, c * b, b * e
+    g = gcd(b, e)
+    return a * (e // g), c * (b // g), b // g * e
 
 
 _new = object.__new__
@@ -140,7 +145,7 @@ class Scalar:
 
         Non-reduced input is reduced; a zero denominator raises
         ZeroDivisionError."""
-        return _over(*parse_parts(text))
+        return _fast(*parse_parts(text))
 
     def __str__(self):
         re, im, d = self._re, self._im, self._d

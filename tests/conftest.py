@@ -1,6 +1,5 @@
 import json
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +9,9 @@ import pytest
 from hypothesis import settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
+from gendocs import cap_chain_delta, chain_delta  # noqa: F401 (for the tests)
 from hodgegauge.connection import (
     AdmissibilityError,
     connection_form,
@@ -228,39 +229,6 @@ def reference_shape(counts):
         (a + b, (i, j)) for i, row in enumerate(table)
         for j, (a, b) in enumerate(row) if a > 0 and b > 0)]
     return blocks, owner, table, lowering
-
-
-def _upper_chain(n, entry):
-    # one dimension per weight, (-k, -k) for k < n, the entries above the
-    # diagonal drawn row by row
-    return DeltaObject(HodgeNumbers({(-k, -k): 1 for k in range(n)}), Matrix([
-        [ONE if i == j else entry() if i < j else ZERO for j in range(n)]
-        for i in range(n)
-    ]))
-
-
-def chain_delta(n, gaussian=False):
-    """One dimension per weight, (-k, -k) for k < n, so that every drop of
-    weight occurs; entries in -3..3 seeded by n, a Gaussian entry drawing
-    its real part, then its imaginary part: the chains of
-    ``tools/stdout_identity.py``."""
-    rng = random.Random(n)
-    return _upper_chain(n, lambda: Scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-                        if gaussian else Scalar(rng.randint(-3, 3)))
-
-
-def cap_chain_delta(n, gaussian=False):
-    """The chain at the cap in bits: entries uniform in +-10^100 from
-    random.Random(30), whatever n; a Gaussian entry draws its real part,
-    then its imaginary part, the same way.  ``tools/stdout_identity.py``
-    draws the same documents."""
-    rng = random.Random(30)
-
-    def part():
-        return rng.randint(-10 ** 100, 10 ** 100)
-
-    return _upper_chain(n, lambda: Scalar(part(), part()) if gaussian
-                        else Scalar(part()))
 
 
 def unchecked_delta(hodge, delta):

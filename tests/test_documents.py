@@ -152,6 +152,9 @@ def test_parsing_coerces_no_entry_twice(monkeypatch):
     ([["1/1"]], "bad filtration: rows of length 1 in K^2"),
     ([[]], "bad filtration: rows of length 0 in K^2"),
     ([["1/1", "0/1"], ["1/1"]], "bad filtration: ragged rows"),
+    # lengths are read before entries: a wrong-length row reports its length
+    ([["1/1", "0/1", "1/2x"]], "bad filtration: rows of length 3 in K^2"),
+    ([["1/1", None], ["1/1"]], "bad filtration: ragged rows"),
 ])
 def test_step_of_the_wrong_width_is_malformed(rows, reason):
     with pytest.raises(DocumentError) as exc:
@@ -218,8 +221,11 @@ def _add_short_row(doc):
     (_set_entry("W", "0/1+1/1*i"), True, (), 1, "violation",
      "scalar 0/1+1/1*i outside field Q"),
     (_add_short_row, False, (), 2, "malformed", "bad filtration: ragged rows"),
+    # a row's length is read before its entries: malformed, not outside Q
+    (lambda doc: doc["Fpp"]["steps"]["0"].append(["1/1", "0/1", "0/1+1/1*i"]),
+     False, ("--field", "Q"), 2, "malformed", "bad filtration: ragged rows"),
 ], ids=["zero-denominator", "digits", "digits-at-the-bound", "not-a-scalar",
-        "int-entry", "null-entry", "field-Q", "real-W", "ragged"])
+        "int-entry", "null-entry", "field-Q", "real-W", "ragged", "ragged-field-Q"])
 def test_step_entry_errors_keep_their_text_and_status(
         tmp_path, edit, real, flags, code, status, error):
     # a step is read straight into integer rows; each error of an entry

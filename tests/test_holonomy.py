@@ -10,6 +10,7 @@ from conftest import (
     flat_sections_on_line, gauge_matrix, mat, picard, picard_transport,
     reference_segment_transport, reference_solve_form, segment_pullback,
 )
+from gendocs import gauged_connection
 from hodgegauge import holonomy, upoly
 from hodgegauge.connection import (
     EquivariantConnection,
@@ -337,21 +338,21 @@ BLOCKS_24 = {
 }
 
 
-def _dimension_24(counts):
-    hodge = HodgeNumbers(counts)
+def _dimension_24():
+    hodge = HodgeNumbers(BLOCKS_24)
     assert hodge.dim == 24
     return connection_from_delta(_delta_on(hodge, random.Random(24)))
 
 
 def test_walk_matches_picard_on_the_deepest_chain_at_dimension_24():
     # one dimension per weight: every drop from 2 to 46 occurs
-    C = _dimension_24({(-k, -k): 1 for k in range(24)})
+    C = connection_from_delta(chain_delta(24))
     _check_against_picard(C, PolygonalPath(TRIANGLE))
 
 
 def test_walk_matches_picard_after_a_gauge_change_at_dimension_24():
     rng = random.Random(8)
-    C = _dimension_24(BLOCKS_24)
+    C = _dimension_24()
     G, not_fs = _gauge_changed(C, rng)
     assert not_fs
     for conn in (C, G):
@@ -363,7 +364,7 @@ def test_flat_sections_match_picard():
     rng = random.Random(77)
     shift = Poly.constant(1, ONE) + Poly.variable(1, 0)
     bases = [connection_from_delta(random_delta(rng, max_dim=8)) for _ in range(6)]
-    for C in bases + [_dimension_24(BLOCKS_24)]:
+    for C in bases + [_dimension_24()]:
         for conn in (C, _gauge_changed(C, rng)[0]):
             P, Q = connection_form(conn)
             M = segment_pullback(P, Q, (-1, 0), (0, -1)).subs(0, shift)
@@ -383,11 +384,10 @@ SEGMENTS = (((-1, 0), (0, -1)), ((0, 0), (-1, 0)), ((0, -1), (0, 0)),
 
 
 def _shipped_and_gauged():
-    # the shipped connection document, and the gauge change that
-    # tools/stdout_identity.py writes out, A + B != 0
+    # the shipped connection document, and its gauge change, A + B != 0
     with open(os.path.join(fixture_dir(), "connection_t3_2_5.json")) as fh:
         C = parse(json.load(fh))
-    G = apply_gauge(C, DeltaObject(C.hodge, mat([[1, 2, 0], [0, 1, -1], [0, 0, 1]])))
+    G = gauged_connection()
     assert G.Q != -G.P
     return [C, G]
 
