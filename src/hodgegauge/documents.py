@@ -10,9 +10,15 @@ of every stage grows with both.
 Index keys must be canonical ("k" or "p,q", each part str(int(part))).  A
 matrix row or a filtration step that is not a list ([] is the zero step),
 or a (p, q) block that a connection document repeats, is malformed.
-Every entry is read into a Scalar, each distinct string once per matrix, or
-once per document and field in filtration steps; a step is the span of
-``scalars._ints`` of its rows.
+One reader, ``_rows_in``, reads the entries of every matrix: filtration
+steps, the delta matrix and each connection block.  It measures the matrix
+before it reads an entry (rows of one width, the dimension n, and n rows
+for the delta matrix and the blocks), so a misshaped matrix is malformed at
+the cost of its length, not of its parse.  Every entry is read into a
+Scalar, each distinct string once per matrix, or once per document and
+field in filtration steps; a step is the span of ``scalars._ints`` of its
+rows.  A filtration of a structure is checked to be on the document's n
+before its steps are read.
 """
 
 from __future__ import annotations
@@ -84,15 +90,26 @@ def _matrix_out(m):
                              "than %d digits" % MAX_DIGITS)
 
 
-def _lists_in(rows):
+def _rows_in(rows, field, seen, build, n=None, what=None):
+    # build(rows of Scalars, width): the one reader of matrix entries.  The
+    # rows are measured before any entry is read: lists of one width, n
+    # where n is given, and n of them where `what` names an n x n matrix.
+    # seen keeps the Scalar of each distinct entry string (nearly every
+    # entry is "0/1" or "1/1") and the result of each distinct list of rows
     if type(rows) is not list or any(type(row) is not list for row in rows):
         raise DocumentError("matrix must be a list of rows, each a list")
-
-
-def _rows_in(rows, field, seen):
-    # the rows of a matrix as Scalars, and their width; nearly every entry is
-    # "0/1" or "1/1", so seen keeps the Scalar of each distinct string
-    _lists_in(rows)
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise DocumentError("ragged rows")
+    if what is not None and (len(rows), width) != (n, n):
+        raise DocumentError("%s has shape %r" % (what, (len(rows), width)))
+    if n is not None and width != n:
+        raise DimensionMismatch("rows of length %d in K^%d" % (width, n))
+    key = n, tuple(map(tuple, rows))
+    try:
+        return seen[key]
+    except (KeyError, TypeError):  # new, or an entry is not a string
+        pass
 
     def entry(x):
         if type(x) is not str:
@@ -100,18 +117,15 @@ def _rows_in(rows, field, seen):
         seen[x] = _scalar_in(x, field)
         return seen[x]
 
-    rows = [[seen[x] if type(x) is str and x in seen else entry(x) for x in row]
-            for row in rows]
-    width = len(rows[0]) if rows else 0
-    if any(len(row) != width for row in rows):
-        raise DocumentError("ragged rows")
-    return rows, width
+    seen[key] = built = build(tuple([
+        tuple([seen[x] if type(x) is str and x in seen else entry(x) for x in row])
+        for row in rows]), width)
+    return built
 
 
-def _matrix_in(rows, field=None):
+def _matrix_in(rows, field=None, n=None, what=None):
     # every entry is a Scalar, so the matrix needs no second coercion
-    rows, width = _rows_in(rows, field, {})
-    return Matrix._of(tuple(map(tuple, rows)), width)
+    return _rows_in(rows, field, {}, Matrix._of, n, what)
 
 
 def _filtration_out(f):
@@ -125,28 +139,15 @@ def _filtration_out(f):
 
 
 def _step_in(rows, n, field, seen):
-    # the span of the rows of a step; seen keeps, for one document and field,
-    # the Scalar of each entry string and the step of each list of rows.
-    # The rows' lengths are checked before any entry is read, so a wide
-    # row costs its length, not its parse
-    _lists_in(rows)
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise DocumentError("ragged rows")
-    if width != n:
-        raise DimensionMismatch("rows of length %d in K^%d" % (width, n))
-    try:
-        return seen[n, tuple(map(tuple, rows))]
-    except (KeyError, TypeError):  # new, or an entry is not a string
-        pass
-    scalars, _ = _rows_in(rows, field, seen)
+    # the span of the rows of a step, seen kept for one document and field;
     # _span makes each row primitive
-    seen[n, tuple(map(tuple, rows))] = step = Subspace._span(
-        n, [_ints(r)[:2] for r in scalars])
-    return step
+    return _rows_in(rows, field, seen, lambda scalars, _: Subspace._span(
+        n, [_ints(r)[:2] for r in scalars]), n)
 
 
-def _filtration_in(doc, field=None, seen=None):
+def _filtration_in(doc, field=None, seen=None, dim=None):
+    # a filtration on dimension dim, where it is given, is checked to be on
+    # it before any step is read
     seen = {} if seen is None else seen
     try:
         direction = doc["direction"]
@@ -154,19 +155,21 @@ def _filtration_in(doc, field=None, seen=None):
         if n < 0:
             raise DocumentError("negative dimension %d" % n)
         _check_dim(n)
-        steps = {}
-        for key, rows in doc["steps"].items():
-            # [] is the zero step; any other step is a list of rows
-            step = Subspace.zero(n) if rows == [] else _step_in(rows, n, field, seen)
-            k = int(key)
-            _canonical(key, str(k))
-            steps[k] = step
-        _check_span(steps, "indices")
-        return Filtration(direction, n, steps)
+        if dim in (None, n):
+            steps = {}
+            for key, rows in doc["steps"].items():
+                # [] is the zero step; any other step is a list of rows
+                step = Subspace.zero(n) if rows == [] else _step_in(rows, n, field, seen)
+                k = int(key)
+                _canonical(key, str(k))
+                steps[k] = step
+            _check_span(steps, "indices")
+            return Filtration(direction, n, steps)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FieldError):
             raise
         raise DocumentError("bad filtration: %s" % (exc,))
+    raise DocumentError("filtrations are not on the document's n = %d" % dim)
 
 
 def _structure_in(doc, cls, keys, fields):
@@ -175,11 +178,8 @@ def _structure_in(doc, cls, keys, fields):
     n = _integer_in(doc["n"], "dimension")
     _check_dim(n)
     seen = {}
-    filtrations = [_filtration_in(doc[k], f, seen.setdefault(f, {}))
-                   for k, f in zip(keys, fields)]
-    if any(f.n != n for f in filtrations):
-        raise DocumentError("filtrations are not on the document's n = %d" % n)
-    return cls(n, *filtrations)
+    return cls(n, *[_filtration_in(doc[k], f, seen.setdefault(f, {}), n)
+                    for k, f in zip(keys, fields)])
 
 
 def _hodge_out(h):
@@ -257,9 +257,9 @@ def parse(doc, field=None):
         if kind == "delta":
             from .splitting import DeltaObject
 
-            return DeltaObject(
-                _hodge_in(doc["hodge"]), _matrix_in(doc["matrix"], field)
-            )
+            hodge = _hodge_in(doc["hodge"])
+            return DeltaObject(hodge, _matrix_in(doc["matrix"], field, hodge.dim,
+                                                 "delta matrix"))
         if kind == "connection":
             from .connection import from_blocks
 
@@ -273,13 +273,11 @@ def parse(doc, field=None):
                     raise DocumentError("repeated block at (%d, %d)" % (p, q))
                 seen.add((p, q))
                 for side, coeffs in (("A", A), ("B", B)):
-                    if side not in entry:
-                        continue
-                    M = coeffs[(p, q)] = _matrix_in(entry[side], field)
-                    # checked here, as from_blocks drops zero blocks
-                    if M.shape != (hodge.dim, hodge.dim):
-                        raise DocumentError("%s block at (%d, %d) has shape %r"
-                                            % (side, p, q, M.shape))
+                    # shaped here, as from_blocks drops zero blocks
+                    if side in entry:
+                        coeffs[p, q] = _matrix_in(
+                            entry[side], field, hodge.dim,
+                            "%s block at (%d, %d)" % (side, p, q))
             return from_blocks(hodge, A, B)
     except (KeyError, TypeError) as exc:
         raise DocumentError("bad %s document: %s" % (kind, exc))

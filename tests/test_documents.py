@@ -120,8 +120,8 @@ def test_filtration_builds_one_matrix_per_step(monkeypatch):
     built = []
     real = documents._rows_in
 
-    def counting(rows, field, seen):
-        built.append(real(rows, field, seen))
+    def counting(rows, field, seen, build, n):
+        built.append(real(rows, field, seen, build, n))
         return built[-1]
 
     monkeypatch.setattr(documents, "_rows_in", counting)
@@ -251,3 +251,66 @@ def test_a_gaussian_weight_filtration_is_not_real():
     with pytest.raises(FiltrationError, match="^weight filtration must be rational$"):
         RealMHS(2, _filtration_in(W), V.F)
     assert RealMHS(2, _filtration_in(serialize(V)["W"]), V.F) == V
+
+
+# shape faults of an n = 3 matrix, as the widths of its rows
+SHAPE_FAULTS = [("ragged", [10000, 3, 3]), ("1x10000", [10000]),
+                ("3x10000", [10000] * 3), ("10000x3", [3] * 10000), ("2x2", [2, 2])]
+# the matrix as its document holds it: a connection's A or B block is the
+# first matrix read when its block is the only one and holds nothing else
+MATRICES = [
+    ("delta_t3_2_5.json", "matrix", "delta matrix", lambda rows: rows),
+    ("connection_t3_2_5.json", "blocks", "A block at (1, 1)",
+     lambda rows: [{"p": 1, "q": 1, "A": rows}]),
+    ("connection_t3_2_5.json", "blocks", "B block at (1, 1)",
+     lambda rows: [{"p": 1, "q": 1, "B": rows}]),
+]
+
+
+def _setting(keys, value, widths=None):
+    # the edit that sets doc[keys...] to value, or to value of rows of the
+    # given widths, built when it runs
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value if widths is None else value(
+            [["1/1"] * width for width in widths])
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, error", [
+    pytest.param(name, _setting([key], place, widths),
+                 "ragged rows" if fault == "ragged" else
+                 "%s has shape %r" % (what, (len(widths), widths[0])),
+                 id="%s-%s" % (what.split(" at")[0].replace(" ", "-"), fault))
+    for name, key, what, place in MATRICES for fault, widths in SHAPE_FAULTS
+] + [
+    # a structure's filtrations are on n = 2; the first is refused unread
+    pytest.param("kummer_3.json", _setting(["n"], 3),
+                 "filtrations are not on the document's n = 3", id="structure-n"),
+    pytest.param("kummer_3.json", _setting(["W", "n"], 3),
+                 "filtrations are not on the document's n = 2", id="filtration-n"),
+])
+def test_a_misshaped_document_is_refused_before_any_entry_is_read(
+        monkeypatch, capsys, tmp_path, name, edit, error):
+    from hodgegauge import cli
+
+    with open(os.path.join(fixture_dir(), name)) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    read = []
+    real = documents._scalar_in
+
+    def counting(text, field=None):
+        read.append(text)
+        return real(text, field)
+
+    monkeypatch.setattr(documents, "_scalar_in", counting)
+    with pytest.raises(DocumentError) as exc:
+        parse(doc)
+    assert (str(exc.value), read) == (error, [])
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    code = cli.main(["holonomy", str(file)])
+    [entry] = json.loads(capsys.readouterr().out)["inputs"]
+    assert (code, entry["status"], entry["error"]) == (2, "malformed", error)

@@ -261,6 +261,9 @@ def test_integer_fields_take_only_json_integers(name, path, value, workdir):
     # all zero, so from_blocks would drop it unchecked
     ("connection_t3_2_5.json", ["blocks", 1, "B"], [["0/1", "0/1"]] * 2),
     ("connection_t3_2_5.json", ["blocks", 1, "A"], []),
+    # a delta matrix of the wrong shape was a violation
+    ("delta_t3_2_5.json", ["matrix"], [["1/1", "0/1"], ["0/1", "1/1"]]),
+    ("connection_t3_2_5.json", ["blocks", 0, "B"], [["0/1"] * 3] * 4),
 ])
 def test_ragged_and_misshaped_matrices_are_malformed(name, path, value, workdir):
     # ragged ones were violations, and a zero block of the wrong shape ok

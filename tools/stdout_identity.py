@@ -26,7 +26,11 @@ the same documents in the same working directory:
   hypotenuse, where both coefficients of a pulled-back entry, c0 + c1 s,
   are nonzero;
 - ``connect``, ``holonomy`` and both paths on the generator's
-  gauge-changed ``connection_t3_2_5``, whose A + B != 0.
+  gauge-changed ``connection_t3_2_5``, whose A + B != 0;
+- the seven commands on each of ``SHAPE_FAULTS`` written into the shipped
+  ``delta_t3_2_5`` matrix and into the A and into the B of the first block
+  of ``connection_t3_2_5`` (n = 3), one fault a document: the error path
+  of a misshaped matrix.
 
 Stderr is compared by whether it is empty and by its last line, which
 names no path (an exception's text or argparse's error), so a lost
@@ -65,6 +69,11 @@ PATH_5 = "--path=-1,0;0,-1;2,3;1/2,-1/3;1,1"
 PATHS = (PATH_5, "--path=-1,0;1/2+1*i,-1;0,-1")
 REES_POINTS = (["--point", "2,3", "--point", "4/2,3"], ["--point=-1,0"],
                ["--point", "1/2-3*i,-2"])
+# each fault as the widths of the rows that replace an n = 3 matrix
+SHAPE_FAULTS = (("ragged", (4, 3, 3)), ("1x4", (4,)), ("3x4", (4, 4, 4)),
+                ("4x3", (3, 3, 3, 3)), ("2x2", (2, 2)))
+SHAPED = (("delta_t3_2_5", ["matrix"]), ("connection_t3_2_5", ["blocks", 0, "A"]),
+          ("connection_t3_2_5", ["blocks", 0, "B"]))
 
 
 def _env(src):
@@ -193,6 +202,25 @@ def chains(cmp, work):
                        argv + ["gauged_t3_2_5.json"], cwd)
 
 
+def shape_faults(cmp, work):
+    cwd = os.path.join(work, "shape-faults")
+    os.makedirs(cwd)
+    for fixture, path in SHAPED:
+        for fault, widths in SHAPE_FAULTS:
+            with open(os.path.join(cmp.srcs[0], "hodgegauge", "fixtures",
+                                   fixture + ".json")) as fh:
+                doc = json.load(fh)
+            matrix = doc
+            for key in path[:-1]:
+                matrix = matrix[key]
+            matrix[path[-1]] = [["1/1"] * width for width in widths]
+            name = "%s_%s_%s.json" % (fixture, path[-1], fault)
+            with open(os.path.join(cwd, name), "w") as fh:
+                json.dump(doc, fh)
+            for command in COMMANDS:
+                cmp.invocation("%s on %s" % (command, name), [command, name], cwd)
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -205,6 +233,7 @@ def main(argv):
         for seed in seeds:
             corpora(cmp, work, seed)
         chains(cmp, work)
+        shape_faults(cmp, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print("%d invocations compared, %d differ in stdout, exit code or stderr"
